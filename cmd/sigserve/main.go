@@ -30,7 +30,9 @@
 // wave's wall time and retimes itself toward the EWMA within [-min-period,
 // -max-period] (defaults P/4 and 8×P). Waves that outrun the cadence are
 // counted, never dropped — /stats reports overruns and the measured and
-// paced periods, /metrics the matching gauges.
+// paced periods, /metrics the matching gauges. The cadence is the batching
+// window while quality is being shed; at ratio 1.0 a request that finds the
+// server idle fires its wave at once (early_waves in /stats).
 //
 // -priority-at S (in (0,1]) enables the priority admission lane: requests
 // with significance >= S (e.g. tier=gold at 1.0) queue in a reserved slice
@@ -186,18 +188,24 @@ func main() {
 		select {
 		case <-tk.Done():
 		case <-r.Context().Done():
-			// The wave still completes the work; only the caller left.
+			// The wave still completes the work; only the caller left. The
+			// ticket is not Released here: Release is only legal after Done,
+			// so this one is left to the garbage collector.
 			http.Error(w, "client gave up", http.StatusRequestTimeout)
 			return
 		}
-		if tk.Outcome() == serve.OutcomeTimedOut {
+		// Read everything the reply needs, then hand the ticket back to the
+		// pool — no accessor may follow Release.
+		outcome, waveLatency := tk.Outcome(), tk.WaveLatency()
+		tk.Release()
+		if outcome == serve.OutcomeTimedOut {
 			http.Error(w, "deadline expired in queue", http.StatusGatewayTimeout)
 			return
 		}
 		writeJSON(w, map[string]any{
-			"outcome":       tk.Outcome().String(),
+			"outcome":       outcome.String(),
 			"significance":  req.Significance,
-			"wave_latency":  tk.WaveLatency(),
+			"wave_latency":  waveLatency,
 			"latency_ms":    float64(time.Since(start).Microseconds()) / 1000,
 			"current_ratio": srv.Ratio(),
 		})
@@ -221,6 +229,7 @@ func main() {
 			"priority_depth":     prioDepth,
 			"waves":              tot.Waves,
 			"overruns":           tot.Overruns,
+			"early_waves":        tot.EarlyWaves,
 			"measured_period_ms": float64(srv.MeasuredPeriod().Microseconds()) / 1000,
 			"pace_period_ms":     float64(srv.PacePeriod().Microseconds()) / 1000,
 			"submitted":          tot.Submitted,

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -272,8 +273,82 @@ func TestServeStartLifecycle(t *testing.T) {
 
 // TestServeCloseDuringPacedWaveDrains: Close called while the real-clock
 // pacer has a wave in flight must drain cleanly — every accepted ticket
-// resolves, and no goroutine (pump, workers) outlives Close.
+// resolves, and no goroutine (pump, workers) outlives Close. The storm
+// variant races Close against submitters that keep posting wake tokens: the
+// send must never block a Submit, the pump must exit with a token still
+// pending, and the drain must still resolve whatever was accepted.
 func TestServeCloseDuringPacedWaveDrains(t *testing.T) {
+	body := Request{
+		Significance: 1.0,
+		Handler:      func() { time.Sleep(time.Millisecond) },
+		CostAccurate: float64(time.Millisecond),
+	}
+	t.Run("queued", func(t *testing.T) {
+		closeUnderLoad(t, func(s *Server) func() []*Ticket {
+			var tks []*Ticket
+			for i := 0; i < 16; i++ {
+				tk, err := s.Submit(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tks = append(tks, tk)
+			}
+			// Let the pacer take at least one wave in flight before shutting down.
+			for s.Totals().Waves == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return func() []*Ticket { return tks }
+		})
+	})
+	t.Run("submit storm", func(t *testing.T) {
+		const submitters = 4
+		var wg sync.WaitGroup
+		accepted := make([][]*Ticket, submitters)
+		closing := make(chan struct{})
+		closeUnderLoad(t, func(s *Server) func() []*Ticket {
+			for g := 0; g < submitters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for {
+						tk, err := s.Submit(cheapRequest) // never sheds: tokens need ratio 1.0
+						if errors.Is(err, ErrClosed) {
+							return
+						}
+						if err == nil {
+							accepted[g] = append(accepted[g], tk)
+							// Waiting out every ticket keeps the queue draining to
+							// empty, so most Submits are the idle arrival that
+							// posts a token.
+							select {
+							case <-tk.Done():
+							case <-closing:
+							}
+						}
+					}
+				}(g)
+			}
+			for s.Totals().EarlyWaves < 8 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			close(closing)
+			return func() []*Ticket {
+				wg.Wait() // every submitter saw ErrClosed: none is parked on the wake send
+				var all []*Ticket
+				for _, tks := range accepted {
+					all = append(all, tks...)
+				}
+				return all
+			}
+		})
+	})
+}
+
+// closeUnderLoad starts a real-clock pump, lets load put it to work, calls
+// Close and checks the shutdown contract: every accepted ticket (what load's
+// returned func reports once Close is back) is resolved, the counters
+// conserve, and the goroutine count returns to its baseline.
+func closeUnderLoad(t *testing.T, load func(*Server) func() []*Ticket) {
 	base := runtime.NumGoroutine()
 	s, err := New(Config{
 		Workers:    2,
@@ -284,25 +359,11 @@ func TestServeCloseDuringPacedWaveDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	var tks []*Ticket
-	for i := 0; i < 16; i++ {
-		tk, err := s.Submit(Request{
-			Significance: 1.0,
-			Handler:      func() { time.Sleep(time.Millisecond) },
-			CostAccurate: float64(time.Millisecond),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tks = append(tks, tk)
-	}
-	// Let the pacer take at least one wave in flight before shutting down.
-	for s.Totals().Waves == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	accepted := load(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tks := accepted()
 	for i, tk := range tks {
 		select {
 		case <-tk.Done():
@@ -310,8 +371,8 @@ func TestServeCloseDuringPacedWaveDrains(t *testing.T) {
 			t.Fatalf("ticket %d unresolved after Close", i)
 		}
 	}
-	if tot := s.Totals(); tot.Completed != 16 {
-		t.Fatalf("completed %d of 16 accepted requests", tot.Completed)
+	if tot := s.Totals(); tot.Completed != int64(len(tks)) || tot.Submitted != tot.Completed+tot.Rejected {
+		t.Fatalf("%d accepted tickets, totals %+v", len(tks), tot)
 	}
 	// The pump and the engine workers must be gone; give the runtime a
 	// moment to reap them.

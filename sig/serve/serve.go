@@ -450,7 +450,10 @@ type Totals struct {
 	// wave followed immediately — the pacer counts overruns where a fixed
 	// Ticker would silently coalesce the late ticks.
 	Overruns int64
-	Joules   float64
+	// EarlyWaves counts pump waves fired by an arrival at an idle,
+	// non-shedding server instead of by the cadence timer.
+	EarlyWaves int64
+	Joules     float64
 }
 
 // Server admits requests as significance-annotated task waves over a sig
@@ -484,6 +487,17 @@ type Server struct {
 	measuredNs atomic.Int64
 	paceNs     atomic.Int64
 	overruns   atomic.Int64
+
+	// wake is the 1-slot channel on which a Submit into an idle,
+	// non-shedding server tells Start's pump to fire its wave now; earlyWaves
+	// counts the waves fired that way. early marks the wave in flight as one
+	// of them and lastEnd is the previous wave's end — together what measure
+	// needs to price a wave that covers less than a period (both guarded by
+	// waveMu).
+	wake       chan struct{}
+	earlyWaves atomic.Int64
+	early      bool
+	lastEnd    time.Time
 
 	// waveMu serializes RunWave with itself and with Close's final drain,
 	// so shutdown can never tear the engine down under an in-flight wave
@@ -586,7 +600,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: pacer bounds [%v, %v] must bracket WavePeriod %v", cfg.MinPeriod, cfg.MaxPeriod, cfg.WavePeriod)
 	}
 
-	s := &Server{cfg: cfg, closeDone: make(chan struct{})}
+	s := &Server{cfg: cfg, closeDone: make(chan struct{}), wake: make(chan struct{}, 1)}
 	s.workersPerShard = workers
 	s.clock = cfg.Clock
 	if s.clock == nil {
@@ -699,17 +713,18 @@ func (s *Server) Budget() float64 {
 // Totals returns the cumulative serving counters.
 func (s *Server) Totals() Totals {
 	return Totals{
-		Submitted: s.tot.submitted.Load(),
-		Rejected:  s.tot.rejected.Load(),
-		Completed: s.tot.completed.Load(),
-		Accurate:  s.tot.accurate.Load(),
-		Degraded:  s.tot.degraded.Load(),
-		Dropped:   s.tot.dropped.Load(),
-		TimedOut:  s.tot.timedout.Load(),
-		Priority:  s.tot.priority.Load(),
-		Waves:     s.wave.Load(),
-		Overruns:  s.overruns.Load(),
-		Joules:    math.Float64frombits(s.tot.joules.Load()),
+		Submitted:  s.tot.submitted.Load(),
+		Rejected:   s.tot.rejected.Load(),
+		Completed:  s.tot.completed.Load(),
+		Accurate:   s.tot.accurate.Load(),
+		Degraded:   s.tot.degraded.Load(),
+		Dropped:    s.tot.dropped.Load(),
+		TimedOut:   s.tot.timedout.Load(),
+		Priority:   s.tot.priority.Load(),
+		Waves:      s.wave.Load(),
+		Overruns:   s.overruns.Load(),
+		EarlyWaves: s.earlyWaves.Load(),
+		Joules:     math.Float64frombits(s.tot.joules.Load()),
 	}
 }
 
@@ -882,8 +897,20 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	if !req.Deadline.IsZero() {
 		s.deadlined++
 	}
+	idle := len(s.queue)+len(s.prio) == 0
 	*lane = append(*lane, p) //siglint:allocok amortized growth of the retained lane backlog
 	s.mu.Unlock()
+	// The cadence is a batching window, and batching only buys a better
+	// significance ranking. At ratio 1.0 nothing is shed, so there is nothing
+	// to rank: the arrival that ends an idle spell wakes the pump instead of
+	// waiting the cadence out. The send never blocks — a token already
+	// pending (or no pump at all) means the slot is simply left as it is.
+	if idle && s.eng.Ratio() >= 1 { //siglint:allocok engine boundary: Ratio is an atomic read behind the interface
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
 	return tk, nil
 }
 
@@ -952,6 +979,18 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 		load = math.Max(load, ws.Joules/s.cfg.EnergyBudget)
 	}
 	s.mu.Lock()
+	if s.early {
+		// An early wave covers less than the period the budget prices: its
+		// own sample is demand ÷ (workers × the interval since the last wave
+		// ended — never less than its wall so far, since waves serialize), and
+		// it speaks for only that share of the one-period horizon every
+		// cadence sample spans. The rest of the horizon keeps the previous
+		// reading, so the signal still means "demand over capacity across a
+		// period" and a burst of back-to-back waves cannot read as overload.
+		if share := float64(s.clock.Now().Sub(s.lastEnd)) / float64(s.effectivePeriod()); share < 1 {
+			load += (1 - share) * s.lastLoad
+		}
+	}
 	s.lastLoad = load
 	s.mu.Unlock()
 	return load
@@ -1051,11 +1090,18 @@ func (s *Server) popLaneLocked(batch []*pending, q *[]*pending, cs *costSums, ra
 // serialize; after Close's final drain it is a no-op returning an empty
 // report). A wave with nothing to admit still advances the wave epoch
 // (tickets measure latency in waves).
-func (s *Server) RunWave() WaveReport {
+func (s *Server) RunWave() WaveReport { return s.runWave(false) }
+
+// runWave is RunWave; early marks — and counts — a wave the pump fired on an
+// arrival rather than on its timer (see measure).
+func (s *Server) runWave(early bool) WaveReport {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
 		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.eng.Ratio(), NextRatio: s.eng.Ratio()}
+	}
+	if s.early = early; early {
+		s.earlyWaves.Add(1)
 	}
 	start := s.clock.Now()
 	batch := s.admit(start)
@@ -1076,6 +1122,7 @@ func (s *Server) RunWave() WaveReport {
 	// sample behind MeasuredPeriod: the pacer's cadence target and the
 	// honest RetryAfter price.
 	rep.WallTime = end.Sub(start)
+	s.lastEnd = end
 	s.observePeriod(rep.WallTime)
 	wave := s.wave.Add(1) - 1
 	nowNs := end.UnixNano()
@@ -1174,8 +1221,12 @@ func (s *Server) RunWave() WaveReport {
 // live workers — under pacing, a configured WaveBudget degrades to an
 // initial guess that real measurements replace. It returns the wave report
 // and the delay until the next wave is due (zero after an overrun).
-func (s *Server) PaceWave() (WaveReport, time.Duration) {
-	rep := s.RunWave()
+func (s *Server) PaceWave() (WaveReport, time.Duration) { return s.paceWave(false) }
+
+// paceWave is the pump's step: PaceWave, fired by the cadence timer or —
+// early — by an arrival's wake token.
+func (s *Server) paceWave(early bool) (WaveReport, time.Duration) {
+	rep := s.runWave(early)
 	if rep.Overrun = rep.WallTime > time.Duration(s.paceNs.Load()); rep.Overrun {
 		s.overruns.Add(1)
 	}
@@ -1221,11 +1272,13 @@ func (s *Server) retime() time.Duration {
 }
 
 // Start launches the wave pacer: a PaceWave whenever the cadence timer
-// fires, the cadence retimed wave by wave to the measured period. A wave
-// that overruns its cadence is followed immediately by the next one and
-// counted in Totals.Overruns — where the old fixed Ticker silently
-// coalesced the late ticks, making the wave count diverge from
-// elapsed/period with no signal.
+// fires — or, while nothing is being shed, the moment a request arrives at
+// an idle server (Submit's wake token; tokens posted during a wave make the
+// next one back-to-back, so batches grow with load on their own) — the
+// cadence retimed wave by wave to the measured period. A wave that overruns
+// its cadence is followed immediately by the next one and counted in
+// Totals.Overruns — where the old fixed Ticker silently coalesced the late
+// ticks, making the wave count diverge from elapsed/period with no signal.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1239,13 +1292,25 @@ func (s *Server) Start() {
 		timer := time.NewTimer(time.Duration(s.paceNs.Load()))
 		defer timer.Stop()
 		for {
+			early := false
 			select {
 			case <-stop:
 				return
+			case <-s.wake:
+				early = true
 			case <-timer.C:
-				_, delay := s.PaceWave()
-				timer.Reset(delay)
 			}
+			_, delay := s.paceWave(early)
+			// go.mod pins pre-1.23 timer semantics: Stop and drain before
+			// Reset, or a tick that expired during an early wave fires a
+			// second time.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(delay)
 		}
 	}(s.pumpStop, s.pumpDone)
 }

@@ -376,6 +376,7 @@ func TestServeWriteMetrics(t *testing.T) {
 		fmt.Sprintf("sigserve_completed_total{outcome=\"accurate\"} %d\n", tot.Accurate),
 		fmt.Sprintf("sigserve_priority_completed_total %d\n", tot.Priority),
 		fmt.Sprintf("sigserve_waves_total %d\n", tot.Waves),
+		fmt.Sprintf("sigserve_early_waves_total %d\n", tot.EarlyWaves),
 		fmt.Sprintf("sigserve_queue_depth{lane=\"bulk\"} %d\n", bulkD),
 		fmt.Sprintf("sigserve_queue_depth{lane=\"priority\"} %d\n", prioD),
 		"# TYPE sigserve_wave_latency_waves histogram\n",
