@@ -31,7 +31,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 bench:
-	$(GO) test ./sig -run xxx -bench . -benchtime 1s
+	$(GO) test ./sig ./sig/shard -run xxx -bench . -benchtime 1s
 
 # Bounded native-fuzz smokes (same budgets CI uses; minimization is capped
 # so the budget is spent fuzzing). `fuzz` covers the policy invariants,

@@ -159,6 +159,30 @@ func BenchmarkWait(b *testing.B) {
 	}
 }
 
+// BenchmarkWaveFlush measures the taskwait path at wave scale: one op is a
+// 4096-task GTB(max) wave — batch ingest, the flush that decides and
+// publishes the whole window, and the wait for the workers to claim it.
+func BenchmarkWaveFlush(b *testing.B) {
+	const wave = 4096
+	rt, err := New(Config{Workers: 2, Policy: PolicyGTBMaxBuffer})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	g := rt.Group("bench", 0.5)
+	specs := make([]TaskSpec, wave)
+	for i := range specs {
+		specs[i] = TaskSpec{Fn: benchBody, Approx: benchBody, Significance: float64(i%9+1) / 10,
+			HasCost: true, CostAccurate: 50, CostApprox: 5}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.SubmitBatch(g, specs)
+		rt.WaitPhase(g)
+	}
+}
+
 // benchObserver is a minimal Observer standing in for the adaptive
 // controller (which lives downstream in sig/adapt): it retunes the group's
 // ratio at every wave, exactly like the controller's hot-path interaction.

@@ -142,6 +142,11 @@ func runScenario(t *testing.T, sc invScenario) (invOutcome, GroupStats, float64)
 			}
 		}
 		provided = rt.Wait(g)
+		// Completions retire per chunk, but the pending count goes last:
+		// at every taskwait boundary the counters are exact, not trailing.
+		if st := rt.Stats(); st.Submitted != int64(hi) || st.Accurate+st.Approximate+st.Dropped != int64(hi) {
+			t.Fatalf("Stats after the taskwait at task %d: submitted %d, decided %d+%d+%d", hi, st.Submitted, st.Accurate, st.Approximate, st.Dropped)
+		}
 	}
 	st := rt.Stats()
 	return out, st.Groups[0], provided

@@ -116,7 +116,7 @@ type LocklessSubmitter interface {
 // FlushInto is Flush, but appends the decided tasks to dst (returning the
 // extended slice) instead of allocating a fresh one. The runtime's taskwait
 // path hands buffering policies a pooled buffer through it, which takes the
-// per-wave flush allocation off the steady-state path (see Runtime.drain).
+// per-wave flush allocation off the steady-state path (see Runtime.flush).
 // The same hand-back-exactly-once contract as Flush applies.
 type BufferFlusher interface {
 	FlushInto(dst []*Task) []*Task

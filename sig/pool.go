@@ -78,25 +78,44 @@ func (p *taskPools) getSlab(n int) *taskSlab {
 	return s
 }
 
-// release recycles a completed task onto whichever path produced it. The
-// task must not be touched afterwards.
+// release recycles one completed task; see releaseAll.
 //
 //siglint:poolput
 //siglint:noalloc
 func (p *taskPools) release(t *Task) {
-	if s := t.slab; s != nil {
-		// Read n BEFORE publishing our completion: until our Add lands
-		// the slab cannot reach done==n, so it cannot be recycled and
-		// n is stable. Reading it after the Add would race with the
-		// slab's next user re-initializing it.
+	one := [1]*Task{t}
+	p.releaseAll(one[:])
+}
+
+// releaseAll recycles a chunk of completed tasks, each onto whichever path
+// produced it, publishing one completion count per run of tasks that share a
+// slab. None of them may be touched afterwards.
+//
+//siglint:poolput
+//siglint:noalloc
+func (p *taskPools) releaseAll(ts []*Task) {
+	for i := 0; i < len(ts); {
+		s := ts[i].slab
+		if s == nil {
+			ts[i].reset()
+			p.single.Put(ts[i])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(ts) && ts[j].slab == s {
+			j++
+		}
+		// Read n BEFORE publishing our completions: until our Add lands
+		// the slab cannot reach done==n, so it cannot be recycled and n
+		// is stable. Reading it after the Add would race with the slab's
+		// next user re-initializing it.
 		n := s.n
-		if s.done.Add(1) == n {
+		if s.done.Add(int32(j-i)) == n {
 			p.slabs.Put(s)
 		}
-		return
+		i = j
 	}
-	t.reset()
-	p.single.Put(t)
 }
 
 // reset clears a task for reuse, keeping the footprint slices' capacity.

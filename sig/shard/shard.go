@@ -234,6 +234,38 @@ type Router struct {
 
 	def atomic.Pointer[Group] // cached default group, off r.mu on submit
 	rr  atomic.Uint64         // round-robin cursor
+
+	scatter sync.Pool // of *scatterBuf, SubmitBatch's per-shard sub-batches
+}
+
+// scatterBuf is the scratch one multi-shard SubmitBatch scatters into: a
+// sub-batch and its summed placement cost per slot. Pooled, so a steady
+// stream of waves reuses the grown buckets instead of rebuilding them.
+type scatterBuf struct {
+	buckets [][]sig.TaskSpec
+	cost    []int64
+}
+
+// getScatter returns an empty scatter scratch.
+//
+//siglint:poolget
+//siglint:noalloc
+func (r *Router) getScatter() *scatterBuf {
+	return r.scatter.Get().(*scatterBuf)
+}
+
+// putScatter recycles a scatter scratch after dropping the task bodies it
+// holds, so a pooled bucket never pins a finished wave's closures.
+//
+//siglint:poolput
+//siglint:noalloc
+func (r *Router) putScatter(sc *scatterBuf) {
+	for b := range sc.buckets {
+		clear(sc.buckets[b])
+		sc.buckets[b] = sc.buckets[b][:0]
+	}
+	clear(sc.cost)
+	r.scatter.Put(sc)
 }
 
 // New builds a Router and starts its shards.
@@ -286,6 +318,10 @@ func New(cfg Config) (*Router, error) {
 		state:    make([]shardState, cfg.MaxShards),
 		groups:   make(map[string]*Group),
 		healthOn: cfg.WaveTimeout > 0 || cfg.HealthProbe != nil,
+	}
+	slots := cfg.MaxShards
+	r.scatter.New = func() any {
+		return &scatterBuf{buckets: make([][]sig.TaskSpec, slots), cost: make([]int64, slots)}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		rt, err := sig.New(cfg.Runtime)
@@ -357,6 +393,9 @@ type Group struct {
 	// that overran WaveTimeout; a later merged wave folds it in when it
 	// arrives. Guarded by waveMu.
 	lateWave []chan sig.WaveStats
+	// lags is WaitPhase's per-slot provided-ratio lag scratch, guarded by
+	// waveMu.
+	lags []float64
 }
 
 // Name returns the group's label.
@@ -441,6 +480,7 @@ func (r *Router) getOrCreateGroup(name string, ratio float64) (*Group, bool) {
 		trim:     make([]atomic.Uint64, n),
 		added:    make([]atomic.Int64, n),
 		lateWave: make([]chan sig.WaveStats, n),
+		lags:     make([]float64, n),
 	}
 	g.ratio.Store(math.Float64bits(clamp01(ratio)))
 	g.retired.Name = name
@@ -616,29 +656,32 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 			panic("shard: Submit with every shard drained")
 		}
 		defer r.state[i].inflight.Add(-1)
+		// One slot: nothing reads the load mid-batch, so charge the sum.
+		var cost int64
 		for k := range specs {
-			r.account(g, i, int64(r.placementCost(&specs[k])))
+			cost += int64(r.placementCost(&specs[k]))
 		}
+		r.account(g, i, cost)
 		ref := g.parts[i].Load()
 		ref.rt.SubmitBatch(ref.p, specs)
 		return
 	}
-	buckets := make([][]sig.TaskSpec, n)
-	cost := make([]int64, n)
+	sc := r.getScatter()
+	defer r.putScatter(sc) // also on a panic out of a shard's SubmitBatch
 	for k := range specs {
 		b := r.place(&specs[k])
 		// Charge placement load as each spec is placed, so least-load
 		// balancing works within one batch, not only across batches.
 		c := int64(r.placementCost(&specs[k]))
 		r.account(g, b, c)
-		cost[b] += c
-		buckets[b] = append(buckets[b], specs[k])
+		sc.cost[b] += c
+		sc.buckets[b] = append(sc.buckets[b], specs[k])
 	}
-	for b, sub := range buckets {
+	for b, sub := range sc.buckets {
 		if len(sub) == 0 {
 			continue
 		}
-		r.submitBucket(g, b, sub, cost[b])
+		r.submitBucket(g, b, sub, sc.cost[b])
 	}
 }
 
@@ -673,8 +716,12 @@ func mergeWave(merged *sig.WaveStats, busy *time.Duration, ws sig.WaveStats) {
 	*busy += ws.Busy
 }
 
-// WaitPhase drains the logical group on every shard (in slot order) and
-// returns the merged wave telemetry. Counts are summed; the merged busy
+// WaitPhase flushes the logical group on every shard, then waits on each in
+// slot order, and returns the merged wave telemetry. Flushing all before
+// waiting on any is what lets the shards run their waves side by side: under
+// a buffering policy nothing on a shard runs before its own flush, so
+// flushing shard i+1 only after shard i drained would run the fleet one
+// shard at a time. Counts are summed; the merged busy
 // time is the exact integer sum of the shards' busy nanoseconds, and the
 // merged joules are computed from that sum in one multiplication — so the
 // energy account is bit-identical to a single runtime running the same
@@ -691,9 +738,17 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 		g = r.defaultGroup()
 	}
 	g.waveMu.Lock()
+	for i := range g.parts {
+		// A slot with a cut still outstanding is wedged behind it; its
+		// buffer waits for the wave that folds the late cut in.
+		if ref := g.parts[i].Load(); ref != nil && g.lateWave[i] == nil {
+			ref.rt.Flush(ref.p)
+		}
+	}
 	merged := sig.WaveStats{Wave: g.wave}
 	var busy time.Duration
-	lags := make([]float64, len(g.parts))
+	lags := g.lags
+	clear(lags)
 	for i := range g.parts {
 		if ch := g.lateWave[i]; ch != nil {
 			// A previous wave's cut is still outstanding on this slot; a

@@ -15,10 +15,11 @@
 // after Close.
 //
 // The scheduler is built for submit throughput: tasks are recycled through
-// pools (see pool.go), the submit path takes no runtime-wide lock, and
-// decided tasks are striped across per-worker bounded queues with work
-// stealing (see queue.go). Policies that need no serialization declare it
-// via LocklessSubmitter and bypass the per-group lock entirely.
+// pools (see pool.go), the submit path takes no runtime-wide lock, streamed
+// tasks go through per-worker bounded queues with work stealing, and a
+// taskwait's flushed window is published once and claimed by the workers in
+// chunks (see queue.go). Policies that need no serialization declare it via
+// LocklessSubmitter and bypass the per-group lock entirely.
 //
 // The package is replay-deterministic (same submissions, same decisions,
 // same modeled energy at any worker count) and siglint enforces the
@@ -412,7 +413,7 @@ func pendingDelta(ready *Task, batch []*Task) int64 {
 // SubmitBatch schedules every spec as a task of group g (nil means the
 // default group). It is semantically a loop of Submit calls but amortizes
 // the per-task scheduling costs — sequence allocation, policy locking,
-// queue striping and task allocation (slab-recycled, see pool.go) — across
+// queue locking and task allocation (slab-recycled, see pool.go) — across
 // the batch, which makes it the preferred path for fine-grained task
 // streams.
 //
@@ -539,9 +540,9 @@ func (rt *Runtime) dispatch(t *Task) {
 	rt.sched.enqueue(t)
 }
 
-// dispatchBatch routes a decided batch in order, striping the enqueued runs
-// across worker queues with one lock acquisition per run. Ownership of
-// every task in ts transfers to the workers.
+// dispatchBatch routes a decided batch in order through the worker queues,
+// one lock acquisition per enqueued run. Ownership of every task in ts
+// transfers to the workers.
 //
 //siglint:poolput
 //siglint:noalloc
@@ -575,85 +576,118 @@ func (rt *Runtime) completeDrop(t *Task) {
 	g := t.group
 	g.dropped.Add(1)
 	g.record(t, false)
-	g.leave()
 	rt.pools.release(t)
+	g.leave(1)
 }
 
-func (rt *Runtime) execute(id int, t *Task) {
-	g := t.group
-	d := t.Decision
-	if d == DecideAtWorker {
-		d = g.policy.WorkerDecide(id, t)
-		t.Decision = d
-	}
-	switch d {
-	case DecideAccurate:
-		rt.runBody(id, t.accurate, t.costAcc)
-		g.accurate.Add(1)
-		g.record(t, true)
-	case DecideApprox:
-		if t.approx != nil {
-			rt.runBody(id, t.approx, t.costApprox)
-			g.approximate.Add(1)
-		} else {
-			// Body-less approximate execution is the model's task
-			// dropping: no code runs, so it contributes zero modeled
-			// joules (whatever cost was declared) and counts as dropped,
-			// not approximate.
-			g.dropped.Add(1)
+// runChunk executes the tasks a worker popped or claimed and retires them
+// per run of same-group tasks rather than one by one: the shared counters a
+// completion touches are paid once per chunk instead of once per task.
+func (rt *Runtime) runChunk(id int, ts []*Task) {
+	for len(ts) > 0 {
+		g := ts[0].group
+		n := 1
+		for n < len(ts) && ts[n].group == g {
+			n++
 		}
-		g.record(t, false)
-	case DecideDrop:
-		g.dropped.Add(1)
-		g.record(t, false)
-	default:
-		panic(fmt.Sprintf("sig: task executed with undecided decision %d", d))
+		rt.runGroup(id, g, ts[:n])
+		ts = ts[n:]
 	}
-	g.leave()
-	rt.pools.release(t)
 }
 
-// runBody executes one task body and charges its work to the worker's busy
-// account: the declared cost when the task carries one (deterministic), the
-// measured execution time otherwise.
+// runGroup executes ts, all tasks of g, and retires them together: one add
+// per outcome counter, one busy-clock add — the sum of the same int64(cost)
+// terms the bodies would have charged singly, so modeled joules are
+// bit-identical — one completion count per slab run, and the pending count
+// last, so a waiter released by it never reads counters that trail.
+func (rt *Runtime) runGroup(id int, g *Group, ts []*Task) {
+	var accurate, approximate, dropped, busy int64
+	for _, t := range ts {
+		d := t.Decision
+		if d == DecideAtWorker {
+			d = g.policy.WorkerDecide(id, t)
+			t.Decision = d
+		}
+		switch d {
+		case DecideAccurate:
+			busy += rt.runBody(t.accurate, t.costAcc)
+			accurate++
+			g.record(t, true)
+		case DecideApprox:
+			if t.approx != nil {
+				busy += rt.runBody(t.approx, t.costApprox)
+				approximate++
+			} else {
+				// Body-less approximate execution is the model's task
+				// dropping: no code runs, so it contributes zero modeled
+				// joules (whatever cost was declared) and counts as dropped,
+				// not approximate.
+				dropped++
+			}
+			g.record(t, false)
+		case DecideDrop:
+			dropped++
+			g.record(t, false)
+		default:
+			panic(fmt.Sprintf("sig: task executed with undecided decision %d", d))
+		}
+	}
+	if accurate > 0 {
+		g.accurate.Add(accurate)
+	}
+	if approximate > 0 {
+		g.approximate.Add(approximate)
+	}
+	if dropped > 0 {
+		g.dropped.Add(dropped)
+	}
+	if busy != 0 {
+		rt.clocks[id].busyNS.Add(busy)
+	}
+	rt.pools.releaseAll(ts)
+	g.leave(int64(len(ts)))
+}
+
+// runBody executes one task body and returns what it charges to the
+// worker's busy account: the declared cost when the task carries one
+// (deterministic), the measured execution time otherwise.
 //
 //siglint:wallclock measured-cost fallback; replayable runs declare costs and never take this path
-func (rt *Runtime) runBody(id int, body func(), cost float64) {
+func (rt *Runtime) runBody(body func(), cost float64) int64 {
 	if rt.cfg.RecoverPanics {
-		rt.runBodyRecover(id, body, cost)
-		return
+		return rt.runBodyRecover(body, cost)
 	}
 	if cost >= 0 {
 		body()
-		rt.clocks[id].busyNS.Add(int64(cost))
-		return
+		return int64(cost)
 	}
 	start := time.Now()
 	body()
-	rt.clocks[id].busyNS.Add(int64(time.Since(start)))
+	return int64(time.Since(start))
 }
 
-// runBodyRecover is runBody under Config.RecoverPanics: the busy charge
-// moves into a deferred block so a panicking body still pays its declared
-// cost (or its measured time up to the panic) before the panic is absorbed.
+// runBodyRecover is runBody under Config.RecoverPanics: the charge is fixed
+// in a deferred block so a panicking body still pays its declared cost (or
+// its measured time up to the panic) once the panic is absorbed.
 //
 //siglint:wallclock measured-cost fallback; replayable runs declare costs and never take this path
-func (rt *Runtime) runBodyRecover(id int, body func(), cost float64) {
+func (rt *Runtime) runBodyRecover(body func(), cost float64) (charge int64) {
 	var start time.Time
 	if cost < 0 {
 		start = time.Now()
 	}
 	defer func() {
 		if cost >= 0 {
-			rt.clocks[id].busyNS.Add(int64(cost))
+			charge = int64(cost)
 		} else {
-			rt.clocks[id].busyNS.Add(int64(time.Since(start)))
+			charge = int64(time.Since(start))
 		}
 		if p := recover(); p != nil {
 			rt.panics.Add(1)
 		}
 	}()
 	body()
+	return
 }
 
 // Panics reports how many task-body panics the runtime has absorbed; always
@@ -670,12 +704,12 @@ func (g *Group) addFootprint(t *Task) {
 	}
 }
 
-// leave retires one pending task. The fast path is a single atomic; the
+// leave retires n pending tasks. The fast path is a single atomic; the
 // condition variable is only touched when a waiter announced itself.
 //
 //siglint:noalloc
-func (g *Group) leave() {
-	if g.pending.Add(-1) == 0 && g.waiters.Load() > 0 {
+func (g *Group) leave(n int64) {
+	if g.pending.Add(-n) == 0 && g.waiters.Load() > 0 {
 		g.pendMu.Lock()
 		g.pendC.Broadcast()
 		g.pendMu.Unlock()
@@ -719,22 +753,18 @@ func (g *Group) providedRatio() float64 {
 	return float64(acc) / float64(total)
 }
 
-// drain flushes the group's policy buffer and blocks until every task of
-// the group has completed (or been dropped). Policies implementing
-// BufferFlusher flush into a pooled scratch slice, so a steady-state
-// Wait cycle performs no allocation at all.
-func (rt *Runtime) drain(g *Group) {
-	var (
-		ready   []*Task
-		scratch *[]*Task
-	)
-	fi, pooled := g.policy.(BufferFlusher)
-	if pooled {
-		scratch = rt.pools.getDispatch() //siglint:leakok recycled below under the same pooled guard; the two branches are correlated
-	}
+// flush decides the group's buffered tasks and hands them to the workers:
+// through the flush segment when the caller acquired it (viaSegment), else
+// through the rings like a window. Policies implementing BufferFlusher flush
+// into the pooled scratch slice, so a steady-state taskwait performs no
+// allocation at all.
+func (rt *Runtime) flush(g *Group, viaSegment bool) {
+	scratch := rt.pools.getDispatch()
+	var ready []*Task
 	g.mu.Lock()
-	if pooled {
+	if fi, ok := g.policy.(BufferFlusher); ok {
 		ready = fi.FlushInto(*scratch)
+		*scratch = ready // the grown array stays with the pooled header
 	} else {
 		ready = g.policy.Flush()
 	}
@@ -742,13 +772,38 @@ func (rt *Runtime) drain(g *Group) {
 		g.pending.Add(int64(len(ready)))
 	}
 	g.mu.Unlock()
-	if len(ready) > 0 {
+	switch {
+	case viaSegment && len(ready) > 0:
+		rt.sched.publish(ready, scratch)
+		return
+	case viaSegment:
+		rt.sched.releaseSegment()
+	case len(ready) > 0:
 		rt.dispatchBatch(ready)
 	}
-	if pooled {
-		*scratch = ready
-		rt.pools.putDispatch(scratch)
+	rt.pools.putDispatch(scratch)
+}
+
+// Flush is the non-blocking first half of a taskwait: it decides the group's
+// buffered tasks and publishes them to the workers without waiting for them,
+// so a caller holding several runtimes (sig/shard) can start every one
+// before it waits on any. A following Wait or WaitPhase completes the wave
+// exactly as if Flush had not been called. Flush never blocks on the
+// scheduler: when an earlier flush on this runtime is still being claimed it
+// leaves the buffer to that Wait.
+func (rt *Runtime) Flush(g *Group) {
+	if g == nil {
+		g = rt.defaultGroup()
 	}
+	if rt.sched.acquireSegment() {
+		rt.flush(g, true)
+	}
+}
+
+// drain flushes the group's policy buffer and blocks until every task of
+// the group has completed (or been dropped).
+func (rt *Runtime) drain(g *Group) {
+	rt.flush(g, rt.sched.acquireSegment())
 	g.waitIdle()
 }
 
@@ -839,7 +894,10 @@ func (rt *Runtime) report(wall time.Duration) Report {
 	return rt.energy.report(wall, time.Duration(rt.busyNS()), rt.workers)
 }
 
-// Stats returns a snapshot of per-group task accounting.
+// Stats returns a snapshot of per-group task accounting. Workers retire
+// completions a chunk at a time, so a snapshot taken mid-wave may trail the
+// bodies that have run by up to one chunk per worker; at every taskwait
+// boundary (Wait, WaitPhase, Close) it is exact.
 func (rt *Runtime) Stats() Stats {
 	rt.mu.Lock()
 	groups := append([]*Group(nil), rt.order...)
