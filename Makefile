@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint race bench fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
+.PHONY: test vet lint race bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -32,6 +32,15 @@ race:
 
 bench:
 	$(GO) test ./sig ./sig/shard -run xxx -bench . -benchtime 1s
+
+# The repository's performance benchmark (BENCHMARK.json, benchmark/README.md):
+# four workloads end to end, ~2 min. `perf-quick` is its 1 s smoke with every
+# check on (~10 s). Both write only to .bench_build/.
+perf:
+	$(GO) run ./benchmark
+
+perf-quick:
+	$(GO) run ./benchmark -quick
 
 # Bounded native-fuzz smokes (same budgets CI uses; minimization is capped
 # so the budget is spent fuzzing). `fuzz` covers the policy invariants,

@@ -95,7 +95,10 @@ type Policy interface {
 	// path); a policy that buffers returns (nil, nil) until a window
 	// fills, then returns the decided window as batch in dispatch order.
 	// ready and batch are never both non-empty for built-in policies, but
-	// callers must handle both.
+	// callers must handle both. The runtime copies the batch of a policy it
+	// serializes before the group lock is released, so such a policy may
+	// hand out its own buffer and overwrite it from the next call on; a
+	// LocklessSubmitter's batch must be the caller's to keep.
 	Submit(t *Task) (ready *Task, batch []*Task)
 	// Flush decides all buffered tasks; called at taskwait and Close.
 	Flush() []*Task
@@ -244,23 +247,39 @@ func (p *gtbPolicy) FlushInto(dst []*Task) []*Task {
 	return out
 }
 
-// decide hands out the decided window as a fresh slice: the window-boundary
-// path of Submit, where the returned batch must outlive the policy lock
-// while the dispatcher enqueues it.
+// decide hands out the full, decided window in place: the window-boundary
+// path of Submit. The policy is serialized by the group lock, under which the
+// runtime copies the batch into its pooled dispatch scratch, so the buffer is
+// free to be overwritten from the next Submit on.
 func (p *gtbPolicy) decide() []*Task {
-	return p.decideInto(nil)
+	p.rank()
+	out := p.buf
+	p.buf = p.buf[:0]
+	return out
 }
 
-// decideInto ranks the buffered tasks by significance and marks the top
-// share accurate, appending them to dst in submission order. The accurate
-// quota is computed against the running totals, so per-window rounding
-// errors do not accumulate across windows. Ranking uses an O(n) quickselect
-// over (significance desc, Seq asc) — a strict total order, so the accurate
-// set is identical to what a stable sort would pick.
+// decideInto decides the buffered tasks and appends them to dst in
+// submission order, keeping the grown buffer array for the next window: the
+// copy is owned by the dispatcher, which may still be handing it to the
+// workers while new submissions buffer.
 func (p *gtbPolicy) decideInto(dst []*Task) []*Task {
+	p.rank()
+	out := append(dst, p.buf...)
+	clear(p.buf)
+	p.buf = p.buf[:0]
+	return out
+}
+
+// rank marks the top share of the buffered tasks by significance accurate
+// and the rest approximate. The accurate quota is computed against the
+// running totals, so per-window rounding errors do not accumulate across
+// windows. Ranking uses an O(n) quickselect over (significance desc, Seq
+// asc) — a strict total order, so the accurate set is identical to what a
+// stable sort would pick.
+func (p *gtbPolicy) rank() {
 	n := len(p.buf)
 	if n == 0 {
-		return dst
+		return
 	}
 	ratio := p.g.Ratio()
 	want := int(math.Round(ratio*float64(p.decidedTotal+int64(n)))) - int(p.decidedAccurate)
@@ -291,16 +310,8 @@ func (p *gtbPolicy) decideInto(dst []*Task) []*Task {
 			p.scratch[i] = nil // do not pin recycled tasks until next decide
 		}
 	}
-	// Hand out a copy (appended to dst) and keep the grown buffer array for
-	// the next window: the copy is owned by the dispatcher (which may still
-	// be enqueueing it while new submissions buffer), while p.buf never pays
-	// append growth again in steady state.
-	out := append(dst, p.buf...)
-	clear(p.buf)
-	p.buf = p.buf[:0]
 	p.decidedTotal += int64(n)
 	p.decidedAccurate += int64(want)
-	return out // dispatch in submission order
 }
 
 func (p *gtbPolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate }

@@ -5,28 +5,48 @@ import (
 	"sync/atomic"
 )
 
-// Task recycling. Scalar Submit draws one *Task at a time from a sync.Pool;
-// SubmitBatch carves tasks out of slabs — contiguous arrays recycled as a
-// unit once every task of the slab has completed — so the steady-state heap
-// cost of a task is zero on both paths.
+// Task recycling. Every task — one Submit or one spec of a SubmitBatch — is
+// carved from a slab: a contiguous array of slabSize tasks recycled as a unit
+// once all of them have completed, so the steady-state heap cost of a task is
+// zero and a completion costs one add per run of same-slab tasks. A slab with
+// tasks left to hand out is *open* and owned by the submitter holding it;
+// between carves it rests in a sync.Pool, where Get and Put hit the same P's
+// private slot. Handing out the last task *seals* it, and only a sealed slab
+// can collect slabSize completions — the one recycling rule.
 
-// slabSize is how many tasks one batch slab holds.
+// slabSize is how many tasks one slab holds.
 const slabSize = 64
 
-// taskSlab is a contiguous block of tasks handed out by SubmitBatch. n is
-// the number of tasks in use this round; done counts completions, and the
-// slab returns to the pool when the last task of the round finishes.
+// taskSlab is a contiguous block of tasks, each pointing back at it. used
+// counts the tasks handed out and belongs to the submitter holding the open
+// slab; done counts completions and belongs to the workers, on its own line.
 type taskSlab struct {
 	tasks [slabSize]Task
-	n     int32
+	used  int
+	_     [56]byte
 	done  atomic.Int32
 }
 
-// taskPools owns both recycling paths of a Runtime.
+// taskPools owns the recycled objects of a Runtime.
 type taskPools struct {
-	single   sync.Pool // of *Task
-	slabs    sync.Pool // of *taskSlab
-	dispatch sync.Pool // of *[]*Task, SubmitBatch dispatch scratch
+	open     sync.Pool // of *taskSlab with tasks left to hand out; may be empty
+	slabs    sync.Pool // of *taskSlab, all slabSize tasks completed
+	dispatch sync.Pool // of *[]*Task, dispatch scratch
+}
+
+// init installs the miss paths: steady state always hits the pools.
+func (p *taskPools) init() {
+	p.slabs.New = func() any {
+		s := new(taskSlab)
+		for i := range s.tasks {
+			s.tasks[i].slab = s
+		}
+		return s
+	}
+	p.dispatch.New = func() any {
+		s := make([]*Task, 0, 4*slabSize)
+		return &s
+	}
 }
 
 // getDispatch returns an empty dispatch scratch slice.
@@ -34,11 +54,7 @@ type taskPools struct {
 //siglint:poolget
 //siglint:noalloc
 func (p *taskPools) getDispatch() *[]*Task {
-	if v := p.dispatch.Get(); v != nil {
-		return v.(*[]*Task)
-	}
-	s := make([]*Task, 0, 4*slabSize) //siglint:allocok pool miss: first draw builds the scratch the pool then recycles
-	return &s
+	return p.dispatch.Get().(*[]*Task)
 }
 
 // putDispatch recycles a dispatch scratch after clearing its task pointers.
@@ -51,32 +67,38 @@ func (p *taskPools) putDispatch(s *[]*Task) {
 	p.dispatch.Put(s)
 }
 
-// get returns a reset single task ready for Submit to fill.
+// carve hands out up to n tasks (n >= 1) of one slab, to be filled by the
+// caller and released one by one through release/releaseAll; every field but
+// slab is stale. A request shorter than a slab is served from the caller's
+// open slab — a stream of Submits or one-spec batches draws one slab per
+// slabSize tasks — and gets fewer than n when that slab runs out first.
 //
 //siglint:poolget
 //siglint:noalloc
-func (p *taskPools) get() *Task {
-	if v := p.single.Get(); v != nil {
-		return v.(*Task)
+//siglint:leakok a sealed slab is not put anywhere: it belongs to the completion count of the tasks it handed out
+func (p *taskPools) carve(n int) []Task {
+	var s *taskSlab
+	if n < slabSize {
+		s, _ = p.open.Get().(*taskSlab)
 	}
-	return &Task{} //siglint:allocok pool miss: steady state always hits the pool
+	if s == nil {
+		s = p.slabs.Get().(*taskSlab)
+		s.used = 0
+		s.done.Store(0)
+	}
+	lo, hi := s.used, min(s.used+n, slabSize)
+	s.used = hi
+	if hi < slabSize {
+		p.open.Put(s) // from here on the next carver's
+	}
+	return s.tasks[lo:hi]
 }
 
-// getSlab returns a slab ready to hand out n tasks.
+// get carves the single task of one Submit.
 //
 //siglint:poolget
 //siglint:noalloc
-func (p *taskPools) getSlab(n int) *taskSlab {
-	var s *taskSlab
-	if v := p.slabs.Get(); v != nil {
-		s = v.(*taskSlab)
-	} else {
-		s = new(taskSlab) //siglint:allocok pool miss: steady state always hits the pool
-	}
-	s.n = int32(n)
-	s.done.Store(0)
-	return s
-}
+func (p *taskPools) get() *Task { return &p.carve(1)[0] }
 
 // release recycles one completed task; see releaseAll.
 //
@@ -87,42 +109,24 @@ func (p *taskPools) release(t *Task) {
 	p.releaseAll(one[:])
 }
 
-// releaseAll recycles a chunk of completed tasks, each onto whichever path
-// produced it, publishing one completion count per run of tasks that share a
-// slab. None of them may be touched afterwards.
+// releaseAll recycles a chunk of completed tasks, publishing one completion
+// count per run of tasks that share a slab. None of them may be touched
+// afterwards: the add that completes a slab hands it to its next user. An
+// open slab cannot get there, so one the open pool dropped (GC) is simply
+// garbage once its tasks are done.
 //
 //siglint:poolput
 //siglint:noalloc
 func (p *taskPools) releaseAll(ts []*Task) {
 	for i := 0; i < len(ts); {
 		s := ts[i].slab
-		if s == nil {
-			ts[i].reset()
-			p.single.Put(ts[i])
-			i++
-			continue
-		}
 		j := i + 1
 		for j < len(ts) && ts[j].slab == s {
 			j++
 		}
-		// Read n BEFORE publishing our completions: until our Add lands
-		// the slab cannot reach done==n, so it cannot be recycled and n
-		// is stable. Reading it after the Add would race with the slab's
-		// next user re-initializing it.
-		n := s.n
-		if s.done.Add(int32(j-i)) == n {
+		if s.done.Add(int32(j-i)) == slabSize {
 			p.slabs.Put(s)
 		}
 		i = j
 	}
-}
-
-// reset clears a task for reuse, keeping the footprint slices' capacity.
-//
-//siglint:noalloc
-func (t *Task) reset() {
-	ins, outs := t.ins[:0], t.outs[:0]
-	*t = Task{}
-	t.ins, t.outs = ins, outs
 }

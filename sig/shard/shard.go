@@ -168,7 +168,7 @@ type Config struct {
 type shardState struct {
 	// inflight counts router submissions that picked this shard and may
 	// not have reached its runtime yet; DrainShard flips down first and
-	// then waits for inflight to drain, mirroring sig.Runtime.Close.
+	// then waits for inflight to drain.
 	inflight atomic.Int64
 	// down marks the shard unroutable and its runtime closed (or never
 	// started: empty headroom slots are born down). Cleared by AddShard.
@@ -238,12 +238,15 @@ type Router struct {
 	scatter sync.Pool // of *scatterBuf, SubmitBatch's per-shard sub-batches
 }
 
-// scatterBuf is the scratch one multi-shard SubmitBatch scatters into: a
-// sub-batch and its summed placement cost per slot. Pooled, so a steady
-// stream of waves reuses the grown buckets instead of rebuilding them.
+// scatterBuf is the scratch one multi-shard SubmitBatch scatters into: per
+// slot a sub-batch, its summed placement cost and — resolved at most once a
+// batch, 0 meaning not yet — one more than the routable slot its specs go to.
+// Pooled, so a steady stream of waves reuses the grown buckets instead of
+// rebuilding them.
 type scatterBuf struct {
 	buckets [][]sig.TaskSpec
 	cost    []int64
+	live    []int
 }
 
 // getScatter returns an empty scatter scratch.
@@ -265,6 +268,7 @@ func (r *Router) putScatter(sc *scatterBuf) {
 		sc.buckets[b] = sc.buckets[b][:0]
 	}
 	clear(sc.cost)
+	clear(sc.live)
 	r.scatter.Put(sc)
 }
 
@@ -321,7 +325,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	slots := cfg.MaxShards
 	r.scatter.New = func() any {
-		return &scatterBuf{buckets: make([][]sig.TaskSpec, slots), cost: make([]int64, slots)}
+		return &scatterBuf{buckets: make([][]sig.TaskSpec, slots), cost: make([]int64, slots), live: make([]int, slots)}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		rt, err := sig.New(cfg.Runtime)
@@ -527,11 +531,12 @@ func (r *Router) placementCost(spec *sig.TaskSpec) float64 {
 	return r.cfg.DefaultCost
 }
 
-// account charges a placed spec's modeled cost to the shard's placement
-// load, and to the group's per-shard tally so the next wave boundary can
-// retire it. It runs at placement time — before the shard's sub-batch is
-// even formed — so least-load placement sees the load of earlier specs in
-// the same batch.
+// account charges placed specs' modeled cost to the shard's placement load,
+// and to the group's per-shard tally so the next wave boundary can retire it.
+// Least-load placement reads the load it writes, so it charges every spec as
+// it is placed — before the shard's sub-batch is even formed — and sees the
+// earlier specs of the same batch; the other placements charge a sub-batch's
+// sum once.
 func (r *Router) account(g *Group, i int, cost int64) {
 	r.state[i].load.Add(cost)
 	g.added[i].Add(cost)
@@ -547,26 +552,44 @@ func (r *Router) routable(j int) bool {
 // place picks a shard for one spec. It only *proposes*: route() re-checks
 // routability under the in-flight counter.
 func (r *Router) place(spec *sig.TaskSpec) int {
-	n := len(r.shards)
-	if n == 1 {
+	if len(r.shards) == 1 {
 		return 0
 	}
-	switch r.cfg.Placement {
-	case PlaceLeastLoad:
-		best, bestLoad := -1, int64(math.MaxInt64)
-		for i := range r.state {
-			if !r.routable(i) {
-				continue
-			}
-			if l := r.state[i].load.Load(); l < bestLoad {
-				best, bestLoad = i, l
-			}
-		}
-		if best >= 0 {
-			return best
-		}
+	if r.cfg.Placement == PlaceLeastLoad {
+		return r.leastLoaded()
+	}
+	return r.liveFrom(r.slotOf(spec, r.draw(1)))
+}
+
+// draw reserves n consecutive values of the round-robin cursor and returns
+// the first; the other placements have no use for it and leave it alone.
+func (r *Router) draw(n int) uint64 {
+	if r.cfg.Placement != PlaceRoundRobin {
 		return 0
-	case PlaceCostAffinity:
+	}
+	return r.rr.Add(uint64(n)) - uint64(n)
+}
+
+// leastLoaded returns the routable shard with the least outstanding load.
+func (r *Router) leastLoaded() int {
+	best, bestLoad := 0, int64(math.MaxInt64)
+	for i := range r.state {
+		if !r.routable(i) {
+			continue
+		}
+		if l := r.state[i].load.Load(); l < bestLoad {
+			best, bestLoad = i, l
+		}
+	}
+	return best
+}
+
+// slotOf maps a spec to its home slot under the load-blind placements, before
+// liveFrom moves it off an unroutable one: its cost class under cost affinity,
+// its place in the round-robin sequence (cursor) otherwise.
+func (r *Router) slotOf(spec *sig.TaskSpec, cursor uint64) int {
+	n := len(r.shards)
+	if r.cfg.Placement == PlaceCostAffinity {
 		// The binary exponent buckets costs into classes: tasks within 2x
 		// of each other share a shard (and therefore its slab pools). The
 		// class→slot map is over fixed slot capacity, so a drained slot's
@@ -575,9 +598,9 @@ func (r *Router) place(spec *sig.TaskSpec) int {
 		if class < 0 {
 			class = 0
 		}
-		return r.liveFrom(class % n)
+		return class % n
 	}
-	return r.liveFrom(int(r.rr.Add(1)-1) % n)
+	return int(cursor) % n
 }
 
 // liveFrom returns the first routable shard at or after i (wrapping); i
@@ -668,18 +691,32 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 	}
 	sc := r.getScatter()
 	defer r.putScatter(sc) // also on a panic out of a shard's SubmitBatch
+	leastLoad := r.cfg.Placement == PlaceLeastLoad
+	// One range of the round-robin sequence for the whole batch: spec k gets
+	// the cursor value a loop of Submit calls would have drawn.
+	cursor := r.draw(len(specs))
 	for k := range specs {
-		b := r.place(&specs[k])
-		// Charge placement load as each spec is placed, so least-load
-		// balancing works within one batch, not only across batches.
 		c := int64(r.placementCost(&specs[k]))
-		r.account(g, b, c)
+		var b int
+		if leastLoad {
+			b = r.leastLoaded()
+			r.account(g, b, c)
+		} else {
+			slot := r.slotOf(&specs[k], cursor+uint64(k))
+			if sc.live[slot] == 0 {
+				sc.live[slot] = r.liveFrom(slot) + 1
+			}
+			b = sc.live[slot] - 1
+		}
 		sc.cost[b] += c
 		sc.buckets[b] = append(sc.buckets[b], specs[k])
 	}
 	for b, sub := range sc.buckets {
 		if len(sub) == 0 {
 			continue
+		}
+		if !leastLoad {
+			r.account(g, b, sc.cost[b])
 		}
 		r.submitBucket(g, b, sub, sc.cost[b])
 	}

@@ -14,10 +14,11 @@
 // time into Joules (see energy.go). Energy reports remain valid and stable
 // after Close.
 //
-// The scheduler is built for submit throughput: tasks are recycled through
-// pools (see pool.go), the submit path takes no runtime-wide lock, streamed
-// tasks go through per-worker bounded queues with work stealing, and a
-// taskwait's flushed window is published once and claimed by the workers in
+// The scheduler is built for submit throughput: every task, submitted singly
+// or in a batch, is carved from a recycled slab (see pool.go), the submit path
+// takes no runtime-wide lock and writes only cache lines the submitter owns,
+// streamed tasks go through per-worker bounded queues with work stealing, and
+// a taskwait's flushed window is published once and claimed by the workers in
 // chunks (see queue.go). Policies that need no serialization declare it via
 // LocklessSubmitter and bypass the per-group lock entirely.
 //
@@ -114,41 +115,44 @@ func (t *Task) HasApprox() bool { return t.approx != nil }
 func (t *Task) Group() *Group { return t.group }
 
 // Group is a labeled set of tasks sharing an accuracy ratio, the unit of
-// synchronization (taskwait) of the programming model.
+// synchronization (taskwait) of the programming model. Its fields are laid
+// out by who writes them per task — nobody, the submitter, the workers — a
+// cache line of padding apart, so a Submit never waits for a line a completion
+// just took, nor the other way round.
 type Group struct {
-	rt    *Runtime
-	name  string
-	ratio atomic.Uint64 // math.Float64bits of the requested accurate ratio
-
-	// mu serializes the policy for buffering policies; groups whose policy
-	// implements LocklessSubmitter never take it on the submit path.
-	mu        sync.Mutex
+	// Read-mostly: fixed at creation or rewritten at wave boundaries only.
+	rt        *Runtime
+	name      string
 	policy    Policy
 	needsLock bool
+	ratio     atomic.Uint64 // math.Float64bits of the requested accurate ratio
+	wave      atomic.Int64  // taskwait epoch counter
+	pendC     *sync.Cond
+	_         [64]byte
 
-	logMu sync.Mutex
-	log   []DecisionRecord
-	wave  atomic.Int64 // taskwait epoch counter
+	// Submitter-written. mu serializes the policy; groups whose policy is a
+	// LocklessSubmitter never take it on the submit path.
+	mu        sync.Mutex
+	submitted atomic.Int64
+	inBytes   atomic.Int64
+	outBytes  atomic.Int64
+	_         [64]byte
 
-	// phaseMu guards the per-wave telemetry snapshot; it is taken only at
-	// wave boundaries (endWave), never on the submit or completion path.
-	phaseMu  sync.Mutex
-	waveBase waveSnapshot
-
-	// pending counts dispatched-but-unfinished tasks. The counter is
-	// atomic so the submit and completion paths stay lock-free; Wait falls
-	// back to a condition variable only when it actually has to block.
-	pending atomic.Int64
-	waiters atomic.Int32
-	pendMu  sync.Mutex
-	pendC   *sync.Cond
-
-	submitted   atomic.Int64
+	// Worker-written. pending counts dispatched-but-unfinished tasks; Wait
+	// falls back to the condition variable only when it has to block.
+	pending     atomic.Int64
+	waiters     atomic.Int32
 	accurate    atomic.Int64
 	approximate atomic.Int64
 	dropped     atomic.Int64
-	inBytes     atomic.Int64
-	outBytes    atomic.Int64
+	_           [64]byte
+
+	// Cold. phaseMu guards the per-wave telemetry snapshot (endWave).
+	pendMu   sync.Mutex
+	logMu    sync.Mutex
+	log      []DecisionRecord
+	phaseMu  sync.Mutex
+	waveBase waveSnapshot
 }
 
 // Name returns the group's label.
@@ -166,42 +170,32 @@ type clock struct {
 	_      [56]byte
 }
 
-// inflightShards stripes the in-flight Submit counter (sharded by sequence
-// number) so concurrent submitters do not serialize on one cache line. It is
-// only summed by Close, which must not tear down the scheduler while a
-// Submit that passed the closed check is still enqueueing.
-const inflightShards = 16
-
-type inflightShard struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
 // Runtime is a significance-aware task scheduler. Create one with New, submit
 // tasks with Submit or SubmitBatch, synchronize with Wait, and release it
 // with Close. Submit and Wait must be called from the submitting
 // goroutine(s), not from task bodies.
 type Runtime struct {
+	// Read-mostly after New: the per-task path only loads from these.
 	cfg     Config
 	workers int
 	energy  EnergyModel
-
-	sched *sched
-	pools taskPools
-	wg    sync.WaitGroup
+	sched   *sched
+	pools   taskPools
+	clocks  []clock
+	start   time.Time
+	closed  atomic.Bool
+	def     atomic.Pointer[Group]
+	wg      sync.WaitGroup
 
 	mu     sync.Mutex // guards groups/order/frozen; never on the submit path
 	groups map[string]*Group
 	order  []*Group
 	frozen *Report
 
-	closed   atomic.Bool
-	def      atomic.Pointer[Group]
-	inflight [inflightShards]inflightShard
-
-	start  time.Time
-	clocks []clock
+	// Written per submission (seq) and by workers (panics): a line each.
+	_      [64]byte
 	seq    atomic.Uint64
+	_      [64]byte
 	panics atomic.Int64
 }
 
@@ -236,6 +230,7 @@ func New(cfg Config) (*Runtime, error) {
 		start:   time.Now(), //siglint:wallclock wall anchor for the idle split of Energy reports; never feeds a decision
 		clocks:  make([]clock, workers),
 	}
+	rt.pools.init()
 	rt.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go rt.worker(i)
@@ -298,21 +293,32 @@ func (rt *Runtime) defaultGroup() *Group {
 	return g
 }
 
-// beginSubmit publishes an in-flight submission on a striped counter and
-// checks the closed flag. Close flips the flag first and then waits for the
-// stripes to drain, so every submission that passed this check fully reaches
-// its queue before the scheduler shuts down. It reports false on a closed
-// runtime so callers can release any pool-drawn resources before panicking.
+// admit opens a submission of n tasks against Close, and reports false —
+// everything undone — on a closed runtime. A submission the group lock does
+// not serialize (lockless policy, or a special significance, which bypasses
+// the policy) publishes its tasks in the group's pending count *before* it
+// loads closed; a serialized one loads closed under the lock, which it holds
+// on a true return. Close stores closed *before* it flushes every group under
+// that lock and waits pending out. The atomics are sequentially consistent,
+// so a submission either reads closed and backs out, or Close finds its
+// tasks — pending, or in the buffer it is about to flush.
 //
 //siglint:noalloc
-func (rt *Runtime) beginSubmit(seq uint64) (*inflightShard, bool) {
-	s := &rt.inflight[seq%inflightShards]
-	s.n.Add(1)
-	if rt.closed.Load() {
-		s.n.Add(-1)
-		return nil, false
+func (rt *Runtime) admit(g *Group, locked bool, n int64) bool {
+	if locked {
+		g.mu.Lock()
+	} else {
+		g.pending.Add(n)
 	}
-	return s, true
+	if !rt.closed.Load() {
+		return true
+	}
+	if locked {
+		g.mu.Unlock()
+	} else {
+		g.leave(n)
+	}
+	return false
 }
 
 // Submit schedules fn as a significance-annotated task. Options attach the
@@ -325,8 +331,9 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 		panic("sig: Submit with nil task body")
 	}
 	t := rt.pools.get()
-	t.Significance = 1.0
-	t.accurate = fn
+	t.Significance, t.Decision = 1.0, decideNone
+	t.group, t.accurate, t.approx = nil, fn, nil
+	t.ins, t.outs = t.ins[:0], t.outs[:0]
 	t.costAcc, t.costApprox = -1, -1
 	for _, o := range opts {
 		o(t) //siglint:allocok TaskOption callbacks are caller code; the runtime's own path stays allocation-free
@@ -342,51 +349,48 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 		rt.pools.release(t)
 		panic("sig: task label belongs to a different runtime")
 	}
-	shard, ok := rt.beginSubmit(t.Seq)
-	if !ok {
+	// The special significance values bypass the policy (§2 of the paper):
+	// 1.0 is unconditionally accurate, 0.0 unconditionally approximate.
+	special := t.Significance >= 1.0 || t.Significance <= 0.0
+	locked := g.needsLock && !special
+	if !rt.admit(g, locked, 1) {
 		rt.pools.release(t)
 		panic("sig: Submit on closed runtime")
 	}
-	defer shard.n.Add(-1)
-
 	g.submitted.Add(1)
 	t.wave = int(g.wave.Load())
 	if len(t.ins) > 0 || len(t.outs) > 0 {
 		g.addFootprint(t)
 	}
 
-	// The special significance values bypass the policy (§2 of the paper):
-	// 1.0 is unconditionally accurate, 0.0 unconditionally approximate.
-	if t.Significance >= 1.0 {
-		t.Decision = DecideAccurate
-		g.pending.Add(1)
-		rt.dispatch(t)
-		return
-	}
-	if t.Significance <= 0.0 {
-		t.Decision = DecideApprox
-		g.pending.Add(1)
-		rt.dispatch(t)
-		return
-	}
-
-	var ready *Task
+	ready := t
 	var batch []*Task
-	if g.needsLock {
-		// The pending count for everything the policy hands back is
-		// published while still holding the policy lock: a concurrent
-		// Wait that flushes after us must either see these tasks in the
-		// buffer or see them pending — never neither.
-		g.mu.Lock()
+	var scratch *[]*Task
+	switch {
+	case special:
+		t.Decision = DecideApprox
+		if t.Significance >= 1.0 {
+			t.Decision = DecideAccurate
+		}
+	case locked:
+		// What the policy hands back is counted pending while the lock is
+		// held: a concurrent Wait that flushes after us sees these tasks in
+		// the buffer or pending — never neither. A window is copied out
+		// under the lock too, so the policy can hand out its own buffer.
 		ready, batch = g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
+		if len(batch) > 0 {
+			scratch = rt.pools.getDispatch()
+			*scratch = append(*scratch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
+			batch = *scratch
+		}
 		if n := pendingDelta(ready, batch); n > 0 {
 			g.pending.Add(n)
 		}
 		g.mu.Unlock()
-	} else {
+	default:
 		ready, batch = g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
-		if n := pendingDelta(ready, batch); n > 0 {
-			g.pending.Add(n)
+		if d := pendingDelta(ready, batch) - 1; d != 0 {
+			rt.settle(g, d)
 		}
 	}
 	if ready != nil {
@@ -394,6 +398,9 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	}
 	if len(batch) > 0 {
 		rt.dispatchBatch(batch)
+	}
+	if scratch != nil {
+		rt.pools.putDispatch(scratch)
 	}
 }
 
@@ -408,14 +415,33 @@ func pendingDelta(ready *Task, batch []*Task) int64 {
 	return n
 }
 
+// settle squares a lockless submission's pre-published pending count with
+// what its policy handed back: d more tasks, or -d fewer because it buffered
+// them (no built-in does). If Close began meanwhile its flush may have missed
+// that buffer, so settle flushes before it lets the count go — the count is
+// what keeps Close waiting and the workers up.
+//
+//siglint:noalloc
+func (rt *Runtime) settle(g *Group, d int64) {
+	switch {
+	case d > 0:
+		g.pending.Add(d)
+	case d < 0:
+		if rt.closed.Load() {
+			rt.flush(g, false) //siglint:allocok cold: a custom lockless policy buffered while Close was draining
+		}
+		g.leave(-d)
+	}
+}
+
 // TaskSpec describes one task for SubmitBatch; see options.go.
 
 // SubmitBatch schedules every spec as a task of group g (nil means the
 // default group). It is semantically a loop of Submit calls but amortizes
 // the per-task scheduling costs — sequence allocation, policy locking,
-// queue locking and task allocation (slab-recycled, see pool.go) — across
-// the batch, which makes it the preferred path for fine-grained task
-// streams.
+// queue locking and task carving (see pool.go) — across the batch, which
+// makes it the preferred path for fine-grained task streams. A batch that
+// races Close may panic after its first chunks were accepted; those run.
 //
 //siglint:noalloc
 func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
@@ -428,37 +454,24 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 	if g.rt != rt {
 		panic("sig: task label belongs to a different runtime")
 	}
-	// Validate every spec before drawing anything from the pools: a nil
-	// body must not leak a half-initialized slab or dispatch a partial
-	// batch before panicking.
+	// Validate every spec before carving anything: a nil body must not
+	// dispatch a partial batch before panicking.
 	for i := range specs {
 		if specs[i].Fn == nil {
 			panic("sig: SubmitBatch with nil task body")
 		}
 	}
 	base := rt.seq.Add(uint64(len(specs))) - uint64(len(specs))
-	shard, ok := rt.beginSubmit(base)
-	if !ok {
-		panic("sig: Submit on closed runtime")
-	}
-	defer shard.n.Add(-1)
-
-	g.submitted.Add(int64(len(specs)))
 	wave := int(g.wave.Load())
 
 	dispatchP := rt.pools.getDispatch() // decided tasks accumulated across the batch
 	defer rt.pools.putDispatch(dispatchP)
 	dispatch := *dispatchP
 	for off := 0; off < len(specs); {
-		n := len(specs) - off
-		if n > slabSize {
-			n = slabSize
-		}
-		slab := rt.pools.getSlab(n)
-		chunk := specs[off : off+n]
+		chunk := rt.pools.carve(len(specs) - off) //siglint:leakok its tasks are handed to the policy or to dispatch one by one, or released below
 		for i := range chunk {
-			sp := &chunk[i]
-			t := &slab.tasks[i]
+			sp := &specs[off+i]
+			t := &chunk[i]
 			// Zero value = fully significant (Submit's default);
 			// negative = the special always-approximate 0.0.
 			switch {
@@ -474,56 +487,55 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			t.group = g
 			t.accurate = sp.Fn
 			t.approx = sp.Approx
-			t.ins, t.outs = nil, nil
+			t.ins, t.outs = t.ins[:0], t.outs[:0]
 			t.costAcc, t.costApprox = -1, -1
 			if sp.HasCost {
 				t.costAcc, t.costApprox = sp.CostAccurate, sp.CostApprox
 			}
 			t.wave = wave
-			t.slab = slab
 		}
-		var chunkPending int64
-		if g.needsLock {
-			g.mu.Lock()
+		n := int64(len(chunk))
+		if !rt.admit(g, g.needsLock, n) {
+			for i := range chunk {
+				rt.pools.release(&chunk[i])
+			}
+			// Earlier chunks were accepted and are pending: deliver them.
+			*dispatchP = dispatch
+			rt.dispatchBatch(dispatch)
+			panic("sig: Submit on closed runtime")
 		}
+		g.submitted.Add(n)
+		decided := len(dispatch)
 		for i := range chunk {
-			t := &slab.tasks[i]
-			if t.Significance >= 1.0 {
-				t.Decision = DecideAccurate
-				chunkPending++
-				dispatch = append(dispatch, t) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
-				continue
+			ready := &chunk[i]
+			var batch []*Task
+			switch {
+			case ready.Significance >= 1.0:
+				ready.Decision = DecideAccurate
+			case ready.Significance <= 0.0:
+				ready.Decision = DecideApprox
+			default:
+				ready, batch = g.policy.Submit(ready) //siglint:allocok policy boundary: buffering policies amortize into their reused window
 			}
-			if t.Significance <= 0.0 {
-				t.Decision = DecideApprox
-				chunkPending++
-				dispatch = append(dispatch, t) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
-				continue
-			}
-			ready, batch := g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
 			if ready != nil {
-				chunkPending++
 				dispatch = append(dispatch, ready) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
 			}
-			if len(batch) > 0 {
-				chunkPending += int64(len(batch))
-				dispatch = append(dispatch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
+			dispatch = append(dispatch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
+		}
+		// As in Submit, count what was handed to dispatch under the lock.
+		handed := int64(len(dispatch) - decided)
+		if !g.needsLock {
+			rt.settle(g, handed-n)
+		} else {
+			if handed > 0 {
+				g.pending.Add(handed)
 			}
-		}
-		// As in Submit, publish the pending delta before the policy lock
-		// is released so a concurrent Wait cannot miss flushed tasks.
-		if chunkPending > 0 {
-			g.pending.Add(chunkPending)
-		}
-		if g.needsLock {
 			g.mu.Unlock()
 		}
-		off += n
-	}
-	if len(dispatch) > 0 {
-		rt.dispatchBatch(dispatch)
+		off += len(chunk)
 	}
 	*dispatchP = dispatch // recycle the grown scratch array
+	rt.dispatchBatch(dispatch)
 }
 
 // dispatch routes a decided task: dropped tasks complete immediately, the
@@ -839,24 +851,7 @@ func (rt *Runtime) Close() error {
 	if rt.closed.Swap(true) {
 		return nil
 	}
-	// Wait out submissions that passed the closed check before the flag
-	// flipped; afterwards no new task can reach the scheduler. Yield at
-	// first, then sleep: an in-flight Submit can stay backpressured for a
-	// while and this cold path must not burn a core meanwhile.
-	for spin := 0; ; spin++ {
-		var n int64
-		for i := range rt.inflight {
-			n += rt.inflight[i].n.Load()
-		}
-		if n == 0 {
-			break
-		}
-		if spin < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
+	// Every submission now reads closed or is found by this drain (see Submit).
 	rt.WaitAll()
 	close(rt.sched.done)
 	rt.wg.Wait()

@@ -212,34 +212,37 @@ func TestSkippedTaskCostsZeroJoules(t *testing.T) {
 	}
 }
 
-// TestSubmitOnClosedRuntimeReleasesTask: Submit draws its *Task from the
-// pool before the closed check panics; the failed call must hand the task
-// back instead of leaking it.
+// TestSubmitOnClosedRuntimeReleasesTask: Submit carves its *Task from a slab
+// before the closed check panics; the failed call must count the task toward
+// its slab's completions instead of leaking it — a slab with a task that never
+// completes is never recycled.
 func TestSubmitOnClosedRuntimeReleasesTask(t *testing.T) {
 	rt := newRT(t, Config{Policy: PolicyAccurate})
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Each attempt drains the pool (Submit's own pools.get empties it
-	// first), panics, and must hand its task back; the follow-up Get sees
-	// it. Under -race, sync.Pool deliberately drops ~25% of Puts, so one
-	// round proves nothing — retry until a released task shows up; only an
-	// astronomically unlikely run (0.25^attempts) exhausts the loop.
-	const attempts = 50
-	found := false
-	for i := 0; i < attempts && !found; i++ {
+	// The runtime never ran a task, so every slab seen here is fresh and only
+	// this goroutine carves from it. Under -race sync.Pool drops some Puts, so
+	// the open slab may change between calls: account per slab.
+	carved := map[*taskSlab]int32{}
+	spy := func(task *Task) { carved[task.slab]++ }
+	for i := 0; i < slabSize/2; i++ {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatal("Submit on closed runtime did not panic")
 				}
 			}()
-			rt.Submit(func() {})
+			rt.Submit(func() {}, spy)
 		}()
-		found = rt.pools.single.Get() != nil
 	}
-	if !found {
-		t.Errorf("no released task found in the pool after %d panicking Submits", attempts)
+	for s, n := range carved {
+		if done := s.done.Load(); done != n || s.used != int(n) {
+			t.Errorf("slab handed out %d tasks (%d seen) to panicking Submits, %d released", s.used, n, done)
+		}
+	}
+	if st := rt.Stats(); st.Submitted != 0 {
+		t.Errorf("panicking Submits counted %d submitted tasks", st.Submitted)
 	}
 }
 
