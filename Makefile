@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint race bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
+.PHONY: test vet lint race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -29,6 +29,14 @@ lint: vet
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Rewrite internal/harness/testdata/*.golden — the full printed output of
+# `sigbench serve -scale 0.1 -backend all`, `serve -scale 0.1 -shards 4`,
+# `slo` and `pace` that TestStudyGoldens compares against — from the current
+# code. Only for a change that means to move those numbers; explain each
+# differing line in the PR.
+goldens:
+	$(GO) test ./internal/harness -run TestStudyGoldens -update
 
 bench:
 	$(GO) test ./sig ./sig/shard -run xxx -bench . -benchtime 1s

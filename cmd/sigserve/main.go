@@ -13,11 +13,12 @@
 //	         [-autoscale] [-max-shards 0] [-priority-at 0]
 //	         [-quality-floor 0] [-quality-window 0]
 //
-// With -shards N (N ≥ 2) the server runs over a shard.Router fleet of N
-// runtime shards (-workers is then the per-shard pool) and the admission
-// controller is hierarchical: global load cap over merged waves, per-shard
-// ratio trim underneath. -autoscale additionally lets the fleet grow and
-// shrink between 1 and -max-shards (default 2×N) live shards with demand.
+// The server always runs over a shard.Router fleet of -shards N runtime
+// shards (default 1; -workers is the per-shard pool). With N ≥ 2 the
+// admission controller is hierarchical: global load cap over merged waves,
+// per-shard ratio trim underneath. -autoscale additionally lets the fleet
+// grow and shrink between 1 and -max-shards (default 2×N) live shards with
+// demand.
 //
 // -deadline D gives every request a default deadline D from arrival
 // (0 = none); a request may override it with ?deadline_ms=N. Requests that
@@ -90,8 +91,8 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		backendSel = flag.String("backend", "sobel", "request backend: sobel or kmeans")
 		scale      = flag.Float64("scale", 0.25, "backend problem scale in (0,1]")
-		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); per shard with -shards")
-		shards     = flag.Int("shards", 0, "runtime shards behind the router (0/1 = single runtime)")
+		workers    = flag.Int("workers", 0, "worker goroutines per shard (0 = GOMAXPROCS)")
+		shards     = flag.Int("shards", 0, "runtime shards behind the router (0 = 1)")
 		period     = flag.Duration("period", serve.DefaultWavePeriod, "nominal wave period (the pacer retimes to the measured wall within the min/max bounds)")
 		minPeriod  = flag.Duration("min-period", 0, "pacer cadence floor (0 = period/4)")
 		maxPeriod  = flag.Duration("max-period", 0, "pacer cadence ceiling (0 = 8x period)")
@@ -212,15 +213,11 @@ func main() {
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		tot := srv.Totals()
-		live := 1
-		if fleet := srv.Fleet(); fleet != nil {
-			live = fleet.Live()
-		}
 		bulkDepth, prioDepth := srv.LaneDepths()
 		writeJSON(w, map[string]any{
 			"backend":            backend.Name,
 			"shards":             max(*shards, 1),
-			"live_shards":        live,
+			"live_shards":        srv.Fleet().Live(),
 			"ratio":              srv.Ratio(),
 			"load":               srv.Load(),
 			"budget":             srv.Budget(),

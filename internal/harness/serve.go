@@ -108,12 +108,12 @@ func ServeBackendByName(name string, scale float64) (*ServeBackend, error) {
 type ServeConfig struct {
 	// Scale in (0,1] sizes the backend's per-request work.
 	Scale float64
-	// Workers for the serving runtime (0 = GOMAXPROCS); per shard when
-	// Shards ≥ 2.
+	// Workers per runtime shard (0 = GOMAXPROCS).
 	Workers int
-	// Shards ≥ 2 runs the server over a shard.Router fleet: the sharded
-	// overload scenario, with the hierarchical admission controller
-	// (global TargetLoad over merged waves, per-shard trim below).
+	// Shards is the size of the shard.Router fleet behind the server (0 = 1).
+	// Shards ≥ 2 is the sharded overload scenario, with the hierarchical
+	// admission controller (global TargetLoad over merged waves, per-shard
+	// trim below).
 	Shards int
 	// Backend is "sobel" (default) or "kmeans".
 	Backend string
@@ -195,7 +195,7 @@ type ServeWaveRow struct {
 // ServeResult is the outcome of the serving study.
 type ServeResult struct {
 	Backend     string
-	Shards      int // 0/1 = single runtime; ≥ 2 = sharded fleet
+	Shards      int // as configured: 0/1 = one-shard fleet; ≥ 2 = sharded fleet
 	BasePerWave int
 	Overload    float64
 	StepAt      int

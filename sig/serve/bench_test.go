@@ -155,7 +155,7 @@ func BenchmarkServeAdmit(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		batch := s.admit(time.Now())
+		batch := s.admit(time.Now(), s.Ratio())
 		b.StopTimer()
 		if len(batch) != benchWave {
 			b.Fatalf("admitted %d of %d", len(batch), benchWave)

@@ -206,7 +206,7 @@ func FuzzServeAdmission(f *testing.F) {
 func laneState(s *Server, prio bool) (depth, limit int) {
 	bulkD, prioD := s.LaneDepths()
 	if prio {
-		return prioD, s.cfg.PrioritySlice
+		return prioD, s.lanes[lanePriority].limit
 	}
-	return bulkD, s.bulkLimit
+	return bulkD, s.lanes[laneBulk].limit
 }

@@ -26,20 +26,29 @@ const serveSlabSize = 64
 // without bound.
 const serveTraceCap = 1024
 
-// Admission lanes. laneOf maps a pending's lane flag onto the per-lane
-// accounting index (the latency histograms, the metrics labels).
+// Admission lanes, as data: everything that tells one lane from another is a
+// field of its lane, and Submit, admit, the expiry sweep, the backlog sums
+// and the metrics iterate s.lanes instead of naming a queue. A wave drains
+// the lanes from the highest index down — priority ahead of the bulk FIFO.
 const (
 	laneBulk     = 0
 	lanePriority = 1
 	laneCount    = 2
 )
 
-//siglint:noalloc
-func laneOf(prio bool) int {
-	if prio {
-		return lanePriority
-	}
-	return laneBulk
+// laneNames are the lanes' metrics labels.
+var laneNames = [laneCount]string{laneBulk: "bulk", lanePriority: "priority"}
+
+// lane is one admission lane: its FIFO backlog, the declared costs of that
+// backlog (so the load signal is O(1) in the queue length), the slots it
+// owns outright (0 for an unconfigured priority lane: nothing is ever
+// queued there) and its wave-latency histogram. q and cost are guarded by
+// Server.mu; lat is lock-free.
+type lane struct {
+	q     []*pending
+	cost  costSums
+	limit int
+	lat   latHist
 }
 
 // waveLatBuckets are the wave-latency histogram's upper bounds, in waves —
@@ -318,7 +327,7 @@ func newWaveSlab(cs *classState) *waveSlab {
 }
 
 // coalesce routes one admitted request into its cost class's current slab,
-// submitting the slab to the engine the moment it fills. Called from
+// submitting the slab to the fleet the moment it fills. Called from
 // RunWave under waveMu.
 //
 //siglint:noalloc
@@ -349,10 +358,18 @@ func (s *Server) coalesce(p *pending) {
 	sl.specs[i].Significance = sv
 	sl.n++
 	if sl.n == serveSlabSize {
-		s.eng.SubmitBatch(sl.specs[:sl.n])    //siglint:allocok engine boundary: sig's SubmitBatch amortizes into pooled slabs
-		s.waveSlabs = append(s.waveSlabs, sl) //siglint:allocok amortized growth of the reused per-wave slab list
+		s.submitSlab(sl)
 		cs.cur = nil
 	}
+}
+
+// submitSlab hands a slab's filled specs to the fleet and lists the slab for
+// recycling after the wave.
+//
+//siglint:noalloc
+func (s *Server) submitSlab(sl *waveSlab) {
+	s.fleet.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig/shard, where siglint cannot follow; TestServeSubmitAllocs holds the path to 0 allocs
+	s.waveSlabs = append(s.waveSlabs, sl)       //siglint:allocok amortized growth of the reused per-wave slab list
 }
 
 // flushSlabs submits every class's partial slab, in class-first-seen order
@@ -364,8 +381,7 @@ func (s *Server) flushSlabs() {
 	for i, cs := range s.openClasses {
 		if sl := cs.cur; sl != nil {
 			if sl.n > 0 {
-				s.eng.SubmitBatch(sl.specs[:sl.n])    //siglint:allocok engine boundary: sig's SubmitBatch amortizes into pooled slabs
-				s.waveSlabs = append(s.waveSlabs, sl) //siglint:allocok amortized growth of the reused per-wave slab list
+				s.submitSlab(sl)
 			} else {
 				cs.pool.Put(sl)
 			}

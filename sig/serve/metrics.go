@@ -14,14 +14,14 @@ import (
 // mounts it at /metrics; anything that can write an io.Writer can scrape a
 // Server directly. Counters are read atomically one by one — a scrape
 // concurrent with a wave may be torn across metrics, which Prometheus
-// counters tolerate by design.
-func (s *Server) WriteMetrics(w io.Writer) error {
+// counters tolerate by design. The first write error ends the scrape's
+// output and is returned: a scrape whose connection died is not reported as
+// served.
+func (s *Server) WriteMetrics(out io.Writer) error {
+	w := &errWriter{w: out}
 	tot := s.Totals()
-	bulk, prio := s.LaneDepths()
-	live := 1
-	if s.fleet != nil {
-		live = s.fleet.Live()
-	}
+	var depths [laneCount]int
+	depths[laneBulk], depths[lanePriority] = s.LaneDepths()
 
 	mf := func(name, typ, help string) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
@@ -59,19 +59,21 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	fmt.Fprintf(w, "sigserve_wave_period_seconds %s\n", fmtFloat(s.MeasuredPeriod().Seconds()))
 	mf("sigserve_pace_period_seconds", "gauge", "The pacer's current wave cadence.")
 	fmt.Fprintf(w, "sigserve_pace_period_seconds %s\n", fmtFloat(s.PacePeriod().Seconds()))
-	mf("sigserve_live_shards", "gauge", "Live shards behind the server (1 in solo mode).")
-	fmt.Fprintf(w, "sigserve_live_shards %d\n", live)
+	mf("sigserve_live_shards", "gauge", "Live shards in the fleet behind the server.")
+	fmt.Fprintf(w, "sigserve_live_shards %d\n", s.fleet.Live())
 
 	mf("sigserve_queue_depth", "gauge", "Admission queue depth, per lane.")
-	fmt.Fprintf(w, "sigserve_queue_depth{lane=\"bulk\"} %d\n", bulk)
-	fmt.Fprintf(w, "sigserve_queue_depth{lane=\"priority\"} %d\n", prio)
+	for ln, name := range laneNames {
+		fmt.Fprintf(w, "sigserve_queue_depth{lane=%q} %d\n", name, depths[ln])
+	}
 	mf("sigserve_queue_limit", "gauge", "Admission queue slots, per lane.")
-	fmt.Fprintf(w, "sigserve_queue_limit{lane=\"bulk\"} %d\n", s.bulkLimit)
-	fmt.Fprintf(w, "sigserve_queue_limit{lane=\"priority\"} %d\n", s.cfg.PrioritySlice)
+	for ln, name := range laneNames {
+		fmt.Fprintf(w, "sigserve_queue_limit{lane=%q} %d\n", name, s.lanes[ln].limit)
+	}
 
 	mf("sigserve_wave_latency_waves", "histogram", "Request latency from admission to resolution, in waves, per lane.")
-	for lane, name := range [laneCount]string{laneBulk: "bulk", lanePriority: "priority"} {
-		cum, count, sum := s.lat[lane].snapshot()
+	for ln, name := range laneNames {
+		cum, count, sum := s.lanes[ln].lat.snapshot()
 		for i, le := range waveLatBuckets {
 			fmt.Fprintf(w, "sigserve_wave_latency_waves_bucket{lane=%q,le=\"%d\"} %d\n", name, le, cum[i])
 		}
@@ -79,7 +81,22 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		fmt.Fprintf(w, "sigserve_wave_latency_waves_sum{lane=%q} %d\n", name, sum)
 		fmt.Fprintf(w, "sigserve_wave_latency_waves_count{lane=%q} %d\n", name, count)
 	}
-	return nil
+	return w.err
+}
+
+// errWriter latches the first write error; later writes are dropped.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 // fmtFloat renders a float the way Prometheus clients do: shortest

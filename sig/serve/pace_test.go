@@ -200,35 +200,29 @@ func TestServePacedBudgetTracksMeasured(t *testing.T) {
 	}
 }
 
-// TestServeDefaultBudgetSoloShardedEquivalence pins the unified budget
-// derivation: the default WaveBudget of a solo server with W workers equals
-// that of a sharded server with the same W total workers, and the sharded
-// per-wave rebuild (budgetPerShard × live) reproduces the same number — no
-// drift between withDefaults' basis and the rebuild's.
-func TestServeDefaultBudgetSoloShardedEquivalence(t *testing.T) {
-	solo, err := New(Config{Workers: 4, WavePeriod: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer solo.Close()
-	sharded, err := New(Config{Workers: 2, Shards: 2, WavePeriod: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-
-	want := 4 * float64((2 * time.Millisecond).Nanoseconds())
-	if got := solo.Budget(); got != want {
-		t.Fatalf("solo default budget %v, want %v", got, want)
-	}
-	if got := sharded.Budget(); got != want {
-		t.Fatalf("sharded default budget %v, want solo-equivalent %v", got, want)
-	}
-	// The fleet rebuild at a wave boundary must reproduce the same number
-	// while all shards are live.
-	sharded.RunWave()
-	if got := sharded.Budget(); got != want {
-		t.Fatalf("sharded budget %v after the per-wave rebuild, want %v", got, want)
+// TestServeDefaultBudgetAcrossShardCounts pins the one budget derivation:
+// at any shard count the default WaveBudget is per-shard workers × shards ×
+// WavePeriod (so 4 workers on one shard equal 2×2 and 1×4), and the per-wave
+// rebuild (budgetPerShard × live) reproduces exactly that number — no drift
+// between withDefaults' basis and the rebuild's.
+func TestServeDefaultBudgetAcrossShardCounts(t *testing.T) {
+	const period = 2 * time.Millisecond
+	want := 4 * float64(period.Nanoseconds())
+	for _, tc := range []struct{ shards, workers int }{{0, 4}, {1, 4}, {2, 2}, {4, 1}} {
+		s, err := New(Config{Workers: tc.workers, Shards: tc.shards, WavePeriod: period})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Budget(); got != want {
+			t.Errorf("Shards %d x Workers %d: default budget %v, want %v", tc.shards, tc.workers, got, want)
+		}
+		// The rebuild at a wave boundary must reproduce the same number
+		// while every shard is live.
+		if rep := s.RunWave(); s.Budget() != want || rep.Budget != want || rep.LiveShards != max(tc.shards, 1) {
+			t.Errorf("Shards %d x Workers %d: budget %v (report %v, %d live) after the per-wave rebuild, want %v",
+				tc.shards, tc.workers, s.Budget(), rep.Budget, rep.LiveShards, want)
+		}
+		s.Close()
 	}
 }
 

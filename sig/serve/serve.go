@@ -48,50 +48,7 @@ import (
 	"repro/sig/shard"
 )
 
-// engine is the execution backend behind the admission queue: one
-// sig.Runtime (the default), or a shard.Router fleet when Config.Shards
-// asks for one. Both present the same wave surface, so the serving layer —
-// and its admission controller — is indifferent to how many scheduler
-// domains execute the waves.
-type engine interface {
-	SubmitBatch(specs []sig.TaskSpec)
-	WaitPhase() sig.WaveStats
-	Ratio() float64
-	Close() error
-	Energy() sig.Report
-	Stats() sig.Stats
-}
-
-// soloEngine is one runtime; the admission controller attaches as its
-// runtime Observer.
-type soloEngine struct {
-	rt  *sig.Runtime
-	grp *sig.Group
-}
-
-func (e soloEngine) SubmitBatch(specs []sig.TaskSpec) { e.rt.SubmitBatch(e.grp, specs) }
-func (e soloEngine) WaitPhase() sig.WaveStats         { return e.rt.WaitPhase(e.grp) }
-func (e soloEngine) Ratio() float64                   { return e.grp.Ratio() }
-func (e soloEngine) Close() error                     { return e.rt.Close() }
-func (e soloEngine) Energy() sig.Report               { return e.rt.Energy() }
-func (e soloEngine) Stats() sig.Stats                 { return e.rt.Stats() }
-
-// shardEngine is a sharded fleet; the admission controller observes the
-// router's merged waves (the global layer of the hierarchical controller —
-// the router's per-shard trim controllers are the local layer).
-type shardEngine struct {
-	r   *shard.Router
-	grp *shard.Group
-}
-
-func (e shardEngine) SubmitBatch(specs []sig.TaskSpec) { e.r.SubmitBatch(e.grp, specs) }
-func (e shardEngine) WaitPhase() sig.WaveStats         { return e.r.WaitPhase(e.grp) }
-func (e shardEngine) Ratio() float64                   { return e.grp.Ratio() }
-func (e shardEngine) Close() error                     { return e.r.Close() }
-func (e shardEngine) Energy() sig.Report               { return e.r.Energy() }
-func (e shardEngine) Stats() sig.Stats                 { return e.r.Stats() }
-
-// Defaults for Config's zero fields.
+// Defaults for Config's zero fields, and the two fixed tuning constants.
 const (
 	// DefaultQueueLimit bounds the admission queue.
 	DefaultQueueLimit = 4096
@@ -102,15 +59,18 @@ const (
 	// to: 1.0 = modeled demand equals modeled per-wave capacity.
 	DefaultTargetLoad = 1.0
 	// DefaultDrainGain is the fraction of the queued backlog the load
-	// signal asks each wave to absorb on top of fresh arrivals.
+	// signal asks each wave to absorb on top of fresh arrivals. Fixed.
 	DefaultDrainGain = 0.5
 	// DefaultRequestCost is the admission estimate (in cost units, ~1ns)
-	// for requests that declare no accurate cost.
+	// for requests that declare no accurate cost. Fixed.
 	DefaultRequestCost = 100_000
 	// DefaultQualityWindow is the averaging horizon, in waves, of the
 	// windowed quality floor when QualityFloor is set without a window.
 	DefaultQualityWindow = 16
 )
+
+// groupName names the serving task group on the fleet and in the controller.
+const groupName = "serve"
 
 // Pacer tuning. The measured-period EWMA folds 1/periodAlphaInv of every
 // new wall-time sample in (bounded memory, geometric horizon); the pacer
@@ -224,32 +184,26 @@ type Config struct {
 	// MinRatio to 1 instead.
 	Workers int
 	Policy  sig.PolicyKind
-	// Shards, when ≥ 2, runs the server over a shard.Router fleet of that
-	// many sig.Runtime shards (round-robin placement) instead of a single
-	// runtime. Workers is then the per-shard pool and the admission
-	// controller becomes hierarchical: it commands the global ratio over
-	// the router's merged waves, while the router's per-shard trim
-	// controllers keep each shard tracking the command.
+	// Shards is the number of sig.Runtime shards in the shard.Router fleet
+	// that executes the waves (0 means 1; round-robin placement). Workers is
+	// the per-shard pool. The admission controller commands one global ratio
+	// over the router's merged waves; with two or more shards the router's
+	// per-shard trim controllers keep each shard tracking the command.
 	Shards int
-	// Group names the serving task group (default "serve").
-	Group string
 	// QueueLimit bounds the admission queue; Submit returns ErrQueueFull
-	// beyond it (default DefaultQueueLimit). With a priority lane enabled,
-	// PrioritySlice of the limit is the priority lane's own and the bulk
-	// FIFO keeps the remainder.
+	// beyond it (default DefaultQueueLimit). With a priority lane enabled, a
+	// quarter of the limit (at least one slot) is the priority lane's own
+	// and the bulk FIFO keeps the remainder.
 	QueueLimit int
 	// PriorityAt, when in (0,1], enables the priority admission lane:
 	// requests with Significance at or above it queue in a second lane
 	// that each wave drains ahead of the bulk FIFO — premium tiers bypass
-	// the backlog. The lane owns its PrioritySlice of the queue limit
-	// outright, so bulk traffic can never starve premium admission, and
-	// it has its own depth/latency accounting (WaveReport.PriorityDepth,
-	// the per-lane wave-latency histogram in WriteMetrics).
+	// the backlog. The lane owns its slice of the queue limit outright
+	// (which is why it needs QueueLimit ≥ 2), so bulk traffic can never
+	// starve premium admission, and it has its own depth/latency accounting
+	// (WaveReport.PriorityDepth, the per-lane wave-latency histogram in
+	// WriteMetrics).
 	PriorityAt float64
-	// PrioritySlice is the number of queue slots reserved for the priority
-	// lane (default QueueLimit/4, min 1; must leave at least one bulk
-	// slot). Only meaningful with PriorityAt > 0.
-	PrioritySlice int
 	// WaveBudget is the modeled work (cost units, ~1ns) admitted per wave
 	// — the server's modeled capacity. Default: resolved workers ×
 	// WavePeriod in nanoseconds.
@@ -258,10 +212,6 @@ type Config struct {
 	// signal under (default DefaultTargetLoad). Lower values keep more
 	// headroom at the price of earlier degradation.
 	TargetLoad float64
-	// DrainGain weights queued backlog in the load signal (default
-	// DefaultDrainGain): each wave is asked to absorb fresh arrivals plus
-	// this fraction of the backlog.
-	DrainGain float64
 	// MinRatio floors the admission controller's ratio — the service's
 	// quality contract. 0 allows full degradation.
 	MinRatio float64
@@ -294,9 +244,6 @@ type Config struct {
 	// measured-time loop — deadlines, MeasuredPeriod, the pacer cadence,
 	// RetryAfter pricing — deterministic for replay.
 	Clock WaveClock
-	// DefaultCost is the admission pacing estimate for requests without
-	// declared costs (default DefaultRequestCost).
-	DefaultCost float64
 	// AutoScale, when non-nil, runs a shard.Autoscaler over the serving
 	// fleet: each wave boundary feeds the admission controller's load
 	// signal to the scaler, which grows or shrinks the live shard count
@@ -317,9 +264,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults(workersPerShard int) Config {
-	if c.Group == "" {
-		c.Group = "serve"
-	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = DefaultQueueLimit
 	}
@@ -335,21 +279,11 @@ func (c Config) withDefaults(workersPerShard int) Config {
 	if c.WaveBudget <= 0 {
 		// The one default-budget derivation: per-shard workers × period,
 		// scaled by the shard count — the same per-shard arithmetic the
-		// per-wave rebuild uses (budgetPerShard × live shards), so solo and
-		// sharded defaults agree exactly.
+		// per-wave rebuild uses (budgetPerShard × live shards).
 		c.WaveBudget = float64(workersPerShard) * float64(c.WavePeriod.Nanoseconds()) * float64(max(c.Shards, 1))
 	}
 	if c.TargetLoad <= 0 {
 		c.TargetLoad = DefaultTargetLoad
-	}
-	if c.DrainGain <= 0 {
-		c.DrainGain = DefaultDrainGain
-	}
-	if c.DefaultCost <= 0 {
-		c.DefaultCost = DefaultRequestCost
-	}
-	if c.PriorityAt > 0 && c.PrioritySlice == 0 {
-		c.PrioritySlice = max(c.QueueLimit/4, 1)
 	}
 	if c.QualityFloor > 0 && c.QualityWindow == 0 {
 		c.QualityWindow = DefaultQualityWindow
@@ -357,11 +291,11 @@ func (c Config) withDefaults(workersPerShard int) Config {
 	return c
 }
 
-// pending is one queued request; prio marks which admission lane holds it.
+// pending is one queued request; lane indexes the admission lane holding it.
 type pending struct {
 	req  Request
 	tk   *Ticket
-	prio bool
+	lane int
 }
 
 // costSums aggregates declared request costs so the load signal is O(1) in
@@ -395,11 +329,11 @@ type WaveReport struct {
 	TimedOut int
 	// PriorityAdmitted is how many of Admitted came through the priority
 	// lane; PriorityDepth is that lane's post-admission depth (Depth spans
-	// both lanes). Zero without a configured lane.
+	// every lane). Zero without a configured lane.
 	PriorityAdmitted int
 	PriorityDepth    int
 	// LiveShards is the live fleet size after this wave's autoscaling
-	// decision (1 in solo mode, the shard count when not autoscaled).
+	// decision (the configured shard count when nothing scaled or drained).
 	LiveShards int
 	// Depth is the admission-queue depth after the wave's admissions.
 	Depth int
@@ -456,20 +390,22 @@ type Totals struct {
 	Joules     float64
 }
 
-// Server admits requests as significance-annotated task waves over a sig
-// runtime. Create one with New; drive waves explicitly with RunWave (the
+// Server admits requests as significance-annotated task waves over a
+// shard.Router fleet of sig runtimes (one shard unless Config.Shards asks
+// for more). Create one with New; drive waves explicitly with RunWave (the
 // deterministic study mode) or let Start pump them every WavePeriod; stop
 // with Close.
 type Server struct {
 	cfg Config
-	eng engine
 	ctl *adapt.Controller
 
-	// fleet is the shard router behind a sharded engine (nil for solo);
-	// scaler, when configured, elasticizes it. budgetPerShard is the
-	// per-live-shard share of the configured WaveBudget the dynamic budget
-	// is rebuilt from after every scaling action.
+	// fleet executes the waves and grp is the serving group on it — the one
+	// engine, whatever the shard count; the controller observes the router's
+	// merged waves through OnWave. scaler, when configured, elasticizes the
+	// fleet. budgetPerShard is the per-live-shard share of the configured
+	// WaveBudget the wave budget is rebuilt from at every wave boundary.
 	fleet          *shard.Router
+	grp            *shard.Group
 	scaler         *shard.Autoscaler
 	budgetPerShard float64
 
@@ -500,29 +436,18 @@ type Server struct {
 	lastEnd    time.Time
 
 	// waveMu serializes RunWave with itself and with Close's final drain,
-	// so shutdown can never tear the engine down under an in-flight wave
+	// so shutdown can never tear the fleet down under an in-flight wave
 	// (which would panic the wave's batch submit and strand its tickets).
 	waveMu  sync.Mutex
-	stopped bool // engine closed; RunWave becomes a no-op (guarded by waveMu)
+	stopped bool // fleet closed; RunWave becomes a no-op (guarded by waveMu)
 
 	mu        sync.Mutex
-	queue     []*pending // bulk FIFO lane
-	prio      []*pending // priority lane (PriorityAt), drained ahead of the FIFO
-	qCost     costSums   // declared costs of the bulk backlog
-	pCost     costSums   // declared costs of the priority backlog
-	arrCost   costSums   // declared costs of arrivals since the last wave (both lanes)
-	deadlined int        // queued requests (both lanes) carrying a deadline
-	budget    float64    // current wave budget (WaveBudget, rescaled to the live fleet)
+	lanes     [laneCount]lane // the admission lanes (q and cost guarded by mu)
+	arrCost   costSums        // declared costs of arrivals since the last wave (all lanes)
+	deadlined int             // queued requests (all lanes) carrying a deadline
+	budget    float64         // current wave budget (WaveBudget, rescaled to the live fleet)
 	closed    bool
 	lastLoad  float64
-
-	// bulkLimit is the bulk lane's share of QueueLimit (all of it without
-	// a priority lane); the priority lane owns cfg.PrioritySlice slots.
-	bulkLimit int
-
-	// lat is the per-lane wave-latency histogram (laneBulk/lanePriority)
-	// behind WriteMetrics; recorded at every ticket resolution.
-	lat [2]latHist
 
 	// Per-wave hot-path state, touched only under waveMu (see hotpath.go):
 	// admit's reused batch buffer, the cost-class slab registry, the classes
@@ -535,7 +460,7 @@ type Server struct {
 	waveSlabs   []*waveSlab
 
 	// closeDone is closed (after closeErr is set) once the winning Close
-	// finished draining and retired the engine; losing concurrent Close
+	// finished draining and retired the fleet; losing concurrent Close
 	// calls block on it so a returned Close always means "shut down".
 	closeDone chan struct{}
 	closeErr  error
@@ -573,9 +498,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PriorityAt < 0 || cfg.PriorityAt > 1 {
 		return nil, fmt.Errorf("serve: PriorityAt %v outside [0,1]", cfg.PriorityAt)
 	}
-	if cfg.PrioritySlice != 0 && cfg.PriorityAt == 0 {
-		return nil, fmt.Errorf("serve: PrioritySlice %d without PriorityAt", cfg.PrioritySlice)
-	}
 	if cfg.QualityFloor < 0 || cfg.QualityFloor > 1 {
 		return nil, fmt.Errorf("serve: QualityFloor %v outside [0,1]", cfg.QualityFloor)
 	}
@@ -587,17 +509,27 @@ func New(cfg Config) (*Server, error) {
 	}
 	workers := cfg.Workers
 	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0) // per shard in sharded mode
+		workers = runtime.GOMAXPROCS(0) // per shard
 	}
 	cfg = cfg.withDefaults(workers)
 	if cfg.Policy == 0 {
 		cfg.Policy = sig.PolicyGTBMaxBuffer
 	}
-	if cfg.PriorityAt > 0 && (cfg.PrioritySlice < 1 || cfg.PrioritySlice >= cfg.QueueLimit) {
-		return nil, fmt.Errorf("serve: PrioritySlice %d outside [1,%d)", cfg.PrioritySlice, cfg.QueueLimit)
+	if cfg.PriorityAt > 0 && cfg.QueueLimit < 2 {
+		return nil, fmt.Errorf("serve: PriorityAt needs QueueLimit >= 2 (got %d): each lane owns at least one slot", cfg.QueueLimit)
 	}
 	if cfg.MinPeriod > cfg.WavePeriod || cfg.MaxPeriod < cfg.WavePeriod {
 		return nil, fmt.Errorf("serve: pacer bounds [%v, %v] must bracket WavePeriod %v", cfg.MinPeriod, cfg.MaxPeriod, cfg.WavePeriod)
+	}
+	shards := max(cfg.Shards, 1)
+	slots := shards
+	if cfg.AutoScale != nil {
+		if slots = cfg.AutoScale.MaxShards; slots == 0 {
+			slots = 2 * shards
+		}
+		if slots < shards {
+			return nil, fmt.Errorf("serve: AutoScale.MaxShards %d below Shards %d", slots, shards)
+		}
 	}
 
 	s := &Server{cfg: cfg, closeDone: make(chan struct{}), wake: make(chan struct{}, 1)}
@@ -608,10 +540,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.paceNs.Store(int64(cfg.WavePeriod))
 	s.budget = cfg.WaveBudget
-	s.budgetPerShard = cfg.WaveBudget / float64(max(cfg.Shards, 1))
-	s.bulkLimit = cfg.QueueLimit
+	s.budgetPerShard = cfg.WaveBudget / float64(shards)
+	s.lanes[laneBulk].limit = cfg.QueueLimit
 	if cfg.PriorityAt > 0 {
-		s.bulkLimit = cfg.QueueLimit - cfg.PrioritySlice
+		// The priority lane owns a quarter of the limit outright (at least
+		// one slot); the bulk FIFO keeps the remainder.
+		s.lanes[lanePriority].limit = max(cfg.QueueLimit/4, 1)
+		s.lanes[laneBulk].limit -= s.lanes[lanePriority].limit
 	}
 	var wf *adapt.WindowFloor
 	if cfg.QualityFloor > 0 {
@@ -619,7 +554,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var err error
 	s.ctl, err = adapt.New(adapt.Config{
-		Group:       cfg.Group,
+		Group:       groupName,
 		Objective:   adapt.TargetLoad,
 		Budget:      cfg.TargetLoad,
 		Measure:     s.measure,
@@ -631,60 +566,65 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		slots := cfg.Shards
-		if cfg.AutoScale != nil {
-			if slots = cfg.AutoScale.MaxShards; slots == 0 {
-				slots = 2 * cfg.Shards
-			}
-			if slots < cfg.Shards {
-				return nil, fmt.Errorf("serve: AutoScale.MaxShards %d below Shards %d", slots, cfg.Shards)
-			}
-		}
-		r, err := shard.New(shard.Config{
-			Shards:      cfg.Shards,
-			MaxShards:   slots,
-			Runtime:     sig.Config{Workers: cfg.Workers, Policy: cfg.Policy},
-			WaveTimeout: cfg.WaveTimeout,
-			HealthProbe: cfg.HealthProbe,
-			OnWave:      func(g *shard.Group, ws sig.WaveStats) { s.ctl.Observe(g, ws) },
-		})
+	s.fleet, err = shard.New(shard.Config{
+		Shards:      shards,
+		MaxShards:   slots,
+		Runtime:     sig.Config{Workers: cfg.Workers, Policy: cfg.Policy},
+		WaveTimeout: cfg.WaveTimeout,
+		HealthProbe: cfg.HealthProbe,
+		OnWave:      func(g *shard.Group, ws sig.WaveStats) { s.ctl.Observe(g, ws) },
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.grp = s.fleet.Group(groupName, 1.0) // start at full quality
+	if cfg.AutoScale != nil {
+		ac := *cfg.AutoScale
+		ac.MaxShards = slots
+		s.scaler, err = shard.NewAutoscaler(s.fleet, ac)
 		if err != nil {
+			s.fleet.Close()
 			return nil, err
 		}
-		s.fleet = r
-		s.eng = shardEngine{r: r, grp: r.Group(cfg.Group, 1.0)} // start at full quality
-		if cfg.AutoScale != nil {
-			ac := *cfg.AutoScale
-			ac.MaxShards = slots
-			s.scaler, err = shard.NewAutoscaler(r, ac)
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-		}
-	} else {
-		rt, err := sig.New(sig.Config{
-			Workers:  cfg.Workers,
-			Policy:   cfg.Policy,
-			Observer: s.ctl,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.eng = soloEngine{rt: rt, grp: rt.Group(cfg.Group, 1.0)}
 	}
 	return s, nil
 }
 
 // Ratio returns the admission controller's current accuracy ratio.
-func (s *Server) Ratio() float64 { return s.eng.Ratio() }
+//
+//siglint:noalloc
+func (s *Server) Ratio() float64 {
+	return s.grp.Ratio() //siglint:allocok crosses into sig/shard, where siglint cannot follow: Group.Ratio is one atomic load
+}
 
-// Depth returns the current admission-queue depth across both lanes.
+// Depth returns the current admission-queue depth across all lanes.
 func (s *Server) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue) + len(s.prio)
+	return s.depthLocked()
+}
+
+// depthLocked is Depth for callers that hold s.mu.
+//
+//siglint:noalloc
+func (s *Server) depthLocked() (n int) {
+	for i := range s.lanes {
+		n += len(s.lanes[i].q)
+	}
+	return n
+}
+
+// backlogLocked sums the declared costs queued in lane ln and in every lane
+// a wave drains ahead of it (the higher indices) — the work a request
+// joining lane ln waits behind; backlogLocked(laneBulk) is the whole queue.
+// Caller holds s.mu.
+//
+//siglint:noalloc
+func (s *Server) backlogLocked(ln int) (c costSums) {
+	for ; ln < laneCount; ln++ {
+		c.add(s.lanes[ln].cost)
+	}
+	return c
 }
 
 // LaneDepths returns the per-lane queue depths (prio is 0 without a
@@ -692,7 +632,7 @@ func (s *Server) Depth() int {
 func (s *Server) LaneDepths() (bulk, prio int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue), len(s.prio)
+	return len(s.lanes[laneBulk].q), len(s.lanes[lanePriority].q)
 }
 
 // Load returns the last wave's measured load signal.
@@ -703,7 +643,7 @@ func (s *Server) Load() float64 {
 }
 
 // Budget returns the current modeled per-wave capacity — WaveBudget
-// rescaled to the live shard count in sharded mode.
+// rescaled to the live shard count.
 func (s *Server) Budget() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -781,9 +721,10 @@ func (s *Server) observePeriod(wall time.Duration) {
 	}
 }
 
-// Fleet returns the shard router behind a sharded server (nil in solo
-// mode), for fleet-health introspection — live/routable counts, per-shard
-// health states, manual quarantine.
+// Fleet returns the shard router that executes the server's waves (never
+// nil; one shard unless Config.Shards asked for more), for fleet-health
+// introspection — live/routable counts, per-shard health states, manual
+// quarantine.
 func (s *Server) Fleet() *shard.Router { return s.fleet }
 
 // reqCosts returns the request's declared cost sums, substituting the
@@ -792,10 +733,10 @@ func (s *Server) Fleet() *shard.Router { return s.fleet }
 // execution skips them entirely.
 //
 //siglint:noalloc
-func (s *Server) reqCosts(req *Request) costSums {
+func reqCosts(req *Request) costSums {
 	c := costSums{acc: req.CostAccurate}
 	if c.acc <= 0 {
-		c.acc = s.cfg.DefaultCost
+		c.acc = DefaultRequestCost
 	}
 	if req.Degraded != nil {
 		c.deg = req.CostDegraded
@@ -833,12 +774,15 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		return nil, ErrDeadlineExpired
 	}
 	s.tot.submitted.Add(1)
-	prio := s.cfg.PriorityAt > 0 && req.Significance >= s.cfg.PriorityAt
+	ln := laneBulk
+	if s.cfg.PriorityAt > 0 && req.Significance >= s.cfg.PriorityAt {
+		ln = lanePriority
+	}
 	tk := getTicket(now.UnixNano())
 	p := getPending()
 	p.req = req
 	p.tk = tk
-	p.prio = prio
+	p.lane = ln
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -847,37 +791,27 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		discardTicket(tk)
 		return nil, ErrClosed
 	}
-	lane, limit := &s.queue, s.bulkLimit
-	if prio {
-		lane, limit = &s.prio, s.cfg.PrioritySlice
-	}
-	if len(*lane) >= limit && s.deadlined > 0 {
+	l := &s.lanes[ln]
+	if len(l.q) >= l.limit {
 		// Before rejecting, sweep queued requests whose deadline has
 		// already passed: an expired request deeper in the backlog must
 		// not hold a slot against live traffic.
-		s.reapExpiredLocked(now)
+		s.sweepExpiredLocked(now, false)
 	}
-	if len(*lane) >= limit {
+	if len(l.q) >= l.limit {
 		// Price the backoff hint while the lock still pins the backlog:
 		// the modeled waves to drain the work ahead of this request's lane
 		// at the current ratio and budget. The priority lane drains first,
 		// so bulk rejections price both lanes; priority rejections price
 		// the priority backlog alone.
-		backlog := s.pCost
-		if !prio {
-			backlog.add(s.qCost)
-		}
-		budget := s.budget
+		backlog, budget := s.backlogLocked(ln), s.budget
 		s.mu.Unlock()
 		s.tot.rejected.Add(1)
 		putPending(p)
 		discardTicket(tk)
 		waves := 1.0
 		if budget > 0 {
-			waves = math.Ceil(backlog.at(s.eng.Ratio()) / budget) //siglint:allocok engine boundary: Ratio is an atomic read behind the interface
-			if waves < 1 {
-				waves = 1
-			}
+			waves = math.Max(1, math.Ceil(backlog.at(s.Ratio())/budget))
 		}
 		// Price the hint in measured-period units (effectivePeriod: the
 		// wall-time EWMA, floored at the cadence — the configured WavePeriod
@@ -887,25 +821,21 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		return nil, &OverloadError{RetryAfter: time.Duration(waves) * s.effectivePeriod()} //siglint:allocok shed-request path: the structured retry hint costs one error object
 	}
 	tk.enqWave.Store(s.wave.Load())
-	c := s.reqCosts(&req)
-	if prio {
-		s.pCost.add(c)
-	} else {
-		s.qCost.add(c)
-	}
+	c := reqCosts(&req)
+	l.cost.add(c)
 	s.arrCost.add(c)
 	if !req.Deadline.IsZero() {
 		s.deadlined++
 	}
-	idle := len(s.queue)+len(s.prio) == 0
-	*lane = append(*lane, p) //siglint:allocok amortized growth of the retained lane backlog
+	idle := s.depthLocked() == 0
+	l.q = append(l.q, p) //siglint:allocok amortized growth of the retained lane backlog
 	s.mu.Unlock()
 	// The cadence is a batching window, and batching only buys a better
 	// significance ranking. At ratio 1.0 nothing is shed, so there is nothing
 	// to rank: the arrival that ends an idle spell wakes the pump instead of
 	// waiting the cadence out. The send never blocks — a token already
 	// pending (or no pump at all) means the slot is simply left as it is.
-	if idle && s.eng.Ratio() >= 1 { //siglint:allocok engine boundary: Ratio is an atomic read behind the interface
+	if idle && s.Ratio() >= 1 {
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -914,67 +844,85 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	return tk, nil
 }
 
-// reapExpiredLocked sweeps both lanes for queued requests whose deadline
-// has passed and resolves them OutcomeTimedOut on the spot — queue slot
-// and cost share freed, ticket completed, counters updated. It is the
-// queue-full Submit path's side of the expiry bugfix; admit runs the same
-// sweep at every wave boundary. Caller holds s.mu.
+// sweepExpiredLocked removes every queued request whose deadline has passed
+// from every lane, however deep it sits — queue slot and cost share freed,
+// the lane compacted in place — so an expired request can never hold a slot
+// against live traffic or keep its cost in the backlog sums. admit runs it
+// at every wave boundary and defers the casualties to waveExpired (runWave
+// resolves them at the wave's epoch, after the taskwait); the queue-full
+// Submit path resolves them on the spot. Caller holds s.mu.
 //
 //siglint:noalloc
-func (s *Server) reapExpiredLocked(now time.Time) {
-	nowNs := now.UnixNano()
-	wave := s.wave.Load()
-	var reaped, reapedPrio int64
-	for _, ln := range [...]struct {
-		q    *[]*pending
-		cost *costSums
-	}{{&s.prio, &s.pCost}, {&s.queue, &s.qCost}} {
-		kept := (*ln.q)[:0]
-		for _, p := range *ln.q {
+func (s *Server) sweepExpiredLocked(now time.Time, deferred bool) {
+	if s.deadlined == 0 {
+		return
+	}
+	wave, nowNs := s.wave.Load(), now.UnixNano()
+	for i := laneCount - 1; i >= 0; i-- {
+		l := &s.lanes[i]
+		kept := l.q[:0]
+		for _, p := range l.q {
 			if p.req.Deadline.IsZero() || !now.After(p.req.Deadline) {
 				kept = append(kept, p) //siglint:allocok re-slices the lane in place; kept shares its backing array
 				continue
 			}
-			ln.cost.sub(s.reqCosts(&p.req))
+			l.cost.sub(reqCosts(&p.req))
 			s.deadlined--
-			tk := p.tk
-			tk.outcome.Store(int32(OutcomeTimedOut))
-			tk.complete(wave, nowNs)
-			s.lat[laneOf(p.prio)].record(wave - tk.enqWave.Load() + 1)
-			if p.prio {
-				reapedPrio++
+			if deferred {
+				s.waveExpired = append(s.waveExpired, p) //siglint:allocok amortized growth of the reused per-wave expired buffer
+			} else {
+				s.resolveTimedOut(p, wave, nowNs)
 			}
-			tk.release()
-			putPending(p)
-			reaped++
 		}
-		for i := len(kept); i < len(*ln.q); i++ {
-			(*ln.q)[i] = nil
-		}
-		*ln.q = kept
+		clear(l.q[len(kept):])
+		l.q = kept
 	}
-	if reaped > 0 {
-		s.tot.completed.Add(reaped)
-		s.tot.timedout.Add(reaped)
-		s.tot.priority.Add(reapedPrio)
+}
+
+// resolveTimedOut resolves one deadline casualty OutcomeTimedOut: counted,
+// then everything a served request gets — completion edge, lane latency,
+// ticket release — except a body run or a joule.
+//
+//siglint:noalloc
+func (s *Server) resolveTimedOut(p *pending, wave, nowNs int64) {
+	p.tk.outcome.Store(int32(OutcomeTimedOut))
+	s.tot.completed.Add(1)
+	s.tot.timedout.Add(1)
+	if p.lane == lanePriority {
+		s.tot.priority.Add(1)
 	}
+	s.finish(p, wave, nowNs)
+}
+
+// finish publishes one resolved request — completion edge, lane latency —
+// and returns the server's ticket reference and the pending slot to their
+// pools. Totals count the request before this runs, so a caller woken by
+// Done already sees itself there.
+//
+//siglint:noalloc
+func (s *Server) finish(p *pending, wave, nowNs int64) {
+	tk := p.tk
+	tk.complete(wave, nowNs)
+	s.lanes[p.lane].lat.record(wave - tk.enqWave.Load() + 1)
+	tk.release()
+	putPending(p)
 }
 
 // measure is the admission controller's load signal, evaluated at the wave
 // boundary (inside RunWave's taskwait): the modeled cost of fresh arrivals
-// plus a DrainGain share of the backlog, both priced at the wave's ratio,
-// over the per-wave capacity — and, with an EnergyBudget, the wave's
+// plus a DefaultDrainGain share of the backlog, both priced at the wave's
+// ratio, over the per-wave capacity — and, with an EnergyBudget, the wave's
 // modeled joules over that budget, whichever is larger. Both terms are
 // monotone increasing in the ratio, which is what lets the secant law of
 // adapt.TargetLoad converge in a handful of waves.
 func (s *Server) measure(ws sig.WaveStats) float64 {
 	s.mu.Lock()
-	arr, backlog, budget := s.arrCost, s.qCost, s.budget
-	backlog.add(s.pCost)   // both lanes drain from the same capacity
+	// Every lane drains from the same capacity.
+	arr, backlog, budget := s.arrCost, s.backlogLocked(laneBulk), s.budget
 	s.arrCost = costSums{} // next wave accounts fresh arrivals only
 	s.mu.Unlock()
 	r := ws.RequestedRatio
-	load := (arr.at(r) + s.cfg.DrainGain*backlog.at(r)) / budget
+	load := (arr.at(r) + DefaultDrainGain*backlog.at(r)) / budget
 	if s.cfg.EnergyBudget > 0 {
 		load = math.Max(load, ws.Joules/s.cfg.EnergyBudget)
 	}
@@ -996,89 +944,61 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 	return load
 }
 
-// admit pops the next wave's worth of requests: the priority lane first,
-// then the bulk FIFO, while the expected modeled cost at the current ratio
-// fits the wave budget (always at least one when anything is queued, so a
-// single oversized request cannot wedge the queue). Before popping, BOTH
-// lanes are swept end to end for requests whose Deadline expired while
-// queued — they are moved to the waveExpired buffer (no budget consumed;
-// RunWave resolves them OutcomeTimedOut), so an expired request can never
-// hold a queue slot or keep its cost in the backlog sums, however deep it
-// sits. The returned batch is the server's reused wavePending buffer
-// (valid until the next admit); lane remainders compact to the front of
-// their backing arrays, so steady-state waves neither grow nor churn them.
-// now is the wave's start-of-wave clock reading (RunWave takes it through
-// the WaveClock seam) — admit performs no clock reads of its own.
+// admit pops the next wave's worth of requests: the lanes in drain order
+// (priority, then the bulk FIFO), while the expected modeled cost at the
+// wave's ratio fits the wave budget (always at least one when anything is
+// queued, so a single oversized request cannot wedge the queue). Before
+// popping, every lane is swept for requests whose Deadline expired while
+// queued — they move to the waveExpired buffer, consuming no budget. The
+// returned batch is the server's reused wavePending buffer (valid until the
+// next admit); lane remainders compact to the front of their backing
+// arrays, so steady-state waves neither grow nor churn them. now is the
+// wave's start-of-wave clock reading (RunWave takes it through the
+// WaveClock seam) — admit performs no clock reads of its own.
 //
 //siglint:noalloc
-func (s *Server) admit(now time.Time) []*pending {
+func (s *Server) admit(now time.Time, ratio float64) []*pending {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ratio := s.eng.Ratio() //siglint:allocok engine boundary: Ratio is an atomic read behind the interface
 	batch := s.wavePending[:0]
 	s.waveExpired = s.waveExpired[:0]
-	if s.deadlined > 0 {
-		s.sweepLaneLocked(&s.prio, &s.pCost, now)
-		s.sweepLaneLocked(&s.queue, &s.qCost, now)
-	}
+	s.sweepExpiredLocked(now, true)
 	var cost float64
-	batch, cost = s.popLaneLocked(batch, &s.prio, &s.pCost, ratio, cost, s.cfg.PrioritySlice)
-	batch, _ = s.popLaneLocked(batch, &s.queue, &s.qCost, ratio, cost, s.cfg.QueueLimit)
+	for i := laneCount - 1; i >= 0; i-- {
+		batch, cost = s.popLaneLocked(batch, &s.lanes[i], ratio, cost)
+	}
 	s.wavePending = batch
 	return batch
 }
 
-// sweepLaneLocked moves every deadline-expired request of one lane into
-// waveExpired, releasing its cost share and compacting the lane in place.
-// Caller holds s.mu.
-//
-//siglint:noalloc
-func (s *Server) sweepLaneLocked(q *[]*pending, cs *costSums, now time.Time) {
-	kept := (*q)[:0]
-	for _, p := range *q {
-		if !p.req.Deadline.IsZero() && now.After(p.req.Deadline) {
-			cs.sub(s.reqCosts(&p.req))
-			s.deadlined--
-			s.waveExpired = append(s.waveExpired, p) //siglint:allocok amortized growth of the reused per-wave expired buffer
-			continue
-		}
-		kept = append(kept, p) //siglint:allocok re-slices the lane in place; kept shares its backing array
-	}
-	for i := len(kept); i < len(*q); i++ {
-		(*q)[i] = nil
-	}
-	*q = kept
-}
-
 // popLaneLocked pops one lane FIFO into batch while the running cost fits
 // the budget (admitting at least one request overall), returning the grown
-// batch and cost. limit sizes the lane's backing-array release heuristic.
-// Caller holds s.mu.
+// batch and cost. Caller holds s.mu.
 //
 //siglint:noalloc
-func (s *Server) popLaneLocked(batch []*pending, q *[]*pending, cs *costSums, ratio, cost float64, limit int) ([]*pending, float64) {
+func (s *Server) popLaneLocked(batch []*pending, l *lane, ratio, cost float64) ([]*pending, float64) {
 	n := 0
-	for n < len(*q) {
-		p := (*q)[n]
-		c := s.reqCosts(&p.req)
+	for n < len(l.q) {
+		p := l.q[n]
+		c := reqCosts(&p.req)
 		if len(batch) > 0 && cost+c.at(ratio) > s.budget {
 			break
 		}
 		batch = append(batch, p) //siglint:allocok amortized growth of the reused wavePending batch buffer
 		cost += c.at(ratio)
-		cs.sub(c)
+		l.cost.sub(c)
 		if !p.req.Deadline.IsZero() {
 			s.deadlined--
 		}
 		n++
 	}
 	if n > 0 {
-		rem := copy(*q, (*q)[n:])
-		clear((*q)[rem:])
-		*q = (*q)[:rem]
+		rem := copy(l.q, l.q[n:])
+		clear(l.q[rem:])
+		l.q = l.q[:rem]
 	}
-	if len(*q) == 0 && cap(*q) > max(64, limit/8) {
-		*q = nil // release a burst-grown backing array once it drains
+	if len(l.q) == 0 && cap(l.q) > max(64, l.limit/8) {
+		l.q = nil // release a burst-grown backing array once it drains
 	}
 	return batch, cost
 }
@@ -1098,14 +1018,14 @@ func (s *Server) runWave(early bool) WaveReport {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
-		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.eng.Ratio(), NextRatio: s.eng.Ratio()}
+		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio()}
 	}
 	if s.early = early; early {
 		s.earlyWaves.Add(1)
 	}
 	start := s.clock.Now()
-	batch := s.admit(start)
-	ratio := s.eng.Ratio()
+	ratio := s.Ratio()
+	batch := s.admit(start, ratio)
 
 	rep := WaveReport{Wave: int(s.wave.Load()), Admitted: len(batch), Ratio: ratio}
 	if len(batch) > 0 {
@@ -1116,7 +1036,7 @@ func (s *Server) runWave(early bool) WaveReport {
 		}
 		s.flushSlabs()
 	}
-	ws := s.eng.WaitPhase() // admission controller observes here
+	ws := s.fleet.WaitPhase(s.grp) // admission controller observes here
 	end := s.clock.Now()
 	// The wave's measured wall time — admission through taskwait — is the
 	// sample behind MeasuredPeriod: the pacer's cadence target and the
@@ -1126,35 +1046,11 @@ func (s *Server) runWave(early bool) WaveReport {
 	s.observePeriod(rep.WallTime)
 	wave := s.wave.Add(1) - 1
 	nowNs := end.UnixNano()
-	// Resolve the deadline casualties admit skimmed: outcome, completion
-	// edge, ticket release — everything a served request gets, except a
-	// body run or a joule.
-	priority := 0
-	for i, p := range s.waveExpired {
-		tk := p.tk
-		tk.outcome.Store(int32(OutcomeTimedOut))
-		tk.complete(wave, nowNs)
-		s.lat[laneOf(p.prio)].record(wave - tk.enqWave.Load() + 1)
-		if p.prio {
-			priority++
-		}
-		tk.release()
-		putPending(p)
-		s.waveExpired[i] = nil
-		rep.TimedOut++
-	}
-	s.waveExpired = s.waveExpired[:0]
-	for i, p := range batch {
-		tk := p.tk
-		tk.complete(wave, nowNs)
-		s.lat[laneOf(p.prio)].record(wave - tk.enqWave.Load() + 1)
-		if p.prio {
-			rep.PriorityAdmitted++
-			priority++
-		}
-		// Read the outcome before dropping the server's reference: after
-		// release the ticket may already be recycled by a concurrent Submit.
-		switch Outcome(tk.outcome.Load()) {
+	// Count first, publish second: Totals must already hold the wave when
+	// the first of its tickets reports Done, so a caller that waited on a
+	// ticket always finds itself in Totals.
+	for _, p := range batch {
+		switch Outcome(p.tk.outcome.Load()) {
 		case OutcomeAccurate:
 			rep.Accurate++
 		case OutcomeDegraded:
@@ -1162,49 +1058,53 @@ func (s *Server) runWave(early bool) WaveReport {
 		default:
 			rep.Dropped++
 		}
-		tk.release()
-		putPending(p)
-		batch[i] = nil
+		if p.lane == lanePriority {
+			rep.PriorityAdmitted++
+		}
 	}
-	s.recycleSlabs()
-	s.tot.completed.Add(int64(len(batch) + rep.TimedOut))
+	s.tot.completed.Add(int64(len(batch)))
 	s.tot.accurate.Add(int64(rep.Accurate))
 	s.tot.degraded.Add(int64(rep.Degraded))
 	s.tot.dropped.Add(int64(rep.Dropped))
-	s.tot.timedout.Add(int64(rep.TimedOut))
-	s.tot.priority.Add(int64(priority))
+	s.tot.priority.Add(int64(rep.PriorityAdmitted))
 	for {
 		old := s.tot.joules.Load()
 		if s.tot.joules.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+ws.Joules)) {
 			break
 		}
 	}
-
-	s.mu.Lock()
-	rep.Depth = len(s.queue) + len(s.prio)
-	rep.PriorityDepth = len(s.prio)
-	rep.Load = s.lastLoad
-	s.mu.Unlock()
-	rep.LiveShards = 1
-	if s.fleet != nil {
-		if s.scaler != nil {
-			// The scaler sees the same load signal the admission controller
-			// just regulated; a drain here runs against an idle fleet (the
-			// wave's taskwait completed above).
-			s.scaler.Observe(rep.Load)
-		}
-		// Capacity follows the fleet, however it changed: autoscaler
-		// actions AND health auto-drains (DrainAfter) shrink or grow the
-		// live count, and the wave budget — hence the load signal's
-		// denominator — must track it either way. (Rebuilding only under
-		// a scaler left the budget overstated after a watchdog drain.)
-		rep.LiveShards = s.fleet.Live()
-		s.mu.Lock()
-		s.budget = s.budgetPerShard * float64(rep.LiveShards)
-		s.mu.Unlock()
+	// The deadline casualties admit skimmed resolve at this wave's epoch.
+	rep.TimedOut = len(s.waveExpired)
+	for i, p := range s.waveExpired {
+		s.resolveTimedOut(p, wave, nowNs)
+		s.waveExpired[i] = nil
 	}
-	rep.Budget = s.Budget()
-	rep.NextRatio = s.eng.Ratio()
+	s.waveExpired = s.waveExpired[:0]
+	for i, p := range batch {
+		s.finish(p, wave, nowNs)
+		batch[i] = nil
+	}
+	s.recycleSlabs()
+
+	if s.scaler != nil {
+		// The scaler sees the same load signal the admission controller
+		// just regulated; a drain here runs against an idle fleet (the
+		// wave's taskwait completed above).
+		s.scaler.Observe(s.Load())
+	}
+	// Capacity follows the fleet, however it changed: autoscaler actions
+	// AND health auto-drains (DrainAfter) shrink or grow the live count, and
+	// the wave budget — hence the load signal's denominator — must track it
+	// either way.
+	rep.LiveShards = s.fleet.Live()
+	s.mu.Lock()
+	rep.Depth = s.depthLocked()
+	rep.PriorityDepth = len(s.lanes[lanePriority].q)
+	rep.Load = s.lastLoad
+	s.budget = s.budgetPerShard * float64(rep.LiveShards)
+	rep.Budget = s.budget
+	s.mu.Unlock()
+	rep.NextRatio = s.Ratio()
 	rep.Provided = ws.ProvidedRatio
 	rep.Joules = ws.Joules
 	rep.Stats = ws
@@ -1301,9 +1201,9 @@ func (s *Server) Start() {
 			case <-timer.C:
 			}
 			_, delay := s.paceWave(early)
-			// go.mod pins pre-1.23 timer semantics: Stop and drain before
-			// Reset, or a tick that expired during an early wave fires a
-			// second time.
+			// A tick that expired during an early wave must not fire a
+			// second time: Stop-and-drain before Reset is correct under
+			// both timer semantics (pre- and post-Go 1.23).
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
@@ -1316,18 +1216,18 @@ func (s *Server) Start() {
 }
 
 // Close stops admitting, drains the queue through final waves (every
-// accepted ticket completes), and shuts the engine down. It is idempotent
+// accepted ticket completes), and shuts the fleet down. It is idempotent
 // and safe to call while an explicit RunWave is in flight: the in-flight
 // wave finishes first (its tickets resolve normally), the drain waves run
-// after it, and only then is the engine torn down — a RunWave arriving
-// later is a no-op. The engine's energy report stays valid afterwards.
+// after it, and only then is the fleet torn down — a RunWave arriving
+// later is a no-op. The fleet's energy report stays valid afterwards.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		// A concurrent Close already owns the shutdown: wait for it, so
 		// every returned Close means the same thing — tickets resolved,
-		// engine retired, energy frozen.
+		// fleet retired, energy frozen.
 		<-s.closeDone
 		return s.closeErr
 	}
@@ -1340,24 +1240,22 @@ func (s *Server) Close() error {
 	}
 	// Each RunWave below serializes behind any in-flight wave; once the
 	// queue is empty (no new Submit can refill it past the closed flag),
-	// the engine can be retired under the same lock, so no wave can ever
+	// the fleet can be retired under the same lock, so no wave can ever
 	// find it half-closed.
 	for s.Depth() > 0 {
 		s.RunWave()
 	}
 	s.waveMu.Lock()
 	s.stopped = true
-	err := s.eng.Close()
+	err := s.fleet.Close()
 	s.waveMu.Unlock()
 	s.closeErr = err
 	close(s.closeDone)
 	return err
 }
 
-// Energy returns the engine's modeled energy report (merged across shards
-// in sharded mode).
-func (s *Server) Energy() sig.Report { return s.eng.Energy() }
+// Energy returns the fleet's modeled energy report, merged across shards.
+func (s *Server) Energy() sig.Report { return s.fleet.Energy() }
 
-// Stats returns the engine's task accounting (merged across shards in
-// sharded mode).
-func (s *Server) Stats() sig.Stats { return s.eng.Stats() }
+// Stats returns the fleet's task accounting, merged across shards.
+func (s *Server) Stats() sig.Stats { return s.fleet.Stats() }

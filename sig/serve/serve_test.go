@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -592,5 +593,47 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeTotalsCountBeforeDone pins the contract that Totals lead Done: a
+// caller that observed its ticket resolve finds its whole wave in Totals,
+// conserved across the outcome counters. The wave is large and the observer
+// spins on the first ticket, so a server that completes tickets before it
+// counts them is caught mid-loop.
+func TestServeTotalsCountBeforeDone(t *testing.T) {
+	const n = 4096
+	s := newTestServer(t, n, func(c *Config) { c.QueueLimit = n })
+	defer s.Close()
+	var served [3]atomic.Int64
+	first, err := s.Submit(request(0, &served))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if _, err := s.Submit(request(i, &served)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(chan Totals)
+	go func() {
+		for done := first.Done(); ; runtime.Gosched() {
+			select {
+			case <-done:
+				seen <- s.Totals()
+				return
+			default:
+			}
+		}
+	}()
+	if rep := s.RunWave(); rep.Admitted != n {
+		t.Fatalf("admitted %d of %d: the wave must carry the whole batch", rep.Admitted, n)
+	}
+	tot := <-seen
+	if tot.Completed != n || tot.Waves != 1 {
+		t.Errorf("Totals right after Done: %d completed over %d waves, want all %d of wave 1", tot.Completed, tot.Waves, n)
+	}
+	if sum := tot.Accurate + tot.Degraded + tot.Dropped; sum != tot.Completed {
+		t.Errorf("Totals right after Done do not conserve: %d+%d+%d != %d", tot.Accurate, tot.Degraded, tot.Dropped, tot.Completed)
 	}
 }

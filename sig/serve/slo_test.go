@@ -411,3 +411,50 @@ func TestServeWriteMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// failAfter is a writer whose connection dies after n bytes; late counts
+// the writes attempted on the dead connection.
+type failAfter struct {
+	n    int
+	dead bool
+	late int
+}
+
+var errConnDied = errors.New("connection died")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.dead {
+		f.late++
+		return 0, errConnDied
+	}
+	if len(p) > f.n {
+		f.dead = true
+		return f.n, errConnDied
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestServeWriteMetricsReportsWriteError: a scrape whose writer fails part
+// way is reported failed with the writer's own error, and the dead writer is
+// not written to again.
+func TestServeWriteMetricsReportsWriteError(t *testing.T) {
+	s := newTestServer(t, 4, nil)
+	defer s.Close()
+	var full strings.Builder
+	if err := s.WriteMetrics(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 100, full.Len() - 1} {
+		w := &failAfter{n: n}
+		if err := s.WriteMetrics(w); !errors.Is(err, errConnDied) {
+			t.Errorf("writer failing after %d of %d bytes: WriteMetrics returned %v, want the write error", n, full.Len(), err)
+		}
+		if w.late != 0 {
+			t.Errorf("writer failing after %d bytes was written to %d more times", n, w.late)
+		}
+	}
+	if err := s.WriteMetrics(&failAfter{n: full.Len()}); err != nil {
+		t.Errorf("a writer with room for the whole scrape: %v", err)
+	}
+}

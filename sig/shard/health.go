@@ -22,7 +22,7 @@ type HealthState int32
 const (
 	// HealthLive: routable, no recent strikes.
 	HealthLive HealthState = iota
-	// HealthSuspect: routable, but missed at least SuspectAfter
+	// HealthSuspect: routable, but missed at least DefaultSuspectAfter
 	// consecutive waves.
 	HealthSuspect
 	// HealthQuarantined: unroutable while its runtime stays open, so
@@ -47,7 +47,8 @@ func (h HealthState) String() string {
 	return fmt.Sprintf("HealthState(%d)", int32(h))
 }
 
-// Default consecutive-strike thresholds for Config's zero fields.
+// Consecutive-strike thresholds: DefaultSuspectAfter is fixed, the other two
+// are the defaults for Config's zero fields.
 const (
 	// DefaultSuspectAfter turns a shard suspect on its first missed wave.
 	DefaultSuspectAfter = 1
@@ -100,7 +101,7 @@ func (r *Router) strike(i int) {
 		_ = r.QuarantineShard(i)
 		return
 	}
-	if n >= r.cfg.SuspectAfter {
+	if n >= DefaultSuspectAfter {
 		st.health.CompareAndSwap(int32(HealthLive), int32(HealthSuspect))
 	}
 }

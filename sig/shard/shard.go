@@ -10,7 +10,9 @@
 // and the Router layers a small per-shard trim controller on top — a shard
 // whose provided ratio lagged the command in the last wave is boosted (never
 // shed below the command), so the merged provided ratio tracks the global
-// knob even when placement skews significance across shards. WaitPhase
+// knob even when placement skews significance across shards. A one-slot
+// Router has no placement to skew and runs no trim: it is a sig.Runtime wave
+// for wave, which is what lets sig/serve use it as its only engine. WaitPhase
 // drains every shard and returns one merged WaveStats; the modeled joules of
 // the merge are computed from the exact integer sum of the shards' busy
 // nanoseconds — not by adding per-shard float joules — so the merged energy
@@ -73,7 +75,7 @@ const (
 	// homogeneous streams.
 	PlaceRoundRobin PlacementKind = iota
 	// PlaceLeastLoad places each task on the shard with the least
-	// outstanding modeled cost (declared costs, or Config.DefaultCost for
+	// outstanding modeled cost (declared costs, or DefaultPlacementCost for
 	// undeclared tasks) — first-fit-decreasing-flavored balancing for
 	// heterogeneous costs.
 	PlaceLeastLoad
@@ -100,7 +102,8 @@ func (k PlacementKind) String() string {
 	return fmt.Sprintf("PlacementKind(%d)", int(k))
 }
 
-// Defaults for Config's zero fields.
+// Fixed tuning: constants, not Config fields — nothing ever needed another
+// value.
 const (
 	// DefaultTrimGain is the per-shard trim controller's integrator gain
 	// on last wave's provided-ratio lag.
@@ -133,14 +136,6 @@ type Config struct {
 	// via Controller.Observe) attaches to. It runs on the waiter's
 	// goroutine and may retune the group via Group.SetRatio.
 	OnWave func(g *Group, ws sig.WaveStats)
-	// TrimGain and TrimMax tune the per-shard trim controllers; zero
-	// fields take DefaultTrimGain/DefaultTrimMax. A negative TrimGain
-	// disables trimming (every shard runs exactly the global ratio).
-	TrimGain float64
-	TrimMax  float64
-	// DefaultCost is the placement-load estimate for tasks without
-	// declared costs (default DefaultPlacementCost).
-	DefaultCost float64
 
 	// WaveTimeout, when positive, bounds how long a merged WaitPhase waits
 	// on any one shard's wave cut: a shard that overruns it is skipped in
@@ -153,12 +148,11 @@ type Config struct {
 	// clears the shard's strikes. The pluggable seam for external health
 	// signals (process checks, remote heartbeats).
 	HealthProbe func(shard int) error
-	// SuspectAfter, QuarantineAfter and DrainAfter are the consecutive
-	// strike counts at which a shard turns suspect, is quarantined
-	// (unroutable but still open), and is auto-drained. Zero fields take
-	// DefaultSuspectAfter/DefaultQuarantineAfter/DefaultDrainAfter; a
-	// negative DrainAfter disables auto-drain.
-	SuspectAfter    int
+	// QuarantineAfter and DrainAfter are the consecutive strike counts at
+	// which a shard is quarantined (unroutable but still open) and is
+	// auto-drained; it turns suspect at DefaultSuspectAfter. Zero fields
+	// take DefaultQuarantineAfter/DefaultDrainAfter; a negative DrainAfter
+	// disables auto-drain.
 	QuarantineAfter int
 	DrainAfter      int
 }
@@ -292,20 +286,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Runtime.Observer != nil {
 		return nil, fmt.Errorf("shard: per-shard Observer must be nil; merged waves are delivered through Config.OnWave")
 	}
-	if cfg.TrimGain == 0 {
-		cfg.TrimGain = DefaultTrimGain
-	}
-	if cfg.TrimMax == 0 {
-		cfg.TrimMax = DefaultTrimMax
-	}
-	if cfg.DefaultCost <= 0 {
-		cfg.DefaultCost = DefaultPlacementCost
-	}
 	if cfg.WaveTimeout < 0 {
 		return nil, fmt.Errorf("shard: negative WaveTimeout %v", cfg.WaveTimeout)
-	}
-	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = DefaultSuspectAfter
 	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = DefaultQuarantineAfter
@@ -313,8 +295,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.DrainAfter == 0 {
 		cfg.DrainAfter = DefaultDrainAfter
 	}
-	if cfg.SuspectAfter < 0 || cfg.QuarantineAfter < 0 {
-		return nil, fmt.Errorf("shard: negative health threshold")
+	if cfg.QuarantineAfter < 0 {
+		return nil, fmt.Errorf("shard: negative QuarantineAfter %d", cfg.QuarantineAfter)
 	}
 	r := &Router{
 		cfg:      cfg,
@@ -524,11 +506,11 @@ func clamp01(x float64) float64 {
 }
 
 // placementCost is the modeled cost a spec contributes to placement load.
-func (r *Router) placementCost(spec *sig.TaskSpec) float64 {
+func placementCost(spec *sig.TaskSpec) float64 {
 	if spec.HasCost && spec.CostAccurate > 0 {
 		return spec.CostAccurate
 	}
-	return r.cfg.DefaultCost
+	return DefaultPlacementCost
 }
 
 // account charges placed specs' modeled cost to the shard's placement load,
@@ -594,7 +576,7 @@ func (r *Router) slotOf(spec *sig.TaskSpec, cursor uint64) int {
 		// of each other share a shard (and therefore its slab pools). The
 		// class→slot map is over fixed slot capacity, so a drained slot's
 		// classes come home when the slot rejoins.
-		class := math.Ilogb(r.placementCost(spec))
+		class := math.Ilogb(placementCost(spec))
 		if class < 0 {
 			class = 0
 		}
@@ -648,7 +630,7 @@ func (r *Router) Submit(g *Group, spec sig.TaskSpec) {
 		panic("shard: Submit with every shard drained")
 	}
 	defer r.state[i].inflight.Add(-1)
-	r.account(g, i, int64(r.placementCost(&spec)))
+	r.account(g, i, int64(placementCost(&spec)))
 	ref := g.parts[i].Load()
 	one := [1]sig.TaskSpec{spec}
 	ref.rt.SubmitBatch(ref.p, one[:])
@@ -682,7 +664,7 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 		// One slot: nothing reads the load mid-batch, so charge the sum.
 		var cost int64
 		for k := range specs {
-			cost += int64(r.placementCost(&specs[k]))
+			cost += int64(placementCost(&specs[k]))
 		}
 		r.account(g, i, cost)
 		ref := g.parts[i].Load()
@@ -696,7 +678,7 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 	// the cursor value a loop of Submit calls would have drawn.
 	cursor := r.draw(len(specs))
 	for k := range specs {
-		c := int64(r.placementCost(&specs[k]))
+		c := int64(placementCost(&specs[k]))
 		var b int
 		if leastLoad {
 			b = r.leastLoaded()
@@ -830,14 +812,17 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 	}
 	g.wave++
 	// Per-shard trim update: integrate each shard's lag, clamped to
-	// [0, TrimMax] — a lagging shard is boosted above the global command,
-	// never shed below it, so the hierarchical knob cannot undercut the
-	// ratio floor the caller asked for. Pure arithmetic on wave telemetry:
-	// deterministic, replayable.
-	if r.cfg.TrimGain > 0 {
+	// [0, DefaultTrimMax] — a lagging shard is boosted above the global
+	// command, never shed below it, so the hierarchical knob cannot undercut
+	// the ratio floor the caller asked for. Pure arithmetic on wave
+	// telemetry: deterministic, replayable. Trim corrects placement skew
+	// *between* shards; a one-slot router has none (place and SubmitBatch
+	// special-case it the same way), so there the shard runs exactly the
+	// global ratio — a one-slot router is a sig.Runtime, wave for wave.
+	if len(r.shards) > 1 {
 		for i := range g.trim {
-			t := math.Float64frombits(g.trim[i].Load()) + r.cfg.TrimGain*lags[i]
-			t = math.Max(0, math.Min(r.cfg.TrimMax, t))
+			t := math.Float64frombits(g.trim[i].Load()) + DefaultTrimGain*lags[i]
+			t = math.Max(0, math.Min(DefaultTrimMax, t))
 			g.trim[i].Store(math.Float64bits(t))
 		}
 	}

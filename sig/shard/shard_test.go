@@ -381,3 +381,95 @@ func TestDeterministicShardedReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSlotRouterIsARuntime is why a one-slot router runs no trim
+// controller: the same seeded stream — specials 0.0 and 1.0 included, in
+// bursts that make the provided ratio lag the command — driven through a
+// bare sig.Runtime observed by an adapt controller and through a one-slot
+// Router observed by the same controller via OnWave yields the same ratio
+// trajectory, per-wave outcome counts and bit-identical joules. Trim exists
+// to correct placement skew between shards; boosting a lone shard whose
+// provided ratio lags on 0.0-significance traffic would make the router a
+// different machine from the runtime it wraps (and sig/serve relies on them
+// being the same machine).
+func TestOneSlotRouterIsARuntime(t *testing.T) {
+	type waveRec struct {
+		ratio              float64
+		acc, approx, drops int
+		joules             uint64
+	}
+	const waves, n = 16, 80
+	// stream is wave w's specs: an LCG picks each significance from
+	// {0.0, 0.1, ..., 1.0}; odd waves turn two thirds of the stream into
+	// 0.0-specials, which no ratio can run accurately.
+	stream := func(w int) []sig.TaskSpec {
+		seed := uint32(12345 + w)
+		ranAcc, ranApx := make([]atomic.Bool, n), make([]atomic.Bool, n)
+		return specStream(n, func(i int) float64 {
+			seed = seed*1664525 + 1013904223
+			if w%2 == 1 && i%3 != 0 {
+				return 0
+			}
+			return float64(seed>>16%11) / 10
+		}, ranAcc, ranApx)
+	}
+	newCtl := func() *adapt.Controller {
+		ctl, err := adapt.New(adapt.Config{
+			Group:     "rep",
+			Objective: adapt.TargetEnergy,
+			Budget:    sig.DefaultActiveWatts * 400 * 1e-9, // ~half of full-accurate demand
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	record := func(ratio float64, ws sig.WaveStats) waveRec {
+		return waveRec{ratio, ws.Accurate, ws.Approximate, ws.Dropped, math.Float64bits(ws.Joules)}
+	}
+	rtCfg := sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer}
+
+	var bare []waveRec
+	{
+		cfg := rtCfg
+		cfg.Observer = newCtl()
+		rt, err := sig.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := rt.Group("rep", 1.0)
+		for w := 0; w < waves; w++ {
+			rt.SubmitBatch(g, stream(w))
+			ws := rt.WaitPhase(g)
+			bare = append(bare, record(g.Ratio(), ws))
+		}
+		rt.Close()
+	}
+
+	ctl := newCtl()
+	r, err := New(Config{
+		Shards:  1,
+		Runtime: rtCfg,
+		OnWave:  func(g *Group, ws sig.WaveStats) { ctl.Observe(g, ws) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	g := r.Group("rep", 1.0)
+	moved := false
+	for w := 0; w < waves; w++ {
+		r.SubmitBatch(g, stream(w))
+		ws := r.WaitPhase(g)
+		if got := record(g.Ratio(), ws); got != bare[w] {
+			t.Fatalf("wave %d: one-slot router %+v, bare runtime %+v", w, got, bare[w])
+		}
+		if trim := g.Trim(0); trim != 0 {
+			t.Fatalf("wave %d: one-slot router trimmed its only shard by %v", w, trim)
+		}
+		moved = moved || g.Ratio() < 1
+	}
+	if !moved {
+		t.Fatal("the controller never shed: the stream does not exercise the ratio")
+	}
+}
