@@ -27,8 +27,11 @@ lint: vet
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
 
+# The second line repeats the ring and backpressure tests: their failures
+# are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -count=20 -run 'Ring|Backpressure' ./sig
 
 # Rewrite internal/harness/testdata/*.golden — the full printed output of
 # `sigbench serve -scale 0.1 -backend all`, `serve -scale 0.1 -shards 4`,

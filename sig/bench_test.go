@@ -3,6 +3,7 @@ package sig
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -193,16 +194,45 @@ func (o *benchObserver) ObserveWave(g *Group, ws WaveStats) {
 	g.SetRatio(ws.RequestedRatio)
 }
 
+// benchXorshift is the body of the repository benchmark's runtime_tasks
+// workload (benchmark/runtime_tasks.go): 200 steps accurate (~0.4 µs), 40
+// approximate, declared as 600 and 120 cost units.
+func benchXorshift(steps int) func() {
+	return func() {
+		x := uint64(88172645463325252)
+		for i := 0; i < steps; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		if x == 0 { // never: xorshift keeps a non-zero state non-zero; the test keeps the loop alive
+			benchSink.Store(x)
+		}
+	}
+}
+
+var benchSink atomic.Uint64
+
 // BenchmarkSubmitWave measures the paper's programming model end to end: one
 // op is a wave of 4096 tasks, each its own Submit with the four clause
 // options built at the call site, plus the taskwait — per-task ingest under a
-// buffering (gtb) and a worker-local (lqh) policy.
+// buffering (gtb) and a worker-local (lqh) policy. With the empty body the
+// workers always keep up with the submitter; the -body variants run the
+// benchmark's bodies, which two workers execute slower than one goroutine
+// submits, so the rings fill and the wave runs under backpressure.
 func BenchmarkSubmitWave(b *testing.B) {
 	const wave = 4096
 	for _, v := range []struct {
-		name string
-		kind PolicyKind
-	}{{"gtb", PolicyGTB}, {"lqh", PolicyLQH}} {
+		name       string
+		kind       PolicyKind
+		acc, apx   func()
+		cAcc, cApx float64
+	}{
+		{"gtb", PolicyGTB, benchBody, benchBody, 50, 5},
+		{"lqh", PolicyLQH, benchBody, benchBody, 50, 5},
+		{"gtb-body", PolicyGTB, benchXorshift(200), benchXorshift(40), 600, 120},
+		{"lqh-body", PolicyLQH, benchXorshift(200), benchXorshift(40), 600, 120},
+	} {
 		b.Run(v.name, func(b *testing.B) {
 			rt, err := New(Config{Workers: 2, Policy: v.kind})
 			if err != nil {
@@ -214,8 +244,8 @@ func BenchmarkSubmitWave(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < wave; j++ {
-					rt.Submit(benchBody, WithLabel(g), WithSignificance(float64(j%9+1)/10),
-						WithApprox(benchBody), WithCost(50, 5))
+					rt.Submit(v.acc, WithLabel(g), WithSignificance(float64(j%9+1)/10),
+						WithApprox(v.apx), WithCost(v.cAcc, v.cApx))
 				}
 				rt.WaitPhase(g)
 			}

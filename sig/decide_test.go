@@ -1,0 +1,204 @@
+package sig
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"unsafe"
+)
+
+// checkRank runs gtbPolicy.rank over one window with the given significances
+// and quota and requires the accurate set a stable sort by (Significance
+// desc, Seq asc) picks. Sequence numbers are dealt in shuffled order, so
+// "first in the buffer" and "lowest Seq" are different tasks.
+func checkRank(t *testing.T, label string, sigs []float64, want int, rng *rand.Rand) {
+	t.Helper()
+	n := len(sigs)
+	tasks := make([]Task, n)
+	buf := make([]*Task, n)
+	for i, seq := range rng.Perm(n) {
+		tasks[i] = Task{Significance: sigs[i], Seq: uint64(seq + 1)}
+		buf[i] = &tasks[i]
+	}
+	sorted := append([]*Task(nil), buf...)
+	sort.SliceStable(sorted, func(i, j int) bool { return taskBefore(sorted[i], sorted[j]) })
+	accurate := make(map[*Task]bool, want)
+	for _, task := range sorted[:want] {
+		accurate[task] = true
+	}
+
+	g := &Group{}
+	g.setRatio(float64(want) / float64(n))
+	p := &gtbPolicy{g: g, buf: buf}
+	p.rank()
+	for i, task := range buf {
+		wantD := DecideApprox
+		if accurate[task] {
+			wantD = DecideAccurate
+		}
+		if task.Decision != wantD {
+			t.Fatalf("%s, n=%d want=%d: task %d (sig %v, seq %d) decided %d, a stable sort decides %d",
+				label, n, want, i, task.Significance, task.Seq, task.Decision, wantD)
+		}
+	}
+	if p.decidedTotal != int64(n) || p.decidedAccurate != int64(want) {
+		t.Fatalf("%s, n=%d want=%d: running totals %d/%d", label, n, want, p.decidedAccurate, p.decidedTotal)
+	}
+	for _, task := range p.scratch[:cap(p.scratch)] {
+		if task != nil {
+			t.Fatalf("%s, n=%d want=%d: rank left a task pinned in its scratch", label, n, want)
+		}
+	}
+}
+
+// rankDistributions are the significance streams the rank kernel is checked
+// on: what separates by bin, what does not, and the values on the seams.
+var rankDistributions = []struct {
+	name string
+	draw func(rng *rand.Rand) float64
+}{
+	{"uniform", func(rng *rand.Rand) float64 { return rng.Float64() }},
+	{"all equal", func(*rand.Rand) float64 { return 0.5 }},
+	{"two values", func(rng *rand.Rand) float64 { return 0.25 + 0.5*float64(rng.Intn(2)) }},
+	{"one bin", func(rng *rand.Rand) float64 { return (128 + 0.999*rng.Float64()) / rankBins }},
+	{"bin edges", func(rng *rand.Rand) float64 { return float64(rng.Intn(rankBins+1)) / rankBins }},
+	{"beside bin edges", func(rng *rand.Rand) float64 {
+		return math.Nextafter(float64(1+rng.Intn(rankBins-1))/rankBins, float64(rng.Intn(2)))
+	}},
+	{"denormals", func(rng *rand.Rand) float64 { return float64(rng.Intn(40)) * math.SmallestNonzeroFloat64 }},
+	// 0.0 and 1.0 never reach a built-in policy through the runtime, which
+	// decides them itself; a custom policy wrapping GTB can hand them over.
+	{"with 0.0 and 1.0", func(rng *rand.Rand) float64 {
+		if k := rng.Intn(8); k < 2 {
+			return float64(k)
+		}
+		return rng.Float64()
+	}},
+}
+
+// TestRankMatchesStableSort is the differential test of the GTB rank kernel
+// on both sides of rankByBinMin: every window length up to 160, a sample up
+// to 600, a GTB(max) wave of 4096, and the quotas 0, 1, n-1, n and a random
+// one.
+func TestRankMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	check := func(n, dist int) {
+		d := rankDistributions[dist%len(rankDistributions)]
+		sigs := make([]float64, n)
+		for i := range sigs {
+			sigs[i] = d.draw(rng)
+		}
+		for _, want := range []int{0, 1, n - 1, n, rng.Intn(n + 1)} {
+			checkRank(t, d.name, sigs, want, rng)
+		}
+	}
+	for n := 1; n <= 600; n++ {
+		if n <= 160 || n%7 == 0 {
+			check(n, n)
+		}
+	}
+	for dist := range rankDistributions {
+		for _, n := range []int{rankByBinMin - 1, rankByBinMin, rankByBinMin + 1, 600, 4096} {
+			check(n, dist)
+		}
+	}
+}
+
+// lqhReference is LQH's decision as it was written before the branch-free
+// count: float comparisons over a float history. The policy must reproduce
+// it decision for decision.
+type lqhReference struct {
+	ratio           float64
+	history         int
+	ring            []float64
+	next            int
+	total, accurate int64
+}
+
+func (st *lqhReference) decide(sig float64) Decision {
+	ratio := st.ratio
+	var accurate bool
+	switch n := len(st.ring); {
+	case ratio >= 1:
+		accurate = true
+	case ratio <= 0:
+		accurate = false
+	case n < min(8, st.history):
+		accurate = sig >= 1-ratio
+	default:
+		above := 0
+		for _, h := range st.ring {
+			if h > sig {
+				above++
+			}
+		}
+		accurate = float64(above)/float64(n) < ratio
+	}
+	if st.total > 0 {
+		provided := float64(st.accurate) / float64(st.total)
+		if provided > ratio+lqhDriftTolerance {
+			accurate = false
+		} else if provided < ratio-lqhDriftTolerance {
+			accurate = true
+		}
+	}
+	if len(st.ring) < st.history {
+		st.ring = append(st.ring, sig)
+	} else {
+		st.ring[st.next] = sig
+		st.next = (st.next + 1) % st.history
+	}
+	st.total++
+	if accurate {
+		st.accurate++
+		return DecideAccurate
+	}
+	return DecideApprox
+}
+
+// TestLQHMatchesFloatCount replays significance streams through the policy
+// and the reference and requires the same Decision at every step and the same
+// running totals at the end.
+func TestLQHMatchesFloatCount(t *testing.T) {
+	if size := unsafe.Sizeof(lqhState{}); size%64 != 0 {
+		t.Errorf("lqhState is %d bytes: neighbouring workers' states share a cache line", size)
+	}
+	negZero := math.Copysign(0, -1)
+	streams := []struct {
+		name string
+		draw func(rng *rand.Rand) float64
+	}{
+		{"uniform", func(rng *rand.Rand) float64 { return rng.Float64() }},
+		{"constant", func(*rand.Rand) float64 { return 0.5 }},
+		{"two values", func(rng *rand.Rand) float64 { return 0.25 + 0.5*float64(rng.Intn(2)) }},
+		{"bin edges", func(rng *rand.Rand) float64 { return float64(rng.Intn(33)) / 32 }},
+		{"denormals", func(rng *rand.Rand) float64 { return float64(rng.Intn(4)) * math.SmallestNonzeroFloat64 }},
+		{"zeros of both signs", func(rng *rand.Rand) float64 {
+			return []float64{0, negZero, math.SmallestNonzeroFloat64, 0.5, 1}[rng.Intn(5)]
+		}},
+	}
+	for _, stream := range streams {
+		for _, ratio := range []float64{0, 0.1, 0.5, 0.85, 1} {
+			for _, history := range []int{1, 5, 32} {
+				rng := rand.New(rand.NewSource(int64(history)))
+				g := &Group{}
+				g.setRatio(ratio)
+				p := newLQHPolicy(g, 1, history)
+				ref := &lqhReference{ratio: ratio, history: history}
+				for i := 0; i < 2000; i++ {
+					sig := stream.draw(rng)
+					got, want := p.WorkerDecide(0, &Task{Significance: sig}), ref.decide(sig)
+					if got != want {
+						t.Fatalf("%s, ratio %v, history %d: task %d (sig %v) decided %d, the float count decides %d",
+							stream.name, ratio, history, i, sig, got, want)
+					}
+				}
+				if st := &p.states[0]; st.total != ref.total || st.accurate != ref.accurate {
+					t.Fatalf("%s, ratio %v, history %d: totals %d/%d, the float count has %d/%d",
+						stream.name, ratio, history, st.accurate, st.total, ref.accurate, ref.total)
+				}
+			}
+		}
+	}
+}

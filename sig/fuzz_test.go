@@ -2,12 +2,15 @@ package sig
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
 // FuzzPolicyDecisions feeds adversarial significance/ratio sequences into
 // the significance-aware policies (GTB, GTB(max), LQH, Perforation) and
-// checks the same invariants as the property suite (invariant_test.go).
+// checks the same invariants as the property suite (invariant_test.go); the
+// stream's significances are also ranked as one GTB window and compared with
+// a stable sort (checkRank).
 //
 // Input encoding (every byte string is valid):
 //
@@ -135,6 +138,20 @@ func FuzzPolicyDecisions(f *testing.F) {
 			checkConservationAndSpecials(t, sc, out, gs, provided)
 		} else {
 			checkInvariants(t, sc, out, gs, provided)
+		}
+
+		// The GTB rank kernel against a stable sort, on the stream's own
+		// significances as one window and on a finer reading of them: a task's
+		// byte picks the bin, the next task's the place inside it.
+		if n := len(sigs); n > 0 {
+			fine := make([]float64, n)
+			for i, s := range sigs {
+				fine[i] = (math.Floor(s*254) + 0.99*sigs[(i+1)%n]) / rankBins
+			}
+			rng := rand.New(rand.NewSource(int64(len(data))))
+			want := int(math.Round(ratio * float64(n)))
+			checkRank(t, "fuzz stream", sigs, want, rng)
+			checkRank(t, "fuzz stream, fine", fine, want, rng)
 		}
 	})
 }

@@ -273,9 +273,10 @@ func (p *gtbPolicy) decideInto(dst []*Task) []*Task {
 // rank marks the top share of the buffered tasks by significance accurate
 // and the rest approximate. The accurate quota is computed against the
 // running totals, so per-window rounding errors do not accumulate across
-// windows. Ranking uses an O(n) quickselect over (significance desc, Seq
-// asc) — a strict total order, so the accurate set is identical to what a
-// stable sort would pick.
+// windows. The order is (significance desc, Seq asc) — a strict total order,
+// so the accurate set is identical to what a stable sort would pick — and a
+// long window is cut by a histogram first (rankByBin), so only the tasks of
+// one bin are ever compared with each other.
 func (p *gtbPolicy) rank() {
 	n := len(p.buf)
 	if n == 0 {
@@ -289,29 +290,82 @@ func (p *gtbPolicy) rank() {
 	if want > n {
 		want = n
 	}
-	switch want {
-	case 0:
+	switch {
+	case want == 0:
 		for _, t := range p.buf {
 			t.Decision = DecideApprox
 		}
-	case n:
+	case want == n:
 		for _, t := range p.buf {
 			t.Decision = DecideAccurate
 		}
-	default:
+	case n < rankByBinMin:
 		p.scratch = append(p.scratch[:0], p.buf...)
-		selectTopK(p.scratch, want)
-		for i, t := range p.scratch {
-			if i < want {
-				t.Decision = DecideAccurate
-			} else {
-				t.Decision = DecideApprox
-			}
-			p.scratch[i] = nil // do not pin recycled tasks until next decide
-		}
+		p.rankScratch(want)
+	default:
+		p.rankByBin(want)
 	}
 	p.decidedTotal += int64(n)
 	p.decidedAccurate += int64(want)
+}
+
+// rankScratch marks the want top-ranked tasks of scratch accurate and the
+// rest approximate by quickselect, and empties it: recycled tasks must not
+// stay pinned until the next decide.
+func (p *gtbPolicy) rankScratch(want int) {
+	selectTopK(p.scratch, want)
+	for i, t := range p.scratch {
+		if i < want {
+			t.Decision = DecideAccurate
+		} else {
+			t.Decision = DecideApprox
+		}
+	}
+	clear(p.scratch)
+	p.scratch = p.scratch[:0]
+}
+
+// rankBins is the resolution of rankByBin's histogram, and rankByBinMin the
+// window length from which its two sequential passes beat a quickselect that
+// chases every task pointer ~3 times: GTB's 32-task windows stay below it, a
+// GTB(max) wave is far above.
+const (
+	rankBins     = 256
+	rankByBinMin = 128
+)
+
+// sigBin is the histogram bin of a significance in [0,1]. It is monotone, so
+// a task in a higher bin is strictly more significant than one in a lower.
+func sigBin(s float64) int {
+	return max(0, min(int(s*rankBins), rankBins-1))
+}
+
+// rankByBin is rank for a long window, 0 < want < len(buf): one pass counts
+// the tasks per bin, a walk down from the top bin finds the one the quota
+// runs out in, and a second pass marks everything above it accurate and
+// everything below it approximate without comparing two tasks. Only the
+// boundary bin's tasks are ranked against each other.
+func (p *gtbPolicy) rankByBin(want int) {
+	var hist [rankBins]int32
+	for _, t := range p.buf {
+		hist[sigBin(t.Significance)]++
+	}
+	edge := rankBins - 1
+	for ; int(hist[edge]) < want; edge-- {
+		want -= int(hist[edge])
+	}
+	p.scratch = p.scratch[:0]
+	for _, t := range p.buf {
+		switch b := sigBin(t.Significance); {
+		case b > edge:
+			t.Decision = DecideAccurate
+		case b < edge:
+			t.Decision = DecideApprox
+		default:
+			p.scratch = append(p.scratch, t)
+		}
+	}
+	p.rankScratch(want)
 }
 
 func (p *gtbPolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate }
@@ -383,19 +437,22 @@ type lqhPolicy struct {
 	states  []lqhState
 }
 
+// lqhState is one worker's history, a cache line of its own. The ring holds
+// math.Float64bits of the significances seen: they are clamped to [0,1], where
+// bit order is value order, so the decision counts without comparing floats.
 type lqhState struct {
-	ring     []float64
+	ring     []uint64
 	n        int
 	next     int
 	total    int64
 	accurate int64
-	_        [24]byte // pad to reduce false sharing between worker states
+	_        [8]byte
 }
 
 func newLQHPolicy(g *Group, workers, history int) *lqhPolicy {
 	p := &lqhPolicy{g: g, history: history, states: make([]lqhState, workers)}
 	for i := range p.states {
-		p.states[i].ring = make([]float64, 0, history)
+		p.states[i].ring = make([]uint64, 0, history)
 	}
 	return p
 }
@@ -418,6 +475,9 @@ const lqhDriftTolerance = 0.10
 func (p *lqhPolicy) WorkerDecide(worker int, t *Task) Decision {
 	st := &p.states[worker]
 	ratio := p.g.Ratio()
+	// Adding zero turns the -0.0 clamp01 lets through into +0.0, the one
+	// value in range whose bits are out of order.
+	sig := math.Float64bits(t.Significance + 0)
 	var accurate bool
 	switch {
 	case ratio >= 1:
@@ -432,14 +492,13 @@ func (p *lqhPolicy) WorkerDecide(worker int, t *Task) Decision {
 	default:
 		// Histogram estimate: the task runs accurately if its
 		// significance lands in the top `ratio` fraction of the
-		// local history.
-		above := 0
+		// local history. Both operands are below 2^63, so the sign bit
+		// of sig-h says h > sig: a count with no data-dependent branch.
+		var above uint64
 		for _, h := range st.ring[:st.n] {
-			if h > t.Significance {
-				above++
-			}
+			above += (sig - h) >> 63
 		}
-		accurate = float64(above)/float64(st.n) < ratio
+		accurate = float64(int64(above))/float64(st.n) < ratio
 	}
 	// Drift correction against the locally provided ratio.
 	if st.total > 0 {
@@ -452,10 +511,10 @@ func (p *lqhPolicy) WorkerDecide(worker int, t *Task) Decision {
 	}
 	// Record the observation in the ring.
 	if len(st.ring) < p.history {
-		st.ring = append(st.ring, t.Significance)
+		st.ring = append(st.ring, sig)
 		st.n = len(st.ring)
 	} else {
-		st.ring[st.next] = t.Significance
+		st.ring[st.next] = sig
 		st.next = (st.next + 1) % p.history
 	}
 	st.total++

@@ -10,8 +10,19 @@ type slabSpy map[*taskSlab]int
 
 func (s slabSpy) option() TaskOption { return func(t *Task) { s[t.slab]++ } }
 
+// onOneP runs the rest of the test on one P. A sync.Pool keeps a Put in a
+// slot private to the P that made it, where a Get from another P never
+// looks: with the worker on one P and the test on another, a recycled slab is
+// in the pool and drainSlabs does not find it, and an open slab put back by a
+// submitter that then moved is not the one its next carve draws.
+func onOneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // drainSlabs empties the recycled-slab pool and reports how often each
 // recycled slab was in it. A fresh slab (used == 0) means the pool is empty.
+// Callers run onOneP.
 func drainSlabs(p *taskPools) map[*taskSlab]int {
 	in := map[*taskSlab]int{}
 	for {
@@ -27,6 +38,7 @@ func drainSlabs(p *taskPools) map[*taskSlab]int {
 // by its 64th completion — never while it is still open, however many of the
 // tasks it has handed out are already done.
 func TestSlabLifecycle(t *testing.T) {
+	onOneP(t)
 	rt := newRT(t, Config{Workers: 1, Policy: PolicyAccurate})
 	defer rt.Close()
 	g := rt.Group("slab", 1.0)
@@ -86,6 +98,7 @@ func TestSlabLifecycle(t *testing.T) {
 // recycled (it cannot reach 64 completions), and the next Submit starts
 // another.
 func TestOpenSlabDroppedByGC(t *testing.T) {
+	onOneP(t)
 	rt := newRT(t, Config{Workers: 1, Policy: PolicyAccurate})
 	defer rt.Close()
 	g := rt.Group("gc", 1.0)
@@ -149,6 +162,7 @@ func TestShortBatchesShareSlab(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: the open slab changes at random")
 	}
+	onOneP(t)
 	const n = 10*slabSize + 1
 	counter := &slabCounter{}
 	rt := newRT(t, Config{Workers: 1, NewPolicy: func(*Group) Policy { return counter }})

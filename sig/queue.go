@@ -21,8 +21,10 @@ type ring struct {
 	tail atomic.Uint64
 	mask uint64
 	buf  []*Task
+	// wakeAt is the head position from which a pop wakes sleeping submitters.
+	wakeAt atomic.Uint64
 	// Pad to a cache line so neighboring rings do not false-share.
-	_ [24]byte
+	_ [16]byte
 }
 
 func newRing(capacity int) *ring {
@@ -140,12 +142,16 @@ type sched struct {
 	seg segment
 	_   [64]byte
 
-	// Backpressure path: submitters that find every ring full wait on
-	// spaceC; workers broadcast after freeing space, but only when
-	// spaceWaiters says someone is actually waiting.
+	// Backpressure path: submitters that find every ring full sleep on
+	// spaceC; spaceWaiters tells the workers someone does, and they broadcast
+	// once per half ring drained (ring.wakeAt), not per chunk. asleep —
+	// submitters in Wait or on their way back from it — and wakes, how often
+	// one was woken, belong to spaceMu. DESIGN.md argues the liveness.
 	spaceWaiters atomic.Int32
 	spaceMu      sync.Mutex
 	spaceC       *sync.Cond
+	asleep       int
+	wakes        int
 }
 
 func newSched(workers, queueCap int) *sched {
@@ -177,22 +183,47 @@ func (s *sched) tryPush(t *Task) bool {
 }
 
 // enqueue places t on some ring, blocking on the backpressure condition when
-// every ring is full. It never holds a lock while blocked.
+// every ring is full. It never holds a lock while blocked. A newcomer queues
+// behind whoever sleeps or is on the way back from a wake instead of taking
+// the freed slots from under them, and whoever gets in passes the wake on.
 //
 //siglint:noalloc
 func (s *sched) enqueue(t *Task) {
-	if s.tryPush(t) {
+	if s.spaceWaiters.Load() == 0 && s.tryPush(t) {
 		s.wakeOne()
 		return
 	}
 	s.spaceWaiters.Add(1)
 	s.spaceMu.Lock()
-	for !s.tryPush(t) {
+	for woken := false; ; woken = true {
+		if woken || s.asleep == 0 {
+			s.arm()
+			if s.tryPush(t) {
+				break
+			}
+		}
+		s.asleep++
 		s.spaceC.Wait()
+		s.asleep--
+		s.wakes++
+	}
+	if s.asleep > 0 {
+		s.spaceC.Broadcast()
 	}
 	s.spaceMu.Unlock()
 	s.spaceWaiters.Add(-1)
 	s.wakeOne()
+}
+
+// arm sets every ring's wakeAt half a ring ahead of its head, under spaceMu
+// and before the push that may fail: a ring found full afterwards holds the
+// half ring that takes its head there.
+//
+//siglint:noalloc
+func (s *sched) arm() {
+	for _, r := range s.rings {
+		r.wakeAt.Store(r.head.Load() + (r.mask+1)/2)
+	}
 }
 
 // enqueueBatch places every task of ts in order, one lock acquisition per
@@ -215,7 +246,7 @@ func (s *sched) enqueueBatch(ts []*Task) {
 	i := 0
 	for i < len(ts) {
 		pushed := false
-		for j := 0; j < n; j++ {
+		for j := 0; j < n && s.spaceWaiters.Load() == 0; j++ {
 			if k := s.rings[(shard+j)%n].pushN(ts[i:]); k > 0 {
 				i += k
 				shard = (shard + j + 1) % n
@@ -226,8 +257,8 @@ func (s *sched) enqueueBatch(ts []*Task) {
 		if pushed {
 			continue
 		}
-		// All rings full: wake the pool and fall back to the blocking
-		// path for the next task, then resume chunked pushes.
+		// All rings full, or someone asleep on them: wake the pool and fall
+		// back to the blocking path for the next task, then resume chunks.
 		s.wakeAll(len(s.rings))
 		s.enqueue(ts[i])
 		i++
@@ -264,9 +295,11 @@ func (s *sched) wakeAll(n int) {
 	}
 }
 
-// signalSpace lets blocked submitters retry after space was freed. The lock
-// is taken around Broadcast so a waiter between its failed push and its Wait
-// (it holds spaceMu throughout) cannot miss the signal.
+// signalSpace lets sleeping submitters, if there are any, retry and hands
+// them the processor: Broadcast makes one of them this P's next goroutine, so
+// yielding runs it now instead of after the worker's chunk. The lock is taken around Broadcast so a
+// waiter between its failed push and its Wait (it holds spaceMu throughout)
+// cannot miss the signal; re-arming keeps the next signal half a ring away.
 //
 //siglint:noalloc
 func (s *sched) signalSpace() {
@@ -274,8 +307,24 @@ func (s *sched) signalSpace() {
 		return
 	}
 	s.spaceMu.Lock()
+	if s.asleep == 0 {
+		s.spaceMu.Unlock()
+		return
+	}
 	s.spaceC.Broadcast()
+	s.arm()
 	s.spaceMu.Unlock()
+	runtime.Gosched()
+}
+
+// pop is r.popN under the wake rule: the pop that takes r's head to wakeAt
+// signals. Both only grow, so a stale wakeAt adds a signal, never loses one.
+func (s *sched) pop(r *ring, dst []*Task) int {
+	n := r.popN(dst)
+	if n > 0 && int64(r.head.Load()-r.wakeAt.Load()) >= 0 {
+		s.signalSpace()
+	}
+	return n
 }
 
 // acquireSegment takes the flush segment for one publication; it reports
@@ -378,22 +427,22 @@ func (rt *Runtime) worker(id int) {
 	for turn := 0; ; turn++ {
 		var n int
 		if turn&1 == 0 {
-			if n = own.popN(batch[:]); n == 0 {
+			if n = s.pop(own, batch[:]); n == 0 {
 				n = rt.claim(batch[:])
 			}
 		} else if n = rt.claim(batch[:]); n == 0 {
-			n = own.popN(batch[:])
+			n = s.pop(own, batch[:])
 		}
 		if n == 0 {
 			n = rt.steal(id, batch[:])
 		}
 		if n > 0 {
 			idle = 0
-			s.signalSpace()
 			rt.runChunk(id, batch[:n])
 			clear(batch[:n])
 			continue
 		}
+		s.signalSpace() // the rings are dry: whoever sleeps on them need not
 		if idle < workerSpinRounds {
 			idle++
 			runtime.Gosched()
@@ -426,7 +475,7 @@ func (rt *Runtime) steal(id int, dst []*Task) int {
 		limit = 1
 	}
 	for j := 1; j < n; j++ {
-		if got := s.rings[(id+j)%n].popN(dst[:limit]); got > 0 {
+		if got := s.pop(s.rings[(id+j)%n], dst[:limit]); got > 0 {
 			return got
 		}
 	}
