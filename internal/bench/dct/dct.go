@@ -7,6 +7,8 @@ package dct
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/imaging"
 	"repro/sig"
@@ -59,13 +61,20 @@ func (a *App) Sequential() *imaging.Image {
 			a.bandStripe(coeffs, brow, band)
 		}
 	}
-	return a.reconstruct(coeffs)
+	return a.reconstruct(coeffs, 1)
 }
 
-// Run computes the DCT under the runtime: one task per (block-row, band),
-// significance decreasing with frequency band. After the taskwait the image
-// is reconstructed from whichever coefficients were computed.
+// Run computes the DCT under the runtime and reconstructs the image from
+// whichever coefficients were computed, on as many goroutines as the runtime
+// has workers (they are parked once the taskwait returns).
 func (a *App) Run(rt *sig.Runtime, ratio float64) *imaging.Image {
+	return a.reconstruct(a.forward(rt, ratio), rt.Workers())
+}
+
+// forward submits one task per (block-row, band), significance decreasing
+// with frequency band, and returns the coefficients after the taskwait; the
+// bands the policy dropped stay zero.
+func (a *App) forward(rt *sig.Runtime, ratio float64) []float64 {
 	coeffs := make([]float64, a.bw*a.bh*64)
 	grp := rt.Group("dct", ratio)
 	for brow := 0; brow < a.bh; brow++ {
@@ -88,7 +97,7 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) *imaging.Image {
 		}
 	}
 	rt.Wait(grp)
-	return a.reconstruct(coeffs)
+	return coeffs
 }
 
 // bandStripe computes the 8 zigzag coefficients of one band for every block
@@ -111,37 +120,81 @@ func (a *App) bandStripe(coeffs []float64, brow, band int) {
 	}
 }
 
-// reconstruct runs the inverse DCT over every block.
-func (a *App) reconstruct(coeffs []float64) *imaging.Image {
+// reconstruct runs the inverse DCT over every block, fanning the block rows
+// out over workers goroutines that claim rows from one cursor. The inverse is
+// the master's decode, not a task: modeled energy charges declared task costs
+// only, so it never goes through rt.Submit. At one worker it is a plain loop
+// and starts no goroutine — that is the path Sequential takes.
+func (a *App) reconstruct(coeffs []float64, workers int) *imaging.Image {
 	out := imaging.NewImage(a.p.W, a.p.H)
-	for brow := 0; brow < a.bh; brow++ {
-		for bcol := 0; bcol < a.bw; bcol++ {
-			base := (brow*a.bw + bcol) * 64
-			px, py := bcol*8, brow*8
-			for y := 0; y < 8; y++ {
-				for x := 0; x < 8; x++ {
-					var sum float64
-					for v := 0; v < 8; v++ {
-						for u := 0; u < 8; u++ {
-							c := coeffs[base+v*8+u]
-							if c == 0 {
-								continue
-							}
-							sum += alpha(u) * alpha(v) / 4 * c * a.cosTab[x][u] * a.cosTab[y][v]
-						}
-					}
-					if sum < 0 {
-						sum = 0
-					}
-					if sum > 255 {
-						sum = 255
-					}
-					out.Set(px+x, py+y, uint8(sum))
+	workers = min(workers, a.bh)
+	if workers <= 1 {
+		for brow := 0; brow < a.bh; brow++ {
+			a.inverseRow(out, coeffs, brow)
+		}
+		return out
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				brow := int(next.Add(1)) - 1
+				if brow >= a.bh {
+					return
 				}
+				a.inverseRow(out, coeffs, brow)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// inverseRow runs the inverse DCT over the blocks of block-row brow. Rows
+// write disjoint pixels, so any number of them may run at once.
+func (a *App) inverseRow(out *imaging.Image, coeffs []float64, brow int) {
+	// A block's non-zero coefficients, scaled once and compacted in (v, u)
+	// order: the pixel loop then sums exactly the terms the 64-slot scan
+	// would, in the same order, without the scaling or the zero test. (The
+	// &7 on an index that is already below 8 spares the bounds check.)
+	var scaled [64]float64
+	var us, vs [64]uint8
+	for bcol := 0; bcol < a.bw; bcol++ {
+		base := (brow*a.bw + bcol) * 64
+		px, py := bcol*8, brow*8
+		n := 0
+		for v := 0; v < 8; v++ {
+			for u := 0; u < 8; u++ {
+				c := coeffs[base+v*8+u]
+				if c == 0 {
+					continue
+				}
+				scaled[n], us[n], vs[n] = alpha(u)*alpha(v)/4*c, uint8(u), uint8(v)
+				n++
+			}
+		}
+		for y := 0; y < 8; y++ {
+			row := out.Pix[(py+y)*out.W+px:][:8]
+			cy := &a.cosTab[y]
+			for x := 0; x < 8; x++ {
+				cx := &a.cosTab[x]
+				var sum float64
+				for k, s := range scaled[:n] {
+					sum += s * cx[us[k]&7] * cy[vs[k]&7]
+				}
+				if sum < 0 {
+					sum = 0
+				}
+				if sum > 255 {
+					sum = 255
+				}
+				row[x] = uint8(sum)
 			}
 		}
 	}
-	return out
 }
 
 func alpha(u int) float64 {

@@ -8,8 +8,9 @@
 package kmeans
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/sig"
@@ -129,19 +130,35 @@ func (a *App) dist2(cent []float64, i, c int) float64 {
 // the point's current cluster plus its nearest other centroids.
 const approxNeighbors = 4
 
-// neighborTable returns, per cluster, the cluster itself followed by its
-// approxNeighbors nearest other centroids.
-func (a *App) neighborTable(cent []float64) [][]int16 {
+// neighborTable holds, per cluster, the cluster itself followed by its
+// approxNeighbors nearest other centroids. A Lloyd loop refills one table
+// every wave, so the rows and the sort scratch are allocated once.
+type neighborTable struct {
+	rows   [][]int16
+	others []centroidDist
+}
+
+type centroidDist struct {
+	c int
+	d float64
+}
+
+func (a *App) newNeighborTable() *neighborTable {
 	k := a.p.K
-	nn := min(approxNeighbors, k-1)
-	table := make([][]int16, k)
-	for c := 0; c < k; c++ {
-		type cd struct {
-			c int
-			d float64
-		}
-		others := make([]cd, 0, k-1)
-		for o := 0; o < k; o++ {
+	width := 1 + min(approxNeighbors, k-1)
+	flat := make([]int16, k*width)
+	t := &neighborTable{rows: make([][]int16, k), others: make([]centroidDist, 0, k-1)}
+	for c := range t.rows {
+		t.rows[c] = flat[c*width : (c+1)*width]
+	}
+	return t
+}
+
+// fill recomputes every row for the centroids cent.
+func (t *neighborTable) fill(a *App, cent []float64) {
+	for c, row := range t.rows {
+		others := t.others[:0]
+		for o := range t.rows {
 			if o == c {
 				continue
 			}
@@ -150,17 +167,14 @@ func (a *App) neighborTable(cent []float64) [][]int16 {
 				diff := cent[c*a.p.D+d] - cent[o*a.p.D+d]
 				d2 += diff * diff
 			}
-			others = append(others, cd{o, d2})
+			others = append(others, centroidDist{o, d2})
 		}
-		sort.Slice(others, func(i, j int) bool { return others[i].d < others[j].d })
-		row := make([]int16, 0, nn+1)
-		row = append(row, int16(c))
-		for _, o := range others[:nn] {
-			row = append(row, int16(o.c))
+		slices.SortFunc(others, func(x, y centroidDist) int { return cmp.Compare(x.d, y.d) })
+		row[0] = int16(c)
+		for i := range row[1:] {
+			row[1+i] = int16(others[i].c)
 		}
-		table[c] = row
 	}
-	return table
 }
 
 // Scorer classifies observations against a fixed trained centroid set —
@@ -170,12 +184,14 @@ func (a *App) neighborTable(cent []float64) [][]int16 {
 type Scorer struct {
 	a     *App
 	cent  []float64
-	table [][]int16
+	table *neighborTable
 }
 
 // NewScorer builds a Scorer over the given centroids (K×D row-major).
 func (a *App) NewScorer(cent []float64) *Scorer {
-	return &Scorer{a: a, cent: cent, table: a.neighborTable(cent)}
+	s := &Scorer{a: a, cent: cent, table: a.newNeighborTable()}
+	s.table.fill(a, cent)
+	return s
 }
 
 // Score classifies the observation chunk [lo,hi) and returns its
@@ -188,7 +204,7 @@ func (s *Scorer) Score(lo, hi int, restricted bool) []int32 {
 	for i := lo; i < hi; i++ {
 		var k int
 		if restricted {
-			k, _ = a.nearestAmong(s.cent, i, s.table[i%a.p.K])
+			k, _ = a.nearestAmong(s.cent, i, s.table.rows[i%a.p.K])
 		} else {
 			k, _ = a.nearest(s.cent, i)
 		}
@@ -237,14 +253,18 @@ func (a *App) Sequential() Result {
 
 // lloydState is the mutable state of a running Lloyd loop: centroids,
 // assignments and the per-chunk partials and significances shared by the
-// batch (Run) and streaming (RunStream) drivers.
+// batch (Run) and streaming (RunStream) drivers, plus the buffers the master
+// reuses between taskwaits: the candidate table and the reduce's totals.
 type lloydState struct {
-	cent    []float64
-	assign  []int32
-	counts  [][]int64
-	sums    [][]float64
-	changed []int
-	signif  []float64
+	cent      []float64
+	assign    []int32
+	counts    [][]int64
+	sums      [][]float64
+	changed   []int
+	signif    []float64
+	neighbors *neighborTable
+	total     []int64
+	vec       []float64
 }
 
 func (a *App) newLloydState() *lloydState {
@@ -256,6 +276,10 @@ func (a *App) newLloydState() *lloydState {
 		sums:    make([][]float64, a.Tasks()),
 		changed: make([]int, a.Tasks()),
 		signif:  make([]float64, a.Tasks()),
+
+		neighbors: a.newNeighborTable(),
+		total:     make([]int64, p.K),
+		vec:       make([]float64, p.K*p.D),
 	}
 	for i := range s.assign {
 		s.assign[i] = -1
@@ -275,7 +299,8 @@ func (a *App) newLloydState() *lloydState {
 func (a *App) runWave(rt *sig.Runtime, grp *sig.Group, s *lloydState) (int, sig.WaveStats) {
 	p := a.p
 	nchunks := a.Tasks()
-	neighbors := a.neighborTable(s.cent)
+	s.neighbors.fill(a, s.cent)
+	neighbors := s.neighbors.rows
 	candidates := 1 + min(approxNeighbors, p.K-1)
 	for c := 0; c < nchunks; c++ {
 		c := c
@@ -320,8 +345,9 @@ func (a *App) runWave(rt *sig.Runtime, grp *sig.Group, s *lloydState) (int, sig.
 	}
 	ws := rt.WaitPhase(grp)
 	// Reduce partials into new centroids.
-	total := make([]int64, p.K)
-	vec := make([]float64, p.K*p.D)
+	total, vec := s.total, s.vec
+	clear(total)
+	clear(vec)
 	for c := 0; c < nchunks; c++ {
 		for k := 0; k < p.K; k++ {
 			total[k] += s.counts[c][k]
@@ -405,7 +431,10 @@ func (a *App) updateCentroids(cent []float64, assign []int32) {
 	}
 }
 
-// inertia exactly evaluates the clustering objective for cent.
+// inertia exactly evaluates the clustering objective for cent. It stays one
+// sequential pass on purpose: the summation order is part of every recorded
+// quality (the GTB(max) golden included), and a chunked sum would round
+// differently.
 func (a *App) inertia(cent []float64) float64 {
 	var sum float64
 	for i := 0; i < a.p.N; i++ {

@@ -212,3 +212,50 @@ func TestFig1WritesMosaic(t *testing.T) {
 		t.Errorf("PSNR should fall with aggressiveness: %v", psnrs)
 	}
 }
+
+// TestKernelQualityGoldens runs every kernel of the catalog at the size the
+// repository's benchmark uses (scale 0.25, Medium degree, 2 workers). The
+// accurate policy must reproduce a fresh instance's sequential reference, and
+// GTB(max) — which ranks the whole wave, so its choice does not depend on
+// scheduling — must score exactly the recorded quality: any change to a
+// kernel's arithmetic or to the policy's selection moves it. The values are
+// the ones benchmark/paper_apps.go checks on every run.
+func TestKernelQualityGoldens(t *testing.T) {
+	const (
+		scale = 0.25
+		tol   = 1e-9
+	)
+	goldenGTBMax := map[string]float64{
+		"Sobel":        0.051024944924623478,
+		"DCT":          0.028432071695553202,
+		"MC":           0.36203706921209305,
+		"Kmeans":       0.00065951439245172079,
+		"Jacobi":       2.9740808730601911,
+		"Fluidanimate": 0.20554894847242236,
+	}
+	for _, spec := range Specs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			golden, ok := goldenGTBMax[spec.Name]
+			if !ok {
+				t.Fatal("no golden quality recorded")
+			}
+			ref := spec.Make(scale).Reference()
+			inst := spec.Make(scale)
+			opt := RunOptions{Workers: 2}
+			m, err := Execute(spec, inst, ref, ModeAccurate, Medium, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Quality > tol {
+				t.Errorf("%s quality %g against the sequential reference, want 0", ModeAccurate, m.Quality)
+			}
+			m, err = Execute(spec, inst, ref, ModeGTBMax, Medium, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(m.Quality-golden) > tol*math.Abs(golden) {
+				t.Errorf("%s quality %.17g, golden %.17g", ModeGTBMax, m.Quality, golden)
+			}
+		})
+	}
+}
