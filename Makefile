@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos bench-adapt serve-study slo-study pace-study bench-shard bench-multicore bench-fleet
+.PHONY: test vet lint race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -33,11 +33,10 @@ race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure' ./sig
 
-# Rewrite internal/harness/testdata/*.golden — the full printed output of
-# `sigbench serve -scale 0.1 -backend all`, `serve -scale 0.1 -shards 4`,
-# `slo` and `pace` that TestStudyGoldens compares against — from the current
-# code. Only for a change that means to move those numbers; explain each
-# differing line in the PR.
+# Rewrite internal/harness/testdata/<name>.golden — the full printed output
+# of every entry of harness.Studies, which TestStudyGoldens compares against
+# — from the current code. Only for a change that means to move those
+# numbers; explain each differing line in the PR.
 goldens:
 	$(GO) test ./internal/harness -run TestStudyGoldens -update
 
@@ -79,46 +78,3 @@ fuzz-chaos:
 chaos:
 	$(GO) test -race -shuffle=on ./sig/chaos ./sig/shard ./sig/serve -count=1
 	$(GO) test -race -run 'TestFleetStudy' ./internal/harness -count=1
-
-# Run the adaptive-controller study and append its convergence numbers to
-# BENCH_sig.json under the "adaptive" key.
-bench-adapt:
-	$(GO) run ./cmd/sigbench adaptive -scale 0.1 -append-bench BENCH_sig.json
-
-# Run the serving overload study on both backends and append its summary to
-# BENCH_sig.json under the "serve" key.
-serve-study:
-	$(GO) run ./cmd/sigbench serve -scale 0.1 -backend all -append-bench BENCH_sig.json
-
-# Run the serving-SLO study (measured shed/recover waves vs the bounds
-# derived from the secant law, windowed quality floor, priority-lane
-# latency split) and append its summary to BENCH_sig.json under "slo".
-slo-study:
-	$(GO) run ./cmd/sigbench slo -append-bench BENCH_sig.json
-
-# Run the measured-time pacing study (cadence convergence to the true wave
-# wall, counted overruns, measured-period RetryAfter honesty, bit-identical
-# fake-clock replay) and append its summary to BENCH_sig.json under "pace".
-pace-study:
-	$(GO) run ./cmd/sigbench pace -append-bench BENCH_sig.json
-
-# Run the multi-runtime sharding study (burst submit throughput at 1/2/4/8
-# shards, energy additivity, placement sweep) and append its summary to
-# BENCH_sig.json under the "shard" key.
-bench-shard:
-	$(GO) run ./cmd/sigbench shard -reps 3 -append-bench BENCH_sig.json
-
-# Run the GOMAXPROCS sweep (multi-producer submit, sharded burst ingest,
-# serving admission overhead at 1/2/4/8 procs) and append it with the host
-# shape to BENCH_sig.json under the "multicore" key. Built as a binary, not
-# `go run`, so the entry carries the vcs commit.
-bench-multicore:
-	$(GO) build -o sigbench.bin ./cmd/sigbench
-	./sigbench.bin multicore -reps 3 -append-bench BENCH_sig.json
-	rm -f sigbench.bin
-
-# Run the elastic-fleet study (rolling shard replacement with bit-exact
-# energy, autoscaler step response) and append its summary with the host
-# shape to BENCH_sig.json under the "fleet" key.
-bench-fleet:
-	$(GO) run ./cmd/sigbench fleet -append-bench BENCH_sig.json

@@ -1,553 +1,213 @@
 // Command sigbench regenerates every table and figure of the paper's
 // evaluation (section 4) on the Go reproduction of the significance-aware
-// runtime.
+// runtime, and prints the deterministic studies of the layers built on it.
 //
 // Usage:
 //
 //	sigbench table1
-//	sigbench fig1   [-out fig1.pgm] [-scale 0.25]
+//	sigbench fig1   [-out fig1.pgm] [-scale 0.25] [-workers 16]
 //	sigbench fig2   [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
-//	sigbench fig3   [-out fig3.pgm] [-scale 0.25]
-//	sigbench fig4   [-scale 0.25] [-workers 16] [-reps 3]
-//	sigbench table2 [-scale 0.25] [-workers 16]
-//	sigbench ablate [-scale 0.25] [-workers 16]
-//	sigbench adaptive [-scale 0.25] [-setpoint 16] [-waves 24] [-append-bench BENCH_sig.json]
-//	sigbench serve  [-scale 0.25] [-workers 16] [-backend sobel|kmeans|all] [-shards 4] [-append-bench BENCH_sig.json]
-//	sigbench slo    [-append-bench BENCH_sig.json]
-//	sigbench pace   [-append-bench BENCH_sig.json]
-//	sigbench shard  [-reps 3] [-append-bench BENCH_sig.json]
-//	sigbench fleet  [-append-bench BENCH_sig.json]
-//	sigbench multicore [-procs 1,2,4,8] [-reps 3] [-append-bench BENCH_sig.json]
-//	sigbench all    [-scale 0.25] [-workers 16]
+//	sigbench fig3   [-out fig3.pgm] [-scale 0.25] [-workers 16]
+//	sigbench fig4   [-bench Sobel,DCT] [-scale 0.25] [-reps 3]
+//	sigbench table2 [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
+//	sigbench ablate [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
+//	sigbench <study>
+//	sigbench all    [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
 //
 // Scale 1.0 reproduces evaluation-size problems; smaller scales shrink the
-// workloads proportionally for quick runs.
+// workloads proportionally for quick runs. A <study> is an entry of
+// harness.Studies (`sigbench` alone lists them): it takes no flags and
+// prints, byte for byte, internal/harness/testdata/<study>.golden. `all` is
+// the paper commands in the order above, then every study. An unknown
+// command, a flag the command does not read, or a stray argument is a usage
+// error (exit 2). Wall-clock performance is `go run ./benchmark`, not this.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/harness"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	var (
-		scale   = fs.Float64("scale", 1.0, "problem scale in (0,1]; 1.0 = evaluation scale")
-		workers = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		reps    = fs.Int("reps", 1, "repetitions to average over")
-		benches = fs.String("bench", "", "comma-separated benchmark subset (default all)")
-		out     = fs.String("out", "", "output PGM path for fig1/fig3")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		setpoint = fs.Float64("setpoint", 0, "adaptive: PSNR setpoint in dB (0 = default 16)")
-		waves    = fs.Int("waves", 0, "adaptive: sobel stream length in waves (0 = default 24)")
-		appendTo = fs.String("append-bench", "", "adaptive/serve/shard: merge summary numbers into this BENCH json file")
-		backend  = fs.String("backend", "sobel", "serve: request backend (sobel, kmeans or all)")
-		shards   = fs.Int("shards", 0, "serve: run the sharded fleet scenario with this many runtime shards")
-		procs    = fs.String("procs", "", "multicore: comma-separated GOMAXPROCS levels (default 1,2,4,8)")
-	)
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+// options are the flag values of one invocation; a command sees only the
+// flags it registered.
+type options struct {
+	harness.Options
+	out string
+}
+
+// command is one subcommand: the flags it reads (a subset of "scale workers
+// reps bench out") and what it prints.
+type command struct {
+	name  string
+	flags string
+	run   func(w io.Writer, o options) error
+}
+
+// paper are the commands of the paper's evaluation, in presentation order.
+var paper = []command{
+	{"table1", "", func(w io.Writer, _ options) error { harness.Table1(w); return nil }},
+	{"fig1", "out scale workers", func(w io.Writer, o options) error { return mosaic(w, o, "fig1.pgm", harness.Fig1) }},
+	{"fig2", "bench scale workers reps", fig2},
+	{"fig3", "out scale workers", func(w io.Writer, o options) error { return mosaic(w, o, "fig3.pgm", harness.Fig3) }},
+	{"fig4", "bench scale reps", func(w io.Writer, o options) error {
+		rows, err := harness.Fig4(o.Options)
+		if err == nil {
+			harness.PrintFig4(w, rows)
+		}
+		return err
+	}},
+	{"table2", "bench scale workers", func(w io.Writer, o options) error {
+		rows, err := harness.Table2(o.Options)
+		if err == nil {
+			harness.PrintTable2(w, rows)
+		}
+		return err
+	}},
+	{"ablate", "bench scale workers reps", ablate},
+}
+
+// commands is every subcommand but `all`: the paper commands, then one per
+// entry of harness.Studies.
+func commands() []command {
+	cmds := slices.Clip(paper) // append below must copy, not write into paper's array
+	for _, s := range harness.Studies {
+		cmds = append(cmds, command{name: s.Name, run: func(w io.Writer, _ options) error { return s.Run(w) }})
 	}
-	// The shared -reps flag defaults to 1 (the fig2/fig4 averaging
-	// convention); the shard study's own default is 3 best-of reps, so it
-	// only honors the flag when the user actually set it.
-	repsSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "reps" {
-			repsSet = true
-		}
-	})
-	shardReps := 0
-	if repsSet {
-		shardReps = *reps
+	return cmds
+}
+
+// run is main without the process: it executes args and returns the exit
+// code (0 ok, 1 the command failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := commands()
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	opt := harness.Options{Scale: *scale, Workers: *workers, Repetitions: *reps}
-	if *benches != "" {
-		opt.Benches = strings.Split(*benches, ",")
+	selected, flags := cmds, "bench scale workers reps" // `all`
+	if args[0] != "all" {
+		selected = nil
+		for _, c := range cmds {
+			if c.name == args[0] {
+				selected, flags = []command{c}, c.flags
+			}
+		}
 	}
-	var err error
-	switch cmd {
-	case "table1":
-		harness.Table1(os.Stdout)
-	case "fig1":
-		err = runFig1(*out, "fig1.pgm", *scale, *workers, harness.Fig1)
-	case "fig3":
-		err = runFig1(*out, "fig3.pgm", *scale, *workers, harness.Fig3)
-	case "fig2":
-		err = runFig2(opt)
-	case "fig4":
-		err = runFig4(opt)
-	case "table2":
-		err = runTable2(opt)
-	case "ablate":
-		err = runAblations(opt)
-	case "adaptive":
-		err = runAdaptive(*scale, *workers, *setpoint, *waves, *appendTo)
-	case "serve":
-		err = runServe(*scale, *workers, *shards, *backend, *appendTo)
-	case "slo":
-		err = runSLO(*appendTo)
-	case "pace":
-		err = runPace(*appendTo)
-	case "shard":
-		err = runShard(shardReps, *appendTo)
-	case "fleet":
-		err = runFleet(*appendTo)
-	case "multicore":
-		err = runMulticore(*procs, shardReps, *appendTo)
-	case "all":
-		harness.Table1(os.Stdout)
-		fmt.Println()
-		if err = runFig1("fig1.pgm", "fig1.pgm", *scale, *workers, harness.Fig1); err != nil {
-			break
-		}
-		if err = runFig1("fig3.pgm", "fig3.pgm", *scale, *workers, harness.Fig3); err != nil {
-			break
-		}
-		if err = runFig2(opt); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runFig4(opt); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runTable2(opt); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runAblations(opt); err != nil {
-			break
-		}
-		if err = runAdaptive(*scale, *workers, *setpoint, *waves, ""); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runServe(*scale, *workers, 0, "all", ""); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runShard(shardReps, ""); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runSLO(""); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runPace(""); err != nil {
-			break
-		}
-		fmt.Println()
-		if err = runFleet(""); err != nil {
-			break
-		}
-		fmt.Println()
-		err = runMulticore("", shardReps, "")
-	default:
-		usage()
-		os.Exit(2)
+	if selected == nil {
+		fmt.Fprintf(stderr, "sigbench: unknown command %q\n", args[0])
+		usage(stderr)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sigbench:", err)
-		os.Exit(1)
+
+	var o options
+	fs := flag.NewFlagSet("sigbench "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	for _, name := range strings.Fields(flags) {
+		switch name {
+		case "scale":
+			fs.Float64Var(&o.Scale, "scale", 1.0, "problem scale in (0,1]; 1.0 = evaluation scale")
+		case "workers":
+			fs.IntVar(&o.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		case "reps":
+			fs.IntVar(&o.Repetitions, "reps", 1, "repetitions to average over")
+		case "bench":
+			fs.Func("bench", "comma-separated benchmark subset (default all)", func(s string) error {
+				o.Benches = strings.Split(s, ",")
+				return nil
+			})
+		case "out":
+			fs.StringVar(&o.out, "out", "", "output PGM path (default <command>.pgm)")
+		default:
+			panic("sigbench: command " + args[0] + " names no such flag: " + name)
+		}
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		return 2 // the FlagSet has printed the error and the command's flags
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "sigbench %s: unexpected argument %q\n", args[0], fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+
+	for i, c := range selected {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if err := c.run(stdout, o); err != nil {
+			fmt.Fprintln(stderr, "sigbench:", err)
+			return 1
+		}
+	}
+	return 0
+}
+
+func usage(w io.Writer) {
+	var names []string
+	for _, c := range paper {
+		names = append(names, c.name)
+	}
+	fmt.Fprintf(w, "usage: sigbench {%s|<study>|all} [flags]\n", strings.Join(names, "|"))
+	fmt.Fprintln(w, "run 'sigbench <cmd> -h' for per-command flags; the studies take none:")
+	for _, s := range harness.Studies {
+		fmt.Fprintf(w, "  %-14s %s\n", s.Name, s.Desc)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sigbench {table1|fig1|fig2|fig3|fig4|table2|ablate|adaptive|serve|slo|pace|shard|fleet|multicore|all} [flags]")
-	fmt.Fprintln(os.Stderr, "run 'sigbench <cmd> -h' for per-command flags")
-}
-
-func runFig1(out, def string, scale float64, workers int,
+// mosaic writes the Figure 1/3 quadrant image and prints its PSNRs.
+func mosaic(w io.Writer, o options, def string,
 	f func(string, float64, int) (map[harness.Degree]float64, error)) error {
+	out := o.out
 	if out == "" {
 		out = def
 	}
-	psnrs, err := f(out, scale, workers)
+	psnrs, err := f(out, o.Scale, o.Workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (quadrants: accurate / Mild / Medium / Aggressive)\n", out)
+	fmt.Fprintf(w, "wrote %s (quadrants: accurate / Mild / Medium / Aggressive)\n", out)
 	for _, d := range []harness.Degree{harness.Mild, harness.Medium, harness.Aggressive} {
-		fmt.Printf("  %-7s PSNR = %6.2f dB\n", d, psnrs[d])
+		fmt.Fprintf(w, "  %-7s PSNR = %6.2f dB\n", d, psnrs[d])
 	}
 	return nil
 }
 
-func runFig2(opt harness.Options) error {
-	fmt.Println("Figure 2: execution time, energy and quality per benchmark/degree/policy.")
-	fmt.Println("Quality: 1/PSNR for Sobel and DCT, relative error (%) otherwise; lower is better.")
-	fmt.Println()
-	harness.FormatMeasurementHeader(os.Stdout)
-	return harness.Fig2(opt, func(m harness.Fig2Row) {
-		harness.PrintFig2Row(os.Stdout, m, "")
+func fig2(w io.Writer, o options) error {
+	fmt.Fprintln(w, "Figure 2: execution time, energy and quality per benchmark/degree/policy.")
+	fmt.Fprintln(w, "Quality: 1/PSNR for Sobel and DCT, relative error (%) otherwise; lower is better.")
+	fmt.Fprintln(w)
+	harness.FormatMeasurementHeader(w)
+	return harness.Fig2(o.Options, func(m harness.Fig2Row) {
+		harness.PrintFig2Row(w, m, "")
 	})
 }
 
-func runFig4(opt harness.Options) error {
-	rows, err := harness.Fig4(opt)
+func ablate(w io.Writer, o options) error {
+	sweep, err := harness.GTBWindowSweep(o.Options, []int{4, 16, 64, 256, 0})
 	if err != nil {
 		return err
 	}
-	harness.PrintFig4(os.Stdout, rows)
-	return nil
-}
-
-func runTable2(opt harness.Options) error {
-	rows, err := harness.Table2(opt)
+	harness.PrintWindowSweep(w, sweep)
+	fmt.Fprintln(w)
+	oracle, err := harness.OracleComparison(o.Options)
 	if err != nil {
 		return err
 	}
-	harness.PrintTable2(os.Stdout, rows)
-	return nil
-}
-
-// runAdaptive executes the adaptive-controller study, prints it, and (when
-// appendTo names a BENCH json file) merges the convergence summary into it
-// under the "adaptive" key.
-func runAdaptive(scale float64, workers int, setpoint float64, waves int, appendTo string) error {
-	res, err := harness.AdaptiveStudy(harness.AdaptiveConfig{
-		Scale: scale, Workers: workers, Setpoint: setpoint, Waves: waves,
-	})
+	harness.PrintOracleComparison(w, oracle)
+	fmt.Fprintln(w)
+	dvfs, err := harness.DVFSStudy(o.Options)
 	if err != nil {
 		return err
 	}
-	harness.PrintAdaptiveStudy(os.Stdout, res)
-	if appendTo == "" {
-		return nil
-	}
-	return appendBench(appendTo, res)
-}
-
-// mergeBenchKey round-trips the BENCH json file through a generic map and
-// sets/replaces one top-level entry. Sub-keys the new value does not carry
-// are kept from the file, so refreshing one serve backend's numbers never
-// erases the other's.
-func mergeBenchKey(path, key string, value map[string]any) error {
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if old, ok := doc[key].(map[string]any); ok {
-		for k, v := range old {
-			if _, exists := value[k]; !exists {
-				value[k] = v
-			}
-		}
-	}
-	doc[key] = value
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// appendBench merges the adaptive study's convergence numbers under the
-// BENCH json file's "adaptive" key.
-func appendBench(path string, res harness.AdaptiveResult) error {
-	kmeansFinal := harness.AdaptiveWave{}
-	if n := len(res.KmeansRows); n > 0 {
-		kmeansFinal = res.KmeansRows[n-1]
-	}
-	return mergeBenchKey(path, "adaptive", map[string]any{
-		"subject":              "sig/adapt controller convergence (harness.AdaptiveStudy)",
-		"host":                 hostEntry(),
-		"setpoint_db":          res.Setpoint,
-		"tolerance":            res.Tolerance,
-		"sobel_oracle_ratio":   []float64{res.Segments[0].OracleRatio, res.Segments[1].OracleRatio},
-		"sobel_converged_in":   []int{res.Segments[0].ConvergedAfter, res.Segments[1].ConvergedAfter},
-		"sobel_steady_ratio":   []float64{res.Segments[0].SteadyRatio, res.Segments[1].SteadyRatio},
-		"sobel_steady_psnr_db": []float64{res.Segments[0].SteadyPSNR, res.Segments[1].SteadyPSNR},
-		"kmeans_budget_j":      res.KmeansBudget,
-		"kmeans_oracle_ratio":  res.KmeansOracleRatio,
-		"kmeans_final_ratio":   kmeansFinal.Provided,
-		"kmeans_final_joules":  kmeansFinal.Joules,
-	})
-}
-
-// runServe executes the serving overload study on the selected backends,
-// prints it, and (when appendTo names a BENCH json file) merges the
-// summary under the "serve" key. With shards ≥ 2 the study runs over the
-// sharded fleet and its numbers land under "<backend>@<N>shards".
-func runServe(scale float64, workers, shards int, backend, appendTo string) error {
-	names := []string{backend}
-	if backend == "all" {
-		names = []string{"sobel", "kmeans"}
-	}
-	entry := map[string]any{
-		"subject": "sig/serve load-shedding under a 4x overload step (harness.ServeStudy)",
-		"host":    hostEntry(),
-	}
-	for i, name := range names {
-		if i > 0 {
-			fmt.Println()
-		}
-		res, err := harness.ServeStudy(harness.ServeConfig{Scale: scale, Workers: workers, Shards: shards, Backend: name})
-		if err != nil {
-			return err
-		}
-		harness.PrintServeStudy(os.Stdout, res)
-		key := name
-		if shards >= 2 {
-			key = fmt.Sprintf("%s@%dshards", name, shards)
-		}
-		entry[key] = map[string]any{
-			"shards":                   res.Shards,
-			"base_per_wave":            res.BasePerWave,
-			"overload":                 res.Overload,
-			"pre_step_ratio":           res.PreStepRatio,
-			"min_step_ratio":           res.MinStepRatio,
-			"recovered_after_waves":    res.RecoveredAfter,
-			"latency_waves_p50":        res.P50,
-			"latency_waves_p99":        res.P99,
-			"rejected":                 res.Rejected,
-			"completed":                res.Outcomes.Completed,
-			"dropped":                  res.Outcomes.Dropped,
-			"total_joules":             res.TotalJoules,
-			"closed_loop_clients":      res.Clients,
-			"closed_loop_req_per_wave": res.ClosedThroughput,
-			"closed_loop_ratio":        res.ClosedRatio,
-		}
-	}
-	if appendTo == "" {
-		return nil
-	}
-	return mergeBenchKey(appendTo, "serve", entry)
-}
-
-// runSLO executes the serving-SLO study (measured reactions vs the derived
-// secant-law bounds, the windowed quality floor, the priority lane), prints
-// it, and (when appendTo names a BENCH json file) merges the summary under
-// the "slo" key.
-func runSLO(appendTo string) error {
-	res, err := harness.SLOStudy(harness.SLOConfig{})
-	if err != nil {
-		return err
-	}
-	harness.PrintSLOStudy(os.Stdout, res)
-	if appendTo == "" {
-		return nil
-	}
-	reactions := map[string]any{}
-	for _, row := range res.Reaction {
-		reactions[fmt.Sprintf("%.0fx", row.Overload)] = map[string]any{
-			"pre_ratio":     row.PreRatio,
-			"shed_waves":    row.ShedWaves,
-			"shed_bound":    row.ShedBound,
-			"backlog":       row.Backlog,
-			"drain_waves":   row.DrainWaves,
-			"recover_waves": row.RecoverWaves,
-			"recover_bound": row.RecoverBound,
-		}
-	}
-	return mergeBenchKey(appendTo, "slo", map[string]any{
-		"subject":           "serving SLOs: measured reactions vs derived secant-law bounds, windowed floor, priority lane (harness.SLOStudy)",
-		"host":              hostEntry(),
-		"base_per_wave":     res.BasePerWave,
-		"utilization":       res.Utilization,
-		"reactions":         reactions,
-		"all_within_bound":  res.AllWithinBound,
-		"floor":             res.Floor,
-		"floor_window":      res.Window,
-		"min_window_mean":   res.MinWindowMean,
-		"min_wave_provided": res.MinProvided,
-		"floor_dips":        res.FloorDips,
-		"priority_at":       res.PriorityAt,
-		"premium_completed": res.PremiumCompleted,
-		"prio_p50_waves":    res.PrioP50,
-		"prio_p99_waves":    res.PrioP99,
-		"bulk_p50_waves":    res.BulkP50,
-		"bulk_p99_waves":    res.BulkP99,
-	})
-}
-
-// runPace executes the measured-time pacing study (cadence convergence to
-// the true wave wall, counted overruns, measured-period RetryAfter honesty,
-// bit-identical fake-clock replay), prints it, and (when appendTo names a
-// BENCH json file) merges the summary under the "pace" key.
-func runPace(appendTo string) error {
-	res, err := harness.PaceStudy(harness.PaceConfig{})
-	if err != nil {
-		return err
-	}
-	harness.PrintPaceStudy(os.Stdout, res)
-	if appendTo == "" {
-		return nil
-	}
-	return mergeBenchKey(appendTo, "pace", map[string]any{
-		"subject":               "measured-time wave pacing: autotuned cadence, counted overruns, measured-period RetryAfter (harness.PaceStudy)",
-		"host":                  hostEntry(),
-		"base_per_wave":         res.BasePerWave,
-		"waves":                 res.Waves,
-		"nominal_period_ms":     res.NominalMs,
-		"true_mean_wall_ms":     res.TrueMeanMs,
-		"final_pace_ms":         res.FinalPaceMs,
-		"measured_period_ms":    res.MeasuredMs,
-		"converged":             res.Converged,
-		"converged_at_wave":     res.ConvergedAt,
-		"overruns":              res.Overruns,
-		"waves_run":             res.WavesRun,
-		"pace_calls":            res.PaceCalls,
-		"retry_after_ms":        res.RetryAfterMs,
-		"observed_drain_ms":     res.DrainMs,
-		"retry_before_ms":       res.RetryBeforeMs,
-		"retry_err_before":      res.RetryErrBefore,
-		"retry_err_after":       res.RetryErrAfter,
-		"retry_within_one_wave": res.RetryWithinOneWave,
-		"shed_bound_ms":         res.ShedBoundMs,
-		"shed_bound_nominal_ms": res.ShedBoundNominalMs,
-		"recover_bound_ms":      res.RecoverBoundMs,
-		"replay_bit_identical":  res.ReplayIdentical,
-	})
-}
-
-// runShard executes the multi-runtime sharding study, prints it, and (when
-// appendTo names a BENCH json file) merges the summary under the "shard"
-// key — the home of the headline burst-ingest speedup number.
-func runShard(reps int, appendTo string) error {
-	res, err := harness.ShardStudy(harness.ShardStudyConfig{Reps: reps})
-	if err != nil {
-		return err
-	}
-	harness.PrintShardStudy(os.Stdout, res)
-	if appendTo == "" {
-		return nil
-	}
-	tput := map[string]any{}
-	for _, row := range res.Rows {
-		tput[fmt.Sprintf("%d", row.Shards)] = row.IngestTput
-	}
-	return mergeBenchKey(appendTo, "shard", map[string]any{
-		"subject":              "sig/shard burst submit throughput and energy additivity (harness.ShardStudy)",
-		"host":                 hostEntry(),
-		"burst_tasks":          res.Burst,
-		"workers_per_shard":    res.WorkersPerShard,
-		"queue_capacity":       res.QueueCapacity,
-		"submit_tput_per_s":    tput,
-		"speedup_4_shards":     res.Speedup,
-		"joules_bit_identical": res.JoulesAdditive,
-		"golden_joules":        res.GoldenJoules,
-	})
-}
-
-// runFleet executes the elastic-fleet study (rolling replace + autoscale
-// step response), prints it, and (when appendTo names a BENCH json file)
-// merges the summary under the "fleet" key.
-func runFleet(appendTo string) error {
-	res, err := harness.FleetStudy(harness.FleetStudyConfig{})
-	if err != nil {
-		return err
-	}
-	harness.PrintFleetStudy(os.Stdout, res)
-	if appendTo == "" {
-		return nil
-	}
-	return mergeBenchKey(appendTo, "fleet", map[string]any{
-		"subject":              "self-healing elastic fleet: rolling replace + autoscale step response (harness.FleetStudy)",
-		"host":                 hostEntry(),
-		"shards":               res.Replace.Shards,
-		"replaced":             res.Replace.Replaced,
-		"submitted":            res.Replace.Submitted,
-		"lost":                 res.Replace.Lost,
-		"degraded_waves":       res.Replace.DegradedWaves,
-		"joules_bit_identical": res.Replace.JoulesBitIdentical,
-		"merged_joules":        res.Replace.MergedJoules,
-		"waves_to_scale_up":    res.Scale.WavesToScaleUp,
-		"waves_to_scale_down":  res.Scale.WavesToScaleDown,
-		"oscillations":         res.Scale.Oscillations,
-		"live_trajectory":      res.Scale.Trajectory,
-	})
-}
-
-// runMulticore executes the GOMAXPROCS sweep, prints it, and (when
-// appendTo names a BENCH json file) merges the rows — host shape included —
-// under the "multicore" key.
-func runMulticore(procsFlag string, reps int, appendTo string) error {
-	var procs []int
-	if procsFlag != "" {
-		for _, s := range strings.Split(procsFlag, ",") {
-			var p int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &p); err != nil || p < 1 {
-				return fmt.Errorf("bad -procs entry %q", s)
-			}
-			procs = append(procs, p)
-		}
-	}
-	res, err := harness.MulticoreStudy(harness.MulticoreConfig{Procs: procs, Reps: reps})
-	if err != nil {
-		return err
-	}
-	harness.PrintMulticoreStudy(os.Stdout, res)
-	if appendTo == "" {
-		return nil
-	}
-	rows := map[string]any{}
-	for _, row := range res.Rows {
-		rows[fmt.Sprintf("%d", row.Procs)] = map[string]any{
-			"submit_tput_per_s": row.SubmitTput,
-			"burst_tput_per_s":  row.BurstTput,
-			"admit_ns_per_req":  row.AdmitNsPerReq,
-		}
-	}
-	return mergeBenchKey(appendTo, "multicore", map[string]any{
-		"subject":      "GOMAXPROCS sweep: submit throughput, sharded burst ingest, serve admission overhead (harness.MulticoreStudy)",
-		"host":         hostEntry(),
-		"submit_tasks": res.SubmitTasks,
-		"burst_tasks":  res.Burst,
-		"serve_waves":  res.ServeWaves,
-		"per_wave":     res.PerWave,
-		"procs":        rows,
-	})
-}
-
-// hostEntry is the host-shape object every new BENCH entry carries.
-func hostEntry() map[string]any {
-	h := harness.Host()
-	e := map[string]any{
-		"cpus":       h.CPUs,
-		"gomaxprocs": h.GoMaxProcs,
-		"go":         h.GoVersion,
-	}
-	if h.Commit != "" {
-		e["commit"] = h.Commit
-	}
-	return e
-}
-
-func runAblations(opt harness.Options) error {
-	sweep, err := harness.GTBWindowSweep(opt, []int{4, 16, 64, 256, 0})
-	if err != nil {
-		return err
-	}
-	harness.PrintWindowSweep(os.Stdout, sweep)
-	fmt.Println()
-	oracle, err := harness.OracleComparison(opt)
-	if err != nil {
-		return err
-	}
-	harness.PrintOracleComparison(os.Stdout, oracle)
-	fmt.Println()
-	dvfs, err := harness.DVFSStudy(opt)
-	if err != nil {
-		return err
-	}
-	harness.PrintDVFSStudy(os.Stdout, dvfs)
-	fmt.Println()
-	return harness.NTCStudy(os.Stdout)
+	harness.PrintDVFSStudy(w, dvfs)
+	fmt.Fprintln(w)
+	return harness.NTCStudy(w)
 }

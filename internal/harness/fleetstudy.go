@@ -34,56 +34,44 @@ import (
 // up-then-down turn — must be zero: hysteresis and cooldown exist to
 // prevent relay chatter).
 
+// The study's fixed configuration.
+const (
+	// fleetWorkersPerShard sizes each rolling-replace shard's pool.
+	fleetWorkersPerShard = 2
+	// fleetRatio is the rolling-replace group's accuracy ratio.
+	fleetRatio = 0.5
+	// fleetCostAcc/fleetCostDeg are the declared rolling-replace task costs.
+	fleetCostAcc = 10_000.0
+	fleetCostDeg = 1_000.0
+	// fleetHighPerWave is the offered requests per wave of the autoscale
+	// overload step.
+	fleetHighPerWave = 24
+	// fleetMaxDownWaves bounds the idle tail the study waits for the fleet
+	// to shrink back to MinShards.
+	fleetMaxDownWaves = 80
+)
+
 // FleetStudyConfig parameterizes FleetStudy. Zero fields take defaults.
 type FleetStudyConfig struct {
 	// Shards is the nominal rolling-replace fleet size (default 4); the
 	// router gets one spare slot for surge-then-drain replacement.
 	Shards int
-	// WorkersPerShard sizes each shard's pool (default 2).
-	WorkersPerShard int
 	// PerWave is the rolling-replace tasks submitted per wave (default
 	// 64 × Shards).
 	PerWave int
-	// Ratio is the rolling-replace group's accuracy ratio (default 0.5).
-	Ratio float64
-	// CostAcc/CostDeg are the declared task costs (defaults 10_000/1_000).
-	CostAcc, CostDeg float64
-	// HighWaves is the length of the autoscale overload step (default 20);
-	// HighPerWave the offered requests per step wave (default 24).
-	HighWaves   int
-	HighPerWave int
-	// MaxDownWaves bounds the idle tail the study waits for the fleet to
-	// shrink back to MinShards (default 80).
-	MaxDownWaves int
+	// HighWaves is the length of the autoscale overload step (default 20).
+	HighWaves int
 }
 
 func (c FleetStudyConfig) withDefaults() FleetStudyConfig {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 2
-	}
 	if c.PerWave <= 0 {
 		c.PerWave = 64 * c.Shards
 	}
-	if c.Ratio <= 0 {
-		c.Ratio = 0.5
-	}
-	if c.CostAcc <= 0 {
-		c.CostAcc = 10_000
-	}
-	if c.CostDeg <= 0 {
-		c.CostDeg = 1_000
-	}
 	if c.HighWaves <= 0 {
 		c.HighWaves = 20
-	}
-	if c.HighPerWave <= 0 {
-		c.HighPerWave = 24
-	}
-	if c.MaxDownWaves <= 0 {
-		c.MaxDownWaves = 80
 	}
 	return c
 }
@@ -140,12 +128,12 @@ func fleetReplace(cfg FleetStudyConfig) (FleetReplaceResult, error) {
 	r, err := shard.New(shard.Config{
 		Shards:    cfg.Shards,
 		MaxShards: cfg.Shards + 1, // the surge slot
-		Runtime:   sig.Config{Workers: cfg.WorkersPerShard, Policy: sig.PolicyGTBMaxBuffer},
+		Runtime:   sig.Config{Workers: fleetWorkersPerShard, Policy: sig.PolicyGTBMaxBuffer},
 	})
 	if err != nil {
 		return res, err
 	}
-	g := r.Group("roll", cfg.Ratio)
+	g := r.Group("roll", fleetRatio)
 
 	var ran atomic.Int64
 	wave := func() {
@@ -158,7 +146,7 @@ func fleetReplace(cfg FleetStudyConfig) (FleetReplaceResult, error) {
 				Fn:           func() { ran.Add(1) },
 				Approx:       func() { ran.Add(1) },
 				Significance: float64(i%9+1) / 10,
-				HasCost:      true, CostAccurate: cfg.CostAcc, CostApprox: cfg.CostDeg,
+				HasCost:      true, CostAccurate: fleetCostAcc, CostApprox: fleetCostDeg,
 			}
 		}
 		r.SubmitBatch(g, specs)
@@ -190,16 +178,16 @@ func fleetReplace(cfg FleetStudyConfig) (FleetReplaceResult, error) {
 
 	// Golden: a single runtime executing the same outcome mix — energy is
 	// a function of the mix, not of placement or policy path.
-	rt, err := sig.New(sig.Config{Workers: cfg.WorkersPerShard, Policy: sig.PolicyAccurate})
+	rt, err := sig.New(sig.Config{Workers: fleetWorkersPerShard, Policy: sig.PolicyAccurate})
 	if err != nil {
 		return res, err
 	}
 	specs := make([]sig.TaskSpec, 0, gs.Accurate+gs.Approximate)
 	for i := int64(0); i < gs.Accurate; i++ {
-		specs = append(specs, sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: cfg.CostAcc})
+		specs = append(specs, sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: fleetCostAcc})
 	}
 	for i := int64(0); i < gs.Approximate; i++ {
-		specs = append(specs, sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: cfg.CostDeg})
+		specs = append(specs, sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: fleetCostDeg})
 	}
 	rt.SubmitBatch(nil, specs)
 	rt.Wait(nil)
@@ -238,7 +226,7 @@ func fleetScale(cfg FleetStudyConfig) (FleetScaleResult, error) {
 	}
 	// Step up: sustained offered load beyond the full fleet's capacity.
 	for w := 0; w < cfg.HighWaves; w++ {
-		for i := 0; i < cfg.HighPerWave; i++ {
+		for i := 0; i < fleetHighPerWave; i++ {
 			_, err := s.Submit(serve.Request{
 				Significance: float64(i%9+1) / 10,
 				Handler:      func() {},
@@ -255,7 +243,7 @@ func fleetScale(cfg FleetStudyConfig) (FleetScaleResult, error) {
 		}
 	}
 	// Step down: no arrivals; the fleet drains the backlog and shrinks.
-	for w := 0; w < cfg.MaxDownWaves; w++ {
+	for w := 0; w < fleetMaxDownWaves; w++ {
 		rep := s.RunWave()
 		record(rep)
 		if rep.LiveShards == ac.MinShards && rep.Depth == 0 {
@@ -304,7 +292,7 @@ func FleetStudy(cfg FleetStudyConfig) (FleetResult, error) {
 func PrintFleetStudy(w io.Writer, r FleetResult) {
 	a := r.Replace
 	fmt.Fprintf(w, "Fleet study A: rolling replace of %d shards (+1 surge slot), %d tasks/wave at ratio %.2f\n",
-		a.Shards, r.Config.PerWave, r.Config.Ratio)
+		a.Shards, r.Config.PerWave, fleetRatio)
 	fmt.Fprintf(w, "  replaced %d/%d shards; %d submitted, %d decided, %d lost; %d waves below nominal capacity\n",
 		a.Replaced, a.Shards, a.Submitted, a.Decided, a.Lost, a.DegradedWaves)
 	additive := "bit-identical"
@@ -316,7 +304,7 @@ func PrintFleetStudy(w io.Writer, r FleetResult) {
 
 	b := r.Scale
 	fmt.Fprintf(w, "Fleet study B: autoscale step response (%d..%d shards, %d waves of %d offered requests)\n",
-		b.MinShards, b.MaxShards, r.Config.HighWaves, r.Config.HighPerWave)
+		b.MinShards, b.MaxShards, r.Config.HighWaves, fleetHighPerWave)
 	up := fmt.Sprintf("%d waves", b.WavesToScaleUp)
 	if b.WavesToScaleUp < 0 {
 		up = "never"

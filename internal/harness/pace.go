@@ -36,28 +36,18 @@ var paceCosts = [4]float64{50_000, 100_000, 150_000, 200_000}
 // which is also what keeps the admission queue bounded.
 const paceOverhead = 250 * time.Microsecond
 
-// PaceConfig parameterizes PaceStudy. Zero fields take defaults.
-type PaceConfig struct {
-	// BasePerWave is the per-wave arrival count (default 8).
-	BasePerWave int
-	// Waves is the cadence phase length (default 24).
-	Waves int
-	// WavePeriod is the deliberately wrong configured period the pacer
-	// must correct away from (default 500µs — half the true mean wall).
-	WavePeriod time.Duration
-}
+const (
+	// paceBasePerWave is the per-wave arrival count.
+	paceBasePerWave = 8
+	// paceWavePeriod is the deliberately wrong configured period the pacer
+	// must correct away from: half the true mean wall.
+	paceWavePeriod = 500 * time.Microsecond
+)
 
-func (c PaceConfig) withDefaults() PaceConfig {
-	if c.BasePerWave <= 0 {
-		c.BasePerWave = 8
-	}
-	if c.Waves <= 0 {
-		c.Waves = 24
-	}
-	if c.WavePeriod <= 0 {
-		c.WavePeriod = 500 * time.Microsecond
-	}
-	return c
+// PaceConfig parameterizes PaceStudy.
+type PaceConfig struct {
+	// Waves is the cadence phase length (0 = 24).
+	Waves int
 }
 
 // PaceWaveRow is one paced wave's trajectory sample.
@@ -141,7 +131,9 @@ func paceRequest(fc *serve.FakeClock, i int) serve.Request {
 // PaceStudy runs the measured-time pacing study twice and verifies the
 // second run reproduces the first bit-identically (ReplayIdentical).
 func PaceStudy(cfg PaceConfig) (PaceResult, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Waves <= 0 {
+		cfg.Waves = 24
+	}
 	res, err := cfg.run()
 	if err != nil {
 		return res, err
@@ -159,9 +151,9 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 	s, err := serve.New(serve.Config{
 		Workers:    1, // one worker: measured period × workers = admitted work, exactly
 		MinRatio:   1, // no quality shedding: backlog pricing is exact at ratio 1
-		QueueLimit: 4 * cfg.BasePerWave,
-		WavePeriod: cfg.WavePeriod,
-		WaveBudget: 4 * float64(cfg.WavePeriod), // the configured guess the pacer must outgrow
+		QueueLimit: 4 * paceBasePerWave,
+		WavePeriod: paceWavePeriod,
+		WaveBudget: 4 * float64(paceWavePeriod), // the configured guess the pacer must outgrow
 		Clock:      fc,
 	})
 	if err != nil {
@@ -170,9 +162,9 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 	defer s.Close()
 
 	res := PaceResult{
-		BasePerWave: cfg.BasePerWave,
+		BasePerWave: paceBasePerWave,
 		Waves:       cfg.Waves,
-		NominalMs:   durMs(cfg.WavePeriod),
+		NominalMs:   durMs(paceWavePeriod),
 	}
 	seq := 0
 	wave := func(arrivals int) (serve.WaveReport, error) {
@@ -203,15 +195,15 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 		return rep, nil
 	}
 
-	// Cadence phase: BasePerWave arrivals per wave; the wave's true wall is
+	// Cadence phase: paceBasePerWave arrivals per wave; the wave's true wall is
 	// their declared cost plus the fixed overhead the probe injects.
 	var offered float64
 	for w := 0; w < cfg.Waves; w++ {
 		offered += float64(paceOverhead)
-		for i := 0; i < cfg.BasePerWave; i++ {
+		for i := 0; i < paceBasePerWave; i++ {
 			offered += paceCosts[paceClass(seq+i)]
 		}
-		rep, err := wave(cfg.BasePerWave)
+		rep, err := wave(paceBasePerWave)
 		if err != nil {
 			return res, err
 		}
@@ -265,7 +257,7 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 	// configured period is what pre-fix code told clients.
 	pricedWaves := int64(oe.RetryAfter / effective)
 	res.RetryAfterMs = durMs(oe.RetryAfter)
-	res.RetryBeforeMs = durMs(time.Duration(pricedWaves) * cfg.WavePeriod)
+	res.RetryBeforeMs = durMs(time.Duration(pricedWaves) * paceWavePeriod)
 	oneWave := s.MeasuredPeriod()
 	start := fc.Now()
 	for s.Depth() > 0 {
@@ -284,7 +276,7 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 	res.FinalPaceMs = durMs(s.PacePeriod())
 	res.MeasuredMs = durMs(s.MeasuredPeriod())
 	res.ShedBoundMs = durMs(adapt.ShedBoundSeconds(1.0, adapt.DefaultMaxStep, s.MeasuredPeriod()))
-	res.ShedBoundNominalMs = durMs(adapt.ShedBoundSeconds(1.0, adapt.DefaultMaxStep, cfg.WavePeriod))
+	res.ShedBoundNominalMs = durMs(adapt.ShedBoundSeconds(1.0, adapt.DefaultMaxStep, paceWavePeriod))
 	res.RecoverBoundMs = durMs(adapt.RecoverBoundSeconds(1.0, adapt.DefaultGain, adapt.DefaultMaxStep, 0.4, s.MeasuredPeriod()))
 	tot := s.Totals()
 	res.Overruns = tot.Overruns
@@ -296,7 +288,7 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 func durMs(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // PrintPaceStudy renders the study: the per-wave cadence trajectory and the
-// summary lines the CI gate and BENCH json consume.
+// summary lines the gating tests read.
 func PrintPaceStudy(w io.Writer, r PaceResult) {
 	fmt.Fprintf(w, "pace study (base %d req/wave, 4x cost variance, nominal period %.3g ms, true mean wall %.4g ms)\n",
 		r.BasePerWave, r.NominalMs, r.TrueMeanMs)

@@ -45,7 +45,7 @@ func TestPaceStudyGates(t *testing.T) {
 	}
 }
 
-// TestPrintPaceStudy pins the artifact lines the CI grep gate consumes.
+// TestPrintPaceStudy pins the summary lines on a shorter cadence phase.
 func TestPrintPaceStudy(t *testing.T) {
 	res, err := PaceStudy(PaceConfig{Waves: 8})
 	if err != nil {

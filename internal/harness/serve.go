@@ -118,17 +118,10 @@ type ServeConfig struct {
 	// Backend is "sobel" (default) or "kmeans".
 	Backend string
 	// Waves is the open-loop stream length (default 28); the overload
-	// step spans [StepAt, StepEnd) (defaults 8, 16) at Overload times the
-	// base arrival rate (default 4).
+	// step spans [StepAt, StepEnd) (defaults 8, 16).
 	Waves, StepAt, StepEnd int
-	Overload               float64
-	// BasePerWave is the light-load arrival rate in requests per wave
-	// (default 8); the server's wave budget is sized so that rate fills
-	// 60% of capacity at full quality.
-	BasePerWave int
-	// Clients sizes the closed-loop segment (default 3x the full-quality
-	// per-wave capacity); ClosedWaves is its length (default 12).
-	Clients, ClosedWaves int
+	// ClosedWaves is the length of the closed-loop segment (default 12).
+	ClosedWaves int
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
@@ -149,21 +142,21 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	if c.StepEnd <= c.StepAt || c.StepEnd > c.Waves {
 		c.StepEnd = min(c.StepAt+8, c.Waves)
 	}
-	if c.Overload <= 1 {
-		c.Overload = 4
-	}
-	if c.BasePerWave <= 0 {
-		c.BasePerWave = 8
-	}
 	if c.ClosedWaves <= 0 {
 		c.ClosedWaves = 12
 	}
 	return c
 }
 
-// serveUtilization is the light-load utilization the study sizes the wave
-// budget for: BasePerWave accurate requests fill this fraction of a wave.
-const serveUtilization = 0.6
+const (
+	// serveBasePerWave is the light-load arrival rate in requests per wave,
+	// and serveUtilization the fraction of a wave that many accurate
+	// requests fill: the wave budget is sized from the two.
+	serveBasePerWave = 8
+	serveUtilization = 0.6
+	// serveOverload is the step's multiple of the base arrival rate.
+	serveOverload = 4.0
+)
 
 // studyRequest builds the i-th request of the study's streams: the
 // backend's request at the stream's tier, with every 16th request made
@@ -227,20 +220,20 @@ type ServeResult struct {
 	ClosedP99        int     // latency p99 in waves
 }
 
-// newStudyServer builds the study's server: budget sized for BasePerWave at
-// serveUtilization, a queue deep enough that the step sheds quality rather
-// than requests.
+// newStudyServer builds the study's server: budget sized for
+// serveBasePerWave at serveUtilization, a queue deep enough that the step
+// sheds quality rather than requests.
 func newStudyServer(cfg ServeConfig, b *ServeBackend) (*serve.Server, error) {
 	return serve.New(serve.Config{
 		Workers:    cfg.Workers,
 		Shards:     cfg.Shards,
-		WaveBudget: float64(cfg.BasePerWave) * b.CostAccurate / serveUtilization,
-		QueueLimit: 64 * cfg.BasePerWave,
+		WaveBudget: serveBasePerWave * b.CostAccurate / serveUtilization,
+		QueueLimit: 64 * serveBasePerWave,
 	})
 }
 
 // ServeStudy runs the serving-layer evaluation: an open-loop request
-// stream with an overload step (offered load jumps Overload-fold for
+// stream with an overload step (offered load jumps serveOverload-fold for
 // [StepAt, StepEnd) waves), then a closed-loop segment with a fixed client
 // population. Declared request costs, the deterministic max-buffering
 // policy and a deterministic arrival order make the whole study — ratio
@@ -254,8 +247,8 @@ func ServeStudy(cfg ServeConfig) (ServeResult, error) {
 	res := ServeResult{
 		Backend:     backend.Name,
 		Shards:      cfg.Shards,
-		BasePerWave: cfg.BasePerWave,
-		Overload:    cfg.Overload,
+		BasePerWave: serveBasePerWave,
+		Overload:    serveOverload,
 		StepAt:      cfg.StepAt,
 		StepEnd:     cfg.StepEnd,
 	}
@@ -276,9 +269,9 @@ func serveOpenLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) err
 	var tickets []*serve.Ticket
 	seq := 0
 	for w := 0; w < cfg.Waves; w++ {
-		offered := cfg.BasePerWave
+		offered := serveBasePerWave
 		if w >= cfg.StepAt && w < cfg.StepEnd {
-			offered = int(float64(offered) * cfg.Overload)
+			offered *= serveOverload
 		}
 		for i := 0; i < offered; i++ {
 			tk, err := s.Submit(studyRequest(backend, seq))
@@ -338,12 +331,10 @@ func serveClosedLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) e
 	if err != nil {
 		return err
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		// 3x the requests a full-quality wave can serve: saturating, but
-		// absorbable by degradation.
-		clients = 3 * int(float64(cfg.BasePerWave)/serveUtilization)
-	}
+	// 3x the requests a full-quality wave can serve: saturating, but
+	// absorbable by degradation.
+	perWave := float64(serveBasePerWave) / serveUtilization
+	clients := 3 * int(perWave)
 	res.Clients = clients
 
 	outstanding := make([]*serve.Ticket, 0, clients)
@@ -400,7 +391,7 @@ func serveClosedLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) e
 
 // PrintServeStudy renders the study: the per-wave table, an ASCII plot of
 // the commanded ratio across the overload step, and the summary lines the
-// smoke test and BENCH json consume.
+// gating tests read.
 func PrintServeStudy(w io.Writer, r ServeResult) {
 	engine := ""
 	if r.Shards >= 2 {

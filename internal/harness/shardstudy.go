@@ -4,119 +4,54 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"repro/sig"
 	"repro/sig/shard"
 )
 
-// ShardStudy measures what multi-runtime sharding buys: each shard is one
-// fixed-size sig.Runtime (its worker pool and bounded run queues are the
-// "NUMA-ish" resource slice of the ROADMAP), and the router multiplies
-// those resources. The headline metric is burst submit throughput — how
-// fast a producer can hand an overload burst to the scheduler. The burst
-// is sized to the aggregate queue capacity of the reference fleet
-// (SpeedupShards shards): a single shard must drain-while-ingesting, its
-// producer stalling on backpressure behind every queue slot, while the
-// sharded fleet absorbs the same burst across its queues at memory speed.
-// That contrast is capacity-bound, not core-bound, so the scaling is
-// visible even on a single-CPU host (and under -race).
+// ShardStudy pins what multi-runtime sharding must not change. Each shard is
+// one fixed-size sig.Runtime (its worker pool and bounded run queues are the
+// "NUMA-ish" resource slice of the ROADMAP) and the router multiplies those
+// resources; every fleet size executes the identical task stream with
+// declared costs, so the router's merged joules must be bit-identical across
+// shard counts and to a plain single-runtime golden — the exact-integer
+// busy-nanosecond summation at work. What sharding costs in wall time is the
+// benchmark's subject (shard.* in `go run ./benchmark`), not this study's.
 //
-// The study also pins the merged energy account: every row executes the
-// identical task stream with declared costs, so the router's merged joules
-// must be bit-identical across shard counts and to a plain single-runtime
-// golden — the exact-integer busy-nanosecond summation at work.
-//
-// A second table sweeps the placement policies at the reference fleet size
+// A second table sweeps the placement policies at placementShards shards
 // under GTB(max) at ratio 0.5, reporting the per-shard spread and the
 // merged provided ratio (the cross-shard ratio floor, observed rather than
 // asserted — the invariant suite in sig/shard asserts it).
 
-// SpeedupShards is the reference fleet size the burst is sized against and
-// the speedup is quoted at.
-const SpeedupShards = 4
+const (
+	// shardWorkers and shardQueue size every shard: its pool and each
+	// worker's bounded run queue.
+	shardWorkers = 1
+	shardQueue   = 64
+	// shardTasks and shardCost are the stream every fleet size executes:
+	// 85% of a four-shard fleet's queue slots, each task declaring 30 µs —
+	// the stream of every earlier record of this study, so the joules
+	// column still compares with them.
+	shardTasks = 4 * shardWorkers * shardQueue * 85 / 100
+	shardCost  = 30_000.0
+	// placementShards is the fleet size of the placement sweep.
+	placementShards = 4
+)
 
-// ShardStudyConfig parameterizes ShardStudy. Zero fields take defaults.
-type ShardStudyConfig struct {
-	// ShardCounts are the fleet sizes to measure (default 1, 2, 4, 8).
-	ShardCounts []int
-	// WorkersPerShard sizes each shard's pool (default 1).
-	WorkersPerShard int
-	// QueueCapacity is each worker's bounded run-queue (default 64).
-	QueueCapacity int
-	// Burst is the number of tasks per measured burst (default 85% of the
-	// reference fleet's aggregate queue capacity).
-	Burst int
-	// SpinIters is the busy work per task body (default 30_000 iterations,
-	// ~tens of µs); it is also the task's declared cost.
-	SpinIters int
-	// Reps is how many times each burst is measured; the fastest rep is
-	// kept (default 3), shedding scheduler preemption outliers like the
-	// Fig4 baseline does.
-	Reps int
-	// Chunk is the SubmitBatch granularity (default 32).
-	Chunk int
-}
-
-func (c ShardStudyConfig) withDefaults() ShardStudyConfig {
-	if len(c.ShardCounts) == 0 {
-		c.ShardCounts = []int{1, 2, 4, 8}
-	}
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 1
-	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 64
-	}
-	if c.SpinIters <= 0 {
-		c.SpinIters = 30_000
-	}
-	if c.Burst <= 0 {
-		c.Burst = SpeedupShards * c.WorkersPerShard * c.QueueCapacity * 85 / 100
-	}
-	if c.Reps <= 0 {
-		c.Reps = 3
-	}
-	if c.Chunk <= 0 {
-		c.Chunk = 32
-	}
-	return c
-}
-
-// spinSink defeats dead-code elimination of the spin bodies.
-var spinSink atomic.Uint64
-
-// spin burns ~n iterations of register arithmetic: deterministic work with
-// no memory traffic, so declared costs model it faithfully.
-func spin(n int) {
-	x := uint64(n)
-	for i := 0; i < n; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-	}
-	spinSink.Store(x)
-}
+// shardCounts are the fleet sizes of the energy table.
+var shardCounts = [...]int{1, 2, 4, 8}
 
 // ShardRow is one fleet size's measurement.
 type ShardRow struct {
 	Shards int
 	// Capacity is the fleet's aggregate queue slots.
 	Capacity int
-	// Ingest is the best-of-reps wall time from first to last Submit of
-	// the burst; IngestTput the corresponding tasks/s.
-	Ingest     time.Duration
-	IngestTput float64
-	// Drain is the taskwait wall time after ingest; TotalTput the burst
-	// over ingest+drain (work-bound: flat across fleet sizes on one CPU).
-	Drain     time.Duration
-	TotalTput float64
-	// Joules is the merged modeled energy of the burst.
+	// Joules is the merged modeled energy of the stream.
 	Joules float64
 }
 
-// ShardPlacementRow is one placement policy's behavior at the reference
-// fleet size.
+// ShardPlacementRow is one placement policy's behavior at placementShards
+// shards.
 type ShardPlacementRow struct {
 	Placement shard.PlacementKind
 	// MinShare/MaxShare are the smallest and largest per-shard task
@@ -128,91 +63,54 @@ type ShardPlacementRow struct {
 
 // ShardResult is the outcome of the sharding study.
 type ShardResult struct {
-	Burst           int
-	WorkersPerShard int
-	QueueCapacity   int
-	SpinIters       int
-	Rows            []ShardRow
-	// Speedup is IngestTput at SpeedupShards over IngestTput at 1 shard.
-	Speedup float64
+	Rows []ShardRow
 	// GoldenJoules is a plain (router-free) sig.Runtime executing the
-	// burst; JoulesAdditive reports whether every row's merged joules are
+	// stream; JoulesAdditive reports whether every row's merged joules are
 	// bit-identical to it.
 	GoldenJoules   float64
 	JoulesAdditive bool
 	Placements     []ShardPlacementRow
 }
 
-// burstSpecs builds the study's task stream: identical declared-cost spin
-// tasks (every one accurate — the study measures scheduling, not
-// shedding).
-func burstSpecs(cfg ShardStudyConfig) []sig.TaskSpec {
-	specs := make([]sig.TaskSpec, cfg.Burst)
+// shardSpecs builds the study's task stream: identical declared-cost tasks,
+// every one accurate (the study is about the energy account, not shedding).
+func shardSpecs() []sig.TaskSpec {
+	specs := make([]sig.TaskSpec, shardTasks)
 	for i := range specs {
-		specs[i] = sig.TaskSpec{
-			Fn:      func() { spin(cfg.SpinIters) },
-			HasCost: true, CostAccurate: float64(cfg.SpinIters), CostApprox: 0,
-		}
+		specs[i] = sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: shardCost}
 	}
 	return specs
 }
 
-// measureBurst runs one fleet size: Reps bursts, keeping the full timings
-// of the fastest-ingest rep (ingest and drain must come from the same run,
-// or the derived total throughput corresponds to no run at all).
-func measureBurst(cfg ShardStudyConfig, shards int) (ShardRow, error) {
-	row := ShardRow{
-		Shards:   shards,
-		Capacity: shards * cfg.WorkersPerShard * cfg.QueueCapacity,
-		Ingest:   time.Duration(math.MaxInt64),
+// shardJoules runs the stream through a fleet of the given size and returns
+// its merged modeled energy.
+func shardJoules(shards int) (float64, error) {
+	r, err := shard.New(shard.Config{
+		Shards:  shards,
+		Runtime: sig.Config{Workers: shardWorkers, Policy: sig.PolicyAccurate, QueueCapacity: shardQueue},
+	})
+	if err != nil {
+		return 0, err
 	}
-	specs := burstSpecs(cfg)
-	for rep := 0; rep < cfg.Reps; rep++ {
-		r, err := shard.New(shard.Config{
-			Shards: shards,
-			Runtime: sig.Config{
-				Workers:       cfg.WorkersPerShard,
-				Policy:        sig.PolicyAccurate,
-				QueueCapacity: cfg.QueueCapacity,
-			},
-		})
-		if err != nil {
-			return row, err
-		}
-		g := r.Group("burst", 1.0)
-		runtime.Gosched() // start the clock with a fresh scheduler slice
-		start := time.Now()
-		for lo := 0; lo < len(specs); lo += cfg.Chunk {
-			r.SubmitBatch(g, specs[lo:min(lo+cfg.Chunk, len(specs))])
-		}
-		ingest := time.Since(start)
-		r.Wait(g)
-		drain := time.Since(start) - ingest
-		if err := r.Close(); err != nil {
-			return row, err
-		}
-		if ingest < row.Ingest {
-			row.Ingest = ingest
-			row.Drain = drain
-			row.Joules = r.Energy().Joules
-		}
+	g := r.Group("stream", 1.0)
+	r.SubmitBatch(g, shardSpecs())
+	r.Wait(g)
+	if err := r.Close(); err != nil {
+		return 0, err
 	}
-	row.IngestTput = float64(cfg.Burst) / row.Ingest.Seconds()
-	row.TotalTput = float64(cfg.Burst) / (row.Ingest + row.Drain).Seconds()
-	return row, nil
+	return r.Energy().Joules, nil
 }
 
-// placementSweep exercises each placement policy at the reference fleet
-// size under GTB(max) at ratio 0.5 on a nine-tier stream with two cost
-// classes.
-func placementSweep(cfg ShardStudyConfig) ([]ShardPlacementRow, error) {
+// placementSweep exercises each placement policy at placementShards shards
+// under GTB(max) at ratio 0.5 on a nine-tier stream with two cost classes.
+func placementSweep() ([]ShardPlacementRow, error) {
 	const n = 1800
 	var rows []ShardPlacementRow
 	for _, placement := range []shard.PlacementKind{shard.PlaceRoundRobin, shard.PlaceLeastLoad, shard.PlaceCostAffinity} {
 		r, err := shard.New(shard.Config{
-			Shards:    SpeedupShards,
+			Shards:    placementShards,
 			Placement: placement,
-			Runtime:   sig.Config{Workers: cfg.WorkersPerShard, Policy: sig.PolicyGTBMaxBuffer},
+			Runtime:   sig.Config{Workers: shardWorkers, Policy: sig.PolicyGTBMaxBuffer},
 		})
 		if err != nil {
 			return nil, err
@@ -235,7 +133,7 @@ func placementSweep(cfg ShardStudyConfig) ([]ShardPlacementRow, error) {
 		r.Wait(g)
 		row := ShardPlacementRow{Placement: placement, Requested: 0.5, MinShare: n}
 		row.Provided = g.Stats().ProvidedRatio
-		for i := 0; i < SpeedupShards; i++ {
+		for i := 0; i < placementShards; i++ {
 			share := int(g.Part(i).Stats().Submitted)
 			row.MinShare = min(row.MinShare, share)
 			row.MaxShare = max(row.MaxShare, share)
@@ -249,82 +147,48 @@ func placementSweep(cfg ShardStudyConfig) ([]ShardPlacementRow, error) {
 }
 
 // ShardStudy runs the multi-runtime sharding evaluation.
-func ShardStudy(cfg ShardStudyConfig) (ShardResult, error) {
-	cfg = cfg.withDefaults()
-	res := ShardResult{
-		Burst:           cfg.Burst,
-		WorkersPerShard: cfg.WorkersPerShard,
-		QueueCapacity:   cfg.QueueCapacity,
-		SpinIters:       cfg.SpinIters,
-	}
+func ShardStudy() (ShardResult, error) {
+	res := ShardResult{JoulesAdditive: true}
 
 	// Router-free golden for the energy-additivity check.
-	rt, err := sig.New(sig.Config{
-		Workers:       cfg.WorkersPerShard,
-		Policy:        sig.PolicyAccurate,
-		QueueCapacity: cfg.QueueCapacity,
-	})
+	rt, err := sig.New(sig.Config{Workers: shardWorkers, Policy: sig.PolicyAccurate, QueueCapacity: shardQueue})
 	if err != nil {
 		return res, err
 	}
-	rt.SubmitBatch(nil, burstSpecs(cfg))
+	rt.SubmitBatch(nil, shardSpecs())
 	rt.Wait(nil)
 	rt.Close()
 	res.GoldenJoules = rt.Energy().Joules
-	res.JoulesAdditive = true
 
-	for _, shards := range cfg.ShardCounts {
-		row, err := measureBurst(cfg, shards)
+	for _, shards := range shardCounts {
+		joules, err := shardJoules(shards)
 		if err != nil {
 			return res, err
 		}
-		res.Rows = append(res.Rows, row)
-		if math.Float64bits(row.Joules) != math.Float64bits(res.GoldenJoules) {
+		res.Rows = append(res.Rows, ShardRow{Shards: shards, Capacity: shards * shardWorkers * shardQueue, Joules: joules})
+		if math.Float64bits(joules) != math.Float64bits(res.GoldenJoules) {
 			res.JoulesAdditive = false
 		}
 	}
-	// The headline ratio needs both endpoints, wherever (and in whatever
-	// order) they appear in ShardCounts; 0 means "not measured".
-	var tput1, tputRef float64
-	for _, row := range res.Rows {
-		switch row.Shards {
-		case 1:
-			tput1 = row.IngestTput
-		case SpeedupShards:
-			tputRef = row.IngestTput
-		}
-	}
-	if tput1 > 0 && tputRef > 0 {
-		res.Speedup = tputRef / tput1
-	}
-
-	res.Placements, err = placementSweep(cfg)
+	res.Placements, err = placementSweep()
 	return res, err
 }
 
 // PrintShardStudy renders the study.
 func PrintShardStudy(w io.Writer, r ShardResult) {
-	fmt.Fprintf(w, "Shard study: %d-task burst over fixed shards (%d worker(s)/shard, queue %d, %d-iter bodies)\n",
-		r.Burst, r.WorkersPerShard, r.QueueCapacity, r.SpinIters)
-	fmt.Fprintf(w, "%-7s %9s %12s %12s %12s %12s %12s\n",
-		"shards", "capacity", "ingest", "ktasks/s", "drain", "total kt/s", "energy")
+	fmt.Fprintf(w, "Shard study: %d-task stream over fixed shards (%d worker(s)/shard, queue %d, declared cost %.0f)\n",
+		shardTasks, shardWorkers, shardQueue, shardCost)
+	fmt.Fprintf(w, "%-7s %9s %12s\n", "shards", "capacity", "energy")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-7d %9d %12v %12.1f %12v %12.1f %11.4fJ\n",
-			row.Shards, row.Capacity, row.Ingest.Round(time.Microsecond), row.IngestTput/1e3,
-			row.Drain.Round(time.Microsecond), row.TotalTput/1e3, row.Joules)
+		fmt.Fprintf(w, "%-7d %9d %11.4fJ\n", row.Shards, row.Capacity, row.Joules)
 	}
 	additive := "bit-identical across fleet sizes and to the runtime golden"
 	if !r.JoulesAdditive {
 		additive = "NOT additive — energy merge broken"
 	}
-	speedup := fmt.Sprintf("%.2fx", r.Speedup)
-	if r.Speedup == 0 {
-		speedup = fmt.Sprintf("n/a (needs the 1- and %d-shard rows)", SpeedupShards)
-	}
-	fmt.Fprintf(w, "burst ingest speedup at %d shards: %s; merged joules %s (golden %.4fJ)\n",
-		SpeedupShards, speedup, additive, r.GoldenJoules)
+	fmt.Fprintf(w, "merged joules %s (golden %.4fJ)\n", additive, r.GoldenJoules)
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "placement sweep at %d shards (GTB(max), ratio 0.50, two cost classes):\n", SpeedupShards)
+	fmt.Fprintf(w, "placement sweep at %d shards (GTB(max), ratio 0.50, two cost classes):\n", placementShards)
 	fmt.Fprintf(w, "%-14s %12s %8s %8s\n", "placement", "share", "req%", "prov%")
 	for _, p := range r.Placements {
 		fmt.Fprintf(w, "%-14s %5d..%-6d %8.1f %8.1f\n",

@@ -2,52 +2,40 @@ package harness
 
 import (
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 )
 
-// TestShardStudyScales is the sharding acceptance gate: submitting the
-// reference burst into a 4-shard fleet must be at least 1.5x faster than
-// into one shard of the same per-shard resources (in practice the gap is
-// an order of magnitude: one shard serializes the producer behind its
-// queue's drain, four shards absorb the burst across their aggregate
-// capacity), and the merged modeled joules must be bit-identical across
-// fleet sizes and to the router-free runtime golden. The same numbers are
-// published under BENCH_sig.json's "shard" key by `sigbench shard`.
+// TestShardStudyScales is the gate of what the sharding study claims: the
+// merged modeled joules are bit-identical across 1, 2, 4 and 8 shards and to
+// the router-free runtime golden, every placement keeps the merged ratio
+// floor, and round-robin splits the stream exactly. (What a fleet costs in
+// wall time is measured by `go run ./benchmark`, not here.)
 func TestShardStudyScales(t *testing.T) {
-	res, err := ShardStudy(ShardStudyConfig{ShardCounts: []int{1, SpeedupShards}})
+	res, err := ShardStudy()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Speedup < 1.5 {
-		// The speedup is capacity-bound (four shards absorb the burst
-		// across their aggregate queues), so it holds even on one CPU —
-		// but only while each shard's worker can actually run. With
-		// GOMAXPROCS above the physical core count (the CI race matrix on
-		// a small host, or a shared 1-vCPU box) the fleet timeshares
-		// oversubscribed and the measurement premise is gone.
-		if runtime.GOMAXPROCS(0) > runtime.NumCPU() {
-			t.Skipf("speedup %.2fx with GOMAXPROCS %d > %d CPUs: oversubscribed host, scaling not measurable",
-				res.Speedup, runtime.GOMAXPROCS(0), runtime.NumCPU())
-		}
-		t.Errorf("burst submit throughput at %d shards only %.2fx of 1 shard, want >= 1.5x",
-			SpeedupShards, res.Speedup)
 	}
 	if !res.JoulesAdditive {
 		t.Error("merged joules diverged across fleet sizes: shard-summed energy must be bit-identical to the single-runtime golden")
 	}
-	for _, row := range res.Rows {
-		if math.Float64bits(row.Joules) != math.Float64bits(res.GoldenJoules) {
-			t.Errorf("%d shards: %.6f J vs golden %.6f J", row.Shards, row.Joules, res.GoldenJoules)
+	if len(res.Rows) != len(shardCounts) {
+		t.Fatalf("got %d rows, want one per fleet size %v", len(res.Rows), shardCounts)
+	}
+	for i, row := range res.Rows {
+		if row.Shards != shardCounts[i] || row.Capacity != row.Shards*shardWorkers*shardQueue {
+			t.Errorf("row %d: %+v, want %d shards of %d slots", i, row, shardCounts[i], shardWorkers*shardQueue)
 		}
-		if row.IngestTput <= 0 || row.TotalTput <= 0 {
-			t.Errorf("%d shards: degenerate throughput %+v", row.Shards, row)
+		if row.Joules <= 0 || math.Float64bits(row.Joules) != math.Float64bits(res.GoldenJoules) {
+			t.Errorf("%d shards: %.6f J vs golden %.6f J", row.Shards, row.Joules, res.GoldenJoules)
 		}
 	}
 	// The placement sweep must keep the merged ratio floor at every
 	// placement (GTB(max) tracks the request to within per-shard wave
 	// rounding) and round-robin must split the stream exactly evenly.
+	if len(res.Placements) != 3 {
+		t.Fatalf("got %d placement rows, want 3", len(res.Placements))
+	}
 	for _, p := range res.Placements {
 		if p.Provided < p.Requested-0.01 {
 			t.Errorf("%v: merged provided ratio %.3f under requested %.3f", p.Placement, p.Provided, p.Requested)
@@ -59,7 +47,7 @@ func TestShardStudyScales(t *testing.T) {
 
 	var sb strings.Builder
 	PrintShardStudy(&sb, res)
-	for _, want := range []string{"Shard study", "speedup", "placement sweep", "bit-identical"} {
+	for _, want := range []string{"Shard study", "placement sweep", "bit-identical"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("printer output missing %q:\n%s", want, sb.String())
 		}

@@ -18,55 +18,27 @@ import (
 // bounds are proven for (assumption 1: declared costs make the load signal
 // affine in the ratio), so every number is bit-identical across runs.
 
-// Declared request costs of the SLO study's synthetic service: degraded
-// work is ~13% of accurate work, like the sobel kernels.
+// The study's fixed configuration.
 const (
+	// Declared request costs of the synthetic service: degraded work is
+	// ~13% of accurate work, like the sobel kernels.
 	sloCostAcc = 30_000.0
 	sloCostDeg = 4_000.0
+	// sloBasePerWave is the light-load arrival rate; the wave budget is
+	// sized so that rate fills sloUtilization of capacity at full quality,
+	// and 1−sloUtilization is the recovery bound's headroom term.
+	sloBasePerWave = 8
+	sloUtilization = 0.6
+	// sloWindow and sloFloor parameterize the quality-floor section.
+	sloWindow = 8
+	sloFloor  = 0.5
+	// sloPriorityAt is the lane section's premium threshold: the
+	// every-tenth tier-1.0 requests.
+	sloPriorityAt = 0.95
 )
 
-// SLOConfig parameterizes SLOStudy. Zero fields take defaults.
-type SLOConfig struct {
-	// BasePerWave is the light-load arrival rate (default 8); the wave
-	// budget is sized so that rate fills Utilization of capacity at full
-	// quality.
-	BasePerWave int
-	// Utilization in (0,1) is the light-load duty cycle (default 0.6);
-	// 1−Utilization is the recovery bound's headroom term.
-	Utilization float64
-	// Overloads are the step multiples the reaction section measures
-	// (default 2, 4, 6).
-	Overloads []float64
-	// Window and Floor parameterize the quality-floor section (defaults
-	// 8 waves at 0.5).
-	Window int
-	Floor  float64
-	// PriorityAt is the lane section's premium threshold (default 0.95:
-	// the every-tenth tier-1.0 requests).
-	PriorityAt float64
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.BasePerWave <= 0 {
-		c.BasePerWave = 8
-	}
-	if c.Utilization <= 0 || c.Utilization >= 1 {
-		c.Utilization = 0.6
-	}
-	if len(c.Overloads) == 0 {
-		c.Overloads = []float64{2, 4, 6}
-	}
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.Floor <= 0 {
-		c.Floor = 0.5
-	}
-	if c.PriorityAt <= 0 {
-		c.PriorityAt = 0.95
-	}
-	return c
-}
+// sloOverloads are the step multiples the reaction section measures.
+var sloOverloads = [...]float64{2, 4, 6}
 
 // SLOReactionRow is one overload step's measured reaction against the
 // derived bound.
@@ -131,15 +103,15 @@ func sloRequest(i int) serve.Request {
 	}
 }
 
-// sloServer builds the section's server: budget sized for BasePerWave at
+// sloServer builds the section's server: budget sized for sloBasePerWave at
 // the study utilization, a queue deep enough that steps shed quality, not
 // requests. The reaction section caps load at 1.0 (full capacity), the
 // setting the bounds' absorbability assumption is stated for.
-func sloServer(cfg SLOConfig, mut func(*serve.Config)) (*serve.Server, error) {
+func sloServer(mut func(*serve.Config)) (*serve.Server, error) {
 	sc := serve.Config{
 		Workers:    2,
-		WaveBudget: float64(cfg.BasePerWave) * sloCostAcc / cfg.Utilization,
-		QueueLimit: 64 * cfg.BasePerWave,
+		WaveBudget: sloBasePerWave * sloCostAcc / sloUtilization,
+		QueueLimit: 64 * sloBasePerWave,
 	}
 	if mut != nil {
 		mut(&sc)
@@ -149,31 +121,30 @@ func sloServer(cfg SLOConfig, mut func(*serve.Config)) (*serve.Server, error) {
 
 // SLOStudy runs the three SLO sections. Deterministic end to end: declared
 // costs, no wall-clock deadlines, explicit waves.
-func SLOStudy(cfg SLOConfig) (SLOResult, error) {
-	cfg = cfg.withDefaults()
+func SLOStudy() (SLOResult, error) {
 	res := SLOResult{
-		BasePerWave: cfg.BasePerWave,
-		Utilization: cfg.Utilization,
-		Window:      cfg.Window,
-		Floor:       cfg.Floor,
-		PriorityAt:  cfg.PriorityAt,
+		BasePerWave: sloBasePerWave,
+		Utilization: sloUtilization,
+		Window:      sloWindow,
+		Floor:       sloFloor,
+		PriorityAt:  sloPriorityAt,
 	}
-	if err := sloReaction(cfg, &res); err != nil {
+	if err := sloReaction(&res); err != nil {
 		return res, err
 	}
-	if err := sloFloor(cfg, &res); err != nil {
+	if err := sloFloorSection(&res); err != nil {
 		return res, err
 	}
-	if err := sloLanes(cfg, &res); err != nil {
+	if err := sloLanes(&res); err != nil {
 		return res, err
 	}
 	return res, nil
 }
 
-func sloReaction(cfg SLOConfig, res *SLOResult) error {
+func sloReaction(res *SLOResult) error {
 	res.AllWithinBound = true
-	for _, over := range cfg.Overloads {
-		s, err := sloServer(cfg, func(c *serve.Config) { c.TargetLoad = 1.0 })
+	for _, over := range sloOverloads {
+		s, err := sloServer(func(c *serve.Config) { c.TargetLoad = 1.0 })
 		if err != nil {
 			return err
 		}
@@ -187,13 +158,13 @@ func sloReaction(cfg SLOConfig, res *SLOResult) error {
 			return s.RunWave()
 		}
 		for w := 0; w < 8; w++ {
-			wave(cfg.BasePerWave) // settle at the base rate
+			wave(sloBasePerWave) // settle at the base rate
 		}
 		row := SLOReactionRow{Overload: over, PreRatio: s.Ratio()}
 		row.ShedBound = adapt.ShedBound(row.PreRatio, adapt.DefaultMaxStep)
 		row.ShedWaves = -1
 
-		stepped := int(float64(cfg.BasePerWave) * over)
+		stepped := int(sloBasePerWave * over)
 		for w := 1; w <= row.ShedBound+2; w++ {
 			rep := wave(stepped)
 			if row.ShedWaves < 0 && rep.Load <= 1.0 {
@@ -205,16 +176,17 @@ func sloReaction(cfg SLOConfig, res *SLOResult) error {
 		// The recovery bound owns only the climb; the backlog-drain phase
 		// belongs to the caller's arithmetic: each post-step wave admits at
 		// least budget/costAcc requests (full-cost worst case) and receives
-		// BasePerWave fresh ones, for a net drain of base/util − 1 − base.
-		netDrain := float64(cfg.BasePerWave)/cfg.Utilization - 1 - float64(cfg.BasePerWave)
-		if row.Backlog > 0 && netDrain > 0 {
+		// sloBasePerWave fresh ones, for a net drain of base/util − 1 − base.
+		base := float64(sloBasePerWave) // a variable: the division rounds as float64, as recorded
+		netDrain := base/sloUtilization - 1 - base
+		if row.Backlog > 0 {
 			row.DrainWaves = int(math.Ceil(float64(row.Backlog) / netDrain))
 		}
 		row.RecoverBound = row.DrainWaves +
-			adapt.RecoverBound(row.PreRatio, adapt.DefaultGain, adapt.DefaultMaxStep, 1-cfg.Utilization)
+			adapt.RecoverBound(row.PreRatio, adapt.DefaultGain, adapt.DefaultMaxStep, 1-sloUtilization)
 		row.RecoverWaves = -1
 		for w := 1; w <= row.RecoverBound+5; w++ {
-			rep := wave(cfg.BasePerWave)
+			rep := wave(sloBasePerWave)
 			if rep.NextRatio >= row.PreRatio-0.05 {
 				row.RecoverWaves = w
 				break
@@ -232,10 +204,10 @@ func sloReaction(cfg SLOConfig, res *SLOResult) error {
 	return nil
 }
 
-func sloFloor(cfg SLOConfig, res *SLOResult) error {
-	s, err := sloServer(cfg, func(c *serve.Config) {
-		c.QualityFloor = cfg.Floor
-		c.QualityWindow = cfg.Window
+func sloFloorSection(res *SLOResult) error {
+	s, err := sloServer(func(c *serve.Config) {
+		c.QualityFloor = sloFloor
+		c.QualityWindow = sloWindow
 	})
 	if err != nil {
 		return err
@@ -243,7 +215,7 @@ func sloFloor(cfg SLOConfig, res *SLOResult) error {
 	var provided []float64
 	seq := 0
 	for w := 0; w < 60; w++ {
-		for i := 0; i < 4*cfg.BasePerWave; i++ {
+		for i := 0; i < 4*sloBasePerWave; i++ {
 			if _, err := s.Submit(sloRequest(seq)); err == nil {
 				seq++
 			}
@@ -259,23 +231,23 @@ func sloFloor(cfg SLOConfig, res *SLOResult) error {
 	res.MinWindowMean, res.MinProvided = 1, 1
 	for i, p := range provided {
 		res.MinProvided = math.Min(res.MinProvided, p)
-		if p < cfg.Floor {
+		if p < sloFloor {
 			res.FloorDips++
 		}
-		if i+1 < cfg.Window {
+		if i+1 < sloWindow {
 			continue
 		}
 		var sum float64
-		for _, q := range provided[i+1-cfg.Window : i+1] {
+		for _, q := range provided[i+1-sloWindow : i+1] {
 			sum += q
 		}
-		res.MinWindowMean = math.Min(res.MinWindowMean, sum/float64(cfg.Window))
+		res.MinWindowMean = math.Min(res.MinWindowMean, sum/sloWindow)
 	}
 	return nil
 }
 
-func sloLanes(cfg SLOConfig, res *SLOResult) error {
-	s, err := sloServer(cfg, func(c *serve.Config) { c.PriorityAt = cfg.PriorityAt })
+func sloLanes(res *SLOResult) error {
+	s, err := sloServer(func(c *serve.Config) { c.PriorityAt = sloPriorityAt })
 	if err != nil {
 		return err
 	}
@@ -286,14 +258,14 @@ func sloLanes(cfg SLOConfig, res *SLOResult) error {
 	var tks []tagged
 	seq := 0
 	for w := 0; w < 24; w++ {
-		for i := 0; i < 4*cfg.BasePerWave; i++ {
+		for i := 0; i < 4*sloBasePerWave; i++ {
 			req := sloRequest(seq)
 			tk, err := s.Submit(req)
 			seq++
 			if err != nil {
 				continue
 			}
-			tks = append(tks, tagged{tk: tk, premium: req.Significance >= cfg.PriorityAt})
+			tks = append(tks, tagged{tk: tk, premium: req.Significance >= sloPriorityAt})
 		}
 		s.RunWave()
 	}
@@ -324,8 +296,7 @@ func percentilesWaves(lats []int) (p50, p99 int) {
 }
 
 // PrintSLOStudy renders the study: the reaction table (measured vs bound),
-// the floor section, and the lane percentiles the gating test and BENCH
-// json consume.
+// the floor section, and the lane percentiles the gating test reads.
 func PrintSLOStudy(w io.Writer, r SLOResult) {
 	fmt.Fprintf(w, "SLO study (base %d req/wave at %.0f%% utilization, declared costs)\n",
 		r.BasePerWave, 100*r.Utilization)

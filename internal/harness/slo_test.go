@@ -10,7 +10,7 @@ import (
 // derived bound, the windowed quality floor holds its mean while per-wave
 // quality still dips, and the priority lane's tail latency beats bulk's.
 func TestSLOStudyHoldsContracts(t *testing.T) {
-	res, err := SLOStudy(SLOConfig{})
+	res, err := SLOStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSLOStudyHoldsContracts(t *testing.T) {
 	}
 
 	// Bit-identical replay: the study is deterministic by construction.
-	res2, err := SLOStudy(SLOConfig{})
+	res2, err := SLOStudy()
 	if err != nil {
 		t.Fatal(err)
 	}

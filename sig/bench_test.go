@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the scheduler hot path. They use only the public API
-// so the same file measures any scheduler implementation; BENCH_sig.json
-// records the before/after numbers across scheduler generations.
+// Microbenchmarks for the scheduler hot path (`make bench`). They use only
+// the public API so the same file measures any scheduler implementation; the
+// numbers a PR is judged on are the sig.* per-layer metrics of
+// `go run ./benchmark` (sig.submit_ns_per_task, sig.overhead.*).
 
 // benchBody is a no-capture task body: the scheduler cost dominates.
 func benchBody() {}

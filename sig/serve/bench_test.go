@@ -8,8 +8,8 @@ import (
 // Microbenchmarks for the serving admission hot path: Submit + RunWave with
 // trivial bodies and declared costs, so the measured time is the serving
 // layer's own overhead (ticket/pending management, wave batch assembly,
-// runtime ingest), not request execution. BENCH_sig.json records the
-// before/after numbers under the "serve_hotpath" key.
+// runtime ingest), not request execution. The numbers a PR is judged on
+// are serve.submit_ns and serve.runwave_ns_per_req in `go run ./benchmark`.
 
 // benchWave is the admitted batch size one benchmark wave carries: the same
 // shape as the studies' overload waves (base 8 at 4x).
@@ -97,7 +97,7 @@ func BenchmarkServeAdmission(b *testing.B) {
 // BenchmarkServeSubmit isolates the caller-side admission overhead: ticket
 // and pending setup plus the queue append, with wave execution excluded
 // from the timer. This is the per-request cost a client pays to enter the
-// server, the number the multicore study sweeps across GOMAXPROCS.
+// server (serve.submit_ns in the benchmark's traced run).
 func BenchmarkServeSubmit(b *testing.B) {
 	s := newBenchServer(b)
 	defer s.Close()
