@@ -27,11 +27,11 @@ lint: vet
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
 
-# The second line repeats the ring and backpressure tests: their failures
-# are interleavings, and one pass sees few of them.
+# The second line repeats the ring, backpressure and helping-taskwait tests:
+# their failures are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=20 -run 'Ring|Backpressure' ./sig
+	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps' ./sig
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against

@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -147,20 +148,63 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sigserve:", err)
 		os.Exit(2)
 	}
+	// Built before the pump starts: /stats reports the fleet as configured.
+	handler := newHandler(srv, backend, *deadline)
 	srv.Start()
 
+	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = httpSrv.Shutdown(shutCtx)
+	}()
+	log.Printf("sigserve: %s backend on %s (%d shard(s), period %v, queue %d, minratio %.2f)",
+		backend.Name, *addr, max(*shards, 1), *period, *queue, *minRatio)
+	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		fmt.Fprintln(os.Stderr, "sigserve:", err)
+		os.Exit(1)
+	}
+	if err := srv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "sigserve:", err)
+		os.Exit(1)
+	}
+	tot := srv.Totals()
+	log.Printf("sigserve: served %d (%d acc / %d deg / %d drop), rejected %d, %.4f J modeled",
+		tot.Completed, tot.Accurate, tot.Degraded, tot.Dropped, tot.Rejected, tot.Joules)
+}
+
+// workReply is the body of a served /work request. Its fields are in the
+// order encoding/json gives the keys of a map — alphabetical — which is what
+// the reply was encoded from before; clients see the same bytes.
+type workReply struct {
+	CurrentRatio float64 `json:"current_ratio"`
+	LatencyMS    float64 `json:"latency_ms"`
+	Outcome      string  `json:"outcome"`
+	Significance float64 `json:"significance"`
+	WaveLatency  int     `json:"wave_latency"`
+}
+
+// newHandler is the HTTP front of srv: /work admits one request of backend
+// (deadline is the default for requests that name none, 0 = none) and
+// replies when its ticket resolves; /stats, /metrics and /healthz report.
+func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.Duration) http.Handler {
+	shards := srv.Fleet().Live()
 	var seq atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("/work", func(w http.ResponseWriter, r *http.Request) {
 		req := backend.NewRequest(int(seq.Add(1) - 1))
-		if sig, ok, err := requestSignificance(r); err != nil {
+		query := r.URL.Query()
+		if sig, ok, err := requestSignificance(query); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		} else if ok {
 			req.Significance = sig
 		}
 		start := time.Now()
-		if d, ok, err := requestDeadline(r, *deadline, start); err != nil {
+		if d, ok, err := requestDeadline(query, deadline, start); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		} else if ok {
@@ -203,12 +247,12 @@ func main() {
 			http.Error(w, "deadline expired in queue", http.StatusGatewayTimeout)
 			return
 		}
-		writeJSON(w, map[string]any{
-			"outcome":       outcome.String(),
-			"significance":  req.Significance,
-			"wave_latency":  waveLatency,
-			"latency_ms":    float64(time.Since(start).Microseconds()) / 1000,
-			"current_ratio": srv.Ratio(),
+		writeJSON(w, workReply{
+			CurrentRatio: srv.Ratio(),
+			LatencyMS:    float64(time.Since(start).Microseconds()) / 1000,
+			Outcome:      outcome.String(),
+			Significance: req.Significance,
+			WaveLatency:  waveLatency,
 		})
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -216,7 +260,7 @@ func main() {
 		bulkDepth, prioDepth := srv.LaneDepths()
 		writeJSON(w, map[string]any{
 			"backend":            backend.Name,
-			"shards":             max(*shards, 1),
+			"shards":             shards,
 			"live_shards":        srv.Fleet().Live(),
 			"ratio":              srv.Ratio(),
 			"load":               srv.Load(),
@@ -247,42 +291,20 @@ func main() {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutCtx)
-	}()
-	log.Printf("sigserve: %s backend on %s (%d shard(s), period %v, queue %d, minratio %.2f)",
-		backend.Name, *addr, max(*shards, 1), *period, *queue, *minRatio)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "sigserve:", err)
-		os.Exit(1)
-	}
-	if err := srv.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "sigserve:", err)
-		os.Exit(1)
-	}
-	tot := srv.Totals()
-	log.Printf("sigserve: served %d (%d acc / %d deg / %d drop), rejected %d, %.4f J modeled",
-		tot.Completed, tot.Accurate, tot.Degraded, tot.Dropped, tot.Rejected, tot.Joules)
+	return mux
 }
 
 // requestSignificance resolves ?tier= (named) or ?sig= (numeric) to a
 // significance; ok is false when neither is present.
-func requestSignificance(r *http.Request) (sig float64, ok bool, err error) {
-	if tier := r.URL.Query().Get("tier"); tier != "" {
+func requestSignificance(query url.Values) (sig float64, ok bool, err error) {
+	if tier := query.Get("tier"); tier != "" {
 		s, found := tiers[tier]
 		if !found {
 			return 0, false, fmt.Errorf("unknown tier %q (want gold, silver, bronze or batch)", tier)
 		}
 		return s, true, nil
 	}
-	if raw := r.URL.Query().Get("sig"); raw != "" {
+	if raw := query.Get("sig"); raw != "" {
 		s, err := strconv.ParseFloat(raw, 64)
 		if err != nil || s < 0 || s > 1 {
 			return 0, false, fmt.Errorf("sig must be a number in [0,1], got %q", raw)
@@ -295,8 +317,8 @@ func requestSignificance(r *http.Request) (sig float64, ok bool, err error) {
 // requestDeadline resolves the request's deadline: ?deadline_ms=N wins,
 // otherwise the server-wide -deadline default applies; ok is false when
 // neither is set.
-func requestDeadline(r *http.Request, def time.Duration, now time.Time) (time.Time, bool, error) {
-	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
+func requestDeadline(query url.Values, def time.Duration, now time.Time) (time.Time, bool, error) {
+	if raw := query.Get("deadline_ms"); raw != "" {
 		ms, err := strconv.ParseFloat(raw, 64)
 		if err != nil || ms <= 0 {
 			return time.Time{}, false, fmt.Errorf("deadline_ms must be a positive number, got %q", raw)

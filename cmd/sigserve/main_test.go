@@ -1,0 +1,134 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/harness"
+	"repro/sig/serve"
+)
+
+// newFront builds a server and its HTTP front over the sobel backend. A
+// started server runs its own waves; an unstarted one only runs the waves the
+// test fires, so its queue fills.
+func newFront(t *testing.T, cfg serve.Config, start bool) (*serve.Server, http.Handler) {
+	t.Helper()
+	cfg.Workers = 1
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	h := newHandler(srv, harness.SobelServeBackend(0.05), 0)
+	if start {
+		srv.Start()
+	}
+	return srv, h
+}
+
+func get(h http.Handler, target string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	return rec
+}
+
+// TestWorkStatus walks /work's reply paths on a running server: what the
+// query may say, what it may not, and a deadline that has passed by the time
+// the request reaches admission.
+func TestWorkStatus(t *testing.T) {
+	_, h := newFront(t, serve.Config{}, true)
+	for _, tc := range []struct {
+		target string
+		status int
+		body   string // a substring of the reply
+	}{
+		{"/work", http.StatusOK, `"outcome": "accurate"`},
+		{"/work?tier=gold", http.StatusOK, `"significance": 1,`},
+		{"/work?tier=silver&deadline_ms=60000", http.StatusOK, `"significance": 0.7,`},
+		{"/work?sig=0.25", http.StatusOK, `"significance": 0.25,`},
+		{"/work?tier=platinum", http.StatusBadRequest, `unknown tier "platinum"`},
+		{"/work?sig=1.5", http.StatusBadRequest, "sig must be a number in [0,1]"},
+		{"/work?sig=high", http.StatusBadRequest, "sig must be a number in [0,1]"},
+		{"/work?deadline_ms=0", http.StatusBadRequest, "deadline_ms must be a positive number"},
+		{"/work?deadline_ms=soon", http.StatusBadRequest, "deadline_ms must be a positive number"},
+		// One nanosecond from arrival: gone before Submit reads the clock.
+		{"/work?tier=gold&deadline_ms=0.000001", http.StatusGatewayTimeout, "deadline expired before admission"},
+		{"/healthz", http.StatusOK, "ok"},
+	} {
+		rec := get(h, tc.target)
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.body) {
+			t.Errorf("GET %s: status %d, body %q; want %d and %q", tc.target, rec.Code, rec.Body.String(), tc.status, tc.body)
+		}
+	}
+}
+
+// TestWorkReplyBytes: the reply is encoded from a struct and must read as it
+// did when it was encoded from a map — keys sorted, two-space indent.
+func TestWorkReplyBytes(t *testing.T) {
+	_, h := newFront(t, serve.Config{}, true)
+	rec := get(h, "/work?tier=bronze")
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	var reply map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	var fromMap bytes.Buffer
+	enc := json.NewEncoder(&fromMap)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply) != 5 || !bytes.Equal(rec.Body.Bytes(), fromMap.Bytes()) {
+		t.Errorf("reply\n%s\nencoded from a map reads\n%s", rec.Body.Bytes(), fromMap.Bytes())
+	}
+}
+
+// TestWorkQueueFull: a request the admission queue has no slot for is refused
+// 503 with the server's drain estimate in Retry-After, and costs the queued
+// one nothing.
+func TestWorkQueueFull(t *testing.T) {
+	srv, h := newFront(t, serve.Config{QueueLimit: 1}, false)
+	first := make(chan *httptest.ResponseRecorder)
+	go func() { first <- get(h, "/work?tier=silver") }()
+	for srv.Depth() == 0 {
+		runtime.Gosched()
+	}
+	rec := get(h, "/work?tier=silver")
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "admission queue full") {
+		t.Errorf("second request: status %d, body %q; want 503 queue full", rec.Code, rec.Body.String())
+	}
+	if secs, err := strconv.Atoi(rec.Header().Get("Retry-After")); err != nil || secs < 1 {
+		t.Errorf("Retry-After %q, want whole seconds >= 1", rec.Header().Get("Retry-After"))
+	}
+	srv.RunWave()
+	if rec := <-first; rec.Code != http.StatusOK {
+		t.Errorf("queued request: status %d, body %q; want 200", rec.Code, rec.Body.String())
+	}
+	if tot := srv.Totals(); tot.Submitted != 2 || tot.Rejected != 1 || tot.Completed != 1 {
+		t.Errorf("totals %+v, want 2 submitted, 1 rejected, 1 completed", tot)
+	}
+}
+
+// TestWorkAfterClose: a closed server refuses 503, with no Retry-After —
+// there is nothing to wait for.
+func TestWorkAfterClose(t *testing.T) {
+	srv, h := newFront(t, serve.Config{}, true)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := get(h, "/work?tier=gold")
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "shutting down") {
+		t.Errorf("status %d, body %q; want 503 shutting down", rec.Code, rec.Body.String())
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Errorf("Retry-After %q on a closed server, want none", ra)
+	}
+}

@@ -98,14 +98,16 @@ func (r *ring) popN(dst []*Task) int {
 // segment is the dispatch lane of a taskwait flush. The flushed window is
 // already in memory and already counted in its group's pending, so bounding
 // it bounds nothing: instead of copying it through the rings under
-// backpressure, the flusher publishes the slice once and the workers claim
-// chunks of it by counting remaining down. A claim is a compare-and-swap of
+// backpressure, the flusher publishes the slice once and the workers — and
+// the flusher itself, while it waits (help) — claim chunks of it by counting
+// remaining down. A claim is a compare-and-swap of
 // remaining from r to r-k, and the chunk it grants — the k tasks that end r
 // from the end of tasks — is computed from r alone; tasks is read only after
 // the swap succeeded. A worker that loaded r, stalled across any number of
 // flushes and then swaps successfully therefore holds a valid claim on
 // whatever segment is current, and one whose swap fails has read nothing: no
-// generation tag is needed, and a stale claim is impossible.
+// generation tag is needed, and a stale claim is impossible. Every task in a
+// segment is decided: a claimer need not be a worker.
 type segment struct {
 	// owned is held by one flush from acquire until the last claimed chunk
 	// has been copied out of tasks; a flush that finds it taken falls back
@@ -357,9 +359,10 @@ func (s *sched) publish(ts []*Task, scratch *[]*Task) {
 
 // claim moves the next chunk of the published segment into dst and returns
 // its size, 0 when nothing is published or everything is claimed. The chunk
-// is guided — remaining/(2·workers), at least 1 and at most len(dst) — so
+// is guided — remaining/(2·claimers), at least 1 and at most len(dst), the
+// claimers being the workers and the goroutine in the taskwait (help) — so
 // claims are ring-batch sized while the window is long and shrink toward
-// its end: the workers finish a short wave of uneven bodies together
+// its end: the claimers finish a short wave of uneven bodies together
 // instead of one of them holding the last full batch.
 //
 //siglint:poolput
@@ -371,7 +374,7 @@ func (rt *Runtime) claim(dst []*Task) int {
 		if rem == 0 {
 			return 0
 		}
-		k := rem / int64(2*rt.workers)
+		k := rem / int64(2*(rt.workers+1))
 		if k < 1 {
 			k = 1
 		} else if k > int64(len(dst)) {

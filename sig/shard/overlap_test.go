@@ -85,8 +85,10 @@ func TestRouterShardsOverlap(t *testing.T) {
 			t.Fatalf("wave behind a wedged sibling decided %d tasks and ran %d bodies on the healthy shard, want %d",
 				first.Decided(), ran[1].Load(), perShard)
 		}
-		if in.Wedged() != 1 || ran[0].Load() != 0 {
-			t.Fatalf("shard 0: %d wedged, %d bodies ran; want its one worker held on the first task", in.Wedged(), ran[0].Load())
+		// The goroutine cutting shard 0's wave claims from the window too
+		// (sig's taskwait helps), so it may be held on a task of its own.
+		if w := in.Wedged(); w < 1 || w > 2 || ran[0].Load() != 0 {
+			t.Fatalf("shard 0: %d wedged, %d bodies ran; want its one worker, and at most the goroutine cutting its wave, held on a first task", w, ran[0].Load())
 		}
 		if r.Strikes(0) != 1 || r.Strikes(1) != 0 {
 			t.Errorf("strikes %d/%d after one missed cut on shard 0, want 1/0", r.Strikes(0), r.Strikes(1))

@@ -18,9 +18,10 @@
 // or in a batch, is carved from a recycled slab (see pool.go), the submit path
 // takes no runtime-wide lock and writes only cache lines the submitter owns,
 // streamed tasks go through per-worker bounded queues with work stealing, and
-// a taskwait's flushed window is published once and claimed by the workers in
-// chunks (see queue.go). Policies that need no serialization declare it via
-// LocklessSubmitter and bypass the per-group lock entirely.
+// a taskwait's flushed window is published once and claimed in chunks by the
+// workers and by the goroutine waiting on it (see queue.go and help). Policies
+// that need no serialization declare it via LocklessSubmitter and bypass the
+// per-group lock entirely.
 //
 // The package is replay-deterministic (same submissions, same decisions,
 // same modeled energy at any worker count) and siglint enforces the
@@ -40,7 +41,9 @@ import (
 
 // Config parameterizes a Runtime.
 type Config struct {
-	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
+	// Workers is the number of worker goroutines; 0 means GOMAXPROCS. A
+	// goroutine in Wait runs tasks too, so even one worker does not make
+	// bodies mutually exclusive.
 	Workers int
 	// Policy selects the accuracy policy used by every task group.
 	Policy PolicyKind
@@ -163,8 +166,9 @@ func (g *Group) Ratio() float64 { return math.Float64frombits(g.ratio.Load()) }
 
 func (g *Group) setRatio(r float64) { g.ratio.Store(math.Float64bits(clamp01(r))) }
 
-// clock is one worker's busy-time account, padded to its own cache line so
-// per-task accounting never false-shares between workers.
+// clock is one busy-time account — one per worker, and one more that the
+// goroutines helping from a taskwait share (see help) — padded to its own
+// cache line so per-task accounting never false-shares.
 type clock struct {
 	busyNS atomic.Int64
 	_      [56]byte
@@ -228,7 +232,7 @@ func New(cfg Config) (*Runtime, error) {
 		sched:   newSched(workers, queueCap),
 		groups:  make(map[string]*Group),
 		start:   time.Now(), //siglint:wallclock wall anchor for the idle split of Energy reports; never feeds a decision
-		clocks:  make([]clock, workers),
+		clocks:  make([]clock, workers+1),
 	}
 	rt.pools.init()
 	rt.wg.Add(workers)
@@ -784,16 +788,32 @@ func (rt *Runtime) flush(g *Group, viaSegment bool) {
 		g.pending.Add(int64(len(ready)))
 	}
 	g.mu.Unlock()
-	switch {
-	case viaSegment && len(ready) > 0:
-		rt.sched.publish(ready, scratch)
-		return
-	case viaSegment:
+	if viaSegment {
+		// The segment carries decided tasks only: whoever waits claims from
+		// it too (help), and a policy's WorkerDecide is called by workers
+		// alone. The built-in policies decide everything they flush.
+		undecided := rt.cfg.NewPolicy != nil && anyAtWorker(ready)
+		if len(ready) > 0 && !undecided {
+			rt.sched.publish(ready, scratch)
+			return
+		}
 		rt.sched.releaseSegment()
-	case len(ready) > 0:
+	}
+	if len(ready) > 0 {
 		rt.dispatchBatch(ready)
 	}
 	rt.pools.putDispatch(scratch)
+}
+
+// anyAtWorker reports whether a flushed window still holds a task its policy
+// left to the worker that runs it.
+func anyAtWorker(ts []*Task) bool {
+	for _, t := range ts {
+		if t.Decision == DecideAtWorker {
+			return true
+		}
+	}
+	return false
 }
 
 // Flush is the non-blocking first half of a taskwait: it decides the group's
@@ -812,17 +832,51 @@ func (rt *Runtime) Flush(g *Group) {
 	}
 }
 
-// drain flushes the group's policy buffer and blocks until every task of
-// the group has completed (or been dropped).
+// drain flushes the group's policy buffer, works through what is published
+// alongside the workers and blocks until every task of the group has
+// completed (or been dropped).
 func (rt *Runtime) drain(g *Group) {
 	rt.flush(g, rt.sched.acquireSegment())
+	rt.help()
 	g.waitIdle()
+}
+
+// help makes the taskwait a task scheduling point, as OpenMP's is: instead of
+// parking while the workers run the window it just flushed — and paying a
+// thread wake, which costs more than a short wave, to learn they are done —
+// the waiting goroutine claims chunks of the segment like a worker until
+// nothing is left to claim, so waitIdle usually finds the group idle. It
+// takes from the segment only: everything there is decided, so no policy sees
+// a worker id outside [0, Workers()), and the rings stay the workers'. The
+// bodies it runs charge the busy-clock slot past the workers'.
+//
+// A body that panics here (without RecoverPanics, which absorbs it in
+// runBody) must kill the process as it would on a worker, not unwind into a
+// caller that may recover around Wait and be left with a half-run chunk whose
+// pending count never reaches zero: the panic is re-raised on a goroutine
+// nobody can recover on, and this one parks in waitIdle until it lands.
+func (rt *Runtime) help() {
+	defer func() {
+		if p := recover(); p != nil {
+			go panic(p)
+		}
+	}()
+	var batch [popBatchSize]*Task
+	for {
+		n := rt.claim(batch[:])
+		if n == 0 {
+			return
+		}
+		rt.runChunk(rt.workers, batch[:n])
+	}
 }
 
 // Wait is the taskwait of the model: it flushes the group's policy buffer,
 // blocks until every task of the group has completed (or been dropped) and
 // returns the accuracy ratio the run actually provided (cumulatively; see
-// WaitPhase for the wave-local view).
+// WaitPhase for the wave-local view). It is a task scheduling point: until
+// the flushed window is claimed the calling goroutine runs tasks of it
+// alongside the workers.
 func (rt *Runtime) Wait(g *Group) float64 {
 	if g == nil {
 		g = rt.defaultGroup()
@@ -876,7 +930,7 @@ func (rt *Runtime) Energy() Report {
 	return rt.report(time.Since(rt.start)) //siglint:wallclock wall/idle split of a live Energy snapshot; not replay state
 }
 
-// busyNS sums the workers' busy clocks.
+// busyNS sums the busy clocks: the workers' and the taskwait helpers'.
 func (rt *Runtime) busyNS() int64 {
 	var busy int64
 	for i := range rt.clocks {

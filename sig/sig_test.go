@@ -2,6 +2,7 @@ package sig
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -329,16 +330,16 @@ func TestDefaultGroupKeepsConfiguredRatio(t *testing.T) {
 	rt := newRT(t, Config{Policy: PolicyGTBMaxBuffer})
 	defer rt.Close()
 	rt.Group("", 0.5)
-	n := 0
+	var n atomic.Int64 // the worker and the taskwait both run bodies
 	for i := 0; i < 10; i++ {
-		rt.Submit(func() { n++ }, WithSignificance(float64(i%9+1)/10), WithApprox(func() {}))
+		rt.Submit(func() { n.Add(1) }, WithSignificance(float64(i%9+1)/10), WithApprox(func() {}))
 	}
 	provided := rt.Wait(nil)
 	if math.Abs(provided-0.5) > 1e-9 {
 		t.Errorf("default-group ratio 0.5 not honored: provided %.2f", provided)
 	}
-	if n != 5 {
-		t.Errorf("expected 5 accurate executions, got %d", n)
+	if n.Load() != 5 {
+		t.Errorf("expected 5 accurate executions, got %d", n.Load())
 	}
 }
 
