@@ -27,11 +27,13 @@ lint: vet
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
 
-# The second line repeats the ring, backpressure and helping-taskwait tests:
-# their failures are interleavings, and one pass sees few of them.
+# The lines after the first repeat the ring, backpressure and
+# helping-taskwait tests, and the serving pump's wake-token, early-wave and
+# pacer tests: their failures are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps' ./sig
+	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence' ./sig/serve
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against
@@ -41,7 +43,7 @@ goldens:
 	$(GO) test ./internal/harness -run TestStudyGoldens -update
 
 bench:
-	$(GO) test ./sig ./sig/shard -run xxx -bench . -benchtime 1s
+	$(GO) test ./sig ./sig/shard ./sig/serve -run xxx -bench . -benchtime 1s
 
 # The repository's performance benchmark (BENCHMARK.json, benchmark/README.md):
 # four workloads end to end, ~2 min. `perf-quick` is its 1 s smoke with every

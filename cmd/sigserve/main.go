@@ -233,9 +233,11 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 		select {
 		case <-tk.Done():
 		case <-r.Context().Done():
-			// The wave still completes the work; only the caller left. The
-			// ticket is not Released here: Release is only legal after Done,
-			// so this one is left to the garbage collector.
+			// The wave still completes the work; only the caller left. This
+			// is the caller's last use of the ticket, so it is Released: the
+			// server's own reference keeps it out of the pool until the wave
+			// resolves it.
+			tk.Release()
 			http.Error(w, "client gave up", http.StatusRequestTimeout)
 			return
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -130,5 +131,40 @@ func TestWorkAfterClose(t *testing.T) {
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "" {
 		t.Errorf("Retry-After %q on a closed server, want none", ra)
+	}
+}
+
+// TestWorkClientGone: a client that disconnects while its request is queued
+// is answered 408 and its ticket released on the spot — before Done, which is
+// the caller's right. The request stays the server's: the next wave serves it
+// like any other and only then is the ticket recycled.
+func TestWorkClientGone(t *testing.T) {
+	srv, h := newFront(t, serve.Config{}, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // no wave runs until the test fires one: only the context can end the wait
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/work?tier=silver", nil).WithContext(ctx))
+	if rec.Code != http.StatusRequestTimeout || !strings.Contains(rec.Body.String(), "client gave up") {
+		t.Fatalf("status %d, body %q; want 408 client gave up", rec.Code, rec.Body.String())
+	}
+	if depth := srv.Depth(); depth != 1 {
+		t.Fatalf("depth %d after the client left, want its request still queued", depth)
+	}
+	if rep := srv.RunWave(); rep.Admitted != 1 || rep.Accurate != 1 {
+		t.Errorf("wave after the disconnect: %d admitted, %d accurate; want the abandoned request served", rep.Admitted, rep.Accurate)
+	}
+	if tot := srv.Totals(); tot.Submitted != 1 || tot.Completed != 1 || tot.Rejected != 0 {
+		t.Errorf("totals %+v, want 1 submitted and completed", tot)
+	}
+	// A request after it draws from the ticket pool the abandoned one went
+	// back to; it must resolve as its own.
+	reply := make(chan *httptest.ResponseRecorder)
+	go func() { reply <- get(h, "/work?tier=gold") }()
+	for srv.Depth() == 0 {
+		runtime.Gosched()
+	}
+	srv.RunWave()
+	if rec := <-reply; rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"significance": 1,`) {
+		t.Errorf("request after the disconnect: status %d, body %q; want 200 at significance 1", rec.Code, rec.Body.String())
 	}
 }

@@ -10,15 +10,15 @@ import (
 
 // The serving admission hot path. A steady-state request allocates nothing:
 // Ticket and pending objects are drawn from pools and refcounted back,
-// admitted requests coalesce into cost-class-keyed slabs of prebuilt
-// TaskSpecs (one slab draw per serveSlabSize same-shaped requests instead of
+// admitted requests are staged, in admission order, into one stream of slabs
+// of prebuilt TaskSpecs (one slab draw per serveSlabSize requests instead of
 // per-request spec construction), and every per-wave scratch slice —
-// admit's batch, the open-class list, the flushed-slab list — is reused
-// across waves. The slabs feed sig's SubmitBatch slab ingest, so the batch
-// fast path PR 2 built for the scheduler now runs end-to-end from Submit.
+// admit's batch, the submitted-slab list — is reused across waves. The slabs
+// feed sig's SubmitBatch slab ingest, so the batch fast path PR 2 built for
+// the scheduler now runs end-to-end from Submit.
 
-// serveSlabSize is how many requests one cost-class slab carries — matched
-// to sig's internal task slab size so one serve slab maps onto one task slab.
+// serveSlabSize is how many requests one slab carries — matched to sig's
+// internal task slab size so one serve slab maps onto one task slab.
 const serveSlabSize = 64
 
 // serveTraceCap bounds the admission controller's retained trace: a server
@@ -97,10 +97,12 @@ var closedChan = func() chan struct{} {
 // the server holds one reference until the request's wave resolves, the
 // caller holds the other. Calling Release returns the caller's reference so
 // the Ticket can be recycled; it is optional (an unreleased Ticket is
-// simply garbage collected) but must be the caller's last use — at most one
-// Release per Ticket, only after Done. Every accessor reads atomically, so
-// even a buggy late read on a recycled Ticket is race-free (it returns the
-// next request's values, not torn memory).
+// simply garbage collected) but must be the caller's last use of the
+// Ticket, at most once. It need not wait for Done: a caller that gives up
+// on a queued request releases at once, and the Ticket is recycled when the
+// server resolves it. Every accessor reads atomically, so even a buggy late
+// read on a recycled Ticket is race-free (it returns the next request's
+// values, not torn memory).
 type Ticket struct {
 	outcome   atomic.Int32
 	completed atomic.Bool
@@ -162,8 +164,10 @@ func (tk *Ticket) Latency() time.Duration {
 // Release returns the caller's reference to the Ticket pool. Optional — an
 // unreleased Ticket is garbage collected normally — but steady-state
 // callers that Release after reading their outcome make the admission path
-// allocation-free. Must be the last use: at most one Release per Ticket,
-// only after Done, and no accessor calls afterwards.
+// allocation-free. Must be the caller's last use of the Ticket, at most
+// once, with no accessor calls afterwards; before Done it abandons the
+// request to the server, whose own reference keeps the Ticket out of the
+// pool until the wave resolves it.
 func (tk *Ticket) Release() { tk.release() }
 
 // release drops one reference; the last one resets the Ticket and recycles
@@ -204,6 +208,8 @@ func (tk *Ticket) complete(wave, nowNs int64) {
 var (
 	ticketPool  sync.Pool // of *Ticket
 	pendingPool sync.Pool // of *pending
+	// slabPool recycles waveSlabs; a miss prebuilds one.
+	slabPool = sync.Pool{New: func() any { return newWaveSlab() }}
 )
 
 // getTicket draws a Ticket with both references (server + caller) live and
@@ -256,155 +262,101 @@ func putPending(p *pending) {
 	pendingPool.Put(p)
 }
 
-// classKey identifies a cost class: requests with identical declared costs
-// and the same degradability build identical TaskSpecs except for their
-// significance and bodies, so one slab of prebuilt specs serves them all.
-type classKey struct {
-	acc    float64
-	deg    float64
-	hasDeg bool
-}
-
 // slabSlot carries the per-request state a slab spec's prebuilt closures
-// read when they run: the bodies and the ticket to mark.
+// read when they run: the bodies and the ticket to mark. approx is the
+// slot's prebuilt degraded closure, which stage hands the spec for a
+// request that has a Degraded body and withholds from one that has not.
 type slabSlot struct {
-	fn  func()
-	deg func()
-	tk  *Ticket
+	fn     func()
+	deg    func()
+	tk     *Ticket
+	approx func()
 }
 
-// waveSlab is one cost class's submission unit: serveSlabSize slots and the
-// matching prebuilt TaskSpecs whose closures capture their slot by pointer.
-// Filling slot i costs two pointer stores, a ticket store and a
-// significance store — no closure or spec construction. Slabs are recycled
+// waveSlab is the submission unit: serveSlabSize slots and the matching
+// prebuilt TaskSpecs whose closures capture their slot by pointer. Filling
+// slot i costs two pointer stores, a ticket store and the spec's five
+// per-request fields — no closure or spec construction. Slabs are recycled
 // wave-synchronously: WaitPhase guarantees every task of the wave has
 // completed before recycleSlabs runs, so no completion counting is needed.
 type waveSlab struct {
-	cls   *classState
 	n     int
 	slots [serveSlabSize]slabSlot
 	specs [serveSlabSize]sig.TaskSpec
 }
 
-// classState is one cost class's slab supply: a pool of prebuilt slabs and
-// the partially filled one of the current wave.
-type classState struct {
-	key  classKey
-	pool sync.Pool // of *waveSlab
-	cur  *waveSlab
-	open bool // already on this wave's openClasses list
-}
-
-func newClassState(key classKey) *classState {
-	cs := &classState{key: key}
-	cs.pool.New = func() any { return newWaveSlab(cs) }
-	return cs
-}
-
-// newWaveSlab prebuilds a class's specs once: the closures and cost fields
-// are paid here, then amortized over every wave the slab serves.
-func newWaveSlab(cs *classState) *waveSlab {
-	sl := &waveSlab{cls: cs}
-	k := cs.key
+// newWaveSlab prebuilds both closures of every slot once: they are paid
+// here, then amortized over every wave the slab serves.
+func newWaveSlab() *waveSlab {
+	sl := &waveSlab{}
 	for i := range sl.slots {
 		slot := &sl.slots[i]
-		spec := &sl.specs[i]
-		spec.Fn = func() {
+		sl.specs[i].Fn = func() {
 			slot.fn()
 			slot.tk.outcome.Store(int32(OutcomeAccurate))
 		}
-		if k.hasDeg {
-			spec.Approx = func() {
-				slot.deg()
-				slot.tk.outcome.Store(int32(OutcomeDegraded))
-			}
+		slot.approx = func() {
+			slot.deg()
+			slot.tk.outcome.Store(int32(OutcomeDegraded))
 		}
-		spec.HasCost = k.acc > 0
-		spec.CostAccurate = k.acc
-		spec.CostApprox = k.deg
 	}
 	return sl
 }
 
-// coalesce routes one admitted request into its cost class's current slab,
-// submitting the slab to the fleet the moment it fills. Called from
-// RunWave under waveMu.
+// stage writes one admitted request into the next slot of the wave's open
+// slab, submitting the slab to the fleet the moment it fills. Requests of
+// any declared cost share the stream, so tasks reach the policy in admission
+// order. Called from runWave under waveMu.
 //
 //siglint:noalloc
-func (s *Server) coalesce(p *pending) {
-	key := classKey{acc: p.req.CostAccurate, deg: p.req.CostDegraded, hasDeg: p.req.Degraded != nil}
-	cs := s.classes[key]
-	if cs == nil {
-		if s.classes == nil {
-			s.classes = make(map[classKey]*classState) //siglint:allocok first request of the first wave; the map is retained for the server's lifetime
-		}
-		cs = newClassState(key) //siglint:allocok once per distinct cost class, not per request; classes are retained
-		s.classes[key] = cs
+func (s *Server) stage(p *pending) {
+	if s.cur == nil {
+		s.cur = slabPool.Get().(*waveSlab)
 	}
-	if cs.cur == nil {
-		cs.cur = cs.pool.Get().(*waveSlab)
-		if !cs.open {
-			cs.open = true
-			s.openClasses = append(s.openClasses, cs) //siglint:allocok amortized growth of the reused per-wave open-class list
-		}
+	sl := s.cur
+	slot, spec := &sl.slots[sl.n], &sl.specs[sl.n]
+	slot.fn, slot.deg, slot.tk = p.req.Handler, p.req.Degraded, p.tk
+	var approx func()
+	if p.req.Degraded != nil {
+		approx = slot.approx
 	}
-	sl := cs.cur
-	i := sl.n
-	sl.slots[i] = slabSlot{fn: p.req.Handler, deg: p.req.Degraded, tk: p.tk}
 	sv := p.req.Significance
 	if sv <= 0 {
 		sv = -1 // batch spelling of the special 0.0
 	}
-	sl.specs[i].Significance = sv
-	sl.n++
-	if sl.n == serveSlabSize {
-		s.submitSlab(sl)
-		cs.cur = nil
+	spec.Approx, spec.Significance = approx, sv
+	spec.HasCost = p.req.CostAccurate > 0
+	spec.CostAccurate = p.req.CostAccurate
+	spec.CostApprox = p.req.CostDegraded
+	if sl.n++; sl.n == serveSlabSize {
+		s.submitSlab()
 	}
 }
 
-// submitSlab hands a slab's filled specs to the fleet and lists the slab for
-// recycling after the wave.
+// submitSlab hands the open slab's filled specs to the fleet and lists the
+// slab for recycling after the wave.
 //
 //siglint:noalloc
-func (s *Server) submitSlab(sl *waveSlab) {
+func (s *Server) submitSlab() {
+	sl := s.cur
+	s.cur = nil
 	s.fleet.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig/shard, where siglint cannot follow; TestServeSubmitAllocs holds the path to 0 allocs
 	s.waveSlabs = append(s.waveSlabs, sl)       //siglint:allocok amortized growth of the reused per-wave slab list
 }
 
-// flushSlabs submits every class's partial slab, in class-first-seen order
-// (deterministic for a deterministic arrival order), and resets the
-// open-class list for the next wave.
-//
-//siglint:noalloc
-func (s *Server) flushSlabs() {
-	for i, cs := range s.openClasses {
-		if sl := cs.cur; sl != nil {
-			if sl.n > 0 {
-				s.submitSlab(sl)
-			} else {
-				cs.pool.Put(sl)
-			}
-			cs.cur = nil
-		}
-		cs.open = false
-		s.openClasses[i] = nil
-	}
-	s.openClasses = s.openClasses[:0]
-}
-
-// recycleSlabs returns the wave's submitted slabs to their class pools.
-// Callable only after WaitPhase: every task of the wave has completed, so
-// no prebuilt closure can still run against a cleared slot.
+// recycleSlabs returns the wave's submitted slabs to the pool. Callable
+// only after WaitPhase: every task of the wave has completed, so no
+// prebuilt closure can still run against a cleared slot.
 //
 //siglint:noalloc
 func (s *Server) recycleSlabs() {
 	for i, sl := range s.waveSlabs {
 		for j := 0; j < sl.n; j++ {
-			sl.slots[j] = slabSlot{} // drop body closures and ticket refs
+			slot := &sl.slots[j]
+			slot.fn, slot.deg, slot.tk = nil, nil, nil // drop body closures and ticket refs
 		}
 		sl.n = 0
-		sl.cls.pool.Put(sl)
+		slabPool.Put(sl)
 		s.waveSlabs[i] = nil
 	}
 	s.waveSlabs = s.waveSlabs[:0]

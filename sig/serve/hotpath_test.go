@@ -1,16 +1,21 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestServeSubmitAllocs is the zero-alloc gate of the serving admission
 // path: once the pools are warm, a full steady-state wave — benchWave
 // Submits, one RunWave, ticket reads and Releases — performs no heap
 // allocation at all, on any goroutine. It mirrors sig's TestSubmitAllocs
-// one layer up: the request path from Submit through slab-coalesced batch
-// ingest to ticket resolution.
+// one layer up: the request path from Submit through slab-staged batch
+// ingest to ticket resolution. The slab stream writes each request's costs
+// and degradability into its slot, so a wave that alternates three declared
+// cost classes, one of them drop-only, costs what a uniform one does.
 func TestServeSubmitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short race runs")
@@ -21,33 +26,45 @@ func TestServeSubmitAllocs(t *testing.T) {
 		// non-race job is the gate, the race job checks reuse safety.
 		t.Skip("sync.Pool poisons Puts under -race; zero-alloc not observable")
 	}
-	s := newBenchServer(t)
-	defer s.Close()
-	req := benchRequest()
-	tks := make([]*Ticket, 0, benchWave)
-	wave := func() {
-		for i := 0; i < benchWave; i++ {
-			tk, err := s.Submit(req)
-			if err != nil {
-				t.Fatal(err)
+	uniform := []Request{benchRequest()}
+	mixed := []Request{benchRequest(), benchRequest(), benchRequest()}
+	mixed[1].CostAccurate, mixed[1].CostDegraded = costAcc/2, costDeg/2
+	mixed[2].CostAccurate, mixed[2].Degraded = 2*costAcc, nil // drop-only
+	for _, tc := range []struct {
+		name string
+		reqs []Request
+	}{{"one class", uniform}, {"three classes alternating", mixed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newBenchServer(t)
+			defer s.Close()
+			tks := make([]*Ticket, 0, benchWave)
+			wave := func() {
+				for i := 0; i < benchWave; i++ {
+					tk, err := s.Submit(tc.reqs[i%len(tc.reqs)])
+					if err != nil {
+						t.Fatal(err)
+					}
+					tks = append(tks, tk)
+				}
+				for s.Depth() > 0 { // the mixed wave outgrows one budget
+					s.RunWave()
+				}
+				for _, tk := range tks {
+					_ = tk.Outcome()
+					_ = tk.WaveLatency()
+				}
+				tks = recycleTickets(tks)
 			}
-			tks = append(tks, tk)
-		}
-		s.RunWave()
-		for _, tk := range tks {
-			_ = tk.Outcome()
-			_ = tk.WaveLatency()
-		}
-		tks = recycleTickets(tks)
-	}
-	// Warm every pool and reusable buffer: ticket/pending pools, the
-	// wave's slab, admit's batch buffer, the queue's backing array.
-	for i := 0; i < 8; i++ {
-		wave()
-	}
-	avg := testing.AllocsPerRun(100, wave)
-	if avg > 0.5 {
-		t.Errorf("%.2f allocs per steady-state wave of %d requests, want 0", avg, benchWave)
+			// Warm every pool and reusable buffer: ticket/pending pools, the
+			// wave's slab, admit's batch buffer, the queue's backing array.
+			for i := 0; i < 8; i++ {
+				wave()
+			}
+			avg := testing.AllocsPerRun(100, wave)
+			if avg > 0.5 {
+				t.Errorf("%.2f allocs per steady-state wave of %d requests, want 0", avg, benchWave)
+			}
+		})
 	}
 }
 
@@ -143,5 +160,166 @@ func TestTicketReleaseOptional(t *testing.T) {
 		default:
 			t.Errorf("request %d: Done not closed", i)
 		}
+	}
+}
+
+// TestTicketReleaseBeforeDone: Release is the caller's last use of a ticket,
+// not something that must wait for Done — a caller that gives up on a queued
+// request (the HTTP front's client disconnect) releases at once. The server's
+// own reference keeps the ticket out of the pool until the wave resolves it;
+// only then is it reset and recycled, and whoever draws a ticket next starts
+// from clean state. The wave runs on its own goroutine so that -race orders
+// the caller's early Release against the server's resolution.
+func TestTicketReleaseBeforeDone(t *testing.T) {
+	s := newBenchServer(t)
+	defer s.Close()
+	tk, err := s.Submit(benchRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := tk.Done() // a waiter's channel, taken before the ticket is given up
+	tk.Release()
+	if refs := tk.refs.Load(); refs != 1 {
+		t.Fatalf("%d references after the caller's early Release, want the server's one", refs)
+	}
+	select {
+	case <-done:
+		t.Fatal("ticket resolved before its wave ran")
+	default:
+	}
+	if other := getTicket(0); other == tk {
+		t.Fatal("ticket recycled while the server still held it")
+	} else {
+		discardTicket(other)
+	}
+
+	waved := make(chan struct{})
+	go func() {
+		defer close(waved)
+		s.RunWave()
+	}()
+	<-done  // the server resolved it: complete closed the waiter's channel
+	<-waved // and finish dropped the last reference
+	if tot := s.Totals(); tot.Completed != 1 || tot.Accurate+tot.Degraded != 1 {
+		t.Fatalf("totals %+v, want the abandoned request served like any other", tot)
+	}
+	tk.mu.Lock()
+	lazy := tk.done
+	tk.mu.Unlock()
+	if tk.refs.Load() != 0 || tk.completed.Load() || tk.doneWave.Load() != 0 || tk.finishedNs.Load() != 0 || lazy != nil {
+		t.Fatalf("ticket not reset at its last release: refs=%d completed=%v doneWave=%d finishedNs=%d done=%v",
+			tk.refs.Load(), tk.completed.Load(), tk.doneWave.Load(), tk.finishedNs.Load(), lazy)
+	}
+	next := getTicket(7) // the same object, unless the pool dropped it (-race does, on purpose)
+	defer discardTicket(next)
+	if next.refs.Load() != 2 || next.completed.Load() || Outcome(next.outcome.Load()) != OutcomeDropped || next.enqueuedNs.Load() != 7 {
+		t.Fatalf("next ticket drawn dirty: refs=%d completed=%v outcome=%v enqueuedNs=%d",
+			next.refs.Load(), next.completed.Load(), Outcome(next.outcome.Load()), next.enqueuedNs.Load())
+	}
+	select {
+	case <-next.Done():
+		t.Fatal("next ticket's Done already closed")
+	default:
+	}
+}
+
+// TestServeMixedClassWave is the contract of the single slab stream: one
+// wave mixing three declared cost classes, degradable and drop-only requests,
+// at tied significances and across a slab boundary, at one shard and at four.
+// Every ticket resolves once with the body its outcome names, Totals
+// conserve, the modeled joules are exactly ActiveWatts × the declared cost of
+// what ran, and among equal significances the earlier arrival is the one
+// served accurately — GTB breaks ties by submission sequence, and requests
+// reach it in admission order whatever their costs. (Round-robin placement
+// sends arrival i to shard i mod N, so at four shards the order that counts
+// is the arrival order within each shard.)
+func TestServeMixedClassWave(t *testing.T) {
+	classes := [3]costSums{{30_000, 4_000}, {50_000, 10_000}, {80_000, 20_000}}
+	const n = serveSlabSize + serveSlabSize/2 // one full slab and a partial one
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := New(Config{Workers: 1, Shards: shards, QueueLimit: n, WaveBudget: 1e9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var ranAcc, ranDeg [n]atomic.Int32
+			reqs := make([]Request, n)
+			tks := make([]*Ticket, n)
+			for i := range reqs {
+				c := classes[i%3]
+				reqs[i] = Request{
+					Significance: 0.5,
+					Handler:      func() { ranAcc[i].Add(1) },
+					Degraded:     func() { ranDeg[i].Add(1) },
+					CostAccurate: c.acc,
+					CostDegraded: c.deg, // declared on the drop-only ones too: must not be charged
+				}
+				if (i/4)%4 == 0 {
+					reqs[i].Significance = 0.8
+				}
+				if i%5 == 4 {
+					reqs[i].Degraded = nil
+				}
+				if tks[i], err = s.Submit(reqs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.grp.SetRatio(0.5) // the cut falls inside the 0.5 level: ties decide it
+			rep := s.RunWave()
+			if rep.Admitted != n || rep.Accurate == 0 || rep.Degraded == 0 || rep.Dropped == 0 {
+				t.Fatalf("wave %+v: want all %d admitted and every outcome present", rep, n)
+			}
+
+			var ran time.Duration
+			var count [3]int
+			shed := make(map[[2]float64]int) // (shard, significance) → first arrival not served accurately
+			for i, tk := range tks {
+				select {
+				case <-tk.Done():
+				default:
+					t.Fatalf("request %d unresolved after its wave", i)
+				}
+				o := tk.Outcome()
+				wantAcc, wantDeg := int32(0), int32(0)
+				switch o {
+				case OutcomeAccurate:
+					wantAcc, ran = 1, ran+time.Duration(reqs[i].CostAccurate)
+				case OutcomeDegraded:
+					wantDeg, ran = 1, ran+time.Duration(reqs[i].CostDegraded)
+					if reqs[i].Degraded == nil {
+						t.Errorf("drop-only request %d served degraded", i)
+					}
+				case OutcomeDropped:
+					if reqs[i].Degraded != nil {
+						t.Errorf("degradable request %d dropped", i)
+					}
+				default:
+					t.Fatalf("request %d resolved %v", i, o)
+				}
+				count[o]++
+				if a, d := ranAcc[i].Load(), ranDeg[i].Load(); a != wantAcc || d != wantDeg {
+					t.Errorf("request %d resolved %v but its bodies ran %d/%d times", i, o, a, d)
+				}
+				group := [2]float64{float64(i % shards), reqs[i].Significance}
+				if first, seen := shed[group]; o != OutcomeAccurate && !seen {
+					shed[group] = i
+				} else if o == OutcomeAccurate && seen {
+					t.Errorf("shard %d, significance %.1f: request %d served accurately after the earlier %d was shed",
+						i%shards, reqs[i].Significance, i, first)
+				}
+			}
+			if count != [3]int{rep.Accurate, rep.Degraded, rep.Dropped} {
+				t.Errorf("ticket outcomes %v disagree with the report %d/%d/%d", count, rep.Accurate, rep.Degraded, rep.Dropped)
+			}
+			tot := s.Totals()
+			if tot.Submitted != n || tot.Completed != n || tot.Rejected != 0 ||
+				tot.Accurate != int64(count[0]) || tot.Degraded != int64(count[1]) || tot.Dropped != int64(count[2]) {
+				t.Errorf("totals %+v do not conserve %d requests served %v", tot, n, count)
+			}
+			if want := s.Energy().ActiveWatts * ran.Seconds(); rep.Joules != want || tot.Joules != want {
+				t.Errorf("modeled %v J (totals %v J), want exactly %v J = ActiveWatts × %v of declared cost run", rep.Joules, tot.Joules, want, ran)
+			}
+		})
 	}
 }

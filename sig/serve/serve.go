@@ -18,11 +18,13 @@
 // Time enters the package through one seam, the WaveClock: deadlines,
 // latency stamps and the per-wave wall-time measurement all read it. Each
 // wave's measured wall time feeds a bounded EWMA (MeasuredPeriod) that
-// prices the RetryAfter backoff hint honestly and, under Start's pacer,
+// prices the RetryAfter backoff hint honestly and, under Start's pump,
 // retimes the wave cadence within [MinPeriod, MaxPeriod] and re-derives
 // the wave budget from measured period × live workers — the closed
 // measured-feedback loop, as opposed to trusting the configured WavePeriod
-// open-loop.
+// open-loop. When a wave fires and what interval it is priced on is decided
+// in one place, the pacer (pacer.go); the wave budget has one rule,
+// rebudget: per-shard price × live shards, once per wave.
 //
 // With declared costs, a deterministic policy (the default GTB max
 // buffering), a deterministic arrival order and a FakeClock behind the
@@ -71,18 +73,6 @@ const (
 
 // groupName names the serving task group on the fleet and in the controller.
 const groupName = "serve"
-
-// Pacer tuning. The measured-period EWMA folds 1/periodAlphaInv of every
-// new wall-time sample in (bounded memory, geometric horizon); the pacer
-// only retimes when the clamped EWMA has moved more than
-// 1/paceHysteresisInv off the current cadence; MinPeriod and MaxPeriod
-// default to WavePeriod/minPeriodDiv and maxPeriodMult×WavePeriod.
-const (
-	periodAlphaInv    = 4
-	paceHysteresisInv = 10
-	minPeriodDiv      = 4
-	maxPeriodMult     = 8
-)
 
 // Request is one unit of service traffic.
 type Request struct {
@@ -279,7 +269,7 @@ func (c Config) withDefaults(workersPerShard int) Config {
 	if c.WaveBudget <= 0 {
 		// The one default-budget derivation: per-shard workers × period,
 		// scaled by the shard count — the same per-shard arithmetic the
-		// per-wave rebuild uses (budgetPerShard × live shards).
+		// per-wave rebuild uses (rebudget: per-shard price × live shards).
 		c.WaveBudget = float64(workersPerShard) * float64(c.WavePeriod.Nanoseconds()) * float64(max(c.Shards, 1))
 	}
 	if c.TargetLoad <= 0 {
@@ -403,37 +393,17 @@ type Server struct {
 	// engine, whatever the shard count; the controller observes the router's
 	// merged waves through OnWave. scaler, when configured, elasticizes the
 	// fleet. budgetPerShard is the per-live-shard share of the configured
-	// WaveBudget the wave budget is rebuilt from at every wave boundary.
+	// WaveBudget: the price RunWave hands rebudget at every wave boundary.
 	fleet          *shard.Router
 	grp            *shard.Group
 	scaler         *shard.Autoscaler
 	budgetPerShard float64
 
-	// clock is the WaveClock seam (Config.Clock, or the wall clock);
-	// workersPerShard is the resolved per-shard worker pool that every
-	// budget derivation — the default, the fleet rebuild, the pacer's
-	// measured rebuild — shares.
-	clock           WaveClock
-	workersPerShard int
-
-	// measuredNs is the bounded EWMA of measured wave wall time behind
-	// MeasuredPeriod (0 until the first wave measures); paceNs is the
-	// pacer's current cadence; overruns counts paced waves that outran
-	// their cadence.
-	measuredNs atomic.Int64
-	paceNs     atomic.Int64
-	overruns   atomic.Int64
-
-	// wake is the 1-slot channel on which a Submit into an idle,
-	// non-shedding server tells Start's pump to fire its wave now; earlyWaves
-	// counts the waves fired that way. early marks the wave in flight as one
-	// of them and lastEnd is the previous wave's end — together what measure
-	// needs to price a wave that covers less than a period (both guarded by
-	// waveMu).
-	wake       chan struct{}
-	earlyWaves atomic.Int64
-	early      bool
-	lastEnd    time.Time
+	// clock is the WaveClock seam (Config.Clock, or the wall clock). pace
+	// is the pacer: every piece of state that decides when a wave fires and
+	// what interval it is priced on lives there, none here.
+	clock WaveClock
+	pace  pacer
 
 	// waveMu serializes RunWave with itself and with Close's final drain,
 	// so shutdown can never tear the fleet down under an in-flight wave
@@ -445,18 +415,16 @@ type Server struct {
 	lanes     [laneCount]lane // the admission lanes (q and cost guarded by mu)
 	arrCost   costSums        // declared costs of arrivals since the last wave (all lanes)
 	deadlined int             // queued requests (all lanes) carrying a deadline
-	budget    float64         // current wave budget (WaveBudget, rescaled to the live fleet)
+	budget    float64         // current wave budget; New sets it, rebudget is its only other writer
 	closed    bool
 	lastLoad  float64
 
 	// Per-wave hot-path state, touched only under waveMu (see hotpath.go):
-	// admit's reused batch buffer, the cost-class slab registry, the classes
-	// with a partially filled slab this wave, and the wave's submitted slabs
-	// awaiting recycle.
+	// admit's reused batch buffer, the slab the wave is filling, and the
+	// wave's submitted slabs awaiting recycle.
 	wavePending []*pending
 	waveExpired []*pending // deadline-expired requests skimmed by admit
-	classes     map[classKey]*classState
-	openClasses []*classState
+	cur         *waveSlab
 	waveSlabs   []*waveSlab
 
 	// closeDone is closed (after closeErr is set) once the winning Close
@@ -532,13 +500,12 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	s := &Server{cfg: cfg, closeDone: make(chan struct{}), wake: make(chan struct{}, 1)}
-	s.workersPerShard = workers
+	s := &Server{cfg: cfg, closeDone: make(chan struct{})}
 	s.clock = cfg.Clock
 	if s.clock == nil {
 		s.clock = wallClock{}
 	}
-	s.paceNs.Store(int64(cfg.WavePeriod))
+	s.pace.init(&cfg, workers)
 	s.budget = cfg.WaveBudget
 	s.budgetPerShard = cfg.WaveBudget / float64(shards)
 	s.lanes[laneBulk].limit = cfg.QueueLimit
@@ -642,8 +609,8 @@ func (s *Server) Load() float64 {
 	return s.lastLoad
 }
 
-// Budget returns the current modeled per-wave capacity — WaveBudget
-// rescaled to the live shard count.
+// Budget returns the current modeled per-wave capacity: the per-shard
+// price of the last wave (see rebudget) × the live shard count.
 func (s *Server) Budget() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -662,8 +629,8 @@ func (s *Server) Totals() Totals {
 		TimedOut:   s.tot.timedout.Load(),
 		Priority:   s.tot.priority.Load(),
 		Waves:      s.wave.Load(),
-		Overruns:   s.overruns.Load(),
-		EarlyWaves: s.earlyWaves.Load(),
+		Overruns:   s.pace.overruns.Load(),
+		EarlyWaves: s.pace.earlyWaves.Load(),
 		Joules:     math.Float64frombits(s.tot.joules.Load()),
 	}
 }
@@ -672,7 +639,7 @@ func (s *Server) Totals() Totals {
 // server's honest estimate of what one wave actually costs in real time —
 // or the configured WavePeriod before the first wave has measured.
 func (s *Server) MeasuredPeriod() time.Duration {
-	if m := s.measuredNs.Load(); m > 0 {
+	if m := s.pace.measuredNs.Load(); m > 0 {
 		return time.Duration(m)
 	}
 	return s.cfg.WavePeriod
@@ -681,45 +648,7 @@ func (s *Server) MeasuredPeriod() time.Duration {
 // PacePeriod returns the pacer's current cadence: the configured
 // WavePeriod until PaceWave (or Start's pump) retimes it toward the
 // measured EWMA within [MinPeriod, MaxPeriod].
-func (s *Server) PacePeriod() time.Duration { return time.Duration(s.paceNs.Load()) }
-
-// effectivePeriod is the honest wall-time price of one wave: the measured
-// EWMA, floored at the pacer's current cadence (the configured WavePeriod
-// until the pacer retimes) — a queued request can't be reached faster than
-// waves fire, and an overrunning wave takes as long as it measures.
-//
-//siglint:noalloc
-func (s *Server) effectivePeriod() time.Duration {
-	p := s.paceNs.Load()
-	if m := s.measuredNs.Load(); m > p {
-		p = m
-	}
-	return time.Duration(p)
-}
-
-// observePeriod folds one measured wave wall time into the EWMA behind
-// MeasuredPeriod (α = 1/periodAlphaInv: bounded memory, geometric
-// horizon). Samples are floored at 1ns so a measured wave is never
-// mistaken for the zero "no measurement yet" sentinel.
-func (s *Server) observePeriod(wall time.Duration) {
-	w := int64(wall)
-	if w < 1 {
-		w = 1
-	}
-	for {
-		old := s.measuredNs.Load()
-		next := w
-		if old != 0 {
-			next = old + (w-old)/periodAlphaInv
-		}
-		if next < 1 {
-			next = 1
-		}
-		if s.measuredNs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
 // Fleet returns the shard router that executes the server's waves (never
 // nil; one shard unless Config.Shards asked for more), for fleet-health
@@ -813,12 +742,12 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		if budget > 0 {
 			waves = math.Max(1, math.Ceil(backlog.at(s.Ratio())/budget))
 		}
-		// Price the hint in measured-period units (effectivePeriod: the
-		// wall-time EWMA, floored at the cadence — the configured WavePeriod
-		// before the first measurement). Pricing waves at the configured
-		// period under an overrunning wave sent clients back into a
-		// still-full queue.
-		return nil, &OverloadError{RetryAfter: time.Duration(waves) * s.effectivePeriod()} //siglint:allocok shed-request path: the structured retry hint costs one error object
+		// Price the hint in measured-period units (the pacer's effective
+		// period: the wall-time EWMA, floored at the cadence — the configured
+		// WavePeriod before the first measurement). Pricing waves at the
+		// configured period under an overrunning wave sent clients back into
+		// a still-full queue.
+		return nil, &OverloadError{RetryAfter: time.Duration(waves) * s.pace.effective()} //siglint:allocok shed-request path: the structured retry hint costs one error object
 	}
 	tk.enqWave.Store(s.wave.Load())
 	c := reqCosts(&req)
@@ -830,16 +759,8 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	idle := s.depthLocked() == 0
 	l.q = append(l.q, p) //siglint:allocok amortized growth of the retained lane backlog
 	s.mu.Unlock()
-	// The cadence is a batching window, and batching only buys a better
-	// significance ranking. At ratio 1.0 nothing is shed, so there is nothing
-	// to rank: the arrival that ends an idle spell wakes the pump instead of
-	// waiting the cadence out. The send never blocks — a token already
-	// pending (or no pump at all) means the slot is simply left as it is.
-	if idle && s.Ratio() >= 1 {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+	if idle {
+		s.pace.idleArrival(s.Ratio())
 	}
 	return tk, nil
 }
@@ -916,28 +837,19 @@ func (s *Server) finish(p *pending, wave, nowNs int64) {
 // monotone increasing in the ratio, which is what lets the secant law of
 // adapt.TargetLoad converge in a handful of waves.
 func (s *Server) measure(ws sig.WaveStats) float64 {
+	carry := s.pace.carry(s.clock) // before s.mu: the clock is caller-supplied code
+	r := ws.RequestedRatio
 	s.mu.Lock()
 	// Every lane drains from the same capacity.
-	arr, backlog, budget := s.arrCost, s.backlogLocked(laneBulk), s.budget
+	load := (s.arrCost.at(r) + DefaultDrainGain*s.backlogLocked(laneBulk).at(r)) / s.budget
 	s.arrCost = costSums{} // next wave accounts fresh arrivals only
-	s.mu.Unlock()
-	r := ws.RequestedRatio
-	load := (arr.at(r) + DefaultDrainGain*backlog.at(r)) / budget
 	if s.cfg.EnergyBudget > 0 {
 		load = math.Max(load, ws.Joules/s.cfg.EnergyBudget)
 	}
-	s.mu.Lock()
-	if s.early {
-		// An early wave covers less than the period the budget prices: its
-		// own sample is demand ÷ (workers × the interval since the last wave
-		// ended — never less than its wall so far, since waves serialize), and
-		// it speaks for only that share of the one-period horizon every
-		// cadence sample spans. The rest of the horizon keeps the previous
-		// reading, so the signal still means "demand over capacity across a
-		// period" and a burst of back-to-back waves cannot read as overload.
-		if share := float64(s.clock.Now().Sub(s.lastEnd)) / float64(s.effectivePeriod()); share < 1 {
-			load += (1 - share) * s.lastLoad
-		}
+	if carry > 0 {
+		// An early wave speaks for a share of the period; the rest keeps
+		// the previous reading (see pacer.carry).
+		load += carry * s.lastLoad
 	}
 	s.lastLoad = load
 	s.mu.Unlock()
@@ -1009,41 +921,54 @@ func (s *Server) popLaneLocked(batch []*pending, l *lane, ratio, cost float64) (
 // concurrently with Submit, with itself, and with Close (concurrent waves
 // serialize; after Close's final drain it is a no-op returning an empty
 // report). A wave with nothing to admit still advances the wave epoch
-// (tickets measure latency in waves).
-func (s *Server) RunWave() WaveReport { return s.runWave(false) }
+// (tickets measure latency in waves). The next wave's budget is the
+// configured per-shard share × the live fleet.
+func (s *Server) RunWave() WaveReport {
+	rep, _ := s.runWave(false, false)
+	return rep
+}
 
-// runWave is RunWave; early marks — and counts — a wave the pump fired on an
-// arrival rather than on its timer (see measure).
-func (s *Server) runWave(early bool) WaveReport {
+// PaceWave runs one wave under the pacer discipline Start's pump uses, and
+// is the deterministic way to drive that discipline explicitly (with a
+// FakeClock — harness.PaceStudy). After the wave the pacer settles: it
+// counts an overrun when the wave's wall time exceeded the cadence that
+// fired it, retimes the cadence toward the measured EWMA, and prices the next
+// wave's budget as effective measured period × live workers — under pacing,
+// a configured WaveBudget degrades to an initial guess that real
+// measurements replace. It returns the wave report and the delay until the
+// next wave is due (zero after an overrun).
+func (s *Server) PaceWave() (WaveReport, time.Duration) { return s.runWave(true, false) }
+
+// runWave is one wave, explicit (RunWave) or paced (PaceWave and the pump's
+// step, which alone may be early: fired by an arrival's wake token rather
+// than by the cadence timer).
+func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
-		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio()}
+		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio()}, s.pace.period()
 	}
-	if s.early = early; early {
-		s.earlyWaves.Add(1)
-	}
+	s.pace.begin(early)
 	start := s.clock.Now()
 	ratio := s.Ratio()
 	batch := s.admit(start, ratio)
 
 	rep := WaveReport{Wave: int(s.wave.Load()), Admitted: len(batch), Ratio: ratio}
-	if len(batch) > 0 {
-		// Coalesce the batch into cost-class slabs of prebuilt specs; full
-		// slabs submit as they fill, partials flush after (see hotpath.go).
-		for _, p := range batch {
-			s.coalesce(p)
-		}
-		s.flushSlabs()
+	// Stage the batch, in admission order, into slabs of prebuilt specs; a
+	// slab submits the moment it fills, the partial one here (see
+	// hotpath.go).
+	for _, p := range batch {
+		s.stage(p)
+	}
+	if s.cur != nil {
+		s.submitSlab()
 	}
 	ws := s.fleet.WaitPhase(s.grp) // admission controller observes here
 	end := s.clock.Now()
 	// The wave's measured wall time — admission through taskwait — is the
-	// sample behind MeasuredPeriod: the pacer's cadence target and the
-	// honest RetryAfter price.
+	// sample behind MeasuredPeriod.
 	rep.WallTime = end.Sub(start)
-	s.lastEnd = end
-	s.observePeriod(rep.WallTime)
+	s.pace.end(end, rep.WallTime)
 	wave := s.wave.Add(1) - 1
 	nowNs := end.UnixNano()
 	// Count first, publish second: Totals must already hold the wave when
@@ -1092,93 +1017,45 @@ func (s *Server) runWave(early bool) WaveReport {
 		// wave's taskwait completed above).
 		s.scaler.Observe(s.Load())
 	}
-	// Capacity follows the fleet, however it changed: autoscaler actions
-	// AND health auto-drains (DrainAfter) shrink or grow the live count, and
-	// the wave budget — hence the load signal's denominator — must track it
-	// either way.
 	rep.LiveShards = s.fleet.Live()
+	perShard := s.budgetPerShard
+	var delay time.Duration
+	if paced {
+		// Priced after the retime, on the cadence the next wave fires at.
+		rep.Overrun, delay = s.pace.settle(rep.WallTime)
+		perShard = s.pace.perShard()
+	}
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
 	rep.PriorityDepth = len(s.lanes[lanePriority].q)
 	rep.Load = s.lastLoad
-	s.budget = s.budgetPerShard * float64(rep.LiveShards)
-	rep.Budget = s.budget
+	rep.Budget = s.rebudget(rep.LiveShards, perShard)
 	s.mu.Unlock()
 	rep.NextRatio = s.Ratio()
 	rep.Provided = ws.ProvidedRatio
 	rep.Joules = ws.Joules
 	rep.Stats = ws
-	return rep
-}
-
-// PaceWave runs one wave under the pacer discipline Start's pump uses, and
-// is the deterministic way to drive that discipline explicitly (with a
-// FakeClock — harness.PaceStudy). After RunWave it: counts an overrun when
-// the wave's wall time exceeded the cadence that fired it (the wave ran and
-// the next one is due immediately — never a dropped tick), retimes the
-// cadence toward the measured EWMA within [MinPeriod, MaxPeriod] with
-// hysteresis, and re-derives the wave budget as effective measured period ×
-// live workers — under pacing, a configured WaveBudget degrades to an
-// initial guess that real measurements replace. It returns the wave report
-// and the delay until the next wave is due (zero after an overrun).
-func (s *Server) PaceWave() (WaveReport, time.Duration) { return s.paceWave(false) }
-
-// paceWave is the pump's step: PaceWave, fired by the cadence timer or —
-// early — by an arrival's wake token.
-func (s *Server) paceWave(early bool) (WaveReport, time.Duration) {
-	rep := s.runWave(early)
-	if rep.Overrun = rep.WallTime > time.Duration(s.paceNs.Load()); rep.Overrun {
-		s.overruns.Add(1)
-	}
-	cadence := s.retime()
-	if rep.LiveShards > 0 { // zero only after Close's teardown
-		// Measured capacity: what one wave can actually absorb is the wall
-		// time a wave occupies times the workers executing it, not the
-		// configured guess. (Cost units are ~1ns of work, so period
-		// nanoseconds × workers is directly a cost budget.)
-		s.mu.Lock()
-		s.budget = float64(s.workersPerShard*rep.LiveShards) * float64(s.effectivePeriod())
-		rep.Budget = s.budget
-		s.mu.Unlock()
-	}
-	delay := cadence - rep.WallTime
-	if delay < 0 {
-		delay = 0
-	}
 	return rep, delay
 }
 
-// retime moves the pacer cadence toward the measured EWMA, clamped into
-// [MinPeriod, MaxPeriod], with 1/paceHysteresisInv relative hysteresis so
-// measurement jitter doesn't wobble the timer. It returns the cadence in
-// force after the move.
-func (s *Server) retime() time.Duration {
-	cur := s.paceNs.Load()
-	target := s.measuredNs.Load()
-	if target == 0 {
-		return time.Duration(cur) // nothing measured yet
-	}
-	if lo := int64(s.cfg.MinPeriod); target < lo {
-		target = lo
-	}
-	if hi := int64(s.cfg.MaxPeriod); target > hi {
-		target = hi
-	}
-	if diff := target - cur; diff > cur/paceHysteresisInv || diff < -cur/paceHysteresisInv {
-		s.paceNs.Store(target)
-		cur = target
-	}
-	return time.Duration(cur)
+// rebudget is the one budget rule, reached once per wave: the per-shard
+// price — the configured share under RunWave, the pacer's measured one
+// under PaceWave — × the live shards. Capacity follows the fleet, however
+// it changed: autoscaler actions AND health auto-drains (DrainAfter) shrink
+// or grow the live count, and the wave budget — admit's cut-off and the
+// load signal's denominator — must track it either way. Caller holds s.mu.
+func (s *Server) rebudget(live int, perShard float64) float64 {
+	s.budget = perShard * float64(live)
+	return s.budget
 }
 
-// Start launches the wave pacer: a PaceWave whenever the cadence timer
-// fires — or, while nothing is being shed, the moment a request arrives at
-// an idle server (Submit's wake token; tokens posted during a wave make the
-// next one back-to-back, so batches grow with load on their own) — the
-// cadence retimed wave by wave to the measured period. A wave that overruns
-// its cadence is followed immediately by the next one and counted in
-// Totals.Overruns — where the old fixed Ticker silently coalesced the late
-// ticks, making the wave count diverge from elapsed/period with no signal.
+// Start launches the pump (pacer.run): a paced wave whenever the cadence
+// timer fires — or, while nothing is being shed, the moment a request
+// arrives at an idle server — the cadence retimed wave by wave to the
+// measured period. A wave that overruns its cadence is followed immediately
+// by the next one and counted in Totals.Overruns — where the old fixed
+// Ticker silently coalesced the late ticks, making the wave count diverge
+// from elapsed/period with no signal.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1189,29 +1066,10 @@ func (s *Server) Start() {
 	s.pumpDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		timer := time.NewTimer(time.Duration(s.paceNs.Load()))
-		defer timer.Stop()
-		for {
-			early := false
-			select {
-			case <-stop:
-				return
-			case <-s.wake:
-				early = true
-			case <-timer.C:
-			}
-			_, delay := s.paceWave(early)
-			// A tick that expired during an early wave must not fire a
-			// second time: Stop-and-drain before Reset is correct under
-			// both timer semantics (pre- and post-Go 1.23).
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(delay)
-		}
+		s.pace.run(stop, func(early bool) time.Duration {
+			_, delay := s.runWave(true, early)
+			return delay
+		})
 	}(s.pumpStop, s.pumpDone)
 }
 

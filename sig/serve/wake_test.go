@@ -72,7 +72,7 @@ func TestServeSheddingKeepsCadence(t *testing.T) {
 	if r := s.Ratio(); r >= 1 {
 		t.Fatalf("ratio %v after the overload; the test needs a shedding server", r)
 	}
-	<-s.wake // the overload's first arrival found an idle server at ratio 1.0
+	<-s.pace.wake // the overload's first arrival found an idle server at ratio 1.0
 	s.Start()
 	tk, err := s.Submit(request(seq, &served))
 	if err != nil {
@@ -83,8 +83,8 @@ func TestServeSheddingKeepsCadence(t *testing.T) {
 		t.Fatal("a wave fired ahead of the cadence while the server was shedding")
 	case <-time.After(50 * time.Millisecond):
 	}
-	if tot := s.Totals(); tot.EarlyWaves != 0 || len(s.wake) != 0 {
-		t.Fatalf("EarlyWaves=%d pending tokens=%d, want none while ratio < 1", tot.EarlyWaves, len(s.wake))
+	if tot := s.Totals(); tot.EarlyWaves != 0 || len(s.pace.wake) != 0 {
+		t.Fatalf("EarlyWaves=%d pending tokens=%d, want none while ratio < 1", tot.EarlyWaves, len(s.pace.wake))
 	}
 	if err := s.Close(); err != nil { // the drain serves what the cadence had not reached
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 	for n := 0; n < warmup+waves; {
 		early := false
 		select {
-		case <-s.wake:
+		case <-s.pace.wake:
 			early = wake
 		default:
 		}
@@ -190,7 +190,7 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 			}
 			fc.Advance(timerAt.Sub(fc.Now()))
 		}
-		_, delay := s.paceWave(early)
+		_, delay := s.runWave(true, early)
 		timerAt = fc.Now().Add(delay)
 		if n++; n > warmup {
 			sum += s.Load()
