@@ -54,25 +54,32 @@ perf:
 perf-quick:
 	$(GO) run ./benchmark -quick
 
-# Bounded native-fuzz smokes (same budgets CI uses; minimization is capped
-# so the budget is spent fuzzing). `fuzz` covers the policy invariants,
-# `fuzz-serve` the serving admission path.
+# The native fuzz targets, listed once as package:Func. `make fuzz` gives
+# each FUZZTIME (minimization is capped so the budget is spent fuzzing), and
+# is CI's one fuzz step:
+#   FuzzPolicyDecisions  the policy invariants
+#   FuzzServeAdmission   the serving admission path: outcome conservation,
+#                        queue bounds, the MinRatio contract, zero joules for
+#                        dropped requests
+#   FuzzShardRouting     cross-shard conservation, specials and the merged
+#                        ratio floor under adversarial placement, wave cuts,
+#                        retargeting and drain/rejoin/quarantine/revive surgery
+#   FuzzChaosSchedule    seeded fault schedules (wedge, delay, panic) against
+#                        a live fleet: conservation, panic accounting and the
+#                        exact declared-cost energy identity
+FUZZ_TARGETS := ./sig:FuzzPolicyDecisions ./sig/serve:FuzzServeAdmission \
+	./sig/shard:FuzzShardRouting ./sig/chaos:FuzzChaosSchedule
+FUZZTIME ?= 20s
+
 fuzz:
-	$(GO) test ./sig -run '^$$' -fuzz FuzzPolicyDecisions -fuzztime 20s -fuzzminimizetime 1x
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t ($(FUZZTIME))"; \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1x; \
+	done
 
-fuzz-serve:
-	$(GO) test ./sig/serve -run '^$$' -fuzz FuzzServeAdmission -fuzztime 20s -fuzzminimizetime 1x
-
-# `fuzz-shard` drives the cross-shard routing invariants (conservation,
-# specials, merged ratio floor) under adversarial placement/drain streams,
-# now including rejoin/quarantine/revive fleet surgery.
-fuzz-shard:
-	$(GO) test ./sig/shard -run '^$$' -fuzz FuzzShardRouting -fuzztime 20s -fuzzminimizetime 1x
-
-# `fuzz-chaos` replays seeded fault schedules (wedge, delay, panic) against
-# a live fleet and checks conservation plus the exact energy identity.
-fuzz-chaos:
-	$(GO) test ./sig/chaos -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 20s -fuzzminimizetime 1x
+# `make fuzz-serve|fuzz-shard|fuzz-chaos`: the one target of that package.
+fuzz-serve fuzz-shard fuzz-chaos:
+	@$(MAKE) --no-print-directory fuzz FUZZ_TARGETS='$(filter ./sig/$(@:fuzz-%=%):%,$(FUZZ_TARGETS))'
 
 # Fault-injection and fleet-surgery suites under the race detector: the
 # chaos injectors, elastic router surgery, health quarantine and the

@@ -168,3 +168,43 @@ func TestWorkClientGone(t *testing.T) {
 		t.Errorf("request after the disconnect: status %d, body %q; want 200 at significance 1", rec.Code, rec.Body.String())
 	}
 }
+
+// TestMetricsEndpoint: /metrics answers in the Prometheus text format and,
+// with the priority lane on and traffic through both lanes, carries every
+// series an operator's dashboard keys on — the per-lane depth gauges, the
+// per-lane wave-latency histogram, the budget, both periods and the pacer's
+// two counters — each exactly once per label set.
+func TestMetricsEndpoint(t *testing.T) {
+	_, h := newFront(t, serve.Config{PriorityAt: 0.9}, true)
+	for _, target := range []string{"/work?tier=bronze", "/work?tier=bronze", "/work?tier=bronze", "/work?tier=gold"} {
+		if rec := get(h, target); rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d, body %q", target, rec.Code, rec.Body.String())
+		}
+	}
+	rec := get(h, "/metrics")
+	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Fatalf("GET /metrics: status %d, content type %q", rec.Code, ct)
+	}
+	lines := strings.Split(rec.Body.String(), "\n")
+	for _, series := range []string{
+		`sigserve_queue_depth{lane="priority"}`,
+		`sigserve_queue_depth{lane="bulk"}`,
+		`sigserve_wave_latency_waves_bucket{lane="bulk",le="+Inf"}`,
+		`sigserve_wave_latency_waves_bucket{lane="priority",le="+Inf"}`,
+		`sigserve_wave_budget`,
+		`sigserve_wave_period_seconds`,
+		`sigserve_pace_period_seconds`,
+		`sigserve_wave_overruns_total`,
+		`sigserve_early_waves_total`,
+	} {
+		n := 0
+		for _, line := range lines {
+			if strings.HasPrefix(line, series+" ") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("series %s appears %d times in /metrics, want once:\n%s", series, n, rec.Body.String())
+		}
+	}
+}

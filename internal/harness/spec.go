@@ -139,7 +139,8 @@ func specs() []Spec {
 				// The floor keeps task bodies heavy enough that modeled
 				// energy is dominated by busy time, not wall jitter.
 				p.W, p.H = scaled(p.W, scale, 256), scaled(p.H, scale, 256)
-				return &sobelInstance{app: sobel.New(p)}
+				a := sobel.New(p)
+				return &instance[*imaging.Image]{run: a.Run, seq: a.Sequential, quality: a.Quality, tasks: a.Tasks}
 			},
 		},
 		{
@@ -153,7 +154,8 @@ func specs() []Spec {
 			Make: func(scale float64) Instance {
 				p := dct.DefaultParams()
 				p.W, p.H = scaled(p.W, scale, 256), scaled(p.H, scale, 256)
-				return &dctInstance{app: dct.New(p)}
+				a := dct.New(p)
+				return &instance[*imaging.Image]{run: a.Run, seq: a.Sequential, quality: a.Quality, tasks: a.Tasks}
 			},
 		},
 		{
@@ -168,7 +170,8 @@ func specs() []Spec {
 				p := mc.DefaultParams()
 				p.Points = scaled(p.Points, scale, 8)
 				p.WalksPerBatch = scaled(p.WalksPerBatch, scale, 50)
-				return &mcInstance{app: mc.New(p)}
+				a := mc.New(p)
+				return &instance[[]float64]{run: a.Run, seq: a.Sequential, quality: a.Quality, tasks: a.Tasks}
 			},
 		},
 		{
@@ -183,7 +186,8 @@ func specs() []Spec {
 				p := kmeans.DefaultParams()
 				p.N = scaled(p.N, scale, p.K*16)
 				p.Chunk = max(p.N/64, 64)
-				return &kmeansInstance{app: kmeans.New(p)}
+				a := kmeans.New(p)
+				return &instance[kmeans.Result]{run: a.Run, seq: a.Sequential, quality: a.Quality, tasks: a.Tasks}
 			},
 		},
 		{
@@ -197,7 +201,8 @@ func specs() []Spec {
 			Make: func(scale float64) Instance {
 				p := jacobi.DefaultParams()
 				p.N = scaled(p.N, scale, 64)
-				return &jacobiInstance{app: jacobi.New(p)}
+				a := jacobi.New(p)
+				return &instance[[]float64]{run: a.Run, seq: a.Sequential, quality: a.Quality, tasks: a.Tasks}
 			},
 		},
 		{
@@ -211,7 +216,8 @@ func specs() []Spec {
 			Make: func(scale float64) Instance {
 				p := fluidanimate.DefaultParams()
 				p.N = scaled(p.N, scale, 256)
-				return &fluidInstance{app: fluidanimate.New(p)}
+				a := fluidanimate.New(p)
+				return &instance[fluidanimate.State]{run: a.RunRatio, seq: a.Sequential, quality: a.Quality, tasks: a.Tasks}
 			},
 		},
 	}
@@ -247,108 +253,24 @@ func subset(opt Options) ([]Spec, error) {
 	return out, nil
 }
 
-// Per-kernel Instance adapters.
-
-type sobelInstance struct {
-	app *sobel.App
-	ref *imaging.Image
+// instance is the one Instance implementation: a kernel's own method values
+// behind the untyped interface, with T the kernel's output type. ref caches
+// the sequential reference, which several degrees and policies share.
+type instance[T any] struct {
+	run     func(rt *sig.Runtime, ratio float64) T
+	seq     func() T
+	quality func(ref, out T) float64
+	tasks   func() int
+	ref     *T
 }
 
-func (s *sobelInstance) Reference() any {
+func (s *instance[T]) Reference() any {
 	if s.ref == nil {
-		s.ref = s.app.Sequential()
-	}
-	return s.ref
-}
-func (s *sobelInstance) Run(rt *sig.Runtime, ratio float64) any { return s.app.Run(rt, ratio) }
-func (s *sobelInstance) Quality(ref, out any) float64 {
-	return s.app.Quality(ref.(*imaging.Image), out.(*imaging.Image))
-}
-func (s *sobelInstance) Tasks() int { return s.app.Tasks() }
-
-type dctInstance struct {
-	app *dct.App
-	ref *imaging.Image
-}
-
-func (s *dctInstance) Reference() any {
-	if s.ref == nil {
-		s.ref = s.app.Sequential()
-	}
-	return s.ref
-}
-func (s *dctInstance) Run(rt *sig.Runtime, ratio float64) any { return s.app.Run(rt, ratio) }
-func (s *dctInstance) Quality(ref, out any) float64 {
-	return s.app.Quality(ref.(*imaging.Image), out.(*imaging.Image))
-}
-func (s *dctInstance) Tasks() int { return s.app.Tasks() }
-
-type mcInstance struct {
-	app *mc.App
-	ref []float64
-}
-
-func (s *mcInstance) Reference() any {
-	if s.ref == nil {
-		s.ref = s.app.Sequential()
-	}
-	return s.ref
-}
-func (s *mcInstance) Run(rt *sig.Runtime, ratio float64) any { return s.app.Run(rt, ratio) }
-func (s *mcInstance) Quality(ref, out any) float64 {
-	return s.app.Quality(ref.([]float64), out.([]float64))
-}
-func (s *mcInstance) Tasks() int { return s.app.Tasks() }
-
-type kmeansInstance struct {
-	app *kmeans.App
-	ref *kmeans.Result
-}
-
-func (s *kmeansInstance) Reference() any {
-	if s.ref == nil {
-		r := s.app.Sequential()
+		r := s.seq()
 		s.ref = &r
 	}
 	return *s.ref
 }
-func (s *kmeansInstance) Run(rt *sig.Runtime, ratio float64) any { return s.app.Run(rt, ratio) }
-func (s *kmeansInstance) Quality(ref, out any) float64 {
-	return s.app.Quality(ref.(kmeans.Result), out.(kmeans.Result))
-}
-func (s *kmeansInstance) Tasks() int { return s.app.Tasks() }
-
-type jacobiInstance struct {
-	app *jacobi.App
-	ref []float64
-}
-
-func (s *jacobiInstance) Reference() any {
-	if s.ref == nil {
-		s.ref = s.app.Sequential()
-	}
-	return s.ref
-}
-func (s *jacobiInstance) Run(rt *sig.Runtime, ratio float64) any { return s.app.Run(rt, ratio) }
-func (s *jacobiInstance) Quality(ref, out any) float64 {
-	return s.app.Quality(ref.([]float64), out.([]float64))
-}
-func (s *jacobiInstance) Tasks() int { return s.app.Tasks() }
-
-type fluidInstance struct {
-	app *fluidanimate.App
-	ref *fluidanimate.State
-}
-
-func (s *fluidInstance) Reference() any {
-	if s.ref == nil {
-		r := s.app.Sequential()
-		s.ref = &r
-	}
-	return *s.ref
-}
-func (s *fluidInstance) Run(rt *sig.Runtime, ratio float64) any { return s.app.RunRatio(rt, ratio) }
-func (s *fluidInstance) Quality(ref, out any) float64 {
-	return s.app.Quality(ref.(fluidanimate.State), out.(fluidanimate.State))
-}
-func (s *fluidInstance) Tasks() int { return s.app.Tasks() }
+func (s *instance[T]) Run(rt *sig.Runtime, ratio float64) any { return s.run(rt, ratio) }
+func (s *instance[T]) Quality(ref, out any) float64           { return s.quality(ref.(T), out.(T)) }
+func (s *instance[T]) Tasks() int                             { return s.tasks() }

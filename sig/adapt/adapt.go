@@ -59,9 +59,12 @@ const (
 	TargetLoad
 )
 
-// Default controller gains. They assume nothing about the probe's units:
+// The controller's gains. They assume nothing about the probe's units:
 // errors are normalized by the setpoint's magnitude and the secant estimate
-// takes over as soon as two informative waves exist.
+// takes over as soon as two informative waves exist — which is why no caller
+// ever needed others, and why they are constants: the reaction-time bounds
+// (bounds.go) and every gate built on them are stated for these values, so
+// the control plane is one machine to explore, not a family of them.
 const (
 	// DefaultGain is the proportional gain on the normalized error.
 	DefaultGain = 2.0
@@ -108,10 +111,6 @@ type Config struct {
 	// goroutine that invoked Wait/WaitPhase, so it may also read state the
 	// caller updates between waves (queue depths, arrival counts).
 	Measure func(ws sig.WaveStats) float64
-	// Gain, MaxStep and Deadband override the defaults when positive.
-	Gain     float64
-	MaxStep  float64
-	Deadband float64
 	// Min and Max bound the commanded ratio (defaults 0 and 1).
 	Min, Max float64
 	// WindowFloor, when non-nil, wraps the objective with a long-run
@@ -128,27 +127,6 @@ type Config struct {
 	// layer observing every wave for days) otherwise grow the trace without
 	// bound. Zero keeps the full trace.
 	TraceCap int
-}
-
-func (c Config) gain() float64 {
-	if c.Gain > 0 {
-		return c.Gain
-	}
-	return DefaultGain
-}
-
-func (c Config) maxStep() float64 {
-	if c.MaxStep > 0 {
-		return c.MaxStep
-	}
-	return DefaultMaxStep
-}
-
-func (c Config) deadband() float64 {
-	if c.Deadband > 0 {
-		return c.Deadband
-	}
-	return DefaultDeadband
 }
 
 // Sample is one wave of the controller's trace.
@@ -317,7 +295,6 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 		setpoint = c.cfg.Budget
 	}
 	scale := math.Max(math.Abs(setpoint), 1e-12)
-	maxStep := c.cfg.maxStep()
 
 	// Non-finite measures (a probe returning +Inf on a bit-exact wave)
 	// carry only a direction: quality is in gross excess, so step the
@@ -327,7 +304,7 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 		if math.IsInf(measure, -1) {
 			dir = 1.0
 		}
-		return c.clampRatio(ratio + dir*maxStep), false
+		return c.clampRatio(ratio + dir*DefaultMaxStep), false
 	}
 
 	// The setpoint is one-sided: a quality target is a floor (hold the
@@ -336,7 +313,7 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 	// it while providing as much ratio as fits). The controller holds
 	// only inside the band on the safe side of the setpoint.
 	err := setpoint - measure
-	band := 2 * c.cfg.deadband() * scale
+	band := 2 * DefaultDeadband * scale
 	var inBand bool
 	if isCap {
 		inBand = measure <= setpoint && setpoint-measure <= band
@@ -353,14 +330,14 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 	// Both objectives increase with ratio (more accurate tasks = better
 	// quality, more joules), so only a positive slope is trusted;
 	// otherwise fall back to a proportional step on the normalized error.
-	step := c.cfg.gain() * clamp(err/scale, -1, 1) * maxStep
+	step := DefaultGain * clamp(err/scale, -1, 1) * DefaultMaxStep
 	if c.havePrev && ratio != c.prevRatio {
 		slope := (measure - c.prevMeasure) / (ratio - c.prevRatio)
 		if slope > 1e-12 {
 			step = err / slope
 		}
 	}
-	step = clamp(step, -maxStep, maxStep)
+	step = clamp(step, -DefaultMaxStep, DefaultMaxStep)
 	c.prevRatio, c.prevMeasure, c.havePrev = ratio, measure, true
 	return c.clampRatio(ratio + step), false
 }

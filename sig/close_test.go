@@ -24,12 +24,12 @@ func (p *stashPolicy) Submit(t *Task) (*Task, []*Task) {
 	p.mu.Unlock()
 	return nil, nil
 }
-func (p *stashPolicy) Flush() []*Task {
+func (p *stashPolicy) Flush(dst []*Task) []*Task {
 	p.mu.Lock()
-	out := p.buf
+	out := append(dst, p.buf...)
 	p.buf = nil
 	p.mu.Unlock()
-	for _, t := range out {
+	for _, t := range out[len(dst):] {
 		t.Decision = DecideAccurate
 	}
 	return out

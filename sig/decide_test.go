@@ -202,3 +202,57 @@ func TestLQHMatchesFloatCount(t *testing.T) {
 		}
 	}
 }
+
+// TestPolicyFlushAppends is the contract of the one flush: every built-in
+// policy's Flush(dst) leaves dst's prefix untouched and appends exactly the
+// tasks it had buffered, decided, once each, in submission order — whether or
+// not dst has room for them. A policy that buffers nothing returns dst
+// itself. The runtime relies on both halves: it flushes into a pooled buffer
+// and keeps whatever array comes back.
+func TestPolicyFlushAppends(t *testing.T) {
+	const buffered = 5 // below the GTB window: nothing is decided before the flush
+	for _, kind := range []PolicyKind{PolicyAccurate, PolicyGTB, PolicyGTBMaxBuffer, PolicyLQH, PolicyPerforation} {
+		for _, room := range []int{0, 2 * buffered} {
+			g := &Group{}
+			g.setRatio(0.5)
+			p := newPolicy(Config{Policy: kind, GTBWindow: 2 * buffered}, g, 2)
+			tasks := make([]Task, buffered)
+			var held []*Task // what the policy kept at Submit
+			for i := range tasks {
+				tasks[i] = Task{Significance: float64(i+1) / 10, Seq: uint64(i + 1)}
+				ready, batch := p.Submit(&tasks[i])
+				if ready == nil && batch == nil {
+					held = append(held, &tasks[i])
+				}
+			}
+			wantHeld := 0
+			if kind == PolicyGTB || kind == PolicyGTBMaxBuffer {
+				wantHeld = buffered
+			}
+			if len(held) != wantHeld {
+				t.Fatalf("%v: Submit kept %d tasks, want %d", kind, len(held), wantHeld)
+			}
+			prefix := [2]Task{}
+			dst := make([]*Task, len(prefix), len(prefix)+room)
+			dst[0], dst[1] = &prefix[0], &prefix[1]
+			out := p.Flush(dst)
+			if len(out) != len(dst)+len(held) || out[0] != &prefix[0] || out[1] != &prefix[1] {
+				t.Fatalf("%v, room %d: Flush returned %d tasks after a prefix of %d and %d buffered, or moved the prefix", kind, room, len(out), len(dst), len(held))
+			}
+			if len(held) == 0 && (&out[0] != &dst[0] || cap(out) != cap(dst)) {
+				t.Errorf("%v, room %d: a policy with nothing buffered must return dst itself", kind, room)
+			}
+			for i, task := range out[len(dst):] {
+				if task != held[i] || task.Decision == decideNone {
+					t.Errorf("%v, room %d: flushed task %d is %p (decision %d), want buffered task %p, decided", kind, room, i, task, task.Decision, held[i])
+				}
+			}
+			if prefix[0].Decision != decideNone || prefix[1].Decision != decideNone {
+				t.Errorf("%v, room %d: Flush decided a task of the prefix", kind, room)
+			}
+			if again := p.Flush(out[:0]); len(again) != 0 {
+				t.Errorf("%v, room %d: a second Flush handed back %d tasks again", kind, room, len(again))
+			}
+		}
+	}
+}

@@ -2,38 +2,24 @@ package sig
 
 import "time"
 
-// Default modeled per-core power figures, loosely calibrated to the paper's
+// The modeled per-core power figures, loosely calibrated to the paper's
 // evaluation platform (a 4-module/8-core x86 server): a busy core draws
-// DefaultActiveWatts, an idle core DefaultIdleWatts.
+// DefaultActiveWatts, an idle core DefaultIdleWatts. They are constants, not
+// configuration: every study, gate and benchmark check prices joules at these
+// two figures, so a runtime that could be built with others would silently
+// falsify them.
+//
+// The model is deliberately simple — E = P_active · t_busy, with t_busy
+// either the declared task costs (deterministic; see WithCost) or the
+// measured body execution time — because the experiments only rely on
+// relative energy between policies on identical workloads. Idle power is
+// excluded from Joules (it is policy-invariant at equal wall time) but
+// carried in the report so the DVFS and NTC studies can reason about it
+// analytically.
 const (
 	DefaultActiveWatts = 12.0
 	DefaultIdleWatts   = 2.0
 )
-
-// EnergyModel converts accounted busy time into modeled Joules. The model
-// is deliberately simple — E = P_active · t_busy, with t_busy either the
-// declared task costs (deterministic; see WithCost) or the measured body
-// execution time — because the experiments only rely on relative energy
-// between policies on identical workloads. Idle power is excluded from
-// Joules (it is policy-invariant at equal wall time) but carried in the
-// report so the DVFS and NTC studies can reason about it analytically.
-type EnergyModel struct {
-	// ActiveWatts is the per-core power while executing a task body.
-	ActiveWatts float64
-	// IdleWatts is the per-core power while waiting for work; used only
-	// by analytic downstream studies, not in Joules.
-	IdleWatts float64
-}
-
-func (m EnergyModel) withDefaults() EnergyModel {
-	if m.ActiveWatts == 0 {
-		m.ActiveWatts = DefaultActiveWatts
-	}
-	if m.IdleWatts == 0 {
-		m.IdleWatts = DefaultIdleWatts
-	}
-	return m
-}
 
 // Report is a modeled energy account of a runtime's lifetime. Reports
 // returned after Close are frozen: the wall clock stops at Close and
@@ -47,19 +33,9 @@ type Report struct {
 	Busy time.Duration
 	// Workers is the worker-pool size the report was computed for.
 	Workers int
-	// ActiveWatts and IdleWatts echo the model, so downstream studies
-	// (e.g. the DVFS ablation) can rescale the report analytically.
+	// ActiveWatts and IdleWatts echo the model's two constants, so
+	// downstream studies (e.g. the DVFS ablation) can rescale the report
+	// analytically.
 	ActiveWatts float64
 	IdleWatts   float64
-}
-
-func (m EnergyModel) report(wall, busy time.Duration, workers int) Report {
-	return Report{
-		Joules:      m.ActiveWatts * busy.Seconds(),
-		Wall:        wall,
-		Busy:        busy,
-		Workers:     workers,
-		ActiveWatts: m.ActiveWatts,
-		IdleWatts:   m.IdleWatts,
-	}
 }

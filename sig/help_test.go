@@ -197,9 +197,9 @@ type atWorkerStash struct {
 	decided atomic.Int64
 }
 
-func (p *atWorkerStash) Flush() []*Task {
-	out := p.stashPolicy.Flush()
-	for _, t := range out {
+func (p *atWorkerStash) Flush(dst []*Task) []*Task {
+	out := p.stashPolicy.Flush(dst)
+	for _, t := range out[len(dst):] {
 		t.Decision = DecideAtWorker
 	}
 	return out

@@ -27,8 +27,8 @@ type WaveStats struct {
 	RequestedRatio float64
 	ProvidedRatio  float64
 	// Busy is the modeled busy time accrued across all workers during the
-	// wave and Joules its energy at the runtime's ActiveWatts. With
-	// declared task costs (WithCost) both are deterministic. Busy time is
+	// wave and Joules its energy at DefaultActiveWatts. With declared
+	// task costs (WithCost) both are deterministic. Busy time is
 	// runtime-wide: when several groups run tasks between this group's
 	// phase boundaries, their work is attributed to this wave too —
 	// streaming workloads drive one group at a time.
@@ -96,7 +96,7 @@ func (rt *Runtime) endWave(g *Group) WaveStats {
 		RequestedRatio: g.Ratio(),
 		Busy:           time.Duration(busy - g.waveBase.busyNS),
 	}
-	ws.Joules = rt.energy.ActiveWatts * ws.Busy.Seconds()
+	ws.Joules = DefaultActiveWatts * ws.Busy.Seconds()
 	if d := ws.Decided(); d > 0 {
 		ws.ProvidedRatio = float64(ws.Accurate) / float64(d)
 	} else {

@@ -100,8 +100,11 @@ type Policy interface {
 	// hand out its own buffer and overwrite it from the next call on; a
 	// LocklessSubmitter's batch must be the caller's to keep.
 	Submit(t *Task) (ready *Task, batch []*Task)
-	// Flush decides all buffered tasks; called at taskwait and Close.
-	Flush() []*Task
+	// Flush decides all buffered tasks and appends them to dst, returning
+	// the extended slice; called at taskwait and Close. The runtime hands
+	// in a pooled dispatch buffer, so a steady-state wave flush costs no
+	// heap. A policy that buffers nothing returns dst.
+	Flush(dst []*Task) []*Task
 	// WorkerDecide resolves a task the policy emitted with
 	// DecideAtWorker; worker identifies the calling worker goroutine.
 	WorkerDecide(worker int, t *Task) Decision
@@ -113,16 +116,6 @@ type Policy interface {
 // policies, which keeps independent submitters contention-free.
 type LocklessSubmitter interface {
 	LocklessSubmit()
-}
-
-// BufferFlusher is an optional Policy extension for buffering policies:
-// FlushInto is Flush, but appends the decided tasks to dst (returning the
-// extended slice) instead of allocating a fresh one. The runtime's taskwait
-// path hands buffering policies a pooled buffer through it, which takes the
-// per-wave flush allocation off the steady-state path (see Runtime.flush).
-// The same hand-back-exactly-once contract as Flush applies.
-type BufferFlusher interface {
-	FlushInto(dst []*Task) []*Task
 }
 
 // newPolicy builds the built-in policy selected by cfg for group g.
@@ -162,7 +155,7 @@ func (accuratePolicy) Submit(t *Task) (*Task, []*Task) {
 	return t, nil
 }
 
-func (accuratePolicy) Flush() []*Task { return nil }
+func (accuratePolicy) Flush(dst []*Task) []*Task { return dst }
 
 func (accuratePolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate }
 
@@ -191,7 +184,7 @@ func (p *perforationPolicy) Submit(t *Task) (*Task, []*Task) {
 	return t, nil
 }
 
-func (p *perforationPolicy) Flush() []*Task { return nil }
+func (p *perforationPolicy) Flush(dst []*Task) []*Task { return dst }
 
 func (p *perforationPolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate }
 
@@ -234,15 +227,16 @@ func (p *gtbPolicy) Submit(t *Task) (*Task, []*Task) {
 // change over- or under-shoots to drag the *cumulative* ratio onto the new
 // target — a second integrator in the control loop that sends it into a
 // limit cycle.
-func (p *gtbPolicy) Flush() []*Task {
-	return p.FlushInto(nil)
-}
-
-// FlushInto is the allocation-free taskwait flush (BufferFlusher): the
-// decided buffer is appended to dst — typically a pooled dispatch buffer —
-// instead of a fresh slice, so a steady-state wave flush costs no heap.
-func (p *gtbPolicy) FlushInto(dst []*Task) []*Task {
-	out := p.decideInto(dst)
+//
+// The decided tasks are appended to dst in submission order and the grown
+// buffer array is kept for the next window: the copy is owned by the
+// dispatcher, which may still be handing it to the workers while new
+// submissions buffer.
+func (p *gtbPolicy) Flush(dst []*Task) []*Task {
+	p.rank()
+	out := append(dst, p.buf...)
+	clear(p.buf)
+	p.buf = p.buf[:0]
 	p.decidedTotal, p.decidedAccurate = 0, 0
 	return out
 }
@@ -254,18 +248,6 @@ func (p *gtbPolicy) FlushInto(dst []*Task) []*Task {
 func (p *gtbPolicy) decide() []*Task {
 	p.rank()
 	out := p.buf
-	p.buf = p.buf[:0]
-	return out
-}
-
-// decideInto decides the buffered tasks and appends them to dst in
-// submission order, keeping the grown buffer array for the next window: the
-// copy is owned by the dispatcher, which may still be handing it to the
-// workers while new submissions buffer.
-func (p *gtbPolicy) decideInto(dst []*Task) []*Task {
-	p.rank()
-	out := append(dst, p.buf...)
-	clear(p.buf)
 	p.buf = p.buf[:0]
 	return out
 }
@@ -466,7 +448,7 @@ func (p *lqhPolicy) Submit(t *Task) (*Task, []*Task) {
 	return t, nil
 }
 
-func (p *lqhPolicy) Flush() []*Task { return nil }
+func (p *lqhPolicy) Flush(dst []*Task) []*Task { return dst }
 
 // lqhDriftTolerance bounds how far the locally provided ratio may drift
 // from the target before the histogram estimate is overridden.

@@ -7,7 +7,7 @@ import (
 
 // Microbenchmarks for the serving admission hot path: Submit + RunWave with
 // trivial bodies and declared costs, so the measured time is the serving
-// layer's own overhead (ticket/pending management, wave batch assembly,
+// layer's own overhead (ticket management, wave batch assembly,
 // runtime ingest), not request execution. The numbers a PR is judged on
 // are serve.submit_ns and serve.runwave_ns_per_req in `go run ./benchmark`.
 
@@ -95,7 +95,7 @@ func BenchmarkServeAdmission(b *testing.B) {
 }
 
 // BenchmarkServeSubmit isolates the caller-side admission overhead: ticket
-// and pending setup plus the queue append, with wave execution excluded
+// setup plus the queue append, with wave execution excluded
 // from the timer. This is the per-request cost a client pays to enter the
 // server (serve.submit_ns in the benchmark's traced run).
 func BenchmarkServeSubmit(b *testing.B) {
@@ -140,7 +140,7 @@ func BenchmarkServeSubmit(b *testing.B) {
 }
 
 // BenchmarkServeAdmit isolates the admit pop — batch formation into the
-// reused []*pending buffer, the regression guard of that reuse. One op is one
+// reused []*Ticket buffer, the regression guard of that reuse. One op is one
 // admit of benchWave requests off a pre-filled lane; the timer runs over a
 // window of admitWindow admits, until the lane is drained, and is stopped
 // only to put the admitted requests back. b.N scales on timed time alone, so
@@ -171,7 +171,7 @@ func BenchmarkServeAdmit(b *testing.B) {
 		tk.Release() // the caller's last use: finish alone recycles the ticket
 	}
 	now := time.Now()
-	held := make([]*pending, 0, admitWindow*benchWave)
+	held := make([]*Ticket, 0, admitWindow*benchWave)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -186,8 +186,8 @@ func BenchmarkServeAdmit(b *testing.B) {
 		b.StopTimer()
 		s.mu.Lock()
 		l := &s.lanes[laneBulk]
-		for _, p := range held {
-			l.cost.add(reqCosts(&p.req))
+		for _, tk := range held {
+			l.cost.add(reqCosts(&tk.req))
 		}
 		l.q = append(l.q, held...)
 		s.mu.Unlock()
@@ -197,8 +197,8 @@ func BenchmarkServeAdmit(b *testing.B) {
 	}
 	b.StopTimer()
 	for s.Depth() > 0 {
-		for _, p := range s.admit(now, 1) {
-			s.finish(p, 0, 0)
+		for _, tk := range s.admit(now, 1) {
+			s.finish(tk, 0, 0)
 		}
 	}
 }

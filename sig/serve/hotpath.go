@@ -9,13 +9,13 @@ import (
 )
 
 // The serving admission hot path. A steady-state request allocates nothing:
-// Ticket and pending objects are drawn from pools and refcounted back,
-// admitted requests are staged, in admission order, into one stream of slabs
-// of prebuilt TaskSpecs (one slab draw per serveSlabSize requests instead of
-// per-request spec construction), and every per-wave scratch slice —
-// admit's batch, the submitted-slab list — is reused across waves. The slabs
-// feed sig's SubmitBatch slab ingest, so the batch fast path PR 2 built for
-// the scheduler now runs end-to-end from Submit.
+// the Ticket is drawn from a pool, carries its request through the queue and
+// is refcounted back, admitted requests are staged, in admission order, into
+// one stream of slabs of prebuilt TaskSpecs (one slab draw per serveSlabSize
+// requests instead of per-request spec construction), and every per-wave
+// scratch slice — admit's batch, the submitted-slab list — is reused across
+// waves. The slabs feed sig's SubmitBatch slab ingest, so the batch fast path
+// PR 2 built for the scheduler now runs end-to-end from Submit.
 
 // serveSlabSize is how many requests one slab carries — matched to sig's
 // internal task slab size so one serve slab maps onto one task slab.
@@ -45,7 +45,7 @@ var laneNames = [laneCount]string{laneBulk: "bulk", lanePriority: "priority"}
 // queued there) and its wave-latency histogram. q and cost are guarded by
 // Server.mu; lat is lock-free.
 type lane struct {
-	q     []*pending
+	q     []*Ticket
 	cost  costSums
 	limit int
 	lat   latHist
@@ -116,6 +116,13 @@ type Ticket struct {
 
 	mu   sync.Mutex
 	done chan struct{} // created lazily by Done; nil when nobody waited
+
+	// req is the queued request and lane the admission lane holding it.
+	// Both are the server's alone: Submit writes them before the ticket is
+	// queued, finish (or discardTicket) clears them before the server's
+	// reference goes, and no accessor reads them.
+	req  Request
+	lane int
 }
 
 // Done is closed when the request's wave completed. The channel is created
@@ -206,8 +213,7 @@ func (tk *Ticket) complete(wave, nowNs int64) {
 }
 
 var (
-	ticketPool  sync.Pool // of *Ticket
-	pendingPool sync.Pool // of *pending
+	ticketPool sync.Pool // of *Ticket
 	// slabPool recycles waveSlabs; a miss prebuilds one.
 	slabPool = sync.Pool{New: func() any { return newWaveSlab() }}
 )
@@ -230,55 +236,32 @@ func getTicket(nowNs int64) *Ticket {
 }
 
 // discardTicket recycles a ticket that was never handed out (a rejected
-// Submit): both references are still ours.
+// Submit): both references are still ours, and the request goes with them.
 //
 //siglint:poolput
 //siglint:noalloc
 func discardTicket(tk *Ticket) {
+	tk.req, tk.lane = Request{}, 0
 	tk.refs.Store(1)
 	tk.release()
 }
 
-// getPending draws a pending-request slot.
-//
-//siglint:poolget
-//siglint:noalloc
-func getPending() *pending {
-	p, _ := pendingPool.Get().(*pending)
-	if p == nil {
-		p = &pending{} //siglint:allocok pool miss: steady state always hits the pool
-	}
-	return p
-}
-
-// putPending recycles a pending after its wave, dropping the handler
-// closures and ticket reference.
-//
-//siglint:poolput
-//siglint:noalloc
-func putPending(p *pending) {
-	p.req = Request{}
-	p.tk = nil
-	pendingPool.Put(p)
-}
-
 // slabSlot carries the per-request state a slab spec's prebuilt closures
-// read when they run: the bodies and the ticket to mark. approx is the
-// slot's prebuilt degraded closure, which stage hands the spec for a
-// request that has a Degraded body and withholds from one that has not.
+// read when they run: the ticket, which holds the bodies and takes the
+// outcome mark. approx is the slot's prebuilt degraded closure, which stage
+// hands the spec for a request that has a Degraded body and withholds from
+// one that has not.
 type slabSlot struct {
-	fn     func()
-	deg    func()
 	tk     *Ticket
 	approx func()
 }
 
 // waveSlab is the submission unit: serveSlabSize slots and the matching
 // prebuilt TaskSpecs whose closures capture their slot by pointer. Filling
-// slot i costs two pointer stores, a ticket store and the spec's five
-// per-request fields — no closure or spec construction. Slabs are recycled
-// wave-synchronously: WaitPhase guarantees every task of the wave has
-// completed before recycleSlabs runs, so no completion counting is needed.
+// slot i costs one ticket store and the spec's five per-request fields — no
+// closure or spec construction. Slabs are recycled wave-synchronously:
+// WaitPhase guarantees every task of the wave has completed before
+// recycleSlabs runs, so no completion counting is needed.
 type waveSlab struct {
 	n     int
 	slots [serveSlabSize]slabSlot
@@ -292,11 +275,11 @@ func newWaveSlab() *waveSlab {
 	for i := range sl.slots {
 		slot := &sl.slots[i]
 		sl.specs[i].Fn = func() {
-			slot.fn()
+			slot.tk.req.Handler()
 			slot.tk.outcome.Store(int32(OutcomeAccurate))
 		}
 		slot.approx = func() {
-			slot.deg()
+			slot.tk.req.Degraded()
 			slot.tk.outcome.Store(int32(OutcomeDegraded))
 		}
 	}
@@ -309,25 +292,25 @@ func newWaveSlab() *waveSlab {
 // order. Called from runWave under waveMu.
 //
 //siglint:noalloc
-func (s *Server) stage(p *pending) {
+func (s *Server) stage(tk *Ticket) {
 	if s.cur == nil {
 		s.cur = slabPool.Get().(*waveSlab)
 	}
 	sl := s.cur
 	slot, spec := &sl.slots[sl.n], &sl.specs[sl.n]
-	slot.fn, slot.deg, slot.tk = p.req.Handler, p.req.Degraded, p.tk
+	slot.tk = tk
 	var approx func()
-	if p.req.Degraded != nil {
+	if tk.req.Degraded != nil {
 		approx = slot.approx
 	}
-	sv := p.req.Significance
+	sv := tk.req.Significance
 	if sv <= 0 {
 		sv = -1 // batch spelling of the special 0.0
 	}
 	spec.Approx, spec.Significance = approx, sv
-	spec.HasCost = p.req.CostAccurate > 0
-	spec.CostAccurate = p.req.CostAccurate
-	spec.CostApprox = p.req.CostDegraded
+	spec.HasCost = tk.req.CostAccurate > 0
+	spec.CostAccurate = tk.req.CostAccurate
+	spec.CostApprox = tk.req.CostDegraded
 	if sl.n++; sl.n == serveSlabSize {
 		s.submitSlab()
 	}
@@ -352,8 +335,7 @@ func (s *Server) submitSlab() {
 func (s *Server) recycleSlabs() {
 	for i, sl := range s.waveSlabs {
 		for j := 0; j < sl.n; j++ {
-			slot := &sl.slots[j]
-			slot.fn, slot.deg, slot.tk = nil, nil, nil // drop body closures and ticket refs
+			sl.slots[j].tk = nil // drop the ticket ref
 		}
 		sl.n = 0
 		slabPool.Put(sl)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -55,7 +56,7 @@ func TestServeSubmitAllocs(t *testing.T) {
 				}
 				tks = recycleTickets(tks)
 			}
-			// Warm every pool and reusable buffer: ticket/pending pools, the
+			// Warm every pool and reusable buffer: the ticket pool, the
 			// wave's slab, admit's batch buffer, the queue's backing array.
 			for i := 0; i < 8; i++ {
 				wave()
@@ -220,6 +221,122 @@ func TestTicketReleaseBeforeDone(t *testing.T) {
 	case <-next.Done():
 		t.Fatal("next ticket's Done already closed")
 	default:
+	}
+}
+
+// requestGone reports whether tk carries no trace of a request: no handler
+// closure a holder of the ticket (or the pool) would pin, and the zero lane.
+func requestGone(tk *Ticket) bool {
+	r := &tk.req
+	return r.Handler == nil && r.Degraded == nil && r.Deadline.IsZero() &&
+		r.Significance == 0 && r.CostAccurate == 0 && r.CostDegraded == 0 && tk.lane == 0
+}
+
+// rejectedTicket has s reject req with wantErr on a ticket the test planted
+// in an emptied pool, and returns that ticket as discardTicket left it. Under
+// -race the pool drops a share of Puts on purpose, so the plant is retried
+// until Submit's clock stamp shows on it.
+func rejectedTicket(t *testing.T, s *Server, req Request, wantErr error) *Ticket {
+	t.Helper()
+	for try := 0; try < 1000; try++ {
+		for ticketPool.Get() != nil {
+		}
+		planted := &Ticket{}
+		ticketPool.Put(planted)
+		if _, err := s.Submit(req); !errors.Is(err, wantErr) {
+			t.Fatalf("Submit: got %v, want %v", err, wantErr)
+		}
+		if planted.enqueuedNs.Load() != 0 {
+			return planted
+		}
+	}
+	t.Fatal("the pool never handed Submit the planted ticket")
+	return nil
+}
+
+// TestTicketDropsRequestAtResolution: the Ticket carries the request through
+// the queue, and lets go of it the moment the server is done with it —
+// however the request ends. A resolved ticket the caller never Releases, one
+// resolved OutcomeTimedOut, and the pooled tickets of Submits rejected with
+// ErrQueueFull and ErrClosed all hold a zero request, so no handler closure
+// outlives its request; a ticket Released before Done keeps its request until
+// the wave has run it, and is clean when the pool hands it out again.
+func TestTicketDropsRequestAtResolution(t *testing.T) {
+	clk := NewFakeClock()
+	clk.Advance(time.Second) // off the epoch: a Submit stamps a non-zero enqueuedNs
+	s := newTestServer(t, 8, func(c *Config) {
+		c.Clock = clk
+		c.QueueLimit = 4 // one priority slot, three bulk
+		c.PriorityAt = 0.9
+	})
+	defer s.Close()
+	var served [3]atomic.Int64
+	premium := func() Request { // queues in the priority lane: a non-zero lane index
+		r := request(8, &served)
+		r.Significance = 1
+		return r
+	}
+
+	// Resolved, never Released.
+	kept, err := s.Submit(premium())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.req.Handler == nil || kept.lane != lanePriority {
+		t.Fatalf("queued ticket does not carry its request: handler set %v, lane %d", kept.req.Handler != nil, kept.lane)
+	}
+	// Released before Done: the server's reference keeps the request.
+	early, err := s.Submit(request(0, &served))
+	if err != nil {
+		t.Fatal(err)
+	}
+	early.Release()
+	if early.refs.Load() != 1 || early.req.Handler == nil {
+		t.Fatalf("abandoned ticket lost its request before the wave: refs=%d handler set %v", early.refs.Load(), early.req.Handler != nil)
+	}
+	// Expires in the queue.
+	doomed := request(1, &served)
+	doomed.Deadline = clk.Now().Add(time.Millisecond)
+	late, err := s.Submit(doomed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Millisecond)
+
+	if rep := s.RunWave(); rep.Admitted != 2 || rep.TimedOut != 1 {
+		t.Fatalf("wave admitted %d and timed out %d, want 2 and 1", rep.Admitted, rep.TimedOut)
+	}
+	if got := kept.Wait(); got != OutcomeAccurate || !requestGone(kept) {
+		t.Errorf("resolved, unreleased ticket: outcome %v, request gone %v", got, requestGone(kept))
+	}
+	if got := late.Wait(); got != OutcomeTimedOut || !requestGone(late) {
+		t.Errorf("timed-out ticket: outcome %v, request gone %v", got, requestGone(late))
+	}
+	if served[0].Load()+served[1].Load() != 2 {
+		t.Errorf("%d bodies ran, want the abandoned request served like the kept one", served[0].Load()+served[1].Load())
+	}
+	if early.refs.Load() != 0 || !requestGone(early) {
+		t.Errorf("abandoned ticket after its wave: refs=%d, request gone %v", early.refs.Load(), requestGone(early))
+	}
+	next := getTicket(0) // the abandoned ticket, unless the pool dropped it
+	if !requestGone(next) {
+		t.Error("the pool handed out a ticket that still carries a request")
+	}
+	discardTicket(next)
+
+	// Rejected at a full lane, then at a closed server: the ticket goes back
+	// to the pool without the request it briefly carried.
+	if _, err := s.Submit(premium()); err != nil {
+		t.Fatal(err)
+	}
+	if tk := rejectedTicket(t, s, premium(), ErrQueueFull); !requestGone(tk) {
+		t.Error("ErrQueueFull left the request on the pooled ticket")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tk := rejectedTicket(t, s, premium(), ErrClosed); !requestGone(tk) {
+		t.Error("ErrClosed left the request on the pooled ticket")
 	}
 }
 

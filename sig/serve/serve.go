@@ -26,8 +26,8 @@
 // in one place, the pacer (pacer.go); the wave budget has one rule,
 // rebudget: per-shard price × live shards, once per wave.
 //
-// With declared costs, a deterministic policy (the default GTB max
-// buffering), a deterministic arrival order and a FakeClock behind the
+// With declared costs, the deterministic policy every wave runs under (GTB
+// max buffering), a deterministic arrival order and a FakeClock behind the
 // seam, the whole closed loop — ratio trajectory, per-request outcomes,
 // modeled joules, measured cadence — replays bit-identically;
 // harness.ServeStudy, harness.PaceStudy and the regression suite rely on
@@ -167,13 +167,12 @@ func (e *OverloadError) Unwrap() error { return ErrQueueFull }
 
 // Config parameterizes a Server. Zero fields take defaults.
 type Config struct {
-	// Workers and Policy configure the underlying sig runtime. Zero
-	// workers means GOMAXPROCS. The zero Policy is replaced by GTB max
-	// buffering (the deterministic significance oracle): PolicyAccurate
-	// cannot shed quality, so a server that must never degrade should set
-	// MinRatio to 1 instead.
+	// Workers is the worker count of the underlying sig runtime; zero
+	// means GOMAXPROCS. The runtime's policy is not configurable: waves run
+	// under GTB max buffering, the deterministic significance oracle the
+	// replay guarantee (package doc) rests on. A server that must never
+	// degrade sets MinRatio to 1.
 	Workers int
-	Policy  sig.PolicyKind
 	// Shards is the number of sig.Runtime shards in the shard.Router fleet
 	// that executes the waves (0 means 1; round-robin placement). Workers is
 	// the per-shard pool. The admission controller commands one global ratio
@@ -279,13 +278,6 @@ func (c Config) withDefaults(workersPerShard int) Config {
 		c.QualityWindow = DefaultQualityWindow
 	}
 	return c
-}
-
-// pending is one queued request; lane indexes the admission lane holding it.
-type pending struct {
-	req  Request
-	tk   *Ticket
-	lane int
 }
 
 // costSums aggregates declared request costs so the load signal is O(1) in
@@ -422,8 +414,8 @@ type Server struct {
 	// Per-wave hot-path state, touched only under waveMu (see hotpath.go):
 	// admit's reused batch buffer, the slab the wave is filling, and the
 	// wave's submitted slabs awaiting recycle.
-	wavePending []*pending
-	waveExpired []*pending // deadline-expired requests skimmed by admit
+	wavePending []*Ticket
+	waveExpired []*Ticket // deadline-expired requests skimmed by admit
 	cur         *waveSlab
 	waveSlabs   []*waveSlab
 
@@ -480,9 +472,6 @@ func New(cfg Config) (*Server, error) {
 		workers = runtime.GOMAXPROCS(0) // per shard
 	}
 	cfg = cfg.withDefaults(workers)
-	if cfg.Policy == 0 {
-		cfg.Policy = sig.PolicyGTBMaxBuffer
-	}
 	if cfg.PriorityAt > 0 && cfg.QueueLimit < 2 {
 		return nil, fmt.Errorf("serve: PriorityAt needs QueueLimit >= 2 (got %d): each lane owns at least one slot", cfg.QueueLimit)
 	}
@@ -536,7 +525,7 @@ func New(cfg Config) (*Server, error) {
 	s.fleet, err = shard.New(shard.Config{
 		Shards:      shards,
 		MaxShards:   slots,
-		Runtime:     sig.Config{Workers: cfg.Workers, Policy: cfg.Policy},
+		Runtime:     sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
 		WaveTimeout: cfg.WaveTimeout,
 		HealthProbe: cfg.HealthProbe,
 		OnWave:      func(g *shard.Group, ws sig.WaveStats) { s.ctl.Observe(g, ws) },
@@ -708,15 +697,11 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		ln = lanePriority
 	}
 	tk := getTicket(now.UnixNano())
-	p := getPending()
-	p.req = req
-	p.tk = tk
-	p.lane = ln
+	tk.req, tk.lane = req, ln
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.tot.rejected.Add(1)
-		putPending(p)
 		discardTicket(tk)
 		return nil, ErrClosed
 	}
@@ -736,7 +721,6 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		backlog, budget := s.backlogLocked(ln), s.budget
 		s.mu.Unlock()
 		s.tot.rejected.Add(1)
-		putPending(p)
 		discardTicket(tk)
 		waves := 1.0
 		if budget > 0 {
@@ -757,7 +741,7 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		s.deadlined++
 	}
 	idle := s.depthLocked() == 0
-	l.q = append(l.q, p) //siglint:allocok amortized growth of the retained lane backlog
+	l.q = append(l.q, tk) //siglint:allocok amortized growth of the retained lane backlog
 	s.mu.Unlock()
 	if idle {
 		s.pace.idleArrival(s.Ratio())
@@ -782,17 +766,17 @@ func (s *Server) sweepExpiredLocked(now time.Time, deferred bool) {
 	for i := laneCount - 1; i >= 0; i-- {
 		l := &s.lanes[i]
 		kept := l.q[:0]
-		for _, p := range l.q {
-			if p.req.Deadline.IsZero() || !now.After(p.req.Deadline) {
-				kept = append(kept, p) //siglint:allocok re-slices the lane in place; kept shares its backing array
+		for _, tk := range l.q {
+			if tk.req.Deadline.IsZero() || !now.After(tk.req.Deadline) {
+				kept = append(kept, tk) //siglint:allocok re-slices the lane in place; kept shares its backing array
 				continue
 			}
-			l.cost.sub(reqCosts(&p.req))
+			l.cost.sub(reqCosts(&tk.req))
 			s.deadlined--
 			if deferred {
-				s.waveExpired = append(s.waveExpired, p) //siglint:allocok amortized growth of the reused per-wave expired buffer
+				s.waveExpired = append(s.waveExpired, tk) //siglint:allocok amortized growth of the reused per-wave expired buffer
 			} else {
-				s.resolveTimedOut(p, wave, nowNs)
+				s.resolveTimedOut(tk, wave, nowNs)
 			}
 		}
 		clear(l.q[len(kept):])
@@ -805,28 +789,29 @@ func (s *Server) sweepExpiredLocked(now time.Time, deferred bool) {
 // ticket release — except a body run or a joule.
 //
 //siglint:noalloc
-func (s *Server) resolveTimedOut(p *pending, wave, nowNs int64) {
-	p.tk.outcome.Store(int32(OutcomeTimedOut))
+func (s *Server) resolveTimedOut(tk *Ticket, wave, nowNs int64) {
+	tk.outcome.Store(int32(OutcomeTimedOut))
 	s.tot.completed.Add(1)
 	s.tot.timedout.Add(1)
-	if p.lane == lanePriority {
+	if tk.lane == lanePriority {
 		s.tot.priority.Add(1)
 	}
-	s.finish(p, wave, nowNs)
+	s.finish(tk, wave, nowNs)
 }
 
 // finish publishes one resolved request — completion edge, lane latency —
-// and returns the server's ticket reference and the pending slot to their
-// pools. Totals count the request before this runs, so a caller woken by
-// Done already sees itself there.
+// and drops the server's ticket reference. The request leaves the ticket
+// before the completion edge: a caller woken by Done, or one that never
+// calls Release, pins no handler closure. Totals count the request before
+// this runs, so a caller woken by Done already sees itself there.
 //
 //siglint:noalloc
-func (s *Server) finish(p *pending, wave, nowNs int64) {
-	tk := p.tk
+func (s *Server) finish(tk *Ticket, wave, nowNs int64) {
+	ln := tk.lane
+	tk.req, tk.lane = Request{}, 0
 	tk.complete(wave, nowNs)
-	s.lanes[p.lane].lat.record(wave - tk.enqWave.Load() + 1)
+	s.lanes[ln].lat.record(wave - tk.enqWave.Load() + 1)
 	tk.release()
-	putPending(p)
 }
 
 // measure is the admission controller's load signal, evaluated at the wave
@@ -869,7 +854,7 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 // WaveClock seam) — admit performs no clock reads of its own.
 //
 //siglint:noalloc
-func (s *Server) admit(now time.Time, ratio float64) []*pending {
+func (s *Server) admit(now time.Time, ratio float64) []*Ticket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	batch := s.wavePending[:0]
@@ -888,18 +873,18 @@ func (s *Server) admit(now time.Time, ratio float64) []*pending {
 // batch and cost. Caller holds s.mu.
 //
 //siglint:noalloc
-func (s *Server) popLaneLocked(batch []*pending, l *lane, ratio, cost float64) ([]*pending, float64) {
+func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([]*Ticket, float64) {
 	n := 0
 	for n < len(l.q) {
-		p := l.q[n]
-		c := reqCosts(&p.req)
+		tk := l.q[n]
+		c := reqCosts(&tk.req)
 		if len(batch) > 0 && cost+c.at(ratio) > s.budget {
 			break
 		}
-		batch = append(batch, p) //siglint:allocok amortized growth of the reused wavePending batch buffer
+		batch = append(batch, tk) //siglint:allocok amortized growth of the reused wavePending batch buffer
 		cost += c.at(ratio)
 		l.cost.sub(c)
-		if !p.req.Deadline.IsZero() {
+		if !tk.req.Deadline.IsZero() {
 			s.deadlined--
 		}
 		n++
@@ -957,8 +942,8 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	// Stage the batch, in admission order, into slabs of prebuilt specs; a
 	// slab submits the moment it fills, the partial one here (see
 	// hotpath.go).
-	for _, p := range batch {
-		s.stage(p)
+	for _, tk := range batch {
+		s.stage(tk)
 	}
 	if s.cur != nil {
 		s.submitSlab()
@@ -974,8 +959,8 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	// Count first, publish second: Totals must already hold the wave when
 	// the first of its tickets reports Done, so a caller that waited on a
 	// ticket always finds itself in Totals.
-	for _, p := range batch {
-		switch Outcome(p.tk.outcome.Load()) {
+	for _, tk := range batch {
+		switch Outcome(tk.outcome.Load()) {
 		case OutcomeAccurate:
 			rep.Accurate++
 		case OutcomeDegraded:
@@ -983,7 +968,7 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 		default:
 			rep.Dropped++
 		}
-		if p.lane == lanePriority {
+		if tk.lane == lanePriority {
 			rep.PriorityAdmitted++
 		}
 	}
@@ -1000,13 +985,13 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	}
 	// The deadline casualties admit skimmed resolve at this wave's epoch.
 	rep.TimedOut = len(s.waveExpired)
-	for i, p := range s.waveExpired {
-		s.resolveTimedOut(p, wave, nowNs)
+	for i, tk := range s.waveExpired {
+		s.resolveTimedOut(tk, wave, nowNs)
 		s.waveExpired[i] = nil
 	}
 	s.waveExpired = s.waveExpired[:0]
-	for i, p := range batch {
-		s.finish(p, wave, nowNs)
+	for i, tk := range batch {
+		s.finish(tk, wave, nowNs)
 		batch[i] = nil
 	}
 	s.recycleSlabs()

@@ -23,6 +23,10 @@ const (
 	DefaultScaleCooldown = 3
 )
 
+// maxScaleEvents bounds the retained action log: a scaler lives as long as
+// the server it scales, and nothing but Events reads the log.
+const maxScaleEvents = 256
+
 // AutoscalerConfig parameterizes an Autoscaler. Zero fields take defaults.
 type AutoscalerConfig struct {
 	// MinShards/MaxShards bound the live fleet size. MinShards defaults to
@@ -125,8 +129,11 @@ func NewAutoscaler(r *Router, cfg AutoscalerConfig) (*Autoscaler, error) {
 // Config returns the resolved configuration.
 func (a *Autoscaler) Config() AutoscalerConfig { return a.cfg }
 
-// Events returns the actions taken so far, in order.
-func (a *Autoscaler) Events() []ScaleEvent { return a.events }
+// Events returns the most recent actions, in order — at most the last 256;
+// older ones are dropped.
+func (a *Autoscaler) Events() []ScaleEvent {
+	return a.events[max(len(a.events)-maxScaleEvents, 0):]
+}
 
 // Observe feeds one wave's load observation and returns the shard-count
 // delta it acted with: +1 (grew), -1 (shrank), 0 (held). Cooldown waves
@@ -181,6 +188,11 @@ func (a *Autoscaler) highestRoutable() int {
 
 func (a *Autoscaler) acted(ev ScaleEvent) {
 	ev.Live = a.r.Live()
+	// Compact lazily at 2x the bound (adapt.Controller's TraceCap scheme):
+	// one copy per maxScaleEvents actions, not per action.
+	if len(a.events) >= 2*maxScaleEvents {
+		a.events = a.events[:copy(a.events, a.events[len(a.events)-maxScaleEvents+1:])]
+	}
 	a.events = append(a.events, ev)
 	a.upRun, a.downRun = 0, 0
 	a.cool = a.cfg.Cooldown

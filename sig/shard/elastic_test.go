@@ -353,6 +353,45 @@ func TestAutoscalerStepResponse(t *testing.T) {
 	}
 }
 
+// TestAutoscalerEventsBounded drives several hundred alternating up/down
+// actions through Observe against the unbounded log a model of the trace
+// predicts: every decision matches the model (bounding the log changes no
+// decision), Events never holds more than maxScaleEvents entries, and what it
+// holds is the true tail.
+func TestAutoscalerEventsBounded(t *testing.T) {
+	r := newElasticRouter(t, 1, 2)
+	a, err := NewAutoscaler(r, AutoscalerConfig{UpAfter: 1, DownAfter: 1, Cooldown: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With one-wave streaks and a one-wave cooldown every even Observe acts
+	// and every odd one is silenced, whatever its load.
+	var want []ScaleEvent
+	for k := 0; k < 2*650; k++ {
+		ev := ScaleEvent{Wave: k + 1, Delta: +1, Shard: 1, Load: 2.0, Live: 2}
+		if (k/2)%2 == 1 {
+			ev.Delta, ev.Load, ev.Live = -1, 0.1, 1
+		}
+		wantDelta := 0
+		if k%2 == 0 {
+			wantDelta = ev.Delta
+			want = append(want, ev)
+		}
+		if d := a.Observe(ev.Load); d != wantDelta {
+			t.Fatalf("Observe %d: delta %+d, want %+d", k, d, wantDelta)
+		}
+		if n := len(a.Events()); n > maxScaleEvents || n != min(len(want), maxScaleEvents) {
+			t.Fatalf("Observe %d: %d events retained after %d actions (bound %d)", k, n, len(want), maxScaleEvents)
+		}
+	}
+	got, tail := a.Events(), want[len(want)-maxScaleEvents:]
+	for i := range tail {
+		if got[i] != tail[i] {
+			t.Fatalf("retained event %d = %+v, want %+v", i, got[i], tail[i])
+		}
+	}
+}
+
 // TestAutoscalerConfigValidation pins the constructor's refusals.
 func TestAutoscalerConfigValidation(t *testing.T) {
 	r := newElasticRouter(t, 2, 3)

@@ -27,7 +27,7 @@ func (p *orderPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 	t.Decision = sig.DecideAccurate
 	return t, nil
 }
-func (p *orderPolicy) Flush() []*sig.Task                       { return nil }
+func (p *orderPolicy) Flush(dst []*sig.Task) []*sig.Task        { return dst }
 func (p *orderPolicy) WorkerDecide(int, *sig.Task) sig.Decision { return sig.DecideAccurate }
 
 // scatterOutcome is what one way of submitting a stream left behind: each

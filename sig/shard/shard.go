@@ -213,8 +213,6 @@ type Router struct {
 	cfg      Config
 	shards   []atomic.Pointer[sig.Runtime] // slot-indexed; nil = empty slot
 	state    []shardState
-	watts    float64
-	idle     float64
 	healthOn bool
 
 	// mu guards groups/order/closed and serializes fleet surgery
@@ -323,8 +321,6 @@ func New(cfg Config) (*Router, error) {
 	for i := cfg.Shards; i < cfg.MaxShards; i++ {
 		r.state[i].down.Store(true)
 	}
-	rep := r.shards[0].Load().Energy()
-	r.watts, r.idle = rep.ActiveWatts, rep.IdleWatts
 	return r, nil
 }
 
@@ -803,7 +799,7 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 		r.probe(i)
 	}
 	merged.Busy = busy
-	merged.Joules = r.watts * busy.Seconds()
+	merged.Joules = sig.DefaultActiveWatts * busy.Seconds()
 	merged.RequestedRatio = g.Ratio()
 	if d := merged.Decided(); d > 0 {
 		merged.ProvidedRatio = float64(merged.Accurate) / float64(d)
@@ -985,12 +981,12 @@ func (r *Router) Energy() sig.Report {
 		workers += rep.Workers
 	}
 	return sig.Report{
-		Joules:      r.watts * busy.Seconds(),
+		Joules:      sig.DefaultActiveWatts * busy.Seconds(),
 		Wall:        wall,
 		Busy:        busy,
 		Workers:     workers,
-		ActiveWatts: r.watts,
-		IdleWatts:   r.idle,
+		ActiveWatts: sig.DefaultActiveWatts,
+		IdleWatts:   sig.DefaultIdleWatts,
 	}
 }
 

@@ -289,7 +289,7 @@ func (p *laggingPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 	}
 	return t, nil
 }
-func (p *laggingPolicy) Flush() []*sig.Task { return nil }
+func (p *laggingPolicy) Flush(dst []*sig.Task) []*sig.Task { return dst }
 func (p *laggingPolicy) WorkerDecide(worker int, t *sig.Task) sig.Decision {
 	return sig.DecideAccurate
 }

@@ -10,8 +10,8 @@
 // approximately (or are dropped), trading result quality for energy.
 //
 // The runtime models energy instead of measuring hardware counters: workers
-// account their busy time and a configurable EnergyModel converts busy/idle
-// time into Joules (see energy.go). Energy reports remain valid and stable
+// account their busy time and two fixed per-core power figures convert it
+// into Joules (see energy.go). Energy reports remain valid and stable
 // after Close.
 //
 // The scheduler is built for submit throughput: every task, submitted singly
@@ -56,8 +56,6 @@ type Config struct {
 	// power of two (0 means DefaultQueueCapacity). Submit applies
 	// backpressure once every queue is full.
 	QueueCapacity int
-	// Energy overrides the modeled power figures; zero fields take defaults.
-	Energy EnergyModel
 	// RecordDecisions makes each group keep an ordered log of
 	// (significance, accurate) pairs for post-hoc policy-accuracy analysis
 	// (Table 2). Off by default: it costs memory per task.
@@ -108,11 +106,6 @@ type Task struct {
 	wave       int
 	slab       *taskSlab
 }
-
-// HasApprox reports whether the task carries an approximate body. Tasks
-// decided DecideApprox without one are simply skipped (the paper's
-// task-dropping degradation).
-func (t *Task) HasApprox() bool { return t.approx != nil }
 
 // Group returns the task's group.
 func (t *Task) Group() *Group { return t.group }
@@ -182,7 +175,6 @@ type Runtime struct {
 	// Read-mostly after New: the per-task path only loads from these.
 	cfg     Config
 	workers int
-	energy  EnergyModel
 	sched   *sched
 	pools   taskPools
 	clocks  []clock
@@ -228,7 +220,6 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:     cfg,
 		workers: workers,
-		energy:  cfg.Energy.withDefaults(),
 		sched:   newSched(workers, queueCap),
 		groups:  make(map[string]*Group),
 		start:   time.Now(), //siglint:wallclock wall anchor for the idle split of Energy reports; never feeds a decision
@@ -771,19 +762,13 @@ func (g *Group) providedRatio() float64 {
 
 // flush decides the group's buffered tasks and hands them to the workers:
 // through the flush segment when the caller acquired it (viaSegment), else
-// through the rings like a window. Policies implementing BufferFlusher flush
-// into the pooled scratch slice, so a steady-state taskwait performs no
-// allocation at all.
+// through the rings like a window. The policy flushes into the pooled
+// scratch slice, so a steady-state taskwait performs no allocation at all.
 func (rt *Runtime) flush(g *Group, viaSegment bool) {
 	scratch := rt.pools.getDispatch()
-	var ready []*Task
 	g.mu.Lock()
-	if fi, ok := g.policy.(BufferFlusher); ok {
-		ready = fi.FlushInto(*scratch)
-		*scratch = ready // the grown array stays with the pooled header
-	} else {
-		ready = g.policy.Flush()
-	}
+	ready := g.policy.Flush(*scratch)
+	*scratch = ready // the grown array stays with the pooled header
 	if len(ready) > 0 {
 		g.pending.Add(int64(len(ready)))
 	}
@@ -940,7 +925,15 @@ func (rt *Runtime) busyNS() int64 {
 }
 
 func (rt *Runtime) report(wall time.Duration) Report {
-	return rt.energy.report(wall, time.Duration(rt.busyNS()), rt.workers)
+	busy := time.Duration(rt.busyNS())
+	return Report{
+		Joules:      DefaultActiveWatts * busy.Seconds(),
+		Wall:        wall,
+		Busy:        busy,
+		Workers:     rt.workers,
+		ActiveWatts: DefaultActiveWatts,
+		IdleWatts:   DefaultIdleWatts,
+	}
 }
 
 // Stats returns a snapshot of per-group task accounting. Workers retire
