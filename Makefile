@@ -28,12 +28,14 @@ lint: vet
 	@rm -f siglint.bin
 
 # The lines after the first repeat the ring, backpressure and
-# helping-taskwait tests, and the serving pump's wake-token, early-wave and
-# pacer tests: their failures are interleavings, and one pass sees few of them.
+# helping-taskwait tests, the serving pump's wake-token, early-wave and
+# pacer tests, and the shard lifecycle's table, drain, rejoin and autoscale
+# tests: their failures are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps' ./sig
 	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence' ./sig/serve
+	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Quarantine|Revive|Elastic|Autoscal' ./sig/shard
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against

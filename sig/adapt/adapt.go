@@ -10,10 +10,9 @@
 // affords. TargetLoad is TargetEnergy with a pluggable measure: it caps a
 // caller-computed load signal (sig/serve uses it to map queue depth and
 // modeled demand onto the ratio). All laws are pure float arithmetic over
-// the wave telemetry (no
-// clocks, no randomness), so a run with declared task costs and a
-// deterministic policy reproduces the identical ratio trajectory at any
-// worker count — regression-tested under -race.
+// the wave telemetry (no clocks, no randomness), so a run with declared task
+// costs and a deterministic policy reproduces the identical ratio trajectory
+// at any worker count — regression-tested under -race.
 //
 // Usage:
 //
@@ -122,12 +121,13 @@ type Config struct {
 	// clamp is pure arithmetic over the retained window, so a floored
 	// controller replays bit-identically like an unfloored one.
 	WindowFloor *WindowFloor
-	// TraceCap, when positive, bounds the retained control trace to the
-	// most recent TraceCap samples. Long-running controllers (a serving
-	// layer observing every wave for days) otherwise grow the trace without
-	// bound. Zero keeps the full trace.
-	TraceCap int
 }
+
+// maxTrace bounds the retained trace to the most recent samples: a controller
+// lives as long as the server it regulates. Observe compacts lazily at 2x the
+// bound (one copy per maxTrace waves, not per wave) inside an array New makes
+// once, so it never allocates — serve's zero-alloc admission path depends on it.
+const maxTrace = 1024
 
 // Sample is one wave of the controller's trace.
 type Sample struct {
@@ -211,15 +211,9 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("adapt: WindowFloor.Floor %v outside [0,%v]", wf.Floor, cfg.Max)
 		}
 	}
-	c := &Controller{cfg: cfg}
+	c := &Controller{cfg: cfg, trace: make([]Sample, 0, 2*maxTrace)}
 	if wf := cfg.WindowFloor; wf != nil {
 		c.win = make([]float64, wf.Window)
-	}
-	if cfg.TraceCap > 0 {
-		// The compaction bound is 2*TraceCap, so a capped trace never grows
-		// its backing array: observing a wave is allocation-free, which the
-		// serving layer's zero-alloc admission path depends on.
-		c.trace = make([]Sample, 0, 2*cfg.TraceCap)
 	}
 	return c, nil
 }
@@ -265,11 +259,8 @@ func (c *Controller) Observe(g Target, ws sig.WaveStats) {
 	if c.cfg.WindowFloor != nil {
 		next, held, winMean = c.applyFloor(next, held, ws.ProvidedRatio)
 	}
-	// Compact lazily at 2x the cap so steady-state appends stay O(1)
-	// amortized: one copy per TraceCap waves, not per wave.
-	if tc := c.cfg.TraceCap; tc > 0 && len(c.trace) >= 2*tc {
-		kept := copy(c.trace, c.trace[len(c.trace)-tc+1:])
-		c.trace = c.trace[:kept]
+	if len(c.trace) >= 2*maxTrace {
+		c.trace = c.trace[:copy(c.trace, c.trace[len(c.trace)-maxTrace+1:])]
 	}
 	c.trace = append(c.trace, Sample{
 		Wave:          ws.Wave,
@@ -392,11 +383,11 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Trace returns a copy of the per-wave control trace.
+// Trace returns a copy of the per-wave control trace: its last 1024 waves at most.
 func (c *Controller) Trace() []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Sample(nil), c.trace...)
+	return append([]Sample(nil), c.trace[max(len(c.trace)-maxTrace, 0):]...)
 }
 
 // Ratio returns the last commanded ratio (NaN before the first wave).

@@ -353,3 +353,45 @@ func TestTargetLoadZeroCostWaves(t *testing.T) {
 		t.Errorf("ratio %v after 12 zero-demand waves, want recovered to the Max of 1", got)
 	}
 }
+
+// TestTraceBounded pins the one trace scheme every controller has: however
+// long it lives, it retains its most recent 1024 samples (Trace's documented
+// bound), the retained tail is the true tail, Ratio stays the last command,
+// and observing a wave never allocates — the backing array is made in New.
+func TestTraceBounded(t *testing.T) {
+	const bound = 1024
+	ctl, err := adapt.New(adapt.Config{
+		Group: "t", Objective: adapt.TargetLoad, Budget: 1,
+		// A load that alternates across the cap keeps the commands moving.
+		Measure: func(ws sig.WaveStats) float64 { return 0.5 + float64(ws.Wave%2) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := &fakeTarget{name: "t", ratio: 1}
+	wave := 0
+	observe := func() {
+		ctl.Observe(tgt, sig.WaveStats{Wave: wave, RequestedRatio: tgt.ratio, ProvidedRatio: tgt.ratio})
+		wave++
+	}
+	if avg := testing.AllocsPerRun(3*bound-1, observe); avg != 0 {
+		t.Errorf("%.2f allocs per Observe, want 0 from the first wave on", avg)
+	}
+	// AllocsPerRun warms up with one extra call.
+	if wave != 3*bound {
+		t.Fatalf("observed %d waves, want %d", wave, 3*bound)
+	}
+	trace := ctl.Trace()
+	if len(trace) == 0 || len(trace) > bound {
+		t.Fatalf("trace retains %d samples after %d waves, want 1..%d", len(trace), wave, bound)
+	}
+	for i, s := range trace {
+		if want := wave - len(trace) + i; s.Wave != want {
+			t.Fatalf("retained sample %d carries wave %d, want %d: not the true tail", i, s.Wave, want)
+		}
+	}
+	last := trace[len(trace)-1]
+	if ctl.Ratio() != last.NextRatio || tgt.ratio != last.NextRatio {
+		t.Errorf("Ratio() = %v, target at %v, last command %v", ctl.Ratio(), tgt.ratio, last.NextRatio)
+	}
+}

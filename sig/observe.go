@@ -39,6 +39,21 @@ type WaveStats struct {
 // Decided returns the number of tasks decided in the wave.
 func (w WaveStats) Decided() int { return w.Accurate + w.Approximate + w.Dropped }
 
+// Merge folds the integer account of ws — task counts and busy nanoseconds: a
+// group's diff against its last boundary, or one shard's cut of a fleet's wave
+// — into w and derives Joules and ProvidedRatio afresh from the sums (never by
+// adding float joules), so a merged wave is bit-identical to a single
+// runtime's that ran the same bodies. Wave and RequestedRatio stay w's.
+func (w *WaveStats) Merge(ws WaveStats) {
+	w.Submitted += ws.Submitted
+	w.Accurate += ws.Accurate
+	w.Approximate += ws.Approximate
+	w.Dropped += ws.Dropped
+	w.Busy += ws.Busy
+	w.Joules = joules(w.Busy)
+	w.ProvidedRatio = provided(int64(w.Accurate), int64(w.Decided()), w.RequestedRatio)
+}
+
 // Observer receives per-wave telemetry at every taskwait boundary (Wait,
 // WaitPhase, and the implicit drain in Close). It is the feedback seam of
 // the adaptive layer: an observer may retune the group's ratio via
@@ -82,26 +97,16 @@ func (rt *Runtime) WaitPhase(g *Group) WaveStats {
 func (rt *Runtime) endWave(g *Group) WaveStats {
 	g.phaseMu.Lock()
 	defer g.phaseMu.Unlock()
-	sub := g.submitted.Load()
-	acc := g.accurate.Load()
-	app := g.approximate.Load()
-	drop := g.dropped.Load()
+	sub, acc, app, drop := g.Counts()
 	busy := rt.busyNS()
-	ws := WaveStats{
-		Wave:           int(g.wave.Load()),
-		Submitted:      int(sub - g.waveBase.submitted),
-		Accurate:       int(acc - g.waveBase.accurate),
-		Approximate:    int(app - g.waveBase.approximate),
-		Dropped:        int(drop - g.waveBase.dropped),
-		RequestedRatio: g.Ratio(),
-		Busy:           time.Duration(busy - g.waveBase.busyNS),
-	}
-	ws.Joules = DefaultActiveWatts * ws.Busy.Seconds()
-	if d := ws.Decided(); d > 0 {
-		ws.ProvidedRatio = float64(ws.Accurate) / float64(d)
-	} else {
-		ws.ProvidedRatio = ws.RequestedRatio
-	}
+	ws := WaveStats{Wave: int(g.wave.Load()), RequestedRatio: g.Ratio()}
+	ws.Merge(WaveStats{
+		Submitted:   int(sub - g.waveBase.submitted),
+		Accurate:    int(acc - g.waveBase.accurate),
+		Approximate: int(app - g.waveBase.approximate),
+		Dropped:     int(drop - g.waveBase.dropped),
+		Busy:        time.Duration(busy - g.waveBase.busyNS),
+	})
 	g.waveBase = waveSnapshot{submitted: sub, accurate: acc, approximate: app, dropped: drop, busyNS: busy}
 	g.wave.Add(1)
 	return ws

@@ -21,11 +21,6 @@ import (
 // internal task slab size so one serve slab maps onto one task slab.
 const serveSlabSize = 64
 
-// serveTraceCap bounds the admission controller's retained trace: a server
-// pumping waves every few milliseconds for days must not grow its telemetry
-// without bound.
-const serveTraceCap = 1024
-
 // Admission lanes, as data: everything that tells one lane from another is a
 // field of its lane, and Submit, admit, the expiry sweep, the backlog sums
 // and the metrics iterate s.lanes instead of naming a queue. A wave drains

@@ -382,8 +382,8 @@ type Server struct {
 	ctl *adapt.Controller
 
 	// fleet executes the waves and grp is the serving group on it — the one
-	// engine, whatever the shard count; the controller observes the router's
-	// merged waves through OnWave. scaler, when configured, elasticizes the
+	// engine, whatever the shard count; runWave hands the controller each
+	// merged wave WaitPhase returns. scaler, when configured, elasticizes the
 	// fleet. budgetPerShard is the per-live-shard share of the configured
 	// WaveBudget: the price RunWave hands rebudget at every wave boundary.
 	fleet          *shard.Router
@@ -516,7 +516,6 @@ func New(cfg Config) (*Server, error) {
 		Measure:     s.measure,
 		Min:         cfg.MinRatio,
 		Max:         1,
-		TraceCap:    serveTraceCap,
 		WindowFloor: wf,
 	})
 	if err != nil {
@@ -528,7 +527,6 @@ func New(cfg Config) (*Server, error) {
 		Runtime:     sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
 		WaveTimeout: cfg.WaveTimeout,
 		HealthProbe: cfg.HealthProbe,
-		OnWave:      func(g *shard.Group, ws sig.WaveStats) { s.ctl.Observe(g, ws) },
 	})
 	if err != nil {
 		return nil, err
@@ -948,7 +946,8 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	if s.cur != nil {
 		s.submitSlab()
 	}
-	ws := s.fleet.WaitPhase(s.grp) // admission controller observes here
+	ws := s.fleet.WaitPhase(s.grp)
+	s.ctl.Observe(s.grp, ws) // the admission controller retunes the ratio for the next wave
 	end := s.clock.Now()
 	// The wave's measured wall time — admission through taskwait — is the
 	// sample behind MeasuredPeriod.

@@ -637,3 +637,47 @@ func TestServeTotalsCountBeforeDone(t *testing.T) {
 		t.Errorf("Totals right after Done do not conserve: %d+%d+%d != %d", tot.Accurate, tot.Degraded, tot.Dropped, tot.Completed)
 	}
 }
+
+// TestServeObservesOncePerWave pins what the router's callback seam used to
+// give implicitly and runWave's explicit call must keep: the admission
+// controller observes every wave exactly once — loaded, empty, and the drain
+// waves Close runs — in order, so sample i of its trace is wave i.
+func TestServeObservesOncePerWave(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		s := newTestServer(t, 8, func(c *Config) { c.Shards = shards })
+		var served [3]atomic.Int64
+		seq := 0
+		submit := func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := s.Submit(request(seq, &served)); err != nil {
+					t.Fatal(err)
+				}
+				seq++
+			}
+		}
+		for w := 0; w < 6; w++ {
+			if w%3 != 2 { // two loaded waves, then an empty one
+				submit(8)
+			}
+			s.RunWave()
+		}
+		before := s.Totals().Waves
+		submit(64) // several waves' worth, left for Close to drain
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waves := s.Totals().Waves
+		if waves < before+2 {
+			t.Fatalf("%d shards: Close drained in %d waves, want at least 2", shards, waves-before)
+		}
+		trace := s.ctl.Trace()
+		if int64(len(trace)) != waves {
+			t.Fatalf("%d shards: controller observed %d waves, the server ran %d", shards, len(trace), waves)
+		}
+		for i, sample := range trace {
+			if sample.Wave != i {
+				t.Fatalf("%d shards: sample %d carries wave %d", shards, i, sample.Wave)
+			}
+		}
+	}
+}

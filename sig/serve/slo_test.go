@@ -48,7 +48,7 @@ func TestServeBudgetTracksHealthDrain(t *testing.T) {
 	live := 3
 	for live != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard never auto-drained: live=%d health=%v", live, s.Fleet().HealthStates())
+			t.Fatalf("shard never auto-drained: live=%d health=%v", live, s.Fleet().Health(1))
 		}
 		rep := s.RunWave()
 		live = rep.LiveShards

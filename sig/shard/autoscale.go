@@ -92,8 +92,8 @@ type ScaleEvent struct {
 // Observe is pure arithmetic over its inputs plus AddShard/DrainShard calls
 // — no clocks, no randomness — so a replayed load trace reproduces the
 // exact same scaling decisions. It is not safe for concurrent use; drive it
-// from the wave loop (e.g. Config.OnWave or after serve.RunWave), which is
-// single-threaded by construction.
+// from the wave loop (after WaitPhase returns, as serve's runWave does), which
+// is single-threaded by construction.
 type Autoscaler struct {
 	r   *Router
 	cfg AutoscalerConfig
@@ -125,9 +125,6 @@ func NewAutoscaler(r *Router, cfg AutoscalerConfig) (*Autoscaler, error) {
 	}
 	return &Autoscaler{r: r, cfg: cfg}, nil
 }
-
-// Config returns the resolved configuration.
-func (a *Autoscaler) Config() AutoscalerConfig { return a.cfg }
 
 // Events returns the most recent actions, in order — at most the last 256;
 // older ones are dropped.
@@ -188,8 +185,8 @@ func (a *Autoscaler) highestRoutable() int {
 
 func (a *Autoscaler) acted(ev ScaleEvent) {
 	ev.Live = a.r.Live()
-	// Compact lazily at 2x the bound (adapt.Controller's TraceCap scheme):
-	// one copy per maxScaleEvents actions, not per action.
+	// Compact lazily at 2x the bound (adapt.Controller's trace does the
+	// same): one copy per maxScaleEvents actions, not per action.
 	if len(a.events) >= 2*maxScaleEvents {
 		a.events = a.events[:copy(a.events, a.events[len(a.events)-maxScaleEvents+1:])]
 	}

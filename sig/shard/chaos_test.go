@@ -156,7 +156,7 @@ func TestChaosStalledShardHoldsWave(t *testing.T) {
 	})
 	close(gate)
 	<-done
-	r.WaitAll() // the straggler submitted after the Wait goroutine started
+	r.WaitPhase(g) // the straggler submitted after the Wait goroutine started
 
 	if got := stalled.Load(); got != 9 {
 		t.Errorf("stalled shard ran %d bodies, want 9", got)

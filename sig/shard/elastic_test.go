@@ -205,8 +205,10 @@ func TestAddShardReseedsPlacement(t *testing.T) {
 // readmits it, and health states read back correctly at each step.
 func TestQuarantineExplicitLifecycle(t *testing.T) {
 	r := newElasticRouter(t, 3, 3)
-	if got := r.HealthStates(); len(got) != 3 || got[0] != HealthLive {
-		t.Fatalf("initial health states %v, want all live", got)
+	for i := 0; i < r.Shards(); i++ {
+		if got := r.Health(i); got != HealthLive {
+			t.Fatalf("initial health of shard %d is %v, want live", i, got)
+		}
 	}
 	if err := r.QuarantineShard(1); err != nil {
 		t.Fatal(err)
@@ -241,8 +243,8 @@ func TestQuarantineExplicitLifecycle(t *testing.T) {
 	if r.Routable() != 3 {
 		t.Fatalf("routable after revive %d, want 3", r.Routable())
 	}
-	if got := r.Health(2); got != HealthLive || r.Strikes(2) != 0 {
-		t.Fatalf("bystander shard disturbed: health %v strikes %d", got, r.Strikes(2))
+	if got, strikes := r.Health(2), r.state[2].strikes.Load(); got != HealthLive || strikes != 0 {
+		t.Fatalf("bystander shard disturbed: health %v strikes %d", got, strikes)
 	}
 }
 
@@ -413,7 +415,7 @@ func TestAutoscalerConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := a.Config()
+	got := a.cfg
 	if got.MinShards != 1 || got.MaxShards != 3 || got.UpAt != DefaultScaleUpAt ||
 		got.DownAt != DefaultScaleDownAt || got.UpAfter != DefaultScaleUpAfter ||
 		got.DownAfter != DefaultScaleDownAfter || got.Cooldown != DefaultScaleCooldown {

@@ -165,7 +165,7 @@ func FuzzShardRouting(f *testing.F) {
 					}
 				case 3: // revive the first quarantined shard
 					for i := 0; i < r.Shards(); i++ {
-						if r.state[i].quarantined.Load() {
+						if r.Health(i) == HealthQuarantined {
 							if err := r.ReviveShard(i); err == nil {
 								drained++
 							}
@@ -182,7 +182,7 @@ func FuzzShardRouting(f *testing.F) {
 				// Drain the lowest-numbered live shard; refusing to kill
 				// the last one is part of the contract under test.
 				for i := 0; i < shards; i++ {
-					if !r.state[i].down.Load() {
+					if r.Health(i) != HealthDrained {
 						if err := r.DrainShard(i); err == nil {
 							drained++
 						}

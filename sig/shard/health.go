@@ -4,7 +4,7 @@ import (
 	"fmt"
 )
 
-// HealthState is one shard's position in the fleet health state machine:
+// HealthState is one shard's announced position in the fleet lifecycle:
 //
 //	live ──strike──▶ suspect ──strike──▶ quarantined ──strike──▶ drained
 //	  ▲                 │                    │                      │
@@ -16,7 +16,8 @@ import (
 // suspect shard back to live; a quarantined shard stays unroutable until
 // ReviveShard (its empty waves complete instantly, so they prove nothing).
 // Drained is terminal for the incarnation — AddShard starts the slot's next
-// one at live.
+// one at live. TestLifecycleTable holds every (position, operation) pair to a
+// literal table.
 type HealthState int32
 
 const (
@@ -47,6 +48,28 @@ func (h HealthState) String() string {
 	return fmt.Sprintf("HealthState(%d)", int32(h))
 }
 
+// The lifecycle word (shardState.pos) holds one of five positions, ordered so
+// every question the router asks is one comparison: routable is ≤ suspect,
+// Live is < draining, a free slot is == drained. The first three are the
+// HealthStates of the same name. draining is a DrainShard in flight — turned
+// away from routing, runtime still closing, energy report not frozen yet, so
+// AddShard must not reuse the slot — and drained is the closed runtime (or a
+// headroom slot never filled). Health reports both as HealthDrained: a caller
+// can do nothing with the difference but retry AddShard, which tells it
+// (ErrShardDraining).
+//
+// Plain stores of the word happen under r.mu (fleet surgery), except the
+// drainer's own draining → drained; the two health transitions off the lock,
+// live ↔ suspect, are CASes, so they can never resurrect a shard surgery
+// moved.
+const (
+	live        = int32(HealthLive)
+	suspect     = int32(HealthSuspect)
+	quarantined = int32(HealthQuarantined)
+	draining    = int32(HealthDrained)
+	drained     = draining + 1
+)
+
 // Consecutive-strike thresholds: DefaultSuspectAfter is fixed, the other two
 // are the defaults for Config's zero fields.
 const (
@@ -60,24 +83,8 @@ const (
 
 // Health returns shard i's current health state.
 func (r *Router) Health(i int) HealthState {
-	st := &r.state[i]
-	if st.down.Load() {
-		return HealthDrained
-	}
-	return HealthState(st.health.Load())
+	return HealthState(min(r.state[i].pos.Load(), draining))
 }
-
-// HealthStates snapshots every slot's health, indexed by slot.
-func (r *Router) HealthStates() []HealthState {
-	out := make([]HealthState, len(r.state))
-	for i := range out {
-		out[i] = r.Health(i)
-	}
-	return out
-}
-
-// Strikes returns shard i's consecutive strike count.
-func (r *Router) Strikes(i int) int { return int(r.state[i].strikes.Load()) }
 
 // strike records one missed/failed wave for shard i and advances the health
 // state machine. Runs on the merging goroutine (WaitPhase), so transitions
@@ -85,7 +92,7 @@ func (r *Router) Strikes(i int) int { return int(r.state[i].strikes.Load()) }
 // because closing a wedged shard blocks until its tasks unwedge.
 func (r *Router) strike(i int) {
 	st := &r.state[i]
-	if st.down.Load() {
+	if st.pos.Load() >= draining {
 		return
 	}
 	n := int(st.strikes.Add(1))
@@ -102,7 +109,7 @@ func (r *Router) strike(i int) {
 		return
 	}
 	if n >= DefaultSuspectAfter {
-		st.health.CompareAndSwap(int32(HealthLive), int32(HealthSuspect))
+		st.pos.CompareAndSwap(live, suspect)
 	}
 }
 
@@ -115,7 +122,7 @@ func (r *Router) probe(i int) {
 		return
 	}
 	st := &r.state[i]
-	if st.down.Load() {
+	if st.pos.Load() >= draining {
 		return
 	}
 	if hp := r.cfg.HealthProbe; hp != nil {
@@ -136,12 +143,12 @@ func (r *Router) waveOK(i int) {
 		return
 	}
 	st := &r.state[i]
-	if st.down.Load() {
+	if st.pos.Load() >= draining {
 		return
 	}
 	st.strikes.Store(0)
 	st.autoDrain.Store(false)
-	st.health.CompareAndSwap(int32(HealthSuspect), int32(HealthLive))
+	st.pos.CompareAndSwap(suspect, live)
 }
 
 // QuarantineShard pulls shard i out of placement without closing its
@@ -159,17 +166,15 @@ func (r *Router) QuarantineShard(i int) error {
 		return fmt.Errorf("shard: QuarantineShard(%d): %w", i, ErrRouterClosed)
 	}
 	st := &r.state[i]
-	if st.down.Load() {
+	switch pos := st.pos.Load(); {
+	case pos >= draining:
 		return fmt.Errorf("shard: QuarantineShard(%d): %w", i, ErrShardDown)
-	}
-	if st.quarantined.Load() {
+	case pos == quarantined:
 		return nil
-	}
-	if r.routableLocked() <= 1 {
+	case r.Routable() <= 1:
 		return fmt.Errorf("shard: cannot quarantine shard %d: %w", i, ErrLastShard)
 	}
-	st.quarantined.Store(true)
-	st.health.Store(int32(HealthQuarantined))
+	st.pos.Store(quarantined)
 	return nil
 }
 
@@ -185,12 +190,11 @@ func (r *Router) ReviveShard(i int) error {
 		return fmt.Errorf("shard: ReviveShard(%d): %w", i, ErrRouterClosed)
 	}
 	st := &r.state[i]
-	if st.down.Load() {
+	if st.pos.Load() >= draining {
 		return fmt.Errorf("shard: ReviveShard(%d): %w", i, ErrShardDown)
 	}
-	st.quarantined.Store(false)
 	st.strikes.Store(0)
 	st.autoDrain.Store(false)
-	st.health.Store(int32(HealthLive))
+	st.pos.Store(live)
 	return nil
 }

@@ -90,8 +90,9 @@ func TestRouterShardsOverlap(t *testing.T) {
 		if w := in.Wedged(); w < 1 || w > 2 || ran[0].Load() != 0 {
 			t.Fatalf("shard 0: %d wedged, %d bodies ran; want its one worker, and at most the goroutine cutting its wave, held on a first task", w, ran[0].Load())
 		}
-		if r.Strikes(0) != 1 || r.Strikes(1) != 0 {
-			t.Errorf("strikes %d/%d after one missed cut on shard 0, want 1/0", r.Strikes(0), r.Strikes(1))
+		// One strike turns a shard suspect (DefaultSuspectAfter); none leaves it live.
+		if h0, h1 := r.Health(0), r.Health(1); h0 != shard.HealthSuspect || h1 != shard.HealthLive {
+			t.Errorf("health %v/%v after one missed cut on shard 0, want suspect/live", h0, h1)
 		}
 		// A second wave while the cut is still outstanding neither
 		// re-flushes the wedged shard nor waits on it.

@@ -13,11 +13,12 @@
 // knob even when placement skews significance across shards. A one-slot
 // Router has no placement to skew and runs no trim: it is a sig.Runtime wave
 // for wave, which is what lets sig/serve use it as its only engine. WaitPhase
-// drains every shard and returns one merged WaveStats; the modeled joules of
-// the merge are computed from the exact integer sum of the shards' busy
-// nanoseconds — not by adding per-shard float joules — so the merged energy
-// account is bit-identical to a single runtime executing the same bodies,
-// and replays are bit-identical at any shard count.
+// drains every shard and returns one merged WaveStats. The arithmetic of every
+// merged account is sig's own (WaveStats.Merge, GroupStats.Merge,
+// Report.Merge): modeled joules are priced from the exact integer sum of the
+// shards' busy nanoseconds — not by adding per-shard float joules — so the
+// merged energy account is bit-identical to a single runtime executing the
+// same bodies, and replays are bit-identical at any shard count.
 //
 // The fleet is elastic. A Router is born with Config.Shards shards inside
 // Config.MaxShards fixed slots; DrainShard retires a shard at runtime
@@ -26,9 +27,9 @@
 // the merged-energy bit-identity contract: the outgoing incarnation's frozen
 // busy nanoseconds move into an integer retirement account, the joining
 // runtime starts with a zero busy clock, and merged joules stay one
-// multiplication over an exact integer sum. Per-shard health is a small
-// state machine (live → suspect → quarantined → auto-drained, see
-// health.go) driven by a wave-latency watchdog and a pluggable HealthProbe;
+// multiplication over an exact integer sum. A shard's whole lifecycle is one
+// word (live → suspect → quarantined → draining → drained, see health.go)
+// driven by a wave-latency watchdog and a pluggable HealthProbe;
 // an Autoscaler (autoscale.go) grows and shrinks the fleet between bounds
 // with hysteresis and cooldown. The chaos suite (chaos_test.go and
 // sig/chaos) holds all of it to "nothing lost, nothing double-counted".
@@ -81,8 +82,10 @@ const (
 	PlaceLeastLoad
 	// PlaceCostAffinity places tasks of the same cost class (binary
 	// exponent of the declared accurate cost) on the same shard, so a
-	// backend's equal-sized requests keep hitting the same slab pools and
-	// policy windows.
+	// shard's policy window holds tasks of like cost and the accurate ratio it
+	// provides is also the share of modeled energy it spends. No front end
+	// selects it: harness.ShardStudy's placement sweep is its only caller
+	// outside the tests.
 	PlaceCostAffinity
 )
 
@@ -127,15 +130,11 @@ type Config struct {
 	Placement PlacementKind
 	// Runtime configures every shard identically: Workers is the
 	// *per-shard* worker pool (0 = GOMAXPROCS per shard). Its Observer
-	// must be nil — per-wave observation belongs to the Router, which
-	// merges the shards' waves and delivers them through OnWave.
+	// must be nil — a shard sees only its cut of a wave. The merged wave is
+	// WaitPhase's return value: a global admission controller observes that
+	// (adapt.Controller.Observe(g, r.WaitPhase(g))) and may retune the group
+	// via Group.SetRatio before the next wave.
 	Runtime sig.Config
-	// OnWave, when non-nil, receives the merged WaveStats of every
-	// logical group at each Wait/WaitPhase boundary, after all shards
-	// drained — the seam a global admission controller (adapt.TargetLoad
-	// via Controller.Observe) attaches to. It runs on the waiter's
-	// goroutine and may retune the group via Group.SetRatio.
-	OnWave func(g *Group, ws sig.WaveStats)
 
 	// WaveTimeout, when positive, bounds how long a merged WaitPhase waits
 	// on any one shard's wave cut: a shard that overruns it is skipped in
@@ -157,33 +156,26 @@ type Config struct {
 	DrainAfter      int
 }
 
-// shardState is the Router's per-shard routing and health state, padded so
-// the hot submit path never false-shares between shards.
+// shardState is the Router's per-shard routing and health state: one cache
+// line, so the hot submit path never false-shares between shards
+// (TestShardStateIsOneCacheLine).
 type shardState struct {
 	// inflight counts router submissions that picked this shard and may
-	// not have reached its runtime yet; DrainShard flips down first and
-	// then waits for inflight to drain.
+	// not have reached its runtime yet; DrainShard turns the shard away first
+	// and then waits for inflight to drain.
 	inflight atomic.Int64
-	// down marks the shard unroutable and its runtime closed (or never
-	// started: empty headroom slots are born down). Cleared by AddShard.
-	down atomic.Bool
-	// quarantined marks the shard unroutable while its runtime stays open
-	// (health state machine); ReviveShard clears it.
-	quarantined atomic.Bool
-	// draining is set for the duration of a DrainShard so AddShard never
-	// reuses a slot whose energy report is not frozen yet.
-	draining atomic.Bool
-	// autoDrain latches the auto-drain trigger so the watchdog spawns at
-	// most one drain per episode.
-	autoDrain atomic.Bool
 	// load is the outstanding modeled cost routed to the shard and not
 	// yet retired by a wave boundary (least-load placement).
 	load atomic.Int64
-	// health is the announced HealthState; strikes counts consecutive
-	// missed/failed waves (see health.go).
-	health  atomic.Int32
+	// pos is the shard's lifecycle position (see health.go): the one word
+	// routing, health and fleet surgery all read.
+	pos atomic.Int32
+	// strikes counts consecutive missed/failed waves (see health.go).
 	strikes atomic.Int32
-	_       [27]byte
+	// autoDrain latches the auto-drain trigger so the watchdog spawns at
+	// most one drain per episode.
+	autoDrain atomic.Bool
+	_         [36]byte
 }
 
 // partRef pairs one shard's runtime with this group's physical group on it.
@@ -193,16 +185,6 @@ type shardState struct {
 type partRef struct {
 	rt *sig.Runtime
 	p  *sig.Group
-}
-
-// retiredEnergy is the integer energy account of shards that left the fleet
-// and whose slot was reused: exact busy nanoseconds, so merged joules stay
-// one float multiplication over an integer sum.
-type retiredEnergy struct {
-	busy    time.Duration
-	wall    time.Duration
-	workers int
-	panics  int64
 }
 
 // Router multiplexes the single-runtime surface over N shards. Create one
@@ -218,11 +200,16 @@ type Router struct {
 	// mu guards groups/order/closed and serializes fleet surgery
 	// (AddShard/DrainShard/quarantine) with the cold read paths
 	// (Energy/Stats); never on the submit path.
-	mu      sync.Mutex
-	groups  map[string]*Group
-	order   []*Group
-	closed  bool
-	retired retiredEnergy
+	mu     sync.Mutex
+	groups map[string]*Group
+	order  []*Group
+	closed bool
+	// retired is the account of shards that left the fleet and whose slot was
+	// reused — exact busy nanoseconds (sig.Report.Merge), so merged joules
+	// stay one multiplication over an integer sum — and the panics they
+	// absorbed.
+	retired       sig.Report
+	retiredPanics int64
 
 	def atomic.Pointer[Group] // cached default group, off r.mu on submit
 	rr  atomic.Uint64         // round-robin cursor
@@ -282,7 +269,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: unknown placement kind %d", cfg.Placement)
 	}
 	if cfg.Runtime.Observer != nil {
-		return nil, fmt.Errorf("shard: per-shard Observer must be nil; merged waves are delivered through Config.OnWave")
+		return nil, fmt.Errorf("shard: per-shard Observer must be nil; the merged wave is WaitPhase's return value")
 	}
 	if cfg.WaveTimeout < 0 {
 		return nil, fmt.Errorf("shard: negative WaveTimeout %v", cfg.WaveTimeout)
@@ -317,31 +304,16 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.shards[i].Store(rt)
 	}
-	// Headroom slots are born down (empty) until an AddShard fills them.
+	// Headroom slots are born drained (empty) until an AddShard fills them.
 	for i := cfg.Shards; i < cfg.MaxShards; i++ {
-		r.state[i].down.Store(true)
+		r.state[i].pos.Store(drained)
 	}
 	return r, nil
 }
 
 // Shards returns the fleet's slot capacity (Config.MaxShards): the valid
-// shard-index range for Part/Runtime/Health, whatever subset is live.
+// shard-index range for Part/Health, whatever subset is live.
 func (r *Router) Shards() int { return len(r.shards) }
-
-// Workers returns the total worker count across the current shards.
-func (r *Router) Workers() int {
-	n := 0
-	for i := range r.shards {
-		if rt := r.shards[i].Load(); rt != nil {
-			n += rt.Workers()
-		}
-	}
-	return n
-}
-
-// Runtime returns shard i's runtime (nil for an empty slot), for tests and
-// per-shard introspection.
-func (r *Router) Runtime(i int) *sig.Runtime { return r.shards[i].Load() }
 
 // Group is one logical task group spanning every shard. It satisfies
 // adapt.Target, so a single controller can own the merged ratio.
@@ -352,8 +324,8 @@ type Group struct {
 	parts []atomic.Pointer[partRef] // slot-indexed; nil = empty slot
 	// trim is each shard's boost above the global ratio (float bits),
 	// updated by the trim controllers at wave boundaries and read by
-	// applyRatio — atomics so SetRatio (from an OnWave observer) never
-	// races the boundary update.
+	// applyRatio — atomics so SetRatio (a controller on another goroutine)
+	// never races the boundary update.
 	trim []atomic.Uint64
 	// added tracks the modeled cost this group routed to each shard since
 	// its last wave boundary, so the boundary can retire it from the
@@ -399,13 +371,13 @@ func (g *Group) applyRatio() {
 	ratio := g.Ratio()
 	for i := range g.parts {
 		if ref := g.parts[i].Load(); ref != nil {
-			ref.p.SetRatio(math.Min(1, ratio+math.Float64frombits(g.trim[i].Load())))
+			ref.p.SetRatio(math.Min(1, ratio+g.trimOf(i)))
 		}
 	}
 }
 
-// Trim returns shard i's current boost above the global ratio.
-func (g *Group) Trim(i int) float64 { return math.Float64frombits(g.trim[i].Load()) }
+// trimOf returns shard i's current boost above the global ratio.
+func (g *Group) trimOf(i int) float64 { return math.Float64frombits(g.trim[i].Load()) }
 
 // Part returns the physical group on shard i (nil for an empty slot), for
 // tests and per-shard introspection.
@@ -426,14 +398,7 @@ func (g *Group) retire(i int) {
 	if ref == nil {
 		return
 	}
-	gs := ref.p.Stats()
-	g.retired.Submitted += gs.Submitted
-	g.retired.Accurate += gs.Accurate
-	g.retired.Approximate += gs.Approximate
-	g.retired.Dropped += gs.Dropped
-	g.retired.InBytes += gs.InBytes
-	g.retired.OutBytes += gs.OutBytes
-	g.retired.Decisions = append(g.retired.Decisions, gs.Decisions...)
+	g.retired.Merge(ref.p.Stats())
 	g.parts[i].Store(nil)
 }
 
@@ -514,30 +479,15 @@ func placementCost(spec *sig.TaskSpec) float64 {
 // Least-load placement reads the load it writes, so it charges every spec as
 // it is placed — before the shard's sub-batch is even formed — and sees the
 // earlier specs of the same batch; the other placements charge a sub-batch's
-// sum once.
+// sum once, in submitBucket. A negative cost takes a charge back.
 func (r *Router) account(g *Group, i int, cost int64) {
 	r.state[i].load.Add(cost)
 	g.added[i].Add(cost)
 }
 
-// routable reports whether slot j accepts new work: not drained and not
-// quarantined.
-func (r *Router) routable(j int) bool {
-	st := &r.state[j]
-	return !st.down.Load() && !st.quarantined.Load()
-}
-
-// place picks a shard for one spec. It only *proposes*: route() re-checks
-// routability under the in-flight counter.
-func (r *Router) place(spec *sig.TaskSpec) int {
-	if len(r.shards) == 1 {
-		return 0
-	}
-	if r.cfg.Placement == PlaceLeastLoad {
-		return r.leastLoaded()
-	}
-	return r.liveFrom(r.slotOf(spec, r.draw(1)))
-}
+// routable reports whether slot j accepts new work: live or suspect — one
+// load of the lifecycle word.
+func (r *Router) routable(j int) bool { return r.state[j].pos.Load() <= suspect }
 
 // draw reserves n consecutive values of the round-robin cursor and returns
 // the first; the other placements have no use for it and leave it alone.
@@ -548,7 +498,9 @@ func (r *Router) draw(n int) uint64 {
 	return r.rr.Add(uint64(n)) - uint64(n)
 }
 
-// leastLoaded returns the routable shard with the least outstanding load.
+// leastLoaded returns the routable shard with the least outstanding load. Like
+// liveFrom it only *proposes*: route re-checks routability under the in-flight
+// counter.
 func (r *Router) leastLoaded() int {
 	best, bestLoad := 0, int64(math.MaxInt64)
 	for i := range r.state {
@@ -569,7 +521,7 @@ func (r *Router) slotOf(spec *sig.TaskSpec, cursor uint64) int {
 	n := len(r.shards)
 	if r.cfg.Placement == PlaceCostAffinity {
 		// The binary exponent buckets costs into classes: tasks within 2x
-		// of each other share a shard (and therefore its slab pools). The
+		// of each other share a shard (and therefore its policy windows). The
 		// class→slot map is over fixed slot capacity, so a drained slot's
 		// classes come home when the slot rejoins.
 		class := math.Ilogb(placementCost(spec))
@@ -612,24 +564,12 @@ func (r *Router) route(i int) (int, bool) {
 	return 0, false
 }
 
-// Submit schedules one task on a shard picked by the placement policy.
-// Like sig.Runtime.Submit it panics on a nil body or a closed router.
+// Submit schedules one task on a shard picked by the placement policy: a
+// SubmitBatch of one. Like sig.Runtime.Submit it panics on a nil body or a
+// closed router.
 func (r *Router) Submit(g *Group, spec sig.TaskSpec) {
-	if spec.Fn == nil {
-		panic("sig: Submit with nil task body")
-	}
-	if g == nil {
-		g = r.defaultGroup()
-	}
-	i, ok := r.route(r.place(&spec))
-	if !ok {
-		panic("shard: Submit with every shard drained")
-	}
-	defer r.state[i].inflight.Add(-1)
-	r.account(g, i, int64(placementCost(&spec)))
-	ref := g.parts[i].Load()
 	one := [1]sig.TaskSpec{spec}
-	ref.rt.SubmitBatch(ref.p, one[:])
+	r.SubmitBatch(g, one[:])
 }
 
 // SubmitBatch scatters the batch across shards by the placement policy and
@@ -650,21 +590,14 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 			panic("sig: SubmitBatch with nil task body")
 		}
 	}
-	n := len(r.shards)
-	if n == 1 {
-		i, ok := r.route(0)
-		if !ok {
-			panic("shard: Submit with every shard drained")
-		}
-		defer r.state[i].inflight.Add(-1)
-		// One slot: nothing reads the load mid-batch, so charge the sum.
+	if len(r.shards) == 1 {
+		// One slot: nothing to place, and nothing reads the load mid-batch,
+		// so the whole batch is one bucket charged its sum.
 		var cost int64
 		for k := range specs {
 			cost += int64(placementCost(&specs[k]))
 		}
-		r.account(g, i, cost)
-		ref := g.parts[i].Load()
-		ref.rt.SubmitBatch(ref.p, specs)
+		r.submitBucket(g, 0, specs, cost, false)
 		return
 	}
 	sc := r.getScatter()
@@ -690,45 +623,35 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 		sc.buckets[b] = append(sc.buckets[b], specs[k])
 	}
 	for b, sub := range sc.buckets {
-		if len(sub) == 0 {
-			continue
+		if len(sub) > 0 {
+			r.submitBucket(g, b, sub, sc.cost[b], leastLoad)
 		}
-		if !leastLoad {
-			r.account(g, b, sc.cost[b])
-		}
-		r.submitBucket(g, b, sub, sc.cost[b])
 	}
 }
 
-// submitBucket routes one placed sub-batch and submits it, releasing the
-// in-flight slot even if the shard's SubmitBatch panics (a leaked slot
-// would wedge a later DrainShard forever).
-func (r *Router) submitBucket(g *Group, b int, sub []sig.TaskSpec, cost int64) {
+// submitBucket is the one submit tail: it routes a placed sub-batch, charges
+// its summed cost to the shard that runs it, and submits it, releasing the
+// in-flight slot even if the shard's SubmitBatch panics (a leaked slot would
+// wedge a later DrainShard forever). charged says placement already charged
+// the cost to b, spec by spec (least-load).
+func (r *Router) submitBucket(g *Group, b int, sub []sig.TaskSpec, cost int64, charged bool) {
 	i, ok := r.route(b)
 	if !ok {
 		panic("shard: Submit with every shard drained")
 	}
 	defer r.state[i].inflight.Add(-1)
-	if i != b {
+	switch {
+	case !charged:
+		r.account(g, i, cost)
+	case i != b:
 		// The proposed shard was drained between placement and routing:
 		// move the sub-batch's load charge to the shard that actually
 		// runs it, so least-load keeps seeing the truth.
-		r.state[b].load.Add(-cost)
-		g.added[b].Add(-cost)
-		r.state[i].load.Add(cost)
-		g.added[i].Add(cost)
+		r.account(g, b, -cost)
+		r.account(g, i, cost)
 	}
 	ref := g.parts[i].Load()
 	ref.rt.SubmitBatch(ref.p, sub)
-}
-
-// mergeWave folds one shard's wave cut into the merge.
-func mergeWave(merged *sig.WaveStats, busy *time.Duration, ws sig.WaveStats) {
-	merged.Submitted += ws.Submitted
-	merged.Accurate += ws.Accurate
-	merged.Approximate += ws.Approximate
-	merged.Dropped += ws.Dropped
-	*busy += ws.Busy
 }
 
 // WaitPhase flushes the logical group on every shard, then waits on each in
@@ -736,14 +659,15 @@ func mergeWave(merged *sig.WaveStats, busy *time.Duration, ws sig.WaveStats) {
 // waiting on any is what lets the shards run their waves side by side: under
 // a buffering policy nothing on a shard runs before its own flush, so
 // flushing shard i+1 only after shard i drained would run the fleet one
-// shard at a time. Counts are summed; the merged busy
-// time is the exact integer sum of the shards' busy nanoseconds, and the
-// merged joules are computed from that sum in one multiplication — so the
-// energy account is bit-identical to a single runtime running the same
-// bodies, and additivity survives any shard count (invariant-tested).
-// After the merge the per-shard trim controllers absorb each shard's
-// provided-ratio lag, then the Router's OnWave observer (if any) sees the
-// merged wave and may retune the global ratio for the next one.
+// shard at a time. The shards' cuts are folded in slot order by
+// sig.WaveStats.Merge — counts and busy nanoseconds summed as integers, the
+// joules priced from that sum in one multiplication — so the energy account
+// is bit-identical to a single runtime running the same bodies, and
+// additivity survives any shard count (invariant-tested). After the merge the
+// per-shard trim controllers absorb each shard's provided-ratio lag and the
+// next wave's ratios are applied; a controller that observes the returned
+// wave (serve.runWave does, on the next line) retunes the global ratio on
+// top of that, outside waveMu.
 //
 // With Config.WaveTimeout set, a shard that overruns its wave cut is
 // skipped this wave (watchdog): its pending result folds into a later
@@ -760,8 +684,7 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 			ref.rt.Flush(ref.p)
 		}
 	}
-	merged := sig.WaveStats{Wave: g.wave}
-	var busy time.Duration
+	var cuts sig.WaveStats // the shards' integer account, folded in slot order
 	lags := g.lags
 	clear(lags)
 	for i := range g.parts {
@@ -772,7 +695,7 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 			select {
 			case ws := <-ch:
 				g.lateWave[i] = nil
-				mergeWave(&merged, &busy, ws)
+				cuts.Merge(ws)
 				r.state[i].load.Add(-g.added[i].Swap(0))
 				r.waveOK(i)
 			default:
@@ -791,42 +714,33 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 			r.strike(i)
 			continue
 		}
-		mergeWave(&merged, &busy, ws)
+		cuts.Merge(ws)
 		if ws.Decided() > 0 {
 			lags[i] = want - ws.ProvidedRatio
 		}
 		r.state[i].load.Add(-g.added[i].Swap(0))
 		r.probe(i)
 	}
-	merged.Busy = busy
-	merged.Joules = sig.DefaultActiveWatts * busy.Seconds()
-	merged.RequestedRatio = g.Ratio()
-	if d := merged.Decided(); d > 0 {
-		merged.ProvidedRatio = float64(merged.Accurate) / float64(d)
-	} else {
-		merged.ProvidedRatio = merged.RequestedRatio
-	}
+	merged := sig.WaveStats{Wave: g.wave, RequestedRatio: g.Ratio()}
+	merged.Merge(cuts)
 	g.wave++
 	// Per-shard trim update: integrate each shard's lag, clamped to
 	// [0, DefaultTrimMax] — a lagging shard is boosted above the global
 	// command, never shed below it, so the hierarchical knob cannot undercut
 	// the ratio floor the caller asked for. Pure arithmetic on wave
 	// telemetry: deterministic, replayable. Trim corrects placement skew
-	// *between* shards; a one-slot router has none (place and SubmitBatch
-	// special-case it the same way), so there the shard runs exactly the
-	// global ratio — a one-slot router is a sig.Runtime, wave for wave.
+	// *between* shards; a one-slot router has none (SubmitBatch special-cases
+	// it the same way), so there the shard runs exactly the global ratio — a
+	// one-slot router is a sig.Runtime, wave for wave.
 	if len(r.shards) > 1 {
 		for i := range g.trim {
-			t := math.Float64frombits(g.trim[i].Load()) + DefaultTrimGain*lags[i]
+			t := g.trimOf(i) + DefaultTrimGain*lags[i]
 			t = math.Max(0, math.Min(DefaultTrimMax, t))
 			g.trim[i].Store(math.Float64bits(t))
 		}
 	}
 	g.applyRatio()
 	g.waveMu.Unlock()
-	if r.cfg.OnWave != nil {
-		r.cfg.OnWave(g, merged)
-	}
 	return merged
 }
 
@@ -865,30 +779,16 @@ func (r *Router) Wait(g *Group) float64 {
 // copying on the wave path.
 func (g *Group) providedRatio() float64 {
 	g.retiredMu.Lock()
-	acc := g.retired.Accurate
-	decided := g.retired.Accurate + g.retired.Approximate + g.retired.Dropped
+	defer g.retiredMu.Unlock()
+	merged := g.retired
+	merged.Decisions, merged.RequestedRatio = nil, g.Ratio()
 	for i := range g.parts {
 		if ref := g.parts[i].Load(); ref != nil {
 			_, a, ap, d := ref.p.Counts()
-			acc += a
-			decided += a + ap + d
+			merged.Merge(sig.GroupStats{Accurate: a, Approximate: ap, Dropped: d})
 		}
 	}
-	g.retiredMu.Unlock()
-	if decided == 0 {
-		return g.Ratio()
-	}
-	return float64(acc) / float64(decided)
-}
-
-// WaitAll waits on every logical group ever created on the router.
-func (r *Router) WaitAll() {
-	r.mu.Lock()
-	groups := append([]*Group(nil), r.order...)
-	r.mu.Unlock()
-	for _, g := range groups {
-		r.WaitPhase(g)
-	}
+	return merged.ProvidedRatio
 }
 
 // Stats returns the logical group's merged accounting: counters summed
@@ -898,31 +798,11 @@ func (g *Group) Stats() sig.GroupStats {
 	g.retiredMu.Lock()
 	defer g.retiredMu.Unlock()
 	merged := sig.GroupStats{Name: g.name, RequestedRatio: g.Ratio()}
-	merged.Submitted = g.retired.Submitted
-	merged.Accurate = g.retired.Accurate
-	merged.Approximate = g.retired.Approximate
-	merged.Dropped = g.retired.Dropped
-	merged.InBytes = g.retired.InBytes
-	merged.OutBytes = g.retired.OutBytes
-	merged.Decisions = append(merged.Decisions, g.retired.Decisions...)
+	merged.Merge(g.retired)
 	for i := range g.parts {
-		ref := g.parts[i].Load()
-		if ref == nil {
-			continue
+		if ref := g.parts[i].Load(); ref != nil {
+			merged.Merge(ref.p.Stats())
 		}
-		gs := ref.p.Stats()
-		merged.Submitted += gs.Submitted
-		merged.Accurate += gs.Accurate
-		merged.Approximate += gs.Approximate
-		merged.Dropped += gs.Dropped
-		merged.InBytes += gs.InBytes
-		merged.OutBytes += gs.OutBytes
-		merged.Decisions = append(merged.Decisions, gs.Decisions...)
-	}
-	if total := merged.Accurate + merged.Approximate + merged.Dropped; total > 0 {
-		merged.ProvidedRatio = float64(merged.Accurate) / float64(total)
-	} else {
-		merged.ProvidedRatio = merged.RequestedRatio
 	}
 	return merged
 }
@@ -934,14 +814,14 @@ func (r *Router) Stats() sig.Stats {
 	groups := append([]*Group(nil), r.order...)
 	r.mu.Unlock()
 	st := sig.Stats{}
+	var sum sig.GroupStats
 	for _, g := range groups {
 		gs := g.Stats()
 		st.Groups = append(st.Groups, gs)
-		st.Submitted += gs.Submitted
-		st.Accurate += gs.Accurate
-		st.Approximate += gs.Approximate
-		st.Dropped += gs.Dropped
+		gs.Decisions = nil // the totals carry no log
+		sum.Merge(gs)
 	}
+	st.Submitted, st.Accurate, st.Approximate, st.Dropped = sum.Submitted, sum.Accurate, sum.Approximate, sum.Dropped
 	return st
 }
 
@@ -958,36 +838,22 @@ func (r *Router) ShardStats() []sig.Stats {
 	return out
 }
 
-// Energy returns the merged modeled energy report: busy time is the exact
-// integer sum of the shards' busy nanoseconds — current incarnations plus
-// the retirement account of shards whose slot was reused — and the joules
-// are computed from that sum, bit-identical to a single runtime that
-// executed the same bodies. Wall is the slowest shard's wall clock; Workers
-// the total started, past incarnations included.
+// Energy returns the merged modeled energy report (sig.Report.Merge): busy
+// time is the exact integer sum of the shards' busy nanoseconds — current
+// incarnations plus the retirement account of shards whose slot was reused —
+// and the joules are priced from that sum, bit-identical to a single runtime
+// that executed the same bodies. Wall is the slowest shard's wall clock;
+// Workers the total started, past incarnations included.
 func (r *Router) Energy() sig.Report {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	busy, wall, workers := r.retired.busy, r.retired.wall, r.retired.workers
+	rep := r.retired
 	for i := range r.shards {
-		rt := r.shards[i].Load()
-		if rt == nil {
-			continue
+		if rt := r.shards[i].Load(); rt != nil {
+			rep.Merge(rt.Energy())
 		}
-		rep := rt.Energy()
-		busy += rep.Busy
-		if rep.Wall > wall {
-			wall = rep.Wall
-		}
-		workers += rep.Workers
 	}
-	return sig.Report{
-		Joules:      sig.DefaultActiveWatts * busy.Seconds(),
-		Wall:        wall,
-		Busy:        busy,
-		Workers:     workers,
-		ActiveWatts: sig.DefaultActiveWatts,
-		IdleWatts:   sig.DefaultIdleWatts,
-	}
+	return rep
 }
 
 // ShardEnergy returns each slot's own energy report, indexed by slot (zero
@@ -1007,21 +873,10 @@ func (r *Router) ShardEnergy() []sig.Report {
 func (r *Router) Panics() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.retired.panics
+	n := r.retiredPanics
 	for i := range r.shards {
 		if rt := r.shards[i].Load(); rt != nil {
 			n += rt.Panics()
-		}
-	}
-	return n
-}
-
-// routableLocked counts routable shards; r.mu must be held.
-func (r *Router) routableLocked() int {
-	n := 0
-	for j := range r.state {
-		if r.routable(j) {
-			n++
 		}
 	}
 	return n
@@ -1045,11 +900,11 @@ func (r *Router) DrainShard(i int) error {
 		return fmt.Errorf("shard: DrainShard(%d): %w", i, ErrRouterClosed)
 	}
 	st := &r.state[i]
-	if st.down.Load() {
+	if st.pos.Load() >= draining {
 		r.mu.Unlock()
 		return nil
 	}
-	routable := r.routableLocked()
+	routable := r.Routable()
 	if r.routable(i) {
 		routable--
 	}
@@ -1057,13 +912,14 @@ func (r *Router) DrainShard(i int) error {
 		r.mu.Unlock()
 		return fmt.Errorf("shard: cannot drain shard %d: %w", i, ErrLastShard)
 	}
-	st.draining.Store(true)
-	st.down.Store(true)
-	st.health.Store(int32(HealthDrained))
+	// draining, not yet drained: unroutable from this store on, but AddShard
+	// must not reuse the slot until its energy report is frozen.
+	st.pos.Store(draining)
 	r.mu.Unlock()
-	// Wait out router submissions that picked this shard before down
-	// flipped; afterwards nothing new can reach it. Same yield-then-sleep
-	// discipline as sig.Runtime.Close.
+	// Wait out router submissions that picked this shard before the word
+	// turned; afterwards nothing new can reach it (route re-checks it under
+	// the in-flight count). Same yield-then-sleep discipline as
+	// sig.Runtime.Close.
 	for spin := 0; st.inflight.Load() != 0; spin++ {
 		if spin < 64 {
 			runtime.Gosched()
@@ -1072,7 +928,9 @@ func (r *Router) DrainShard(i int) error {
 		}
 	}
 	err := r.shards[i].Load().Close()
-	st.draining.Store(false)
+	// Only the drainer writes a draining word — surgery refuses the slot and
+	// the health CASes start from live or suspect — so this store needs no lock.
+	st.pos.Store(drained)
 	return err
 }
 
@@ -1093,36 +951,27 @@ func (r *Router) AddShard() (int, error) {
 	if r.closed {
 		return -1, fmt.Errorf("shard: AddShard: %w", ErrRouterClosed)
 	}
-	slot, draining := -1, false
+	slot, full := -1, ErrFleetFull
 	for j := range r.state {
-		if !r.state[j].down.Load() {
-			continue
+		pos := r.state[j].pos.Load()
+		if pos == drained {
+			slot = j
+			break
 		}
-		if r.state[j].draining.Load() {
-			draining = true
-			continue
+		if pos == draining {
+			full = ErrShardDraining
 		}
-		slot = j
-		break
 	}
 	if slot < 0 {
-		if draining {
-			return -1, fmt.Errorf("shard: AddShard: %w", ErrShardDraining)
-		}
-		return -1, fmt.Errorf("shard: AddShard: %w", ErrFleetFull)
+		return -1, fmt.Errorf("shard: AddShard: %w", full)
 	}
 	rt, err := sig.New(r.cfg.Runtime)
 	if err != nil {
 		return -1, err
 	}
 	if old := r.shards[slot].Load(); old != nil {
-		rep := old.Energy()
-		r.retired.busy += rep.Busy
-		if rep.Wall > r.retired.wall {
-			r.retired.wall = rep.Wall
-		}
-		r.retired.workers += rep.Workers
-		r.retired.panics += old.Panics()
+		r.retired.Merge(old.Energy())
+		r.retiredPanics += old.Panics()
 		for _, g := range r.order {
 			g.retire(slot)
 		}
@@ -1136,29 +985,29 @@ func (r *Router) AddShard() (int, error) {
 	st.load.Store(0)
 	st.strikes.Store(0)
 	st.autoDrain.Store(false)
-	st.quarantined.Store(false)
-	st.health.Store(int32(HealthLive))
 	r.shards[slot].Store(rt)
-	// Publish routability last: a submitter that observes down == false is
-	// ordered after every store above (atomics are seq-cst), so it can only
-	// see the fully assembled new incarnation.
-	st.down.Store(false)
+	// Publish routability last, in the one store of live: a submitter that
+	// observes it is ordered after every store above (atomics are seq-cst),
+	// so it can only see the fully assembled new incarnation.
+	st.pos.Store(live)
 	return slot, nil
 }
 
 // Live returns the number of shards whose runtime is open (quarantined
 // shards included — they hold in-flight work even though they refuse new).
 func (r *Router) Live() int {
-	live := 0
+	n := 0
 	for i := range r.state {
-		if !r.state[i].down.Load() {
-			live++
+		if r.state[i].pos.Load() < draining {
+			n++
 		}
 	}
-	return live
+	return n
 }
 
-// Routable returns the number of shards accepting new work.
+// Routable returns the number of shards accepting new work. Fleet surgery
+// calls it under r.mu, where only the live ↔ suspect CASes — which do not
+// change it — can move a word.
 func (r *Router) Routable() int {
 	n := 0
 	for j := range r.state {

@@ -38,8 +38,8 @@ func TestRouterSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Shards() != 4 || r.Workers() != 4 || r.Live() != 4 {
-		t.Fatalf("fleet shape: %d shards, %d workers, %d live", r.Shards(), r.Workers(), r.Live())
+	if r.Shards() != 4 || r.Energy().Workers != 4 || r.Live() != 4 {
+		t.Fatalf("fleet shape: %d shards, %d workers, %d live", r.Shards(), r.Energy().Workers, r.Live())
 	}
 	g := r.Group("web", 0.5)
 	if g2 := r.Group("web", 0.8); g2 != g {
@@ -96,7 +96,7 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 	type obs struct{ sig.Observer }
 	if _, err := New(Config{Runtime: sig.Config{Observer: obs{}}}); err == nil {
-		t.Error("per-shard Observer accepted; merged waves must flow through OnWave")
+		t.Error("per-shard Observer accepted; the merged wave is WaitPhase's return value")
 	}
 	r, err := New(Config{}) // zero config = 1 shard, round-robin
 	if err != nil {
@@ -317,7 +317,7 @@ func TestTrimBoostsLaggingShard(t *testing.T) {
 		r.SubmitBatch(g, specStream(n, func(i int) float64 { return float64(i%100)/100*0.98 + 0.01 }, ranAcc, ranApx))
 		r.WaitPhase(g)
 		for i := 0; i < 2; i++ {
-			trim := g.Trim(i)
+			trim := g.trimOf(i)
 			if trim < 0 || trim > DefaultTrimMax+1e-12 {
 				t.Fatalf("wave %d shard %d trim %v outside [0, %v]", wave, i, trim, DefaultTrimMax)
 			}
@@ -328,14 +328,14 @@ func TestTrimBoostsLaggingShard(t *testing.T) {
 	}
 	// The lagging policy guarantees lag, so the integrators must have
 	// railed at TrimMax by now.
-	if g.Trim(0) < DefaultTrimMax-1e-9 || g.Trim(1) < DefaultTrimMax-1e-9 {
-		t.Errorf("trims %v/%v did not integrate up to %v under persistent lag", g.Trim(0), g.Trim(1), DefaultTrimMax)
+	if g.trimOf(0) < DefaultTrimMax-1e-9 || g.trimOf(1) < DefaultTrimMax-1e-9 {
+		t.Errorf("trims %v/%v did not integrate up to %v under persistent lag", g.trimOf(0), g.trimOf(1), DefaultTrimMax)
 	}
 }
 
 // TestDeterministicShardedReplay is the sharded face of the adaptive
 // replay contract: a full closed loop — router, GTB(max) shards, merged
-// waves observed by an adapt.TargetEnergy controller through OnWave —
+// waves WaitPhase returns observed by an adapt.TargetEnergy controller —
 // replays bit-identically (ratio trajectory, outcome counts, per-wave
 // joules) at 1, 2 and 8 shards. Run under -race in CI.
 func TestDeterministicShardedReplay(t *testing.T) {
@@ -352,7 +352,6 @@ func TestDeterministicShardedReplay(t *testing.T) {
 			r, err := New(Config{
 				Shards:  shards,
 				Runtime: sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer},
-				OnWave:  func(g *Group, ws sig.WaveStats) { ctl.Observe(g, ws) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -365,6 +364,7 @@ func TestDeterministicShardedReplay(t *testing.T) {
 				ranApx := make([]atomic.Bool, n)
 				r.SubmitBatch(g, specStream(n, nineLevels, ranAcc, ranApx))
 				ws := r.WaitPhase(g)
+				ctl.Observe(g, ws)
 				trace = append(trace, g.Ratio())
 				joules = append(joules, math.Float64bits(ws.Joules))
 				acc = append(acc, ws.Accurate)
@@ -386,7 +386,7 @@ func TestDeterministicShardedReplay(t *testing.T) {
 // controller: the same seeded stream — specials 0.0 and 1.0 included, in
 // bursts that make the provided ratio lag the command — driven through a
 // bare sig.Runtime observed by an adapt controller and through a one-slot
-// Router observed by the same controller via OnWave yields the same ratio
+// Router whose WaitPhase result the same controller observes yields the same ratio
 // trajectory, per-wave outcome counts and bit-identical joules. Trim exists
 // to correct placement skew between shards; boosting a lone shard whose
 // provided ratio lags on 0.0-significance traffic would make the router a
@@ -450,7 +450,6 @@ func TestOneSlotRouterIsARuntime(t *testing.T) {
 	r, err := New(Config{
 		Shards:  1,
 		Runtime: rtCfg,
-		OnWave:  func(g *Group, ws sig.WaveStats) { ctl.Observe(g, ws) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -461,10 +460,11 @@ func TestOneSlotRouterIsARuntime(t *testing.T) {
 	for w := 0; w < waves; w++ {
 		r.SubmitBatch(g, stream(w))
 		ws := r.WaitPhase(g)
+		ctl.Observe(g, ws)
 		if got := record(g.Ratio(), ws); got != bare[w] {
 			t.Fatalf("wave %d: one-slot router %+v, bare runtime %+v", w, got, bare[w])
 		}
-		if trim := g.Trim(0); trim != 0 {
+		if trim := g.trimOf(0); trim != 0 {
 			t.Fatalf("wave %d: one-slot router trimmed its only shard by %v", w, trim)
 		}
 		moved = moved || g.Ratio() < 1

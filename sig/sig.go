@@ -748,16 +748,9 @@ func (g *Group) record(t *Task, accurate bool) {
 }
 
 // providedRatio is the achieved accurate fraction over all decided tasks.
-// A group nothing was ever submitted to reports its requested ratio: an
-// empty run trivially satisfies its target, and callers averaging Wait
-// results must never see a 0/0 artifact.
 func (g *Group) providedRatio() float64 {
-	acc := g.accurate.Load()
-	total := acc + g.approximate.Load() + g.dropped.Load()
-	if total == 0 {
-		return g.Ratio()
-	}
-	return float64(acc) / float64(total)
+	_, acc, app, drop := g.Counts()
+	return provided(acc, acc+app+drop, g.Ratio())
 }
 
 // flush decides the group's buffered tasks and hands them to the workers:
@@ -866,9 +859,7 @@ func (rt *Runtime) Wait(g *Group) float64 {
 	if g == nil {
 		g = rt.defaultGroup()
 	}
-	rt.drain(g)
-	ws := rt.endWave(g)
-	rt.observe(g, ws)
+	rt.WaitPhase(g)
 	return g.providedRatio()
 }
 
@@ -925,15 +916,9 @@ func (rt *Runtime) busyNS() int64 {
 }
 
 func (rt *Runtime) report(wall time.Duration) Report {
-	busy := time.Duration(rt.busyNS())
-	return Report{
-		Joules:      DefaultActiveWatts * busy.Seconds(),
-		Wall:        wall,
-		Busy:        busy,
-		Workers:     rt.workers,
-		ActiveWatts: DefaultActiveWatts,
-		IdleWatts:   DefaultIdleWatts,
-	}
+	var rep Report
+	rep.Merge(Report{Wall: wall, Busy: time.Duration(rt.busyNS()), Workers: rt.workers})
+	return rep
 }
 
 // Stats returns a snapshot of per-group task accounting. Workers retire
@@ -945,14 +930,14 @@ func (rt *Runtime) Stats() Stats {
 	groups := append([]*Group(nil), rt.order...)
 	rt.mu.Unlock()
 	st := Stats{}
+	var sum GroupStats
 	for _, g := range groups {
 		gs := g.Stats()
 		st.Groups = append(st.Groups, gs)
-		st.Submitted += gs.Submitted
-		st.Accurate += gs.Accurate
-		st.Approximate += gs.Approximate
-		st.Dropped += gs.Dropped
+		gs.Decisions = nil // the totals carry no log
+		sum.Merge(gs)
 	}
+	st.Submitted, st.Accurate, st.Approximate, st.Dropped = sum.Submitted, sum.Accurate, sum.Approximate, sum.Dropped
 	return st
 }
 

@@ -34,6 +34,32 @@ type GroupStats struct {
 	Decisions []DecisionRecord
 }
 
+// provided is the ratio rule of every account: the accurate fraction of the
+// decided tasks. An account that decided nothing reports its requested ratio:
+// an empty run trivially satisfies its target, and callers averaging Wait
+// results must never see a 0/0 artifact.
+func provided(accurate, decided int64, requested float64) float64 {
+	if decided == 0 {
+		return requested
+	}
+	return float64(accurate) / float64(decided)
+}
+
+// Merge folds another snapshot of the same logical group — one shard's, or a
+// retired incarnation's — into gs: counters and footprints add, o's decision
+// log follows gs's, and ProvidedRatio is derived afresh from the summed
+// counters. Name and RequestedRatio stay gs's.
+func (gs *GroupStats) Merge(o GroupStats) {
+	gs.Submitted += o.Submitted
+	gs.Accurate += o.Accurate
+	gs.Approximate += o.Approximate
+	gs.Dropped += o.Dropped
+	gs.InBytes += o.InBytes
+	gs.OutBytes += o.OutBytes
+	gs.Decisions = append(gs.Decisions, o.Decisions...)
+	gs.ProvidedRatio = provided(gs.Accurate, gs.Accurate+gs.Approximate+gs.Dropped, gs.RequestedRatio)
+}
+
 // Counts returns the group's task counters — submitted, accurate,
 // approximate, dropped — without the decision-log copy Stats makes: the
 // O(1) read a per-wave merge loop (sig/shard) wants.
