@@ -27,13 +27,14 @@ lint: vet
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
 
-# The lines after the first repeat the ring, backpressure and
-# helping-taskwait tests, the serving pump's wake-token, early-wave and
-# pacer tests, and the shard lifecycle's table, drain, rejoin and autoscale
-# tests: their failures are interleavings, and one pass sees few of them.
+# The lines after the first repeat the ring, backpressure, helping-taskwait
+# and concurrent-submitter tests, the serving pump's wake-token, early-wave
+# and pacer tests, and the shard lifecycle's table, drain, rejoin and
+# autoscale tests: their failures are interleavings, and one pass sees few of
+# them.
 race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps' ./sig
+	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
 	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence' ./sig/serve
 	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Quarantine|Revive|Elastic|Autoscal' ./sig/shard
 

@@ -48,7 +48,9 @@
 //	    (or ?sig=0.7) [&deadline_ms=50]       tier's significance
 //	GET /stats                                serving counters + ratio
 //	GET /metrics                              Prometheus text exposition
-//	GET /healthz                              liveness
+//	GET /healthz                              liveness: the process answers
+//	GET /readyz                               readiness: 200 while admitting,
+//	                                          503 once shutdown has begun
 //
 // Example:
 //
@@ -64,6 +66,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -152,28 +155,58 @@ func main() {
 	handler := newHandler(srv, backend, *deadline)
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutCtx)
-	}()
-	log.Printf("sigserve: %s backend on %s (%d shard(s), period %v, queue %d, minratio %.2f)",
-		backend.Name, *addr, max(*shards, 1), *period, *queue, *minRatio)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sigserve:", err)
 		os.Exit(1)
 	}
-	if err := srv.Close(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	log.Printf("sigserve: %s backend on %s (%d shard(s), period %v, queue %d, minratio %.2f)",
+		backend.Name, *addr, max(*shards, 1), *period, *queue, *minRatio)
+	if err := run(ctx, ln, handler, srv); err != nil {
 		fmt.Fprintln(os.Stderr, "sigserve:", err)
 		os.Exit(1)
 	}
 	tot := srv.Totals()
 	log.Printf("sigserve: served %d (%d acc / %d deg / %d drop), rejected %d, %.4f J modeled",
 		tot.Completed, tot.Accurate, tot.Degraded, tot.Dropped, tot.Rejected, tot.Joules)
+}
+
+// shutdownGrace bounds how long run waits for in-flight requests to be
+// answered once its context is cancelled.
+const shutdownGrace = 5 * time.Second
+
+// run serves h on ln until ctx is cancelled, then shuts down in the order that
+// loses no accepted request: /readyz turns 503, the listener closes, every
+// request already in a handler gets its reply — its ticket resolves on the
+// waves srv's pump keeps firing — and only when the last handler has returned
+// (or shutdownGrace has passed) does srv.Close stop admission and retire the
+// fleet. Serve returns the moment Shutdown is called, not when it is done, so
+// run returns — and the process may exit — only after Shutdown has.
+func run(ctx context.Context, ln net.Listener, h *front, srv *serve.Server) error {
+	httpSrv := &http.Server{Handler: h}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served: // the listener failed under us
+		return errors.Join(err, srv.Close())
+	case <-ctx.Done():
+	}
+	h.draining.Store(true)
+	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
+	defer cancel()
+	err := httpSrv.Shutdown(shutCtx)
+	<-served // http.ErrServerClosed
+	return errors.Join(err, srv.Close())
+}
+
+// front is the HTTP face of one serve.Server: the mux newHandler builds and
+// the word run sets when shutdown begins, so /readyz stops advertising the
+// server before its listener closes.
+type front struct {
+	*http.ServeMux
+	draining atomic.Bool
 }
 
 // workReply is the body of a served /work request. Its fields are in the
@@ -189,11 +222,13 @@ type workReply struct {
 
 // newHandler is the HTTP front of srv: /work admits one request of backend
 // (deadline is the default for requests that name none, 0 = none) and
-// replies when its ticket resolves; /stats, /metrics and /healthz report.
-func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.Duration) http.Handler {
+// replies when its ticket resolves; /stats, /metrics, /healthz and /readyz
+// report.
+func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.Duration) *front {
 	shards := srv.Fleet().Live()
 	var seq atomic.Int64
 	mux := http.NewServeMux()
+	f := &front{ServeMux: mux}
 	mux.HandleFunc("/work", func(w http.ResponseWriter, r *http.Request) {
 		req := backend.NewRequest(int(seq.Add(1) - 1))
 		query := r.URL.Query()
@@ -290,10 +325,19 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = srv.WriteMetrics(w)
 	})
+	// Liveness: the process answers (the benchmark's start-up poll).
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	return mux
+	// Readiness: a /work sent now would be admitted and routed.
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if f.draining.Load() || srv.Fleet().Routable() == 0 {
+			http.Error(w, "not admitting", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ready")
+	})
+	return f
 }
 
 // requestSignificance resolves ?tier= (named) or ?sig= (numeric) to a

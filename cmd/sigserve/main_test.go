@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 	"repro/sig/serve"
@@ -18,7 +23,7 @@ import (
 // newFront builds a server and its HTTP front over the sobel backend. A
 // started server runs its own waves; an unstarted one only runs the waves the
 // test fires, so its queue fills.
-func newFront(t *testing.T, cfg serve.Config, start bool) (*serve.Server, http.Handler) {
+func newFront(t *testing.T, cfg serve.Config, start bool) (*serve.Server, *front) {
 	t.Helper()
 	cfg.Workers = 1
 	srv, err := serve.New(cfg)
@@ -61,11 +66,101 @@ func TestWorkStatus(t *testing.T) {
 		// One nanosecond from arrival: gone before Submit reads the clock.
 		{"/work?tier=gold&deadline_ms=0.000001", http.StatusGatewayTimeout, "deadline expired before admission"},
 		{"/healthz", http.StatusOK, "ok"},
+		{"/readyz", http.StatusOK, "ready"},
 	} {
 		rec := get(h, tc.target)
 		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.body) {
 			t.Errorf("GET %s: status %d, body %q; want %d and %q", tc.target, rec.Code, rec.Body.String(), tc.status, tc.body)
 		}
+	}
+}
+
+// TestReadyzTurnsOffAtShutdown: once run has begun shutting down, /readyz
+// answers 503 so a balancer stops sending, while /healthz — liveness — still
+// answers 200 for as long as the process does.
+func TestReadyzTurnsOffAtShutdown(t *testing.T) {
+	_, h := newFront(t, serve.Config{}, true)
+	h.draining.Store(true)
+	if rec := get(h, "/readyz"); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "not admitting") {
+		t.Errorf("GET /readyz while draining: status %d, body %q; want 503 not admitting", rec.Code, rec.Body.String())
+	}
+	if rec := get(h, "/healthz"); rec.Code != http.StatusOK {
+		t.Errorf("GET /healthz while draining: status %d, want 200", rec.Code)
+	}
+}
+
+// TestShutdownDrainsAccepted drives run with its own listener and context:
+// requests queued for the next wave when the context is cancelled are all
+// answered — 200, or 503 had admission already stopped, never a broken
+// connection — every handler has returned by the time run does (so the process
+// may exit), and the server's books balance.
+func TestShutdownDrainsAccepted(t *testing.T) {
+	const clients = 24
+	// A long cadence: past the first idle arrival, requests wait for the tick.
+	srv, h := newFront(t, serve.Config{WavePeriod: 50 * time.Millisecond, MinPeriod: 50 * time.Millisecond}, true)
+	var inHandler atomic.Int32
+	mux := h.ServeMux
+	h.ServeMux = http.NewServeMux()
+	h.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		inHandler.Add(1)
+		defer inHandler.Add(-1)
+		mux.ServeHTTP(w, r)
+		time.Sleep(10 * time.Millisecond) // a reply still on its way out after the ticket resolved
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() { ran <- run(ctx, ln, h, srv) }()
+
+	var (
+		wg       sync.WaitGroup
+		statuses [clients]int
+		errs     [clients]error
+	)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A connection of its own: none of these may ride another's reply.
+			c := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+			resp, err := c.Get("http://" + ln.Addr().String() + "/work?tier=silver")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			statuses[i] = resp.StatusCode
+			_, errs[i] = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Totals().Submitted < clients; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted", srv.Totals().Submitted, clients)
+		}
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-ran; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if n := inHandler.Load(); n != 0 {
+		t.Errorf("run returned with %d requests still in their handlers", n)
+	}
+	if !h.draining.Load() {
+		t.Error("run did not turn readiness off")
+	}
+	wg.Wait()
+	for i, status := range statuses {
+		if errs[i] != nil || status != http.StatusOK && status != http.StatusServiceUnavailable {
+			t.Errorf("a request in flight at shutdown ended with status %d, error %v", status, errs[i])
+		}
+	}
+	if tot := srv.Totals(); tot.Submitted != tot.Completed+tot.Rejected {
+		t.Errorf("totals %+v: submitted != completed + rejected", tot)
 	}
 }
 

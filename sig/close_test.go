@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,33 +9,33 @@ import (
 	"time"
 )
 
-// stashPolicy is a LocklessSubmitter that buffers: Submit keeps every task
-// under the policy's own mutex and only Flush hands them back. It is the shape
-// the Close protocol has to net a pre-published pending count back for.
-type stashPolicy struct {
-	mu  sync.Mutex
-	buf []*Task
-}
+// stashPolicy is a custom policy that buffers: Submit keeps every task and
+// only Flush hands them back. It has no lock of its own — the group lock is
+// what serializes it against four submitters and Close's flush.
+type stashPolicy struct{ buf []*Task }
 
-func (p *stashPolicy) Name() string    { return "stash" }
-func (p *stashPolicy) LocklessSubmit() {}
 func (p *stashPolicy) Submit(t *Task) (*Task, []*Task) {
-	p.mu.Lock()
 	p.buf = append(p.buf, t)
-	p.mu.Unlock()
 	return nil, nil
 }
 func (p *stashPolicy) Flush(dst []*Task) []*Task {
-	p.mu.Lock()
 	out := append(dst, p.buf...)
 	p.buf = nil
-	p.mu.Unlock()
 	for _, t := range out[len(dst):] {
 		t.Decision = DecideAccurate
 	}
 	return out
 }
 func (p *stashPolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate }
+
+// specSig is significance s as TaskSpec spells it: the struct's zero value
+// means 1.0, so the special 0.0 is any negative.
+func specSig(s float64) float64 {
+	if s == 0 {
+		return -1
+	}
+	return s
+}
 
 // TestSubmitCloseRace: four submitters race one Close, per policy. Every call
 // either panics "Submit on closed runtime" or is accepted; an accepted task is
@@ -54,7 +55,7 @@ func TestSubmitCloseRace(t *testing.T) {
 		{"GTB(max)", Config{Policy: PolicyGTBMaxBuffer}},
 		{"LQH", Config{Policy: PolicyLQH}},
 		{"Perforation", Config{Policy: PolicyPerforation}},
-		{"lockless-buffering", Config{NewPolicy: func(*Group) Policy { return &stashPolicy{} }}},
+		{"custom-buffering", Config{NewPolicy: func(*Group) Policy { return &stashPolicy{} }}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,11 +108,8 @@ func TestSubmitCloseRace(t *testing.T) {
 							specs := make([]TaskSpec, n)
 							for k := range specs {
 								i := lo + int64(k)
-								specs[k] = TaskSpec{Fn: body(i), Approx: body(i), Significance: sigs[i%5],
+								specs[k] = TaskSpec{Fn: body(i), Approx: body(i), Significance: specSig(sigs[i%5]),
 									HasCost: true, CostAccurate: 10, CostApprox: 1}
-								if sigs[i%5] == 0 {
-									specs[k].Significance = -1 // TaskSpec's zero value means 1.0
-								}
 							}
 							rt.SubmitBatch(g, specs)
 						}()
@@ -176,5 +174,122 @@ func TestSubmitCloseRace(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestConcurrentSubmittersConserve: four producers into one group, by Submit,
+// by SubmitBatch or by both in turn, with a fifth goroutine in Wait throughout,
+// under every built-in policy. The group lock is the only thing between them:
+// each body runs at most once (exactly once unless the policy drops), the
+// counters conserve, the special significances are honoured whatever the
+// policy, and Perforation's accurate count over the whole stream is within one
+// task of ratio × n — its accumulator is a plain word, so a submit path that
+// forgets the lock loses adds here, and under -race (make race repeats this
+// test) is reported on its first unlocked call.
+func TestConcurrentSubmittersConserve(t *testing.T) {
+	const (
+		producers   = 4
+		perProducer = 1500
+		n           = producers * perProducer
+		ratio       = 0.3
+	)
+	sigOf := func(i int) float64 { return float64(i%11) / 10 } // 0.0 … 1.0
+	for _, kind := range []PolicyKind{PolicyAccurate, PolicyGTB, PolicyGTBMaxBuffer, PolicyLQH, PolicyPerforation} {
+		for _, mode := range []string{"Submit", "SubmitBatch", "mixed"} {
+			t.Run(kind.String()+"/"+mode, func(t *testing.T) {
+				rt, err := New(Config{Workers: 2, Policy: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				g := rt.Group("conserve", ratio)
+				ranAcc, ranApprox := make([]atomic.Int32, n), make([]atomic.Int32, n)
+				spec := func(i int) TaskSpec {
+					return TaskSpec{Fn: func() { ranAcc[i].Add(1) }, Approx: func() { ranApprox[i].Add(1) },
+						Significance: specSig(sigOf(i)), HasCost: true, CostAccurate: 10, CostApprox: 1}
+				}
+
+				stop := make(chan struct{})
+				waiter := make(chan struct{})
+				go func() {
+					defer close(waiter)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							rt.Wait(g)
+						}
+					}
+				}()
+				var prod sync.WaitGroup
+				for p := 0; p < producers; p++ {
+					prod.Add(1)
+					go func(lo int) {
+						defer prod.Done()
+						for i, round := lo, 0; i < lo+perProducer; round++ {
+							if mode == "Submit" || mode == "mixed" && round%2 == 0 {
+								sp := spec(i)
+								rt.Submit(sp.Fn, WithLabel(g), WithSignificance(sigOf(i)),
+									WithApprox(sp.Approx), WithCost(sp.CostAccurate, sp.CostApprox))
+								i++
+								continue
+							}
+							specs := make([]TaskSpec, min(50, lo+perProducer-i))
+							for k := range specs {
+								specs[k] = spec(i + k)
+							}
+							rt.SubmitBatch(g, specs)
+							i += len(specs)
+						}
+					}(p * perProducer)
+				}
+				prod.Wait()
+				close(stop)
+				<-waiter
+				rt.Wait(g)
+
+				drops := kind == PolicyPerforation
+				var accBodies, approxBodies, ones, zeros int64
+				for i := 0; i < n; i++ {
+					a, x := int64(ranAcc[i].Load()), int64(ranApprox[i].Load())
+					accBodies, approxBodies = accBodies+a, approxBodies+x
+					s := sigOf(i)
+					switch {
+					case a+x > 1:
+						t.Fatalf("task %d ran %d accurate and %d approximate bodies", i, a, x)
+					case !drops && a+x != 1:
+						t.Fatalf("task %d never ran", i)
+					case s == 1 && a != 1:
+						t.Fatalf("task %d of significance 1.0 did not run accurately", i)
+					case s == 0 && x != 1:
+						t.Fatalf("task %d of significance 0.0 did not run approximately", i)
+					}
+					if s == 1 {
+						ones++
+					} else if s == 0 {
+						zeros++
+					}
+				}
+				gs := g.Stats()
+				if gs.Submitted != n || gs.Accurate+gs.Approximate+gs.Dropped != n {
+					t.Errorf("submitted %d of %d, decided %d+%d+%d", gs.Submitted, n, gs.Accurate, gs.Approximate, gs.Dropped)
+				}
+				if accBodies != gs.Accurate || approxBodies != gs.Approximate {
+					t.Errorf("%d accurate and %d approximate bodies ran, stats say %d and %d",
+						accBodies, approxBodies, gs.Accurate, gs.Approximate)
+				}
+				if !drops && gs.Dropped != 0 {
+					t.Errorf("%d tasks dropped under a policy that never drops", gs.Dropped)
+				}
+				if drops {
+					// The specials bypass the policy; the rest went through one accumulator.
+					plain := float64(n - ones - zeros)
+					if got := float64(gs.Accurate - ones); math.Abs(got-ratio*plain) > 1 {
+						t.Errorf("Perforation ran %v of %v policy-decided tasks accurately, want %v ± 1", got, plain, ratio*plain)
+					}
+				}
+			})
+		}
 	}
 }

@@ -66,10 +66,6 @@ type Observer interface {
 	ObserveWave(g *Group, ws WaveStats)
 }
 
-// Phase returns the index of the wave currently accepting submissions.
-// Waves advance at each taskwait boundary (Wait or WaitPhase).
-func (g *Group) Phase() int { return int(g.wave.Load()) }
-
 // SetRatio retargets the group's requested accurate ratio (clamped to
 // [0,1]). It is the adaptive controller's knob: the new ratio applies to
 // decisions made after the call — for buffering policies, to the next

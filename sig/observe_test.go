@@ -15,8 +15,8 @@ func TestWaitPhaseTelemetry(t *testing.T) {
 	defer rt.Close()
 	g := rt.Group("phase", 0.5)
 
-	if g.Phase() != 0 {
-		t.Errorf("fresh group phase = %d, want 0", g.Phase())
+	if g.wave.Load() != 0 {
+		t.Errorf("fresh group phase = %d, want 0", g.wave.Load())
 	}
 	submitWave := func(n int) {
 		for i := 0; i < n; i++ {
@@ -28,8 +28,8 @@ func TestWaitPhaseTelemetry(t *testing.T) {
 
 	submitWave(40)
 	ws := rt.WaitPhase(g)
-	if ws.Wave != 0 || g.Phase() != 1 {
-		t.Errorf("first wave index %d (phase now %d), want 0 (1)", ws.Wave, g.Phase())
+	if ws.Wave != 0 || g.wave.Load() != 1 {
+		t.Errorf("first wave index %d (phase now %d), want 0 (1)", ws.Wave, g.wave.Load())
 	}
 	if ws.Submitted != 40 || ws.Accurate != 20 || ws.Approximate != 20 || ws.Dropped != 0 {
 		t.Errorf("wave 0 accounting %d/%d/%d/%d, want 40 submitted, 20/20/0", ws.Submitted, ws.Accurate, ws.Approximate, ws.Dropped)
@@ -149,8 +149,8 @@ func TestWaitPhaseWithoutObserver(t *testing.T) {
 	if ws.Joules != 0 || ws.Busy != 0 {
 		t.Errorf("empty wave charged %v / %v", ws.Joules, ws.Busy)
 	}
-	if g.Phase() != 1 {
-		t.Errorf("empty wave did not advance the epoch: phase %d", g.Phase())
+	if g.wave.Load() != 1 {
+		t.Errorf("empty wave did not advance the epoch: phase %d", g.wave.Load())
 	}
 
 	// The nil-group spelling drains the default group.

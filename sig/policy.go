@@ -1,9 +1,6 @@
 package sig
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // PolicyKind selects one of the built-in accuracy policies.
 type PolicyKind int
@@ -77,10 +74,10 @@ const (
 
 // Policy decides, per task, whether to run the accurate or the approximate
 // version, from the task's significance and its group's target ratio. One
-// policy instance serves one group. Submit and Flush are serialized by the
-// group lock unless the policy implements LocklessSubmitter; WorkerDecide
-// may be called concurrently by different workers (with distinct worker
-// ids) and must only touch per-worker state.
+// policy instance serves one group. Submit and Flush are always called under
+// the group lock, so their state needs no synchronization of its own;
+// WorkerDecide may be called concurrently by different workers (with distinct
+// worker ids) and must only touch per-worker state.
 //
 // Custom policies plug in through Config.NewPolicy without touching the
 // scheduler: a policy only annotates tasks with a Decision. A policy must
@@ -88,17 +85,14 @@ const (
 // tasks are recycled by the runtime, so retaining a returned *Task is an
 // error.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Submit offers a newly submitted task. A policy that decides the
 	// task immediately returns it as ready (the allocation-free fast
 	// path); a policy that buffers returns (nil, nil) until a window
 	// fills, then returns the decided window as batch in dispatch order.
 	// ready and batch are never both non-empty for built-in policies, but
-	// callers must handle both. The runtime copies the batch of a policy it
-	// serializes before the group lock is released, so such a policy may
-	// hand out its own buffer and overwrite it from the next call on; a
-	// LocklessSubmitter's batch must be the caller's to keep.
+	// callers must handle both. The runtime copies the batch before the group
+	// lock is released, so a policy may hand out its own buffer and overwrite
+	// it from the next call on.
 	Submit(t *Task) (ready *Task, batch []*Task)
 	// Flush decides all buffered tasks and appends them to dst, returning
 	// the extended slice; called at taskwait and Close. The runtime hands
@@ -108,14 +102,6 @@ type Policy interface {
 	// WorkerDecide resolves a task the policy emitted with
 	// DecideAtWorker; worker identifies the calling worker goroutine.
 	WorkerDecide(worker int, t *Task) Decision
-}
-
-// LocklessSubmitter marks a Policy whose Submit and Flush need no external
-// serialization (they are either stateless or synchronize internally). The
-// runtime skips the per-group policy lock on the submit path for such
-// policies, which keeps independent submitters contention-free.
-type LocklessSubmitter interface {
-	LocklessSubmit()
 }
 
 // newPolicy builds the built-in policy selected by cfg for group g.
@@ -146,10 +132,6 @@ func newPolicy(cfg Config, g *Group, workers int) Policy {
 // accuratePolicy runs everything accurately.
 type accuratePolicy struct{}
 
-func (accuratePolicy) Name() string { return PolicyAccurate.String() }
-
-func (accuratePolicy) LocklessSubmit() {}
-
 func (accuratePolicy) Submit(t *Task) (*Task, []*Task) {
 	t.Decision = DecideAccurate
 	return t, nil
@@ -161,22 +143,19 @@ func (accuratePolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate 
 
 // perforationPolicy drops a significance-blind fraction of tasks using an
 // error-diffusion accumulator, so any prefix of the stream satisfies the
-// ratio within one task. The accumulator is a 32.32 fixed-point atomic: one
-// fetch-add per task, no lock, and a task runs accurately exactly when the
+// ratio within one task. The accumulator is a 32.32 fixed-point word under the
+// group lock: one add per task, and a task runs accurately exactly when the
 // addition carries into the integer half.
 type perforationPolicy struct {
 	g   *Group
-	acc atomic.Uint64
+	acc uint64
 }
-
-func (p *perforationPolicy) Name() string { return PolicyPerforation.String() }
-
-func (p *perforationPolicy) LocklessSubmit() {}
 
 func (p *perforationPolicy) Submit(t *Task) (*Task, []*Task) {
 	delta := uint64(math.Round(p.g.Ratio() * (1 << 32)))
-	acc := p.acc.Add(delta)
-	if acc>>32 != (acc-delta)>>32 {
+	before := p.acc
+	p.acc += delta
+	if p.acc>>32 != before>>32 {
 		t.Decision = DecideAccurate
 	} else {
 		t.Decision = DecideDrop
@@ -202,13 +181,6 @@ type gtbPolicy struct {
 
 	decidedTotal    int64
 	decidedAccurate int64
-}
-
-func (p *gtbPolicy) Name() string {
-	if p.window == 0 {
-		return PolicyGTBMaxBuffer.String()
-	}
-	return PolicyGTB.String()
 }
 
 func (p *gtbPolicy) Submit(t *Task) (*Task, []*Task) {
@@ -438,10 +410,6 @@ func newLQHPolicy(g *Group, workers, history int) *lqhPolicy {
 	}
 	return p
 }
-
-func (p *lqhPolicy) Name() string { return PolicyLQH.String() }
-
-func (p *lqhPolicy) LocklessSubmit() {}
 
 func (p *lqhPolicy) Submit(t *Task) (*Task, []*Task) {
 	t.Decision = DecideAtWorker

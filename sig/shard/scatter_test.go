@@ -19,7 +19,6 @@ type orderPolicy struct {
 	g    *sig.Group
 }
 
-func (p *orderPolicy) Name() string { return "order" }
 func (p *orderPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 	p.mu.Lock()
 	p.seen[p.g] = append(p.seen[p.g], t.Significance)

@@ -277,7 +277,6 @@ func TestShardedWaveMerge(t *testing.T) {
 // controller must detect the lag from wave telemetry and boost the shard.
 type laggingPolicy struct{ g *sig.Group }
 
-func (p *laggingPolicy) Name() string { return "lagging" }
 func (p *laggingPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 	// Run accurately only the top ratio/2 significance band: the provided
 	// ratio lands at about half the request at any trim, so the lag never

@@ -19,9 +19,9 @@
 // takes no runtime-wide lock and writes only cache lines the submitter owns,
 // streamed tasks go through per-worker bounded queues with work stealing, and
 // a taskwait's flushed window is published once and claimed in chunks by the
-// workers and by the goroutine waiting on it (see queue.go and help). Policies
-// that need no serialization declare it via LocklessSubmitter and bypass the
-// per-group lock entirely.
+// workers and by the goroutine waiting on it (see queue.go and help). Every
+// submission takes its group's lock to count and decide its tasks, and holds
+// no lock while it enqueues them.
 //
 // The package is replay-deterministic (same submissions, same decisions,
 // same modeled energy at any worker count) and siglint enforces the
@@ -63,9 +63,8 @@ type Config struct {
 	// NewPolicy, when non-nil, overrides Policy with a custom policy
 	// constructor, called once per task group. Custom policies must hand
 	// each task back exactly once across Submit/Flush: completed tasks are
-	// recycled, so a policy must not retain a *Task it has returned. A
-	// policy whose Submit needs no serialization can implement
-	// LocklessSubmitter to skip the per-group lock.
+	// recycled, so a policy must not retain a *Task it has returned. The
+	// group lock serializes its Submit and Flush; it needs no lock of its own.
 	NewPolicy func(g *Group) Policy
 	// Observer, when non-nil, receives per-wave telemetry (WaveStats) for
 	// every group at each taskwait boundary. It is the feedback hook the
@@ -107,9 +106,6 @@ type Task struct {
 	slab       *taskSlab
 }
 
-// Group returns the task's group.
-func (t *Task) Group() *Group { return t.group }
-
 // Group is a labeled set of tasks sharing an accuracy ratio, the unit of
 // synchronization (taskwait) of the programming model. Its fields are laid
 // out by who writes them per task — nobody, the submitter, the workers — a
@@ -117,17 +113,17 @@ func (t *Task) Group() *Group { return t.group }
 // just took, nor the other way round.
 type Group struct {
 	// Read-mostly: fixed at creation or rewritten at wave boundaries only.
-	rt        *Runtime
-	name      string
-	policy    Policy
-	needsLock bool
-	ratio     atomic.Uint64 // math.Float64bits of the requested accurate ratio
-	wave      atomic.Int64  // taskwait epoch counter
-	pendC     *sync.Cond
-	_         [64]byte
+	rt     *Runtime
+	name   string
+	policy Policy
+	ratio  atomic.Uint64 // math.Float64bits of the requested accurate ratio
+	wave   atomic.Int64  // taskwait epoch counter
+	pendC  *sync.Cond
+	_      [64]byte
 
-	// Submitter-written. mu serializes the policy; groups whose policy is a
-	// LocklessSubmitter never take it on the submit path.
+	// Submitter-written. Every submission and every flush holds mu while it
+	// counts its tasks, calls the policy and raises pending — and never while
+	// it enqueues.
 	mu        sync.Mutex
 	submitted atomic.Int64
 	inBytes   atomic.Int64
@@ -259,8 +255,6 @@ func (rt *Runtime) getOrCreateGroup(name string, ratio float64) (*Group, bool) {
 	g.pendC = sync.NewCond(&g.pendMu)
 	g.setRatio(ratio)
 	g.policy = rt.newPolicy(g)
-	_, lockless := g.policy.(LocklessSubmitter)
-	g.needsLock = !lockless
 	rt.groups[name] = g
 	rt.order = append(rt.order, g)
 	if name == "" {
@@ -288,32 +282,38 @@ func (rt *Runtime) defaultGroup() *Group {
 	return g
 }
 
-// admit opens a submission of n tasks against Close, and reports false —
-// everything undone — on a closed runtime. A submission the group lock does
-// not serialize (lockless policy, or a special significance, which bypasses
-// the policy) publishes its tasks in the group's pending count *before* it
-// loads closed; a serialized one loads closed under the lock, which it holds
-// on a true return. Close stores closed *before* it flushes every group under
-// that lock and waits pending out. The atomics are sequentially consistent,
-// so a submission either reads closed and backs out, or Close finds its
-// tasks — pending, or in the buffer it is about to flush.
+// admit takes g's lock for a submission and reports false — the lock
+// released — on a closed runtime. Close stores closed, then takes every
+// group's lock in its flush; a submission that held the lock first has its
+// tasks in the policy buffer or in pending, one that gets it later reads closed.
 //
 //siglint:noalloc
-func (rt *Runtime) admit(g *Group, locked bool, n int64) bool {
-	if locked {
-		g.mu.Lock()
-	} else {
-		g.pending.Add(n)
-	}
-	if !rt.closed.Load() {
-		return true
-	}
-	if locked {
+func (rt *Runtime) admit(g *Group) bool {
+	g.mu.Lock()
+	if rt.closed.Load() {
 		g.mu.Unlock()
-	} else {
-		g.leave(n)
+		return false
 	}
-	return false
+	return true
+}
+
+// decide is where a task meets its policy, under g.mu. The special
+// significance values bypass it (§2 of the paper): 1.0 is unconditionally
+// accurate, 0.0 unconditionally approximate. Ownership of t passes through:
+// to the policy's buffer, or back out as ready for the caller to dispatch.
+//
+//siglint:poolput
+//siglint:noalloc
+func (g *Group) decide(t *Task) (ready *Task, batch []*Task) {
+	switch {
+	case t.Significance >= 1.0:
+		t.Decision = DecideAccurate
+	case t.Significance <= 0.0:
+		t.Decision = DecideApprox
+	default:
+		return g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
+	}
+	return t, nil
 }
 
 // Submit schedules fn as a significance-annotated task. Options attach the
@@ -344,11 +344,7 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 		rt.pools.release(t)
 		panic("sig: task label belongs to a different runtime")
 	}
-	// The special significance values bypass the policy (§2 of the paper):
-	// 1.0 is unconditionally accurate, 0.0 unconditionally approximate.
-	special := t.Significance >= 1.0 || t.Significance <= 0.0
-	locked := g.needsLock && !special
-	if !rt.admit(g, locked, 1) {
+	if !rt.admit(g) {
 		rt.pools.release(t)
 		panic("sig: Submit on closed runtime")
 	}
@@ -357,37 +353,25 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	if len(t.ins) > 0 || len(t.outs) > 0 {
 		g.addFootprint(t)
 	}
-
-	ready := t
-	var batch []*Task
+	// What is handed back is counted pending while the lock is held: a
+	// concurrent Wait that flushes after us sees these tasks in the buffer or
+	// pending — never neither. A window is copied out under the lock too, so
+	// the policy can hand out its own buffer.
+	ready, batch := g.decide(t)
 	var scratch *[]*Task
-	switch {
-	case special:
-		t.Decision = DecideApprox
-		if t.Significance >= 1.0 {
-			t.Decision = DecideAccurate
-		}
-	case locked:
-		// What the policy hands back is counted pending while the lock is
-		// held: a concurrent Wait that flushes after us sees these tasks in
-		// the buffer or pending — never neither. A window is copied out
-		// under the lock too, so the policy can hand out its own buffer.
-		ready, batch = g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
-		if len(batch) > 0 {
-			scratch = rt.pools.getDispatch()
-			*scratch = append(*scratch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
-			batch = *scratch
-		}
-		if n := pendingDelta(ready, batch); n > 0 {
-			g.pending.Add(n)
-		}
-		g.mu.Unlock()
-	default:
-		ready, batch = g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
-		if d := pendingDelta(ready, batch) - 1; d != 0 {
-			rt.settle(g, d)
-		}
+	n := int64(len(batch))
+	if n > 0 {
+		scratch = rt.pools.getDispatch()
+		*scratch = append(*scratch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
+		batch = *scratch
 	}
+	if ready != nil {
+		n++
+	}
+	if n > 0 {
+		g.pending.Add(n)
+	}
+	g.mu.Unlock()
 	if ready != nil {
 		rt.dispatch(ready)
 	}
@@ -396,36 +380,6 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	}
 	if scratch != nil {
 		rt.pools.putDispatch(scratch)
-	}
-}
-
-// pendingDelta counts the tasks a policy handed back for dispatch.
-//
-//siglint:noalloc
-func pendingDelta(ready *Task, batch []*Task) int64 {
-	n := int64(len(batch))
-	if ready != nil {
-		n++
-	}
-	return n
-}
-
-// settle squares a lockless submission's pre-published pending count with
-// what its policy handed back: d more tasks, or -d fewer because it buffered
-// them (no built-in does). If Close began meanwhile its flush may have missed
-// that buffer, so settle flushes before it lets the count go — the count is
-// what keeps Close waiting and the workers up.
-//
-//siglint:noalloc
-func (rt *Runtime) settle(g *Group, d int64) {
-	switch {
-	case d > 0:
-		g.pending.Add(d)
-	case d < 0:
-		if rt.closed.Load() {
-			rt.flush(g, false) //siglint:allocok cold: a custom lockless policy buffered while Close was draining
-		}
-		g.leave(-d)
 	}
 }
 
@@ -489,8 +443,7 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			}
 			t.wave = wave
 		}
-		n := int64(len(chunk))
-		if !rt.admit(g, g.needsLock, n) {
+		if !rt.admit(g) {
 			for i := range chunk {
 				rt.pools.release(&chunk[i])
 			}
@@ -499,34 +452,20 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			rt.dispatchBatch(dispatch)
 			panic("sig: Submit on closed runtime")
 		}
-		g.submitted.Add(n)
+		g.submitted.Add(int64(len(chunk)))
 		decided := len(dispatch)
 		for i := range chunk {
-			ready := &chunk[i]
-			var batch []*Task
-			switch {
-			case ready.Significance >= 1.0:
-				ready.Decision = DecideAccurate
-			case ready.Significance <= 0.0:
-				ready.Decision = DecideApprox
-			default:
-				ready, batch = g.policy.Submit(ready) //siglint:allocok policy boundary: buffering policies amortize into their reused window
-			}
+			ready, batch := g.decide(&chunk[i])
 			if ready != nil {
 				dispatch = append(dispatch, ready) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
 			}
 			dispatch = append(dispatch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
 		}
 		// As in Submit, count what was handed to dispatch under the lock.
-		handed := int64(len(dispatch) - decided)
-		if !g.needsLock {
-			rt.settle(g, handed-n)
-		} else {
-			if handed > 0 {
-				g.pending.Add(handed)
-			}
-			g.mu.Unlock()
+		if handed := int64(len(dispatch) - decided); handed > 0 {
+			g.pending.Add(handed)
 		}
+		g.mu.Unlock()
 		off += len(chunk)
 	}
 	*dispatchP = dispatch // recycle the grown scratch array
@@ -881,7 +820,7 @@ func (rt *Runtime) Close() error {
 	if rt.closed.Swap(true) {
 		return nil
 	}
-	// Every submission now reads closed or is found by this drain (see Submit).
+	// Every submission now reads closed or is found by this drain (see admit).
 	rt.WaitAll()
 	close(rt.sched.done)
 	rt.wg.Wait()

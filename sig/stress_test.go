@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -171,42 +172,50 @@ func TestStressConcurrentSubmitWaitStats(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchMatchesSubmit checks the batch path lands the same
-// decisions as scalar submission for the deterministic policies.
+// TestSubmitBatchMatchesSubmit checks the batch path lands the same decision
+// on every task as scalar submission for the deterministic policies, the
+// special significances included in both spellings (WithSignificance(0) and
+// TaskSpec{Significance: -1}): both entrances share one decide step, and under
+// every policy a 1.0 runs accurately and a 0.0 approximately.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	const n = 450
-	runCounts := func(batch bool, kind PolicyKind) (int64, int64, int64) {
+	sigOf := func(i int) float64 { return float64(i%11) / 10 } // 0.0 … 1.0
+	run := func(batch bool, kind PolicyKind) []byte {
 		rt, err := New(Config{Workers: 1, Policy: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rt.Close()
 		g := rt.Group("batch", 0.4)
+		// One slot per task, written by whichever body runs: '-' means none did.
+		out := bytes.Repeat([]byte{'-'}, n)
+		mark := func(i int, c byte) func() { return func() { out[i] = c } }
 		if batch {
 			specs := make([]TaskSpec, n)
 			for i := range specs {
-				specs[i] = TaskSpec{Fn: func() {}, Approx: func() {},
-					Significance: float64(i%9+1) / 10, HasCost: true,
+				specs[i] = TaskSpec{Fn: mark(i, 'A'), Approx: mark(i, 'x'),
+					Significance: specSig(sigOf(i)), HasCost: true,
 					CostAccurate: 100, CostApprox: 10}
 			}
 			rt.SubmitBatch(g, specs)
 		} else {
 			for i := 0; i < n; i++ {
-				rt.Submit(func() {}, WithLabel(g),
-					WithSignificance(float64(i%9+1)/10),
-					WithApprox(func() {}), WithCost(100, 10))
+				rt.Submit(mark(i, 'A'), WithLabel(g), WithSignificance(sigOf(i)),
+					WithApprox(mark(i, 'x')), WithCost(100, 10))
 			}
 		}
 		rt.Wait(g)
-		st := rt.Stats().Groups[0]
-		return st.Accurate, st.Approximate, st.Dropped
+		return out
 	}
 	for _, kind := range []PolicyKind{PolicyAccurate, PolicyGTB, PolicyGTBMaxBuffer, PolicyPerforation} {
-		a1, x1, d1 := runCounts(false, kind)
-		a2, x2, d2 := runCounts(true, kind)
-		if a1 != a2 || x1 != x2 || d1 != d2 {
-			t.Errorf("%v: scalar (%d/%d/%d) vs batch (%d/%d/%d) decisions diverged",
-				kind, a1, x1, d1, a2, x2, d2)
+		scalar, batch := run(false, kind), run(true, kind)
+		if !bytes.Equal(scalar, batch) {
+			t.Errorf("%v: scalar and batch decisions diverged\nscalar %s\nbatch  %s", kind, scalar, batch)
+		}
+		for i, c := range batch {
+			if s := sigOf(i); (s == 1 && c != 'A') || (s == 0 && c != 'x') {
+				t.Errorf("%v: task %d of significance %v ran %q", kind, i, s, c)
+			}
 		}
 	}
 }
