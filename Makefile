@@ -29,13 +29,16 @@ lint: vet
 
 # The lines after the first repeat the ring, backpressure, helping-taskwait
 # and concurrent-submitter tests, the serving pump's wake-token, early-wave
-# and pacer tests, and the shard lifecycle's table, drain, rejoin and
-# autoscale tests: their failures are interleavings, and one pass sees few of
-# them.
+# and pacer tests, the per-request resolution tests (body-end Done, release
+# and resubmit mid-wave, the late shard cut, drops beside a wedged shard,
+# Totals snapshots under load; CI's race job repeats these five), and the
+# shard lifecycle's table, drain,
+# rejoin and autoscale tests: their failures are interleavings, and one pass
+# sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
-	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence' ./sig/serve
+	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|LateShardCut|WedgedShard|TotalsSnapshot' ./sig/serve
 	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Quarantine|Revive|Elastic|Autoscal' ./sig/shard
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output

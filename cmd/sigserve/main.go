@@ -270,8 +270,8 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 		case <-r.Context().Done():
 			// The wave still completes the work; only the caller left. This
 			// is the caller's last use of the ticket, so it is Released: the
-			// server's own reference keeps it out of the pool until the wave
-			// resolves it.
+			// server's own reference keeps it out of the pool until the
+			// server resolves it.
 			tk.Release()
 			http.Error(w, "client gave up", http.StatusRequestTimeout)
 			return

@@ -39,7 +39,11 @@ func (wallClock) Now() time.Time {
 // replays bit-identically.
 //
 // The offset is one atomic word: concurrent handler advances commute, so
-// even racy wave execution yields the same end-of-wave reading.
+// even racy wave execution yields the same end-of-wave reading. A reading
+// taken mid-wave does not: a request that runs a body is stamped when that
+// body returns, after however many of its wave's advances the schedule ran
+// first, so Ticket.Latency under a FakeClock is schedule-dependent. Studies
+// read WaveLatency only.
 type FakeClock struct {
 	offset atomic.Int64 // nanoseconds since the fixed epoch
 }

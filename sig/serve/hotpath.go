@@ -81,23 +81,23 @@ func (h *latHist) snapshot() (cum [len(waveLatBuckets) + 1]int64, count, sum int
 }
 
 // closedChan is the pre-closed channel Done returns once a pooled Ticket's
-// wave completed and its lazily-created channel (if any) has been retired.
+// request resolved and its lazily-created channel (if any) has been retired.
 var closedChan = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-// Ticket tracks one admitted request through its wave. Tickets are pooled:
-// the server holds one reference until the request's wave resolves, the
-// caller holds the other. Calling Release returns the caller's reference so
-// the Ticket can be recycled; it is optional (an unreleased Ticket is
-// simply garbage collected) but must be the caller's last use of the
-// Ticket, at most once. It need not wait for Done: a caller that gives up
-// on a queued request releases at once, and the Ticket is recycled when the
-// server resolves it. Every accessor reads atomically, so even a buggy late
-// read on a recycled Ticket is race-free (it returns the next request's
-// values, not torn memory).
+// Ticket tracks one admitted request to its resolution. Tickets are pooled:
+// the server holds one reference until it resolves the request, the caller
+// holds the other. Calling Release returns the caller's reference so the
+// Ticket can be recycled; it is optional (an unreleased Ticket is simply
+// garbage collected) but must be the caller's last use of the Ticket, at
+// most once. It need not wait for Done: a caller that gives up on a queued
+// request releases at once, and the Ticket is recycled when the server
+// resolves it. Every accessor reads atomically, so even a buggy late read on
+// a recycled Ticket is race-free (it returns the next request's values, not
+// torn memory).
 type Ticket struct {
 	outcome   atomic.Int32
 	completed atomic.Bool
@@ -120,9 +120,12 @@ type Ticket struct {
 	lane int
 }
 
-// Done is closed when the request's wave completed. The channel is created
-// lazily: tickets polled through Outcome/Wait after completion never pay
-// for one.
+// Done is closed when the request resolved: a request that ran a body
+// resolves the moment that body returns, on the goroutine that ran it, while
+// the rest of its wave may still be running; one that ran none (the policy
+// dropped it, its deadline lapsed in the queue) resolves at its wave's end.
+// Either way Totals already count it. The channel is created lazily: tickets
+// polled through Outcome/Wait after completion never pay for one.
 func (tk *Ticket) Done() <-chan struct{} {
 	if tk.completed.Load() {
 		return closedChan
@@ -143,7 +146,7 @@ func (tk *Ticket) Done() <-chan struct{} {
 	return d
 }
 
-// Wait blocks until the request's wave completed and returns the outcome.
+// Wait blocks until the request resolved (see Done) and returns the outcome.
 func (tk *Ticket) Wait() Outcome {
 	<-tk.Done()
 	return Outcome(tk.outcome.Load())
@@ -152,13 +155,16 @@ func (tk *Ticket) Wait() Outcome {
 // Outcome returns how the request was served; valid once Done is closed.
 func (tk *Ticket) Outcome() Outcome { return Outcome(tk.outcome.Load()) }
 
-// WaveLatency is the request's queueing+service delay in waves (≥ 1);
-// valid once Done is closed. It is the deterministic latency metric of the
-// wave-driven studies.
+// WaveLatency is the request's queueing+service delay in waves (≥ 1): the
+// index of the wave that served it, less the wave its arrival queued for,
+// plus one. Valid once Done is closed; it does not depend on where in its
+// wave the request resolved, which is why it is the deterministic latency
+// metric of the wave-driven studies.
 func (tk *Ticket) WaveLatency() int { return int(tk.doneWave.Load() - tk.enqWave.Load() + 1) }
 
-// Latency is the wall-clock submit-to-completion delay; valid once Done is
-// closed.
+// Latency is the wall-clock delay from Submit to resolution, both read
+// through the WaveClock: to the end of the body that served the request, or
+// to its wave's end for one that ran no body. Valid once Done is closed.
 func (tk *Ticket) Latency() time.Duration {
 	return time.Duration(tk.finishedNs.Load() - tk.enqueuedNs.Load())
 }
@@ -169,7 +175,9 @@ func (tk *Ticket) Latency() time.Duration {
 // allocation-free. Must be the caller's last use of the Ticket, at most
 // once, with no accessor calls afterwards; before Done it abandons the
 // request to the server, whose own reference keeps the Ticket out of the
-// pool until the wave resolves it.
+// pool until the server resolves it. A Release at Done may come while the
+// request's wave is still running: the server reads nothing of a ticket
+// after resolving it.
 func (tk *Ticket) Release() { tk.release() }
 
 // release drops one reference; the last one resets the Ticket and recycles
@@ -190,9 +198,9 @@ func (tk *Ticket) release() {
 	ticketPool.Put(tk)
 }
 
-// complete publishes the wave resolution: latency metadata first, then the
-// done edge (flag + channel close) under mu so Done's lazy channel cannot
-// miss the close.
+// complete publishes the resolution: latency metadata first, then the done
+// edge (flag + channel close) under mu so Done's lazy channel cannot miss
+// the close.
 //
 //siglint:noalloc
 func (tk *Ticket) complete(wave, nowNs int64) {
@@ -242,43 +250,69 @@ func discardTicket(tk *Ticket) {
 }
 
 // slabSlot carries the per-request state a slab spec's prebuilt closures
-// read when they run: the ticket, which holds the bodies and takes the
-// outcome mark. approx is the slot's prebuilt degraded closure, which stage
-// hands the spec for a request that has a Degraded body and withholds from
-// one that has not.
+// read and write when they run: the ticket, which holds the bodies, and the
+// outcome the body that ran left — OutcomeDropped until one does. The
+// wave's end reads the slot's outcome, never the ticket's: a body resolves
+// its ticket, and from then on the ticket is the caller's. approx is the
+// slot's prebuilt degraded closure, which stage hands the spec for a request
+// that has a Degraded body and withholds from one that has not.
 type slabSlot struct {
-	tk     *Ticket
-	approx func()
+	tk      *Ticket
+	outcome atomic.Int32
+	approx  func()
 }
 
 // waveSlab is the submission unit: serveSlabSize slots and the matching
 // prebuilt TaskSpecs whose closures capture their slot by pointer. Filling
 // slot i costs one ticket store and the spec's five per-request fields — no
-// closure or spec construction. Slabs are recycled wave-synchronously:
-// WaitPhase guarantees every task of the wave has completed before
-// recycleSlabs runs, so no completion counting is needed.
+// closure or spec construction. srv is the server the slab is staged on
+// (slabs are pooled package-wide), which the closures resolve through, and
+// parts are the fleet's physical groups its specs went to: the slab is done
+// once each of them has retired everything it was handed.
 type waveSlab struct {
 	n     int
+	srv   *Server
+	parts []*sig.Group
 	slots [serveSlabSize]slabSlot
 	specs [serveSlabSize]sig.TaskSpec
 }
 
+// partMark is one fleet slot as submitSlab found it before a submit: the
+// physical group the slot held and how many tasks that group had been handed.
+type partMark struct {
+	p   *sig.Group
+	sub int64
+}
+
 // newWaveSlab prebuilds both closures of every slot once: they are paid
-// here, then amortized over every wave the slab serves.
+// here, then amortized over every wave the slab serves. Each resolves its
+// request the moment its body returns.
 func newWaveSlab() *waveSlab {
 	sl := &waveSlab{}
 	for i := range sl.slots {
 		slot := &sl.slots[i]
+		slot.outcome.Store(int32(OutcomeDropped))
 		sl.specs[i].Fn = func() {
 			slot.tk.req.Handler()
-			slot.tk.outcome.Store(int32(OutcomeAccurate))
+			sl.srv.bodyEnd(slot, OutcomeAccurate)
 		}
 		slot.approx = func() {
 			slot.tk.req.Degraded()
-			slot.tk.outcome.Store(int32(OutcomeDegraded))
+			sl.srv.bodyEnd(slot, OutcomeDegraded)
 		}
 	}
 	return sl
+}
+
+// bodyEnd resolves a request at the end of the body that served it, on the
+// goroutine that ran it, stamped through the WaveClock then. The slot keeps
+// the outcome for the wave's report before the ticket is published: after
+// that the caller may Release it and a concurrent Submit re-draw it.
+//
+//siglint:noalloc
+func (s *Server) bodyEnd(slot *slabSlot, o Outcome) {
+	slot.outcome.Store(int32(o))
+	s.resolve(slot.tk, o, s.wave.Load(), s.clock.Now().UnixNano()) //siglint:allocok clock seam: one virtual read behind the WaveClock interface
 }
 
 // stage writes one admitted request into the next slot of the wave's open
@@ -290,6 +324,7 @@ func newWaveSlab() *waveSlab {
 func (s *Server) stage(tk *Ticket) {
 	if s.cur == nil {
 		s.cur = slabPool.Get().(*waveSlab)
+		s.cur.srv = s
 	}
 	sl := s.cur
 	slot, spec := &sl.slots[sl.n], &sl.specs[sl.n]
@@ -312,29 +347,106 @@ func (s *Server) stage(tk *Ticket) {
 }
 
 // submitSlab hands the open slab's filled specs to the fleet and lists the
-// slab for recycling after the wave.
+// slab until endSlabs recycles it. The server is its group's only submitter,
+// always under waveMu, so a fleet slot whose group was handed more tasks
+// across the submit holds some of the slab's; a slot that changed
+// incarnation meanwhile (AddShard) may, in either one.
 //
 //siglint:noalloc
 func (s *Server) submitSlab() {
 	sl := s.cur
 	s.cur = nil
+	for i := range s.marks {
+		s.marks[i].p = s.grp.Part(i) //siglint:allocok crosses into sig/shard: one atomic pointer load
+		s.marks[i].sub = submitted(s.marks[i].p)
+	}
 	s.fleet.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig/shard, where siglint cannot follow; TestServeSubmitAllocs holds the path to 0 allocs
-	s.waveSlabs = append(s.waveSlabs, sl)       //siglint:allocok amortized growth of the reused per-wave slab list
+	for i := range s.marks {
+		m := &s.marks[i]
+		p := s.grp.Part(i) //siglint:allocok crosses into sig/shard: one atomic pointer load
+		if p != m.p && m.p != nil {
+			sl.parts = append(sl.parts, m.p) //siglint:allocok amortized growth of the pooled slab's part list
+		}
+		if p != nil && (p != m.p || submitted(p) != m.sub) {
+			sl.parts = append(sl.parts, p) //siglint:allocok amortized growth of the pooled slab's part list
+		}
+		m.p = nil
+	}
+	s.slabs = append(s.slabs, sl) //siglint:allocok amortized growth of the reused slab list
 }
 
-// recycleSlabs returns the wave's submitted slabs to the pool. Callable
-// only after WaitPhase: every task of the wave has completed, so no
-// prebuilt closure can still run against a cleared slot.
+// endSlabs is the slab stream's wave end; the wave's own slabs are
+// s.slabs[from:]. It reports the wave from the outcomes its bodies left in
+// their slots. A slab is done once every fleet part it went to has retired
+// all it was handed: then no closure of it can still run, so each slot no
+// body ran for is the policy's drop, resolved here, and the slab returns to
+// the pool. A late shard cut (Config.WaveTimeout) leaves tasks running past
+// WaitPhase, so a slab with tasks on that shard stays listed until a later
+// wave end finds the shard caught up — a late body resolves its own request
+// when it returns, a late drop resolves then, and the wave's report counts
+// neither — while slabs that went only to healthy shards finish at their
+// own wave's end.
 //
 //siglint:noalloc
-func (s *Server) recycleSlabs() {
-	for i, sl := range s.waveSlabs {
-		for j := 0; j < sl.n; j++ {
-			sl.slots[j].tk = nil // drop the ticket ref
+func (s *Server) endSlabs(rep *WaveReport, from int, wave, nowNs int64) {
+	kept := s.slabs[:0]
+	for i, sl := range s.slabs {
+		done := retired(sl.parts)
+		for j := range sl.n {
+			slot := &sl.slots[j]
+			o := Outcome(slot.outcome.Load())
+			switch {
+			case i < from:
+			case o == OutcomeAccurate:
+				rep.Accurate++
+			case o == OutcomeDegraded:
+				rep.Degraded++
+			case done:
+				rep.Dropped++
+			}
+			if done {
+				if o == OutcomeDropped {
+					s.resolve(slot.tk, OutcomeDropped, wave, nowNs)
+				}
+				slot.tk = nil
+				slot.outcome.Store(int32(OutcomeDropped))
+			}
 		}
-		sl.n = 0
+		if !done {
+			kept = append(kept, sl) //siglint:allocok compacts in place: kept never outgrows s.slabs
+			continue
+		}
+		clear(sl.parts)
+		sl.n, sl.srv, sl.parts = 0, nil, sl.parts[:0]
 		slabPool.Put(sl)
-		s.waveSlabs[i] = nil
 	}
-	s.waveSlabs = s.waveSlabs[:0]
+	clear(s.slabs[len(kept):])
+	s.slabs = kept
+}
+
+// retired reports whether every one of parts has retired — run the body of,
+// or dropped — every task it was handed. sig counts a task only once its
+// body has returned, so no closure submitted to such a part can still run.
+// Called under waveMu, where nothing new is handed to them.
+//
+//siglint:noalloc
+func retired(parts []*sig.Group) bool {
+	for _, p := range parts {
+		sub, a, ap, d := p.Counts() //siglint:allocok crosses into sig: four atomic loads
+		if a+ap+d != sub {
+			return false
+		}
+	}
+	return true
+}
+
+// submitted is how many tasks part p (nil: an empty fleet slot) was handed.
+//
+//siglint:noalloc
+func submitted(p *sig.Group) int64 {
+	if p == nil {
+		return 0
+	}
+	sub, _, _, _ := p.Counts() //siglint:allocok crosses into sig: four atomic loads
+	return sub
 }

@@ -12,14 +12,14 @@ import (
 // depths and limits, and the per-lane wave-latency histogram (latency in
 // waves — the serving layer's deterministic latency unit). cmd/sigserve
 // mounts it at /metrics; anything that can write an io.Writer can scrape a
-// Server directly. Counters are read atomically one by one — a scrape
-// concurrent with a wave may be torn across metrics, which Prometheus
-// counters tolerate by design. The first write error ends the scrape's
+// Server directly. The serving counters are one Totals snapshot, so they
+// conserve on every scrape (see Totals); the gauges and histograms are read
+// one by one beside it. The first write error ends the scrape's
 // output and is returned: a scrape whose connection died is not reported as
 // served.
 func (s *Server) WriteMetrics(out io.Writer) error {
 	w := &errWriter{w: out}
-	tot := s.Totals()
+	tot, byOutcome := s.totals()
 	var depths [laneCount]int
 	depths[laneBulk], depths[lanePriority] = s.LaneDepths()
 
@@ -32,10 +32,9 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	mf("sigserve_rejected_total", "counter", "Requests rejected at admission (queue full, closed, pre-expired).")
 	fmt.Fprintf(w, "sigserve_rejected_total %d\n", tot.Rejected)
 	mf("sigserve_completed_total", "counter", "Admitted requests resolved, by outcome.")
-	fmt.Fprintf(w, "sigserve_completed_total{outcome=\"accurate\"} %d\n", tot.Accurate)
-	fmt.Fprintf(w, "sigserve_completed_total{outcome=\"degraded\"} %d\n", tot.Degraded)
-	fmt.Fprintf(w, "sigserve_completed_total{outcome=\"dropped\"} %d\n", tot.Dropped)
-	fmt.Fprintf(w, "sigserve_completed_total{outcome=\"timedout\"} %d\n", tot.Completed-tot.Accurate-tot.Degraded-tot.Dropped)
+	for o, name := range outcomeLabels {
+		fmt.Fprintf(w, "sigserve_completed_total{outcome=%q} %d\n", name, byOutcome[o])
+	}
 	mf("sigserve_priority_completed_total", "counter", "Completed requests that came through the priority lane.")
 	fmt.Fprintf(w, "sigserve_priority_completed_total %d\n", tot.Priority)
 	mf("sigserve_waves_total", "counter", "Serving waves run.")
@@ -82,6 +81,12 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 		fmt.Fprintf(w, "sigserve_wave_latency_waves_count{lane=%q} %d\n", name, count)
 	}
 	return w.err
+}
+
+// outcomeLabels are the outcomes' metrics labels.
+var outcomeLabels = [outcomeCount]string{
+	OutcomeAccurate: "accurate", OutcomeDegraded: "degraded",
+	OutcomeDropped: "dropped", OutcomeTimedOut: "timedout",
 }
 
 // errWriter latches the first write error; later writes are dropped.

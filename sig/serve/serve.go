@@ -120,6 +120,8 @@ const (
 	// OutcomeTimedOut: the request's Deadline expired while it was queued;
 	// no body ran and zero joules were charged.
 	OutcomeTimedOut
+
+	outcomeCount = iota
 )
 
 func (o Outcome) String() string {
@@ -303,7 +305,9 @@ type WaveReport struct {
 	// Admitted is how many requests the wave served; Accurate, Degraded
 	// and Dropped split them by outcome. TimedOut counts queued requests
 	// whose deadline expired before this wave could admit them — resolved
-	// without running, on top of Admitted.
+	// without running, on top of Admitted. A wave a late shard cut
+	// (Config.WaveTimeout) left unfinished splits only what resolved by its
+	// end; its stragglers resolve later and are counted in Totals alone.
 	Admitted int
 	Accurate int
 	Degraded int
@@ -345,7 +349,12 @@ type WaveReport struct {
 	Stats sig.WaveStats
 }
 
-// Totals is the server's cumulative accounting.
+// Totals is the server's cumulative accounting. A request is counted under
+// its outcome before its Done closes; the per-wave fields (Waves, Overruns,
+// Joules) are counted by the time its wave ends. Every snapshot conserves,
+// even one taken while waves run: Completed is exactly Accurate + Degraded
+// + Dropped + the queued timeouts, Submitted ≥ Completed + Rejected, and
+// Priority ≤ Completed.
 type Totals struct {
 	Submitted int64
 	Rejected  int64
@@ -412,12 +421,14 @@ type Server struct {
 	lastLoad  float64
 
 	// Per-wave hot-path state, touched only under waveMu (see hotpath.go):
-	// admit's reused batch buffer, the slab the wave is filling, and the
-	// wave's submitted slabs awaiting recycle.
+	// admit's reused batch buffer, the slab the wave is filling, the
+	// submitted slabs endSlabs has not yet recycled, and submitSlab's
+	// per-fleet-slot scratch.
 	wavePending []*Ticket
 	waveExpired []*Ticket // deadline-expired requests skimmed by admit
 	cur         *waveSlab
-	waveSlabs   []*waveSlab
+	slabs       []*waveSlab
+	marks       []partMark
 
 	// closeDone is closed (after closeErr is set) once the winning Close
 	// finished draining and retired the fleet; losing concurrent Close
@@ -425,12 +436,16 @@ type Server struct {
 	closeDone chan struct{}
 	closeErr  error
 
+	// wave is the index of the wave in flight (of the next one between
+	// waves). tot is the accounting behind Totals: resolved requests by
+	// Outcome — Completed is their sum, so no snapshot can tear it from its
+	// parts — and the Submits rejected already expired.
 	wave atomic.Int64
 	tot  struct {
-		submitted, rejected, completed atomic.Int64
-		accurate, degraded, dropped    atomic.Int64
-		timedout, priority             atomic.Int64
-		joules                         atomic.Uint64 // math.Float64bits
+		submitted, rejected  atomic.Int64
+		outcomes             [outcomeCount]atomic.Int64
+		preExpired, priority atomic.Int64
+		joules               atomic.Uint64 // math.Float64bits
 	}
 
 	pumpStop chan struct{}
@@ -532,6 +547,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.grp = s.fleet.Group(groupName, 1.0) // start at full quality
+	s.marks = make([]partMark, slots)
 	if cfg.AutoScale != nil {
 		ac := *cfg.AutoScale
 		ac.MaxShards = slots
@@ -606,20 +622,33 @@ func (s *Server) Budget() float64 {
 
 // Totals returns the cumulative serving counters.
 func (s *Server) Totals() Totals {
-	return Totals{
-		Submitted:  s.tot.submitted.Load(),
-		Rejected:   s.tot.rejected.Load(),
-		Completed:  s.tot.completed.Load(),
-		Accurate:   s.tot.accurate.Load(),
-		Degraded:   s.tot.degraded.Load(),
-		Dropped:    s.tot.dropped.Load(),
-		TimedOut:   s.tot.timedout.Load(),
-		Priority:   s.tot.priority.Load(),
-		Waves:      s.wave.Load(),
-		Overruns:   s.pace.overruns.Load(),
-		EarlyWaves: s.pace.earlyWaves.Load(),
-		Joules:     math.Float64frombits(s.tot.joules.Load()),
+	t, _ := s.totals()
+	return t
+}
+
+// totals is Totals plus the per-outcome counts it sums into Completed. The
+// load order is what keeps a snapshot conserved against concurrent writers,
+// each of which counts a request from left to right along submitted →
+// outcome → priority (or submitted → rejected → preExpired): a counter is
+// loaded before every counter its writers bump ahead of it.
+func (s *Server) totals() (Totals, [outcomeCount]int64) {
+	t := Totals{Priority: s.tot.priority.Load()}
+	var byOutcome [outcomeCount]int64
+	for o := range byOutcome {
+		byOutcome[o] = s.tot.outcomes[o].Load()
+		t.Completed += byOutcome[o]
 	}
+	t.Accurate = byOutcome[OutcomeAccurate]
+	t.Degraded = byOutcome[OutcomeDegraded]
+	t.Dropped = byOutcome[OutcomeDropped]
+	t.TimedOut = s.tot.preExpired.Load() + byOutcome[OutcomeTimedOut]
+	t.Rejected = s.tot.rejected.Load()
+	t.Submitted = s.tot.submitted.Load()
+	t.Waves = s.wave.Load()
+	t.Overruns = s.pace.overruns.Load()
+	t.EarlyWaves = s.pace.earlyWaves.Load()
+	t.Joules = math.Float64frombits(s.tot.joules.Load())
+	return t, byOutcome
 }
 
 // MeasuredPeriod returns the bounded EWMA of measured wave wall time — the
@@ -686,7 +715,7 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		// models zero joules — no handler ever runs.
 		s.tot.submitted.Add(1)
 		s.tot.rejected.Add(1)
-		s.tot.timedout.Add(1)
+		s.tot.preExpired.Add(1)
 		return nil, ErrDeadlineExpired
 	}
 	s.tot.submitted.Add(1)
@@ -774,7 +803,7 @@ func (s *Server) sweepExpiredLocked(now time.Time, deferred bool) {
 			if deferred {
 				s.waveExpired = append(s.waveExpired, tk) //siglint:allocok amortized growth of the reused per-wave expired buffer
 			} else {
-				s.resolveTimedOut(tk, wave, nowNs)
+				s.resolve(tk, OutcomeTimedOut, wave, nowNs)
 			}
 		}
 		clear(l.q[len(kept):])
@@ -782,15 +811,15 @@ func (s *Server) sweepExpiredLocked(now time.Time, deferred bool) {
 	}
 }
 
-// resolveTimedOut resolves one deadline casualty OutcomeTimedOut: counted,
-// then everything a served request gets — completion edge, lane latency,
-// ticket release — except a body run or a joule.
+// resolve is every request's one way out of the server, whatever the
+// outcome and whoever calls it — a body's closure at its end, the wave end
+// for the policy's drops, the expiry sweeps for deadline casualties: the
+// request is counted first (outcome, then lane), then published.
 //
 //siglint:noalloc
-func (s *Server) resolveTimedOut(tk *Ticket, wave, nowNs int64) {
-	tk.outcome.Store(int32(OutcomeTimedOut))
-	s.tot.completed.Add(1)
-	s.tot.timedout.Add(1)
+func (s *Server) resolve(tk *Ticket, o Outcome, wave, nowNs int64) {
+	tk.outcome.Store(int32(o))
+	s.tot.outcomes[o].Add(1)
 	if tk.lane == lanePriority {
 		s.tot.priority.Add(1)
 	}
@@ -900,10 +929,14 @@ func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([
 
 // RunWave executes one serving wave: admit a budget's worth of queued
 // requests, run them as one significance-annotated batch, taskwait, and
-// let the admission controller retune the ratio. It is safe to call
-// concurrently with Submit, with itself, and with Close (concurrent waves
-// serialize; after Close's final drain it is a no-op returning an empty
-// report). A wave with nothing to admit still advances the wave epoch
+// let the admission controller retune the ratio. Each request that runs a
+// body resolves the moment that body returns, so by the time RunWave
+// returns its callers may have been woken, read their outcome and Released
+// the ticket; the requests the policy dropped and the deadline casualties
+// resolve at the wave's end, after the wave is counted in Totals. It is safe
+// to call concurrently with Submit, with itself, and with Close (concurrent
+// waves serialize; after Close's final drain it is a no-op returning an
+// empty report). A wave with nothing to admit still advances the wave epoch
 // (tickets measure latency in waves). The next wave's budget is the
 // configured per-shard share × the live fleet.
 func (s *Server) RunWave() WaveReport {
@@ -939,9 +972,15 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	rep := WaveReport{Wave: int(s.wave.Load()), Admitted: len(batch), Ratio: ratio}
 	// Stage the batch, in admission order, into slabs of prebuilt specs; a
 	// slab submits the moment it fills, the partial one here (see
-	// hotpath.go).
-	for _, tk := range batch {
+	// hotpath.go). From the first submit on, a body may resolve its ticket,
+	// so nothing below reads the batch.
+	from := len(s.slabs)
+	for i, tk := range batch {
+		if tk.lane == lanePriority {
+			rep.PriorityAdmitted++
+		}
 		s.stage(tk)
+		batch[i] = nil
 	}
 	if s.cur != nil {
 		s.submitSlab()
@@ -953,47 +992,26 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	// sample behind MeasuredPeriod.
 	rep.WallTime = end.Sub(start)
 	s.pace.end(end, rep.WallTime)
-	wave := s.wave.Add(1) - 1
-	nowNs := end.UnixNano()
-	// Count first, publish second: Totals must already hold the wave when
-	// the first of its tickets reports Done, so a caller that waited on a
-	// ticket always finds itself in Totals.
-	for _, tk := range batch {
-		switch Outcome(tk.outcome.Load()) {
-		case OutcomeAccurate:
-			rep.Accurate++
-		case OutcomeDegraded:
-			rep.Degraded++
-		default:
-			rep.Dropped++
-		}
-		if tk.lane == lanePriority {
-			rep.PriorityAdmitted++
-		}
-	}
-	s.tot.completed.Add(int64(len(batch)))
-	s.tot.accurate.Add(int64(rep.Accurate))
-	s.tot.degraded.Add(int64(rep.Degraded))
-	s.tot.dropped.Add(int64(rep.Dropped))
-	s.tot.priority.Add(int64(rep.PriorityAdmitted))
+	// The wave counts itself before it resolves anything, so a request
+	// resolved at the wave's end finds its wave in Totals too.
 	for {
 		old := s.tot.joules.Load()
 		if s.tot.joules.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+ws.Joules)) {
 			break
 		}
 	}
+	wave := s.wave.Add(1) - 1
+	nowNs := end.UnixNano()
 	// The deadline casualties admit skimmed resolve at this wave's epoch.
 	rep.TimedOut = len(s.waveExpired)
 	for i, tk := range s.waveExpired {
-		s.resolveTimedOut(tk, wave, nowNs)
+		s.resolve(tk, OutcomeTimedOut, wave, nowNs)
 		s.waveExpired[i] = nil
 	}
 	s.waveExpired = s.waveExpired[:0]
-	for i, tk := range batch {
-		s.finish(tk, wave, nowNs)
-		batch[i] = nil
-	}
-	s.recycleSlabs()
+	// Every body of the wave resolved its own request as it returned; the
+	// slots say which, and the rest are the policy's drops.
+	s.endSlabs(&rep, from, wave, nowNs)
 
 	if s.scaler != nil {
 		// The scaler sees the same load signal the admission controller
@@ -1090,6 +1108,17 @@ func (s *Server) Close() error {
 	s.waveMu.Lock()
 	s.stopped = true
 	err := s.fleet.Close()
+	// The fleet's Close retires every task, late cuts' included — all but a
+	// shard an auto-drain was already closing, whose Close the fleet's
+	// returns without waiting for. Once every listed slab's parts caught up,
+	// a request still on one was dropped.
+	for {
+		s.endSlabs(&WaveReport{}, len(s.slabs), s.wave.Load(), s.clock.Now().UnixNano())
+		if len(s.slabs) == 0 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	s.waveMu.Unlock()
 	s.closeErr = err
 	close(s.closeDone)

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -596,45 +596,49 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 }
 
-// TestServeTotalsCountBeforeDone pins the contract that Totals lead Done: a
-// caller that observed its ticket resolve finds its whole wave in Totals,
-// conserved across the outcome counters. The wave is large and the observer
-// spins on the first ticket, so a server that completes tickets before it
-// counts them is caught mid-loop.
+// TestServeTotalsCountBeforeDone pins the contract that Totals lead Done,
+// request by request: a caller that has seen k tickets resolve finds at
+// least k requests in Totals, conserved across the outcome counters, while
+// the rest of the wave is still running; the wave itself is in Totals by the
+// time RunWave returns. The wave is large and the observer walks every
+// ticket as it resolves, so a server that publishes a request before it
+// counts it is caught mid-wave.
 func TestServeTotalsCountBeforeDone(t *testing.T) {
 	const n = 4096
 	s := newTestServer(t, n, func(c *Config) { c.QueueLimit = n })
 	defer s.Close()
 	var served [3]atomic.Int64
-	first, err := s.Submit(request(0, &served))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		if _, err := s.Submit(request(i, &served)); err != nil {
+	tks := make([]*Ticket, n)
+	for i := range tks {
+		var err error
+		if tks[i], err = s.Submit(request(i, &served)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seen := make(chan Totals)
+	bad := make(chan string, 1)
 	go func() {
-		for done := first.Done(); ; runtime.Gosched() {
-			select {
-			case <-done:
-				seen <- s.Totals()
+		defer close(bad)
+		for k, tk := range tks {
+			<-tk.Done()
+			tot := s.Totals()
+			if tot.Completed <= int64(k) {
+				bad <- fmt.Sprintf("%d tickets resolved, Totals hold %d", k+1, tot.Completed)
 				return
-			default:
+			}
+			if sum := tot.Accurate + tot.Degraded + tot.Dropped; sum != tot.Completed {
+				bad <- fmt.Sprintf("Totals at Done do not conserve: %d+%d+%d != %d", tot.Accurate, tot.Degraded, tot.Dropped, tot.Completed)
+				return
 			}
 		}
 	}()
 	if rep := s.RunWave(); rep.Admitted != n {
 		t.Fatalf("admitted %d of %d: the wave must carry the whole batch", rep.Admitted, n)
 	}
-	tot := <-seen
-	if tot.Completed != n || tot.Waves != 1 {
-		t.Errorf("Totals right after Done: %d completed over %d waves, want all %d of wave 1", tot.Completed, tot.Waves, n)
+	if msg, failed := <-bad; failed {
+		t.Error(msg)
 	}
-	if sum := tot.Accurate + tot.Degraded + tot.Dropped; sum != tot.Completed {
-		t.Errorf("Totals right after Done do not conserve: %d+%d+%d != %d", tot.Accurate, tot.Degraded, tot.Dropped, tot.Completed)
+	if tot := s.Totals(); tot.Completed != n || tot.Waves != 1 {
+		t.Errorf("Totals after the wave: %d completed over %d waves, want all %d of wave 1", tot.Completed, tot.Waves, n)
 	}
 }
 

@@ -43,7 +43,13 @@ func TestServeIdleArrivalFiresWave(t *testing.T) {
 	if tk.Outcome() != OutcomeAccurate {
 		t.Fatalf("outcome %v, want accurate", tk.Outcome())
 	}
-	if tot := s.Totals(); tot.EarlyWaves != 1 || tot.Waves != 1 {
+	// The request resolved at its body's end; the wave is counted when it
+	// returns, a moment later and long before the 250 ms cadence floor.
+	tot := s.Totals()
+	for deadline := time.Now().Add(100 * time.Millisecond); tot.Waves == 0 && time.Now().Before(deadline); tot = s.Totals() {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if tot.EarlyWaves != 1 || tot.Waves != 1 {
 		t.Fatalf("EarlyWaves=%d Waves=%d, want exactly the one early wave", tot.EarlyWaves, tot.Waves)
 	}
 }
