@@ -20,12 +20,15 @@ vet:
 	else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; fi
 
 # Full static suite: everything `vet` runs, plus the repo's own analyzers
-# (cmd/siglint) proving the runtime's invariants — replay determinism,
-# atomic-field discipline, pool get/put pairing, noalloc hot paths.
+# (cmd/siglint) proving the runtime's invariants — replay determinism
+# (determinism), pool get/put pairing (poolpair), noalloc hot paths
+# (noalloc) — and their must-fail test: each analyzer must flag its mutant
+# of the product code (cmd/siglint/mutants_test.go).
 lint: vet
 	$(GO) build -o siglint.bin ./cmd/siglint
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
+	$(GO) test -count=1 ./cmd/siglint
 
 # The lines after the first repeat the ring, backpressure, helping-taskwait
 # and concurrent-submitter tests, the serving pump's wake-token, early-wave

@@ -3,11 +3,10 @@
 // typechecked package (a Pass) and reports position-anchored Diagnostics.
 // The repo cannot vendor x/tools (the build is offline by policy), so the
 // subset this suite actually needs — fact-free, package-at-a-time analyzers
-// — is reimplemented here on the standard library alone. The drivers in
-// internal/analysis/driver adapt it to `go vet -vettool` (the unitchecker
-// wire protocol) and to a standalone `go list`-based loader; the test
-// harness in internal/analysis/analyzertest mirrors x/tools' analysistest
-// `// want` convention.
+// — is reimplemented here on the standard library alone. The driver in
+// internal/analysis/driver adapts it to `go vet -vettool` (the unitchecker
+// wire protocol); the test harness in internal/analysis/analyzertest
+// mirrors x/tools' analysistest `// want` convention.
 //
 // The package also owns the `//siglint:` directive index. Directives are
 // how source code talks back to the suite:
@@ -17,8 +16,6 @@
 //	//siglint:poolget              func doc: calls mint a pooled reference
 //	//siglint:poolput              func doc: consumes pooled args/receiver
 //	//siglint:wallclock <why>      opt-out: legitimate wall-clock read
-//	//siglint:maporder <why>       opt-out: map iteration order is benign
-//	//siglint:nonatomic <why>      opt-out: plain access is provably safe
 //	//siglint:leakok <why>         opt-out: pooled object escapes by design
 //	//siglint:allocok <why>        opt-out: allocation is amortized/cold
 //
@@ -41,7 +38,7 @@ type Analyzer struct {
 	Doc string
 	// Run reports diagnostics on the pass. Analyzers are fact-free: each
 	// package is analyzed in isolation.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // Pass carries one typechecked package through an Analyzer.
@@ -49,7 +46,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Dirs indexes the package's //siglint: directives.
 	Dirs *Directives
@@ -65,12 +61,11 @@ type Diagnostic struct {
 }
 
 // NewPass assembles a Pass; report receives each diagnostic as it is made.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
+func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, info *types.Info, report func(Diagnostic)) *Pass {
 	return &Pass{
 		Analyzer:  a,
 		Fset:      fset,
 		Files:     files,
-		Pkg:       pkg,
 		TypesInfo: info,
 		Dirs:      NewDirectives(fset, files),
 		report:    report,
@@ -93,7 +88,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 type Directive struct {
 	Name   string
 	Reason string
-	Pos    token.Pos
 }
 
 // Directives indexes every //siglint: comment of a package by file:line,
@@ -112,7 +106,7 @@ func parseDirective(c *ast.Comment) (Directive, bool) {
 	}
 	body := strings.TrimPrefix(c.Text, prefix)
 	name, reason, _ := strings.Cut(body, " ")
-	return Directive{Name: name, Reason: strings.TrimSpace(reason), Pos: c.Pos()}, name != ""
+	return Directive{Name: name, Reason: strings.TrimSpace(reason)}, name != ""
 }
 
 // NewDirectives scans the files (which must have been parsed with
@@ -215,26 +209,19 @@ func FuncObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// IsPkgFunc reports whether f is the named function (or method, matching
-// "Recv.Name") of the package at path.
+// IsPkgFunc reports whether f (non-nil) is the named function (or method,
+// matching "Recv.Name") of the package at path.
 func IsPkgFunc(f *types.Func, path, name string) bool {
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != path {
+	if f.Pkg() == nil || f.Pkg().Path() != path {
 		return false
 	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if sig.Recv() == nil {
+	recv := f.Type().(*types.Signature).Recv()
+	if recv == nil {
 		return f.Name() == name
 	}
-	recv := sig.Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name()+"."+f.Name() == name
+	return t.(*types.Named).Obj().Name()+"."+f.Name() == name
 }

@@ -64,11 +64,10 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgname string) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	tc := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := tc.Check(pkgname, fset, files, info)
-	if err != nil {
+	if _, err := tc.Check(pkgname, fset, files, info); err != nil {
 		t.Fatalf("typechecking %s: %v", pkgname, err)
 	}
-	diags := driver.RunAnalyzers(fset, files, pkg, info, []*analysis.Analyzer{a})
+	diags := driver.RunAnalyzers(fset, files, info, []*analysis.Analyzer{a})
 	check(t, fset, files, diags)
 }
 

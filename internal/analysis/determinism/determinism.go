@@ -1,6 +1,6 @@
 // Package determinism rejects nondeterminism in replay-deterministic
 // packages: wall-clock reads, the unseeded global math/rand source, and
-// map iteration that feeds an ordering- or accumulation-sensitive sink.
+// iteration over a map.
 //
 // The suite's target packages promise bit-identical replay: the same
 // submission stream must produce the same decisions, the same merged
@@ -21,16 +21,13 @@
 //     are reported: they draw from the shared, unseeded source. Explicit
 //     sources (rand.New(rand.NewSource(seed))) are fine — that is what
 //     "seeded, replayable" chaos schedules use.
-//   - `for ... range m` over a map is reported when its body feeds an
-//     order-sensitive sink — appends to a slice, sends on a channel, or
-//     accumulates floating point (where summation order changes the bits)
-//     — unless annotated //siglint:maporder <why>. Integer accumulation
-//     and pure lookups are order-insensitive and pass.
+//   - `for ... range m` over a map is reported: map order is random per
+//     run. None of the opted-in packages ranges over a map; iterate a
+//     sorted key slice (or an insertion-ordered one, as Runtime.order is).
 package determinism
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -39,15 +36,15 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, unseeded rand and order-sensitive map iteration in replay-deterministic packages",
+	Doc:  "forbid wall-clock, unseeded rand and map iteration in replay-deterministic packages",
 	Run:  run,
 }
 
 var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	if !pass.Dirs.Package("deterministic") {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
@@ -60,13 +57,14 @@ func run(pass *analysis.Pass) error {
 				case *ast.CallExpr:
 					checkCall(pass, fd, n)
 				case *ast.RangeStmt:
-					checkRange(pass, fd, n)
+					if _, isMap := pass.TypesInfo.TypeOf(n.X).Underlying().(*types.Map); isMap {
+						pass.Reportf(n.Pos(), "map iteration in replay-deterministic package; map order is random per run (iterate a sorted key slice)")
+					}
 				}
 				return true
 			})
 		}
 	}
-	return nil
 }
 
 func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
@@ -74,8 +72,7 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	isPkgLevel := sig != nil && sig.Recv() == nil
+	isPkgLevel := fn.Type().(*types.Signature).Recv() == nil
 	switch fn.Pkg().Path() {
 	case "time":
 		if isPkgLevel && clockFuncs[fn.Name()] {
@@ -91,55 +88,4 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 			pass.Reportf(call.Pos(), "%s.%s uses the unseeded global source in replay-deterministic package (use rand.New(rand.NewSource(seed)))", fn.Pkg().Name(), fn.Name())
 		}
 	}
-}
-
-// checkRange flags map iteration feeding an order-sensitive sink.
-func checkRange(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
-	tv, ok := pass.TypesInfo.Types[rs.X]
-	if !ok {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	sink := findSink(pass, rs.Body)
-	if sink == "" {
-		return
-	}
-	if pass.OptOut(rs.Pos(), nil, "maporder") {
-		return
-	}
-	pass.Reportf(rs.Pos(), "map iteration feeds %s in replay-deterministic package; map order is random per run (iterate a sorted key slice, or annotate //siglint:maporder <why>)", sink)
-}
-
-// findSink reports the first order-sensitive sink in a map-range body:
-// appends, channel sends, or floating-point accumulation.
-func findSink(pass *analysis.Pass, body *ast.BlockStmt) string {
-	sink := ""
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sink != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" {
-				if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-					sink = "an append (emitted ordering)"
-				}
-			}
-		case *ast.SendStmt:
-			sink = "a channel send (emitted ordering)"
-		case *ast.AssignStmt:
-			switch n.Tok {
-			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-				if t := pass.TypesInfo.TypeOf(n.Lhs[0]); t != nil {
-					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
-						sink = "floating-point accumulation (summation order changes the bits)"
-					}
-				}
-			}
-		}
-		return sink == ""
-	})
-	return sink
 }

@@ -1,22 +1,14 @@
-// Package driver runs a suite of analysis.Analyzers in the two modes
-// cmd/siglint supports:
+// Package driver runs a suite of analysis.Analyzers as a vet tool
+// (`go vet -vettool=siglint ./...`): the go command invokes the binary once
+// per package with a JSON .cfg file describing the sources and the export
+// data of every dependency — the "unitchecker" wire protocol of x/tools,
+// reimplemented here on the stdlib gc importer. Going through the go command
+// gets its build cache (clean packages are not re-analyzed), its package
+// graph (test variants included) and its -overlay flag for free.
 //
-//   - As a vet tool (`go vet -vettool=siglint ./...`): the go command
-//     invokes the binary once per package with a JSON .cfg file describing
-//     the sources and the export data of every dependency — the
-//     "unitchecker" wire protocol of x/tools, reimplemented here on the
-//     stdlib gc importer. This is the CI/Makefile entry point: it gets the
-//     go command's build cache (clean packages are not re-analyzed) and its
-//     package graph (test variants included) for free.
-//
-//   - Standalone (`siglint ./...`): the binary shells out to
-//     `go list -export -deps -json` and analyzes every main-module package
-//     in one process. Handy during development, and what produces the
-//     finding list without a vet wrapper.
-//
-// Both modes feed the same per-package analyze step; diagnostics print as
-// "file:line:col: message [siglint/<analyzer>]" on stderr and a non-zero
-// exit reports findings (1) or operational failure (2).
+// Diagnostics print as "file:line:col: message [siglint/<analyzer>]" on
+// stderr and a non-zero exit reports findings (1) or operational failure
+// (2).
 package driver
 
 import (
@@ -30,46 +22,40 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 )
 
-// Main runs the suite and exits. See the package comment for the modes.
+// Main runs the suite and exits.
 func Main(analyzers ...*analysis.Analyzer) {
-	os.Exit(Run(os.Args[1:], analyzers))
+	os.Exit(run(os.Args[1:], analyzers))
 }
 
-// Run dispatches on the argument shape; it returns the process exit code.
-func Run(args []string, analyzers []*analysis.Analyzer) int {
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			// The go command hashes the tool's identity into its build
-			// cache key via this handshake; content-hash the binary so a
-			// rebuilt siglint invalidates cached vet results.
-			return printVersion()
-		case a == "-flags" || a == "--flags":
-			// The go command asks which analyzer flags the tool accepts
-			// before forwarding any; siglint keeps its configuration in
-			// source directives instead, so: none.
-			fmt.Println("[]")
-			return 0
-		case a == "help" || a == "-h" || a == "--help":
-			usage(analyzers)
-			return 0
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+// run dispatches on the argument shape; it returns the process exit code.
+func run(args []string, analyzers []*analysis.Analyzer) int {
+	switch {
+	case len(args) == 1 && (args[0] == "-V=full" || args[0] == "--V=full"):
+		// The go command hashes the tool's identity into its build cache
+		// key via this handshake; content-hash the binary so a rebuilt
+		// siglint invalidates cached vet results.
+		return printVersion()
+	case len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags"):
+		// The go command asks which analyzer flags the tool accepts before
+		// forwarding any; siglint keeps its configuration in source
+		// directives instead, so: none.
+		fmt.Println("[]")
+		return 0
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		return unitcheck(args[0], analyzers)
 	}
-	if len(args) == 0 {
-		usage(analyzers)
-		return 2
+	fmt.Fprintf(os.Stderr, "siglint proves this repo's runtime invariants at compile time.\n\n")
+	fmt.Fprintf(os.Stderr, "usage:\n  go vet -vettool=$(command -v siglint || echo ./siglint.bin) ./...\n\nanalyzers:\n")
+	for _, a := range analyzers {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
-	return standalone(args, analyzers)
+	return 2
 }
 
 func printVersion() int {
@@ -86,24 +72,12 @@ func printVersion() int {
 	return 0
 }
 
-func usage(analyzers []*analysis.Analyzer) {
-	fmt.Fprintf(os.Stderr, "siglint proves this repo's runtime invariants at compile time.\n\n")
-	fmt.Fprintf(os.Stderr, "usage:\n  go vet -vettool=$(command -v siglint || echo ./siglint.bin) ./...\n  siglint <packages>\n\nanalyzers:\n")
-	for _, a := range analyzers {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, strings.Split(a.Doc, "\n")[0])
-	}
-}
-
 // vetConfig mirrors the JSON the go command writes next to each package it
 // vets (cmd/go/internal/work's vetConfig). Fields the suite does not need
 // are omitted; unknown JSON fields are ignored by encoding/json anyway.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	VetxOnly                  bool
@@ -112,6 +86,8 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
+// unitcheck typechecks the one package a .cfg describes against its
+// dependencies' export data and runs every analyzer over it.
 func unitcheck(cfgFile string, analyzers []*analysis.Analyzer) int {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
@@ -133,12 +109,14 @@ func unitcheck(cfgFile string, analyzers []*analysis.Analyzer) int {
 		return 0
 	}
 	fset := token.NewFileSet()
-	files, err := parseFiles(fset, cfg.GoFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
+	var files []*ast.File
+	for _, name := range cfg.GoFiles {
+		// Comments are parsed: the directives live there.
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return typecheckFailure(cfg, err)
 		}
-		return fail(err)
+		files = append(files, f)
 	}
 	lookup := func(path string) (io.ReadCloser, error) {
 		if mapped, ok := cfg.ImportMap[path]; ok {
@@ -150,32 +128,6 @@ func unitcheck(cfgFile string, analyzers []*analysis.Analyzer) int {
 		}
 		return os.Open(file)
 	}
-	diags, err := analyze(fset, files, cfg.ImportPath, cfg.GoVersion, lookup, analyzers)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		return fail(err)
-	}
-	return print(fset, diags)
-}
-
-// parseFiles parses sources with comments (directives live there).
-func parseFiles(fset *token.FileSet, names []string) ([]*ast.File, error) {
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// analyze typechecks one package against its dependencies' export data and
-// runs every analyzer over it.
-func analyze(fset *token.FileSet, files []*ast.File, path, goVersion string, lookup func(string) (io.ReadCloser, error), analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -185,38 +137,13 @@ func analyze(fset *token.FileSet, files []*ast.File, path, goVersion string, loo
 	}
 	tc := &types.Config{
 		Importer:  importer.ForCompiler(fset, "gc", lookup),
-		GoVersion: goVersion,
-		Sizes:     types.SizesFor("gc", envOr("GOARCH", runtime.GOARCH)),
+		GoVersion: cfg.GoVersion,
+		Sizes:     types.SizesFor("gc", os.Getenv("GOARCH")),
 	}
-	pkg, err := tc.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typechecking %s: %v", path, err)
+	if _, err := tc.Check(cfg.ImportPath, fset, files, info); err != nil {
+		return typecheckFailure(cfg, fmt.Errorf("typechecking %s: %v", cfg.ImportPath, err))
 	}
-	return RunAnalyzers(fset, files, pkg, info, analyzers), nil
-}
-
-// RunAnalyzers applies the suite to one already-typechecked package and
-// returns its diagnostics sorted by position. Shared by the drivers and
-// the analyzertest harness.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
-	var diags []analysis.Diagnostic
-	for _, a := range analyzers {
-		pass := analysis.NewPass(a, fset, files, pkg, info, func(d analysis.Diagnostic) {
-			diags = append(diags, d)
-		})
-		if err := a.Run(pass); err != nil {
-			diags = append(diags, analysis.Diagnostic{
-				Pos:      files[0].Pos(),
-				Message:  fmt.Sprintf("analyzer failed: %v", err),
-				Analyzer: a.Name,
-			})
-		}
-	}
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags
-}
-
-func print(fset *token.FileSet, diags []analysis.Diagnostic) int {
+	diags := RunAnalyzers(fset, files, info, analyzers)
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s [siglint/%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
@@ -226,14 +153,30 @@ func print(fset *token.FileSet, diags []analysis.Diagnostic) int {
 	return 0
 }
 
+// RunAnalyzers applies the suite to one already-typechecked package and
+// returns its diagnostics sorted by position. Shared by the vet tool and
+// the analyzertest harness.
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, info *types.Info, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
+	for _, a := range analyzers {
+		a.Run(analysis.NewPass(a, fset, files, info, func(d analysis.Diagnostic) {
+			diags = append(diags, d)
+		}))
+	}
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags
+}
+
+// typecheckFailure is what a package that does not parse or typecheck
+// costs: nothing when the go command says it reports that failure itself.
+func typecheckFailure(cfg vetConfig, err error) int {
+	if cfg.SucceedOnTypecheckFailure {
+		return 0
+	}
+	return fail(err)
+}
+
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "siglint:", err)
 	return 2
-}
-
-func envOr(key, fallback string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return fallback
 }

@@ -42,16 +42,14 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	// Same-package functions that are themselves noalloc are callable.
 	noallocFns := make(map[types.Object]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
 				if _, has := analysis.Func(fd, "noalloc"); has {
-					if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
-						noallocFns[obj] = true
-					}
+					noallocFns[pass.TypesInfo.Defs[fd.Name]] = true
 				}
 			}
 		}
@@ -72,7 +70,6 @@ func run(pass *analysis.Pass) error {
 			c.block(fd.Body, 0)
 		}
 	}
-	return nil
 }
 
 type checker struct {
@@ -242,8 +239,6 @@ func (c *checker) expr(e ast.Expr) {
 	case *ast.IndexExpr:
 		c.expr(e.X)
 		c.expr(e.Index)
-	case *ast.IndexListExpr:
-		c.expr(e.X)
 	case *ast.SliceExpr:
 		c.expr(e.X)
 		c.expr(e.Low)
@@ -285,9 +280,6 @@ func pointerShaped(t types.Type) bool {
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Interface:
 		return true
 	}
-	if b, ok := t.Underlying().(*types.Basic); ok && b.Kind() == types.UnsafePointer {
-		return true
-	}
 	return false
 }
 
@@ -297,31 +289,29 @@ func (c *checker) boxing(e ast.Expr, target types.Type) {
 	if target == nil || !types.IsInterface(target.Underlying()) {
 		return
 	}
-	tv, ok := c.pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil || tv.Value != nil { // constants are interned by the runtime
-		return
-	}
-	if types.IsInterface(tv.Type.Underlying()) || tv.IsNil() || pointerShaped(tv.Type) {
+	tv := c.pass.TypesInfo.Types[e]
+	if tv.IsNil() || pointerShaped(tv.Type) {
 		return
 	}
 	c.report(e.Pos(), "implicit conversion of %s to %s allocates (boxing)", tv.Type, target)
 }
 
-// allowedPkgs is stdlib surface known not to allocate (or to be the very
-// thing being measured, like the clock reads the latency path needs).
+// isDynamic reports whether fn is an interface method: its callee is chosen
+// at run time.
+func isDynamic(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// allowedCall reports stdlib surface known not to allocate (or to be the
+// very thing being measured, like the clock reads the latency path needs).
+// fn is a static call: interface methods were reported before this is asked.
 func allowedCall(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return true // error.Error() etc. from the universe scope: dynamic anyway, caught as interface call
-	}
 	// The deny-lists below name package-level constructors; methods with the
 	// same name are fine ((time.Time).After is a comparison, time.After is a
 	// timer allocation).
-	method := false
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		method = true
-	}
-	switch pkg.Path() {
+	method := fn.Type().(*types.Signature).Recv() != nil
+	switch fn.Pkg().Path() {
 	case "sync/atomic", "math", "math/bits":
 		return true
 	case "runtime":
@@ -364,14 +354,12 @@ func (c *checker) call(call *ast.CallExpr) {
 	switch {
 	case fn == nil:
 		c.report(call.Pos(), "call through a function value: siglint cannot prove the callee does not allocate")
+	case isDynamic(fn):
+		c.report(call.Pos(), "dynamic call %s through an interface: siglint cannot see the callee", fn.Name())
 	case c.noallocFns[fn] || allowedCall(fn):
 		// ok
 	default:
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			c.report(call.Pos(), "dynamic call %s through an interface: siglint cannot see the callee", fn.Name())
-		} else {
-			c.report(call.Pos(), "call to %s, which is not //siglint:noalloc", fn.FullName())
-		}
+		c.report(call.Pos(), "call to %s, which is not //siglint:noalloc", fn.FullName())
 	}
 	// Variadic calls materialize the argument slice.
 	if sig, ok := c.pass.TypesInfo.TypeOf(call.Fun).(*types.Signature); ok {
@@ -420,24 +408,19 @@ func (c *checker) builtin(call *ast.CallExpr, name string) {
 
 // conversion checks an explicit type conversion T(x).
 func (c *checker) conversion(call *ast.CallExpr, to types.Type) {
-	if len(call.Args) != 1 {
-		return
-	}
 	arg := call.Args[0]
-	from := c.pass.TypesInfo.TypeOf(arg)
-	if from != nil {
-		fromB, _ := from.Underlying().(*types.Basic)
-		toB, _ := to.Underlying().(*types.Basic)
-		fromSl, _ := from.Underlying().(*types.Slice)
-		toSl, _ := to.Underlying().(*types.Slice)
-		isStr := func(b *types.Basic) bool { return b != nil && b.Info()&types.IsString != 0 }
-		if tv := c.pass.TypesInfo.Types[arg]; tv.Value == nil { // constant conversions are free
-			switch {
-			case isStr(fromB) && toSl != nil, fromSl != nil && isStr(toB):
-				c.report(call.Pos(), "string<->slice conversion copies and allocates")
-			}
+	tv := c.pass.TypesInfo.Types[arg]
+	fromB, _ := tv.Type.Underlying().(*types.Basic)
+	toB, _ := to.Underlying().(*types.Basic)
+	fromSl, _ := tv.Type.Underlying().(*types.Slice)
+	toSl, _ := to.Underlying().(*types.Slice)
+	isStr := func(b *types.Basic) bool { return b != nil && b.Info()&types.IsString != 0 }
+	if tv.Value == nil { // constant conversions are free
+		switch {
+		case isStr(fromB) && toSl != nil, fromSl != nil && isStr(toB):
+			c.report(call.Pos(), "string<->slice conversion copies and allocates")
 		}
-		c.boxing(arg, to)
 	}
+	c.boxing(arg, to)
 	c.expr(arg)
 }

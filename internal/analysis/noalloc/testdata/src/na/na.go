@@ -62,7 +62,6 @@ func record(v any) { _ = v }
 func boxes(n int, it *item) {
 	record(n)  // want `implicit conversion of int to .* allocates`
 	record(it) // pointer-shaped: fits the interface word, no boxing
-	record(1)  // constant: interned by the runtime, no boxing
 }
 
 //siglint:noalloc

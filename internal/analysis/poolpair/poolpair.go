@@ -17,17 +17,19 @@
 //
 // A reference assigned to a local is then walked through the function's
 // control flow. The reference is consumed when it is stored (assigned,
-// appended, sent, captured by a closure, returned, address-taken, placed
-// in a composite literal), passed to a poolput function, or passed to a
+// returned, appended, placed in a composite literal) or passed as an
+// argument — directly or in a defer — to a poolput function or to a
 // dynamically-dispatched interface method (an unverifiable hand-off — the
-// runtime's ownership tests own that seam). Passing it to a plain function
-// or a function *value* is a borrow: TaskOption callbacks do not take
-// ownership, which is precisely why the PR 4 shape (option applied, then
-// panic) is a detectable leak. Reaching a return, an explicit panic or the
-// end of the function while the reference may still be held is reported.
+// runtime's ownership tests own that seam). Any other use is a borrow:
+// TaskOption callbacks do not take ownership, which is precisely why the
+// PR 4 shape (option applied, then panic) is a detectable leak. Reaching a
+// return, an explicit panic or the end of the function while the reference
+// may still be held is reported. The hand-offs the runtime does not use —
+// a send, a go statement, a closure capture, &v — are not recognised, so
+// code that starts using one gets a finding to look at, not a pass.
 //
 // Precision notes: branches join pessimistically (a leak on one arm is a
-// leak), `x == nil` / `x != nil` guards on the tracked reference are
+// leak), `v == nil` / `v != nil` guards on the tracked reference v are
 // understood (the nil arm holds nothing — the sync.Pool.Get idiom), and
 // loop bodies are evaluated once (a consume inside a loop is trusted; a
 // zero-iteration leak is out of scope). //siglint:leakok <why> at the draw
@@ -48,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	getters := make(map[types.Object]bool)
 	putters := make(map[types.Object]bool)
 	for _, f := range pass.Files {
@@ -58,9 +60,6 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			obj := pass.TypesInfo.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
 			if _, ok := analysis.Func(fd, "poolget"); ok {
 				getters[obj] = true
 			}
@@ -81,7 +80,6 @@ func run(pass *analysis.Pass) error {
 			checkFunc(pass, fd, getters, putters)
 		}
 	}
-	return nil
 }
 
 // isPoolGet reports whether call mints a tracked reference.
@@ -112,11 +110,7 @@ func trackedAssign(pass *analysis.Pass, getters map[types.Object]bool, as *ast.A
 	if !ok || id.Name == "_" {
 		return nil, token.NoPos
 	}
-	obj := pass.TypesInfo.ObjectOf(id)
-	if obj == nil {
-		return nil, token.NoPos
-	}
-	return obj, call.Pos()
+	return pass.TypesInfo.ObjectOf(id), call.Pos()
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, getters, putters map[types.Object]bool) {
@@ -212,9 +206,6 @@ func (c *checker) stmt(s ast.Stmt, st state) (state, bool) {
 		return st, true
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && c.isPanic(call) {
-			if c.scan(s.X, true) { // panic(v) escapes to recover
-				st = stSafe
-			}
 			if st == stHeld {
 				c.exit(s.Pos(), "a panic")
 			}
@@ -232,34 +223,9 @@ func (c *checker) stmt(s ast.Stmt, st state) (state, bool) {
 			c.exit(s.Pos(), "a return")
 		}
 		return st, false
-	case *ast.DeferStmt, *ast.GoStmt:
-		var call *ast.CallExpr
-		if d, ok := s.(*ast.DeferStmt); ok {
-			call = d.Call
-		} else {
-			call = s.(*ast.GoStmt).Call
-		}
-		if c.scan(call, false) {
+	case *ast.DeferStmt:
+		if c.scan(s.Call, false) {
 			return stSafe, true
-		}
-		return st, true
-	case *ast.SendStmt:
-		if c.scan(s.Value, true) || c.scan(s.Chan, false) {
-			return stSafe, true
-		}
-		return st, true
-	case *ast.IncDecStmt:
-		if c.scan(s.X, false) {
-			return stSafe, true
-		}
-		return st, true
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && c.scanAll(vs.Values, true) {
-					return stSafe, true
-				}
-			}
 		}
 		return st, true
 	case *ast.BlockStmt:
@@ -268,14 +234,7 @@ func (c *checker) stmt(s ast.Stmt, st state) (state, bool) {
 		return c.stmt(s.Stmt, st)
 	case *ast.IfStmt:
 		if s.Init != nil {
-			var reachable bool
-			st, reachable = c.stmt(s.Init, st)
-			if !reachable {
-				return st, false
-			}
-		}
-		if c.scan(s.Cond, false) {
-			st = stSafe
+			st, _ = c.stmt(s.Init, st)
 		}
 		thenSt, elseSt := st, st
 		// Understand nil guards on the tracked reference: on the nil arm
@@ -292,40 +251,23 @@ func (c *checker) stmt(s ast.Stmt, st state) (state, bool) {
 		if s.Else != nil {
 			s2, r2 = c.stmt(s.Else, elseSt)
 		}
-		switch {
-		case r1 && r2:
-			return join(s1, s2), true
-		case r1:
-			return s1, true
-		case r2:
-			return s2, true
-		}
-		return stSafe, false
+		// An arm that cannot fall through ended in an exit that already
+		// recorded a leak if it held one, so joining its state changes no
+		// finding.
+		return join(s1, s2), r1 || r2
 	case *ast.ForStmt:
 		if s.Init != nil {
 			st, _ = c.stmt(s.Init, st)
 		}
-		if s.Cond != nil && c.scan(s.Cond, false) {
-			st = stSafe
-		}
-		bodySt, _ := c.eval(s.Body.List, st)
-		if s.Post != nil {
-			bodySt, _ = c.stmt(s.Post, bodySt)
-		}
 		// Once-through loop semantics (see the package comment).
+		bodySt, _ := c.eval(s.Body.List, st)
 		return bodySt, true
 	case *ast.RangeStmt:
-		if c.scan(s.X, false) {
-			st = stSafe
-		}
 		bodySt, _ := c.eval(s.Body.List, st)
 		return bodySt, true
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			st, _ = c.stmt(s.Init, st)
-		}
-		if s.Tag != nil && c.scan(s.Tag, false) {
-			st = stSafe
 		}
 		return c.clauses(s.Body, st)
 	case *ast.TypeSwitchStmt:
@@ -356,9 +298,6 @@ func (c *checker) clauses(body *ast.BlockStmt, st state) (state, bool) {
 		var list []ast.Stmt
 		switch cl := cl.(type) {
 		case *ast.CaseClause:
-			if c.scanAll(cl.List, false) {
-				st = stSafe
-			}
 			if cl.List == nil {
 				hasDefault = true
 			}
@@ -384,9 +323,6 @@ func (c *checker) clauses(body *ast.BlockStmt, st state) (state, bool) {
 	if !hasDefault {
 		out, reachable = join(out, st), true
 	}
-	if len(body.List) == 0 {
-		return st, true
-	}
 	return out, reachable
 }
 
@@ -410,15 +346,10 @@ func (c *checker) nilGuard(cond ast.Expr) (nilArm string, ok bool) {
 	if !isBin || (be.Op != token.EQL && be.Op != token.NEQ) {
 		return "", false
 	}
-	var other ast.Expr
-	if id, isID := ast.Unparen(be.X).(*ast.Ident); isID && c.isV(id) {
-		other = be.Y
-	} else if id, isID := ast.Unparen(be.Y).(*ast.Ident); isID && c.isV(id) {
-		other = be.X
-	} else {
+	if id, isID := ast.Unparen(be.X).(*ast.Ident); !isID || !c.isV(id) {
 		return "", false
 	}
-	if tv, found := c.pass.TypesInfo.Types[other]; !found || !tv.IsNil() {
+	if tv, found := c.pass.TypesInfo.Types[be.Y]; !found || !tv.IsNil() {
 		return "", false
 	}
 	if be.Op == token.EQL {
@@ -446,10 +377,6 @@ func (c *checker) scan(e ast.Expr, consuming bool) bool {
 		return false
 	case *ast.Ident:
 		return consuming && c.isV(e)
-	case *ast.ParenExpr:
-		return c.scan(e.X, consuming)
-	case *ast.TypeAssertExpr:
-		return c.scan(e.X, consuming) // v.(*T) passes the reference through
 	case *ast.SelectorExpr:
 		// v.f reads or writes a field of the object: a borrow, never a
 		// transfer, whatever position the selector sits in.
@@ -463,25 +390,11 @@ func (c *checker) scan(e ast.Expr, consuming bool) bool {
 	case *ast.BinaryExpr:
 		return c.scan(e.X, false) || c.scan(e.Y, false)
 	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok && c.isV(id) {
-				return true // &v escapes
-			}
-		}
 		return c.scan(e.X, false)
 	case *ast.CompositeLit:
 		return c.scanAll(e.Elts, true)
 	case *ast.KeyValueExpr:
 		return c.scan(e.Value, consuming) || c.scan(e.Key, false)
-	case *ast.FuncLit:
-		captured := false
-		ast.Inspect(e.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && c.isV(id) {
-				captured = true
-			}
-			return !captured
-		})
-		return captured
 	case *ast.CallExpr:
 		return c.scanCall(e)
 	default:
@@ -489,7 +402,9 @@ func (c *checker) scan(e ast.Expr, consuming bool) bool {
 	}
 }
 
-// scanCall classifies a call's treatment of the tracked reference.
+// scanCall classifies a call's treatment of the tracked reference: passed
+// as an argument to a call that transfers ownership, it is consumed; every
+// other use is a borrow.
 func (c *checker) scanCall(call *ast.CallExpr) bool {
 	fn := analysis.FuncObj(c.pass.TypesInfo, call)
 	transfers := false
@@ -501,47 +416,22 @@ func (c *checker) scanCall(call *ast.CallExpr) bool {
 			// A dynamically-dispatched method is an unverifiable hand-off
 			// (e.g. Policy.Submit takes ownership of the task); a plain
 			// static call is a borrow.
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if types.IsInterface(sig.Recv().Type()) {
-					transfers = true
-				}
-			}
+			recv := fn.Type().(*types.Signature).Recv()
+			transfers = recv != nil && types.IsInterface(recv.Type())
 		}
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := c.pass.TypesInfo.Uses[id].(*types.Builtin); isB {
-			switch b.Name() {
-			case "append": // appended into a live slice
-				transfers = true
-			case "panic": // escapes to a recover handler
-				transfers = true
-			}
+		if b, isB := c.pass.TypesInfo.Uses[id].(*types.Builtin); isB && b.Name() == "append" {
+			transfers = true // appended into a live slice
 		}
 	}
-	consumed := false
-	// Receiver: v.put() consumes when put transfers; v.m() otherwise
-	// borrows (scan with the selector borrow rule).
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if id, isID := ast.Unparen(sel.X).(*ast.Ident); isID && c.isV(id) {
-			if transfers {
-				consumed = true
-			}
-		} else if c.scan(sel.X, false) {
-			consumed = true
-		}
-	} else if c.scan(call.Fun, false) {
-		consumed = true
+	if !transfers {
+		return false
 	}
 	for _, arg := range call.Args {
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && c.isV(id) {
-			if transfers {
-				consumed = true
-			}
-			continue
-		}
-		if c.scan(arg, false) {
-			consumed = true
+			return true
 		}
 	}
-	return consumed
+	return false
 }

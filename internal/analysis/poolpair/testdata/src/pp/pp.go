@@ -16,10 +16,11 @@ type pools struct{ p sync.Pool }
 //
 //siglint:poolget
 func (ps *pools) get() *task {
-	if v := ps.p.Get(); v != nil {
-		return v.(*task)
+	t, _ := ps.p.Get().(*task)
+	if t == nil {
+		t = &task{}
 	}
-	return &task{}
+	return t
 }
 
 // release returns a task to the pool.
