@@ -46,7 +46,6 @@ func main() {
 			sig.WithSignificance(0.1+0.8*float64(i)/float64(n-1)),
 			// approxfun: a crude linear estimate.
 			sig.WithApprox(func() { results[i] = 2*x - 1 }),
-			sig.Out(sig.SliceRange(results, i, i+1)),
 		)
 	}
 

@@ -80,8 +80,6 @@ func (a *App) forward(rt *sig.Runtime, ratio float64) []float64 {
 	for brow := 0; brow < a.bh; brow++ {
 		for band := 0; band < bands; band++ {
 			brow, band := brow, band
-			lo := (brow*a.bw + 0) * 64
-			hi := (brow*a.bw + a.bw) * 64
 			rt.Submit(
 				func() { a.bandStripe(coeffs, brow, band) },
 				sig.WithLabel(grp),
@@ -92,7 +90,6 @@ func (a *App) forward(rt *sig.Runtime, ratio float64) []float64 {
 				// 8 coefficients × 64 pixels × 2 ops per block;
 				// an approximated band is dropped outright.
 				sig.WithCost(float64(a.bw*8*64*2), 0),
-				sig.Out(sig.SliceRange(coeffs, lo, hi)),
 			)
 		}
 	}

@@ -210,7 +210,6 @@ func (a *App) Run(rt *sig.Runtime, every int) State {
 				// Neighborhood force evaluation vs a constant
 				// store per particle.
 				sig.WithCost(float64((hi-lo)*160), float64((hi-lo)*4)),
-				sig.Out(sig.SliceRange(acc, 2*lo, 2*hi)),
 			)
 		}
 		rt.Wait(grp)

@@ -133,8 +133,6 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) []float64 {
 				// Full stencil on all rows vs stencil on half the
 				// rows plus copies for the rest.
 				sig.WithCost(float64((hi-lo)*n*6), float64((hi-lo)*n*6/2+(hi-lo)*n/2)),
-				sig.In(sig.SliceRange(uo, (lo-1)*n, (hi+1)*n)),
-				sig.Out(sig.SliceRange(vo, lo*n, hi*n)),
 			)
 		}
 		rt.Wait(grp)

@@ -340,7 +340,6 @@ func (a *App) runWave(rt *sig.Runtime, grp *sig.Group, s *lloydState) (int, sig.
 			// Distance computations dominate: all K clusters
 			// per point vs the restricted candidate set.
 			sig.WithCost(float64((hi-lo)*p.K*p.D*3), float64((hi-lo)*candidates*p.D*3)),
-			sig.Out(sig.SliceRange(s.assign, lo, hi)),
 		)
 	}
 	ws := rt.WaitPhase(grp)

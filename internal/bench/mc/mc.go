@@ -141,7 +141,6 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) []float64 {
 				sig.WithLabel(grp),
 				sig.WithSignificance(sigv),
 				sig.WithCost(float64(a.p.WalksPerBatch)*esteps*2, 0),
-				sig.Out(sig.SliceRange(means, slot, slot+1)),
 			)
 		}
 	}

@@ -86,8 +86,6 @@ func (a *App) SubmitFrame(rt *sig.Runtime, grp *sig.Group, out *imaging.Image) {
 			// ~30 ops/pixel for the 3×3 convolution vs ~4 for the
 			// 2-point gradient.
 			sig.WithCost(30*float64(a.p.W), 4*float64(a.p.W)),
-			sig.In(sig.SliceRange(a.src.Pix, (y-1)*a.p.W, (y+2)*a.p.W)),
-			sig.Out(sig.SliceRange(out.Pix, y*a.p.W, (y+1)*a.p.W)),
 		)
 	}
 }

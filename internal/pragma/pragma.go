@@ -7,10 +7,12 @@
 //
 // to sig runtime calls: the statement following a //sig:task directive is
 // wrapped into rt.Submit with the clauses mapped onto functional options,
-// and a //sig:taskwait becomes rt.Wait. Translation is two-pass, so the
-// ratio declared at a taskwait is propagated to the group handle used by the
-// submissions that textually precede it — mirroring how the paper's runtime
-// learns the ratio only at the synchronization point.
+// and a //sig:taskwait becomes rt.Wait. The paper's data clauses in(...),
+// out(...) and inout(...) are accepted and lower to nothing: the runtime does
+// no dependence tracking, so they carry no meaning. Translation is two-pass,
+// so the ratio declared at a taskwait is propagated to the group handle used
+// by the submissions that textually precede it — mirroring how the paper's
+// runtime learns the ratio only at the synchronization point.
 package pragma
 
 import (
@@ -157,12 +159,6 @@ func TransformFile(name string, src []byte, opt Options) ([]byte, error) {
 			}
 			opts = append(opts, fmt.Sprintf("sig.WithApprox(func() { %s })", call))
 		}
-		if rs := rangeArgs(d.clauses["in"], d.clauses["inout"]); rs != "" {
-			opts = append(opts, fmt.Sprintf("sig.In(%s)", rs))
-		}
-		if rs := rangeArgs(d.clauses["out"], d.clauses["inout"]); rs != "" {
-			opts = append(opts, fmt.Sprintf("sig.Out(%s)", rs))
-		}
 		repl := fmt.Sprintf("%s.Submit(func() { %s }", rt, stmtText)
 		for _, o := range opts {
 			repl += ",\n" + o
@@ -301,18 +297,6 @@ func approxCall(fset *token.FileSet, src []byte, stmt ast.Stmt, fn string) (stri
 	lp := fset.Position(call.Lparen).Offset
 	rp := fset.Position(call.Rparen).Offset
 	return fn + string(src[lp:rp+1]), nil
-}
-
-// rangeArgs maps in/out/inout clause arguments (slices, per the directive
-// dialect) to sig.SliceRange footprints.
-func rangeArgs(groups ...[]string) string {
-	var parts []string
-	for _, args := range groups {
-		for _, a := range args {
-			parts = append(parts, fmt.Sprintf("sig.SliceRange(%s, 0, len(%s))", a, a))
-		}
-	}
-	return strings.Join(parts, ", ")
 }
 
 func importsSig(file *ast.File) bool {

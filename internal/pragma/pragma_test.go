@@ -22,7 +22,8 @@ func sobel(rt *sig.Runtime, img, res []byte, height int) {
 // listing1Lowered is the golden translator output: the task directive
 // becomes rt.Submit with the clauses mapped to functional options, the
 // taskwait becomes rt.Wait, and the taskwait's ratio clause is propagated
-// backward onto the group handle of the submissions.
+// backward onto the group handle of the submissions. The data clauses lower to
+// nothing.
 const listing1Lowered = `package main
 
 import "repro/sig"
@@ -33,22 +34,26 @@ func sobel(rt *sig.Runtime, img, res []byte, height int) {
 		rt.Submit(func() { sblTask(res, img, i) },
 			sig.WithLabel(rt.Group("sobel", 0.35)),
 			sig.WithSignificance(float64(i%9+1)/10),
-			sig.WithApprox(func() { sblTaskAppr(res, img, i) }),
-			sig.In(sig.SliceRange(img, 0, len(img))),
-			sig.Out(sig.SliceRange(res, 0, len(res))))
+			sig.WithApprox(func() { sblTaskAppr(res, img, i) }))
 	}
 	rt.Wait(rt.Group("sobel", 0.35))
 }
 `
 
+// TestTransformListing1Golden lowers Listing 1 as the paper writes it, and
+// with its in/out clauses swapped for inout or dropped: all three are the
+// same Submit.
 func TestTransformListing1Golden(t *testing.T) {
-	out, err := TransformFile("listing1.go", []byte(listing1), Options{Runtime: "rt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != listing1Lowered {
-		t.Errorf("translator output diverges from golden.\n--- got ---\n%s\n--- want ---\n%s",
-			out, listing1Lowered)
+	for _, clauses := range []string{"in(img) out(res) ", "inout(img) ", ""} {
+		src := strings.Replace(listing1, "in(img) out(res) ", clauses, 1)
+		out, err := TransformFile("listing1.go", []byte(src), Options{Runtime: "rt"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != listing1Lowered {
+			t.Errorf("data clauses %q: translator output diverges from golden.\n--- got ---\n%s\n--- want ---\n%s",
+				clauses, out, listing1Lowered)
+		}
 	}
 }
 

@@ -56,10 +56,10 @@ func TestGroupMergeEmptyProvidesRequested(t *testing.T) {
 	if gs.ProvidedRatio != 0.7 || gs.Name != "g" || gs.RequestedRatio != 0.7 || gs.Submitted != 5 {
 		t.Fatalf("undecided group merged to %+v, want provided 0.7 under its own name and ratio", gs)
 	}
-	gs.Merge(GroupStats{Accurate: 3, Dropped: 1, InBytes: 8, OutBytes: 2, Decisions: []DecisionRecord{{Wave: 1}}})
-	gs.Merge(GroupStats{Approximate: 2, InBytes: 1, Decisions: []DecisionRecord{{Wave: 2}, {Wave: 3}}})
-	if gs.ProvidedRatio != 0.5 || gs.InBytes != 9 || gs.OutBytes != 2 {
-		t.Fatalf("merged %+v, want provided 0.5 (3 of 6), 9 bytes in, 2 out", gs)
+	gs.Merge(GroupStats{Accurate: 3, Dropped: 1, Decisions: []DecisionRecord{{Wave: 1}}})
+	gs.Merge(GroupStats{Approximate: 2, Decisions: []DecisionRecord{{Wave: 2}, {Wave: 3}}})
+	if gs.ProvidedRatio != 0.5 {
+		t.Fatalf("merged %+v, want provided 0.5 (3 of 6)", gs)
 	}
 	for i, d := range gs.Decisions {
 		if d.Wave != i+1 {

@@ -1,11 +1,11 @@
 package sig
 
-import "reflect"
-
 // TaskOption configures a task at Submit time. The options mirror the
-// clauses of the paper's #pragma omp task directive: label, significant,
-// approxfun, in and out. Options write through the *Task they are handed;
-// they must not retain it — tasks are pool-recycled after completion.
+// clauses of the paper's #pragma omp task directive: label, significant and
+// approxfun, plus a declared cost. The paper's in and out data clauses have no
+// option: this runtime tracks no dependences, so nothing would read them.
+// Options write through the *Task they are handed; they must not retain it —
+// tasks are pool-recycled after completion.
 type TaskOption func(*Task)
 
 // TaskSpec describes one task for Runtime.SubmitBatch: the struct-shaped
@@ -61,36 +61,4 @@ func WithCost(accurate, approx float64) TaskOption {
 		t.costAcc = accurate
 		t.costApprox = approx
 	}
-}
-
-// Range describes a span of memory touched by a task, as produced by
-// SliceRange. Footprint declarations are advisory in this runtime: they feed
-// the per-group footprint statistics (and future dependence tracking), they
-// do not synchronize tasks.
-type Range struct {
-	Addr  uintptr
-	Bytes int
-}
-
-// SliceRange describes the elements s[lo:hi] as a task footprint.
-func SliceRange[T any](s []T, lo, hi int) Range {
-	if lo < 0 || hi < lo || hi > len(s) {
-		panic("sig: SliceRange bounds out of range")
-	}
-	size := int(reflect.TypeOf((*T)(nil)).Elem().Size())
-	var addr uintptr
-	if cap(s) > 0 {
-		addr = reflect.ValueOf(s).Pointer() + uintptr(lo*size)
-	}
-	return Range{Addr: addr, Bytes: (hi - lo) * size}
-}
-
-// In declares the task's input footprint (the in clause).
-func In(rs ...Range) TaskOption {
-	return func(t *Task) { t.ins = append(t.ins, rs...) }
-}
-
-// Out declares the task's output footprint (the out clause).
-func Out(rs ...Range) TaskOption {
-	return func(t *Task) { t.outs = append(t.outs, rs...) }
 }

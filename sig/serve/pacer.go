@@ -170,16 +170,7 @@ func (p *pacer) run(stop <-chan struct{}, wave func(early bool) time.Duration) {
 			early = true
 		case <-timer.C:
 		}
-		delay := wave(early)
-		// A tick that expired during an early wave must not fire a second
-		// time: Stop-and-drain before Reset is correct under both timer
-		// semantics (pre- and post-Go 1.23).
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(delay)
+		// Reset discards a tick that expired during an early wave.
+		timer.Reset(wave(early))
 	}
 }

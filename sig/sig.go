@@ -96,8 +96,6 @@ type Task struct {
 	group    *Group
 	accurate func()
 	approx   func()
-	ins      []Range
-	outs     []Range
 	// Declared nominal costs in units of ~1ns; negative means
 	// undeclared (fall back to measured execution time).
 	costAcc    float64
@@ -126,8 +124,6 @@ type Group struct {
 	// it enqueues.
 	mu        sync.Mutex
 	submitted atomic.Int64
-	inBytes   atomic.Int64
-	outBytes  atomic.Int64
 	_         [64]byte
 
 	// Worker-written. pending counts dispatched-but-unfinished tasks; Wait
@@ -317,7 +313,7 @@ func (g *Group) decide(t *Task) (ready *Task, batch []*Task) {
 }
 
 // Submit schedules fn as a significance-annotated task. Options attach the
-// group label, the significance, an approximate body and the data footprint.
+// group label, the significance, an approximate body and the declared cost.
 // Without options the task is fully significant and runs accurately.
 //
 //siglint:noalloc
@@ -328,7 +324,6 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	t := rt.pools.get()
 	t.Significance, t.Decision = 1.0, decideNone
 	t.group, t.accurate, t.approx = nil, fn, nil
-	t.ins, t.outs = t.ins[:0], t.outs[:0]
 	t.costAcc, t.costApprox = -1, -1
 	for _, o := range opts {
 		o(t) //siglint:allocok TaskOption callbacks are caller code; the runtime's own path stays allocation-free
@@ -350,9 +345,6 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	}
 	g.submitted.Add(1)
 	t.wave = int(g.wave.Load())
-	if len(t.ins) > 0 || len(t.outs) > 0 {
-		g.addFootprint(t)
-	}
 	// What is handed back is counted pending while the lock is held: a
 	// concurrent Wait that flushes after us sees these tasks in the buffer or
 	// pending — never neither. A window is copied out under the lock too, so
@@ -436,7 +428,6 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			t.group = g
 			t.accurate = sp.Fn
 			t.approx = sp.Approx
-			t.ins, t.outs = t.ins[:0], t.outs[:0]
 			t.costAcc, t.costApprox = -1, -1
 			if sp.HasCost {
 				t.costAcc, t.costApprox = sp.CostAccurate, sp.CostApprox
@@ -639,16 +630,6 @@ func (rt *Runtime) runBodyRecover(body func(), cost float64) (charge int64) {
 // Panics reports how many task-body panics the runtime has absorbed; always
 // zero unless Config.RecoverPanics is set.
 func (rt *Runtime) Panics() int64 { return rt.panics.Load() }
-
-//siglint:noalloc
-func (g *Group) addFootprint(t *Task) {
-	for _, r := range t.ins {
-		g.inBytes.Add(int64(r.Bytes))
-	}
-	for _, r := range t.outs {
-		g.outBytes.Add(int64(r.Bytes))
-	}
-}
 
 // leave retires n pending tasks. The fast path is a single atomic; the
 // condition variable is only touched when a waiter announced itself.

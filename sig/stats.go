@@ -26,9 +26,6 @@ type GroupStats struct {
 	// ProvidedRatio is the fraction actually delivered.
 	RequestedRatio float64
 	ProvidedRatio  float64
-	// InBytes/OutBytes total the declared task footprints.
-	InBytes  int64
-	OutBytes int64
 	// Decisions is the ordered per-task decision log, populated only when
 	// Config.RecordDecisions is set.
 	Decisions []DecisionRecord
@@ -46,16 +43,14 @@ func provided(accurate, decided int64, requested float64) float64 {
 }
 
 // Merge folds another snapshot of the same logical group — one shard's, or a
-// retired incarnation's — into gs: counters and footprints add, o's decision
-// log follows gs's, and ProvidedRatio is derived afresh from the summed
-// counters. Name and RequestedRatio stay gs's.
+// retired incarnation's — into gs: counters add, o's decision log follows
+// gs's, and ProvidedRatio is derived afresh from the summed counters. Name
+// and RequestedRatio stay gs's.
 func (gs *GroupStats) Merge(o GroupStats) {
 	gs.Submitted += o.Submitted
 	gs.Accurate += o.Accurate
 	gs.Approximate += o.Approximate
 	gs.Dropped += o.Dropped
-	gs.InBytes += o.InBytes
-	gs.OutBytes += o.OutBytes
 	gs.Decisions = append(gs.Decisions, o.Decisions...)
 	gs.ProvidedRatio = provided(gs.Accurate, gs.Accurate+gs.Approximate+gs.Dropped, gs.RequestedRatio)
 }
@@ -79,8 +74,6 @@ func (g *Group) Stats() GroupStats {
 		Dropped:        g.dropped.Load(),
 		RequestedRatio: g.Ratio(),
 		ProvidedRatio:  g.providedRatio(),
-		InBytes:        g.inBytes.Load(),
-		OutBytes:       g.outBytes.Load(),
 	}
 	if g.rt.cfg.RecordDecisions {
 		g.logMu.Lock()
