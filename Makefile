@@ -71,8 +71,8 @@ perf-quick:
 #                        queue bounds, the MinRatio contract, zero joules for
 #                        dropped requests
 #   FuzzShardRouting     cross-shard conservation, specials and the merged
-#                        ratio floor under adversarial placement, wave cuts,
-#                        retargeting and drain/rejoin/quarantine/revive surgery
+#                        ratio floor under adversarial wave cuts, retargeting
+#                        and drain/rejoin/quarantine/revive surgery
 #   FuzzChaosSchedule    seeded fault schedules (wedge, delay, panic) against
 #                        a live fleet: conservation, panic accounting and the
 #                        exact declared-cost energy identity

@@ -73,7 +73,7 @@ func TestUsageErrors(t *testing.T) {
 		{"fleet", "-workers", "9"},
 		{"table1", "-backend", "kmeans"},
 		{"serve", "-shards", "4"},
-		{"shard", "-reps", "3"},
+		{"adaptive", "-reps", "3"},
 		{"fig4", "-workers", "2"},
 		{"fig2", "-out", "x.pgm"},
 		{"all", "-out", "x.pgm"},

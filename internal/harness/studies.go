@@ -51,14 +51,6 @@ var Studies = []Study{
 			}
 			return err
 		}},
-	{"shard", "merged joules across 1/2/4/8 shards vs a router-free runtime, placement sweep",
-		func(w io.Writer) error {
-			res, err := ShardStudy()
-			if err == nil {
-				PrintShardStudy(w, res)
-			}
-			return err
-		}},
 	{"fleet", "elastic fleet: rolling shard replacement with bit-exact energy, autoscaler step response",
 		func(w io.Writer) error {
 			res, err := FleetStudy(FleetStudyConfig{})

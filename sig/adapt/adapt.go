@@ -141,10 +141,9 @@ type Sample struct {
 	// TargetQuality, the wave's modeled joules under TargetEnergy, the
 	// Config.Measure signal under TargetLoad.
 	Measure float64
-	// ProvidedRatio, Joules and Dropped echo the wave telemetry.
+	// ProvidedRatio and Joules echo the wave telemetry.
 	ProvidedRatio float64
 	Joules        float64
-	Dropped       int
 	// Held reports that the measure sat inside the deadband and the
 	// ratio was left alone.
 	Held bool
@@ -269,7 +268,6 @@ func (c *Controller) Observe(g Target, ws sig.WaveStats) {
 		Measure:       measure,
 		ProvidedRatio: ws.ProvidedRatio,
 		Joules:        ws.Joules,
-		Dropped:       ws.Dropped,
 		Held:          held,
 		WindowMean:    winMean,
 	})

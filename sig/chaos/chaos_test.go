@@ -133,14 +133,13 @@ func goldenEnergy(t *testing.T, acc, deg int64, costAcc, costDeg float64) sig.Re
 // TestChaosWedgeWatchdog walks one wedged shard through the whole health
 // state machine: a task wedged on the injector's gate holds shard 0's
 // worker, the wave-latency watchdog strikes it each merged wave — suspect,
-// then quarantined, then auto-drained — while the sibling shard keeps
+// then quarantined, then auto-drained — while the sibling shards keep
 // serving. Opening the gate lets the drain finish, AddShard rejoins the
 // slot, and nothing is lost.
 func TestChaosWedgeWatchdog(t *testing.T) {
 	in := NewInjector(1, Config{WedgeEvery: 1})
 	r, err := shard.New(shard.Config{
-		Shards:      2,
-		Placement:   shard.PlaceCostAffinity,
+		Shards:      3,
 		Runtime:     sig.Config{Workers: 1},
 		WaveTimeout: 10 * time.Millisecond,
 		// Defaults: suspect after 1 strike, quarantine after 2, drain
@@ -150,7 +149,11 @@ func TestChaosWedgeWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := r.Group("wedge", 1.0)
-	// Cost 100 → class 6 → slot 0; cost 200 → class 7 → slot 1 (2 slots).
+	// On a fresh router the n-th task goes to slot n mod 3, skipping
+	// unroutable slots. The wedged task is task 0, on slot 0. The healthy
+	// tasks of the first two waves, 1 and 2, go to slots 1 and 2 while slot
+	// 0 is still routable (live, then suspect); once it is quarantined,
+	// task 3 skips it for slot 1.
 	r.Submit(g, in.Wrap(sig.TaskSpec{
 		Fn: func() {}, Significance: 1.0, HasCost: true, CostAccurate: 100,
 	}))
@@ -170,8 +173,8 @@ func TestChaosWedgeWatchdog(t *testing.T) {
 	if got := r.Health(0); got != shard.HealthQuarantined {
 		t.Fatalf("after 2 missed waves: health %v, want quarantined", got)
 	}
-	if routable := r.Routable(); routable != 1 {
-		t.Fatalf("quarantined shard still routable: %d routable, want 1", routable)
+	if routable := r.Routable(); routable != 2 {
+		t.Fatalf("quarantined shard still routable: %d routable, want 2", routable)
 	}
 	healthyWave() // strike 3
 	healthyWave() // strike 4: auto-drain fires (async: the shard is wedged)
@@ -186,6 +189,11 @@ func TestChaosWedgeWatchdog(t *testing.T) {
 	// reusable yet.
 	if _, err := r.AddShard(); !errors.Is(err, shard.ErrShardDraining) {
 		t.Fatalf("AddShard during wedged drain: %v, want ErrShardDraining", err)
+	}
+	// Every healthy task of the four waves landed on a healthy slot: the
+	// wedged shard holds its one wedged task and nothing queued behind it.
+	if n := g.Part(0).Stats().Submitted; n != 1 {
+		t.Fatalf("wedged shard was handed %d tasks, want only the wedged one", n)
 	}
 
 	in.Open()
@@ -209,8 +217,8 @@ func TestChaosWedgeWatchdog(t *testing.T) {
 	if got := r.Health(0); got != shard.HealthLive {
 		t.Fatalf("rejoined shard health %v, want live", got)
 	}
-	if live, routable := r.Live(), r.Routable(); live != 2 || routable != 2 {
-		t.Fatalf("after rejoin: live %d routable %d, want 2/2", live, routable)
+	if live, routable := r.Live(), r.Routable(); live != 3 || routable != 3 {
+		t.Fatalf("after rejoin: live %d routable %d, want 3/3", live, routable)
 	}
 
 	// The wedged wave's late stats fold into a later merge; in the end the
@@ -296,7 +304,6 @@ func TestChaosDelayInjection(t *testing.T) {
 	in := NewInjector(0, Config{DelayEvery: 1, Delay: 30 * time.Millisecond})
 	r, err := shard.New(shard.Config{
 		Shards:      2,
-		Placement:   shard.PlaceCostAffinity,
 		Runtime:     sig.Config{Workers: 1},
 		WaveTimeout: 5 * time.Millisecond,
 		DrainAfter:  -1, // never auto-drain: this test watches recovery
@@ -305,9 +312,13 @@ func TestChaosDelayInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := r.Group("delay", 1.0)
+	// A fresh router's first task goes to slot 0.
 	r.Submit(g, in.Wrap(sig.TaskSpec{
-		Fn: func() {}, Significance: 1.0, HasCost: true, CostAccurate: 100, // slot 0
+		Fn: func() {}, Significance: 1.0, HasCost: true, CostAccurate: 100,
 	}))
+	if n := g.Part(0).Stats().Submitted; n != 1 {
+		t.Fatalf("slot 0 was handed %d tasks, want the delayed one", n)
+	}
 	r.WaitPhase(g)
 	if got := r.Health(0); got != shard.HealthSuspect {
 		t.Fatalf("delayed shard health %v, want suspect", got)

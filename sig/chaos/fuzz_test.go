@@ -73,7 +73,6 @@ func FuzzChaosSchedule(f *testing.F) {
 		r, err := shard.New(shard.Config{
 			Shards:    shards,
 			MaxShards: shards + spare,
-			Placement: shard.PlacementKind(int(data[0]) % 3),
 			Runtime:   sig.Config{Workers: 1, Policy: policy, RecoverPanics: true},
 		})
 		if err != nil {

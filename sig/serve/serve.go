@@ -192,8 +192,7 @@ type Config struct {
 	// the backlog. The lane owns its slice of the queue limit outright
 	// (which is why it needs QueueLimit ≥ 2), so bulk traffic can never
 	// starve premium admission, and it has its own depth/latency accounting
-	// (WaveReport.PriorityDepth, the per-lane wave-latency histogram in
-	// WriteMetrics).
+	// (LaneDepths, the per-lane wave-latency histogram in WriteMetrics).
 	PriorityAt float64
 	// WaveBudget is the modeled work (cost units, ~1ns) admitted per wave
 	// — the server's modeled capacity. Default: resolved workers ×
@@ -314,10 +313,8 @@ type WaveReport struct {
 	Dropped  int
 	TimedOut int
 	// PriorityAdmitted is how many of Admitted came through the priority
-	// lane; PriorityDepth is that lane's post-admission depth (Depth spans
-	// every lane). Zero without a configured lane.
+	// lane. Zero without a configured lane.
 	PriorityAdmitted int
-	PriorityDepth    int
 	// LiveShards is the live fleet size after this wave's autoscaling
 	// decision (the configured shard count when nothing scaled or drained).
 	LiveShards int
@@ -1029,7 +1026,6 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 	}
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
-	rep.PriorityDepth = len(s.lanes[lanePriority].q)
 	rep.Load = s.lastLoad
 	rep.Budget = s.rebudget(rep.LiveShards, perShard)
 	s.mu.Unlock()
@@ -1127,6 +1123,3 @@ func (s *Server) Close() error {
 
 // Energy returns the fleet's modeled energy report, merged across shards.
 func (s *Server) Energy() sig.Report { return s.fleet.Energy() }
-
-// Stats returns the fleet's task accounting, merged across shards.
-func (s *Server) Stats() sig.Stats { return s.fleet.Stats() }

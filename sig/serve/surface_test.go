@@ -20,7 +20,7 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{sig.Config{}, 9},
 		{Config{}, 17},
-		{shard.Config{}, 8},
+		{shard.Config{}, 7},
 		{adapt.Config{}, 9},
 		{shard.AutoscalerConfig{}, 7},
 	} {

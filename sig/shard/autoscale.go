@@ -173,7 +173,8 @@ func (a *Autoscaler) Observe(load float64) int {
 }
 
 // highestRoutable picks the scale-down victim: the highest-index routable
-// slot, so the stable low slots keep their placement affinity.
+// slot, the last one AddShard (lowest free slot first) would fill, so the
+// fleet stays packed into its low slots.
 func (a *Autoscaler) highestRoutable() int {
 	for j := a.r.Shards() - 1; j >= 0; j-- {
 		if a.r.routable(j) {

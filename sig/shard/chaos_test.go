@@ -107,7 +107,7 @@ func TestChaosDrainShardMidWave(t *testing.T) {
 // router: the merged taskwait must not report completion early, must ride
 // out both failures, and must conserve every task once the gate opens.
 func TestChaosStalledShardHoldsWave(t *testing.T) {
-	r, err := New(Config{Shards: 2, Placement: PlaceCostAffinity, Runtime: sig.Config{Workers: 1}})
+	r, err := New(Config{Shards: 2, Runtime: sig.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func TestChaosStalledShardHoldsWave(t *testing.T) {
 
 	gate := make(chan struct{})
 	var stalled, fast atomic.Int64
-	// Cost class 6 (cost 100) lands on shard 0, class 7 (cost 200) on
-	// shard 1 — cost-affinity placement makes the split deterministic.
+	// On a fresh two-slot router the n-th task goes to slot n mod 2: the
+	// gated tasks (even) all land on shard 0, the fast ones (odd) on shard 1.
 	for i := 0; i < 8; i++ {
 		r.Submit(g, sig.TaskSpec{
 			Fn:      func() { <-gate; stalled.Add(1) },
@@ -129,7 +129,7 @@ func TestChaosStalledShardHoldsWave(t *testing.T) {
 		})
 	}
 	if a, b := g.Part(0).Stats().Submitted, g.Part(1).Stats().Submitted; a != 8 || b != 8 {
-		t.Fatalf("cost-affinity split %d/%d, want 8/8", a, b)
+		t.Fatalf("round-robin split %d/%d, want 8/8", a, b)
 	}
 
 	done := make(chan struct{})
@@ -148,6 +148,11 @@ func TestChaosStalledShardHoldsWave(t *testing.T) {
 	if err := r.DrainShard(1); err != nil {
 		t.Fatal(err)
 	}
+	// The drain ran shard 1's work to completion with the gate still shut,
+	// so every fast task landed there and none queued behind the stall.
+	if got := fast.Load(); got != 8 {
+		t.Errorf("drained shard ran %d bodies before the gate opened, want 8", got)
+	}
 	// New work can only go to the stalled (sole live) shard; it must
 	// queue, not vanish.
 	r.Submit(g, sig.TaskSpec{
@@ -160,9 +165,6 @@ func TestChaosStalledShardHoldsWave(t *testing.T) {
 
 	if got := stalled.Load(); got != 9 {
 		t.Errorf("stalled shard ran %d bodies, want 9", got)
-	}
-	if got := fast.Load(); got != 8 {
-		t.Errorf("drained shard ran %d bodies, want 8", got)
 	}
 	gs := g.Stats()
 	if gs.Submitted != 17 || gs.Accurate != 17 {

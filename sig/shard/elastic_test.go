@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"repro/sig"
@@ -154,52 +153,6 @@ func TestAddShardRejoinPreservesEnergy(t *testing.T) {
 	}
 }
 
-// TestAddShardReseedsPlacement: a rejoined shard starts with zero load
-// state, so least-load placement immediately favors it.
-func TestAddShardReseedsPlacement(t *testing.T) {
-	r, err := New(Config{
-		Shards:    2,
-		Placement: PlaceLeastLoad,
-		Runtime:   sig.Config{Workers: 1, Policy: sig.PolicyAccurate},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	g := r.Group("seed", 1.0)
-
-	heavy := make([]sig.TaskSpec, 40)
-	for i := range heavy {
-		heavy[i] = sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: 1000}
-	}
-	// No wave boundary yet: the placement load stays outstanding on shard 0
-	// while shard 1 is replaced, so the contrast is visible.
-	r.SubmitBatch(g, heavy)
-
-	if err := r.DrainShard(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AddShard(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.state[1].load.Load(); got != 0 {
-		t.Fatalf("rejoined shard load %d, want 0", got)
-	}
-	// The fresh shard owes nothing, so the next placement must pick it.
-	var onFresh atomic.Int64
-	r.Submit(g, sig.TaskSpec{Fn: func() { onFresh.Add(1) }, HasCost: true, CostAccurate: 1000})
-	r.Wait(g)
-	if ps := g.Part(1).Stats(); ps.Submitted != 1 {
-		t.Fatalf("least-load ignored the fresh shard: part stats %+v", ps)
-	}
-	if onFresh.Load() != 1 {
-		t.Fatal("instrumented task did not run")
-	}
-	if gs := g.Stats(); gs.Submitted != 41 {
-		t.Fatalf("conservation across replace: %d submitted, want 41", gs.Submitted)
-	}
-}
-
 // TestQuarantineExplicitLifecycle pins the state machine's manual arcs:
 // quarantine pulls a shard out of placement while keeping it live, revive
 // readmits it, and health states read back correctly at each step.
@@ -347,8 +300,8 @@ func TestAutoscalerStepResponse(t *testing.T) {
 			t.Errorf("event %d delta %+d, want %+d", i, ev.Delta, wantDelta)
 		}
 	}
-	// Scale-down victims are the highest routable slots, preserving the
-	// stable low slots' placement affinity.
+	// Scale-down victims are the highest routable slots, so the fleet stays
+	// packed into its low slots.
 	if evs[2].Shard != 3 || evs[3].Shard != 2 || evs[4].Shard != 1 {
 		t.Errorf("scale-down victim order %d,%d,%d, want 3,2,1",
 			evs[2].Shard, evs[3].Shard, evs[4].Shard)

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzShardRouting feeds adversarial routing scenarios — shard count,
-// placement policy, sig policy, significance stream, wave cuts, mid-stream
+// sig policy, significance stream, wave cuts, mid-stream
 // ratio retargeting and mid-stream shard drains — through the Router and
 // holds it to the cross-shard invariants (invariant_test.go): global
 // conservation against instrumented bodies and the shard sum, the
@@ -18,7 +18,7 @@ import (
 // Input encoding (every byte string is valid):
 //
 //	data[0]  shard count, 1 + v%8
-//	data[1]  placement kind, v%3
+//	data[1]  reserved, ignored (kept so the seeds keep their layout)
 //	data[2]  sig policy selector
 //	data[3]  requested ratio, v/255
 //	data[4]  flags: bit0 = batch submission; bit1 = every third task has
@@ -34,10 +34,9 @@ import (
 //	         other byte v is a task of significance v/253 — so the fuzzer
 //	         can position the special values and the chaos adversarially.
 func FuzzShardRouting(f *testing.F) {
-	// Seeds: round-robin baseline, least-load with drains, cost-affinity
-	// with retargeting, single-shard degenerate, drain-heavy chaos,
-	// elastic surgery (drain→rejoin same index, rejoin at max fleet,
-	// quarantine/revive churn).
+	// Seeds: baseline, drains, retargeting, single-shard degenerate,
+	// drain-heavy chaos, elastic surgery (drain→rejoin same index, rejoin at
+	// max fleet, quarantine/revive churn).
 	nine := []byte{3, 0, 2, 128, 0, 1}
 	for i := 0; i < 60; i++ {
 		nine = append(nine, byte(25*(i%9+1)))
@@ -57,7 +56,6 @@ func FuzzShardRouting(f *testing.F) {
 			t.Skip()
 		}
 		shards := 1 + int(data[0])%8
-		placement := PlacementKind(int(data[1]) % 3)
 		kind := kinds[int(data[2])%len(kinds)]
 		ratio := float64(data[3]) / 255
 		batch := data[4]&1 != 0
@@ -81,7 +79,6 @@ func FuzzShardRouting(f *testing.F) {
 		r, err := New(Config{
 			Shards:    shards,
 			MaxShards: maxShards,
-			Placement: placement,
 			Runtime:   sig.Config{Workers: workers, Policy: kind},
 		})
 		if err != nil {
@@ -214,15 +211,14 @@ func FuzzShardRouting(f *testing.F) {
 		provided := r.Wait(g)
 
 		sc := shardScenario{
-			shards:    shards,
-			placement: placement,
-			kind:      kind,
-			workers:   workers,
-			ratio:     ratio,
-			sigs:      sigs,
-			batch:     batch,
-			waves:     waves,
-			noApprox:  noApprox,
+			shards:   shards,
+			kind:     kind,
+			workers:  workers,
+			ratio:    ratio,
+			sigs:     sigs,
+			batch:    batch,
+			waves:    waves,
+			noApprox: noApprox,
 		}
 		// Mid-stream retargeting or drains make the single-ratio floor
 		// ill-defined (a drain cuts an extra quota epoch on its shard);

@@ -10,8 +10,8 @@ import (
 	"repro/sig"
 )
 
-// Cross-shard invariant suite: for every placement policy × sig policy
-// under randomized scenarios, sharding must preserve the single-runtime
+// Cross-shard invariant suite: for every sig policy under randomized
+// scenarios, sharding must preserve the single-runtime
 // contracts globally:
 //
 //  1. global conservation — the merged Stats satisfy submitted = accurate +
@@ -35,15 +35,14 @@ import (
 
 // shardScenario is one randomized cross-shard property case.
 type shardScenario struct {
-	shards    int
-	placement PlacementKind
-	kind      sig.PolicyKind
-	workers   int // per shard
-	ratio     float64
-	sigs      []float64
-	batch     bool
-	waves     int
-	noApprox  int // omit the approximate body from every noApprox-th task
+	shards   int
+	kind     sig.PolicyKind
+	workers  int // per shard
+	ratio    float64
+	sigs     []float64
+	batch    bool
+	waves    int
+	noApprox int // omit the approximate body from every noApprox-th task
 }
 
 func (sc shardScenario) hasApprox(i int) bool {
@@ -83,9 +82,8 @@ func shardRatioSlack(kind sig.PolicyKind, shards, workersPerShard, waves, n int)
 func runShardScenario(t *testing.T, sc shardScenario) ([]atomic.Bool, []atomic.Bool, sig.GroupStats, float64) {
 	t.Helper()
 	r, err := New(Config{
-		Shards:    sc.shards,
-		Placement: sc.placement,
-		Runtime:   sig.Config{Workers: sc.workers, Policy: sc.kind},
+		Shards:  sc.shards,
+		Runtime: sig.Config{Workers: sc.workers, Policy: sc.kind},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +211,8 @@ func checkShardInvariants(t *testing.T, sc shardScenario, r *Router, g *Group, r
 		prov := float64(decidedAcc) / float64(decided)
 		floor := sc.ratio - shardRatioSlack(sc.kind, sc.shards, sc.workers, sc.waves, decided)
 		if prov < floor-1e-9 {
-			t.Errorf("%v/%v at %d shards: merged provided ratio %.4f over %d policy-decided tasks below requested %.4f (slack floor %.4f)",
-				sc.kind, sc.placement, sc.shards, prov, decided, sc.ratio, floor)
+			t.Errorf("%v at %d shards: merged provided ratio %.4f over %d policy-decided tasks below requested %.4f (slack floor %.4f)",
+				sc.kind, sc.shards, prov, decided, sc.ratio, floor)
 		}
 	}
 
@@ -228,10 +226,9 @@ func checkShardInvariants(t *testing.T, sc shardScenario, r *Router, g *Group, r
 }
 
 // TestShardInvariants is the cross-shard property suite entry point: every
-// placement policy × sig policy, randomized streams, 1/2/8 shards.
+// sig policy, randomized streams, 1/2/8 shards.
 func TestShardInvariants(t *testing.T) {
 	kinds := []sig.PolicyKind{sig.PolicyAccurate, sig.PolicyGTB, sig.PolicyGTBMaxBuffer, sig.PolicyLQH, sig.PolicyPerforation}
-	placements := []PlacementKind{PlaceRoundRobin, PlaceLeastLoad, PlaceCostAffinity}
 	ratios := []float64{0, 0.1, 0.33, 0.5, 0.77, 1}
 	shardCounts := []int{1, 2, 8}
 	for _, kind := range kinds {
@@ -252,17 +249,18 @@ func TestShardInvariants(t *testing.T) {
 					}
 				}
 				sc := shardScenario{
-					shards:    shardCounts[trial%len(shardCounts)],
-					placement: placements[trial%len(placements)],
-					kind:      kind,
-					workers:   1 + r.Intn(3),
-					ratio:     ratios[r.Intn(len(ratios))],
-					sigs:      sigs,
-					batch:     trial%2 == 1,
-					waves:     1 + r.Intn(3),
-					noApprox:  []int{0, 0, 2, 3}[r.Intn(4)],
+					shards:   shardCounts[trial%len(shardCounts)],
+					kind:     kind,
+					workers:  1 + r.Intn(3),
+					ratio:    ratios[r.Intn(len(ratios))],
+					sigs:     sigs,
+					batch:    trial%2 == 1,
+					waves:    1 + r.Intn(3),
+					noApprox: []int{0, 0, 2, 3}[r.Intn(4)],
 				}
-				name := fmt.Sprintf("trial%02d-%dx-%s-r%.2f-batch%v", trial, sc.shards, sc.placement, sc.ratio, sc.batch)
+				// The name records the placement too: every trial spreads
+				// its stream round-robin, the router's only placement.
+				name := fmt.Sprintf("trial%02d-%dx-round-robin-r%.2f-batch%v", trial, sc.shards, sc.ratio, sc.batch)
 				t.Run(name, func(t *testing.T) {
 					ranAcc, ranApx, gs, provided := runShardScenario(t, sc)
 					checkShardInvariants(t, sc, nil, nil, ranAcc, ranApx, gs, provided)
@@ -273,7 +271,7 @@ func TestShardInvariants(t *testing.T) {
 }
 
 // TestShardEnergyAdditivity pins invariant 4 exactly: a forced-accurate
-// stream with declared costs produces bit-identical merged joules at 1, 2
+// stream with declared costs produces bit-identical merged joules at 1, 2, 4
 // and 8 shards — equal to the single-runtime golden — because the merge
 // sums busy nanoseconds as integers and multiplies by the wattage once.
 // The busy-ns totals are compared too: additivity must hold in the exact
@@ -309,33 +307,30 @@ func TestShardEnergyAdditivity(t *testing.T) {
 		t.Fatal("golden run accrued no busy time")
 	}
 
-	for _, shards := range []int{1, 2, 8} {
-		for _, placement := range []PlacementKind{PlaceRoundRobin, PlaceLeastLoad, PlaceCostAffinity} {
-			r, err := New(Config{
-				Shards:    shards,
-				Placement: placement,
-				Runtime:   sig.Config{Workers: 2, Policy: sig.PolicyAccurate},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := r.Group("e", 1.0)
-			r.SubmitBatch(g, stream())
-			ws := r.WaitPhase(g)
-			r.Close()
-			rep := r.Energy()
-			if rep.Busy != golden.Busy {
-				t.Errorf("%d shards/%v: merged busy %v != golden %v (exact integer sum broken)",
-					shards, placement, rep.Busy, golden.Busy)
-			}
-			if math.Float64bits(rep.Joules) != math.Float64bits(golden.Joules) {
-				t.Errorf("%d shards/%v: merged joules %v not bit-identical to golden %v",
-					shards, placement, rep.Joules, golden.Joules)
-			}
-			if math.Float64bits(ws.Joules) != math.Float64bits(golden.Joules) {
-				t.Errorf("%d shards/%v: merged wave joules %v not bit-identical to golden %v",
-					shards, placement, ws.Joules, golden.Joules)
-			}
+	for _, shards := range []int{1, 2, 4, 8} {
+		r, err := New(Config{
+			Shards:  shards,
+			Runtime: sig.Config{Workers: 2, Policy: sig.PolicyAccurate},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := r.Group("e", 1.0)
+		r.SubmitBatch(g, stream())
+		ws := r.WaitPhase(g)
+		r.Close()
+		rep := r.Energy()
+		if rep.Busy != golden.Busy {
+			t.Errorf("%d shards: merged busy %v != golden %v (exact integer sum broken)",
+				shards, rep.Busy, golden.Busy)
+		}
+		if math.Float64bits(rep.Joules) != math.Float64bits(golden.Joules) {
+			t.Errorf("%d shards: merged joules %v not bit-identical to golden %v",
+				shards, rep.Joules, golden.Joules)
+		}
+		if math.Float64bits(ws.Joules) != math.Float64bits(golden.Joules) {
+			t.Errorf("%d shards: merged wave joules %v not bit-identical to golden %v",
+				shards, ws.Joules, golden.Joules)
 		}
 	}
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // TestMergeReproducesSpelledOutAccount holds sig's Merge helpers to the
-// formulas this package used to spell out itself. On harness.ShardStudy's
-// stream — 217 tasks declaring 30 µs each — at every fleet size of the study,
-// the frozen Router.Energy() and Router.Stats() equal, bit for bit, the
+// formulas this package used to spell out itself. On a stream of 217 tasks
+// declaring 30 µs each, at 1, 2, 4 and 8 shards, the frozen Router.Energy() and Router.Stats() equal, bit for bit, the
 // per-shard reports and snapshots summed by hand in slot order: integer busy
 // sum priced in one multiplication, the slowest wall, counters added, provided
 // = accurate ÷ decided.

@@ -29,21 +29,14 @@ func (p *orderPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 func (p *orderPolicy) Flush(dst []*sig.Task) []*sig.Task        { return dst }
 func (p *orderPolicy) WorkerDecide(int, *sig.Task) sig.Decision { return sig.DecideAccurate }
 
-// scatterOutcome is what one way of submitting a stream left behind: each
-// slot's sub-batch in arrival order and its placement-load accounts.
-type scatterOutcome struct {
-	subs        [][]float64
-	load, added []int64
-}
-
 // scatter builds a 5-slot fleet — slot 1 drained and slot 3 quarantined when
-// surgery is set — submits specs through submit and reads the outcome before
-// any wave boundary retires the load.
-func scatter(t *testing.T, placement PlacementKind, surgery bool, specs []sig.TaskSpec, submit func(*Router, *Group)) scatterOutcome {
+// surgery is set — submits specs through submit and returns what it left
+// behind: each slot's sub-batch in arrival order.
+func scatter(t *testing.T, surgery bool, specs []sig.TaskSpec, submit func(*Router, *Group)) [][]float64 {
 	t.Helper()
 	var mu sync.Mutex
 	seen := map[*sig.Group][]float64{}
-	r, err := New(Config{Shards: 5, Placement: placement, Runtime: sig.Config{Workers: 1,
+	r, err := New(Config{Shards: 5, Runtime: sig.Config{Workers: 1,
 		NewPolicy: func(g *sig.Group) sig.Policy { return &orderPolicy{mu: &mu, seen: seen, g: g} }}})
 	if err != nil {
 		t.Fatal(err)
@@ -59,69 +52,55 @@ func scatter(t *testing.T, placement PlacementKind, surgery bool, specs []sig.Ta
 		}
 	}
 	submit(r, g)
-	out := scatterOutcome{subs: make([][]float64, r.Shards())}
-	for i := range out.subs {
-		out.load = append(out.load, r.state[i].load.Load())
-		out.added = append(out.added, g.added[i].Load())
+	subs := make([][]float64, r.Shards())
+	for i := range subs {
 		if p := g.Part(i); p != nil {
 			mu.Lock()
-			out.subs[i] = slices.Clone(seen[p])
+			subs[i] = slices.Clone(seen[p])
 			mu.Unlock()
 		}
 	}
 	r.WaitPhase(g)
-	return out
+	return subs
 }
 
 // TestScatterMatchesSubmitLoop: on a quiescent fleet SubmitBatch is a loop of
-// Submit calls — the same sub-batch per shard in the same order, the same
-// placement load charged per shard — under every placement, although the
-// load-blind ones take one cursor range, resolve each home slot once and
-// charge each sub-batch's cost in one add.
+// Submit calls — the same sub-batch per shard in the same order — although it
+// takes one cursor range and resolves each home slot once.
 func TestScatterMatchesSubmitLoop(t *testing.T) {
 	const n = 997
 	specs := make([]sig.TaskSpec, n)
 	for i := range specs {
-		// Unique mid-range significances identify the specs; costs span
-		// several binary classes, some undeclared.
+		// Unique mid-range significances identify the specs.
 		specs[i] = sig.TaskSpec{Fn: func() {}, Significance: float64(i+1) / (n + 2)}
-		if i%7 != 0 {
-			specs[i].HasCost, specs[i].CostAccurate = true, float64(uint(100)<<(i%6)+uint(i%13))
-		}
 	}
-	for _, placement := range []PlacementKind{PlaceRoundRobin, PlaceCostAffinity, PlaceLeastLoad} {
-		for _, surgery := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/surgery=%v", placement, surgery), func(t *testing.T) {
-				loop := scatter(t, placement, surgery, specs, func(r *Router, g *Group) {
-					for i := range specs {
-						r.Submit(g, specs[i])
-					}
-				})
-				// Two batches: the second starts mid-sequence.
-				batch := scatter(t, placement, surgery, specs, func(r *Router, g *Group) {
-					r.SubmitBatch(g, specs[:n/3])
-					r.SubmitBatch(g, specs[n/3:])
-				})
-				total := 0
-				for i := range loop.subs {
-					total += len(loop.subs[i])
-					if !slices.Equal(loop.subs[i], batch.subs[i]) {
-						t.Errorf("shard %d: SubmitBatch sent %d specs, the Submit loop %d, or in another order",
-							i, len(batch.subs[i]), len(loop.subs[i]))
-					}
-					if surgery && (i == 1 || i == 3) && len(batch.subs[i]) != 0 {
-						t.Errorf("unroutable shard %d received %d specs", i, len(batch.subs[i]))
-					}
-				}
-				if total != n {
-					t.Fatalf("the Submit loop delivered %d of %d specs", total, n)
-				}
-				if !slices.Equal(loop.load, batch.load) || !slices.Equal(loop.added, batch.added) {
-					t.Errorf("placement load differs:\n loop  load %v added %v\n batch load %v added %v",
-						loop.load, loop.added, batch.load, batch.added)
+	for _, surgery := range []bool{false, true} {
+		t.Run(fmt.Sprintf("round-robin/surgery=%v", surgery), func(t *testing.T) {
+			loop := scatter(t, surgery, specs, func(r *Router, g *Group) {
+				for i := range specs {
+					r.Submit(g, specs[i])
 				}
 			})
-		}
+			// Two batches: the second starts mid-sequence.
+			batch := scatter(t, surgery, specs, func(r *Router, g *Group) {
+				r.SubmitBatch(g, specs[:n/3])
+				r.SubmitBatch(g, specs[n/3:])
+			})
+			total := 0
+			for i := range loop {
+				total += len(loop[i])
+				if !slices.Equal(loop[i], batch[i]) {
+					t.Errorf("shard %d: SubmitBatch sent %d specs, the Submit loop %d, or in another order",
+						i, len(batch[i]), len(loop[i]))
+				}
+				if surgery && (i == 1 || i == 3) && len(batch[i]) != 0 {
+					t.Errorf("unroutable shard %d received %d specs", i, len(batch[i]))
+				}
+			}
+			if total != n {
+				t.Fatalf("the Submit loop delivered %d of %d specs", total, n)
+			}
+		})
 	}
 }
 

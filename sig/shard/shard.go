@@ -2,7 +2,7 @@
 // domain: a Router owns N independent sig.Runtime shards (one per NUMA-ish
 // resource slice) behind the familiar single-runtime surface — Submit /
 // SubmitBatch, named groups, Wait / WaitPhase, Stats / Energy, Close — and
-// places each task on a shard by a pluggable placement policy.
+// stripes tasks across the routable shards round-robin, in submission order.
 //
 // A Group created on the Router is one *logical* group backed by one
 // physical sig.Group per shard. The ratio knob is hierarchical, as a global
@@ -67,44 +67,6 @@ var (
 	ErrShardDraining = errors.New("shard: shard still draining")
 )
 
-// PlacementKind selects how the Router maps tasks onto shards.
-type PlacementKind int
-
-const (
-	// PlaceRoundRobin stripes tasks across live shards in submission
-	// order: the bin-packing-free baseline, perfectly balanced for
-	// homogeneous streams.
-	PlaceRoundRobin PlacementKind = iota
-	// PlaceLeastLoad places each task on the shard with the least
-	// outstanding modeled cost (declared costs, or DefaultPlacementCost for
-	// undeclared tasks) — first-fit-decreasing-flavored balancing for
-	// heterogeneous costs.
-	PlaceLeastLoad
-	// PlaceCostAffinity places tasks of the same cost class (binary
-	// exponent of the declared accurate cost) on the same shard, so a
-	// shard's policy window holds tasks of like cost and the accurate ratio it
-	// provides is also the share of modeled energy it spends. No front end
-	// selects it: harness.ShardStudy's placement sweep is its only caller
-	// outside the tests.
-	PlaceCostAffinity
-)
-
-func (k PlacementKind) valid() bool {
-	return k >= PlaceRoundRobin && k <= PlaceCostAffinity
-}
-
-func (k PlacementKind) String() string {
-	switch k {
-	case PlaceRoundRobin:
-		return "round-robin"
-	case PlaceLeastLoad:
-		return "least-load"
-	case PlaceCostAffinity:
-		return "cost-affinity"
-	}
-	return fmt.Sprintf("PlacementKind(%d)", int(k))
-}
-
 // Fixed tuning: constants, not Config fields — nothing ever needed another
 // value.
 const (
@@ -113,9 +75,6 @@ const (
 	DefaultTrimGain = 0.5
 	// DefaultTrimMax bounds the per-shard boost above the global ratio.
 	DefaultTrimMax = 0.2
-	// DefaultPlacementCost is the load estimate for tasks that declare no
-	// cost (same scale as serve.DefaultRequestCost: ~100µs nominal).
-	DefaultPlacementCost = 100_000
 )
 
 // Config parameterizes a Router.
@@ -126,8 +85,6 @@ type Config struct {
 	// up to it, and all per-shard state is sized to it once at New so the
 	// submit hot path stays lock-free. 0 means Shards (no headroom).
 	MaxShards int
-	// Placement selects the placement policy (default PlaceRoundRobin).
-	Placement PlacementKind
 	// Runtime configures every shard identically: Workers is the
 	// *per-shard* worker pool (0 = GOMAXPROCS per shard). Its Observer
 	// must be nil — a shard sees only its cut of a wave. The merged wave is
@@ -164,9 +121,6 @@ type shardState struct {
 	// not have reached its runtime yet; DrainShard turns the shard away first
 	// and then waits for inflight to drain.
 	inflight atomic.Int64
-	// load is the outstanding modeled cost routed to the shard and not
-	// yet retired by a wave boundary (least-load placement).
-	load atomic.Int64
 	// pos is the shard's lifecycle position (see health.go): the one word
 	// routing, health and fleet surgery all read.
 	pos atomic.Int32
@@ -175,7 +129,7 @@ type shardState struct {
 	// autoDrain latches the auto-drain trigger so the watchdog spawns at
 	// most one drain per episode.
 	autoDrain atomic.Bool
-	_         [36]byte
+	_         [44]byte
 }
 
 // partRef pairs one shard's runtime with this group's physical group on it.
@@ -218,13 +172,11 @@ type Router struct {
 }
 
 // scatterBuf is the scratch one multi-shard SubmitBatch scatters into: per
-// slot a sub-batch, its summed placement cost and — resolved at most once a
-// batch, 0 meaning not yet — one more than the routable slot its specs go to.
-// Pooled, so a steady stream of waves reuses the grown buckets instead of
-// rebuilding them.
+// slot a sub-batch and — resolved at most once a batch, 0 meaning not yet —
+// one more than the routable slot its specs go to. Pooled, so a steady stream
+// of waves reuses the grown buckets instead of rebuilding them.
 type scatterBuf struct {
 	buckets [][]sig.TaskSpec
-	cost    []int64
 	live    []int
 }
 
@@ -246,7 +198,6 @@ func (r *Router) putScatter(sc *scatterBuf) {
 		clear(sc.buckets[b])
 		sc.buckets[b] = sc.buckets[b][:0]
 	}
-	clear(sc.cost)
 	clear(sc.live)
 	r.scatter.Put(sc)
 }
@@ -264,9 +215,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.MaxShards < cfg.Shards {
 		return nil, fmt.Errorf("shard: MaxShards %d below Shards %d", cfg.MaxShards, cfg.Shards)
-	}
-	if !cfg.Placement.valid() {
-		return nil, fmt.Errorf("shard: unknown placement kind %d", cfg.Placement)
 	}
 	if cfg.Runtime.Observer != nil {
 		return nil, fmt.Errorf("shard: per-shard Observer must be nil; the merged wave is WaitPhase's return value")
@@ -292,7 +240,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	slots := cfg.MaxShards
 	r.scatter.New = func() any {
-		return &scatterBuf{buckets: make([][]sig.TaskSpec, slots), cost: make([]int64, slots), live: make([]int, slots)}
+		return &scatterBuf{buckets: make([][]sig.TaskSpec, slots), live: make([]int, slots)}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		rt, err := sig.New(cfg.Runtime)
@@ -327,10 +275,6 @@ type Group struct {
 	// applyRatio — atomics so SetRatio (a controller on another goroutine)
 	// never races the boundary update.
 	trim []atomic.Uint64
-	// added tracks the modeled cost this group routed to each shard since
-	// its last wave boundary, so the boundary can retire it from the
-	// shard's placement load.
-	added []atomic.Int64
 
 	// retiredMu guards retired and serializes part retirement (AddShard)
 	// with the cumulative readers, so counters move from a part into
@@ -425,7 +369,6 @@ func (r *Router) getOrCreateGroup(name string, ratio float64) (*Group, bool) {
 		name:     name,
 		parts:    make([]atomic.Pointer[partRef], n),
 		trim:     make([]atomic.Uint64, n),
-		added:    make([]atomic.Int64, n),
 		lateWave: make([]chan sig.WaveStats, n),
 		lags:     make([]float64, n),
 	}
@@ -466,72 +409,9 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// placementCost is the modeled cost a spec contributes to placement load.
-func placementCost(spec *sig.TaskSpec) float64 {
-	if spec.HasCost && spec.CostAccurate > 0 {
-		return spec.CostAccurate
-	}
-	return DefaultPlacementCost
-}
-
-// account charges placed specs' modeled cost to the shard's placement load,
-// and to the group's per-shard tally so the next wave boundary can retire it.
-// Least-load placement reads the load it writes, so it charges every spec as
-// it is placed — before the shard's sub-batch is even formed — and sees the
-// earlier specs of the same batch; the other placements charge a sub-batch's
-// sum once, in submitBucket. A negative cost takes a charge back.
-func (r *Router) account(g *Group, i int, cost int64) {
-	r.state[i].load.Add(cost)
-	g.added[i].Add(cost)
-}
-
 // routable reports whether slot j accepts new work: live or suspect — one
 // load of the lifecycle word.
 func (r *Router) routable(j int) bool { return r.state[j].pos.Load() <= suspect }
-
-// draw reserves n consecutive values of the round-robin cursor and returns
-// the first; the other placements have no use for it and leave it alone.
-func (r *Router) draw(n int) uint64 {
-	if r.cfg.Placement != PlaceRoundRobin {
-		return 0
-	}
-	return r.rr.Add(uint64(n)) - uint64(n)
-}
-
-// leastLoaded returns the routable shard with the least outstanding load. Like
-// liveFrom it only *proposes*: route re-checks routability under the in-flight
-// counter.
-func (r *Router) leastLoaded() int {
-	best, bestLoad := 0, int64(math.MaxInt64)
-	for i := range r.state {
-		if !r.routable(i) {
-			continue
-		}
-		if l := r.state[i].load.Load(); l < bestLoad {
-			best, bestLoad = i, l
-		}
-	}
-	return best
-}
-
-// slotOf maps a spec to its home slot under the load-blind placements, before
-// liveFrom moves it off an unroutable one: its cost class under cost affinity,
-// its place in the round-robin sequence (cursor) otherwise.
-func (r *Router) slotOf(spec *sig.TaskSpec, cursor uint64) int {
-	n := len(r.shards)
-	if r.cfg.Placement == PlaceCostAffinity {
-		// The binary exponent buckets costs into classes: tasks within 2x
-		// of each other share a shard (and therefore its policy windows). The
-		// class→slot map is over fixed slot capacity, so a drained slot's
-		// classes come home when the slot rejoins.
-		class := math.Ilogb(placementCost(spec))
-		if class < 0 {
-			class = 0
-		}
-		return class % n
-	}
-	return int(cursor) % n
-}
 
 // liveFrom returns the first routable shard at or after i (wrapping); i
 // itself when every shard is unroutable (route will reject it).
@@ -564,7 +444,7 @@ func (r *Router) route(i int) (int, bool) {
 	return 0, false
 }
 
-// Submit schedules one task on a shard picked by the placement policy: a
+// Submit schedules one task on the next shard in round-robin order: a
 // SubmitBatch of one. Like sig.Runtime.Submit it panics on a nil body or a
 // closed router.
 func (r *Router) Submit(g *Group, spec sig.TaskSpec) {
@@ -572,9 +452,9 @@ func (r *Router) Submit(g *Group, spec sig.TaskSpec) {
 	r.SubmitBatch(g, one[:])
 }
 
-// SubmitBatch scatters the batch across shards by the placement policy and
-// submits one sub-batch per shard, preserving relative order within each
-// shard. Semantically a loop of Submit calls.
+// SubmitBatch scatters the batch across shards round-robin and submits one
+// sub-batch per shard, preserving relative order within each shard.
+// Semantically a loop of Submit calls.
 func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 	if len(specs) == 0 {
 		return
@@ -591,65 +471,41 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 		}
 	}
 	if len(r.shards) == 1 {
-		// One slot: nothing to place, and nothing reads the load mid-batch,
-		// so the whole batch is one bucket charged its sum.
-		var cost int64
-		for k := range specs {
-			cost += int64(placementCost(&specs[k]))
-		}
-		r.submitBucket(g, 0, specs, cost, false)
+		// One slot: nothing to place, so the whole batch is one bucket.
+		r.submitBucket(g, 0, specs)
 		return
 	}
 	sc := r.getScatter()
 	defer r.putScatter(sc) // also on a panic out of a shard's SubmitBatch
-	leastLoad := r.cfg.Placement == PlaceLeastLoad
 	// One range of the round-robin sequence for the whole batch: spec k gets
-	// the cursor value a loop of Submit calls would have drawn.
-	cursor := r.draw(len(specs))
+	// the cursor value a loop of Submit calls would have drawn, and its home
+	// slot is that value modulo the slot count.
+	n := uint64(len(r.shards))
+	cursor := r.rr.Add(uint64(len(specs))) - uint64(len(specs))
 	for k := range specs {
-		c := int64(placementCost(&specs[k]))
-		var b int
-		if leastLoad {
-			b = r.leastLoaded()
-			r.account(g, b, c)
-		} else {
-			slot := r.slotOf(&specs[k], cursor+uint64(k))
-			if sc.live[slot] == 0 {
-				sc.live[slot] = r.liveFrom(slot) + 1
-			}
-			b = sc.live[slot] - 1
+		slot := int((cursor + uint64(k)) % n)
+		if sc.live[slot] == 0 {
+			sc.live[slot] = r.liveFrom(slot) + 1
 		}
-		sc.cost[b] += c
+		b := sc.live[slot] - 1
 		sc.buckets[b] = append(sc.buckets[b], specs[k])
 	}
 	for b, sub := range sc.buckets {
 		if len(sub) > 0 {
-			r.submitBucket(g, b, sub, sc.cost[b], leastLoad)
+			r.submitBucket(g, b, sub)
 		}
 	}
 }
 
-// submitBucket is the one submit tail: it routes a placed sub-batch, charges
-// its summed cost to the shard that runs it, and submits it, releasing the
-// in-flight slot even if the shard's SubmitBatch panics (a leaked slot would
-// wedge a later DrainShard forever). charged says placement already charged
-// the cost to b, spec by spec (least-load).
-func (r *Router) submitBucket(g *Group, b int, sub []sig.TaskSpec, cost int64, charged bool) {
+// submitBucket is the one submit tail: it routes a placed sub-batch and
+// submits it, releasing the in-flight slot even if the shard's SubmitBatch
+// panics (a leaked slot would wedge a later DrainShard forever).
+func (r *Router) submitBucket(g *Group, b int, sub []sig.TaskSpec) {
 	i, ok := r.route(b)
 	if !ok {
 		panic("shard: Submit with every shard drained")
 	}
 	defer r.state[i].inflight.Add(-1)
-	switch {
-	case !charged:
-		r.account(g, i, cost)
-	case i != b:
-		// The proposed shard was drained between placement and routing:
-		// move the sub-batch's load charge to the shard that actually
-		// runs it, so least-load keeps seeing the truth.
-		r.account(g, b, -cost)
-		r.account(g, i, cost)
-	}
 	ref := g.parts[i].Load()
 	ref.rt.SubmitBatch(ref.p, sub)
 }
@@ -696,7 +552,6 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 			case ws := <-ch:
 				g.lateWave[i] = nil
 				cuts.Merge(ws)
-				r.state[i].load.Add(-g.added[i].Swap(0))
 				r.waveOK(i)
 			default:
 				r.strike(i)
@@ -718,7 +573,6 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 		if ws.Decided() > 0 {
 			lags[i] = want - ws.ProvidedRatio
 		}
-		r.state[i].load.Add(-g.added[i].Swap(0))
 		r.probe(i)
 	}
 	merged := sig.WaveStats{Wave: g.wave, RequestedRatio: g.Ratio()}
@@ -940,11 +794,10 @@ func (r *Router) DrainShard(i int) error {
 // exact integer busy nanoseconds — which keeps the merged energy
 // bit-identity contract: the joining runtime starts with a zero busy clock,
 // so merged joules stay one multiplication over an exact integer sum.
-// Placement state is re-seeded for the new shard: zero placement load (so
-// least-load favors it immediately), zero trim, and its fixed cost-affinity
-// classes come home. Returns ErrFleetFull with every slot routable,
-// ErrShardDraining while the only free slots still have a drain in flight,
-// ErrRouterClosed after Close.
+// The new shard starts with zero trim and takes its turn in the round-robin
+// sequence from the next submission on. Returns ErrFleetFull with every slot
+// routable, ErrShardDraining while the only free slots still have a drain in
+// flight, ErrRouterClosed after Close.
 func (r *Router) AddShard() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -979,10 +832,8 @@ func (r *Router) AddShard() (int, error) {
 	st := &r.state[slot]
 	for _, g := range r.order {
 		g.trim[slot].Store(0)
-		g.added[slot].Store(0)
 		g.parts[slot].Store(&partRef{rt: rt, p: rt.Group(g.name, g.Ratio())})
 	}
-	st.load.Store(0)
 	st.strikes.Store(0)
 	st.autoDrain.Store(false)
 	r.shards[slot].Store(rt)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"math"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -91,14 +90,11 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if _, err := New(Config{Placement: PlacementKind(99)}); err == nil {
-		t.Error("unknown placement accepted")
-	}
 	type obs struct{ sig.Observer }
 	if _, err := New(Config{Runtime: sig.Config{Observer: obs{}}}); err == nil {
 		t.Error("per-shard Observer accepted; the merged wave is WaitPhase's return value")
 	}
-	r, err := New(Config{}) // zero config = 1 shard, round-robin
+	r, err := New(Config{}) // zero config = 1 shard
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +138,8 @@ func TestRouterDefaultGroup(t *testing.T) {
 }
 
 // TestRouterNilBodyValidatedUpfront: a nil body must panic before anything
-// is routed — no partial batch, no load charged, and no in-flight slot
-// leaked (a leaked slot would wedge DrainShard forever).
+// is routed — no partial batch and no in-flight slot leaked (a leaked slot
+// would wedge DrainShard forever).
 func TestRouterNilBodyValidatedUpfront(t *testing.T) {
 	r, err := New(Config{Shards: 2, Runtime: sig.Config{Workers: 1}})
 	if err != nil {
@@ -165,75 +161,6 @@ func TestRouterNilBodyValidatedUpfront(t *testing.T) {
 	// Both shards must still be drainable: the failed call held no slot.
 	if err := r.DrainShard(0); err != nil {
 		t.Errorf("DrainShard after the recovered panic: %v", err)
-	}
-}
-
-func TestPlacementLeastLoad(t *testing.T) {
-	r, err := New(Config{Shards: 2, Placement: PlaceLeastLoad, Runtime: sig.Config{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	g := r.Group("", 1.0)
-	spec := func(cost float64) sig.TaskSpec {
-		return sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: cost, CostApprox: 0}
-	}
-	// One heavy task fills shard 0 (ties break to the lowest index); the
-	// following light tasks must all go to shard 1 until it catches up.
-	r.Submit(g, spec(1000))
-	for i := 0; i < 5; i++ {
-		r.Submit(g, spec(100))
-	}
-	if got := g.Part(1).Stats().Submitted; got != 5 {
-		t.Errorf("least-load sent %d of 5 light tasks to the empty shard", got)
-	}
-	r.Wait(g)
-	// The wave boundary retires placement load: the next task may land on
-	// shard 0 again (tie at zero load).
-	r.Submit(g, spec(10))
-	if got := g.Part(0).Stats().Submitted; got != 2 {
-		t.Errorf("wave boundary did not retire placement load: shard 0 has %d tasks, want 2", got)
-	}
-	r.Wait(g)
-}
-
-func TestPlacementCostAffinity(t *testing.T) {
-	r, err := New(Config{Shards: 2, Placement: PlaceCostAffinity, Runtime: sig.Config{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	g := r.Group("", 1.0)
-	spec := func(cost float64) sig.TaskSpec {
-		return sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: cost, CostApprox: 0}
-	}
-	// Cost class = binary exponent: 100 and 110 share class 6; 200 is
-	// class 7. Same class must mean same shard, always.
-	for i := 0; i < 4; i++ {
-		r.Submit(g, spec(100))
-		r.Submit(g, spec(110))
-		r.Submit(g, spec(200))
-	}
-	r.Wait(g)
-	a := g.Part(0).Stats().Submitted
-	b := g.Part(1).Stats().Submitted
-	if a+b != 12 {
-		t.Fatalf("lost tasks: %d + %d", a, b)
-	}
-	// Class 6 (8 tasks) and class 7 (4 tasks) map to different shards.
-	if !(a == 8 && b == 4) && !(a == 4 && b == 8) {
-		t.Errorf("cost classes not segregated: shard loads %d/%d, want 8/4", a, b)
-	}
-}
-
-func TestPlacementKindString(t *testing.T) {
-	for _, k := range []PlacementKind{PlaceRoundRobin, PlaceLeastLoad, PlaceCostAffinity} {
-		if s := k.String(); s == "" || strings.HasPrefix(s, "PlacementKind(") {
-			t.Errorf("placement %d has no name", int(k))
-		}
-	}
-	if s := PlacementKind(42).String(); !strings.HasPrefix(s, "PlacementKind(") {
-		t.Errorf("unknown placement printed %q", s)
 	}
 }
 
