@@ -42,12 +42,11 @@ func main() {
 	ref := app.Sequential()
 	out := imaging.NewImage(*size, *size)
 
-	// The controller regulates the "sobel" group: after every wave it
+	// The controller regulates the group it is handed: after every wave it
 	// reads the quality probe and retunes the group's ratio. TargetQuality
 	// treats the setpoint as a floor — it settles at the cheapest ratio
 	// keeping the probe at or above it.
 	ctl, err := adapt.New(adapt.Config{
-		Group:     "sobel",
 		Objective: adapt.TargetQuality,
 		Setpoint:  *setpoint,
 		Probe:     func() float64 { return imaging.PSNR(ref, out) },
@@ -56,10 +55,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Attach the controller through the runtime's Observer hook. Max
-	// buffering makes each wave's decisions exact, so the whole run is
+	// Max buffering makes each wave's decisions exact, so the whole run is
 	// deterministic and replayable.
-	rt, err := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+	rt, err := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,6 +68,7 @@ func main() {
 		*waves, *size, *size, *setpoint)
 	fmt.Printf("%-5s %-6s %6s %6s %8s %10s\n", "wave", "scene", "req%", "prov%", "PSNR", "energy")
 	scene := "A"
+	held := 0
 	for w := 0; w < *waves; w++ {
 		if w == *waves/2 {
 			// Mid-stream scene change: heavy horizontal texture. The
@@ -79,24 +78,20 @@ func main() {
 			scene = "B"
 		}
 		// One frame = one wave: submit the frame's row tasks, then
-		// taskwait with telemetry. The controller observes the wave
-		// inside WaitPhase and retunes grp's ratio for the next frame.
+		// taskwait with telemetry and hand the wave to the controller,
+		// which retunes grp's ratio for the next frame.
 		app.SubmitFrame(rt, grp, out)
 		ws := rt.WaitPhase(grp)
-		fmt.Printf("%-5d %-6s %6.1f %6.1f %8.2f %9.4fJ\n",
-			w, scene, 100*ws.RequestedRatio, 100*ws.ProvidedRatio,
-			imaging.PSNR(ref, out), ws.Joules)
-	}
-
-	trace := ctl.Trace()
-	held := 0
-	for _, s := range trace {
-		if s.Held {
+		step := ctl.Observe(grp, ws)
+		if step.Held {
 			held++
 		}
+		fmt.Printf("%-5d %-6s %6.1f %6.1f %8.2f %9.4fJ\n",
+			w, scene, 100*ws.RequestedRatio, 100*ws.ProvidedRatio, step.Measure, ws.Joules)
 	}
+
 	fmt.Printf("\ncontroller: %d waves observed, %d at steady state, final ratio %.3f\n",
-		len(trace), held, ctl.Ratio())
+		*waves, held, grp.Ratio())
 	fmt.Println("rerun it: the trajectory is bit-identical — fixed inputs, modeled costs,")
 	fmt.Println("deterministic decisions and a pure-arithmetic control law.")
 }

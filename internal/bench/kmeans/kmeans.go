@@ -293,9 +293,9 @@ func (a *App) newLloydState() *lloydState {
 }
 
 // runWave executes one Lloyd iteration as one wave on grp: submit a task
-// per chunk, taskwait (through WaitPhase, so observers see the wave),
-// reduce the partials into new centroids and reassign significances. It
-// returns the number of points that moved and the wave's telemetry.
+// per chunk, taskwait (through WaitPhase, for the wave's telemetry), reduce
+// the partials into new centroids and reassign significances. It returns
+// the number of points that moved and the wave's telemetry.
 func (a *App) runWave(rt *sig.Runtime, grp *sig.Group, s *lloydState) (int, sig.WaveStats) {
 	p := a.p
 	nchunks := a.Tasks()
@@ -390,9 +390,10 @@ func (a *App) Run(rt *sig.Runtime, ratio float64) Result {
 
 // RunStream is the streaming mode: exactly waves Lloyd iterations, each a
 // phased wave on grp. The group is created by the caller so an adaptive
-// controller (attached via sig.Config.Observer) can own its ratio between
-// waves; onWave (optional) receives each wave's telemetry. Unlike Run it
-// never stops early — a streaming service keeps processing its input.
+// controller can own its ratio between waves: onWave (optional) receives
+// each wave's telemetry before the next wave is submitted, and is where the
+// caller hands it to adapt.Controller.Observe. Unlike Run it never stops
+// early — a streaming service keeps processing its input.
 func (a *App) RunStream(rt *sig.Runtime, grp *sig.Group, waves int, onWave func(ws sig.WaveStats)) Result {
 	s := a.newLloydState()
 	for it := 0; it < waves; it++ {

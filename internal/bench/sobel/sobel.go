@@ -74,7 +74,8 @@ func (a *App) SetScene(seed int64, detail float64) {
 // SubmitFrame submits one frame's row tasks on grp without waiting: the
 // streaming surface. The caller owns the taskwait (rt.WaitPhase for
 // per-wave telemetry) and the group's ratio — SubmitFrame never resets it,
-// so an adaptive controller can retune the ratio between frames.
+// so an adaptive controller the caller hands each wave to
+// (adapt.Controller.Observe) can retune the ratio between frames.
 func (a *App) SubmitFrame(rt *sig.Runtime, grp *sig.Group, out *imaging.Image) {
 	for y := 1; y < a.p.H-1; y++ {
 		y := y

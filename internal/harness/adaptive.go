@@ -156,7 +156,6 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	// pay a second full-frame PSNR pass over the identical ref/out pair.
 	var lastPSNR float64
 	ctl, err := adapt.New(adapt.Config{
-		Group:     "sobel",
 		Objective: adapt.TargetQuality,
 		Setpoint:  cfg.Setpoint,
 		Probe: func() float64 {
@@ -167,7 +166,7 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	if err != nil {
 		return err
 	}
-	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		return err
 	}
@@ -188,11 +187,12 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 		}
 		app.SubmitFrame(rt, grp, out)
 		ws := rt.WaitPhase(grp)
+		step := ctl.Observe(grp, ws)
 		res.Rows = append(res.Rows, AdaptiveWave{
 			Wave:      w,
 			Scene:     scene,
 			Ratio:     ws.RequestedRatio,
-			NextRatio: grp.Ratio(),
+			NextRatio: step.NextRatio,
 			Provided:  ws.ProvidedRatio,
 			PSNR:      lastPSNR,
 			Joules:    ws.Joules,
@@ -272,24 +272,24 @@ func adaptiveKmeans(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	res.KmeansOracleRatio = targetFraction
 
 	ctl, err := adapt.New(adapt.Config{
-		Group:     "kmeans",
 		Objective: adapt.TargetEnergy,
 		Budget:    res.KmeansBudget,
 	})
 	if err != nil {
 		return err
 	}
-	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		return err
 	}
 	defer rt.Close()
 	grp := rt.Group("kmeans", 1.0)
 	app.RunStream(rt, grp, cfg.KmeansWaves, func(ws sig.WaveStats) {
+		step := ctl.Observe(grp, ws)
 		res.KmeansRows = append(res.KmeansRows, AdaptiveWave{
 			Wave:      ws.Wave,
 			Ratio:     ws.RequestedRatio,
-			NextRatio: grp.Ratio(),
+			NextRatio: step.NextRatio,
 			Provided:  ws.ProvidedRatio,
 			Joules:    ws.Joules,
 			Dropped:   ws.Dropped,

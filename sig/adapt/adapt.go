@@ -1,7 +1,7 @@
 // Package adapt closes the quality/energy feedback loop the paper's §5
 // leaves to the runtime: an online Controller owns a task group's accuracy
-// ratio and retunes it wave by wave from the per-wave telemetry the sig
-// runtime publishes through its Observer hook.
+// ratio and retunes it wave by wave from the per-wave telemetry WaitPhase
+// returns. The caller hands each wave on; nobody is called back.
 //
 // Three objectives are supported. TargetQuality drives a caller-supplied
 // quality probe to a setpoint using the lowest ratio that holds it — the
@@ -17,16 +17,15 @@
 // Usage:
 //
 //	ctl, _ := adapt.New(adapt.Config{
-//		Group:     "sobel",
 //		Objective: adapt.TargetQuality,
 //		Setpoint:  17, // dB
 //		Probe:     func() float64 { return imaging.PSNR(ref, out) },
 //	})
-//	rt, _ := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+//	rt, _ := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer})
 //	grp := rt.Group("sobel", 1.0)
 //	for each frame {
 //		app.SubmitFrame(rt, grp, out)
-//		ws := rt.WaitPhase(grp) // controller retunes grp's ratio here
+//		s := ctl.Observe(grp, rt.WaitPhase(grp)) // retunes grp's ratio; s is the wave's record
 //	}
 //
 //siglint:deterministic
@@ -90,8 +89,6 @@ type WindowFloor struct {
 
 // Config parameterizes a Controller.
 type Config struct {
-	// Group names the controlled task group ("" = the default group).
-	Group string
 	// Objective selects the control law.
 	Objective Objective
 	// Setpoint is the quality target, in the probe's units, for
@@ -99,16 +96,16 @@ type Config struct {
 	// does; invert lower-is-better metrics in the probe).
 	Setpoint float64
 	// Probe measures the completed wave's output quality. Required for
-	// TargetQuality; called once per wave on the goroutine that invoked
-	// Wait/WaitPhase, after every task of the wave finished.
+	// TargetQuality; called once per wave inside Observe, after every task
+	// of the wave finished.
 	Probe func() float64
 	// Budget is the cap on the regulated variable: modeled joules per wave
 	// for TargetEnergy, the Measure signal's units for TargetLoad.
 	Budget float64
 	// Measure maps the completed wave's telemetry to the regulated load
-	// signal. Required for TargetLoad; called once per wave on the
-	// goroutine that invoked Wait/WaitPhase, so it may also read state the
-	// caller updates between waves (queue depths, arrival counts).
+	// signal. Required for TargetLoad; called once per wave inside Observe,
+	// so it may also read state the caller updates between waves (queue
+	// depths, arrival counts).
 	Measure func(ws sig.WaveStats) float64
 	// Min and Max bound the commanded ratio (defaults 0 and 1).
 	Min, Max float64
@@ -123,13 +120,9 @@ type Config struct {
 	WindowFloor *WindowFloor
 }
 
-// maxTrace bounds the retained trace to the most recent samples: a controller
-// lives as long as the server it regulates. Observe compacts lazily at 2x the
-// bound (one copy per maxTrace waves, not per wave) inside an array New makes
-// once, so it never allocates — serve's zero-alloc admission path depends on it.
-const maxTrace = 1024
-
-// Sample is one wave of the controller's trace.
+// Sample is one control step's record: what Observe saw of a wave and what
+// it commanded. The controller keeps no trace; a caller that wants one
+// collects the Samples Observe returns.
 type Sample struct {
 	// Wave is the runtime's wave index.
 	Wave int
@@ -152,14 +145,13 @@ type Sample struct {
 	WindowMean float64
 }
 
-// Controller is a per-group feedback controller. It implements
-// sig.Observer; attach it through sig.Config.Observer and it takes
-// ownership of the group's ratio from the first completed wave on.
+// Controller is a per-group feedback controller. Hand it each of the
+// group's waves (Observe) and it owns the group's ratio from the first
+// completed wave on.
 type Controller struct {
 	cfg Config
 
-	mu    sync.Mutex
-	trace []Sample
+	mu sync.Mutex
 	// prev is the last informative (ratio, measure) point, used for the
 	// secant slope estimate.
 	prevRatio   float64
@@ -210,38 +202,31 @@ func New(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("adapt: WindowFloor.Floor %v outside [0,%v]", wf.Floor, cfg.Max)
 		}
 	}
-	c := &Controller{cfg: cfg, trace: make([]Sample, 0, 2*maxTrace)}
+	c := &Controller{cfg: cfg}
 	if wf := cfg.WindowFloor; wf != nil {
 		c.win = make([]float64, wf.Window)
 	}
 	return c, nil
 }
 
-// Target is the retunable surface the controller drives: a named group
-// whose accuracy ratio it owns. *sig.Group satisfies it, and so does a
+// Target is the retunable surface the controller drives: the knob of a
+// group whose accuracy ratio it owns. *sig.Group satisfies it, and so does a
 // sharded front end's merged group (sig/shard) — the control law does not
 // care how many runtimes sit behind the knob.
 type Target interface {
-	Name() string
 	SetRatio(float64)
 }
 
-// ObserveWave implements sig.Observer; it forwards to Observe. Sharded
-// routers, whose merged groups are not *sig.Group, call Observe directly.
-func (c *Controller) ObserveWave(g *sig.Group, ws sig.WaveStats) { c.Observe(g, ws) }
-
-// Observe regulates the configured group and ignores every other. For
-// TargetQuality and TargetEnergy, empty waves (Close's final drain, foreign
-// taskwaits) carry no information and leave the controller untouched. For
-// TargetLoad an empty wave IS informative — zero demand — and is processed,
-// so a load-shedding server recovers its ratio while idle instead of
-// freezing at the last overload's value.
-func (c *Controller) Observe(g Target, ws sig.WaveStats) {
-	if g.Name() != c.cfg.Group {
-		return
-	}
+// Observe runs one control step on a completed wave of g — the WaveStats
+// g's WaitPhase returned — retunes g's ratio for the next wave and returns
+// the step's record. For TargetQuality and TargetEnergy an empty wave
+// carries no information: it leaves the controller and g untouched and
+// returns the zero Sample. For TargetLoad an empty wave IS informative —
+// zero demand — and is processed, so a load-shedding server recovers its
+// ratio while idle instead of freezing at the last overload's value.
+func (c *Controller) Observe(g Target, ws sig.WaveStats) Sample {
 	if ws.Submitted == 0 && c.cfg.Objective != TargetLoad {
-		return
+		return Sample{}
 	}
 	var measure float64
 	switch c.cfg.Objective {
@@ -258,10 +243,9 @@ func (c *Controller) Observe(g Target, ws sig.WaveStats) {
 	if c.cfg.WindowFloor != nil {
 		next, held, winMean = c.applyFloor(next, held, ws.ProvidedRatio)
 	}
-	if len(c.trace) >= 2*maxTrace {
-		c.trace = c.trace[:copy(c.trace, c.trace[len(c.trace)-maxTrace+1:])]
-	}
-	c.trace = append(c.trace, Sample{
+	c.mu.Unlock()
+	g.SetRatio(next)
+	return Sample{
 		Wave:          ws.Wave,
 		Ratio:         ws.RequestedRatio,
 		NextRatio:     next,
@@ -270,9 +254,7 @@ func (c *Controller) Observe(g Target, ws sig.WaveStats) {
 		Joules:        ws.Joules,
 		Held:          held,
 		WindowMean:    winMean,
-	})
-	c.mu.Unlock()
-	g.SetRatio(next)
+	}
 }
 
 // step runs one control update: from the ratio that produced the wave and
@@ -379,21 +361,4 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Trace returns a copy of the per-wave control trace: its last 1024 waves at most.
-func (c *Controller) Trace() []Sample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Sample(nil), c.trace[max(len(c.trace)-maxTrace, 0):]...)
-}
-
-// Ratio returns the last commanded ratio (NaN before the first wave).
-func (c *Controller) Ratio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.trace) == 0 {
-		return math.NaN()
-	}
-	return c.trace[len(c.trace)-1].NextRatio
 }

@@ -11,7 +11,8 @@ import (
 // streamWorkload drives a synthetic streaming workload under a controller:
 // waves of n tasks whose significances follow a fixed pattern, with
 // declared costs so modeled energy is deterministic. It returns the
-// controller's trace. The quality probe is the significance-weighted
+// controller's trace: the Sample each wave's Observe returned. The quality
+// probe is the significance-weighted
 // accurate fraction of the last wave — a deterministic, monotone function
 // of the ratio under GTB max buffering.
 func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk func(probe func() float64) *adapt.Controller) []adapt.Sample {
@@ -33,12 +34,13 @@ func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk 
 		return acc / total
 	}
 	ctl := mk(probe)
-	rt, err := sig.New(sig.Config{Workers: workers, Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+	rt, err := sig.New(sig.Config{Workers: workers, Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	g := rt.Group("stream", startRatio)
+	var trace []adapt.Sample
 	for w := 0; w < waves; w++ {
 		for i := range ranAcc {
 			ranAcc[i] = false
@@ -51,15 +53,14 @@ func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk 
 				sig.WithApprox(func() {}),
 				sig.WithCost(100, 10))
 		}
-		rt.WaitPhase(g)
+		trace = append(trace, ctl.Observe(g, rt.WaitPhase(g)))
 	}
-	return ctl.Trace()
+	return trace
 }
 
 func qualityController(t *testing.T, setpoint float64) func(func() float64) *adapt.Controller {
 	return func(probe func() float64) *adapt.Controller {
 		ctl, err := adapt.New(adapt.Config{
-			Group:     "stream",
 			Objective: adapt.TargetQuality,
 			Setpoint:  setpoint,
 			Probe:     probe,
@@ -119,7 +120,6 @@ func TestEnergyTargetReplayAndCap(t *testing.T) {
 	budget := sig.DefaultActiveWatts * float64(n/2*100+n/2*10) * 1e-9
 	mk := func(func() float64) *adapt.Controller {
 		ctl, err := adapt.New(adapt.Config{
-			Group:     "stream",
 			Objective: adapt.TargetEnergy,
 			Budget:    budget,
 		})
@@ -161,7 +161,6 @@ func TestLoadTargetCapsCustomMeasure(t *testing.T) {
 	const waves, n = 15, 128
 	mk := func(func() float64) *adapt.Controller {
 		ctl, err := adapt.New(adapt.Config{
-			Group:     "stream",
 			Objective: adapt.TargetLoad,
 			Budget:    1.2,
 			Measure: func(ws sig.WaveStats) float64 {
@@ -217,32 +216,31 @@ func TestQualityConvergesToSetpointFloor(t *testing.T) {
 	}
 }
 
-// TestControllerIgnoresOtherGroupsAndEmptyWaves: waves of foreign groups
-// and the empty drain at Close must leave the trace untouched.
+// TestControllerIgnoresOtherGroupsAndEmptyWaves: under TargetQuality an
+// empty wave carries no information. Observe returns the zero Sample, never
+// runs the probe and leaves the group's ratio alone.
 func TestControllerIgnoresOtherGroupsAndEmptyWaves(t *testing.T) {
+	probed := false
 	ctl, err := adapt.New(adapt.Config{
-		Group: "mine", Objective: adapt.TargetQuality, Setpoint: 1, Probe: func() float64 { return 1 },
+		Objective: adapt.TargetQuality, Setpoint: 1, Probe: func() float64 { probed = true; return 0 },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := sig.New(sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+	rt, err := sig.New(sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := rt.Group("other", 0.5)
-	rt.Submit(func() {}, sig.WithLabel(other), sig.WithSignificance(0.5), sig.WithApprox(func() {}))
-	rt.Wait(other)
-	mine := rt.Group("mine", 0.5)
-	rt.Wait(mine) // empty wave
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
+	defer rt.Close()
+	g := rt.Group("mine", 0.5)
+	if s := ctl.Observe(g, rt.WaitPhase(g)); s != (adapt.Sample{}) {
+		t.Errorf("empty wave stepped the controller: %+v", s)
 	}
-	if got := ctl.Trace(); len(got) != 0 {
-		t.Errorf("controller observed %d waves, want 0 (foreign + empty waves ignored): %+v", len(got), got)
+	if probed {
+		t.Error("empty wave ran the quality probe")
 	}
-	if !math.IsNaN(ctl.Ratio()) {
-		t.Errorf("Ratio() before any controlled wave = %v, want NaN", ctl.Ratio())
+	if r := g.Ratio(); r != 0.5 {
+		t.Errorf("empty wave retuned the ratio to %v, want 0.5 untouched", r)
 	}
 }
 
@@ -266,38 +264,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestControllerHotPathAllocs: attaching a live controller must keep the
-// per-task submit path allocation-free — the adaptive loop's work happens
-// at wave boundaries only.
+// TestControllerHotPathAllocs: a control step allocates nothing, under every
+// objective and with a window floor. sig/serve runs one per wave, and its
+// wave path is held at zero allocations (TestServeSubmitAllocs).
 func TestControllerHotPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short race runs")
 	}
-	ctl, err := adapt.New(adapt.Config{
-		Group: "alloc", Objective: adapt.TargetQuality, Setpoint: 0.5,
-		Probe: func() float64 { return 0.5 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := sig.New(sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	g := rt.Group("alloc", 0.5)
-	body := func() {}
-	opts := []sig.TaskOption{sig.WithLabel(g), sig.WithSignificance(0.5), sig.WithApprox(body), sig.WithCost(50, 5)}
-	for i := 0; i < 4000; i++ {
-		rt.Submit(body, opts...)
-	}
-	rt.Wait(g)
-	avg := testing.AllocsPerRun(2000, func() {
-		rt.Submit(body, opts...)
-	})
-	rt.Wait(g)
-	if avg > 0 {
-		t.Errorf("%.2f allocs per submitted task with a controller attached, want 0", avg)
+	for _, cfg := range []adapt.Config{
+		{Objective: adapt.TargetQuality, Setpoint: 0.5, Probe: func() float64 { return 0.4 }},
+		{Objective: adapt.TargetEnergy, Budget: 1},
+		{Objective: adapt.TargetLoad, Budget: 1, WindowFloor: &adapt.WindowFloor{Window: 8, Floor: 0.3},
+			// A load that alternates across the cap keeps the commands moving.
+			Measure: func(ws sig.WaveStats) float64 { return 0.5 + float64(ws.Wave%2) }},
+	} {
+		ctl, err := adapt.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt := &fakeTarget{ratio: 1}
+		wave := 0
+		avg := testing.AllocsPerRun(1000, func() {
+			ctl.Observe(tgt, sig.WaveStats{Wave: wave, Submitted: 1, RequestedRatio: tgt.ratio,
+				ProvidedRatio: tgt.ratio, Joules: 2 * tgt.ratio})
+			wave++
+		})
+		if avg != 0 {
+			t.Errorf("objective %d: %.2f allocs per Observe, want 0", cfg.Objective, avg)
+		}
 	}
 }
 
@@ -308,7 +302,6 @@ func TestControllerHotPathAllocs(t *testing.T) {
 // Max without a NaN or an out-of-bounds command ever reaching the group.
 func TestTargetLoadZeroCostWaves(t *testing.T) {
 	ctl, err := adapt.New(adapt.Config{
-		Group:     "zero",
 		Objective: adapt.TargetLoad,
 		Budget:    1.0,
 		Measure:   func(ws sig.WaveStats) float64 { return ws.Joules }, // 0 for zero-cost work
@@ -316,13 +309,14 @@ func TestTargetLoadZeroCostWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := sig.New(sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer, Observer: ctl})
+	rt, err := sig.New(sig.Config{Workers: 1, Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	g := rt.Group("zero", 0.05) // start shed, as after an overload
 
+	var trace []adapt.Sample
 	for wave := 0; wave < 12; wave++ {
 		if wave%2 == 0 { // alternate zero-cost and fully empty waves
 			for i := 0; i < 16; i++ {
@@ -331,15 +325,15 @@ func TestTargetLoadZeroCostWaves(t *testing.T) {
 					sig.WithApprox(func() {}), sig.WithCost(0, 0))
 			}
 		}
-		rt.WaitPhase(g)
+		s := ctl.Observe(g, rt.WaitPhase(g))
+		if s.Wave != wave {
+			t.Fatalf("wave %d stepped as wave %d (empty waves are informative for TargetLoad)", wave, s.Wave)
+		}
+		trace = append(trace, s)
 		r := g.Ratio()
 		if math.IsNaN(r) || r < 0 || r > 1 {
 			t.Fatalf("wave %d: commanded ratio %v out of [0,1]", wave, r)
 		}
-	}
-	trace := ctl.Trace()
-	if len(trace) != 12 {
-		t.Fatalf("controller observed %d waves, want 12 (empty waves are informative for TargetLoad)", len(trace))
 	}
 	for i, s := range trace {
 		if math.IsNaN(s.Measure) || math.IsNaN(s.NextRatio) {
@@ -351,47 +345,5 @@ func TestTargetLoadZeroCostWaves(t *testing.T) {
 	}
 	if got := g.Ratio(); got != 1 {
 		t.Errorf("ratio %v after 12 zero-demand waves, want recovered to the Max of 1", got)
-	}
-}
-
-// TestTraceBounded pins the one trace scheme every controller has: however
-// long it lives, it retains its most recent 1024 samples (Trace's documented
-// bound), the retained tail is the true tail, Ratio stays the last command,
-// and observing a wave never allocates — the backing array is made in New.
-func TestTraceBounded(t *testing.T) {
-	const bound = 1024
-	ctl, err := adapt.New(adapt.Config{
-		Group: "t", Objective: adapt.TargetLoad, Budget: 1,
-		// A load that alternates across the cap keeps the commands moving.
-		Measure: func(ws sig.WaveStats) float64 { return 0.5 + float64(ws.Wave%2) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt := &fakeTarget{name: "t", ratio: 1}
-	wave := 0
-	observe := func() {
-		ctl.Observe(tgt, sig.WaveStats{Wave: wave, RequestedRatio: tgt.ratio, ProvidedRatio: tgt.ratio})
-		wave++
-	}
-	if avg := testing.AllocsPerRun(3*bound-1, observe); avg != 0 {
-		t.Errorf("%.2f allocs per Observe, want 0 from the first wave on", avg)
-	}
-	// AllocsPerRun warms up with one extra call.
-	if wave != 3*bound {
-		t.Fatalf("observed %d waves, want %d", wave, 3*bound)
-	}
-	trace := ctl.Trace()
-	if len(trace) == 0 || len(trace) > bound {
-		t.Fatalf("trace retains %d samples after %d waves, want 1..%d", len(trace), wave, bound)
-	}
-	for i, s := range trace {
-		if want := wave - len(trace) + i; s.Wave != want {
-			t.Fatalf("retained sample %d carries wave %d, want %d: not the true tail", i, s.Wave, want)
-		}
-	}
-	last := trace[len(trace)-1]
-	if ctl.Ratio() != last.NextRatio || tgt.ratio != last.NextRatio {
-		t.Errorf("Ratio() = %v, target at %v, last command %v", ctl.Ratio(), tgt.ratio, last.NextRatio)
 	}
 }

@@ -12,12 +12,8 @@ import (
 
 // fakeTarget is a bare ratio knob: the reaction-bound and window-floor
 // tests drive the controller against a simulated load model, no runtime.
-type fakeTarget struct {
-	name  string
-	ratio float64
-}
+type fakeTarget struct{ ratio float64 }
 
-func (f *fakeTarget) Name() string       { return f.name }
 func (f *fakeTarget) SetRatio(r float64) { f.ratio = r }
 
 // loadSim replays sig/serve's admission arithmetic at the cost-sum level:
@@ -36,6 +32,7 @@ type loadSim struct {
 	backlog   int
 	wave      int
 	lastLoad  float64
+	samples   []adapt.Sample // what each wave's Observe returned
 }
 
 func (s *loadSim) at(r float64) float64 { return r*s.cAcc + (1-r)*s.cDeg }
@@ -59,12 +56,12 @@ func (s *loadSim) runWave(arrivals int) (load, ratio float64) {
 	s.backlog -= admitted
 	load = (float64(arrivals)*s.at(r) + s.drainGain*float64(s.backlog)*s.at(r)) / s.budget
 	s.lastLoad = load
-	s.ctl.Observe(s.tgt, sig.WaveStats{
+	s.samples = append(s.samples, s.ctl.Observe(s.tgt, sig.WaveStats{
 		Wave:           s.wave,
 		RequestedRatio: r,
 		ProvidedRatio:  r,
 		Submitted:      admitted,
-	})
+	}))
 	s.wave++
 	return load, r
 }
@@ -72,14 +69,13 @@ func (s *loadSim) runWave(arrivals int) (load, ratio float64) {
 func newLoadSim(t *testing.T, cAcc, cDeg, budget float64, wf *adapt.WindowFloor) *loadSim {
 	t.Helper()
 	sim := &loadSim{
-		tgt:       &fakeTarget{name: "sim", ratio: 1},
+		tgt:       &fakeTarget{ratio: 1},
 		cAcc:      cAcc,
 		cDeg:      cDeg,
 		budget:    budget,
 		drainGain: 0.5,
 	}
 	ctl, err := adapt.New(adapt.Config{
-		Group:       "sim",
 		Objective:   adapt.TargetLoad,
 		Budget:      1.0,
 		Measure:     func(sig.WaveStats) float64 { return sim.lastLoad },
@@ -174,7 +170,7 @@ func TestWindowFloorHoldsMean(t *testing.T) {
 			provided = append(provided, r)
 		}
 		var means []float64
-		for _, s := range sim.ctl.Trace() {
+		for _, s := range sim.samples {
 			means = append(means, s.WindowMean)
 		}
 		return provided, means

@@ -185,16 +185,6 @@ func BenchmarkWaveFlush(b *testing.B) {
 	}
 }
 
-// benchObserver is a minimal Observer standing in for the adaptive
-// controller (which lives downstream in sig/adapt): it retunes the group's
-// ratio at every wave, exactly like the controller's hot-path interaction.
-type benchObserver struct{ waves int }
-
-func (o *benchObserver) ObserveWave(g *Group, ws WaveStats) {
-	o.waves++
-	g.SetRatio(ws.RequestedRatio)
-}
-
 // benchXorshift is the body of the repository benchmark's runtime_tasks
 // workload (benchmark/runtime_tasks.go): 200 steps accurate (~0.4 µs), 40
 // approximate, declared as 600 and 120 cost units.
@@ -256,9 +246,7 @@ func BenchmarkSubmitWave(b *testing.B) {
 
 // TestSubmitAllocs asserts the steady-state heap cost of a submitted,
 // executed task is zero under every policy — including GTB's window
-// hand-outs and with an Observer attached (the adaptive-control hook must cost
-// nothing on the per-task path; its work happens at wave boundaries). It
-// measures whole waves, so an allocation per window shows as well as one per
+// hand-outs. It measures whole waves, so an allocation per window shows as well as one per
 // task; AllocsPerRun floors the average, so a stray pool refill does not.
 func TestSubmitAllocs(t *testing.T) {
 	if testing.Short() {
@@ -271,7 +259,7 @@ func TestSubmitAllocs(t *testing.T) {
 	kinds := []PolicyKind{PolicyAccurate, PolicyGTB, PolicyGTBMaxBuffer, PolicyLQH, PolicyPerforation}
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			rt, err := New(Config{Workers: 1, Policy: kind, Observer: &benchObserver{}})
+			rt, err := New(Config{Workers: 1, Policy: kind})
 			if err != nil {
 				t.Fatal(err)
 			}

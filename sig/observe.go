@@ -54,18 +54,6 @@ func (w *WaveStats) Merge(ws WaveStats) {
 	w.ProvidedRatio = provided(int64(w.Accurate), int64(w.Decided()), w.RequestedRatio)
 }
 
-// Observer receives per-wave telemetry at every taskwait boundary (Wait,
-// WaitPhase, and the implicit drain in Close). It is the feedback seam of
-// the adaptive layer: an observer may retune the group's ratio via
-// Group.SetRatio and the new value takes effect for the next wave's
-// decisions. ObserveWave runs on the goroutine calling Wait/WaitPhase,
-// after every task of the wave has completed — so it may safely read
-// outputs the wave produced (e.g. run a quality probe) — and must return
-// before the next wave is submitted.
-type Observer interface {
-	ObserveWave(g *Group, ws WaveStats)
-}
-
 // SetRatio retargets the group's requested accurate ratio (clamped to
 // [0,1]). It is the adaptive controller's knob: the new ratio applies to
 // decisions made after the call — for buffering policies, to the next
@@ -74,16 +62,16 @@ func (g *Group) SetRatio(r float64) { g.setRatio(r) }
 
 // WaitPhase is Wait with telemetry: it drains the group like Wait and
 // returns the completed wave's WaveStats instead of the cumulative provided
-// ratio. Streaming workloads call it once per wave; the configured Observer
-// (if any) sees the same WaveStats before WaitPhase returns.
+// ratio. Streaming workloads call it once per wave and hand the result to
+// whoever regulates the group (adapt.Controller.Observe) before submitting
+// the next one: every task of the wave has completed by then, so a quality
+// probe may read the outputs it produced. Nobody is called back.
 func (rt *Runtime) WaitPhase(g *Group) WaveStats {
 	if g == nil {
 		g = rt.defaultGroup()
 	}
 	rt.drain(g)
-	ws := rt.endWave(g)
-	rt.observe(g, ws)
-	return ws
+	return rt.endWave(g)
 }
 
 // endWave closes the group's current wave: it diffs the task counters and
@@ -106,13 +94,6 @@ func (rt *Runtime) endWave(g *Group) WaveStats {
 	g.waveBase = waveSnapshot{submitted: sub, accurate: acc, approximate: app, dropped: drop, busyNS: busy}
 	g.wave.Add(1)
 	return ws
-}
-
-// observe delivers the wave to the configured observer, if any.
-func (rt *Runtime) observe(g *Group, ws WaveStats) {
-	if o := rt.cfg.Observer; o != nil {
-		o.ObserveWave(g, ws)
-	}
 }
 
 // waveSnapshot is the counter state at the last wave boundary.

@@ -62,45 +62,6 @@ func TestWaitPhaseTelemetry(t *testing.T) {
 	}
 }
 
-// waveRecorder is a test Observer collecting every delivered WaveStats.
-type waveRecorder struct {
-	waves []WaveStats
-}
-
-func (r *waveRecorder) ObserveWave(g *Group, ws WaveStats) { r.waves = append(r.waves, ws) }
-
-// TestObserverFiresOnWaitAndWaitPhase: the Observer hook must see every
-// taskwait boundary — plain Wait, WaitPhase, and Close's final drain — with
-// the same WaveStats WaitPhase returns.
-func TestObserverFiresOnWaitAndWaitPhase(t *testing.T) {
-	rec := &waveRecorder{}
-	rt := newRT(t, Config{Policy: PolicyGTBMaxBuffer, Observer: rec})
-	g := rt.Group("obs", 0.5)
-
-	rt.Submit(func() {}, WithLabel(g), WithSignificance(0.5), WithApprox(func() {}), WithCost(1, 1))
-	rt.Wait(g)
-	if len(rec.waves) != 1 || rec.waves[0].Submitted != 1 {
-		t.Fatalf("after Wait: recorded %+v, want one 1-task wave", rec.waves)
-	}
-
-	rt.Submit(func() {}, WithLabel(g), WithSignificance(0.5), WithApprox(func() {}), WithCost(1, 1))
-	ws := rt.WaitPhase(g)
-	if len(rec.waves) != 2 || rec.waves[1] != ws {
-		t.Fatalf("after WaitPhase: recorded %+v, want the returned stats %+v", rec.waves, ws)
-	}
-
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close drains every group once more: those waves are empty and must
-	// say so (observers like the adaptive controller skip them).
-	for _, w := range rec.waves[2:] {
-		if w.Submitted != 0 || w.Decided() != 0 {
-			t.Errorf("Close-drain wave not empty: %+v", w)
-		}
-	}
-}
-
 // TestWaitEmptyGroupReturnsRequestedRatio is the regression test for the
 // empty-group taskwait: Wait on a group nothing was submitted to must
 // report the requested ratio — never NaN (0/0) and never a misleading 0.
@@ -127,12 +88,10 @@ func TestWaitEmptyGroupReturnsRequestedRatio(t *testing.T) {
 	}
 }
 
-// TestWaitPhaseWithoutObserver pins the phased surface with no Observer
-// configured — the standalone-streaming usage, previously untested: the
-// nil-group (default) spelling, empty waves on a never-submitted group,
-// and the wave epoch all behave exactly as with an observer attached, and
-// nothing is delivered anywhere.
-func TestWaitPhaseWithoutObserver(t *testing.T) {
+// TestWaitPhaseEmptyAndDefaultGroup pins the phased surface's edges: the
+// nil-group (default) spelling, empty waves on a never-submitted group, and
+// the wave epoch.
+func TestWaitPhaseEmptyAndDefaultGroup(t *testing.T) {
 	rt := newRT(t, Config{Policy: PolicyGTBMaxBuffer})
 	defer rt.Close()
 

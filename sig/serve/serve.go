@@ -71,7 +71,7 @@ const (
 	DefaultQualityWindow = 16
 )
 
-// groupName names the serving task group on the fleet and in the controller.
+// groupName names the serving task group on the fleet.
 const groupName = "serve"
 
 // Request is one unit of service traffic.
@@ -214,10 +214,6 @@ type Config struct {
 	// QualityWindow is the floor's averaging horizon in waves (default
 	// DefaultQualityWindow; requires QualityFloor > 0).
 	QualityWindow int
-	// EnergyBudget, when positive, additionally caps modeled joules per
-	// wave (power capping): the load signal takes the max of the demand
-	// term and joules/EnergyBudget.
-	EnergyBudget float64
 	// WavePeriod is the cadence Start's pacer starts from, and the basis of
 	// the default wave budget (default DefaultWavePeriod). Once waves have
 	// been measured the pacer retimes toward the measured wall-time EWMA;
@@ -522,7 +518,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	var err error
 	s.ctl, err = adapt.New(adapt.Config{
-		Group:       groupName,
 		Objective:   adapt.TargetLoad,
 		Budget:      cfg.TargetLoad,
 		Measure:     s.measure,
@@ -841,10 +836,9 @@ func (s *Server) finish(tk *Ticket, wave, nowNs int64) {
 // measure is the admission controller's load signal, evaluated at the wave
 // boundary (inside RunWave's taskwait): the modeled cost of fresh arrivals
 // plus a DefaultDrainGain share of the backlog, both priced at the wave's
-// ratio, over the per-wave capacity — and, with an EnergyBudget, the wave's
-// modeled joules over that budget, whichever is larger. Both terms are
-// monotone increasing in the ratio, which is what lets the secant law of
-// adapt.TargetLoad converge in a handful of waves.
+// ratio, over the per-wave capacity. It is monotone increasing in the ratio,
+// which is what lets the secant law of adapt.TargetLoad converge in a handful
+// of waves.
 func (s *Server) measure(ws sig.WaveStats) float64 {
 	carry := s.pace.carry(s.clock) // before s.mu: the clock is caller-supplied code
 	r := ws.RequestedRatio
@@ -852,9 +846,6 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 	// Every lane drains from the same capacity.
 	load := (s.arrCost.at(r) + DefaultDrainGain*s.backlogLocked(laneBulk).at(r)) / s.budget
 	s.arrCost = costSums{} // next wave accounts fresh arrivals only
-	if s.cfg.EnergyBudget > 0 {
-		load = math.Max(load, ws.Joules/s.cfg.EnergyBudget)
-	}
 	if carry > 0 {
 		// An early wave speaks for a share of the period; the rest keeps
 		// the previous reading (see pacer.carry).

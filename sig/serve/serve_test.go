@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/sig"
+	"repro/sig/adapt"
 )
 
 // testCosts are the declared request costs of the deterministic tests:
@@ -299,37 +300,6 @@ func TestServeMinRatioHonored(t *testing.T) {
 	}
 	if tot := s.Totals(); tot.Rejected == 0 {
 		t.Error("floored ratio under sustained overload must eventually reject")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServeEnergyBudgetCapsJoules: with an EnergyBudget the load signal
-// also tracks modeled joules, so steady-state per-wave energy lands at or
-// under the cap even though the queue never backs up.
-func TestServeEnergyBudgetCapsJoules(t *testing.T) {
-	const base = 8
-	budget := sig.DefaultActiveWatts * 4 * costAcc * 1e-9 // ~half the full-quality wave energy
-	s := newTestServer(t, base, func(c *Config) {
-		c.WaveBudget = 100 * base * costAcc // work capacity never binds
-		c.EnergyBudget = budget
-	})
-	var served [3]atomic.Int64
-	var last WaveReport
-	for w := 0; w < 12; w++ {
-		for i := 0; i < base; i++ {
-			if _, err := s.Submit(request(w*base+i, &served)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		last = s.RunWave()
-	}
-	if last.Joules > budget*1.05 {
-		t.Errorf("steady-state wave energy %.9f J exceeds the %.9f J budget", last.Joules, budget)
-	}
-	if last.NextRatio > 0.9 {
-		t.Errorf("ratio %.3f: the energy cap should have forced degradation", last.NextRatio)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -642,13 +612,24 @@ func TestServeTotalsCountBeforeDone(t *testing.T) {
 	}
 }
 
-// TestServeObservesOncePerWave pins what the router's callback seam used to
-// give implicitly and runWave's explicit call must keep: the admission
-// controller observes every wave exactly once — loaded, empty, and the drain
-// waves Close runs — in order, so sample i of its trace is wave i.
+// TestServeObservesOncePerWave pins what runWave's explicit call must keep:
+// the admission controller observes every wave exactly once — loaded, empty,
+// and the drain waves Close runs — in order, so step i sees wave i. The
+// server's controller is swapped for one whose Measure records the wave it
+// was handed, then prices it with the server's own signal.
 func TestServeObservesOncePerWave(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		s := newTestServer(t, 8, func(c *Config) { c.Shards = shards })
+		var seen []int
+		ctl, err := adapt.New(adapt.Config{Objective: adapt.TargetLoad, Budget: DefaultTargetLoad,
+			Measure: func(ws sig.WaveStats) float64 {
+				seen = append(seen, ws.Wave)
+				return s.measure(ws)
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ctl = ctl
 		var served [3]atomic.Int64
 		seq := 0
 		submit := func(n int) {
@@ -674,13 +655,12 @@ func TestServeObservesOncePerWave(t *testing.T) {
 		if waves < before+2 {
 			t.Fatalf("%d shards: Close drained in %d waves, want at least 2", shards, waves-before)
 		}
-		trace := s.ctl.Trace()
-		if int64(len(trace)) != waves {
-			t.Fatalf("%d shards: controller observed %d waves, the server ran %d", shards, len(trace), waves)
+		if int64(len(seen)) != waves {
+			t.Fatalf("%d shards: controller observed %d waves, the server ran %d", shards, len(seen), waves)
 		}
-		for i, sample := range trace {
-			if sample.Wave != i {
-				t.Fatalf("%d shards: sample %d carries wave %d", shards, i, sample.Wave)
+		for i, w := range seen {
+			if w != i {
+				t.Fatalf("%d shards: step %d observed wave %d", shards, i, w)
 			}
 		}
 	}

@@ -18,10 +18,10 @@ func TestConfigSurface(t *testing.T) {
 		cfg    any
 		fields int
 	}{
-		{sig.Config{}, 9},
-		{Config{}, 17},
+		{sig.Config{}, 8},
+		{Config{}, 16},
 		{shard.Config{}, 7},
-		{adapt.Config{}, 9},
+		{adapt.Config{}, 8},
 		{shard.AutoscalerConfig{}, 7},
 	} {
 		typ := reflect.TypeOf(c.cfg)

@@ -23,10 +23,6 @@ const (
 	DefaultScaleCooldown = 3
 )
 
-// maxScaleEvents bounds the retained action log: a scaler lives as long as
-// the server it scales, and nothing but Events reads the log.
-const maxScaleEvents = 256
-
 // AutoscalerConfig parameterizes an Autoscaler. Zero fields take defaults.
 type AutoscalerConfig struct {
 	// MinShards/MaxShards bound the live fleet size. MinShards defaults to
@@ -70,19 +66,6 @@ func (c AutoscalerConfig) withDefaults(slots int) AutoscalerConfig {
 	return c
 }
 
-// ScaleEvent records one autoscaler action.
-type ScaleEvent struct {
-	// Wave is the Observe call count at which the action fired.
-	Wave int
-	// Delta is +1 (AddShard) or -1 (DrainShard); Shard the slot acted on.
-	Delta int
-	Shard int
-	// Load is the observation that completed the streak.
-	Load float64
-	// Live is the live shard count after the action.
-	Live int
-}
-
 // Autoscaler grows and shrinks a Router's live fleet between MinShards and
 // MaxShards from the wave-boundary load observations an admission
 // controller already produces (the adapt.Target observation stream), with
@@ -98,11 +81,9 @@ type Autoscaler struct {
 	r   *Router
 	cfg AutoscalerConfig
 
-	wave    int
 	upRun   int
 	downRun int
 	cool    int
-	events  []ScaleEvent
 }
 
 // NewAutoscaler validates the config against the router's slot capacity.
@@ -126,18 +107,11 @@ func NewAutoscaler(r *Router, cfg AutoscalerConfig) (*Autoscaler, error) {
 	return &Autoscaler{r: r, cfg: cfg}, nil
 }
 
-// Events returns the most recent actions, in order — at most the last 256;
-// older ones are dropped.
-func (a *Autoscaler) Events() []ScaleEvent {
-	return a.events[max(len(a.events)-maxScaleEvents, 0):]
-}
-
 // Observe feeds one wave's load observation and returns the shard-count
 // delta it acted with: +1 (grew), -1 (shrank), 0 (held). Cooldown waves
 // freeze the streak counters too, so the post-action transient cannot seed
 // the next action.
 func (a *Autoscaler) Observe(load float64) int {
-	a.wave++
 	if a.cool > 0 {
 		a.cool--
 		return 0
@@ -153,8 +127,8 @@ func (a *Autoscaler) Observe(load float64) int {
 		a.upRun, a.downRun = 0, 0
 	}
 	if a.upRun >= a.cfg.UpAfter && a.r.Live() < a.cfg.MaxShards {
-		if slot, err := a.r.AddShard(); err == nil {
-			a.acted(ScaleEvent{Wave: a.wave, Delta: +1, Shard: slot, Load: load})
+		if _, err := a.r.AddShard(); err == nil {
+			a.acted()
 			return +1
 		}
 		// ErrShardDraining: the freed slot is still closing; retry next
@@ -164,7 +138,7 @@ func (a *Autoscaler) Observe(load float64) int {
 	if a.downRun >= a.cfg.DownAfter && a.r.Live() > a.cfg.MinShards {
 		if slot := a.highestRoutable(); slot >= 0 {
 			if err := a.r.DrainShard(slot); err == nil {
-				a.acted(ScaleEvent{Wave: a.wave, Delta: -1, Shard: slot, Load: load})
+				a.acted()
 				return -1
 			}
 		}
@@ -184,14 +158,8 @@ func (a *Autoscaler) highestRoutable() int {
 	return -1
 }
 
-func (a *Autoscaler) acted(ev ScaleEvent) {
-	ev.Live = a.r.Live()
-	// Compact lazily at 2x the bound (adapt.Controller's trace does the
-	// same): one copy per maxScaleEvents actions, not per action.
-	if len(a.events) >= 2*maxScaleEvents {
-		a.events = a.events[:copy(a.events, a.events[len(a.events)-maxScaleEvents+1:])]
-	}
-	a.events = append(a.events, ev)
+// acted restarts the streaks and the cooldown after an action.
+func (a *Autoscaler) acted() {
 	a.upRun, a.downRun = 0, 0
 	a.cool = a.cfg.Cooldown
 }

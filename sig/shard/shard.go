@@ -86,10 +86,10 @@ type Config struct {
 	// submit hot path stays lock-free. 0 means Shards (no headroom).
 	MaxShards int
 	// Runtime configures every shard identically: Workers is the
-	// *per-shard* worker pool (0 = GOMAXPROCS per shard). Its Observer
-	// must be nil — a shard sees only its cut of a wave. The merged wave is
-	// WaitPhase's return value: a global admission controller observes that
-	// (adapt.Controller.Observe(g, r.WaitPhase(g))) and may retune the group
+	// *per-shard* worker pool (0 = GOMAXPROCS per shard). A shard sees only
+	// its cut of a wave; the merged wave is WaitPhase's return value, which
+	// the caller hands to a global admission controller
+	// (adapt.Controller.Observe(g, r.WaitPhase(g))) that may retune the group
 	// via Group.SetRatio before the next wave.
 	Runtime sig.Config
 
@@ -215,9 +215,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.MaxShards < cfg.Shards {
 		return nil, fmt.Errorf("shard: MaxShards %d below Shards %d", cfg.MaxShards, cfg.Shards)
-	}
-	if cfg.Runtime.Observer != nil {
-		return nil, fmt.Errorf("shard: per-shard Observer must be nil; the merged wave is WaitPhase's return value")
 	}
 	if cfg.WaveTimeout < 0 {
 		return nil, fmt.Errorf("shard: negative WaveTimeout %v", cfg.WaveTimeout)

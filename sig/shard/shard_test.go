@@ -90,10 +90,6 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: -1}); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	type obs struct{ sig.Observer }
-	if _, err := New(Config{Runtime: sig.Config{Observer: obs{}}}); err == nil {
-		t.Error("per-shard Observer accepted; the merged wave is WaitPhase's return value")
-	}
 	r, err := New(Config{}) // zero config = 1 shard
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +264,6 @@ func TestDeterministicShardedReplay(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		run := func() (trace []float64, joules []uint64, acc []int) {
 			ctl, err := adapt.New(adapt.Config{
-				Group:     "rep",
 				Objective: adapt.TargetEnergy,
 				Budget:    sig.DefaultActiveWatts * 400 * 1e-9, // ~half of full-accurate demand
 			})
@@ -341,7 +336,6 @@ func TestOneSlotRouterIsARuntime(t *testing.T) {
 	}
 	newCtl := func() *adapt.Controller {
 		ctl, err := adapt.New(adapt.Config{
-			Group:     "rep",
 			Objective: adapt.TargetEnergy,
 			Budget:    sig.DefaultActiveWatts * 400 * 1e-9, // ~half of full-accurate demand
 		})
@@ -357,9 +351,8 @@ func TestOneSlotRouterIsARuntime(t *testing.T) {
 
 	var bare []waveRec
 	{
-		cfg := rtCfg
-		cfg.Observer = newCtl()
-		rt, err := sig.New(cfg)
+		ctl := newCtl()
+		rt, err := sig.New(rtCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,6 +360,7 @@ func TestOneSlotRouterIsARuntime(t *testing.T) {
 		for w := 0; w < waves; w++ {
 			rt.SubmitBatch(g, stream(w))
 			ws := rt.WaitPhase(g)
+			ctl.Observe(g, ws)
 			bare = append(bare, record(g.Ratio(), ws))
 		}
 		rt.Close()

@@ -66,11 +66,6 @@ type Config struct {
 	// recycled, so a policy must not retain a *Task it has returned. The
 	// group lock serializes its Submit and Flush; it needs no lock of its own.
 	NewPolicy func(g *Group) Policy
-	// Observer, when non-nil, receives per-wave telemetry (WaveStats) for
-	// every group at each taskwait boundary. It is the feedback hook the
-	// adaptive controller (sig/adapt) attaches to; it adds nothing to the
-	// per-task hot path (see observe.go).
-	Observer Observer
 	// RecoverPanics absorbs panics thrown by task bodies instead of letting
 	// them kill the worker goroutine. A panicked task still charges its
 	// declared cost (modeled energy stays deterministic under injected
