@@ -23,12 +23,22 @@ vet:
 # (cmd/siglint) proving the runtime's invariants — replay determinism
 # (determinism), pool get/put pairing (poolpair), noalloc hot paths
 # (noalloc) — and their must-fail test: each analyzer must flag its mutant
-# of the product code (cmd/siglint/mutants_test.go).
+# of the product code (cmd/siglint/mutants_test.go). Last, the goldens'
+# must-fail mutant, CI's step of that name: TestStudyGoldens must fail with
+# the pacer's perShard missing its workers factor (applied by -overlay; the
+# tree is never edited), or a study has a budget rule of its own again.
 lint: vet
 	$(GO) build -o siglint.bin ./cmd/siglint
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
 	$(GO) test -count=1 ./cmd/siglint
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	sed 's/return float64(p.workers) \* float64(p.effective())/return float64(p.effective())/' sig/serve/pacer.go > "$$tmp/pacer.go"; \
+	if cmp -s sig/serve/pacer.go "$$tmp/pacer.go"; then echo "mutant: perShard's line not found in sig/serve/pacer.go" >&2; exit 1; fi; \
+	printf '{"Replace":{"%s":"%s"}}' "$$(pwd)/sig/serve/pacer.go" "$$tmp/pacer.go" > "$$tmp/overlay.json"; \
+	if out=$$($(GO) test -count=1 -overlay "$$tmp/overlay.json" -run TestStudyGoldens ./internal/harness 2>&1); then echo "TestStudyGoldens passed under the perShard mutant" >&2; exit 1; fi; \
+	echo "$$out" | grep -q -- '--- FAIL: TestStudyGoldens/' || { echo "$$out" >&2; exit 1; }; \
+	echo "TestStudyGoldens fails under the perShard mutant, as it must"
 
 # The lines after the first repeat the ring, backpressure, helping-taskwait
 # and concurrent-submitter tests, the serving pump's wake-token, early-wave

@@ -206,13 +206,12 @@ func fleetScale(cfg FleetStudyConfig) (FleetScaleResult, error) {
 		UpAfter: 2, DownAfter: 3, Cooldown: 1,
 	}
 	res := FleetScaleResult{MinShards: ac.MinShards, MaxShards: ac.MaxShards, WavesToScaleUp: -1, WavesToScaleDown: -1}
-	s, err := serve.New(serve.Config{
-		Shards:     2,
-		Workers:    1,
-		MinRatio:   1, // quality floor: only capacity can absorb the step
-		WaveBudget: 8 * costAcc,
-		AutoScale:  ac,
-	})
+	s, err := newFrozenServer(serve.Config{
+		Shards:    2,
+		Workers:   1,
+		MinRatio:  1, // quality floor: only capacity can absorb the step
+		AutoScale: ac,
+	}, 8*costAcc)
 	if err != nil {
 		return res, err
 	}

@@ -16,8 +16,9 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // lines — against testdata/<name>.golden. "Byte-identical to the parent" for
 // a refactor of the serving stack means this test passes without -update; a
 // PR that changes behaviour on purpose regenerates (make goldens) and
-// explains each differing line. The studies run on declared costs (and a
-// FakeClock where time matters), so the output is the same at any GOMAXPROCS.
+// explains each differing line. The studies run on declared costs (and every
+// serving study on a FakeClock behind the production pacer), so the output is
+// the same at any GOMAXPROCS.
 func TestStudyGoldens(t *testing.T) {
 	for _, study := range Studies {
 		t.Run(study.Name, func(t *testing.T) {

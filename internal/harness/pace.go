@@ -186,8 +186,8 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 			}
 			seq++
 		}
-		rep, delay := s.PaceWave()
-		fc.Advance(delay) // the pump's sleep, in fake time
+		rep := s.RunWave()
+		fc.Advance(rep.Next) // the pump's sleep, in fake time
 		res.PaceCalls++
 		if rep.Overrun {
 			res.OverrunsSeen++

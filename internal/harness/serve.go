@@ -108,7 +108,8 @@ func ServeBackendByName(name string, scale float64) (*ServeBackend, error) {
 type ServeConfig struct {
 	// Scale in (0,1] sizes the backend's per-request work.
 	Scale float64
-	// Workers per runtime shard (0 = GOMAXPROCS).
+	// Workers per runtime shard (0 = 2). Capacity is workers × the wave
+	// period, so the default is a constant, not GOMAXPROCS.
 	Workers int
 	// Shards is the size of the shard.Router fleet behind the server (0 = 1).
 	// Shards ≥ 2 is the sharded overload scenario, with the hierarchical
@@ -127,6 +128,9 @@ type ServeConfig struct {
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.Scale <= 0 || c.Scale > 1 {
 		c.Scale = 1
+	}
+	if c.Workers == 0 {
+		c.Workers = 2
 	}
 	if c.Waves <= 0 {
 		c.Waves = 28
@@ -220,16 +224,15 @@ type ServeResult struct {
 	ClosedP99        int     // latency p99 in waves
 }
 
-// newStudyServer builds the study's server: budget sized for
+// newStudyServer builds the study's server: capacity sized for
 // serveBasePerWave at serveUtilization, a queue deep enough that the step
 // sheds quality rather than requests.
 func newStudyServer(cfg ServeConfig, b *ServeBackend) (*serve.Server, error) {
-	return serve.New(serve.Config{
+	return newFrozenServer(serve.Config{
 		Workers:    cfg.Workers,
 		Shards:     cfg.Shards,
-		WaveBudget: serveBasePerWave * b.CostAccurate / serveUtilization,
 		QueueLimit: 64 * serveBasePerWave,
-	})
+	}, serveBasePerWave*b.CostAccurate/serveUtilization)
 }
 
 // ServeStudy runs the serving-layer evaluation: an open-loop request

@@ -103,24 +103,23 @@ func sloRequest(i int) serve.Request {
 	}
 }
 
-// sloServer builds the section's server: budget sized for sloBasePerWave at
-// the study utilization, a queue deep enough that steps shed quality, not
+// sloServer builds the section's server: capacity sized for sloBasePerWave
+// at the study utilization, a queue deep enough that steps shed quality, not
 // requests. The reaction section caps load at 1.0 (full capacity), the
 // setting the bounds' absorbability assumption is stated for.
 func sloServer(mut func(*serve.Config)) (*serve.Server, error) {
 	sc := serve.Config{
 		Workers:    2,
-		WaveBudget: sloBasePerWave * sloCostAcc / sloUtilization,
 		QueueLimit: 64 * sloBasePerWave,
 	}
 	if mut != nil {
 		mut(&sc)
 	}
-	return serve.New(sc)
+	return newFrozenServer(sc, sloBasePerWave*sloCostAcc/sloUtilization)
 }
 
 // SLOStudy runs the three SLO sections. Deterministic end to end: declared
-// costs, no wall-clock deadlines, explicit waves.
+// costs, no deadlines, explicit waves on a frozen FakeClock.
 func SLOStudy() (SLOResult, error) {
 	res := SLOResult{
 		BasePerWave: sloBasePerWave,

@@ -3,12 +3,16 @@ package harness
 import (
 	"fmt"
 	"io"
+	"time"
+
+	"repro/sig/serve"
 )
 
 // Study is one deterministic study of the layers above the paper's runtime:
 // Run prints it in full at the configuration its golden pins. The output is
-// a function of declared costs (and a FakeClock where time matters), so it
-// is the same bytes on every run, host and GOMAXPROCS.
+// a function of declared costs (and, for every serving study, a FakeClock
+// behind the production pacer), so it is the same bytes on every run, host
+// and GOMAXPROCS.
 type Study struct {
 	// Name is the `sigbench <Name>` command and testdata/<Name>.golden.
 	Name string
@@ -59,6 +63,23 @@ var Studies = []Study{
 			}
 			return err
 		}},
+}
+
+// newFrozenServer builds a server of sc with a fixed capacity of budget cost
+// units per wave under the production budget rule: a FakeClock nobody
+// advances measures every wave at zero, so the pacer holds its cadence at
+// MinPeriod and prices each wave at workers × MinPeriod per live shard.
+// sc's Workers must be set, and budget must split into a whole period of
+// nanoseconds, or the rule would not reproduce it exactly.
+func newFrozenServer(sc serve.Config, budget float64) (*serve.Server, error) {
+	n := float64(max(sc.Shards, 1) * sc.Workers)
+	period := time.Duration(budget / n)
+	if period <= 0 || float64(period)*n != budget {
+		return nil, fmt.Errorf("harness: wave budget %v is not a whole period of ns over %v workers", budget, n)
+	}
+	sc.Clock = serve.NewFakeClock()
+	sc.WavePeriod, sc.MinPeriod = period, period
+	return serve.New(sc)
 }
 
 // printServe runs the serving overload study on each backend and prints the

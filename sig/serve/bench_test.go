@@ -16,15 +16,12 @@ import (
 const benchWave = 32
 
 // newBenchServer sizes a server so a benchWave of declared-cost requests
-// exactly fills a wave's budget: every wave admits one full batch, the
-// steady-state shape of the overload step. Shared with the hot-path tests.
+// exactly fills a wave's budget, on a frozen clock (see frozen): every wave
+// admits one full batch, the steady-state shape of the overload step.
+// Shared with the hot-path tests.
 func newBenchServer(tb testing.TB) *Server {
 	tb.Helper()
-	s, err := New(Config{
-		Workers:    2,
-		QueueLimit: 4 * benchWave,
-		WaveBudget: benchWave * costAcc,
-	})
+	s, err := New(frozen(Config{Workers: 2, QueueLimit: 4 * benchWave}, benchWave*costAcc))
 	if err != nil {
 		tb.Fatal(err)
 	}

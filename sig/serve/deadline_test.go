@@ -24,7 +24,9 @@ func TestServeExpiredAtSubmit(t *testing.T) {
 	var served [3]atomic.Int64
 
 	req := request(0, &served)
-	req.Deadline = time.Now().Add(-time.Second)
+	fc := fakeClock(s)
+	req.Deadline = fc.Now()
+	fc.Advance(time.Second)
 	tk, err := s.Submit(req)
 	if !errors.Is(err, ErrDeadlineExpired) {
 		t.Fatalf("expired Submit: got %v, want ErrDeadlineExpired", err)
@@ -58,7 +60,8 @@ func TestServeQueuedDeadlineTimesOut(t *testing.T) {
 	var served [3]atomic.Int64
 
 	doomed := request(0, &served)
-	doomed.Deadline = time.Now().Add(2 * time.Millisecond)
+	fc := fakeClock(s)
+	doomed.Deadline = fc.Now().Add(2 * time.Millisecond)
 	dtk, err := s.Submit(doomed)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +70,7 @@ func TestServeQueuedDeadlineTimesOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the deadline lapse in-queue
+	fc.Advance(10 * time.Millisecond) // let the deadline lapse in-queue
 
 	rep := s.RunWave()
 	if rep.TimedOut != 1 {
@@ -177,10 +180,12 @@ func TestServeAutoScale(t *testing.T) {
 	if maxLive != 4 {
 		t.Fatalf("overload grew the fleet to %d shards, want 4", maxLive)
 	}
+	// One worker × the frozen cadence is each live shard's share.
+	perShard := float64(s.cfg.MinPeriod)
 	s.mu.Lock()
 	budget := s.budget
 	s.mu.Unlock()
-	if want := s.budgetPerShard * 4; budget != want {
+	if want := perShard * 4; budget != want {
 		t.Fatalf("budget %v after growth, want %v (per-shard × live)", budget, want)
 	}
 
@@ -195,8 +200,8 @@ func TestServeAutoScale(t *testing.T) {
 	s.mu.Lock()
 	budget = s.budget
 	s.mu.Unlock()
-	if budget != s.budgetPerShard {
-		t.Fatalf("budget %v after shrink, want per-shard %v", budget, s.budgetPerShard)
+	if budget != perShard {
+		t.Fatalf("budget %v after shrink, want per-shard %v", budget, perShard)
 	}
 
 	// Conservation across all the scaling: every admitted request resolved.

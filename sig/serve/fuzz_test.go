@@ -32,12 +32,14 @@ import (
 //
 //	data[0]  workers (1..4)
 //	data[1]  queue limit (1..32; floored at 2 with a priority lane)
-//	data[2]  wave budget, in accurate-request units (1..16)
+//	data[2]  cadence floor (1..16 µs): each worker's share of a wave's
+//	         budget, in cost units
 //	data[3]  MinRatio, quantized to data[3]/255 * 0.8
 //	data[4]  priority lane: 0 disables, else PriorityAt = 0.5 + (v%5)/10
-//	data[5]  measured-period bit: 0 runs on the wall clock; else a
-//	         FakeClock is injected and each handler advances it by
-//	         (v%8+1) × 100µs — waves acquire fuzzer-chosen wall times
+//	data[5]  measured-period bit: 0 leaves the FakeClock frozen, so every
+//	         wave is priced at workers × the floor; else each handler
+//	         advances it by (v%8+1) × 100µs — waves acquire fuzzer-chosen
+//	         wall times and the pacer prices them
 //	data[6:] op stream: 0 runs a wave; any other byte v submits a request
 //	         with significance (v%11)/10, a degraded body iff v%3 != 0,
 //	         and declared costs derived from v.
@@ -54,11 +56,15 @@ func FuzzServeAdmission(f *testing.F) {
 			t.Skip()
 		}
 		minRatio := float64(data[3]) / 255 * 0.8
+		fc := NewFakeClock()
+		floor := time.Duration(1+int(data[2])%16) * time.Microsecond
 		cfg := Config{
 			Workers:    1 + int(data[0])%4,
 			QueueLimit: 1 + int(data[1])%32,
-			WaveBudget: float64(1+int(data[2])%16) * 1000,
 			MinRatio:   minRatio,
+			WavePeriod: floor,
+			MinPeriod:  floor,
+			Clock:      fc,
 		}
 		if v := data[4]; v != 0 {
 			cfg.PriorityAt = 0.5 + float64(int(v)%5)/10
@@ -66,11 +72,8 @@ func FuzzServeAdmission(f *testing.F) {
 				cfg.QueueLimit = 2 // the lane needs a slot on each side
 			}
 		}
-		var fc *FakeClock
 		var advance time.Duration
 		if v := data[5]; v != 0 {
-			fc = NewFakeClock()
-			cfg.Clock = fc
 			advance = time.Duration(int(v)%8+1) * 100 * time.Microsecond
 		}
 		s, err := New(cfg)
@@ -97,10 +100,7 @@ func FuzzServeAdmission(f *testing.F) {
 				}
 				continue
 			}
-			handler := func() {}
-			if fc != nil {
-				handler = func() { fc.Advance(advance) }
-			}
+			handler := func() { fc.Advance(advance) }
 			req := Request{
 				Significance: float64(int(v)%11) / 10,
 				Handler:      handler,

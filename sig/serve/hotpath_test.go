@@ -355,7 +355,7 @@ func TestServeMixedClassWave(t *testing.T) {
 	const n = serveSlabSize + serveSlabSize/2 // one full slab and a partial one
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := New(Config{Workers: 1, Shards: shards, QueueLimit: n, WaveBudget: 1e9})
+			s, err := New(frozen(Config{Workers: 1, Shards: shards, QueueLimit: n}, 1e9))
 			if err != nil {
 				t.Fatal(err)
 			}

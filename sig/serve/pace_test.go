@@ -58,8 +58,7 @@ func TestServeMeasuredPeriodEWMA(t *testing.T) {
 		if _, err := s.Submit(paceRequest(fc, d)); err != nil {
 			t.Fatal(err)
 		}
-		rep, _ := s.PaceWave()
-		return rep
+		return s.RunWave()
 	}
 
 	if rep := wave(2 * time.Millisecond); rep.WallTime != 2*time.Millisecond {
@@ -121,7 +120,7 @@ func TestServeRetryAfterMeasuredPeriod(t *testing.T) {
 // TestServePacerCountsOverruns pins the tick-coalescing fix: a wave whose
 // wall time outruns the cadence is counted — Totals.Overruns, the report's
 // Overrun flag, a zero next-wave delay — and the wave count tracks every
-// PaceWave call; nothing is silently dropped the way the old fixed Ticker
+// RunWave call; nothing is silently dropped the way the old fixed Ticker
 // coalesced late ticks.
 func TestServePacerCountsOverruns(t *testing.T) {
 	s, fc := newPaceServer(t, func(c *Config) { c.WaveBudget = 1e9 })
@@ -131,9 +130,9 @@ func TestServePacerCountsOverruns(t *testing.T) {
 	if _, err := s.Submit(paceRequest(fc, 4*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	rep, delay := s.PaceWave()
-	if !rep.Overrun || delay != 0 {
-		t.Fatalf("overrunning wave: Overrun=%v delay=%v, want true/0", rep.Overrun, delay)
+	rep := s.RunWave()
+	if !rep.Overrun || rep.Next != 0 {
+		t.Fatalf("overrunning wave: Overrun=%v Next=%v, want true/0", rep.Overrun, rep.Next)
 	}
 	if got := s.Totals().Overruns; got != 1 {
 		t.Fatalf("Overruns %d after one overrunning wave, want 1", got)
@@ -146,17 +145,17 @@ func TestServePacerCountsOverruns(t *testing.T) {
 	if _, err := s.Submit(paceRequest(fc, 4*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	rep, delay = s.PaceWave()
-	if rep.Overrun || delay != 0 {
-		t.Fatalf("retimed wave: Overrun=%v delay=%v, want false/0", rep.Overrun, delay)
+	rep = s.RunWave()
+	if rep.Overrun || rep.Next != 0 {
+		t.Fatalf("retimed wave: Overrun=%v Next=%v, want false/0", rep.Overrun, rep.Next)
 	}
 	// An empty wave underruns; the delay is the remaining cadence.
-	rep, delay = s.PaceWave()
-	if rep.Overrun || delay <= 0 {
-		t.Fatalf("idle wave: Overrun=%v delay=%v, want false/positive", rep.Overrun, delay)
+	rep = s.RunWave()
+	if rep.Overrun || rep.Next <= 0 {
+		t.Fatalf("idle wave: Overrun=%v Next=%v, want false/positive", rep.Overrun, rep.Next)
 	}
 	if tot := s.Totals(); tot.Overruns != 1 || tot.Waves != 3 {
-		t.Fatalf("totals Overruns=%d Waves=%d, want 1 and 3 (every PaceWave counted)", tot.Overruns, tot.Waves)
+		t.Fatalf("totals Overruns=%d Waves=%d, want 1 and 3 (every RunWave counted)", tot.Overruns, tot.Waves)
 	}
 }
 
@@ -172,7 +171,7 @@ func TestServePacerBounds(t *testing.T) {
 	if _, err := s.Submit(paceRequest(fc, 40*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	s.PaceWave()
+	s.RunWave()
 	if got := s.PacePeriod(); got != 2*time.Millisecond {
 		t.Fatalf("cadence %v, want clamped MaxPeriod 2ms", got)
 	}
@@ -181,9 +180,9 @@ func TestServePacerBounds(t *testing.T) {
 	}
 }
 
-// TestServePacedBudgetTracksMeasured: under the pacer, a configured
-// WaveBudget is only the initial guess — after a measured wave, capacity is
-// re-derived as effective measured period × live workers.
+// TestServePacedBudgetTracksMeasured: a configured WaveBudget is only the
+// first wave's guess — after a measured wave, capacity is re-derived as
+// effective measured period × live workers.
 func TestServePacedBudgetTracksMeasured(t *testing.T) {
 	s, fc := newPaceServer(t, func(c *Config) { c.WaveBudget = 1e6 })
 	defer s.Close()
@@ -193,7 +192,7 @@ func TestServePacedBudgetTracksMeasured(t *testing.T) {
 	if _, err := s.Submit(paceRequest(fc, 4*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	rep, _ := s.PaceWave()
+	rep := s.RunWave()
 	if want := 4e6; s.Budget() != want || rep.Budget != want {
 		t.Fatalf("paced budget %v (report %v), want %v = measured 4ms x 1 worker",
 			s.Budget(), rep.Budget, want)
@@ -202,14 +201,14 @@ func TestServePacedBudgetTracksMeasured(t *testing.T) {
 
 // TestServeDefaultBudgetAcrossShardCounts pins the one budget derivation:
 // at any shard count the default WaveBudget is per-shard workers × shards ×
-// WavePeriod (so 4 workers on one shard equal 2×2 and 1×4), and the per-wave
-// rebuild (budgetPerShard × live) reproduces exactly that number — no drift
-// between withDefaults' basis and the rebuild's.
+// WavePeriod (so 4 workers on one shard equal 2×2 and 1×4), and a frozen-clock
+// wave's rebuild (the pacer's workers × period, × live) reproduces exactly
+// that number — no drift between withDefaults' basis and the rebuild's.
 func TestServeDefaultBudgetAcrossShardCounts(t *testing.T) {
 	const period = 2 * time.Millisecond
 	want := 4 * float64(period.Nanoseconds())
 	for _, tc := range []struct{ shards, workers int }{{0, 4}, {1, 4}, {2, 2}, {4, 1}} {
-		s, err := New(Config{Workers: tc.workers, Shards: tc.shards, WavePeriod: period})
+		s, err := New(Config{Workers: tc.workers, Shards: tc.shards, WavePeriod: period, MinPeriod: period, Clock: NewFakeClock()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,8 +23,8 @@ const (
 // overrun and early counters, and the measured per-shard budget price.
 // Server keeps no pacing state of its own and calls in at three points:
 // Submit's tail (idleArrival), a wave's begin and end with the load
-// signal's carry between them, and the paced step (settle, perShard) with
-// the pump loop that fires it (run).
+// signal's carry between them and its settle and perShard after, and the
+// pump loop that fires waves (run).
 //
 // begin, end, carry and settle run under Server.waveMu, one wave at a time,
 // so measuredNs and paceNs have a single writer and are stored plainly; they
@@ -36,7 +36,7 @@ type pacer struct {
 
 	measuredNs atomic.Int64 // bounded EWMA of wave wall time; 0 until the first wave measures
 	paceNs     atomic.Int64 // the current cadence
-	overruns   atomic.Int64 // paced waves that outran the cadence that fired them
+	overruns   atomic.Int64 // waves that outran the cadence that fired them
 	earlyWaves atomic.Int64 // waves fired by a wake token
 
 	// wake is the 1-slot channel on which an idle arrival tells the pump to
@@ -132,7 +132,7 @@ func (p *pacer) end(now time.Time, wall time.Duration) {
 	p.measuredNs.Store(w)
 }
 
-// settle is the paced step after a wave of the given wall time: it counts
+// settle closes every wave, after end, given its wall time: it counts
 // an overrun when the wave outran the cadence that fired it, moves the
 // cadence toward the measured EWMA, clamped into [lo, hi], with
 // 1/paceHysteresisInv relative hysteresis so measurement jitter doesn't
@@ -154,23 +154,34 @@ func (p *pacer) settle(wall time.Duration) (overrun bool, delay time.Duration) {
 	return overrun, max(time.Duration(cur)-wall, 0)
 }
 
-// run is the pump: wave(early) whenever the cadence timer fires — or, on a
-// wake token, at once (tokens posted during a wave make the next one
-// back-to-back, so batches grow with load on their own) — re-armed with the
-// delay wave returns, until stop closes.
-func (p *pacer) run(stop <-chan struct{}, wave func(early bool) time.Duration) {
+// run is the pump: it hands wait each delay, the cadence first and then
+// what the last wave returned, and fires wave(early) when wait returns —
+// early on a wake token (tokens posted during a wave make the next one
+// back-to-back, so batches grow with load on their own) — until wait
+// reports !ok. Start's wait is timerWait; a test's can run in fake time.
+func (p *pacer) run(wait func(delay time.Duration) (early, ok bool), wave func(early bool) time.Duration) {
+	for delay := p.period(); ; {
+		early, ok := wait(delay)
+		if !ok {
+			return
+		}
+		delay = wave(early)
+	}
+}
+
+// timerWait is the pump's real-time wait: one timer, re-armed for each
+// delay, raced against the wake token and stop.
+func (p *pacer) timerWait(stop <-chan struct{}) func(time.Duration) (early, ok bool) {
 	timer := time.NewTimer(p.period())
-	defer timer.Stop()
-	for {
-		early := false
+	return func(delay time.Duration) (early, ok bool) {
+		timer.Reset(delay) // discards a tick that expired during an early wave
 		select {
 		case <-stop:
-			return
+			return false, false
 		case <-p.wake:
-			early = true
+			return true, true
 		case <-timer.C:
+			return false, true
 		}
-		// Reset discards a tick that expired during an early wave.
-		timer.Reset(wave(early))
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -24,7 +23,7 @@ import (
 // server that resolves at the taskwait makes the second body time out,
 // since the taskwait waits for it.
 func TestServeDoneAtBodyEnd(t *testing.T) {
-	s, err := New(Config{Workers: 2, WaveBudget: 1e9})
+	s, err := New(frozen(Config{Workers: 2}, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestServeDoneAtBodyEnd(t *testing.T) {
 // the Totals it moved, outcome by outcome, and every waiter must read the
 // outcome its request's significance forces.
 func TestServeReleaseAtDoneResubmits(t *testing.T) {
-	s, err := New(Config{Workers: 2, QueueLimit: 256, WaveBudget: 1e9})
+	s, err := New(frozen(Config{Workers: 2, QueueLimit: 256}, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestServeReleaseAtDoneResubmits(t *testing.T) {
 // slot cleared under a running body crashed the server. Totals conserve
 // after Close.
 func TestServeLateShardCut(t *testing.T) {
-	s, err := New(Config{Workers: 1, Shards: 2, WaveTimeout: 5 * time.Millisecond, WaveBudget: 1e9})
+	s, err := New(frozen(Config{Workers: 1, Shards: 2, WaveTimeout: 5 * time.Millisecond}, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestServeLateShardCut(t *testing.T) {
 // Once the body returns, Close resolves the rest and Totals conserve.
 func TestServeWedgedShardDropsResolve(t *testing.T) {
 	// The timeout is long against a healthy wave, so only the wedge misses it.
-	s, err := New(Config{Workers: 1, Shards: 2, WaveTimeout: 50 * time.Millisecond, WaveBudget: 1e9})
+	s, err := New(frozen(Config{Workers: 1, Shards: 2, WaveTimeout: 50 * time.Millisecond}, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,20 +303,19 @@ func TestServeTotalsSnapshotConserves(t *testing.T) {
 		}
 	}()
 	var served [3]atomic.Int64
+	fc := fakeClock(s)
 	for w := 0; w < 60; w++ {
 		for i := 0; i < 24; i++ {
 			req := request(w*24+i, &served)
 			if i%3 == 0 {
-				req.Deadline = time.Now().Add(2 * time.Millisecond)
+				req.Deadline = fc.Now().Add(2 * time.Millisecond)
 			}
-			// A host stall past the deadline rejects it at Submit: counted
-			// in TimedOut and Rejected, which the scraper allows for.
-			if _, err := s.Submit(req); err != nil && !errors.Is(err, ErrDeadlineExpired) {
+			if _, err := s.Submit(req); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if w%4 == 3 {
-			time.Sleep(3 * time.Millisecond) // lapse this wave's deadlines in the queue
+			fc.Advance(3 * time.Millisecond) // lapse this wave's deadlines in the queue
 		}
 		s.RunWave()
 	}

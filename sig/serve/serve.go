@@ -18,13 +18,14 @@
 // Time enters the package through one seam, the WaveClock: deadlines,
 // latency stamps and the per-wave wall-time measurement all read it. Each
 // wave's measured wall time feeds a bounded EWMA (MeasuredPeriod) that
-// prices the RetryAfter backoff hint honestly and, under Start's pump,
-// retimes the wave cadence within [MinPeriod, MaxPeriod] and re-derives
-// the wave budget from measured period × live workers — the closed
-// measured-feedback loop, as opposed to trusting the configured WavePeriod
-// open-loop. When a wave fires and what interval it is priced on is decided
-// in one place, the pacer (pacer.go); the wave budget has one rule,
-// rebudget: per-shard price × live shards, once per wave.
+// prices the RetryAfter backoff hint honestly, retimes the wave cadence
+// within [MinPeriod, MaxPeriod] and re-derives the wave budget from
+// measured period × live workers — the closed measured-feedback loop, as
+// opposed to trusting the configured WavePeriod open-loop. Every wave runs
+// that one discipline, whether Start's pump or an explicit RunWave fires
+// it. When a wave fires and what interval it is priced on is decided in
+// one place, the pacer (pacer.go); the wave budget has one rule, rebudget:
+// the pacer's per-shard price × live shards, once per wave.
 //
 // With declared costs, the deterministic policy every wave runs under (GTB
 // max buffering), a deterministic arrival order and a FakeClock behind the
@@ -194,9 +195,10 @@ type Config struct {
 	// starve premium admission, and it has its own depth/latency accounting
 	// (LaneDepths, the per-lane wave-latency histogram in WriteMetrics).
 	PriorityAt float64
-	// WaveBudget is the modeled work (cost units, ~1ns) admitted per wave
-	// — the server's modeled capacity. Default: resolved workers ×
-	// WavePeriod in nanoseconds.
+	// WaveBudget is the modeled work (cost units, ~1ns) the first wave
+	// admits, before the pacer has measured anything; from then on every
+	// wave is priced at the pacer's effective period × live workers.
+	// Default: resolved workers × WavePeriod in nanoseconds × shards.
 	WaveBudget float64
 	// TargetLoad is the cap the admission controller holds the load
 	// signal under (default DefaultTargetLoad). Lower values keep more
@@ -334,10 +336,13 @@ type WaveReport struct {
 	// taskwait), read through the WaveClock seam; it is the sample that
 	// feeds the MeasuredPeriod EWMA.
 	WallTime time.Duration
-	// Overrun marks a paced wave (PaceWave/Start) whose WallTime exceeded
-	// the cadence that fired it; such waves are counted in Totals.Overruns
-	// and the next wave starts immediately — never a dropped tick.
+	// Overrun marks a wave whose WallTime exceeded the cadence that fired
+	// it; such waves are counted in Totals.Overruns and the next wave
+	// starts immediately — never a dropped tick.
 	Overrun bool
+	// Next is the delay until the next wave is due on the retimed cadence
+	// (zero after an overrun): what Start's pump re-arms its timer with.
+	Next time.Duration
 	// Stats is the underlying wave telemetry.
 	Stats sig.WaveStats
 }
@@ -363,7 +368,7 @@ type Totals struct {
 	// priority lane (whatever their outcome); they are also in Completed.
 	Priority int64
 	Waves    int64
-	// Overruns counts paced waves whose measured wall time exceeded the
+	// Overruns counts waves whose measured wall time exceeded the
 	// cadence that fired them. Each one ran to completion and the next
 	// wave followed immediately — the pacer counts overruns where a fixed
 	// Ticker would silently coalesce the late ticks.
@@ -376,9 +381,9 @@ type Totals struct {
 
 // Server admits requests as significance-annotated task waves over a
 // shard.Router fleet of sig runtimes (one shard unless Config.Shards asks
-// for more). Create one with New; drive waves explicitly with RunWave (the
-// deterministic study mode) or let Start pump them every WavePeriod; stop
-// with Close.
+// for more). Create one with New; fire waves explicitly with RunWave (the
+// deterministic study mode) or let Start pump them on the pacer's cadence;
+// stop with Close.
 type Server struct {
 	cfg Config
 	ctl *adapt.Controller
@@ -386,12 +391,10 @@ type Server struct {
 	// fleet executes the waves and grp is the serving group on it — the one
 	// engine, whatever the shard count; runWave hands the controller each
 	// merged wave WaitPhase returns. scaler, when configured, elasticizes the
-	// fleet. budgetPerShard is the per-live-shard share of the configured
-	// WaveBudget: the price RunWave hands rebudget at every wave boundary.
-	fleet          *shard.Router
-	grp            *shard.Group
-	scaler         *shard.Autoscaler
-	budgetPerShard float64
+	// fleet.
+	fleet  *shard.Router
+	grp    *shard.Group
+	scaler *shard.Autoscaler
 
 	// clock is the WaveClock seam (Config.Clock, or the wall clock). pace
 	// is the pacer: every piece of state that decides when a wave fires and
@@ -504,7 +507,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pace.init(&cfg, workers)
 	s.budget = cfg.WaveBudget
-	s.budgetPerShard = cfg.WaveBudget / float64(shards)
 	s.lanes[laneBulk].limit = cfg.QueueLimit
 	if cfg.PriorityAt > 0 {
 		// The priority lane owns a quarter of the limit outright (at least
@@ -654,8 +656,8 @@ func (s *Server) MeasuredPeriod() time.Duration {
 }
 
 // PacePeriod returns the pacer's current cadence: the configured
-// WavePeriod until PaceWave (or Start's pump) retimes it toward the
-// measured EWMA within [MinPeriod, MaxPeriod].
+// WavePeriod until a wave retimes it toward the measured EWMA within
+// [MinPeriod, MaxPeriod].
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
 // Fleet returns the shard router that executes the server's waves (never
@@ -925,32 +927,21 @@ func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([
 // to call concurrently with Submit, with itself, and with Close (concurrent
 // waves serialize; after Close's final drain it is a no-op returning an
 // empty report). A wave with nothing to admit still advances the wave epoch
-// (tickets measure latency in waves). The next wave's budget is the
-// configured per-shard share × the live fleet.
-func (s *Server) RunWave() WaveReport {
-	rep, _ := s.runWave(false, false)
-	return rep
-}
+// (tickets measure latency in waves). RunWave is the pump's cadence-fired
+// step, fired explicitly: the deterministic way to drive the production
+// discipline (on a FakeClock, as the harness studies do). The pacer settles
+// after it (pacer.settle); the report's Next is the delay until the next
+// wave is due.
+func (s *Server) RunWave() WaveReport { return s.runWave(false) }
 
-// PaceWave runs one wave under the pacer discipline Start's pump uses, and
-// is the deterministic way to drive that discipline explicitly (with a
-// FakeClock — harness.PaceStudy). After the wave the pacer settles: it
-// counts an overrun when the wave's wall time exceeded the cadence that
-// fired it, retimes the cadence toward the measured EWMA, and prices the next
-// wave's budget as effective measured period × live workers — under pacing,
-// a configured WaveBudget degrades to an initial guess that real
-// measurements replace. It returns the wave report and the delay until the
-// next wave is due (zero after an overrun).
-func (s *Server) PaceWave() (WaveReport, time.Duration) { return s.runWave(true, false) }
-
-// runWave is one wave, explicit (RunWave) or paced (PaceWave and the pump's
-// step, which alone may be early: fired by an arrival's wake token rather
-// than by the cadence timer).
-func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
+// runWave is the one wave body: RunWave's, and the pump's step, which alone
+// may be early — fired by an arrival's wake token rather than by the
+// cadence timer.
+func (s *Server) runWave(early bool) WaveReport {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
-		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio()}, s.pace.period()
+		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio(), Next: s.pace.period()}
 	}
 	s.pace.begin(early)
 	start := s.clock.Now()
@@ -1008,43 +999,37 @@ func (s *Server) runWave(paced, early bool) (WaveReport, time.Duration) {
 		s.scaler.Observe(s.Load())
 	}
 	rep.LiveShards = s.fleet.Live()
-	perShard := s.budgetPerShard
-	var delay time.Duration
-	if paced {
-		// Priced after the retime, on the cadence the next wave fires at.
-		rep.Overrun, delay = s.pace.settle(rep.WallTime)
-		perShard = s.pace.perShard()
-	}
+	rep.Overrun, rep.Next = s.pace.settle(rep.WallTime)
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
 	rep.Load = s.lastLoad
-	rep.Budget = s.rebudget(rep.LiveShards, perShard)
+	rep.Budget = s.rebudget(rep.LiveShards)
 	s.mu.Unlock()
 	rep.NextRatio = s.Ratio()
 	rep.Provided = ws.ProvidedRatio
 	rep.Joules = ws.Joules
 	rep.Stats = ws
-	return rep, delay
+	return rep
 }
 
-// rebudget is the one budget rule, reached once per wave: the per-shard
-// price — the configured share under RunWave, the pacer's measured one
-// under PaceWave — × the live shards. Capacity follows the fleet, however
-// it changed: autoscaler actions AND health auto-drains (DrainAfter) shrink
-// or grow the live count, and the wave budget — admit's cut-off and the
-// load signal's denominator — must track it either way. Caller holds s.mu.
-func (s *Server) rebudget(live int, perShard float64) float64 {
-	s.budget = perShard * float64(live)
+// rebudget is the one budget rule, reached once per wave after settle's
+// retime: the pacer's per-shard price, on the cadence the next wave fires
+// at, × the live shards. Capacity follows the fleet, however it changed:
+// autoscaler actions AND health auto-drains (DrainAfter) shrink or grow the
+// live count, and the wave budget — admit's cut-off and the load signal's
+// denominator — must track it either way. Caller holds s.mu.
+func (s *Server) rebudget(live int) float64 {
+	s.budget = s.pace.perShard() * float64(live)
 	return s.budget
 }
 
-// Start launches the pump (pacer.run): a paced wave whenever the cadence
-// timer fires — or, while nothing is being shed, the moment a request
-// arrives at an idle server — the cadence retimed wave by wave to the
-// measured period. A wave that overruns its cadence is followed immediately
-// by the next one and counted in Totals.Overruns — where the old fixed
-// Ticker silently coalesced the late ticks, making the wave count diverge
-// from elapsed/period with no signal.
+// Start launches the pump (pacer.run): a wave whenever the cadence timer
+// fires — or, while nothing is being shed, the moment a request arrives at
+// an idle server — the cadence retimed wave by wave to the measured period.
+// A wave that overruns its cadence is followed immediately by the next one
+// and counted in Totals.Overruns — where the old fixed Ticker silently
+// coalesced the late ticks, making the wave count diverge from
+// elapsed/period with no signal.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1055,10 +1040,7 @@ func (s *Server) Start() {
 	s.pumpDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		s.pace.run(stop, func(early bool) time.Duration {
-			_, delay := s.runWave(true, early)
-			return delay
-		})
+		s.pace.run(s.pace.timerWait(stop), func(early bool) time.Duration { return s.runWave(early).Next })
 	}(s.pumpStop, s.pumpDone)
 }
 

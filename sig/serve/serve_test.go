@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/sig"
 	"repro/sig/adapt"
@@ -20,16 +21,20 @@ const (
 )
 
 // newTestServer builds a server sized so `base` accurate requests fill 60%
-// of a wave — light load at full quality, 4x that is genuine overload.
+// of a wave — light load at full quality, 4x that is genuine overload. The
+// size holds wave after wave on a frozen clock (see frozen), unless mut sets
+// a WavePeriod of its own: then it runs on the wall clock, sized by it.
 func newTestServer(t *testing.T, base int, mut func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
 		Workers:    2,
 		QueueLimit: 1024,
-		WaveBudget: float64(base) * costAcc / 0.6,
 	}
 	if mut != nil {
 		mut(&cfg)
+	}
+	if cfg.WavePeriod == 0 {
+		cfg = frozen(cfg, float64(base)*(costAcc/0.6))
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -37,6 +42,23 @@ func newTestServer(t *testing.T, base int, mut func(*Config)) *Server {
 	}
 	return s
 }
+
+// frozen fixes cfg's capacity at budget cost units per wave under the one
+// budget rule: a FakeClock nobody advances (cfg's own, if it has one)
+// measures every wave at zero, so the pacer holds the cadence at MinPeriod
+// and prices each wave at workers × MinPeriod per live shard.
+func frozen(cfg Config, budget float64) Config {
+	if cfg.Clock == nil {
+		cfg.Clock = NewFakeClock()
+	}
+	cfg.WavePeriod = time.Duration(budget / float64(max(cfg.Shards, 1)*cfg.Workers))
+	cfg.MinPeriod = cfg.WavePeriod
+	return cfg
+}
+
+// fakeClock is the FakeClock a frozen server runs on, for tests that move
+// time past a deadline.
+func fakeClock(s *Server) *FakeClock { return s.clock.(*FakeClock) }
 
 // request builds the i-th deterministic test request: nine significance
 // levels, declared costs, a degraded body. The counters are atomic: with
@@ -466,9 +488,9 @@ func TestServeConcurrentClose(t *testing.T) {
 func TestServeShardedOverload(t *testing.T) {
 	const base = 8
 	run := func() (ratios []float64, joules []uint64, rejected int64, tot Totals) {
-		// newTestServer's explicit WaveBudget (base accurate requests at
-		// 60% utilization) is the fleet's aggregate capacity: admission
-		// pacing is budget-driven, so it needs no per-shard scaling.
+		// newTestServer's capacity (base accurate requests at 60%
+		// utilization) is the fleet's aggregate: frozen splits it into
+		// each shard's workers × period.
 		s := newTestServer(t, base, func(c *Config) {
 			c.Shards = 4
 			c.Workers = 1

@@ -18,24 +18,26 @@ import (
 // controller admitting against shards that no longer exist.
 func TestServeBudgetTracksHealthDrain(t *testing.T) {
 	var sick atomic.Bool
-	s, err := New(Config{
+	s, err := New(frozen(Config{
 		Workers:    1,
 		Shards:     3,
 		QueueLimit: 64,
-		WaveBudget: 3 * costAcc / 0.6,
 		HealthProbe: func(shard int) error {
 			if shard == 1 && sick.Load() {
 				return fmt.Errorf("probe: shard %d unhealthy", shard)
 			}
 			return nil
 		},
-	})
+	}, 3*costAcc/0.6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	full := s.Budget()
+	full := 3 * costAcc / 0.6
+	if got := s.Budget(); got != full {
+		t.Fatalf("configured budget %v, want %v", got, full)
+	}
 	if rep := s.RunWave(); rep.LiveShards != 3 || rep.Budget != full {
 		t.Fatalf("healthy fleet: LiveShards=%d Budget=%v, want 3 shards at %v", rep.LiveShards, rep.Budget, full)
 	}
@@ -91,7 +93,8 @@ func TestServeExpiredDeepInQueueFreesSlots(t *testing.T) {
 	defer s.Close()
 	var served [3]atomic.Int64
 
-	deadline := time.Now().Add(20 * time.Millisecond)
+	fc := fakeClock(s)
+	deadline := fc.Now().Add(20 * time.Millisecond)
 	var tks []*Ticket
 	for i := 0; i < 8; i++ {
 		req := request(i, &served)
@@ -105,7 +108,7 @@ func TestServeExpiredDeepInQueueFreesSlots(t *testing.T) {
 	if _, err := s.Submit(request(8, &served)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue at limit: Submit err = %v, want ErrQueueFull", err)
 	}
-	time.Sleep(30 * time.Millisecond) // let every queued deadline lapse
+	fc.Advance(30 * time.Millisecond) // let every queued deadline lapse
 
 	// The queue is nominally full — but full of corpses. A live Submit must
 	// reap them and be admitted, not bounce.
@@ -295,6 +298,7 @@ func TestServeOutcomeConservation(t *testing.T) {
 		})
 		var served [3]atomic.Int64
 		var preExpired int64
+		fc := fakeClock(s)
 
 		check := func(when string) {
 			t.Helper()
@@ -319,15 +323,15 @@ func TestServeOutcomeConservation(t *testing.T) {
 				req := request(rng.Intn(64), &served)
 				req.Significance = rng.Float64()
 				if d := rng.Float64(); d < 0.1 {
-					req.Deadline = time.Now().Add(-time.Millisecond) // dead on arrival
+					req.Deadline = fc.Now().Add(-time.Millisecond) // dead on arrival
 				} else if d < 0.3 {
-					req.Deadline = time.Now().Add(time.Duration(1+rng.Intn(10)) * time.Millisecond)
+					req.Deadline = fc.Now().Add(time.Duration(1+rng.Intn(10)) * time.Millisecond)
 				}
 				if _, err := s.Submit(req); errors.Is(err, ErrDeadlineExpired) {
 					preExpired++
 				}
 			case v < 0.72: // let queued deadlines lapse
-				time.Sleep(3 * time.Millisecond)
+				fc.Advance(3 * time.Millisecond)
 			default:
 				s.RunWave()
 				check("after wave")

@@ -59,13 +59,17 @@ func TestServeIdleArrivalFiresWave(t *testing.T) {
 // momentarily empty queue posts no token and waits for the timer.
 func TestServeSheddingKeepsCadence(t *testing.T) {
 	s := slowPump(t)
-	// Sustained 4x overload through explicit waves until the controller
-	// sheds, then drain the backlog so the queue is momentarily empty.
+	// Sustained overload through explicit waves until the controller sheds,
+	// then drain the backlog so the queue is momentarily empty. The first
+	// wave retimes the cadence to its 250 ms floor, 5e8 cost units over two
+	// workers: costs 1250x request's keep newTestServer's 2.4x overload.
 	var served [3]atomic.Int64
 	seq := 0
 	for w := 0; w < 6; w++ {
 		for i := 0; i < 32; i++ {
-			if _, err := s.Submit(request(seq, &served)); err != nil {
+			req := request(seq, &served)
+			req.CostAccurate, req.CostDegraded = 1250*costAcc, 1250*costDeg
+			if _, err := s.Submit(req); err != nil {
 				t.Fatal(err)
 			}
 			seq++
@@ -164,43 +168,48 @@ func TestServeStepOverloadShedsWithinBound(t *testing.T) {
 	}
 }
 
-// simulatePump replays Start's pump loop in fake time over evenly spaced
-// arrivals (one every gap, built by mk): it sleeps until the next arrival or
-// the cadence timer, whichever is first, and steps the pump exactly as the
-// real loop does — early on a wake token when wake is set, on the timer
-// alone (the pre-wake pump) when it is not. It returns the mean Load() over
-// `waves` waves, after a warm-up that lets the cadence settle, and how many
-// waves, warm-up included, ended with a live shard count other than the
-// previous wave's.
+// simulatePump runs Start's pump loop (pacer.run) in fake time over evenly
+// spaced arrivals (one every gap, built by mk). Its wait stands in for the
+// timer: it submits each arrival due before the delay runs out, then
+// advances the clock to the timer — or returns early on a wake token when
+// wake is set (the pump without it is the timer alone). It returns the mean
+// Load() over `waves` waves, after a warm-up that lets the cadence settle,
+// and how many waves, warm-up included, ended with a live shard count other
+// than the previous wave's.
 func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk func() Request, wake bool, waves int) (load float64, resized int) {
 	t.Helper()
 	const warmup = 50
 	epoch := fc.Now()
-	timerAt := epoch.Add(s.PacePeriod())
-	arrivals := 0
+	arrivals, n := 0, 0
 	live := s.fleet.Live()
 	var sum float64
-	for n := 0; n < warmup+waves; {
-		early := false
-		select {
-		case <-s.pace.wake:
-			early = wake
-		default:
+	wait := func(delay time.Duration) (early, ok bool) {
+		if n == warmup+waves {
+			return false, false
 		}
-		if !early {
-			next := epoch.Add(time.Duration(arrivals+1) * gap)
-			if next.Before(timerAt) {
-				fc.Advance(next.Sub(fc.Now())) // a no-op for an arrival that came due during a wave
-				if _, err := s.Submit(mk()); err != nil {
-					t.Fatal(err)
+		timerAt := fc.Now().Add(delay)
+		for {
+			select {
+			case <-s.pace.wake:
+				if wake {
+					return true, true
 				}
-				arrivals++
-				continue
+			default:
 			}
-			fc.Advance(timerAt.Sub(fc.Now()))
+			next := epoch.Add(time.Duration(arrivals+1) * gap)
+			if !next.Before(timerAt) {
+				fc.Advance(timerAt.Sub(fc.Now()))
+				return false, true
+			}
+			fc.Advance(next.Sub(fc.Now())) // a no-op for an arrival that came due during a wave
+			if _, err := s.Submit(mk()); err != nil {
+				t.Fatal(err)
+			}
+			arrivals++
 		}
-		rep, delay := s.runWave(true, early)
-		timerAt = fc.Now().Add(delay)
+	}
+	s.pace.run(wait, func(early bool) time.Duration {
+		rep := s.runWave(early)
 		if rep.LiveShards != live {
 			live = rep.LiveShards
 			resized++
@@ -208,7 +217,8 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 		if n++; n > warmup {
 			sum += s.Load()
 		}
-	}
+		return rep.Next
+	})
 	return sum / float64(waves), resized
 }
 

@@ -293,9 +293,6 @@ type Group struct {
 	lags []float64
 }
 
-// Name returns the group's label.
-func (g *Group) Name() string { return g.name }
-
 // Ratio returns the global commanded accurate ratio.
 func (g *Group) Ratio() float64 { return math.Float64frombits(g.ratio.Load()) }
 

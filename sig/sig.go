@@ -138,9 +138,6 @@ type Group struct {
 	waveBase waveSnapshot
 }
 
-// Name returns the group's label.
-func (g *Group) Name() string { return g.name }
-
 // Ratio returns the currently requested accurate-execution ratio.
 func (g *Group) Ratio() float64 { return math.Float64frombits(g.ratio.Load()) }
 
