@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos
+.PHONY: test vet lint runpatterns race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -27,7 +27,8 @@ vet:
 # must-fail mutant, CI's step of that name: TestStudyGoldens must fail with
 # the pacer's perShard missing its workers factor (applied by -overlay; the
 # tree is never edited), or a study has a budget rule of its own again.
-lint: vet
+# runpatterns runs first: every repeated -run pattern must still name tests.
+lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
@@ -40,19 +41,36 @@ lint: vet
 	echo "$$out" | grep -q -- '--- FAIL: TestStudyGoldens/' || { echo "$$out" >&2; exit 1; }; \
 	echo "TestStudyGoldens fails under the perShard mutant, as it must"
 
+# Every alternative of every -run pattern in this Makefile and in CI must
+# list at least one test (go test -list): a deleted or renamed test must not
+# silently empty a repeat. `make lint` and CI run it.
+RUN_PATTERN_FILES ?= Makefile .github/workflows/ci.yml
+
+runpatterns:
+	@fail=0; \
+	for run in $$(grep -hoE -- "-run '?[A-Za-z0-9_|]+'?( +\./[^ ']+)+" $(RUN_PATTERN_FILES) | sort -u | tr ' ' '#'); do \
+		set -- $$(echo "$$run" | tr '#' ' '); pat=$$(echo "$$2" | tr -d "'"); shift 2; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			if ! $(GO) test -list "$$alt" "$$@" | grep -qE '^(Test|Benchmark|Fuzz|Example)'; then \
+				echo "-run alternative $$alt lists no test in $$*" >&2; fail=1; \
+			fi; \
+		done; \
+	done; \
+	if [ $$fail = 0 ]; then echo "every -run alternative lists a test"; fi; \
+	exit $$fail
+
 # The lines after the first repeat the ring, backpressure, helping-taskwait
-# and concurrent-submitter tests, the serving pump's wake-token, early-wave
-# and pacer tests, the per-request resolution tests (body-end Done, release
-# and resubmit mid-wave, the late shard cut, drops beside a wedged shard,
-# Totals snapshots under load; CI's race job repeats these five), and the
-# shard lifecycle's table, drain,
-# rejoin and autoscale tests: their failures are interleavings, and one pass
-# sees few of them.
+# and concurrent-submitter tests, the serving pump's wake-token (the new
+# token test included: `Wake` lists it), early-wave and pacer tests, the
+# per-request resolution tests (body-end Done, release and resubmit mid-wave,
+# Totals snapshots under load; CI's race job repeats these three), and the
+# shard lifecycle's table, drain, rejoin and autoscale tests: their failures
+# are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
-	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|LateShardCut|WedgedShard|TotalsSnapshot' ./sig/serve
-	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Quarantine|Revive|Elastic|Autoscal' ./sig/shard
+	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot' ./sig/serve
+	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Autoscal' ./sig/shard
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against
@@ -82,10 +100,10 @@ perf-quick:
 #                        dropped requests
 #   FuzzShardRouting     cross-shard conservation, specials and the merged
 #                        ratio floor under adversarial wave cuts, retargeting
-#                        and drain/rejoin/quarantine/revive surgery
-#   FuzzChaosSchedule    seeded fault schedules (wedge, delay, panic) against
-#                        a live fleet: conservation, panic accounting and the
-#                        exact declared-cost energy identity
+#                        and drain/rejoin surgery
+#   FuzzChaosSchedule    seeded drain/rejoin schedules against a live fleet:
+#                        conservation, availability and the exact
+#                        declared-cost energy identity
 FUZZ_TARGETS := ./sig:FuzzPolicyDecisions ./sig/serve:FuzzServeAdmission \
 	./sig/shard:FuzzShardRouting ./sig/chaos:FuzzChaosSchedule
 FUZZTIME ?= 20s
@@ -101,8 +119,8 @@ fuzz-serve fuzz-shard fuzz-chaos:
 	@$(MAKE) --no-print-directory fuzz FUZZ_TARGETS='$(filter ./sig/$(@:fuzz-%=%):%,$(FUZZ_TARGETS))'
 
 # Fault-injection and fleet-surgery suites under the race detector: the
-# chaos injectors, elastic router surgery, health quarantine and the
-# rolling-replace/autoscale acceptance gates.
+# wedge injector, elastic router surgery and the rolling-replace/autoscale
+# acceptance gates.
 chaos:
 	$(GO) test -race -shuffle=on ./sig/chaos ./sig/shard ./sig/serve -count=1
 	$(GO) test -race -run 'TestFleetStudy' ./internal/harness -count=1

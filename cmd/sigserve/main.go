@@ -331,7 +331,7 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 	})
 	// Readiness: a /work sent now would be admitted and routed.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if f.draining.Load() || srv.Fleet().Routable() == 0 {
+		if f.draining.Load() || srv.Fleet().Live() == 0 {
 			http.Error(w, "not admitting", http.StatusServiceUnavailable)
 			return
 		}

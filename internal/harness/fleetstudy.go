@@ -87,7 +87,7 @@ type FleetReplaceResult struct {
 	Submitted, Decided int64
 	Lost               int64
 	// DegradedWaves counts waves that began with fewer than Shards
-	// routable shards (0 with a spare slot: capacity never dips).
+	// live shards (0 with a spare slot: capacity never dips).
 	DegradedWaves int
 	// MergedJoules/GoldenJoules are the fleet's energy account and the
 	// single-runtime reconstruction of the same outcome mix;
@@ -137,7 +137,7 @@ func fleetReplace(cfg FleetStudyConfig) (FleetReplaceResult, error) {
 
 	var ran atomic.Int64
 	wave := func() {
-		if r.Routable() < cfg.Shards {
+		if r.Live() < cfg.Shards {
 			res.DegradedWaves++
 		}
 		specs := make([]sig.TaskSpec, cfg.PerWave)

@@ -5,14 +5,12 @@
 // It attacks the two seams the fleet promises to survive:
 //
 //   - The worker seam: Injector wraps task bodies so that a deterministic
-//     subset of tasks wedges on a Gate (holding a shard's workers hostage),
-//     panics (exercising sig.Config.RecoverPanics), or stalls briefly
-//     (delaying the shard's wave cut past a Router's WaveTimeout).
+//     subset of tasks wedges on a Gate, holding a shard's workers hostage.
 //   - The fleet seam: Schedule derives a replayable surgery plan — drain,
-//     rejoin, quarantine, revive — that Apply executes against a
-//     shard.Router at wave boundaries. Refused operations (last routable
-//     shard, fleet at capacity, slot still draining) are skipped: the
-//     router's guardrails are part of the contract under test.
+//     rejoin — that Apply executes against a shard.Router at wave
+//     boundaries. Refused operations (last live shard, fleet at capacity,
+//     slot still draining) are skipped: the router's guardrails are part of
+//     the contract under test.
 //
 // The package's own test suite carries the fleet's headline proof: the
 // rolling-replace chaos test drains and rejoins every shard in sequence
@@ -26,7 +24,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/sig"
 	"repro/sig/shard"
@@ -48,23 +45,14 @@ func (g *Gate) Wait() { <-g.ch }
 // Open releases every waiter; safe to call more than once.
 func (g *Gate) Open() { g.once.Do(func() { close(g.ch) }) }
 
-// Config selects which faults an Injector plants and how often. Every
-// fault is assigned by arithmetic on the wrapped-task index (offset by the
-// seed), so a given seed and submission order always faults the same tasks.
-// Wedge wins over panic wins over delay when periods collide.
+// Config selects which tasks an Injector wedges. The fault is assigned by
+// arithmetic on the wrapped-task index (offset by the seed), so a given seed
+// and submission order always faults the same tasks.
 type Config struct {
 	// WedgeEvery wedges every n-th wrapped task on the injector's Gate
 	// until Open is called (0 = never). A wedged task holds its worker —
 	// the "sick shard" primitive.
 	WedgeEvery int
-	// PanicEvery panics every n-th wrapped task body (0 = never). The
-	// executing runtime must run with sig.Config.RecoverPanics, or the
-	// panic kills the worker instead of being absorbed.
-	PanicEvery int
-	// DelayEvery sleeps every n-th wrapped task for Delay (0 = never) —
-	// the wave-cut delay primitive for WaveTimeout watchdog tests.
-	DelayEvery int
-	Delay      time.Duration
 }
 
 // Injector plants deterministic faults into task bodies. Create one with
@@ -74,10 +62,8 @@ type Injector struct {
 	phase int64
 	gate  *Gate
 
-	n        atomic.Int64
-	wedged   atomic.Int64
-	panicked atomic.Int64
-	delayed  atomic.Int64
+	n      atomic.Int64
+	wedged atomic.Int64
 }
 
 // NewInjector builds an injector whose fault pattern is a pure function of
@@ -98,60 +84,30 @@ func (in *Injector) Gate() *Gate { return in.gate }
 // Open releases every wedged task.
 func (in *Injector) Open() { in.gate.Open() }
 
-// Wedged, Panicked and Delayed count faults actually executed (not merely
-// planted: a wrapped body that never runs — dropped by policy — fires no
-// fault).
-func (in *Injector) Wedged() int64   { return in.wedged.Load() }
-func (in *Injector) Panicked() int64 { return in.panicked.Load() }
-func (in *Injector) Delayed() int64  { return in.delayed.Load() }
-
-type faultKind int
-
-const (
-	faultNone faultKind = iota
-	faultWedge
-	faultPanic
-	faultDelay
-)
+// Wedged counts wedges actually executed (not merely planted: a wrapped body
+// that never runs — dropped by policy — fires no fault).
+func (in *Injector) Wedged() int64 { return in.wedged.Load() }
 
 // Wrap assigns the next task index its fault (if any) and returns the spec
 // with both bodies wrapped. Whichever body the policy picks — accurate or
-// approximate — executes the same planted fault, so placement and policy
+// approximate — executes the same planted wedge, so placement and policy
 // decisions cannot dodge the chaos.
 func (in *Injector) Wrap(spec sig.TaskSpec) sig.TaskSpec {
 	idx := in.phase + in.n.Add(1) - 1
-	fault := faultNone
-	switch {
-	case in.cfg.WedgeEvery > 0 && idx%int64(in.cfg.WedgeEvery) == 0:
-		fault = faultWedge
-	case in.cfg.PanicEvery > 0 && idx%int64(in.cfg.PanicEvery) == 0:
-		fault = faultPanic
-	case in.cfg.DelayEvery > 0 && idx%int64(in.cfg.DelayEvery) == 0:
-		fault = faultDelay
-	}
-	if fault == faultNone {
+	if in.cfg.WedgeEvery <= 0 || idx%int64(in.cfg.WedgeEvery) != 0 {
 		return spec
 	}
-	spec.Fn = in.wrapBody(spec.Fn, fault)
+	spec.Fn = in.wedge(spec.Fn)
 	if spec.Approx != nil {
-		spec.Approx = in.wrapBody(spec.Approx, fault)
+		spec.Approx = in.wedge(spec.Approx)
 	}
 	return spec
 }
 
-func (in *Injector) wrapBody(body func(), fault faultKind) func() {
+func (in *Injector) wedge(body func()) func() {
 	return func() {
-		switch fault {
-		case faultWedge:
-			in.wedged.Add(1)
-			in.gate.Wait()
-		case faultPanic:
-			in.panicked.Add(1)
-			panic("chaos: injected task panic")
-		case faultDelay:
-			in.delayed.Add(1)
-			time.Sleep(in.cfg.Delay)
-		}
+		in.wedged.Add(1)
+		in.gate.Wait()
 		body()
 	}
 }
@@ -164,10 +120,6 @@ const (
 	OpDrain OpKind = iota
 	// OpRejoin adds a shard into the lowest free slot (AddShard).
 	OpRejoin
-	// OpQuarantine pulls a shard out of placement (QuarantineShard).
-	OpQuarantine
-	// OpRevive readmits a quarantined shard (ReviveShard).
-	OpRevive
 )
 
 func (k OpKind) String() string {
@@ -176,10 +128,6 @@ func (k OpKind) String() string {
 		return "drain"
 	case OpRejoin:
 		return "rejoin"
-	case OpQuarantine:
-		return "quarantine"
-	case OpRevive:
-		return "revive"
 	}
 	return "op?"
 }
@@ -213,10 +161,6 @@ func Schedule(seed int64, waves, slots, opsPerWave int) []Op {
 				plan = append(plan, Op{Wave: w, Kind: OpDrain, Shard: rng.Intn(slots)})
 			case 1:
 				plan = append(plan, Op{Wave: w, Kind: OpRejoin})
-			case 2:
-				plan = append(plan, Op{Wave: w, Kind: OpQuarantine, Shard: rng.Intn(slots)})
-			case 3:
-				plan = append(plan, Op{Wave: w, Kind: OpRevive, Shard: rng.Intn(slots)})
 			}
 		}
 	}
@@ -225,7 +169,7 @@ func Schedule(seed int64, waves, slots, opsPerWave int) []Op {
 
 // Apply executes the plan's operations scheduled for wave against the
 // router and reports how many were accepted. Refusals (ErrLastShard,
-// ErrFleetFull, ErrShardDraining, ErrShardDown, …) are skipped by design:
+// ErrFleetFull, ErrShardDraining, …) are skipped by design:
 // the router's guardrails are part of the contract chaos tests verify —
 // the fleet must refuse surgery that would lose work, and survive
 // everything it accepts.
@@ -245,10 +189,6 @@ func Apply(r *shard.Router, plan []Op, wave int) int {
 			err = r.DrainShard(slot)
 		case OpRejoin:
 			_, err = r.AddShard()
-		case OpQuarantine:
-			err = r.QuarantineShard(slot)
-		case OpRevive:
-			err = r.ReviveShard(slot)
 		}
 		if err == nil {
 			applied++

@@ -123,43 +123,8 @@ func TestWaitHelpsAccounting(t *testing.T) {
 	}
 }
 
-// TestWaitHelpsRecoverPanics: with RecoverPanics a body that panics on the
-// goroutine in the taskwait — the only worker is held — is absorbed, charged
-// and counted exactly as on a worker, and the rest of its chunk still runs.
-func TestWaitHelpsRecoverPanics(t *testing.T) {
-	const n = 96 // the first claim is a full chunk of popBatchSize
-	rt := newRT(t, Config{Workers: 1, Policy: PolicyGTBMaxBuffer, RecoverPanics: true})
-	defer rt.Close()
-	g := rt.Group("panic", 0.5)
-	release := holdWorkers(t, rt, g)
-	defer release()
-	var ran atomic.Int64
-	rt.SubmitBatch(g, waveSpecs(n, func(i int) func() {
-		return func() {
-			switch i {
-			case popBatchSize / 2:
-				panic("injected")
-			case n - 1:
-				release()
-			}
-			ran.Add(1)
-		}
-	}))
-	var ws WaveStats
-	within(t, "WaitPhase with the worker held", func() { ws = rt.WaitPhase(g) })
-	if ws.Accurate != n/2+1 || ws.Approximate != n/2 {
-		t.Errorf("wave accounting %d accurate / %d approximate, want %d/%d", ws.Accurate, ws.Approximate, n/2+1, n/2)
-	}
-	if want := time.Duration(n/2*100 + n/2*10); ws.Busy != want {
-		t.Errorf("wave busy %v, want %v: the panicked body must still charge its declared cost", ws.Busy, want)
-	}
-	if ran.Load() != n-1 || rt.Panics() != 1 {
-		t.Errorf("%d bodies completed and %d panics absorbed, want %d and 1", ran.Load(), rt.Panics(), n-1)
-	}
-}
-
-// TestWaitHelpsPanicKillsProcess: without RecoverPanics a body panic kills the
-// process wherever the body ran. On the goroutine in Wait that takes care: a
+// TestWaitHelpsPanicKillsProcess: a body panic kills the process wherever the
+// body ran. On the goroutine in Wait that takes care: a
 // caller that recovers around Wait (net/http does, around a handler) would
 // otherwise swallow the panic and keep a runtime with half a chunk run and a
 // pending count that never reaches zero. The child below is such a caller.

@@ -126,40 +126,6 @@ func TestSegmentRingCloseRace(t *testing.T) {
 	}
 }
 
-// TestPanicMidChunkKeepsAccounting: under RecoverPanics a body that panics in
-// the middle of a claimed chunk still charges its declared cost, and the
-// chunk's batched counters — outcomes, busy clock, pending — still land.
-func TestPanicMidChunkKeepsAccounting(t *testing.T) {
-	const n = 96 // the first claim is a full chunk of popBatchSize
-	rt := newRT(t, Config{Workers: 1, Policy: PolicyGTBMaxBuffer, RecoverPanics: true})
-	defer rt.Close()
-	g := rt.Group("panic", 0.5)
-	var ran atomic.Int64 // the worker and the taskwait both run bodies
-	specs := make([]TaskSpec, n)
-	for i := range specs {
-		i := i
-		body := func() {
-			if i == popBatchSize/2 {
-				panic("injected")
-			}
-			ran.Add(1)
-		}
-		specs[i] = TaskSpec{Fn: body, Approx: body, Significance: float64(i+1) / (n + 1),
-			HasCost: true, CostAccurate: 100, CostApprox: 10}
-	}
-	rt.SubmitBatch(g, specs)
-	ws := rt.WaitPhase(g)
-	if ws.Accurate != n/2 || ws.Approximate != n/2 {
-		t.Errorf("wave accounting %d accurate / %d approximate, want %d/%d", ws.Accurate, ws.Approximate, n/2, n/2)
-	}
-	if want := time.Duration(n/2*100 + n/2*10); ws.Busy != want {
-		t.Errorf("wave busy %v, want %v: the panicked body must still charge its declared cost", ws.Busy, want)
-	}
-	if ran.Load() != n-1 || rt.Panics() != 1 {
-		t.Errorf("%d bodies completed and %d panics absorbed, want %d and 1", ran.Load(), rt.Panics(), n-1)
-	}
-}
-
 // TestSegmentNotStarvedByRing: a stream that keeps a worker's ring full must
 // not starve a taskwait on another group. If the own ring always went first,
 // the flushed window would only advance a chunk each time the ring happened

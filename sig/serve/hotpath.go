@@ -380,12 +380,10 @@ func (s *Server) submitSlab() {
 // their slots. A slab is done once every fleet part it went to has retired
 // all it was handed: then no closure of it can still run, so each slot no
 // body ran for is the policy's drop, resolved here, and the slab returns to
-// the pool. A late shard cut (Config.WaveTimeout) leaves tasks running past
-// WaitPhase, so a slab with tasks on that shard stays listed until a later
-// wave end finds the shard caught up — a late body resolves its own request
-// when it returns, a late drop resolves then, and the wave's report counts
-// neither — while slabs that went only to healthy shards finish at their
-// own wave's end.
+// the pool. A slab whose parts have not all caught up stays listed until a
+// later wave end finds them caught up: its own wave's report counts only the
+// bodies that returned by then, and its stragglers are counted in Totals
+// alone.
 //
 //siglint:noalloc
 func (s *Server) endSlabs(rep *WaveReport, from int, wave, nowNs int64) {

@@ -76,12 +76,12 @@ func (p *pacer) effective() time.Duration {
 // nanoseconds × workers is directly a cost budget.)
 func (p *pacer) perShard() float64 { return float64(p.workers) * float64(p.effective()) }
 
-// idleArrival is Submit's tail for the request that ends an idle spell. The
-// cadence is a batching window, and batching only buys a better significance
-// ranking. At ratio 1.0 nothing is shed, so there is nothing to rank: the
-// arrival wakes the pump instead of waiting the cadence out. The send never
-// blocks — a token already pending (or no pump at all) means the slot is
-// simply left as it is.
+// idleArrival is Submit's step, under Server.mu, for the request that ends an
+// idle spell. The cadence is a batching window, and batching only buys a
+// better significance ranking. At ratio 1.0 nothing is shed, so there is
+// nothing to rank: the arrival wakes the pump instead of waiting the cadence
+// out. The send never blocks — a token already pending (or no pump at all)
+// means the slot is simply left as it is.
 //
 //siglint:noalloc
 func (p *pacer) idleArrival(ratio float64) {
@@ -90,6 +90,20 @@ func (p *pacer) idleArrival(ratio float64) {
 		case p.wake <- struct{}{}:
 		default:
 		}
+	}
+}
+
+// spend is admit's, under Server.mu after it pops: a token pending now was
+// posted by an arrival this wave already found queued, so it is taken back —
+// left behind, it would fire a spare wave right after this one. A token an
+// arrival posts after admit releases the lock stays, and makes the next wave
+// back-to-back.
+//
+//siglint:noalloc
+func (p *pacer) spend() {
+	select {
+	case <-p.wake:
+	default:
 	}
 }
 

@@ -129,125 +129,6 @@ func TestServeReleaseAtDoneResubmits(t *testing.T) {
 	}
 }
 
-// TestServeLateShardCut: a shard that overruns the WaveTimeout cut leaves its
-// tasks running past WaitPhase. The slow request must be served by its body
-// when the body returns — significance 1.0 always runs Handler — not
-// resolved dropped at the wave's end, and its slab must outlive the wave: a
-// slot cleared under a running body crashed the server. Totals conserve
-// after Close.
-func TestServeLateShardCut(t *testing.T) {
-	s, err := New(frozen(Config{Workers: 1, Shards: 2, WaveTimeout: 5 * time.Millisecond}, 1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ran atomic.Int32
-	slow, err := s.Submit(Request{Significance: 1, CostAccurate: 1000, Handler: func() {
-		time.Sleep(30 * time.Millisecond)
-		ran.Add(1)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := make([]*Ticket, 3)
-	for i := range fast {
-		if fast[i], err = s.Submit(Request{Significance: 1, CostAccurate: 1000, Handler: func() { ran.Add(1) }}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rep := s.RunWave(); rep.Admitted != 4 {
-		t.Fatalf("admitted %d of 4", rep.Admitted)
-	}
-	select {
-	case <-slow.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("slow request unresolved 5s after its body started")
-	}
-	if got := slow.Outcome(); got != OutcomeAccurate {
-		t.Errorf("slow request resolved %v, want accurate", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, tk := range fast {
-		if got := tk.Wait(); got != OutcomeAccurate {
-			t.Errorf("fast request %d resolved %v, want accurate", i, got)
-		}
-	}
-	tot := s.Totals()
-	if ran.Load() != 4 || tot.Submitted != 4 || tot.Completed != 4 || tot.Accurate != 4 || tot.Rejected != 0 {
-		t.Errorf("after Close: %d bodies ran, totals %+v, want 4 submitted, completed and accurate", ran.Load(), tot)
-	}
-}
-
-// TestServeWedgedShardDropsResolve: one shard of two is wedged by a body
-// that does not return until the test lets it. The watchdog strikes it out
-// of placement within a few waves, and from then on every wave runs on the
-// healthy shard alone: its drops must resolve at its own wave's end and the
-// slab list must stay bounded, not wait for the wedged shard to catch up.
-// Once the body returns, Close resolves the rest and Totals conserve.
-func TestServeWedgedShardDropsResolve(t *testing.T) {
-	// The timeout is long against a healthy wave, so only the wedge misses it.
-	s, err := New(frozen(Config{Workers: 1, Shards: 2, WaveTimeout: 50 * time.Millisecond}, 1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	unwedge := make(chan struct{})
-	var wedged atomic.Bool
-	if _, err := s.Submit(Request{Significance: 1, CostAccurate: 1000, Handler: func() {
-		wedged.Store(true)
-		<-unwedge
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	const waves, perWave, settleIn = 20, 4, 5
-	var tks []*Ticket
-	for w := range waves {
-		if w == 0 {
-			for !wedged.Load() {
-				s.RunWave()
-				runtime.Gosched()
-			}
-		}
-		// Significance 0 without a degraded body: the policy drops each.
-		wave := make([]*Ticket, perWave)
-		for i := range wave {
-			if wave[i], err = s.Submit(Request{Significance: 0, CostAccurate: 1000, Handler: func() {}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tks = append(tks, wave...)
-		rep := s.RunWave()
-		if w < settleIn {
-			continue
-		}
-		for i, tk := range wave {
-			select {
-			case <-tk.Done():
-			default:
-				t.Fatalf("wave %d: drop %d unresolved at its wave's end with the other shard wedged", w, i)
-			}
-		}
-		if rep.Dropped != perWave {
-			t.Fatalf("wave %d reports %d drops, want %d", w, rep.Dropped, perWave)
-		}
-		if n := len(s.slabs); n > settleIn {
-			t.Fatalf("wave %d: %d slabs still listed", w, n)
-		}
-	}
-	close(unwedge)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, tk := range tks {
-		if got := tk.Wait(); got != OutcomeDropped {
-			t.Errorf("request %d resolved %v, want dropped", i, got)
-		}
-	}
-	if tot := s.Totals(); tot.Submitted != tot.Completed || tot.Accurate != 1 || tot.Dropped != int64(len(tks)) {
-		t.Errorf("after Close: totals %+v, want 1 accurate and %d dropped", tot, len(tks))
-	}
-}
-
 // TestServeTotalsSnapshotConserves: a scraper reads Totals and the metrics
 // while waves run, requests resolve on the workers and queued deadlines
 // lapse. Every snapshot must conserve — Completed is the outcomes plus the

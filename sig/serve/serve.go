@@ -240,15 +240,6 @@ type Config struct {
 	// shards. Requires Shards ≥ 2; AutoScale.MaxShards (default 2×Shards)
 	// sets the router's slot capacity.
 	AutoScale *shard.AutoscalerConfig
-	// WaveTimeout and HealthProbe switch on the shard fleet's health
-	// machinery (they forward to shard.Config; both require Shards ≥ 2):
-	// a shard that overruns the wave cut or fails the probe is struck
-	// live → suspect → quarantined and, at the drain threshold,
-	// auto-drained out of the fleet. The wave budget tracks the live
-	// shard count whether or not an autoscaler is configured — capacity
-	// follows the fleet, not the config.
-	WaveTimeout time.Duration
-	HealthProbe func(shard int) error
 }
 
 func (c Config) withDefaults(workersPerShard int) Config {
@@ -302,9 +293,7 @@ type WaveReport struct {
 	// Admitted is how many requests the wave served; Accurate, Degraded
 	// and Dropped split them by outcome. TimedOut counts queued requests
 	// whose deadline expired before this wave could admit them — resolved
-	// without running, on top of Admitted. A wave a late shard cut
-	// (Config.WaveTimeout) left unfinished splits only what resolved by its
-	// end; its stragglers resolve later and are counted in Totals alone.
+	// without running, on top of Admitted.
 	Admitted int
 	Accurate int
 	Degraded int
@@ -463,9 +452,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AutoScale != nil && cfg.Shards < 2 {
 		return nil, fmt.Errorf("serve: AutoScale requires Shards >= 2 (got %d)", cfg.Shards)
 	}
-	if (cfg.WaveTimeout != 0 || cfg.HealthProbe != nil) && cfg.Shards < 2 {
-		return nil, fmt.Errorf("serve: WaveTimeout/HealthProbe require Shards >= 2 (got %d)", cfg.Shards)
-	}
 	if cfg.PriorityAt < 0 || cfg.PriorityAt > 1 {
 		return nil, fmt.Errorf("serve: PriorityAt %v outside [0,1]", cfg.PriorityAt)
 	}
@@ -531,11 +517,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.fleet, err = shard.New(shard.Config{
-		Shards:      shards,
-		MaxShards:   slots,
-		Runtime:     sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
-		WaveTimeout: cfg.WaveTimeout,
-		HealthProbe: cfg.HealthProbe,
+		Shards:    shards,
+		MaxShards: slots,
+		Runtime:   sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
 	})
 	if err != nil {
 		return nil, err
@@ -661,9 +645,9 @@ func (s *Server) MeasuredPeriod() time.Duration {
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
 // Fleet returns the shard router that executes the server's waves (never
-// nil; one shard unless Config.Shards asked for more), for fleet-health
-// introspection — live/routable counts, per-shard health states, manual
-// quarantine.
+// nil; one shard unless Config.Shards asked for more), for fleet
+// introspection and surgery — the live count, per-shard stats, DrainShard and
+// AddShard.
 func (s *Server) Fleet() *shard.Router { return s.fleet }
 
 // reqCosts returns the request's declared cost sums, substituting the
@@ -761,12 +745,12 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	if !req.Deadline.IsZero() {
 		s.deadlined++
 	}
-	idle := s.depthLocked() == 0
-	l.q = append(l.q, tk) //siglint:allocok amortized growth of the retained lane backlog
-	s.mu.Unlock()
-	if idle {
+	if s.depthLocked() == 0 {
+		// Under s.mu, so the admit that pops this request spends the token.
 		s.pace.idleArrival(s.Ratio())
 	}
+	l.q = append(l.q, tk) //siglint:allocok amortized growth of the retained lane backlog
+	s.mu.Unlock()
 	return tk, nil
 }
 
@@ -861,9 +845,10 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 // admit pops the next wave's worth of requests: the lanes in drain order
 // (priority, then the bulk FIFO), while the expected modeled cost at the
 // wave's ratio fits the wave budget (always at least one when anything is
-// queued, so a single oversized request cannot wedge the queue). Before
-// popping, every lane is swept for requests whose Deadline expired while
-// queued — they move to the waveExpired buffer, consuming no budget. The
+// queued, so a single oversized request cannot wedge the queue), and spends
+// the wake token an idle arrival among them posted. Before popping, every
+// lane is swept for requests whose Deadline expired while queued — they move
+// to the waveExpired buffer, consuming no budget. The
 // returned batch is the server's reused wavePending buffer (valid until the
 // next admit); lane remainders compact to the front of their backing
 // arrays, so steady-state waves neither grow nor churn them. now is the
@@ -881,6 +866,7 @@ func (s *Server) admit(now time.Time, ratio float64) []*Ticket {
 	for i := laneCount - 1; i >= 0; i-- {
 		batch, cost = s.popLaneLocked(batch, &s.lanes[i], ratio, cost)
 	}
+	s.pace.spend()
 	s.wavePending = batch
 	return batch
 }
@@ -1015,8 +1001,8 @@ func (s *Server) runWave(early bool) WaveReport {
 // rebudget is the one budget rule, reached once per wave after settle's
 // retime: the pacer's per-shard price, on the cadence the next wave fires
 // at, × the live shards. Capacity follows the fleet, however it changed:
-// autoscaler actions AND health auto-drains (DrainAfter) shrink or grow the
-// live count, and the wave budget — admit's cut-off and the load signal's
+// autoscaler actions AND surgery through Fleet() shrink or grow the live
+// count, and the wave budget — admit's cut-off and the load signal's
 // denominator — must track it either way. Caller holds s.mu.
 func (s *Server) rebudget(live int) float64 {
 	s.budget = s.pace.perShard() * float64(live)
@@ -1077,10 +1063,10 @@ func (s *Server) Close() error {
 	s.waveMu.Lock()
 	s.stopped = true
 	err := s.fleet.Close()
-	// The fleet's Close retires every task, late cuts' included — all but a
-	// shard an auto-drain was already closing, whose Close the fleet's
-	// returns without waiting for. Once every listed slab's parts caught up,
-	// a request still on one was dropped.
+	// The fleet's Close retires every task — all but a shard a DrainShard
+	// through Fleet() was already closing, whose Close the fleet's returns
+	// without waiting for. Once every listed slab's parts caught up, a
+	// request still on one was dropped.
 	for {
 		s.endSlabs(&WaveReport{}, len(s.slabs), s.wave.Load(), s.clock.Now().UnixNano())
 		if len(s.slabs) == 0 {

@@ -11,24 +11,13 @@ import (
 )
 
 // TestServeBudgetTracksHealthDrain is the capacity-accounting regression
-// test: when the health machinery auto-drains a shard (no autoscaler
-// configured), the wave budget — the load signal's denominator — must
-// shrink to the surviving fleet. Before the fix the budget was rebuilt only
-// under an autoscaler, so a watchdog drain left capacity overstated and the
+// test: when fleet surgery the server did not order drains a shard (no
+// autoscaler configured), the wave budget — the load signal's denominator —
+// must shrink to the surviving fleet. Before the fix the budget was rebuilt
+// only under an autoscaler, so such a drain left capacity overstated and the
 // controller admitting against shards that no longer exist.
 func TestServeBudgetTracksHealthDrain(t *testing.T) {
-	var sick atomic.Bool
-	s, err := New(frozen(Config{
-		Workers:    1,
-		Shards:     3,
-		QueueLimit: 64,
-		HealthProbe: func(shard int) error {
-			if shard == 1 && sick.Load() {
-				return fmt.Errorf("probe: shard %d unhealthy", shard)
-			}
-			return nil
-		},
-	}, 3*costAcc/0.6))
+	s, err := New(frozen(Config{Workers: 1, Shards: 3, QueueLimit: 64}, 3*costAcc/0.6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,22 +31,11 @@ func TestServeBudgetTracksHealthDrain(t *testing.T) {
 		t.Fatalf("healthy fleet: LiveShards=%d Budget=%v, want 3 shards at %v", rep.LiveShards, rep.Budget, full)
 	}
 
-	// Sicken shard 1: each wave's failing probe is a strike; at the drain
-	// threshold the router auto-drains it asynchronously, so poll the live
-	// count across waves with a deadline.
-	sick.Store(true)
-	deadline := time.Now().Add(5 * time.Second)
-	live := 3
-	for live != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard never auto-drained: live=%d health=%v", live, s.Fleet().Health(1))
-		}
-		rep := s.RunWave()
-		live = rep.LiveShards
-	}
-
-	// The drain may have landed mid-wave; the next wave's report must price
+	// Drain shard 1 between waves: the next wave's report must price
 	// capacity from the two survivors.
+	if err := s.Fleet().DrainShard(1); err != nil {
+		t.Fatal(err)
+	}
 	rep := s.RunWave()
 	want := full * 2 / 3
 	if rep.LiveShards != 2 || rep.Budget != want {

@@ -18,9 +18,9 @@ func TestConfigSurface(t *testing.T) {
 		cfg    any
 		fields int
 	}{
-		{sig.Config{}, 8},
-		{Config{}, 16},
-		{shard.Config{}, 7},
+		{sig.Config{}, 7},
+		{Config{}, 14},
+		{shard.Config{}, 3},
 		{adapt.Config{}, 8},
 		{shard.AutoscalerConfig{}, 7},
 	} {

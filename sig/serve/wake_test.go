@@ -54,6 +54,44 @@ func TestServeIdleArrivalFiresWave(t *testing.T) {
 	}
 }
 
+// TestServeWaveSpendsWakeToken: the token an idle arrival posts is spent by
+// the wave that admits its request; left behind, it would fire a spare early
+// wave the moment the pump next waits. A request a body submits during its
+// own wave arrives after admission, so its token stays and the next wave
+// follows back-to-back — how batches grow with load.
+func TestServeWaveSpendsWakeToken(t *testing.T) {
+	s, fc := newPaceServer(t, func(c *Config) { c.MinRatio = 1 })
+	defer s.Close()
+	if _, err := s.Submit(paceRequest(fc, 100*time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.pace.wake); n != 1 {
+		t.Fatalf("%d tokens after an idle arrival at ratio 1.0, want 1", n)
+	}
+	s.RunWave()
+	if n := len(s.pace.wake); n != 0 {
+		t.Fatalf("%d tokens after the wave that admitted the arrival, want 0", n)
+	}
+
+	inner := make(chan error, 1)
+	if _, err := s.Submit(Request{Significance: 1, CostAccurate: 1000, Handler: func() {
+		_, err := s.Submit(paceRequest(fc, 100*time.Microsecond))
+		inner <- err
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	s.RunWave()
+	if err := <-inner; err != nil {
+		t.Fatal(err)
+	}
+	if n, d := len(s.pace.wake), s.Depth(); n != 1 || d != 1 {
+		t.Fatalf("%d tokens and %d queued after a body submitted during its wave, want 1 and 1", n, d)
+	}
+	if rep := s.RunWave(); rep.Admitted != 1 || len(s.pace.wake) != 0 {
+		t.Fatalf("next wave admitted %d and left %d tokens, want 1 and 0", rep.Admitted, len(s.pace.wake))
+	}
+}
+
 // TestServeSheddingKeepsCadence: while the ratio is below 1.0 the cadence is
 // the batching window that ranks significance, so an arrival into a
 // momentarily empty queue posts no token and waits for the timer.
@@ -82,7 +120,6 @@ func TestServeSheddingKeepsCadence(t *testing.T) {
 	if r := s.Ratio(); r >= 1 {
 		t.Fatalf("ratio %v after the overload; the test needs a shedding server", r)
 	}
-	<-s.pace.wake // the overload's first arrival found an idle server at ratio 1.0
 	s.Start()
 	tk, err := s.Submit(request(seq, &served))
 	if err != nil {

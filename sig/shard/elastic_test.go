@@ -8,9 +8,8 @@ import (
 	"repro/sig"
 )
 
-// Elastic-fleet unit suite: sentinel errors, runtime rejoin (AddShard),
-// the health state machine's explicit transitions, and the autoscaler's
-// step response on scripted load traces. The chaos package carries the
+// Elastic-fleet unit suite: sentinel errors, runtime rejoin (AddShard) and
+// the autoscaler's step response on scripted load traces. The chaos package carries the
 // end-to-end proofs; these tests pin the per-call contracts.
 
 func newElasticRouter(t *testing.T, shards, slots int) *Router {
@@ -32,14 +31,8 @@ func newElasticRouter(t *testing.T, shards, slots int) *Router {
 func TestShardSentinelErrors(t *testing.T) {
 	r := newElasticRouter(t, 2, 3)
 
-	if err := r.DrainShard(5); err == nil || errors.Is(err, ErrShardDown) {
+	if err := r.DrainShard(5); err == nil || errors.Is(err, ErrLastShard) {
 		t.Fatalf("out-of-range drain: got %v, want a range error", err)
-	}
-	if err := r.QuarantineShard(2); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("quarantining the empty slot: got %v, want ErrShardDown", err)
-	}
-	if err := r.ReviveShard(2); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("reviving the empty slot: got %v, want ErrShardDown", err)
 	}
 
 	// Draining down to one shard is fine; the last routable one is not.
@@ -48,9 +41,6 @@ func TestShardSentinelErrors(t *testing.T) {
 	}
 	if err := r.DrainShard(0); !errors.Is(err, ErrLastShard) {
 		t.Fatalf("draining the last shard: got %v, want ErrLastShard", err)
-	}
-	if err := r.QuarantineShard(0); !errors.Is(err, ErrLastShard) {
-		t.Fatalf("quarantining the last shard: got %v, want ErrLastShard", err)
 	}
 	// Idempotent drain of an already-down shard.
 	if err := r.DrainShard(1); err != nil {
@@ -75,12 +65,6 @@ func TestShardSentinelErrors(t *testing.T) {
 	}
 	if _, err := r.AddShard(); !errors.Is(err, ErrRouterClosed) {
 		t.Fatalf("AddShard after Close: got %v, want ErrRouterClosed", err)
-	}
-	if err := r.QuarantineShard(0); !errors.Is(err, ErrRouterClosed) {
-		t.Fatalf("quarantine after Close: got %v, want ErrRouterClosed", err)
-	}
-	if err := r.ReviveShard(0); !errors.Is(err, ErrRouterClosed) {
-		t.Fatalf("revive after Close: got %v, want ErrRouterClosed", err)
 	}
 }
 
@@ -153,68 +137,6 @@ func TestAddShardRejoinPreservesEnergy(t *testing.T) {
 	}
 }
 
-// TestQuarantineExplicitLifecycle pins the state machine's manual arcs:
-// quarantine pulls a shard out of placement while keeping it live, revive
-// readmits it, and health states read back correctly at each step.
-func TestQuarantineExplicitLifecycle(t *testing.T) {
-	r := newElasticRouter(t, 3, 3)
-	for i := 0; i < r.Shards(); i++ {
-		if got := r.Health(i); got != HealthLive {
-			t.Fatalf("initial health of shard %d is %v, want live", i, got)
-		}
-	}
-	if err := r.QuarantineShard(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Health(1); got != HealthQuarantined {
-		t.Fatalf("health after quarantine %v", got)
-	}
-	if r.Live() != 3 || r.Routable() != 2 {
-		t.Fatalf("quarantined shard should stay live: live %d routable %d", r.Live(), r.Routable())
-	}
-	// Quarantine is idempotent and sticky: healthy waves don't lift it.
-	if err := r.QuarantineShard(1); err != nil {
-		t.Fatal(err)
-	}
-	g := r.Group("q", 1.0)
-	for i := 0; i < 8; i++ {
-		r.Submit(g, sig.TaskSpec{Fn: func() {}, HasCost: true, CostAccurate: 10})
-	}
-	r.Wait(g)
-	if got := r.Health(1); got != HealthQuarantined {
-		t.Fatalf("healthy wave lifted quarantine: %v", got)
-	}
-	if ps := g.Part(1).Stats(); ps.Submitted != 0 {
-		t.Fatalf("quarantined shard received %d tasks", ps.Submitted)
-	}
-	if err := r.ReviveShard(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Health(1); got != HealthLive {
-		t.Fatalf("health after revive %v", got)
-	}
-	if r.Routable() != 3 {
-		t.Fatalf("routable after revive %d, want 3", r.Routable())
-	}
-	if got, strikes := r.Health(2), r.state[2].strikes.Load(); got != HealthLive || strikes != 0 {
-		t.Fatalf("bystander shard disturbed: health %v strikes %d", got, strikes)
-	}
-}
-
-// TestHealthStateStrings covers the diagnostic formatting.
-func TestHealthStateStrings(t *testing.T) {
-	want := map[HealthState]string{
-		HealthLive: "live", HealthSuspect: "suspect",
-		HealthQuarantined: "quarantined", HealthDrained: "drained",
-		HealthState(99): "HealthState(99)",
-	}
-	for st, s := range want {
-		if st.String() != s {
-			t.Errorf("HealthState(%d).String() = %q, want %q", st, st.String(), s)
-		}
-	}
-}
-
 // TestAutoscalerStepResponse replays a scripted load trace through the
 // scaler and checks the full step response: scale-up after UpAfter
 // high-load waves, cooldown suppression, scale-down after DownAfter
@@ -277,8 +199,8 @@ func TestAutoscalerStepResponse(t *testing.T) {
 		case 0:
 		case -1:
 			for j := 0; j < 4; j++ {
-				if up := j < victim; (r.Health(j) != HealthDrained) != up {
-					t.Fatalf("scale-down to %d shards: slot %d is %v", victim, j, r.Health(j))
+				if up := j < victim; r.routable(j) != up {
+					t.Fatalf("scale-down to %d shards: slot %d live=%v", victim, j, r.routable(j))
 				}
 			}
 			victim--

@@ -25,8 +25,8 @@ import (
 //	         no approximate body; bit2 = 254 bytes in the stream drain a
 //	         shard; bit3 = wave boundaries retarget the ratio; bit4 =
 //	         elastic mode — the router gets two spare slots and each 254
-//	         byte consumes one selector byte choosing drain / rejoin /
-//	         quarantine / revive fleet surgery (overrides bit2)
+//	         byte consumes one selector byte choosing drain / rejoin
+//	         fleet surgery (overrides bit2)
 //	data[5]  workers per shard, 1 + v%3
 //	data[6:] the stream: 255 is a taskwait boundary (followed, when
 //	         retargeting, by one byte of new ratio); 254 drains the next
@@ -36,7 +36,7 @@ import (
 func FuzzShardRouting(f *testing.F) {
 	// Seeds: baseline, drains, retargeting, single-shard degenerate,
 	// drain-heavy chaos, elastic surgery (drain→rejoin same index, rejoin at
-	// max fleet, quarantine/revive churn).
+	// max fleet, drain/rejoin churn).
 	nine := []byte{3, 0, 2, 128, 0, 1}
 	for i := 0; i < 60; i++ {
 		nine = append(nine, byte(25*(i%9+1)))
@@ -129,15 +129,15 @@ func FuzzShardRouting(f *testing.F) {
 			}
 			if v == 254 && elastic {
 				// Fleet surgery: the selector byte picks the operation.
-				// Refusals (last shard, fleet full, slot draining, shard
-				// down) are part of the guardrail contract; only accepted
-				// operations void the single-ratio floor.
+				// Refusals (last shard, fleet full, slot draining) are part
+				// of the guardrail contract; only accepted operations void
+				// the single-ratio floor.
 				sel := byte(0)
 				if pos+1 < len(stream) {
 					pos++
 					sel = stream[pos]
 				}
-				switch sel % 4 {
+				switch sel % 2 {
 				case 0: // drain the lowest routable shard
 					for i := 0; i < r.Shards(); i++ {
 						if r.routable(i) {
@@ -151,27 +151,9 @@ func FuzzShardRouting(f *testing.F) {
 					if _, err := r.AddShard(); err == nil {
 						drained++
 					}
-				case 2: // quarantine the highest routable shard
-					for i := r.Shards() - 1; i >= 0; i-- {
-						if r.routable(i) {
-							if err := r.QuarantineShard(i); err == nil {
-								drained++
-							}
-							break
-						}
-					}
-				case 3: // revive the first quarantined shard
-					for i := 0; i < r.Shards(); i++ {
-						if r.Health(i) == HealthQuarantined {
-							if err := r.ReviveShard(i); err == nil {
-								drained++
-							}
-							break
-						}
-					}
 				}
-				if r.Routable() < 1 {
-					t.Fatal("surgery left no routable shard")
+				if r.Live() < 1 {
+					t.Fatal("surgery left no live shard")
 				}
 				continue
 			}
@@ -179,7 +161,7 @@ func FuzzShardRouting(f *testing.F) {
 				// Drain the lowest-numbered live shard; refusing to kill
 				// the last one is part of the contract under test.
 				for i := 0; i < shards; i++ {
-					if r.Health(i) != HealthDrained {
+					if r.routable(i) {
 						if err := r.DrainShard(i); err == nil {
 							drained++
 						}

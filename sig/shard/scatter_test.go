@@ -29,8 +29,8 @@ func (p *orderPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 func (p *orderPolicy) Flush(dst []*sig.Task) []*sig.Task        { return dst }
 func (p *orderPolicy) WorkerDecide(int, *sig.Task) sig.Decision { return sig.DecideAccurate }
 
-// scatter builds a 5-slot fleet — slot 1 drained and slot 3 quarantined when
-// surgery is set — submits specs through submit and returns what it left
+// scatter builds a 5-slot fleet — slots 1 and 3 drained when surgery is
+// set — submits specs through submit and returns what it left
 // behind: each slot's sub-batch in arrival order.
 func scatter(t *testing.T, surgery bool, specs []sig.TaskSpec, submit func(*Router, *Group)) [][]float64 {
 	t.Helper()
@@ -47,7 +47,7 @@ func scatter(t *testing.T, surgery bool, specs []sig.TaskSpec, submit func(*Rout
 		if err := r.DrainShard(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.QuarantineShard(3); err != nil {
+		if err := r.DrainShard(3); err != nil {
 			t.Fatal(err)
 		}
 	}

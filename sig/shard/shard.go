@@ -28,11 +28,10 @@
 // busy nanoseconds move into an integer retirement account, the joining
 // runtime starts with a zero busy clock, and merged joules stay one
 // multiplication over an exact integer sum. A shard's whole lifecycle is one
-// word (live → suspect → quarantined → draining → drained, see health.go)
-// driven by a wave-latency watchdog and a pluggable HealthProbe;
-// an Autoscaler (autoscale.go) grows and shrinks the fleet between bounds
-// with hysteresis and cooldown. The chaos suite (chaos_test.go and
-// sig/chaos) holds all of it to "nothing lost, nothing double-counted".
+// word (live → draining → drained) that only fleet surgery moves; an
+// Autoscaler (autoscale.go) grows and shrinks the fleet between bounds with
+// hysteresis and cooldown. The chaos suite (chaos_test.go and sig/chaos)
+// holds all of it to "nothing lost, nothing double-counted".
 //
 //siglint:deterministic
 package shard
@@ -54,13 +53,10 @@ import (
 var (
 	// ErrRouterClosed reports fleet surgery attempted after Close.
 	ErrRouterClosed = errors.New("shard: router closed")
-	// ErrLastShard reports a drain or quarantine that would leave the
-	// fleet with no routable shard.
+	// ErrLastShard reports a drain that would leave the fleet with no live
+	// shard.
 	ErrLastShard = errors.New("shard: last routable shard")
-	// ErrShardDown reports a health operation on a drained (or never
-	// joined) shard slot.
-	ErrShardDown = errors.New("shard: shard is down")
-	// ErrFleetFull reports AddShard with every slot occupied and routable.
+	// ErrFleetFull reports AddShard with every slot occupied and live.
 	ErrFleetFull = errors.New("shard: fleet at capacity")
 	// ErrShardDraining reports AddShard while the only free slots still
 	// have a DrainShard in flight (their reports are not frozen yet).
@@ -92,44 +88,35 @@ type Config struct {
 	// (adapt.Controller.Observe(g, r.WaitPhase(g))) that may retune the group
 	// via Group.SetRatio before the next wave.
 	Runtime sig.Config
-
-	// WaveTimeout, when positive, bounds how long a merged WaitPhase waits
-	// on any one shard's wave cut: a shard that overruns it is skipped in
-	// the merge (its late stats fold into a later wave when they arrive)
-	// and earns a health strike. Zero keeps the wait fully synchronous —
-	// the bit-identical replay mode.
-	WaveTimeout time.Duration
-	// HealthProbe, when non-nil, is consulted for every shard that
-	// completed a wave in time; a non-nil error is a health strike, nil
-	// clears the shard's strikes. The pluggable seam for external health
-	// signals (process checks, remote heartbeats).
-	HealthProbe func(shard int) error
-	// QuarantineAfter and DrainAfter are the consecutive strike counts at
-	// which a shard is quarantined (unroutable but still open) and is
-	// auto-drained; it turns suspect at DefaultSuspectAfter. Zero fields
-	// take DefaultQuarantineAfter/DefaultDrainAfter; a negative DrainAfter
-	// disables auto-drain.
-	QuarantineAfter int
-	DrainAfter      int
 }
 
-// shardState is the Router's per-shard routing and health state: one cache
-// line, so the hot submit path never false-shares between shards
+// The lifecycle word (shardState.pos) holds one of three positions, ordered
+// so every question the router asks is one comparison: routable is == live,
+// a free slot is == drained. draining is a DrainShard in flight — turned away
+// from routing, runtime still closing, energy report not frozen yet, so
+// AddShard must not reuse the slot (ErrShardDraining) — and drained is the
+// closed runtime (or a headroom slot never filled). Every store of the word
+// happens under r.mu (fleet surgery), except the drainer's own
+// draining → drained. TestLifecycleTable holds every (position, operation)
+// pair to a literal table.
+const (
+	live int32 = iota
+	draining
+	drained
+)
+
+// shardState is the Router's per-shard routing state: one cache line, so the
+// hot submit path never false-shares between shards
 // (TestShardStateIsOneCacheLine).
 type shardState struct {
 	// inflight counts router submissions that picked this shard and may
 	// not have reached its runtime yet; DrainShard turns the shard away first
 	// and then waits for inflight to drain.
 	inflight atomic.Int64
-	// pos is the shard's lifecycle position (see health.go): the one word
-	// routing, health and fleet surgery all read.
+	// pos is the shard's lifecycle position: the one word routing and fleet
+	// surgery both read.
 	pos atomic.Int32
-	// strikes counts consecutive missed/failed waves (see health.go).
-	strikes atomic.Int32
-	// autoDrain latches the auto-drain trigger so the watchdog spawns at
-	// most one drain per episode.
-	autoDrain atomic.Bool
-	_         [44]byte
+	_   [52]byte
 }
 
 // partRef pairs one shard's runtime with this group's physical group on it.
@@ -146,24 +133,21 @@ type partRef struct {
 // SubmitBatch, synchronize with Wait or WaitPhase, and release every shard
 // with Close.
 type Router struct {
-	cfg      Config
-	shards   []atomic.Pointer[sig.Runtime] // slot-indexed; nil = empty slot
-	state    []shardState
-	healthOn bool
+	cfg    Config
+	shards []atomic.Pointer[sig.Runtime] // slot-indexed; nil = empty slot
+	state  []shardState
 
 	// mu guards groups/order/closed and serializes fleet surgery
-	// (AddShard/DrainShard/quarantine) with the cold read paths
-	// (Energy/Stats); never on the submit path.
+	// (AddShard/DrainShard) with the cold read paths (Energy/Stats); never
+	// on the submit path.
 	mu     sync.Mutex
 	groups map[string]*Group
 	order  []*Group
 	closed bool
 	// retired is the account of shards that left the fleet and whose slot was
 	// reused — exact busy nanoseconds (sig.Report.Merge), so merged joules
-	// stay one multiplication over an integer sum — and the panics they
-	// absorbed.
-	retired       sig.Report
-	retiredPanics int64
+	// stay one multiplication over an integer sum.
+	retired sig.Report
 
 	def atomic.Pointer[Group] // cached default group, off r.mu on submit
 	rr  atomic.Uint64         // round-robin cursor
@@ -216,24 +200,11 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxShards < cfg.Shards {
 		return nil, fmt.Errorf("shard: MaxShards %d below Shards %d", cfg.MaxShards, cfg.Shards)
 	}
-	if cfg.WaveTimeout < 0 {
-		return nil, fmt.Errorf("shard: negative WaveTimeout %v", cfg.WaveTimeout)
-	}
-	if cfg.QuarantineAfter == 0 {
-		cfg.QuarantineAfter = DefaultQuarantineAfter
-	}
-	if cfg.DrainAfter == 0 {
-		cfg.DrainAfter = DefaultDrainAfter
-	}
-	if cfg.QuarantineAfter < 0 {
-		return nil, fmt.Errorf("shard: negative QuarantineAfter %d", cfg.QuarantineAfter)
-	}
 	r := &Router{
-		cfg:      cfg,
-		shards:   make([]atomic.Pointer[sig.Runtime], cfg.MaxShards),
-		state:    make([]shardState, cfg.MaxShards),
-		groups:   make(map[string]*Group),
-		healthOn: cfg.WaveTimeout > 0 || cfg.HealthProbe != nil,
+		cfg:    cfg,
+		shards: make([]atomic.Pointer[sig.Runtime], cfg.MaxShards),
+		state:  make([]shardState, cfg.MaxShards),
+		groups: make(map[string]*Group),
 	}
 	slots := cfg.MaxShards
 	r.scatter.New = func() any {
@@ -257,7 +228,7 @@ func New(cfg Config) (*Router, error) {
 }
 
 // Shards returns the fleet's slot capacity (Config.MaxShards): the valid
-// shard-index range for Part/Health, whatever subset is live.
+// shard-index range for Part, whatever subset is live.
 func (r *Router) Shards() int { return len(r.shards) }
 
 // Group is one logical task group spanning every shard. It satisfies
@@ -284,10 +255,6 @@ type Group struct {
 	// per-group phase lock of a single runtime.
 	waveMu sync.Mutex
 	wave   int
-	// lateWave holds, per slot, the pending result channel of a wave cut
-	// that overran WaveTimeout; a later merged wave folds it in when it
-	// arrives. Guarded by waveMu.
-	lateWave []chan sig.WaveStats
 	// lags is WaitPhase's per-slot provided-ratio lag scratch, guarded by
 	// waveMu.
 	lags []float64
@@ -359,12 +326,11 @@ func (r *Router) getOrCreateGroup(name string, ratio float64) (*Group, bool) {
 	}
 	n := len(r.shards)
 	g := &Group{
-		r:        r,
-		name:     name,
-		parts:    make([]atomic.Pointer[partRef], n),
-		trim:     make([]atomic.Uint64, n),
-		lateWave: make([]chan sig.WaveStats, n),
-		lags:     make([]float64, n),
+		r:     r,
+		name:  name,
+		parts: make([]atomic.Pointer[partRef], n),
+		trim:  make([]atomic.Uint64, n),
+		lags:  make([]float64, n),
 	}
 	g.ratio.Store(math.Float64bits(clamp01(ratio)))
 	g.retired.Name = name
@@ -403,9 +369,9 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// routable reports whether slot j accepts new work: live or suspect — one
-// load of the lifecycle word.
-func (r *Router) routable(j int) bool { return r.state[j].pos.Load() <= suspect }
+// routable reports whether slot j accepts new work: one load of the
+// lifecycle word.
+func (r *Router) routable(j int) bool { return r.state[j].pos.Load() == live }
 
 // liveFrom returns the first routable shard at or after i (wrapping); i
 // itself when every shard is unroutable (route will reject it).
@@ -517,20 +483,15 @@ func (r *Router) submitBucket(g *Group, b int, sub []sig.TaskSpec) {
 // per-shard trim controllers absorb each shard's provided-ratio lag and the
 // next wave's ratios are applied; a controller that observes the returned
 // wave (serve.runWave does, on the next line) retunes the global ratio on
-// top of that, outside waveMu.
-//
-// With Config.WaveTimeout set, a shard that overruns its wave cut is
-// skipped this wave (watchdog): its pending result folds into a later
-// merged wave when it finally arrives, and the miss is a health strike.
+// top of that, outside waveMu. A shard that stalls holds the merged wave
+// until its cut completes.
 func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 	if g == nil {
 		g = r.defaultGroup()
 	}
 	g.waveMu.Lock()
 	for i := range g.parts {
-		// A slot with a cut still outstanding is wedged behind it; its
-		// buffer waits for the wave that folds the late cut in.
-		if ref := g.parts[i].Load(); ref != nil && g.lateWave[i] == nil {
+		if ref := g.parts[i].Load(); ref != nil {
 			ref.rt.Flush(ref.p)
 		}
 	}
@@ -538,36 +499,16 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 	lags := g.lags
 	clear(lags)
 	for i := range g.parts {
-		if ch := g.lateWave[i]; ch != nil {
-			// A previous wave's cut is still outstanding on this slot; a
-			// fresh cut would queue behind the wedge. Merge the late
-			// result if it arrived, strike again if not.
-			select {
-			case ws := <-ch:
-				g.lateWave[i] = nil
-				cuts.Merge(ws)
-				r.waveOK(i)
-			default:
-				r.strike(i)
-			}
-			continue
-		}
 		ref := g.parts[i].Load()
 		if ref == nil {
 			continue
 		}
 		want := ref.p.Ratio() // ratio+trim this shard was asked for
-		ws, late := r.waitSlot(ref)
-		if late != nil {
-			g.lateWave[i] = late
-			r.strike(i)
-			continue
-		}
+		ws := ref.rt.WaitPhase(ref.p)
 		cuts.Merge(ws)
 		if ws.Decided() > 0 {
 			lags[i] = want - ws.ProvidedRatio
 		}
-		r.probe(i)
 	}
 	merged := sig.WaveStats{Wave: g.wave, RequestedRatio: g.Ratio()}
 	merged.Merge(cuts)
@@ -590,26 +531,6 @@ func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 	g.applyRatio()
 	g.waveMu.Unlock()
 	return merged
-}
-
-// waitSlot cuts one shard's wave. Without a WaveTimeout it is a direct
-// synchronous call (today's bit-identical path, no goroutine). With one, it
-// bounds the wait: on timeout it returns the pending result channel so the
-// caller can fold the cut into a later wave.
-func (r *Router) waitSlot(ref *partRef) (sig.WaveStats, chan sig.WaveStats) {
-	if r.cfg.WaveTimeout <= 0 {
-		return ref.rt.WaitPhase(ref.p), nil
-	}
-	ch := make(chan sig.WaveStats, 1)
-	go func() { ch <- ref.rt.WaitPhase(ref.p) }()
-	timer := time.NewTimer(r.cfg.WaveTimeout)
-	select {
-	case ws := <-ch:
-		timer.Stop()
-		return ws, nil
-	case <-timer.C:
-		return sig.WaveStats{}, ch
-	}
 }
 
 // Wait drains the logical group on every shard and returns the cumulative
@@ -716,20 +637,6 @@ func (r *Router) ShardEnergy() []sig.Report {
 	return out
 }
 
-// Panics sums the task-body panics absorbed across the fleet (see
-// sig.Config.RecoverPanics), past incarnations included.
-func (r *Router) Panics() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.retiredPanics
-	for i := range r.shards {
-		if rt := r.shards[i].Load(); rt != nil {
-			n += rt.Panics()
-		}
-	}
-	return n
-}
-
 // DrainShard removes shard i from the fleet at runtime: it marks the shard
 // unroutable, waits out submissions that already picked it, then closes its
 // runtime — which drains every task the shard had queued or buffered.
@@ -752,11 +659,7 @@ func (r *Router) DrainShard(i int) error {
 		r.mu.Unlock()
 		return nil
 	}
-	routable := r.Routable()
-	if r.routable(i) {
-		routable--
-	}
-	if routable < 1 {
+	if r.Live() <= 1 {
 		r.mu.Unlock()
 		return fmt.Errorf("shard: cannot drain shard %d: %w", i, ErrLastShard)
 	}
@@ -776,8 +679,8 @@ func (r *Router) DrainShard(i int) error {
 		}
 	}
 	err := r.shards[i].Load().Close()
-	// Only the drainer writes a draining word — surgery refuses the slot and
-	// the health CASes start from live or suspect — so this store needs no lock.
+	// Only the drainer writes a draining word — surgery refuses the slot — so
+	// this store needs no lock.
 	st.pos.Store(drained)
 	return err
 }
@@ -818,7 +721,6 @@ func (r *Router) AddShard() (int, error) {
 	}
 	if old := r.shards[slot].Load(); old != nil {
 		r.retired.Merge(old.Energy())
-		r.retiredPanics += old.Panics()
 		for _, g := range r.order {
 			g.retire(slot)
 		}
@@ -828,8 +730,6 @@ func (r *Router) AddShard() (int, error) {
 		g.trim[slot].Store(0)
 		g.parts[slot].Store(&partRef{rt: rt, p: rt.Group(g.name, g.Ratio())})
 	}
-	st.strikes.Store(0)
-	st.autoDrain.Store(false)
 	r.shards[slot].Store(rt)
 	// Publish routability last, in the one store of live: a submitter that
 	// observes it is ordered after every store above (atomics are seq-cst),
@@ -838,22 +738,9 @@ func (r *Router) AddShard() (int, error) {
 	return slot, nil
 }
 
-// Live returns the number of shards whose runtime is open (quarantined
-// shards included — they hold in-flight work even though they refuse new).
+// Live returns the number of shards accepting new work: open runtimes with
+// no drain in flight.
 func (r *Router) Live() int {
-	n := 0
-	for i := range r.state {
-		if r.state[i].pos.Load() < draining {
-			n++
-		}
-	}
-	return n
-}
-
-// Routable returns the number of shards accepting new work. Fleet surgery
-// calls it under r.mu, where only the live ↔ suspect CASes — which do not
-// change it — can move a word.
-func (r *Router) Routable() int {
 	n := 0
 	for j := range r.state {
 		if r.routable(j) {

@@ -66,12 +66,6 @@ type Config struct {
 	// recycled, so a policy must not retain a *Task it has returned. The
 	// group lock serializes its Submit and Flush; it needs no lock of its own.
 	NewPolicy func(g *Group) Policy
-	// RecoverPanics absorbs panics thrown by task bodies instead of letting
-	// them kill the worker goroutine. A panicked task still charges its
-	// declared cost (modeled energy stays deterministic under injected
-	// faults — see sig/chaos) and bumps the Panics counter. Off by default:
-	// the hot path then carries no defer.
-	RecoverPanics bool
 }
 
 // Task is a unit of work submitted to the runtime. Policies read the exported
@@ -172,11 +166,10 @@ type Runtime struct {
 	order  []*Group
 	frozen *Report
 
-	// Written per submission (seq) and by workers (panics): a line each.
-	_      [64]byte
-	seq    atomic.Uint64
-	_      [64]byte
-	panics atomic.Int64
+	// Written per submission: a cache line of its own.
+	_   [64]byte
+	seq atomic.Uint64
+	_   [56]byte
 }
 
 // New creates and starts a Runtime.
@@ -583,9 +576,6 @@ func (rt *Runtime) runGroup(id int, g *Group, ts []*Task) {
 //
 //siglint:wallclock measured-cost fallback; replayable runs declare costs and never take this path
 func (rt *Runtime) runBody(body func(), cost float64) int64 {
-	if rt.cfg.RecoverPanics {
-		return rt.runBodyRecover(body, cost)
-	}
 	if cost >= 0 {
 		body()
 		return int64(cost)
@@ -594,34 +584,6 @@ func (rt *Runtime) runBody(body func(), cost float64) int64 {
 	body()
 	return int64(time.Since(start))
 }
-
-// runBodyRecover is runBody under Config.RecoverPanics: the charge is fixed
-// in a deferred block so a panicking body still pays its declared cost (or
-// its measured time up to the panic) once the panic is absorbed.
-//
-//siglint:wallclock measured-cost fallback; replayable runs declare costs and never take this path
-func (rt *Runtime) runBodyRecover(body func(), cost float64) (charge int64) {
-	var start time.Time
-	if cost < 0 {
-		start = time.Now()
-	}
-	defer func() {
-		if cost >= 0 {
-			charge = int64(cost)
-		} else {
-			charge = int64(time.Since(start))
-		}
-		if p := recover(); p != nil {
-			rt.panics.Add(1)
-		}
-	}()
-	body()
-	return
-}
-
-// Panics reports how many task-body panics the runtime has absorbed; always
-// zero unless Config.RecoverPanics is set.
-func (rt *Runtime) Panics() int64 { return rt.panics.Load() }
 
 // leave retires n pending tasks. The fast path is a single atomic; the
 // condition variable is only touched when a waiter announced itself.
@@ -740,11 +702,11 @@ func (rt *Runtime) drain(g *Group) {
 // a worker id outside [0, Workers()), and the rings stay the workers'. The
 // bodies it runs charge the busy-clock slot past the workers'.
 //
-// A body that panics here (without RecoverPanics, which absorbs it in
-// runBody) must kill the process as it would on a worker, not unwind into a
-// caller that may recover around Wait and be left with a half-run chunk whose
-// pending count never reaches zero: the panic is re-raised on a goroutine
-// nobody can recover on, and this one parks in waitIdle until it lands.
+// A body that panics here must kill the process as it would on a worker, not
+// unwind into a caller that may recover around Wait and be left with a
+// half-run chunk whose pending count never reaches zero: the panic is
+// re-raised on a goroutine nobody can recover on, and this one parks in
+// waitIdle until it lands.
 func (rt *Runtime) help() {
 	defer func() {
 		if p := recover(); p != nil {
