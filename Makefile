@@ -63,13 +63,14 @@ runpatterns:
 # and concurrent-submitter tests, the serving pump's wake-token (the new
 # token test included: `Wake` lists it), early-wave and pacer tests, the
 # per-request resolution tests (body-end Done, release and resubmit mid-wave,
-# Totals snapshots under load; CI's race job repeats these three), and the
+# Totals snapshots under load) and the server's autoscale test, whose
+# surgery runs inside the wave (CI's race job repeats these four), and the
 # shard lifecycle's table, drain, rejoin and autoscale tests: their failures
 # are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
-	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot' ./sig/serve
+	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|AutoScale' ./sig/serve
 	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Autoscal' ./sig/shard
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
@@ -118,8 +119,8 @@ fuzz:
 fuzz-serve fuzz-shard fuzz-chaos:
 	@$(MAKE) --no-print-directory fuzz FUZZ_TARGETS='$(filter ./sig/$(@:fuzz-%=%):%,$(FUZZ_TARGETS))'
 
-# Fault-injection and fleet-surgery suites under the race detector: the
-# wedge injector, elastic router surgery and the rolling-replace/autoscale
+# Fleet-surgery suites under the race detector: seeded surgery plans, a
+# stalled shard, elastic router surgery and the rolling-replace/autoscale
 # acceptance gates.
 chaos:
 	$(GO) test -race -shuffle=on ./sig/chaos ./sig/shard ./sig/serve -count=1

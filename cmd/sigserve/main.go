@@ -225,7 +225,7 @@ type workReply struct {
 // replies when its ticket resolves; /stats, /metrics, /healthz and /readyz
 // report.
 func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.Duration) *front {
-	shards := srv.Fleet().Live()
+	shards := srv.LiveShards()
 	var seq atomic.Int64
 	mux := http.NewServeMux()
 	f := &front{ServeMux: mux}
@@ -298,7 +298,7 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 		writeJSON(w, map[string]any{
 			"backend":            backend.Name,
 			"shards":             shards,
-			"live_shards":        srv.Fleet().Live(),
+			"live_shards":        srv.LiveShards(),
 			"ratio":              srv.Ratio(),
 			"load":               srv.Load(),
 			"budget":             srv.Budget(),
@@ -331,7 +331,7 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 	})
 	// Readiness: a /work sent now would be admitted and routed.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if f.draining.Load() || srv.Fleet().Live() == 0 {
+		if f.draining.Load() || srv.LiveShards() == 0 {
 			http.Error(w, "not admitting", http.StatusServiceUnavailable)
 			return
 		}

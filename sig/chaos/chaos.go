@@ -1,16 +1,11 @@
-// Package chaos provides seeded, replayable fault injection for the
+// Package chaos provides seeded, replayable fleet surgery for the
 // significance-aware fleet: every scenario it produces is a deterministic
 // function of its seed, so a chaos test is a regression test, not a flake.
 //
-// It attacks the two seams the fleet promises to survive:
-//
-//   - The worker seam: Injector wraps task bodies so that a deterministic
-//     subset of tasks wedges on a Gate, holding a shard's workers hostage.
-//   - The fleet seam: Schedule derives a replayable surgery plan — drain,
-//     rejoin — that Apply executes against a shard.Router at wave
-//     boundaries. Refused operations (last live shard, fleet at capacity,
-//     slot still draining) are skipped: the router's guardrails are part of
-//     the contract under test.
+// Schedule derives a replayable surgery plan — drain, rejoin — that Apply
+// executes against a shard.Router at wave boundaries. Refused operations
+// (last live shard, fleet at capacity, slot still draining) are skipped: the
+// router's guardrails are part of the contract under test.
 //
 // The package's own test suite carries the fleet's headline proof: the
 // rolling-replace chaos test drains and rejoins every shard in sequence
@@ -22,95 +17,9 @@ package chaos
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
-	"repro/sig"
 	"repro/sig/shard"
 )
-
-// Gate is a reusable barrier task bodies can wedge on: Wait blocks until
-// Open, which is idempotent and releases every past and future waiter.
-type Gate struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-// NewGate returns a closed gate.
-func NewGate() *Gate { return &Gate{ch: make(chan struct{})} }
-
-// Wait blocks until the gate opens.
-func (g *Gate) Wait() { <-g.ch }
-
-// Open releases every waiter; safe to call more than once.
-func (g *Gate) Open() { g.once.Do(func() { close(g.ch) }) }
-
-// Config selects which tasks an Injector wedges. The fault is assigned by
-// arithmetic on the wrapped-task index (offset by the seed), so a given seed
-// and submission order always faults the same tasks.
-type Config struct {
-	// WedgeEvery wedges every n-th wrapped task on the injector's Gate
-	// until Open is called (0 = never). A wedged task holds its worker —
-	// the "sick shard" primitive.
-	WedgeEvery int
-}
-
-// Injector plants deterministic faults into task bodies. Create one with
-// NewInjector, route specs through Wrap, and count the damage afterwards.
-type Injector struct {
-	cfg   Config
-	phase int64
-	gate  *Gate
-
-	n      atomic.Int64
-	wedged atomic.Int64
-}
-
-// NewInjector builds an injector whose fault pattern is a pure function of
-// seed and wrap order.
-func NewInjector(seed int64, cfg Config) *Injector {
-	// The seed phases the index arithmetic, so different seeds fault
-	// different task positions with the same densities.
-	phase := seed % 1_000_003
-	if phase < 0 {
-		phase = -phase
-	}
-	return &Injector{cfg: cfg, phase: phase, gate: NewGate()}
-}
-
-// Gate returns the gate wedged tasks block on.
-func (in *Injector) Gate() *Gate { return in.gate }
-
-// Open releases every wedged task.
-func (in *Injector) Open() { in.gate.Open() }
-
-// Wedged counts wedges actually executed (not merely planted: a wrapped body
-// that never runs — dropped by policy — fires no fault).
-func (in *Injector) Wedged() int64 { return in.wedged.Load() }
-
-// Wrap assigns the next task index its fault (if any) and returns the spec
-// with both bodies wrapped. Whichever body the policy picks — accurate or
-// approximate — executes the same planted wedge, so placement and policy
-// decisions cannot dodge the chaos.
-func (in *Injector) Wrap(spec sig.TaskSpec) sig.TaskSpec {
-	idx := in.phase + in.n.Add(1) - 1
-	if in.cfg.WedgeEvery <= 0 || idx%int64(in.cfg.WedgeEvery) != 0 {
-		return spec
-	}
-	spec.Fn = in.wedge(spec.Fn)
-	if spec.Approx != nil {
-		spec.Approx = in.wedge(spec.Approx)
-	}
-	return spec
-}
-
-func (in *Injector) wedge(body func()) func() {
-	return func() {
-		in.wedged.Add(1)
-		in.gate.Wait()
-		body()
-	}
-}
 
 // OpKind is one fleet-surgery operation kind.
 type OpKind int

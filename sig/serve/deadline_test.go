@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,11 +156,17 @@ func TestServeAutoScale(t *testing.T) {
 		}
 	})
 	defer s.Close()
-	if s.Fleet() == nil {
-		t.Fatal("sharded server has no fleet accessor")
-	}
-	if got := s.Fleet().Shards(); got != 4 {
+	if got := s.fleet.Shards(); got != 4 {
 		t.Fatalf("slot capacity %d, want MaxShards 4", got)
+	}
+	// The autoscaler's surgery runs inside RunWave, after the taskwait: every
+	// slab the wave submitted is back in the pool by the time it returns.
+	runWave := func() WaveReport {
+		rep := s.RunWave()
+		if n := len(s.slabs); n != 0 {
+			t.Fatalf("wave %d ended with %d slabs still listed, want 0", rep.Wave, n)
+		}
+		return rep
 	}
 
 	var served [3]atomic.Int64
@@ -172,7 +179,7 @@ func TestServeAutoScale(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rep := s.RunWave()
+		rep := runWave()
 		if rep.LiveShards > maxLive {
 			maxLive = rep.LiveShards
 		}
@@ -192,7 +199,7 @@ func TestServeAutoScale(t *testing.T) {
 	// Idle waves: the scaler shrinks back to MinShards.
 	last := 0
 	for w := 0; w < 40 && last != 1; w++ {
-		last = s.RunWave().LiveShards
+		last = runWave().LiveShards
 	}
 	if last != 1 {
 		t.Fatalf("idle fleet still at %d shards, want MinShards 1", last)
@@ -204,10 +211,15 @@ func TestServeAutoScale(t *testing.T) {
 		t.Fatalf("budget %v after shrink, want per-shard %v", budget, perShard)
 	}
 
-	// Conservation across all the scaling: every admitted request resolved.
+	// Conservation across all the scaling: every admitted request resolved,
+	// and the waves' joules add up to the fleet's, retired shards included,
+	// up to float-summation order.
 	tot := s.Totals()
 	if tot.Completed != tot.Submitted-tot.Rejected {
 		t.Fatalf("conservation: %+v", tot)
+	}
+	if e := s.Energy().Joules; math.Abs(tot.Joules-e) > 1e-9*math.Abs(e) {
+		t.Fatalf("Totals().Joules %v, fleet Energy().Joules %v: a wave's tasks went uncounted", tot.Joules, e)
 	}
 }
 
@@ -223,7 +235,7 @@ func TestServeAutoScaleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Fleet().Shards(); got != 4 {
+	if got := s.fleet.Shards(); got != 4 {
 		t.Fatalf("default slot capacity %d, want 2×Shards", got)
 	}
 	s.Close()

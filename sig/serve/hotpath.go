@@ -266,22 +266,13 @@ type slabSlot struct {
 // prebuilt TaskSpecs whose closures capture their slot by pointer. Filling
 // slot i costs one ticket store and the spec's five per-request fields — no
 // closure or spec construction. srv is the server the slab is staged on
-// (slabs are pooled package-wide), which the closures resolve through, and
-// parts are the fleet's physical groups its specs went to: the slab is done
-// once each of them has retired everything it was handed.
+// (slabs are pooled package-wide), which the closures resolve through. A
+// slab lives one wave: its wave's end recycles it.
 type waveSlab struct {
 	n     int
 	srv   *Server
-	parts []*sig.Group
 	slots [serveSlabSize]slabSlot
 	specs [serveSlabSize]sig.TaskSpec
-}
-
-// partMark is one fleet slot as submitSlab found it before a submit: the
-// physical group the slot held and how many tasks that group had been handed.
-type partMark struct {
-	p   *sig.Group
-	sub int64
 }
 
 // newWaveSlab prebuilds both closures of every slot once: they are paid
@@ -347,104 +338,43 @@ func (s *Server) stage(tk *Ticket) {
 }
 
 // submitSlab hands the open slab's filled specs to the fleet and lists the
-// slab until endSlabs recycles it. The server is its group's only submitter,
-// always under waveMu, so a fleet slot whose group was handed more tasks
-// across the submit holds some of the slab's; a slot that changed
-// incarnation meanwhile (AddShard) may, in either one.
+// slab for its wave's end.
 //
 //siglint:noalloc
 func (s *Server) submitSlab() {
 	sl := s.cur
 	s.cur = nil
-	for i := range s.marks {
-		s.marks[i].p = s.grp.Part(i) //siglint:allocok crosses into sig/shard: one atomic pointer load
-		s.marks[i].sub = submitted(s.marks[i].p)
-	}
 	s.fleet.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig/shard, where siglint cannot follow; TestServeSubmitAllocs holds the path to 0 allocs
-	for i := range s.marks {
-		m := &s.marks[i]
-		p := s.grp.Part(i) //siglint:allocok crosses into sig/shard: one atomic pointer load
-		if p != m.p && m.p != nil {
-			sl.parts = append(sl.parts, m.p) //siglint:allocok amortized growth of the pooled slab's part list
-		}
-		if p != nil && (p != m.p || submitted(p) != m.sub) {
-			sl.parts = append(sl.parts, p) //siglint:allocok amortized growth of the pooled slab's part list
-		}
-		m.p = nil
-	}
-	s.slabs = append(s.slabs, sl) //siglint:allocok amortized growth of the reused slab list
+	s.slabs = append(s.slabs, sl)               //siglint:allocok amortized growth of the reused slab list
 }
 
-// endSlabs is the slab stream's wave end; the wave's own slabs are
-// s.slabs[from:]. It reports the wave from the outcomes its bodies left in
-// their slots. A slab is done once every fleet part it went to has retired
-// all it was handed: then no closure of it can still run, so each slot no
-// body ran for is the policy's drop, resolved here, and the slab returns to
-// the pool. A slab whose parts have not all caught up stays listed until a
-// later wave end finds them caught up: its own wave's report counts only the
-// bodies that returned by then, and its stragglers are counted in Totals
-// alone.
+// endSlabs is the slab stream's wave end. It reports the wave from the
+// outcomes its bodies left in their slots, resolves each slot no body ran
+// for as the policy's drop, and returns every slab to the pool. The server
+// is the only code that operates on its fleet, and it does so under waveMu
+// once WaitPhase has waited out every part the wave's slabs went to: by now
+// no closure of them can still run.
 //
 //siglint:noalloc
-func (s *Server) endSlabs(rep *WaveReport, from int, wave, nowNs int64) {
-	kept := s.slabs[:0]
-	for i, sl := range s.slabs {
-		done := retired(sl.parts)
+func (s *Server) endSlabs(rep *WaveReport, wave, nowNs int64) {
+	for _, sl := range s.slabs {
 		for j := range sl.n {
 			slot := &sl.slots[j]
-			o := Outcome(slot.outcome.Load())
-			switch {
-			case i < from:
-			case o == OutcomeAccurate:
+			switch Outcome(slot.outcome.Load()) {
+			case OutcomeAccurate:
 				rep.Accurate++
-			case o == OutcomeDegraded:
+			case OutcomeDegraded:
 				rep.Degraded++
-			case done:
+			default:
 				rep.Dropped++
+				s.resolve(slot.tk, OutcomeDropped, wave, nowNs)
 			}
-			if done {
-				if o == OutcomeDropped {
-					s.resolve(slot.tk, OutcomeDropped, wave, nowNs)
-				}
-				slot.tk = nil
-				slot.outcome.Store(int32(OutcomeDropped))
-			}
+			slot.tk = nil
+			slot.outcome.Store(int32(OutcomeDropped))
 		}
-		if !done {
-			kept = append(kept, sl) //siglint:allocok compacts in place: kept never outgrows s.slabs
-			continue
-		}
-		clear(sl.parts)
-		sl.n, sl.srv, sl.parts = 0, nil, sl.parts[:0]
+		sl.n, sl.srv = 0, nil
 		slabPool.Put(sl)
 	}
-	clear(s.slabs[len(kept):])
-	s.slabs = kept
-}
-
-// retired reports whether every one of parts has retired — run the body of,
-// or dropped — every task it was handed. sig counts a task only once its
-// body has returned, so no closure submitted to such a part can still run.
-// Called under waveMu, where nothing new is handed to them.
-//
-//siglint:noalloc
-func retired(parts []*sig.Group) bool {
-	for _, p := range parts {
-		sub, a, ap, d := p.Counts() //siglint:allocok crosses into sig: four atomic loads
-		if a+ap+d != sub {
-			return false
-		}
-	}
-	return true
-}
-
-// submitted is how many tasks part p (nil: an empty fleet slot) was handed.
-//
-//siglint:noalloc
-func submitted(p *sig.Group) int64 {
-	if p == nil {
-		return 0
-	}
-	sub, _, _, _ := p.Counts() //siglint:allocok crosses into sig: four atomic loads
-	return sub
+	clear(s.slabs)
+	s.slabs = s.slabs[:0]
 }

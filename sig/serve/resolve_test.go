@@ -14,7 +14,8 @@ import (
 // The per-request resolution contract: a request that runs a body resolves
 // when that body returns, not when its wave's taskwait does; the wave end
 // resolves only what no body ran for, reads no ticket a body resolved, and
-// keeps the slab stream's slots until every task staged on them has retired.
+// recycles the slab stream's slots only once the taskwait has waited out
+// every task staged on them.
 
 // TestServeDoneAtBodyEnd: of two requests in one wave, the body that starts
 // second waits (bounded) for the other's Done. Whether the two run side by

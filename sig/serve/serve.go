@@ -27,6 +27,12 @@
 // one place, the pacer (pacer.go); the wave budget has one rule, rebudget:
 // the pacer's per-shard price × live shards, once per wave.
 //
+// The server is the only code that operates on its fleet: callers read
+// LiveShards, and the autoscaler (Config.AutoScale) is the one surgeon, run
+// under the wave lock after the taskwait. So, as after the paper's taskwait,
+// a wave's task storage is free the moment the wave ends: every slab it
+// submitted returns to the pool then.
+//
 // With declared costs, the deterministic policy every wave runs under (GTB
 // max buffering), a deterministic arrival order and a FakeClock behind the
 // seam, the whole closed loop — ratio trajectory, per-request outcomes,
@@ -380,7 +386,7 @@ type Server struct {
 	// fleet executes the waves and grp is the serving group on it — the one
 	// engine, whatever the shard count; runWave hands the controller each
 	// merged wave WaitPhase returns. scaler, when configured, elasticizes the
-	// fleet.
+	// fleet: it is the only code that operates on it.
 	fleet  *shard.Router
 	grp    *shard.Group
 	scaler *shard.Autoscaler
@@ -406,14 +412,12 @@ type Server struct {
 	lastLoad  float64
 
 	// Per-wave hot-path state, touched only under waveMu (see hotpath.go):
-	// admit's reused batch buffer, the slab the wave is filling, the
-	// submitted slabs endSlabs has not yet recycled, and submitSlab's
-	// per-fleet-slot scratch.
+	// admit's reused batch buffer, the slab the wave is filling, and the
+	// slabs the wave submitted, which its end recycles — empty between waves.
 	wavePending []*Ticket
 	waveExpired []*Ticket // deadline-expired requests skimmed by admit
 	cur         *waveSlab
 	slabs       []*waveSlab
-	marks       []partMark
 
 	// closeDone is closed (after closeErr is set) once the winning Close
 	// finished draining and retired the fleet; losing concurrent Close
@@ -525,7 +529,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.grp = s.fleet.Group(groupName, 1.0) // start at full quality
-	s.marks = make([]partMark, slots)
 	if cfg.AutoScale != nil {
 		ac := *cfg.AutoScale
 		ac.MaxShards = slots
@@ -644,11 +647,10 @@ func (s *Server) MeasuredPeriod() time.Duration {
 // [MinPeriod, MaxPeriod].
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
-// Fleet returns the shard router that executes the server's waves (never
-// nil; one shard unless Config.Shards asked for more), for fleet
-// introspection and surgery — the live count, per-shard stats, DrainShard and
-// AddShard.
-func (s *Server) Fleet() *shard.Router { return s.fleet }
+// LiveShards returns the live shard count of the fleet that executes the
+// server's waves: Config.Shards (or 1) until the autoscaler, the only code
+// that operates on a serving fleet, grows or shrinks it.
+func (s *Server) LiveShards() int { return s.fleet.Live() }
 
 // reqCosts returns the request's declared cost sums, substituting the
 // pacing default for undeclared accurate costs. Requests without a Degraded
@@ -939,7 +941,6 @@ func (s *Server) runWave(early bool) WaveReport {
 	// slab submits the moment it fills, the partial one here (see
 	// hotpath.go). From the first submit on, a body may resolve its ticket,
 	// so nothing below reads the batch.
-	from := len(s.slabs)
 	for i, tk := range batch {
 		if tk.lane == lanePriority {
 			rep.PriorityAdmitted++
@@ -976,7 +977,7 @@ func (s *Server) runWave(early bool) WaveReport {
 	s.waveExpired = s.waveExpired[:0]
 	// Every body of the wave resolved its own request as it returned; the
 	// slots say which, and the rest are the policy's drops.
-	s.endSlabs(&rep, from, wave, nowNs)
+	s.endSlabs(&rep, wave, nowNs)
 
 	if s.scaler != nil {
 		// The scaler sees the same load signal the admission controller
@@ -1000,10 +1001,10 @@ func (s *Server) runWave(early bool) WaveReport {
 
 // rebudget is the one budget rule, reached once per wave after settle's
 // retime: the pacer's per-shard price, on the cadence the next wave fires
-// at, × the live shards. Capacity follows the fleet, however it changed:
-// autoscaler actions AND surgery through Fleet() shrink or grow the live
-// count, and the wave budget — admit's cut-off and the load signal's
-// denominator — must track it either way. Caller holds s.mu.
+// at, × the live shards. Capacity follows the fleet: when the autoscaler
+// grows or shrinks the live count, the wave budget — admit's cut-off and the
+// load signal's denominator — tracks it from the next wave on. Caller holds
+// s.mu.
 func (s *Server) rebudget(live int) float64 {
 	s.budget = s.pace.perShard() * float64(live)
 	return s.budget
@@ -1056,24 +1057,14 @@ func (s *Server) Close() error {
 	// Each RunWave below serializes behind any in-flight wave; once the
 	// queue is empty (no new Submit can refill it past the closed flag),
 	// the fleet can be retired under the same lock, so no wave can ever
-	// find it half-closed.
+	// find it half-closed. Every wave recycled its own slabs at its end, so
+	// no request is left on one.
 	for s.Depth() > 0 {
 		s.RunWave()
 	}
 	s.waveMu.Lock()
 	s.stopped = true
 	err := s.fleet.Close()
-	// The fleet's Close retires every task — all but a shard a DrainShard
-	// through Fleet() was already closing, whose Close the fleet's returns
-	// without waiting for. Once every listed slab's parts caught up, a
-	// request still on one was dropped.
-	for {
-		s.endSlabs(&WaveReport{}, len(s.slabs), s.wave.Load(), s.clock.Now().UnixNano())
-		if len(s.slabs) == 0 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
 	s.waveMu.Unlock()
 	s.closeErr = err
 	close(s.closeDone)

@@ -11,9 +11,10 @@ import (
 )
 
 // TestServeBudgetTracksHealthDrain is the capacity-accounting regression
-// test: when fleet surgery the server did not order drains a shard (no
-// autoscaler configured), the wave budget — the load signal's denominator —
-// must shrink to the surviving fleet. Before the fix the budget was rebuilt
+// test: when a shard is drained between waves with no autoscaler configured
+// (only this package's own code can reach the fleet to do so), the wave
+// budget — the load signal's denominator — must shrink to the surviving
+// fleet. Before the fix the budget was rebuilt
 // only under an autoscaler, so such a drain left capacity overstated and the
 // controller admitting against shards that no longer exist.
 func TestServeBudgetTracksHealthDrain(t *testing.T) {
@@ -33,7 +34,7 @@ func TestServeBudgetTracksHealthDrain(t *testing.T) {
 
 	// Drain shard 1 between waves: the next wave's report must price
 	// capacity from the two survivors.
-	if err := s.Fleet().DrainShard(1); err != nil {
+	if err := s.fleet.DrainShard(1); err != nil {
 		t.Fatal(err)
 	}
 	rep := s.RunWave()
