@@ -26,7 +26,10 @@ vet:
 # of the product code (cmd/siglint/mutants_test.go). Last, the goldens'
 # must-fail mutant, CI's step of that name: TestStudyGoldens must fail with
 # the pacer's perShard missing its workers factor (applied by -overlay; the
-# tree is never edited), or a study has a budget rule of its own again.
+# tree is never edited), or a study has a budget rule of its own again. And
+# the due-token must-fail mutant, CI's step of that name:
+# TestServeDueArrivalFiresWave must fail under a Submit that never posts the
+# due token (its dueArrival call deleted, by -overlay too).
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint
@@ -40,6 +43,13 @@ lint: vet runpatterns
 	if out=$$($(GO) test -count=1 -overlay "$$tmp/overlay.json" -run TestStudyGoldens ./internal/harness 2>&1); then echo "TestStudyGoldens passed under the perShard mutant" >&2; exit 1; fi; \
 	echo "$$out" | grep -q -- '--- FAIL: TestStudyGoldens/' || { echo "$$out" >&2; exit 1; }; \
 	echo "TestStudyGoldens fails under the perShard mutant, as it must"
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	sed '/s\.pace\.dueArrival(now)/d' sig/serve/serve.go > "$$tmp/serve.go"; \
+	if cmp -s sig/serve/serve.go "$$tmp/serve.go"; then echo "mutant: Submit's dueArrival call not found in sig/serve/serve.go" >&2; exit 1; fi; \
+	printf '{"Replace":{"%s":"%s"}}' "$$(pwd)/sig/serve/serve.go" "$$tmp/serve.go" > "$$tmp/overlay.json"; \
+	if out=$$($(GO) test -count=1 -overlay "$$tmp/overlay.json" -run TestServeDueArrivalFiresWave ./sig/serve 2>&1); then echo "TestServeDueArrivalFiresWave passed under the due-token mutant" >&2; exit 1; fi; \
+	echo "$$out" | grep -q -- '--- FAIL: TestServeDueArrivalFiresWave' || { echo "$$out" >&2; exit 1; }; \
+	echo "TestServeDueArrivalFiresWave fails under the due-token mutant, as it must"
 
 # Every alternative of every -run pattern in this Makefile and in CI must
 # list at least one test (go test -list): a deleted or renamed test must not
@@ -61,7 +71,8 @@ runpatterns:
 
 # The lines after the first repeat the ring, backpressure, helping-taskwait
 # and concurrent-submitter tests, the serving pump's wake-token (the new
-# token test included: `Wake` lists it), early-wave and pacer tests, the
+# token test included: `Wake` lists it), due-arrival, early-wave and pacer
+# tests, the
 # per-request resolution tests (body-end Done, release and resubmit mid-wave,
 # Totals snapshots under load) and the server's autoscale test, whose
 # surgery runs inside the wave (CI's race job repeats these four), and the
@@ -70,7 +81,7 @@ runpatterns:
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
-	$(GO) test -race -count=20 -run 'Wake|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|AutoScale' ./sig/serve
+	$(GO) test -race -count=20 -run 'Wake|Due|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|AutoScale' ./sig/serve
 	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Autoscal' ./sig/shard
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output

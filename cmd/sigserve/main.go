@@ -32,8 +32,10 @@
 // -max-period] (defaults P/4 and 8×P). Waves that outrun the cadence are
 // counted, never dropped — /stats reports overruns and the measured and
 // paced periods, /metrics the matching gauges. The cadence is the batching
-// window while quality is being shed; at ratio 1.0 a request that finds the
-// server idle fires its wave at once (early_waves in /stats).
+// window while quality is being shed; a request that arrives once its wave
+// is due fires it without waiting for the timer, and at ratio 1.0 a request
+// that finds the server idle fires its wave at once (early_waves in /stats
+// counts the waves that started before they were due).
 //
 // -priority-at S (in (0,1]) enables the priority admission lane: requests
 // with significance >= S (e.g. tier=gold at 1.0) queue in a reserved slice

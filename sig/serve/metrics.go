@@ -41,7 +41,7 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	fmt.Fprintf(w, "sigserve_waves_total %d\n", tot.Waves)
 	mf("sigserve_wave_overruns_total", "counter", "Paced waves whose wall time overran the cadence (counted, never dropped).")
 	fmt.Fprintf(w, "sigserve_wave_overruns_total %d\n", tot.Overruns)
-	mf("sigserve_early_waves_total", "counter", "Waves fired by an arrival at an idle, non-shedding server instead of the cadence timer.")
+	mf("sigserve_early_waves_total", "counter", "Waves that started before they were due: fired by an arrival at an idle, non-shedding server.")
 	fmt.Fprintf(w, "sigserve_early_waves_total %d\n", tot.EarlyWaves)
 	mf("sigserve_joules_total", "counter", "Modeled energy spent, in joules.")
 	fmt.Fprintf(w, "sigserve_joules_total %s\n", fmtFloat(tot.Joules))

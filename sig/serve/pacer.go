@@ -18,18 +18,18 @@ const (
 )
 
 // pacer is everything that decides when a wave fires and what interval it
-// is priced on: the cadence and its [lo, hi] clamp, the measured-period
-// EWMA, the early-wave token and the load carry an early wave needs, the
-// overrun and early counters, and the measured per-shard budget price.
-// Server keeps no pacing state of its own and calls in at three points:
-// Submit's tail (idleArrival), a wave's begin and end with the load
-// signal's carry between them and its settle and perShard after, and the
-// pump loop that fires waves (run).
+// is priced on: the cadence and its [lo, hi] clamp, the due time, the
+// measured-period EWMA, the wake token and the load carry an early wave
+// needs, the overrun and early counters, and the measured per-shard budget
+// price. Server keeps no pacing state of its own and calls in at three
+// points: Submit's tail (idleArrival, dueArrival), a wave's begin and end
+// with the load signal's carry between them and its settle and perShard
+// after, and the pump loop that fires waves (run).
 //
 // begin, end, carry and settle run under Server.waveMu, one wave at a time,
-// so measuredNs and paceNs have a single writer and are stored plainly; they
-// are atomics for their lock-free readers — Submit's RetryAfter pricing,
-// MeasuredPeriod, PacePeriod, the metrics.
+// so measuredNs, paceNs and due have a single writer and are stored plainly;
+// they are atomics for their lock-free readers — Submit's due check and
+// RetryAfter pricing, MeasuredPeriod, PacePeriod, the metrics.
 type pacer struct {
 	lo, hi  int64 // Config.MinPeriod and MaxPeriod, the cadence clamp
 	workers int   // resolved per-shard worker pool, the factor every budget derivation shares
@@ -37,22 +37,32 @@ type pacer struct {
 	measuredNs atomic.Int64 // bounded EWMA of wave wall time; 0 until the first wave measures
 	paceNs     atomic.Int64 // the current cadence
 	overruns   atomic.Int64 // waves that outran the cadence that fired them
-	earlyWaves atomic.Int64 // waves fired by a wake token
+	earlyWaves atomic.Int64 // token waves that started before they were due
 
-	// wake is the 1-slot channel on which an idle arrival tells the pump to
-	// fire its wave now. early marks the wave in flight as one fired that way
-	// and lastEnd is the previous wave's end — together what carry needs to
-	// price a wave that covers less than a period (both guarded by waveMu).
+	// due is when the next wave is due, in WaveClock nanoseconds: the start
+	// of the last wave plus the cadence in force — New's clock reading plus
+	// WavePeriod before the first wave. begin stores it as a wave starts, so
+	// no arrival during the wave finds the wave due unless the wave overruns
+	// its cadence, and settle moves it with the cadence it retimes.
+	due atomic.Int64
+
+	// wake is the 1-slot channel on which an arrival tells the pump to fire
+	// its wave now. early marks the wave in flight as one fired that way
+	// before it was due, and lastEnd is the previous wave's end — together
+	// what carry needs to price a wave that covers less than a period (both
+	// guarded by waveMu).
 	wake    chan struct{}
 	early   bool
 	lastEnd time.Time
 }
 
-// init sets the pacer to the configured cadence; cfg has its defaults
-// resolved and workers is the per-shard pool.
-func (p *pacer) init(cfg *Config, workers int) {
+// init sets the pacer to the configured cadence, with the first wave due
+// one WavePeriod after now; cfg has its defaults resolved and workers is the
+// per-shard pool.
+func (p *pacer) init(cfg *Config, workers int, now time.Time) {
 	p.lo, p.hi, p.workers = int64(cfg.MinPeriod), int64(cfg.MaxPeriod), workers
 	p.paceNs.Store(int64(cfg.WavePeriod))
+	p.due.Store(now.UnixNano() + int64(cfg.WavePeriod))
 	p.wake = make(chan struct{}, 1)
 }
 
@@ -80,16 +90,37 @@ func (p *pacer) perShard() float64 { return float64(p.workers) * float64(p.effec
 // idle spell. The cadence is a batching window, and batching only buys a
 // better significance ranking. At ratio 1.0 nothing is shed, so there is
 // nothing to rank: the arrival wakes the pump instead of waiting the cadence
-// out. The send never blocks — a token already pending (or no pump at all)
-// means the slot is simply left as it is.
+// out.
 //
 //siglint:noalloc
 func (p *pacer) idleArrival(ratio float64) {
 	if ratio >= 1 {
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
+		p.post()
+	}
+}
+
+// dueArrival is Submit's step, under Server.mu, for every request it
+// queues: an arrival whose clock reading is at or past the due time fires
+// the wave it finds due, whatever the ratio, instead of leaving it to the
+// pump's timer, which fires late. The wave it fires starts at or after its
+// due time, so it is a cadence wave: due waves never start closer together
+// than one cadence, and the batching window is what it was.
+//
+//siglint:noalloc
+func (p *pacer) dueArrival(now time.Time) {
+	if now.UnixNano() >= p.due.Load() {
+		p.post()
+	}
+}
+
+// post leaves the wake token for the pump. The send never blocks: a token
+// already pending (or no pump at all) means the slot is left as it is.
+//
+//siglint:noalloc
+func (p *pacer) post() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -107,12 +138,16 @@ func (p *pacer) spend() {
 	}
 }
 
-// begin opens a wave; early marks — and counts — one the pump fired on a
-// token rather than on its timer (see carry).
-func (p *pacer) begin(early bool) {
-	if p.early = early; early {
+// begin opens a wave that starts at start; token says the pump fired it on
+// a wake token. A wave that starts at or after its due time is a cadence
+// wave, whoever fired it; a token wave that starts before it marks — and
+// counts — the wave early (see carry). The next wave is then due one
+// cadence after this one's start.
+func (p *pacer) begin(start time.Time, token bool) {
+	if p.early = token && start.UnixNano() < p.due.Load(); p.early {
 		p.earlyWaves.Add(1)
 	}
+	p.due.Store(start.UnixNano() + p.paceNs.Load())
 }
 
 // carry is the weight the previous load reading keeps in this wave's
@@ -150,9 +185,9 @@ func (p *pacer) end(now time.Time, wall time.Duration) {
 // an overrun when the wave outran the cadence that fired it, moves the
 // cadence toward the measured EWMA, clamped into [lo, hi], with
 // 1/paceHysteresisInv relative hysteresis so measurement jitter doesn't
-// wobble the timer, and returns the delay until the next wave is due — zero
-// after an overrun: the wave ran and the next one follows immediately,
-// never a dropped tick.
+// wobble the timer, moves the due time with the cadence, and returns the
+// delay until the next wave is due — zero after an overrun: the wave ran and
+// the next one follows immediately, never a dropped tick.
 func (p *pacer) settle(wall time.Duration) (overrun bool, delay time.Duration) {
 	cur := p.paceNs.Load()
 	if overrun = int64(wall) > cur; overrun {
@@ -162,6 +197,7 @@ func (p *pacer) settle(wall time.Duration) (overrun bool, delay time.Duration) {
 		target = min(max(target, p.lo), p.hi)
 		if diff := target - cur; diff > cur/paceHysteresisInv || diff < -cur/paceHysteresisInv {
 			p.paceNs.Store(target)
+			p.due.Add(target - cur) // begin stored start + cur
 			cur = target
 		}
 	}
@@ -169,26 +205,27 @@ func (p *pacer) settle(wall time.Duration) (overrun bool, delay time.Duration) {
 }
 
 // run is the pump: it hands wait each delay, the cadence first and then
-// what the last wave returned, and fires wave(early) when wait returns —
-// early on a wake token (tokens posted during a wave make the next one
-// back-to-back, so batches grow with load on their own) — until wait
-// reports !ok. Start's wait is timerWait; a test's can run in fake time.
-func (p *pacer) run(wait func(delay time.Duration) (early, ok bool), wave func(early bool) time.Duration) {
+// what the last wave returned — the delay to the due time, for the fallback
+// timer — and fires wave(token) when wait returns, token when a wake token
+// woke it (tokens posted during a wave make the next one back-to-back, so
+// batches grow with load on their own), until wait reports !ok. Start's wait
+// is timerWait; a test's can run in fake time.
+func (p *pacer) run(wait func(delay time.Duration) (token, ok bool), wave func(token bool) time.Duration) {
 	for delay := p.period(); ; {
-		early, ok := wait(delay)
+		token, ok := wait(delay)
 		if !ok {
 			return
 		}
-		delay = wave(early)
+		delay = wave(token)
 	}
 }
 
 // timerWait is the pump's real-time wait: one timer, re-armed for each
 // delay, raced against the wake token and stop.
-func (p *pacer) timerWait(stop <-chan struct{}) func(time.Duration) (early, ok bool) {
+func (p *pacer) timerWait(stop <-chan struct{}) func(time.Duration) (token, ok bool) {
 	timer := time.NewTimer(p.period())
-	return func(delay time.Duration) (early, ok bool) {
-		timer.Reset(delay) // discards a tick that expired during an early wave
+	return func(delay time.Duration) (token, ok bool) {
+		timer.Reset(delay) // discards a tick that expired during a token wave
 		select {
 		case <-stop:
 			return false, false

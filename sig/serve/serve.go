@@ -368,8 +368,10 @@ type Totals struct {
 	// wave followed immediately — the pacer counts overruns where a fixed
 	// Ticker would silently coalesce the late ticks.
 	Overruns int64
-	// EarlyWaves counts pump waves fired by an arrival at an idle,
-	// non-shedding server instead of by the cadence timer.
+	// EarlyWaves counts pump waves that started before they were due:
+	// fired by an arrival at an idle, non-shedding server instead of by the
+	// cadence. A wave an arrival fires at or past its due time is a cadence
+	// wave and is not counted.
 	EarlyWaves int64
 	Joules     float64
 }
@@ -495,7 +497,7 @@ func New(cfg Config) (*Server, error) {
 	if s.clock == nil {
 		s.clock = wallClock{}
 	}
-	s.pace.init(&cfg, workers)
+	s.pace.init(&cfg, workers, s.clock.Now())
 	s.budget = cfg.WaveBudget
 	s.lanes[laneBulk].limit = cfg.QueueLimit
 	if cfg.PriorityAt > 0 {
@@ -747,10 +749,11 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	if !req.Deadline.IsZero() {
 		s.deadlined++
 	}
+	// Under s.mu, so the admit that pops this request spends the token.
 	if s.depthLocked() == 0 {
-		// Under s.mu, so the admit that pops this request spends the token.
 		s.pace.idleArrival(s.Ratio())
 	}
+	s.pace.dueArrival(now)
 	l.q = append(l.q, tk) //siglint:allocok amortized growth of the retained lane backlog
 	s.mu.Unlock()
 	return tk, nil
@@ -923,16 +926,16 @@ func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([
 func (s *Server) RunWave() WaveReport { return s.runWave(false) }
 
 // runWave is the one wave body: RunWave's, and the pump's step, which alone
-// may be early — fired by an arrival's wake token rather than by the
-// cadence timer.
-func (s *Server) runWave(early bool) WaveReport {
+// may be fired by an arrival's wake token rather than by the cadence timer
+// (token) — and so, if it starts before it is due, be early.
+func (s *Server) runWave(token bool) WaveReport {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
 		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio(), Next: s.pace.period()}
 	}
-	s.pace.begin(early)
 	start := s.clock.Now()
+	s.pace.begin(start, token)
 	ratio := s.Ratio()
 	batch := s.admit(start, ratio)
 
@@ -1010,9 +1013,11 @@ func (s *Server) rebudget(live int) float64 {
 	return s.budget
 }
 
-// Start launches the pump (pacer.run): a wave whenever the cadence timer
-// fires — or, while nothing is being shed, the moment a request arrives at
-// an idle server — the cadence retimed wave by wave to the measured period.
+// Start launches the pump (pacer.run): a wave whenever one is due — on the
+// first arrival that finds it due, or on the cadence timer, the fallback
+// when none does — or, while nothing is being shed, the moment a request
+// arrives at an idle server; the cadence retimed wave by wave to the
+// measured period.
 // A wave that overruns its cadence is followed immediately by the next one
 // and counted in Totals.Overruns — where the old fixed Ticker silently
 // coalesced the late ticks, making the wave count diverge from
@@ -1027,7 +1032,7 @@ func (s *Server) Start() {
 	s.pumpDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		s.pace.run(s.pace.timerWait(stop), func(early bool) time.Duration { return s.runWave(early).Next })
+		s.pace.run(s.pace.timerWait(stop), func(token bool) time.Duration { return s.runWave(token).Next })
 	}(s.pumpStop, s.pumpDone)
 }
 

@@ -92,20 +92,20 @@ func TestServeWaveSpendsWakeToken(t *testing.T) {
 	}
 }
 
-// TestServeSheddingKeepsCadence: while the ratio is below 1.0 the cadence is
-// the batching window that ranks significance, so an arrival into a
-// momentarily empty queue posts no token and waits for the timer.
-func TestServeSheddingKeepsCadence(t *testing.T) {
+// sheddingPump is slowPump after a sustained overload through explicit
+// waves, drained so the queue is momentarily empty: the ratio is below 1.0,
+// the cadence is at its 250 ms floor, and the next wave is due one cadence
+// after the last drain wave started. It returns the index of the next
+// request.
+func sheddingPump(t *testing.T, served *[3]atomic.Int64) (*Server, int) {
 	s := slowPump(t)
-	// Sustained overload through explicit waves until the controller sheds,
-	// then drain the backlog so the queue is momentarily empty. The first
-	// wave retimes the cadence to its 250 ms floor, 5e8 cost units over two
-	// workers: costs 1250x request's keep newTestServer's 2.4x overload.
-	var served [3]atomic.Int64
+	// The first wave retimes the cadence to its 250 ms floor, 5e8 cost units
+	// over two workers: costs 1250x request's keep newTestServer's 2.4x
+	// overload.
 	seq := 0
 	for w := 0; w < 6; w++ {
 		for i := 0; i < 32; i++ {
-			req := request(seq, &served)
+			req := request(seq, served)
 			req.CostAccurate, req.CostDegraded = 1250*costAcc, 1250*costDeg
 			if _, err := s.Submit(req); err != nil {
 				t.Fatal(err)
@@ -120,6 +120,16 @@ func TestServeSheddingKeepsCadence(t *testing.T) {
 	if r := s.Ratio(); r >= 1 {
 		t.Fatalf("ratio %v after the overload; the test needs a shedding server", r)
 	}
+	return s, seq
+}
+
+// TestServeSheddingKeepsCadence: while the ratio is below 1.0 the cadence is
+// the batching window that ranks significance, so an arrival into a
+// momentarily empty queue before the wave is due posts no token and waits
+// for the wave to come due.
+func TestServeSheddingKeepsCadence(t *testing.T) {
+	var served [3]atomic.Int64
+	s, seq := sheddingPump(t, &served)
 	s.Start()
 	tk, err := s.Submit(request(seq, &served))
 	if err != nil {
@@ -127,11 +137,11 @@ func TestServeSheddingKeepsCadence(t *testing.T) {
 	}
 	select {
 	case <-tk.Done():
-		t.Fatal("a wave fired ahead of the cadence while the server was shedding")
+		t.Fatal("a wave fired before it was due while the server was shedding")
 	case <-time.After(50 * time.Millisecond):
 	}
 	if tot := s.Totals(); tot.EarlyWaves != 0 || len(s.pace.wake) != 0 {
-		t.Fatalf("EarlyWaves=%d pending tokens=%d, want none while ratio < 1", tot.EarlyWaves, len(s.pace.wake))
+		t.Fatalf("EarlyWaves=%d pending tokens=%d, want no token before the wave is due", tot.EarlyWaves, len(s.pace.wake))
 	}
 	if err := s.Close(); err != nil { // the drain serves what the cadence had not reached
 		t.Fatal(err)
@@ -140,6 +150,33 @@ func TestServeSheddingKeepsCadence(t *testing.T) {
 	case <-tk.Done():
 	default:
 		t.Fatal("Close's drain left the queued request unresolved")
+	}
+}
+
+// TestServeDueArrivalFiresWave: an arrival that finds its wave due fires it,
+// whatever the ratio, instead of waiting out the pump's timer. The shedding
+// server's next wave is due 250 ms after its last drain wave; once that has
+// passed, Start arms the fallback timer a full cadence out, and an arrival
+// must resolve long before it fires. Its wave starts past its due time, so
+// it is a cadence wave, not an early one.
+func TestServeDueArrivalFiresWave(t *testing.T) {
+	var served [3]atomic.Int64
+	s, seq := sheddingPump(t, &served)
+	defer s.Close()
+	time.Sleep(time.Until(time.Unix(0, s.pace.due.Load())))
+	s.Start()
+	tk, err := s.Submit(request(seq, &served))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tk.Done():
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("an arrival past the due time still queued after 50ms of a 250ms fallback timer: it did not fire its wave")
+	}
+	// The wave counted itself as it began, before it admitted the request.
+	if n := s.Totals().EarlyWaves; n != 0 {
+		t.Fatalf("EarlyWaves=%d, want 0: a wave fired at its due time is a cadence wave", n)
 	}
 }
 
@@ -205,26 +242,34 @@ func TestServeStepOverloadShedsWithinBound(t *testing.T) {
 	}
 }
 
+// pumpRun is what simulatePump reads over the waves it measures, after a
+// warm-up that lets the cadence settle.
+type pumpRun struct {
+	load    float64 // mean Load()
+	early   int     // waves counted in Totals.EarlyWaves
+	tokens  int     // waves a wake token fired
+	short   int     // waves that started less than a cadence after the one before
+	resized int     // waves, warm-up included, whose live shard count changed
+}
+
 // simulatePump runs Start's pump loop (pacer.run) in fake time over evenly
 // spaced arrivals (one every gap, built by mk). Its wait stands in for the
-// timer: it submits each arrival due before the delay runs out, then
-// advances the clock to the timer — or returns early on a wake token when
-// wake is set (the pump without it is the timer alone). It returns the mean
-// Load() over `waves` waves, after a warm-up that lets the cadence settle,
-// and how many waves, warm-up included, ended with a live shard count other
-// than the previous wave's.
-func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk func() Request, wake bool, waves int) (load float64, resized int) {
+// timer, which fires late after the delay it is armed with: it submits each
+// arrival due before the timer fires, then advances the clock to the timer
+// — or, when wake is set, returns on any token, an idle arrival's or a due
+// one's (the pump without it is the timer alone).
+func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk func() Request, wake bool, late time.Duration, waves int) (run pumpRun) {
 	t.Helper()
 	const warmup = 50
 	epoch := fc.Now()
 	arrivals, n := 0, 0
 	live := s.fleet.Live()
-	var sum float64
-	wait := func(delay time.Duration) (early, ok bool) {
+	var prevStart time.Time
+	wait := func(delay time.Duration) (token, ok bool) {
 		if n == warmup+waves {
 			return false, false
 		}
-		timerAt := fc.Now().Add(delay)
+		timerAt := fc.Now().Add(delay + late)
 		for {
 			select {
 			case <-s.pace.wake:
@@ -245,18 +290,28 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 			arrivals++
 		}
 	}
-	s.pace.run(wait, func(early bool) time.Duration {
-		rep := s.runWave(early)
+	s.pace.run(wait, func(token bool) time.Duration {
+		start, cadence, early := fc.Now(), s.PacePeriod(), s.pace.earlyWaves.Load()
+		rep := s.runWave(token)
 		if rep.LiveShards != live {
 			live = rep.LiveShards
-			resized++
+			run.resized++
 		}
 		if n++; n > warmup {
-			sum += s.Load()
+			run.load += s.Load()
+			run.early += int(s.pace.earlyWaves.Load() - early)
+			if token {
+				run.tokens++
+			}
+			if start.Sub(prevStart) < cadence {
+				run.short++
+			}
 		}
+		prevStart = start
 		return rep.Next
 	})
-	return sum / float64(waves), resized
+	run.load /= float64(waves)
+	return run
 }
 
 // TestServeLoadSignalHonest: the load signal must mean the same thing —
@@ -276,7 +331,7 @@ func TestServeLoadSignalHonest(t *testing.T) {
 			// MinRatio 1 pins the ratio, so every sample is priced alike and
 			// the idle-arrival condition holds throughout.
 			s, fc := newPaceServer(t, func(c *Config) { c.MinRatio = 1 })
-			got[i], _ = simulatePump(t, s, fc, gap, func() Request { return paceRequest(fc, cost) }, wake, 200)
+			got[i] = simulatePump(t, s, fc, gap, func() Request { return paceRequest(fc, cost) }, wake, 0, 200).load
 			early := s.Totals().EarlyWaves
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -313,14 +368,61 @@ func TestServeEarlyWavesDoNotScaleDown(t *testing.T) {
 		r.Handler = func() { fc.Advance(cost / 2) } // two workers share the wall
 		return r
 	}
-	load, resized := simulatePump(t, s, fc, gap, mk, true, 200)
-	if math.Abs(load-0.6) > 0.06 {
-		t.Errorf("mean Load() %.3f at 60%% of the fleet's capacity", load)
+	run := simulatePump(t, s, fc, gap, mk, true, 0, 200)
+	if math.Abs(run.load-0.6) > 0.06 {
+		t.Errorf("mean Load() %.3f at 60%% of the fleet's capacity", run.load)
 	}
-	if resized != 0 {
-		t.Fatalf("steady 60%% load resized the fleet on %d waves", resized)
+	if run.resized != 0 {
+		t.Fatalf("steady 60%% load resized the fleet on %d waves", run.resized)
 	}
 	if s.Totals().EarlyWaves == 0 {
 		t.Fatal("no early wave fired; the test exercised the cadence only")
+	}
+}
+
+// TestServeDueWavesKeepCadence: at ratio < 1 no idle arrival fires a wave,
+// so every token is a due one. In fake time, under a timer that fires half a
+// cadence late, the arrivals that find their wave due must fire the waves —
+// never two less than a cadence apart, none counted early — and the load
+// signal must read what a pump with an on-time timer reads, to within a
+// tenth — which the late timer alone does not. One worker, one request every 25 µs costing 60 % of that, a degraded
+// body as dear as the accurate one: the load cannot fall under the 0.5 cap,
+// so the ratio sits at its 0.5 floor.
+func TestServeDueWavesKeepCadence(t *testing.T) {
+	const (
+		gap  = 25 * time.Microsecond
+		cost = 15 * time.Microsecond
+	)
+	pump := func(wake bool, late time.Duration) pumpRun {
+		s, fc := newPaceServer(t, func(c *Config) { c.TargetLoad, c.MinRatio = 0.5, 0.5 })
+		defer s.Close()
+		mk := func() Request {
+			r := paceRequest(fc, cost)
+			r.Significance, r.Degraded, r.CostDegraded = 0.5, r.Handler, r.CostAccurate
+			return r
+		}
+		run := simulatePump(t, s, fc, gap, mk, wake, late, 200)
+		if r := s.Ratio(); r >= 1 {
+			t.Fatalf("ratio %v: the test needs a shedding server", r)
+		}
+		return run
+	}
+	onTime := pump(false, 0)
+	late := 125 * time.Microsecond // half the 250 µs cadence floor
+	lateTimer := pump(false, late)
+	due := pump(true, late)
+	t.Logf("mean Load(): on-time timer %.3f, late timer %.3f, late timer with due arrivals %.3f (%d of 200 waves token-fired)",
+		onTime.load, lateTimer.load, due.load, due.tokens)
+	if due.tokens == 0 {
+		t.Fatal("no due arrival fired a wave; the test exercised the timer only")
+	}
+	if due.short != 0 || due.early != 0 {
+		t.Fatalf("%d waves started less than a cadence after the one before, %d counted early; want none", due.short, due.early)
+	}
+	if math.Abs(due.load-onTime.load) > 0.1*onTime.load {
+		t.Errorf("due arrivals read Load() %.3f, an on-time timer %.3f", due.load, onTime.load)
+	}
+	if math.Abs(lateTimer.load-onTime.load) <= 0.1*onTime.load {
+		t.Errorf("the late timer alone reads Load() %.3f, within a tenth of the on-time timer's %.3f: the test cannot tell the rule from the timer", lateTimer.load, onTime.load)
 	}
 }
