@@ -22,34 +22,18 @@ vet:
 # Full static suite: everything `vet` runs, plus the repo's own analyzers
 # (cmd/siglint) proving the runtime's invariants — replay determinism
 # (determinism), pool get/put pairing (poolpair), noalloc hot paths
-# (noalloc) — and their must-fail test: each analyzer must flag its mutant
-# of the product code (cmd/siglint/mutants_test.go). Last, the goldens'
-# must-fail mutant, CI's step of that name: TestStudyGoldens must fail with
-# the pacer's perShard missing its workers factor (applied by -overlay; the
-# tree is never edited), or a study has a budget rule of its own again. And
-# the due-token must-fail mutant, CI's step of that name:
-# TestServeDueArrivalFiresWave must fail under a Submit that never posts the
-# due token (its dueArrival call deleted, by -overlay too).
+# (noalloc) — and the must-fail mutants of cmd/siglint/mutants_test.go, each
+# applied by -overlay (the tree is never edited): each analyzer must flag its
+# mutant of the product code, and each test row's test must fail under its
+# own — the goldens under the pacer's perShard without its workers factor,
+# TestServeDueArrivalFiresWave under a Submit that never posts the due token,
+# and the paper golden under perforation truncating its step.
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint
 	$(GO) vet -vettool=$$(pwd)/siglint.bin ./...
 	@rm -f siglint.bin
 	$(GO) test -count=1 ./cmd/siglint
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	sed 's/return float64(p.workers) \* float64(p.effective())/return float64(p.effective())/' sig/serve/pacer.go > "$$tmp/pacer.go"; \
-	if cmp -s sig/serve/pacer.go "$$tmp/pacer.go"; then echo "mutant: perShard's line not found in sig/serve/pacer.go" >&2; exit 1; fi; \
-	printf '{"Replace":{"%s":"%s"}}' "$$(pwd)/sig/serve/pacer.go" "$$tmp/pacer.go" > "$$tmp/overlay.json"; \
-	if out=$$($(GO) test -count=1 -overlay "$$tmp/overlay.json" -run TestStudyGoldens ./internal/harness 2>&1); then echo "TestStudyGoldens passed under the perShard mutant" >&2; exit 1; fi; \
-	echo "$$out" | grep -q -- '--- FAIL: TestStudyGoldens/' || { echo "$$out" >&2; exit 1; }; \
-	echo "TestStudyGoldens fails under the perShard mutant, as it must"
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	sed '/s\.pace\.dueArrival(now)/d' sig/serve/serve.go > "$$tmp/serve.go"; \
-	if cmp -s sig/serve/serve.go "$$tmp/serve.go"; then echo "mutant: Submit's dueArrival call not found in sig/serve/serve.go" >&2; exit 1; fi; \
-	printf '{"Replace":{"%s":"%s"}}' "$$(pwd)/sig/serve/serve.go" "$$tmp/serve.go" > "$$tmp/overlay.json"; \
-	if out=$$($(GO) test -count=1 -overlay "$$tmp/overlay.json" -run TestServeDueArrivalFiresWave ./sig/serve 2>&1); then echo "TestServeDueArrivalFiresWave passed under the due-token mutant" >&2; exit 1; fi; \
-	echo "$$out" | grep -q -- '--- FAIL: TestServeDueArrivalFiresWave' || { echo "$$out" >&2; exit 1; }; \
-	echo "TestServeDueArrivalFiresWave fails under the due-token mutant, as it must"
 
 # Every alternative of every -run pattern in this Makefile and in CI must
 # list at least one test (go test -list): a deleted or renamed test must not

@@ -10,7 +10,7 @@
 //	sigbench fig3   [-out fig3.pgm] [-scale 0.25] [-workers 16]
 //	sigbench fig4   [-bench Sobel,DCT] [-scale 0.25] [-reps 3]
 //	sigbench table2 [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
-//	sigbench ablate [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
+//	sigbench ablate [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
 //	sigbench <study>
 //	sigbench all    [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
 //
@@ -71,7 +71,7 @@ var paper = []command{
 		}
 		return err
 	}},
-	{"ablate", "bench scale workers reps", ablate},
+	{"ablate", "bench scale workers", ablate},
 }
 
 // commands is every subcommand but `all`: the paper commands, then one per
@@ -191,23 +191,9 @@ func fig2(w io.Writer, o options) error {
 }
 
 func ablate(w io.Writer, o options) error {
-	sweep, err := harness.GTBWindowSweep(o.Options, []int{4, 16, 64, 256, 0})
-	if err != nil {
-		return err
+	sweep, err := harness.GTBWindowSweep(o.Options)
+	if err == nil {
+		harness.PrintWindowSweep(w, sweep)
 	}
-	harness.PrintWindowSweep(w, sweep)
-	fmt.Fprintln(w)
-	oracle, err := harness.OracleComparison(o.Options)
-	if err != nil {
-		return err
-	}
-	harness.PrintOracleComparison(w, oracle)
-	fmt.Fprintln(w)
-	dvfs, err := harness.DVFSStudy(o.Options)
-	if err != nil {
-		return err
-	}
-	harness.PrintDVFSStudy(w, dvfs)
-	fmt.Fprintln(w)
-	return harness.NTCStudy(w)
+	return err
 }

@@ -75,6 +75,7 @@ func TestUsageErrors(t *testing.T) {
 		{"serve", "-shards", "4"},
 		{"adaptive", "-reps", "3"},
 		{"fig4", "-workers", "2"},
+		{"ablate", "-reps", "3"},
 		{"fig2", "-out", "x.pgm"},
 		{"all", "-out", "x.pgm"},
 		{"table1", "extra"},
@@ -93,7 +94,7 @@ func TestUsageErrors(t *testing.T) {
 
 // TestAllFollowsRegistry: `all` is the paper commands then every study in
 // registry order, one blank line between consecutive commands and none
-// doubled — the sharded serve scenario and the ablate/adaptive seam included.
+// doubled — the sharded serve scenario and the ablate/paper seam included.
 func TestAllFollowsRegistry(t *testing.T) {
 	dir, err := os.Getwd()
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -11,14 +12,20 @@ import (
 )
 
 // mutants are one-statement edits of the real product code that still
-// compile and that tier-1 (go build ./... && go test ./...), `make race` and
-// the alloc gates (TestSubmitAllocs, TestServeSubmitAllocs,
-// TestRouterWaveAllocs) all pass: defects only the named analyzer sees. A
-// row is its analyzer's reason to exist — remove the analyzer from main and
-// its row fails — and DESIGN.md's "Static verification layer" table quotes
-// them.
+// compile, each with the one check that must catch it. An analyzer row
+// (analyzer set) is a defect that tier-1 (go build ./... && go test ./...),
+// `make race` and the alloc gates (TestSubmitAllocs, TestServeSubmitAllocs,
+// TestRouterWaveAllocs) all pass and only the named analyzer sees: the row is
+// its analyzer's reason to exist — remove the analyzer from main and its row
+// fails — and DESIGN.md's "Static verification layer" table quotes them. A
+// test row (test set, named by name) is a defect the named test, run with
+// -run test in pkg, must fail on: the row is why that test, or the golden it
+// compares, is there.
 var mutants = []struct {
 	analyzer string
+	name     string // a test row's subtest name; an analyzer row is named by its analyzer
+	test     string // the -run pattern that must report "--- FAIL: <test>"
+	pkg      string // a test row's package, relative to the module root
 	file     string // relative to the module root
 	old, new string
 	// escape, for a noalloc row, is the -gcflags=-m verdict the edit must
@@ -54,10 +61,47 @@ var mutants = []struct {
 		new:      "\t\tkept := make([]*Ticket, 0, len(l.q))\n",
 		escape:   "make([]*Ticket, 0, len(l.q)) escapes to heap",
 	},
+	{
+		// The pacer pricing a shard's wave without its workers factor: half
+		// a 2-worker server's capacity. The studies drive RunWave, the
+		// pump's own step, so the serving goldens move; a study with a
+		// budget rule of its own again would not.
+		name: "perShard",
+		test: "TestStudyGoldens/serve",
+		pkg:  "./internal/harness",
+		file: "sig/serve/pacer.go",
+		old:  "return float64(p.workers) * float64(p.effective())",
+		new:  "return float64(p.effective())",
+	},
+	{
+		// Submit never posting the due token: an arrival that finds its
+		// wave due waits out the pump's late timer instead of firing it.
+		name: "dueArrival",
+		test: "TestServeDueArrivalFiresWave",
+		pkg:  "./sig/serve",
+		file: "sig/serve/serve.go",
+		old:  "\ts.pace.dueArrival(now)\n",
+		new:  "",
+	},
+	{
+		// Perforation's error-diffusion step truncated instead of rounded:
+		// at ratio 0.8 the fifth task no longer carries, so the dropped
+		// set shifts. Every perforation ratio test still holds within a
+		// task; only the paper golden's Perforation rows see it (Sobel at
+		// Mild and Medium, MC and Jacobi at Mild).
+		name: "perforationRound",
+		test: "TestStudyGoldens/paper",
+		pkg:  "./internal/harness",
+		file: "sig/policy.go",
+		old:  "uint64(math.Round(p.g.Ratio() * (1 << 32)))",
+		new:  "uint64(p.g.Ratio() * (1 << 32))",
+	},
 }
 
-// TestMutantsAreFlagged builds siglint once and vets each mutant through
-// the go command's -overlay, the same vet-tool protocol `make lint` speaks.
+// TestMutantsAreFlagged applies each mutant through the go command's
+// -overlay, which never edits the tree. An analyzer row is vetted with
+// siglint, built once, over the same vet-tool protocol `make lint` speaks; a
+// test row runs its test, which must fail.
 func TestMutantsAreFlagged(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("needs the go command")
@@ -69,7 +113,7 @@ func TestMutantsAreFlagged(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "siglint")
 	goCmd(t, root, true, "build", "-o", bin, "./cmd/siglint")
 	for _, m := range mutants {
-		t.Run(m.analyzer, func(t *testing.T) {
+		t.Run(cmp.Or(m.analyzer, m.name), func(t *testing.T) {
 			path := filepath.Join(root, m.file)
 			src, err := os.ReadFile(path)
 			if err != nil {
@@ -88,8 +132,14 @@ func TestMutantsAreFlagged(t *testing.T) {
 			if err := os.WriteFile(overlayFile, overlay, 0o666); err != nil {
 				t.Fatal(err)
 			}
+			if m.test != "" {
+				out := goCmd(t, root, false, "test", "-count=1", "-overlay="+overlayFile, "-run", m.test, m.pkg)
+				if !strings.Contains(out, "--- FAIL: "+m.test) {
+					t.Errorf("%s passes under the mutant of %s:\n%s", m.test, m.file, out)
+				}
+				return
+			}
 			pkg := "./" + filepath.Dir(m.file)
-
 			out := goCmd(t, root, false, "vet", "-overlay="+overlayFile, "-vettool="+bin, pkg)
 			if !hasLine(out, filepath.Base(m.file)+":", "[siglint/"+m.analyzer+"]") {
 				t.Errorf("%s is not flagged by %s:\n%s", m.file, m.analyzer, out)

@@ -1,12 +1,5 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-
-	"repro/sig"
-)
-
 // WindowRow is one point of the GTB buffer-window sweep.
 type WindowRow struct {
 	// Window is the GTB buffer size; 0 denotes the unbounded
@@ -17,10 +10,15 @@ type WindowRow struct {
 	ProvidedPct float64
 }
 
+// sweepWindows are the GTB buffer sizes the sweep visits, 0 last (max
+// buffering).
+var sweepWindows = []int{4, 16, 64, 256, 0}
+
 // GTBWindowSweep runs the first benchmark of the subset at the Medium degree
-// under GTB with each of the given window sizes (0 = max buffering),
-// exposing the decision-latency / ratio-precision trade-off of the policy.
-func GTBWindowSweep(opt Options, windows []int) ([]WindowRow, error) {
+// under GTB with each window of sweepWindows, exposing the decision-latency /
+// ratio-precision trade-off of the policy. Every column is modeled, so one
+// run per window is the whole measurement.
+func GTBWindowSweep(opt Options) ([]WindowRow, error) {
 	benches, err := subset(opt)
 	if err != nil {
 		return nil, err
@@ -28,14 +26,13 @@ func GTBWindowSweep(opt Options, windows []int) ([]WindowRow, error) {
 	spec := benches[0]
 	inst := spec.Make(opt.scale())
 	ref := inst.Reference()
-	rows := make([]WindowRow, 0, len(windows))
-	for _, win := range windows {
+	rows := make([]WindowRow, 0, len(sweepWindows))
+	for _, win := range sweepWindows {
 		mode := ModeGTB
 		if win == 0 {
 			mode = ModeGTBMax
 		}
-		m, err := executeAveraged(spec, inst, ref, mode, Medium,
-			RunOptions{Workers: opt.Workers, GTBWindow: win}, opt.reps())
+		m, err := Execute(spec, inst, ref, mode, Medium, RunOptions{Workers: opt.Workers, GTBWindow: win})
 		if err != nil {
 			return nil, err
 		}
@@ -47,148 +44,4 @@ func GTBWindowSweep(opt Options, windows []int) ([]WindowRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// OracleRow compares an online policy against the max-buffering oracle —
-// the policy that sees all tasks before deciding — on one benchmark.
-type OracleRow struct {
-	Bench         string
-	Mode          Mode
-	Joules        float64
-	OracleJoules  float64
-	Quality       float64
-	OracleQuality float64
-}
-
-// OracleComparison quantifies how much quality/energy the online policies
-// (GTB with the default window, LQH) give up against max buffering.
-func OracleComparison(opt Options) ([]OracleRow, error) {
-	benches, err := subset(opt)
-	if err != nil {
-		return nil, err
-	}
-	var rows []OracleRow
-	for _, spec := range benches {
-		inst := spec.Make(opt.scale())
-		ref := inst.Reference()
-		oracle, err := executeAveraged(spec, inst, ref, ModeGTBMax, Medium,
-			RunOptions{Workers: opt.Workers}, opt.reps())
-		if err != nil {
-			return nil, err
-		}
-		for _, mode := range []Mode{ModeGTB, ModeLQH} {
-			m, err := executeAveraged(spec, inst, ref, mode, Medium,
-				RunOptions{Workers: opt.Workers}, opt.reps())
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, OracleRow{
-				Bench:         spec.Name,
-				Mode:          mode,
-				Joules:        m.Joules,
-				OracleJoules:  oracle.Joules,
-				Quality:       m.Quality,
-				OracleQuality: oracle.Quality,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// DVFSRow models, at one relative frequency, the energy of the accurate
-// baseline and of GTB at the Medium degree, assuming dynamic power scales
-// with f³ and execution time with 1/f.
-type DVFSRow struct {
-	Freq      float64
-	AccurateJ float64
-	ApproxJ   float64
-	SavingPct float64
-}
-
-// DVFSStudy reruns the first benchmark of the subset and rescales its
-// measured busy/idle profile across a DVFS range, reproducing the paper's
-// observation that significance-driven approximation composes with (and is
-// complementary to) frequency scaling.
-func DVFSStudy(opt Options) ([]DVFSRow, error) {
-	benches, err := subset(opt)
-	if err != nil {
-		return nil, err
-	}
-	spec := benches[0]
-	inst := spec.Make(opt.scale())
-	ref := inst.Reference()
-	acc, err := executeAveraged(spec, inst, ref, ModeAccurate, Medium,
-		RunOptions{Workers: opt.Workers}, opt.reps())
-	if err != nil {
-		return nil, err
-	}
-	app, err := executeAveraged(spec, inst, ref, ModeGTB, Medium,
-		RunOptions{Workers: opt.Workers}, opt.reps())
-	if err != nil {
-		return nil, err
-	}
-	var rows []DVFSRow
-	for _, f := range []float64{0.6, 0.8, 1.0, 1.2} {
-		aj := scaleEnergy(acc.Report, f)
-		gj := scaleEnergy(app.Report, f)
-		rows = append(rows, DVFSRow{Freq: f, AccurateJ: aj, ApproxJ: gj, SavingPct: 100 * (1 - gj/aj)})
-	}
-	return rows, nil
-}
-
-// scaleEnergy rescales a measured report to relative frequency f: busy and
-// wall time stretch by 1/f, dynamic (active) power scales with f³ because
-// voltage tracks frequency, idle power stays constant.
-func scaleEnergy(r sig.Report, f float64) float64 {
-	busy := r.Busy.Seconds() / f
-	wall := r.Wall.Seconds() / f
-	idle := wall*float64(r.Workers) - busy
-	if idle < 0 {
-		idle = 0
-	}
-	return r.ActiveWatts*f*f*f*busy + r.IdleWatts*idle
-}
-
-// NTCStudy prints the near-threshold-computing projection of the paper's
-// discussion section: at near-threshold voltage a core runs ~4x slower at
-// ~20x lower power, so a wider, slower machine paired with the significance
-// ratio knob reaches the same deadline at a fraction of the energy. The
-// numbers are derived purely from the runtime's energy model.
-func NTCStudy(w io.Writer) error {
-	const (
-		ntcFreq  = 0.25 // relative frequency at near-threshold voltage
-		ntcPower = 0.05 // relative per-core power at that point
-	)
-	type cfg struct {
-		name  string
-		cores int
-		freq  float64
-		power float64
-	}
-	cfgs := []cfg{
-		{"nominal, 1 core", 1, 1.0, 1.0},
-		{"nominal, 8 cores", 8, 1.0, 1.0},
-		{"NTC, 8 cores", 8, ntcFreq, ntcPower},
-		{"NTC, 32 cores", 32, ntcFreq, ntcPower},
-	}
-	if _, err := fmt.Fprintln(w, "Near-threshold computing projection (modeled, unit workload):"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-18s %12s %12s %14s\n",
-		"configuration", "throughput", "power", "energy/work"); err != nil {
-		return err
-	}
-	for _, c := range cfgs {
-		throughput := float64(c.cores) * c.freq
-		power := float64(c.cores) * c.power * sig.DefaultActiveWatts
-		energyPerWork := power / throughput
-		if _, err := fmt.Fprintf(w, "%-18s %11.2fx %11.2fW %13.2fJ\n",
-			c.name, throughput, power, energyPerWork); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "Significance-aware approximation composes with NTC: the accuracy\n"+
-		"ratio recovers output quality lost to timing-error-prone near-threshold\n"+
-		"cores by re-executing only the significant fraction of tasks accurately.")
-	return err
 }

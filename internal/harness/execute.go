@@ -39,8 +39,6 @@ type Measurement struct {
 	// the accurate fraction it delivered.
 	RequestedRatio float64
 	ProvidedRatio  float64
-	// Report is the full modeled-energy report of the run.
-	Report sig.Report
 	// Decisions is the ordered decision log, populated only when
 	// RunOptions.RecordDecisions is set.
 	Decisions []sig.DecisionRecord
@@ -77,10 +75,8 @@ func Execute(spec Spec, inst Instance, ref any, mode Mode, degree Degree, opt Ru
 	if err := rt.Close(); err != nil {
 		return m, err
 	}
-	rep := rt.Energy()
 	st := rt.Stats()
-	m.Joules = rep.Joules
-	m.Report = rep
+	m.Joules = rt.Energy().Joules
 	m.Quality = inst.Quality(ref, out)
 	m.RequestedRatio = ratio
 	decided := st.Accurate + st.Approximate + st.Dropped
@@ -99,9 +95,7 @@ func Execute(spec Spec, inst Instance, ref any, mode Mode, degree Degree, opt Ru
 }
 
 // executeAveraged repeats Execute reps times and averages the numeric
-// fields, including the energy report's busy/wall profile (so downstream
-// analytic studies rescale averaged measurements, not a single run);
-// remaining fields come from the first repetition.
+// fields; the remaining fields come from the first repetition.
 func executeAveraged(spec Spec, inst Instance, ref any, mode Mode, degree Degree, opt RunOptions, reps int) (Measurement, error) {
 	var acc Measurement
 	for i := 0; i < reps; i++ {
@@ -121,9 +115,6 @@ func executeAveraged(spec Spec, inst Instance, ref any, mode Mode, degree Degree
 		acc.Quality += m.Quality
 		acc.ProvidedRatio += m.ProvidedRatio
 		acc.TasksPerSec += m.TasksPerSec
-		acc.Report.Joules += m.Report.Joules
-		acc.Report.Wall += m.Report.Wall
-		acc.Report.Busy += m.Report.Busy
 	}
 	if reps > 1 {
 		acc.Wall /= time.Duration(reps)
@@ -131,9 +122,6 @@ func executeAveraged(spec Spec, inst Instance, ref any, mode Mode, degree Degree
 		acc.Quality /= float64(reps)
 		acc.ProvidedRatio /= float64(reps)
 		acc.TasksPerSec /= float64(reps)
-		acc.Report.Joules /= float64(reps)
-		acc.Report.Wall /= time.Duration(reps)
-		acc.Report.Busy /= time.Duration(reps)
 	}
 	return acc, nil
 }

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// modeledFmt prints a modeled energy and quality pair. Declared costs make
+// joules a multiple of 12 nJ (DefaultActiveWatts × 1 ns), so nine decimals
+// show every cost unit a run executed; modeledHeader heads the two columns.
+const modeledFmt = "%14.9fJ %11.8f"
+
+var modeledHeader = fmt.Sprintf("%15s %11s", "energy", "quality")
+
 // FormatMeasurementHeader writes the column header matching PrintFig2Row.
 func FormatMeasurementHeader(w io.Writer) {
 	fmt.Fprintf(w, "%-13s %-10s %-12s %12s %11s %10s %6s %6s %10s\n",
@@ -44,53 +51,37 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 	}
 }
 
-// PrintTable2 writes the policy-accuracy rows of Table 2.
-func PrintTable2(w io.Writer, rows []Table2Row) {
+// PrintTable2 writes the policy-accuracy rows of Table 2: the columns of
+// modes, or of every audited policy when none are named.
+func PrintTable2(w io.Writer, rows []Table2Row, modes ...Mode) {
+	if len(modes) == 0 {
+		modes = table2Modes()
+	}
 	fmt.Fprintln(w, "Table 2: requested vs provided accurate ratio and significance inversions (Medium)")
 	fmt.Fprintf(w, "%-13s %6s", "benchmark", "req%")
-	for _, m := range table2Modes() {
+	for _, m := range modes {
 		fmt.Fprintf(w, " %9s-prov%% %9s-inv%%", m, m)
 	}
 	fmt.Fprintln(w)
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-13s %6.1f", r.Bench, 100*r.Requested)
-		for _, m := range table2Modes() {
+		for _, m := range modes {
 			fmt.Fprintf(w, " %15.1f %14.1f", r.ProvidedPct[m], r.InversionPct[m])
 		}
 		fmt.Fprintln(w)
 	}
 }
 
-// PrintWindowSweep writes the GTB window ablation.
+// PrintWindowSweep writes the GTB window ablation. Its columns are all
+// modeled, so they print at modeledFmt's full precision.
 func PrintWindowSweep(w io.Writer, rows []WindowRow) {
 	fmt.Fprintln(w, "Ablation: GTB buffer-window sweep (first benchmark, Medium degree)")
-	fmt.Fprintf(w, "%-8s %11s %10s %6s\n", "window", "energy", "quality", "prov%")
+	fmt.Fprintf(w, "%-8s %s %6s\n", "window", modeledHeader, "prov%")
 	for _, r := range rows {
 		win := fmt.Sprintf("%d", r.Window)
 		if r.Window == 0 {
 			win = "max"
 		}
-		fmt.Fprintf(w, "%-8s %10.4fJ %10.5f %6.1f\n", win, r.Joules, r.Quality, r.ProvidedPct)
-	}
-}
-
-// PrintOracleComparison writes the online-policy vs max-buffering oracle
-// ablation.
-func PrintOracleComparison(w io.Writer, rows []OracleRow) {
-	fmt.Fprintln(w, "Ablation: online policies vs max-buffering oracle (Medium degree)")
-	fmt.Fprintf(w, "%-13s %-8s %11s %11s %10s %10s\n",
-		"benchmark", "policy", "energy", "oracle-E", "quality", "oracle-Q")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-13s %-8s %10.4fJ %10.4fJ %10.5f %10.5f\n",
-			r.Bench, r.Mode, r.Joules, r.OracleJoules, r.Quality, r.OracleQuality)
-	}
-}
-
-// PrintDVFSStudy writes the DVFS-interaction ablation.
-func PrintDVFSStudy(w io.Writer, rows []DVFSRow) {
-	fmt.Fprintln(w, "Ablation: modeled DVFS interaction (first benchmark, Medium degree)")
-	fmt.Fprintf(w, "%-6s %12s %12s %9s\n", "freq", "accurate", "GTB", "saving")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6.2f %11.4fJ %11.4fJ %8.1f%%\n", r.Freq, r.AccurateJ, r.ApproxJ, r.SavingPct)
+		fmt.Fprintf(w, "%-8s "+modeledFmt+" %6.1f\n", win, r.Joules, r.Quality, r.ProvidedPct)
 	}
 }

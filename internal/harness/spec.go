@@ -1,7 +1,7 @@
 // Package harness is the evaluation layer: it maps every figure and table of
 // the paper's evaluation (section 4) onto the Go reproduction, exposing a
 // benchmark Spec registry, a policy/degree Execute primitive and the
-// Table1/Fig1..Fig4/Table2 generators plus the ablation studies that
+// Table1/Fig1..Fig4/Table2 generators plus the GTB window sweep that
 // cmd/sigbench and the top-level benchmarks drive.
 package harness
 

@@ -8,11 +8,11 @@ import (
 	"repro/sig/serve"
 )
 
-// Study is one deterministic study of the layers above the paper's runtime:
-// Run prints it in full at the configuration its golden pins. The output is
-// a function of declared costs (and, for every serving study, a FakeClock
-// behind the production pacer), so it is the same bytes on every run, host
-// and GOMAXPROCS.
+// Study is one deterministic study — of the paper's own evaluation or of a
+// layer built on its runtime: Run prints it in full at the configuration its
+// golden pins. The output is a function of declared costs (and, for every
+// serving study, a FakeClock behind the production pacer), so it is the same
+// bytes on every run, host and GOMAXPROCS.
 type Study struct {
 	// Name is the `sigbench <Name>` command and testdata/<Name>.golden.
 	Name string
@@ -27,6 +27,8 @@ const studyScale = 0.1
 // entry with its golden, and cmd/sigbench dispatches `<name>` and `all`
 // through it. Wall time is not their subject — that is `go run ./benchmark`.
 var Studies = []Study{
+	{"paper", "the paper's modeled columns: Fig. 2 without LQH, Table 2's GTB and GTB(max), the GTB window sweep",
+		printPaper},
 	{"adaptive", "sig/adapt controller: step response and disturbance rejection on streaming sobel, energy cap on kmeans",
 		func(w io.Writer) error {
 			res, err := AdaptiveStudy(AdaptiveConfig{Scale: studyScale})
@@ -95,5 +97,44 @@ func printServe(w io.Writer, shards int, backends ...string) error {
 		}
 		PrintServeStudy(w, res)
 	}
+	return nil
+}
+
+// printPaper prints the deterministic columns of the paper's evaluation, for
+// every benchmark at a smoke scale on two workers: Fig. 2's modeled energy,
+// quality and ratios for every policy but LQH, Table 2's GTB and GTB(max)
+// columns, and the GTB window sweep. LQH decides per worker, so its columns
+// vary run to run; TestPolicyRatioCompliance bounds its ratio instead. Wall
+// time is not printed: that is `sigbench fig2`'s.
+func printPaper(w io.Writer) error {
+	opt := Options{Scale: 0.05, Workers: 2}
+	fmt.Fprintf(w, "Figure 2, modeled columns (scale %g, %d workers; LQH is not pinned)\n",
+		opt.Scale, opt.Workers)
+	fmt.Fprintf(w, "%-13s %-10s %-12s %s %6s %6s\n", "benchmark", "degree", "policy", modeledHeader, "req%", "prov%")
+	err := Fig2(opt, func(m Fig2Row) {
+		switch {
+		case m.Mode == ModeLQH: // not pinned
+		case !m.Applicable:
+			fmt.Fprintf(w, "%-13s %-10s %-12s %15s\n", m.Bench, m.Degree, m.Mode, "n/a")
+		default:
+			fmt.Fprintf(w, "%-13s %-10s %-12s "+modeledFmt+" %6.1f %6.1f\n", m.Bench, m.Degree, m.Mode,
+				m.Joules, m.Quality, 100*m.RequestedRatio, 100*m.ProvidedRatio)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	rows, err := Table2(opt)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	PrintTable2(w, rows, ModeGTB, ModeGTBMax)
+	sweep, err := GTBWindowSweep(opt)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	PrintWindowSweep(w, sweep)
 	return nil
 }

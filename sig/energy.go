@@ -2,24 +2,18 @@ package sig
 
 import "time"
 
-// The modeled per-core power figures, loosely calibrated to the paper's
-// evaluation platform (a 4-module/8-core x86 server): a busy core draws
-// DefaultActiveWatts, an idle core DefaultIdleWatts. They are constants, not
-// configuration: every study, gate and benchmark check prices joules at these
-// two figures, so a runtime that could be built with others would silently
-// falsify them.
+// DefaultActiveWatts is the modeled power of a busy core, loosely calibrated
+// to the paper's evaluation platform (a 4-module/8-core x86 server). It is a
+// constant, not configuration: every study, gate and benchmark check prices
+// joules at this figure, so a runtime that could be built with another would
+// silently falsify them.
 //
 // The model is deliberately simple — E = P_active · t_busy, with t_busy
 // either the declared task costs (deterministic; see WithCost) or the
 // measured body execution time — because the experiments only rely on
-// relative energy between policies on identical workloads. Idle power is
-// excluded from Joules (it is policy-invariant at equal wall time) but
-// carried in the report so the DVFS and NTC studies can reason about it
-// analytically.
-const (
-	DefaultActiveWatts = 12.0
-	DefaultIdleWatts   = 2.0
-)
+// relative energy between policies on identical workloads. Idle power is not
+// modeled: it is policy-invariant at equal wall time.
+const DefaultActiveWatts = 12.0
 
 // Report is a modeled energy account of a runtime's lifetime. Reports
 // returned after Close are frozen: the wall clock stops at Close and
@@ -33,11 +27,6 @@ type Report struct {
 	Busy time.Duration
 	// Workers is the worker-pool size the report was computed for.
 	Workers int
-	// ActiveWatts and IdleWatts echo the model's two constants, so
-	// downstream studies (e.g. the DVFS ablation) can rescale the report
-	// analytically.
-	ActiveWatts float64
-	IdleWatts   float64
 }
 
 // joules is the energy rule of every account — a wave's, a runtime's, a
@@ -53,5 +42,4 @@ func (r *Report) Merge(o Report) {
 	r.Wall = max(r.Wall, o.Wall)
 	r.Workers += o.Workers
 	r.Joules = joules(r.Busy)
-	r.ActiveWatts, r.IdleWatts = DefaultActiveWatts, DefaultIdleWatts
 }

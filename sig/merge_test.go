@@ -75,7 +75,6 @@ func TestReportMerge(t *testing.T) {
 	busy := time.Duration(433_334)
 	want := Report{
 		Joules: DefaultActiveWatts * busy.Seconds(), Wall: 5 * time.Millisecond, Busy: busy, Workers: 3,
-		ActiveWatts: DefaultActiveWatts, IdleWatts: DefaultIdleWatts,
 	}
 	if rep != want {
 		t.Fatalf("merged report %+v, want %+v", rep, want)

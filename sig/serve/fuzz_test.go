@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/sig"
 )
 
 // FuzzServeAdmission feeds adversarial request/wave schedules through the
@@ -194,7 +196,7 @@ func FuzzServeAdmission(f *testing.F) {
 			t.Fatalf("Totals.Priority %d, want %d premium requests accepted", tot.Priority, acceptedPrio)
 		}
 		rep := s.Energy()
-		want := rep.ActiveWatts * wantCost * 1e-9
+		want := sig.DefaultActiveWatts * wantCost * 1e-9
 		if math.Abs(rep.Joules-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("modeled %.12f J, want %.12f J from declared costs (dropped must charge 0)",
 				rep.Joules, want)

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/sig"
 )
 
 // TestServeSubmitAllocs is the zero-alloc gate of the serving admission
@@ -344,7 +346,7 @@ func TestTicketDropsRequestAtResolution(t *testing.T) {
 // wave mixing three declared cost classes, degradable and drop-only requests,
 // at tied significances and across a slab boundary, at one shard and at four.
 // Every ticket resolves once with the body its outcome names, Totals
-// conserve, the modeled joules are exactly ActiveWatts × the declared cost of
+// conserve, the modeled joules are exactly DefaultActiveWatts × the declared cost of
 // what ran, and among equal significances the earlier arrival is the one
 // served accurately — GTB breaks ties by submission sequence, and requests
 // reach it in admission order whatever their costs. (Round-robin placement
@@ -434,8 +436,8 @@ func TestServeMixedClassWave(t *testing.T) {
 				tot.Accurate != int64(count[0]) || tot.Degraded != int64(count[1]) || tot.Dropped != int64(count[2]) {
 				t.Errorf("totals %+v do not conserve %d requests served %v", tot, n, count)
 			}
-			if want := s.Energy().ActiveWatts * ran.Seconds(); rep.Joules != want || tot.Joules != want {
-				t.Errorf("modeled %v J (totals %v J), want exactly %v J = ActiveWatts × %v of declared cost run", rep.Joules, tot.Joules, want, ran)
+			if want := sig.DefaultActiveWatts * ran.Seconds(); rep.Joules != want || tot.Joules != want {
+				t.Errorf("modeled %v J (totals %v J), want exactly %v J = DefaultActiveWatts × %v of declared cost run", rep.Joules, tot.Joules, want, ran)
 			}
 		})
 	}

@@ -256,8 +256,7 @@ func TestServeDroppedRequestsCostZeroJoules(t *testing.T) {
 		t.Fatalf("ran %d, dropped %d; want 2/6", ran, dropped)
 	}
 	rep := s.Energy()
-	watts := rep.ActiveWatts
-	want := watts * 2 * costAcc * 1e-9
+	want := sig.DefaultActiveWatts * 2 * costAcc * 1e-9
 	if math.Abs(rep.Joules-want) > 1e-12 {
 		t.Errorf("modeled %.12f J, want %.12f J: dropped requests were charged", rep.Joules, want)
 	}

@@ -43,7 +43,6 @@ func TestMergeReproducesSpelledOutAccount(t *testing.T) {
 		}
 		wantRep := sig.Report{
 			Joules: sig.DefaultActiveWatts * busy.Seconds(), Wall: wall, Busy: busy, Workers: workers,
-			ActiveWatts: sig.DefaultActiveWatts, IdleWatts: sig.DefaultIdleWatts,
 		}
 		if got := r.Energy(); got != wantRep || busy != tasks*cost {
 			t.Errorf("%d shards: Energy() = %+v, spelled out %+v (busy want %d ns)", shards, got, wantRep, tasks*cost)
