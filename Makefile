@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint runpatterns race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard fuzz-chaos chaos
+.PHONY: test vet lint runpatterns race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -56,17 +56,13 @@ runpatterns:
 # The lines after the first repeat the ring, backpressure, helping-taskwait
 # and concurrent-submitter tests, the serving pump's wake-token (the new
 # token test included: `Wake` lists it), due-arrival, early-wave and pacer
-# tests, the
-# per-request resolution tests (body-end Done, release and resubmit mid-wave,
-# Totals snapshots under load) and the server's autoscale test, whose
-# surgery runs inside the wave (CI's race job repeats these four), and the
-# shard lifecycle's table, drain, rejoin and autoscale tests: their failures
-# are interleavings, and one pass sees few of them.
+# tests, and the per-request resolution tests (body-end Done, release and
+# resubmit mid-wave, Totals snapshots under load; CI's race job repeats these
+# three): their failures are interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
-	$(GO) test -race -count=20 -run 'Wake|Due|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|AutoScale' ./sig/serve
-	$(GO) test -race -count=20 -run 'Lifecycle|Drain|AddShard|Autoscal' ./sig/shard
+	$(GO) test -race -count=20 -run 'Wake|Due|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot' ./sig/serve
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against
@@ -95,13 +91,10 @@ perf-quick:
 #                        queue bounds, the MinRatio contract, zero joules for
 #                        dropped requests
 #   FuzzShardRouting     cross-shard conservation, specials and the merged
-#                        ratio floor under adversarial wave cuts, retargeting
-#                        and drain/rejoin surgery
-#   FuzzChaosSchedule    seeded drain/rejoin schedules against a live fleet:
-#                        conservation, availability and the exact
-#                        declared-cost energy identity
+#                        ratio floor under adversarial wave cuts and
+#                        retargeting
 FUZZ_TARGETS := ./sig:FuzzPolicyDecisions ./sig/serve:FuzzServeAdmission \
-	./sig/shard:FuzzShardRouting ./sig/chaos:FuzzChaosSchedule
+	./sig/shard:FuzzShardRouting
 FUZZTIME ?= 20s
 
 fuzz:
@@ -110,13 +103,6 @@ fuzz:
 		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1x; \
 	done
 
-# `make fuzz-serve|fuzz-shard|fuzz-chaos`: the one target of that package.
-fuzz-serve fuzz-shard fuzz-chaos:
+# `make fuzz-serve|fuzz-shard`: the one target of that package.
+fuzz-serve fuzz-shard:
 	@$(MAKE) --no-print-directory fuzz FUZZ_TARGETS='$(filter ./sig/$(@:fuzz-%=%):%,$(FUZZ_TARGETS))'
-
-# Fleet-surgery suites under the race detector: seeded surgery plans, a
-# stalled shard, elastic router surgery and the rolling-replace/autoscale
-# acceptance gates.
-chaos:
-	$(GO) test -race -shuffle=on ./sig/chaos ./sig/shard ./sig/serve -count=1
-	$(GO) test -race -run 'TestFleetStudy' ./internal/harness -count=1

@@ -10,15 +10,12 @@
 //	         [-workers 0] [-shards 1] [-period 5ms] [-queue 4096]
 //	         [-min-period 0] [-max-period 0]
 //	         [-minratio 0] [-target-load 1.0] [-deadline 0]
-//	         [-autoscale] [-max-shards 0] [-priority-at 0]
-//	         [-quality-floor 0] [-quality-window 0]
+//	         [-priority-at 0] [-quality-floor 0] [-quality-window 0]
 //
 // The server always runs over a shard.Router fleet of -shards N runtime
-// shards (default 1; -workers is the per-shard pool). With N ≥ 2 the
-// admission controller is hierarchical: global load cap over merged waves,
-// per-shard ratio trim underneath. -autoscale additionally lets the fleet
-// grow and shrink between 1 and -max-shards (default 2×N) live shards with
-// demand.
+// shards (default 1; -workers is the per-shard pool), fixed for the life of
+// the process. With N ≥ 2 the admission controller is hierarchical: global
+// load cap over merged waves, per-shard ratio trim underneath.
 //
 // -deadline D gives every request a default deadline D from arrival
 // (0 = none); a request may override it with ?deadline_ms=N. Requests that
@@ -80,7 +77,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/sig/serve"
-	"repro/sig/shard"
 )
 
 // tiers maps user tiers onto significances: gold is the special 1.0
@@ -106,8 +102,6 @@ func main() {
 		minRatio   = flag.Float64("minratio", 0, "quality contract: lowest accuracy ratio")
 		targetLoad = flag.Float64("target-load", serve.DefaultTargetLoad, "admission controller load cap")
 		deadline   = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-		autoscale  = flag.Bool("autoscale", false, "autoscale the shard fleet with load (needs -shards >= 2)")
-		maxShards  = flag.Int("max-shards", 0, "autoscale ceiling (0 = 2x -shards)")
 		priorityAt = flag.Float64("priority-at", 0, "priority lane threshold: significance at or above it bypasses the bulk queue (0 = no lane)")
 		floor      = flag.Float64("quality-floor", 0, "windowed quality SLO: mean provided ratio over the window stays at or above this (0 = none)")
 		floorWin   = flag.Int("quality-window", 0, "quality-floor averaging window in waves (0 = default)")
@@ -116,11 +110,6 @@ func main() {
 
 	// Flag combinations that can only be mistakes fail at parse time with
 	// usage, not as a late serve.New error after the backend spin-up.
-	if *autoscale && *shards < 2 {
-		fmt.Fprintf(os.Stderr, "sigserve: -autoscale requires -shards >= 2 (got -shards %d)\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *floorWin > 0 && *floor == 0 {
 		fmt.Fprintln(os.Stderr, "sigserve: -quality-window requires -quality-floor")
 		flag.Usage()
@@ -145,15 +134,11 @@ func main() {
 		QualityFloor:  *floor,
 		QualityWindow: *floorWin,
 	}
-	if *autoscale {
-		cfg.AutoScale = &shard.AutoscalerConfig{MaxShards: *maxShards}
-	}
 	srv, err := serve.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sigserve:", err)
 		os.Exit(2)
 	}
-	// Built before the pump starts: /stats reports the fleet as configured.
 	handler := newHandler(srv, backend, *deadline)
 	srv.Start()
 
@@ -227,7 +212,6 @@ type workReply struct {
 // replies when its ticket resolves; /stats, /metrics, /healthz and /readyz
 // report.
 func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.Duration) *front {
-	shards := srv.LiveShards()
 	var seq atomic.Int64
 	mux := http.NewServeMux()
 	f := &front{ServeMux: mux}
@@ -299,8 +283,8 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 		bulkDepth, prioDepth := srv.LaneDepths()
 		writeJSON(w, map[string]any{
 			"backend":            backend.Name,
-			"shards":             shards,
-			"live_shards":        srv.LiveShards(),
+			"shards":             srv.Shards(),
+			"live_shards":        srv.Shards(),
 			"ratio":              srv.Ratio(),
 			"load":               srv.Load(),
 			"budget":             srv.Budget(),
@@ -333,7 +317,7 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 	})
 	// Readiness: a /work sent now would be admitted and routed.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if f.draining.Load() || srv.LiveShards() == 0 {
+		if f.draining.Load() {
 			http.Error(w, "not admitting", http.StatusServiceUnavailable)
 			return
 		}

@@ -19,8 +19,8 @@
 //     where a reviewer can audit it.
 //   - Calls to math/rand's (and math/rand/v2's) package-level functions
 //     are reported: they draw from the shared, unseeded source. Explicit
-//     sources (rand.New(rand.NewSource(seed))) are fine — that is what
-//     "seeded, replayable" chaos schedules use.
+//     sources (rand.New(rand.NewSource(seed))) are fine: a seeded source
+//     replays.
 //   - `for ... range m` over a map is reported: map order is random per
 //     run. None of the opted-in packages ranges over a map; iterate a
 //     sorted key slice (or an insertion-ordered one, as Runtime.order is).

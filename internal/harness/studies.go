@@ -57,20 +57,12 @@ var Studies = []Study{
 			}
 			return err
 		}},
-	{"fleet", "elastic fleet: rolling shard replacement with bit-exact energy, autoscaler step response",
-		func(w io.Writer) error {
-			res, err := FleetStudy(FleetStudyConfig{})
-			if err == nil {
-				PrintFleetStudy(w, res)
-			}
-			return err
-		}},
 }
 
 // newFrozenServer builds a server of sc with a fixed capacity of budget cost
 // units per wave under the production budget rule: a FakeClock nobody
 // advances measures every wave at zero, so the pacer holds its cadence at
-// MinPeriod and prices each wave at workers × MinPeriod per live shard.
+// MinPeriod and prices each wave at workers × MinPeriod per shard.
 // sc's Workers must be set, and budget must split into a whole period of
 // nanoseconds, or the rule would not reproduce it exactly.
 func newFrozenServer(sc serve.Config, budget float64) (*serve.Server, error) {

@@ -2,16 +2,14 @@ package serve
 
 import (
 	"errors"
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/sig"
-	"repro/sig/shard"
 )
 
-// Deadline, retry-after and autoscale suite. Companion to
+// Deadline and retry-after suite. Companion to
 // TestServeDroppedRequestsCostZeroJoules: the timed-out outcome is the
 // third way a request resolves without running, and like the other two it
 // must model zero joules.
@@ -134,111 +132,6 @@ func TestServeOverloadErrorRetryAfter(t *testing.T) {
 	if tot := s.Totals(); tot.Rejected != 1 {
 		t.Fatalf("rejected %d, want 1", tot.Rejected)
 	}
-}
-
-// TestServeAutoScale drives a sharded server through a load step and back
-// and asserts the fleet followed: growth to MaxShards under sustained
-// overload, shrink toward MinShards when idle, wave budget tracking the
-// live shard count, and LiveShards reported on every wave.
-func TestServeAutoScale(t *testing.T) {
-	const base = 8
-	s := newTestServer(t, base, func(c *Config) {
-		c.Shards = 2
-		c.Workers = 1
-		// Full-quality contract: degradation cannot absorb the step, so the
-		// load signal stays pinned above UpAt until capacity (shards) grows
-		// — the regime autoscaling exists for.
-		c.MinRatio = 1
-		c.AutoScale = &shard.AutoscalerConfig{
-			MinShards: 1, MaxShards: 4,
-			UpAt: 1.5, DownAt: 0.2,
-			UpAfter: 2, DownAfter: 3, Cooldown: 1,
-		}
-	})
-	defer s.Close()
-	if got := s.fleet.Shards(); got != 4 {
-		t.Fatalf("slot capacity %d, want MaxShards 4", got)
-	}
-	// The autoscaler's surgery runs inside RunWave, after the taskwait: every
-	// slab the wave submitted is back in the pool by the time it returns.
-	runWave := func() WaveReport {
-		rep := s.RunWave()
-		if n := len(s.slabs); n != 0 {
-			t.Fatalf("wave %d ended with %d slabs still listed, want 0", rep.Wave, n)
-		}
-		return rep
-	}
-
-	var served [3]atomic.Int64
-	// Sustained 6x overload: the controller degrades, the load signal
-	// stays pinned above UpAt, the scaler grows the fleet to its cap.
-	maxLive := 0
-	for w := 0; w < 12; w++ {
-		for i := 0; i < 6*base; i++ {
-			if _, err := s.Submit(request(i, &served)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep := runWave()
-		if rep.LiveShards > maxLive {
-			maxLive = rep.LiveShards
-		}
-	}
-	if maxLive != 4 {
-		t.Fatalf("overload grew the fleet to %d shards, want 4", maxLive)
-	}
-	// One worker × the frozen cadence is each live shard's share.
-	perShard := float64(s.cfg.MinPeriod)
-	s.mu.Lock()
-	budget := s.budget
-	s.mu.Unlock()
-	if want := perShard * 4; budget != want {
-		t.Fatalf("budget %v after growth, want %v (per-shard × live)", budget, want)
-	}
-
-	// Idle waves: the scaler shrinks back to MinShards.
-	last := 0
-	for w := 0; w < 40 && last != 1; w++ {
-		last = runWave().LiveShards
-	}
-	if last != 1 {
-		t.Fatalf("idle fleet still at %d shards, want MinShards 1", last)
-	}
-	s.mu.Lock()
-	budget = s.budget
-	s.mu.Unlock()
-	if budget != perShard {
-		t.Fatalf("budget %v after shrink, want per-shard %v", budget, perShard)
-	}
-
-	// Conservation across all the scaling: every admitted request resolved,
-	// and the waves' joules add up to the fleet's, retired shards included,
-	// up to float-summation order.
-	tot := s.Totals()
-	if tot.Completed != tot.Submitted-tot.Rejected {
-		t.Fatalf("conservation: %+v", tot)
-	}
-	if e := s.Energy().Joules; math.Abs(tot.Joules-e) > 1e-9*math.Abs(e) {
-		t.Fatalf("Totals().Joules %v, fleet Energy().Joules %v: a wave's tasks went uncounted", tot.Joules, e)
-	}
-}
-
-// TestServeAutoScaleValidation pins the config guardrails.
-func TestServeAutoScaleValidation(t *testing.T) {
-	if _, err := New(Config{AutoScale: &shard.AutoscalerConfig{}}); err == nil {
-		t.Fatal("AutoScale without shards accepted")
-	}
-	if _, err := New(Config{Shards: 4, AutoScale: &shard.AutoscalerConfig{MaxShards: 2}}); err == nil {
-		t.Fatal("AutoScale.MaxShards below Shards accepted")
-	}
-	s, err := New(Config{Shards: 2, Workers: 1, AutoScale: &shard.AutoscalerConfig{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.fleet.Shards(); got != 4 {
-		t.Fatalf("default slot capacity %d, want 2×Shards", got)
-	}
-	s.Close()
 }
 
 // TestOutcomeTimedOutString covers the new outcome's formatting.

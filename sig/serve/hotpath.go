@@ -350,10 +350,9 @@ func (s *Server) submitSlab() {
 
 // endSlabs is the slab stream's wave end. It reports the wave from the
 // outcomes its bodies left in their slots, resolves each slot no body ran
-// for as the policy's drop, and returns every slab to the pool. The server
-// is the only code that operates on its fleet, and it does so under waveMu
-// once WaitPhase has waited out every part the wave's slabs went to: by now
-// no closure of them can still run.
+// for as the policy's drop, and returns every slab to the pool. The fleet is
+// fixed and WaitPhase has waited out every shard the wave's slabs went to:
+// by now no closure of them can still run.
 //
 //siglint:noalloc
 func (s *Server) endSlabs(rep *WaveReport, wave, nowNs int64) {

@@ -8,7 +8,7 @@ import (
 
 // WriteMetrics renders the server's state in the Prometheus text exposition
 // format (version 0.0.4): cumulative serving counters, the controller's
-// ratio and load signal against the live-fleet budget, per-lane queue
+// ratio and load signal against the wave budget, per-lane queue
 // depths and limits, and the per-lane wave-latency histogram (latency in
 // waves — the serving layer's deterministic latency unit). cmd/sigserve
 // mounts it at /metrics; anything that can write an io.Writer can scrape a
@@ -52,14 +52,14 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	fmt.Fprintf(w, "sigserve_load %s\n", fmtFloat(s.Load()))
 	mf("sigserve_target_load", "gauge", "The load cap the admission controller regulates to.")
 	fmt.Fprintf(w, "sigserve_target_load %s\n", fmtFloat(s.cfg.TargetLoad))
-	mf("sigserve_wave_budget", "gauge", "Modeled per-wave capacity, rebuilt from the live fleet each wave.")
+	mf("sigserve_wave_budget", "gauge", "Modeled per-wave capacity, rebuilt from the measured period each wave.")
 	fmt.Fprintf(w, "sigserve_wave_budget %s\n", fmtFloat(s.Budget()))
 	mf("sigserve_wave_period_seconds", "gauge", "Measured wave wall-time EWMA (the configured period before the first wave).")
 	fmt.Fprintf(w, "sigserve_wave_period_seconds %s\n", fmtFloat(s.MeasuredPeriod().Seconds()))
 	mf("sigserve_pace_period_seconds", "gauge", "The pacer's current wave cadence.")
 	fmt.Fprintf(w, "sigserve_pace_period_seconds %s\n", fmtFloat(s.PacePeriod().Seconds()))
-	mf("sigserve_live_shards", "gauge", "Live shards in the fleet behind the server.")
-	fmt.Fprintf(w, "sigserve_live_shards %d\n", s.fleet.Live())
+	mf("sigserve_live_shards", "gauge", "Shards in the fleet behind the server, fixed at start.")
+	fmt.Fprintf(w, "sigserve_live_shards %d\n", s.fleet.Shards())
 
 	mf("sigserve_queue_depth", "gauge", "Admission queue depth, per lane.")
 	for ln, name := range laneNames {

@@ -202,7 +202,7 @@ func TestServePacedBudgetTracksMeasured(t *testing.T) {
 // TestServeDefaultBudgetAcrossShardCounts pins the one budget derivation:
 // at any shard count the default WaveBudget is per-shard workers × shards ×
 // WavePeriod (so 4 workers on one shard equal 2×2 and 1×4), and a frozen-clock
-// wave's rebuild (the pacer's workers × period, × live) reproduces exactly
+// wave's rebuild (the pacer's workers × period, × shards) reproduces exactly
 // that number — no drift between withDefaults' basis and the rebuild's.
 func TestServeDefaultBudgetAcrossShardCounts(t *testing.T) {
 	const period = 2 * time.Millisecond
@@ -215,11 +215,10 @@ func TestServeDefaultBudgetAcrossShardCounts(t *testing.T) {
 		if got := s.Budget(); got != want {
 			t.Errorf("Shards %d x Workers %d: default budget %v, want %v", tc.shards, tc.workers, got, want)
 		}
-		// The rebuild at a wave boundary must reproduce the same number
-		// while every shard is live.
-		if rep := s.RunWave(); s.Budget() != want || rep.Budget != want || rep.LiveShards != max(tc.shards, 1) {
-			t.Errorf("Shards %d x Workers %d: budget %v (report %v, %d live) after the per-wave rebuild, want %v",
-				tc.shards, tc.workers, s.Budget(), rep.Budget, rep.LiveShards, want)
+		// The rebuild at a wave boundary must reproduce the same number.
+		if rep := s.RunWave(); s.Budget() != want || rep.Budget != want || s.Shards() != max(tc.shards, 1) {
+			t.Errorf("Shards %d x Workers %d: budget %v (report %v, %d shards) after the per-wave rebuild, want %v",
+				tc.shards, tc.workers, s.Budget(), rep.Budget, s.Shards(), want)
 		}
 		s.Close()
 	}

@@ -25,13 +25,12 @@
 // that one discipline, whether Start's pump or an explicit RunWave fires
 // it. When a wave fires and what interval it is priced on is decided in
 // one place, the pacer (pacer.go); the wave budget has one rule, rebudget:
-// the pacer's per-shard price × live shards, once per wave.
+// the pacer's per-shard price × the fleet's shards, once per wave.
 //
-// The server is the only code that operates on its fleet: callers read
-// LiveShards, and the autoscaler (Config.AutoScale) is the one surgeon, run
-// under the wave lock after the taskwait. So, as after the paper's taskwait,
-// a wave's task storage is free the moment the wave ends: every slab it
-// submitted returns to the pool then.
+// The fleet is fixed at New: Config.Shards runtimes (one by default) serve
+// every wave until Close, and callers only read its size (Shards). So, as
+// after the paper's taskwait, a wave's task storage is free the moment the
+// wave ends: every slab it submitted returns to the pool then.
 //
 // With declared costs, the deterministic policy every wave runs under (GTB
 // max buffering), a deterministic arrival order and a FakeClock behind the
@@ -238,14 +237,6 @@ type Config struct {
 	// measured-time loop — deadlines, MeasuredPeriod, the pacer cadence,
 	// RetryAfter pricing — deterministic for replay.
 	Clock WaveClock
-	// AutoScale, when non-nil, runs a shard.Autoscaler over the serving
-	// fleet: each wave boundary feeds the admission controller's load
-	// signal to the scaler, which grows or shrinks the live shard count
-	// between its Min/MaxShards bounds (with hysteresis and cooldown). The
-	// wave budget scales with the live fleet — capacity follows the
-	// shards. Requires Shards ≥ 2; AutoScale.MaxShards (default 2×Shards)
-	// sets the router's slot capacity.
-	AutoScale *shard.AutoscalerConfig
 }
 
 func (c Config) withDefaults(workersPerShard int) Config {
@@ -264,7 +255,7 @@ func (c Config) withDefaults(workersPerShard int) Config {
 	if c.WaveBudget <= 0 {
 		// The one default-budget derivation: per-shard workers × period,
 		// scaled by the shard count — the same per-shard arithmetic the
-		// per-wave rebuild uses (rebudget: per-shard price × live shards).
+		// per-wave rebuild uses (rebudget: per-shard price × shards).
 		c.WaveBudget = float64(workersPerShard) * float64(c.WavePeriod.Nanoseconds()) * float64(max(c.Shards, 1))
 	}
 	if c.TargetLoad <= 0 {
@@ -308,9 +299,6 @@ type WaveReport struct {
 	// PriorityAdmitted is how many of Admitted came through the priority
 	// lane. Zero without a configured lane.
 	PriorityAdmitted int
-	// LiveShards is the live fleet size after this wave's autoscaling
-	// decision (the configured shard count when nothing scaled or drained).
-	LiveShards int
 	// Depth is the admission-queue depth after the wave's admissions.
 	Depth int
 	// Ratio ran the wave; NextRatio is what the admission controller
@@ -322,7 +310,7 @@ type WaveReport struct {
 	// Load is the signal the admission controller regulated this wave
 	// (demand+backlog over capacity, see package doc); Budget is the
 	// modeled per-wave capacity it was priced against, rebuilt from the
-	// live fleet at every wave boundary.
+	// pacer's measured period at every wave boundary.
 	Load   float64
 	Budget float64
 	// Joules is the wave's modeled energy.
@@ -387,11 +375,9 @@ type Server struct {
 
 	// fleet executes the waves and grp is the serving group on it — the one
 	// engine, whatever the shard count; runWave hands the controller each
-	// merged wave WaitPhase returns. scaler, when configured, elasticizes the
-	// fleet: it is the only code that operates on it.
-	fleet  *shard.Router
-	grp    *shard.Group
-	scaler *shard.Autoscaler
+	// merged wave WaitPhase returns.
+	fleet *shard.Router
+	grp   *shard.Group
 
 	// clock is the WaveClock seam (Config.Clock, or the wall clock). pace
 	// is the pacer: every piece of state that decides when a wave fires and
@@ -455,9 +441,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MinRatio < 0 || cfg.MinRatio > 1 {
 		return nil, fmt.Errorf("serve: MinRatio %v outside [0,1]", cfg.MinRatio)
 	}
-	if cfg.AutoScale != nil && cfg.Shards < 2 {
-		return nil, fmt.Errorf("serve: AutoScale requires Shards >= 2 (got %d)", cfg.Shards)
-	}
 	if cfg.PriorityAt < 0 || cfg.PriorityAt > 1 {
 		return nil, fmt.Errorf("serve: PriorityAt %v outside [0,1]", cfg.PriorityAt)
 	}
@@ -481,17 +464,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MinPeriod > cfg.WavePeriod || cfg.MaxPeriod < cfg.WavePeriod {
 		return nil, fmt.Errorf("serve: pacer bounds [%v, %v] must bracket WavePeriod %v", cfg.MinPeriod, cfg.MaxPeriod, cfg.WavePeriod)
 	}
-	shards := max(cfg.Shards, 1)
-	slots := shards
-	if cfg.AutoScale != nil {
-		if slots = cfg.AutoScale.MaxShards; slots == 0 {
-			slots = 2 * shards
-		}
-		if slots < shards {
-			return nil, fmt.Errorf("serve: AutoScale.MaxShards %d below Shards %d", slots, shards)
-		}
-	}
-
 	s := &Server{cfg: cfg, closeDone: make(chan struct{})}
 	s.clock = cfg.Clock
 	if s.clock == nil {
@@ -523,23 +495,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.fleet, err = shard.New(shard.Config{
-		Shards:    shards,
-		MaxShards: slots,
-		Runtime:   sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
+		Shards:  cfg.Shards,
+		Runtime: sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.grp = s.fleet.Group(groupName, 1.0) // start at full quality
-	if cfg.AutoScale != nil {
-		ac := *cfg.AutoScale
-		ac.MaxShards = slots
-		s.scaler, err = shard.NewAutoscaler(s.fleet, ac)
-		if err != nil {
-			s.fleet.Close()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -649,10 +611,9 @@ func (s *Server) MeasuredPeriod() time.Duration {
 // [MinPeriod, MaxPeriod].
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
-// LiveShards returns the live shard count of the fleet that executes the
-// server's waves: Config.Shards (or 1) until the autoscaler, the only code
-// that operates on a serving fleet, grows or shrinks it.
-func (s *Server) LiveShards() int { return s.fleet.Live() }
+// Shards returns the shard count of the fleet that executes the server's
+// waves: Config.Shards (or 1), fixed from New to Close.
+func (s *Server) Shards() int { return s.fleet.Shards() }
 
 // reqCosts returns the request's declared cost sums, substituting the
 // pacing default for undeclared accurate costs. Requests without a Degraded
@@ -981,19 +942,11 @@ func (s *Server) runWave(token bool) WaveReport {
 	// Every body of the wave resolved its own request as it returned; the
 	// slots say which, and the rest are the policy's drops.
 	s.endSlabs(&rep, wave, nowNs)
-
-	if s.scaler != nil {
-		// The scaler sees the same load signal the admission controller
-		// just regulated; a drain here runs against an idle fleet (the
-		// wave's taskwait completed above).
-		s.scaler.Observe(s.Load())
-	}
-	rep.LiveShards = s.fleet.Live()
 	rep.Overrun, rep.Next = s.pace.settle(rep.WallTime)
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
 	rep.Load = s.lastLoad
-	rep.Budget = s.rebudget(rep.LiveShards)
+	rep.Budget = s.rebudget()
 	s.mu.Unlock()
 	rep.NextRatio = s.Ratio()
 	rep.Provided = ws.ProvidedRatio
@@ -1004,12 +957,10 @@ func (s *Server) runWave(token bool) WaveReport {
 
 // rebudget is the one budget rule, reached once per wave after settle's
 // retime: the pacer's per-shard price, on the cadence the next wave fires
-// at, × the live shards. Capacity follows the fleet: when the autoscaler
-// grows or shrinks the live count, the wave budget — admit's cut-off and the
-// load signal's denominator — tracks it from the next wave on. Caller holds
-// s.mu.
-func (s *Server) rebudget(live int) float64 {
-	s.budget = s.pace.perShard() * float64(live)
+// at, × the fleet's shards. The wave budget is admit's cut-off and the load
+// signal's denominator. Caller holds s.mu.
+func (s *Server) rebudget() float64 {
+	s.budget = s.pace.perShard() * float64(s.fleet.Shards())
 	return s.budget
 }
 

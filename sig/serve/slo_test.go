@@ -10,57 +10,6 @@ import (
 	"time"
 )
 
-// TestServeBudgetTracksHealthDrain is the capacity-accounting regression
-// test: when a shard is drained between waves with no autoscaler configured
-// (only this package's own code can reach the fleet to do so), the wave
-// budget — the load signal's denominator — must shrink to the surviving
-// fleet. Before the fix the budget was rebuilt
-// only under an autoscaler, so such a drain left capacity overstated and the
-// controller admitting against shards that no longer exist.
-func TestServeBudgetTracksHealthDrain(t *testing.T) {
-	s, err := New(frozen(Config{Workers: 1, Shards: 3, QueueLimit: 64}, 3*costAcc/0.6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	full := 3 * costAcc / 0.6
-	if got := s.Budget(); got != full {
-		t.Fatalf("configured budget %v, want %v", got, full)
-	}
-	if rep := s.RunWave(); rep.LiveShards != 3 || rep.Budget != full {
-		t.Fatalf("healthy fleet: LiveShards=%d Budget=%v, want 3 shards at %v", rep.LiveShards, rep.Budget, full)
-	}
-
-	// Drain shard 1 between waves: the next wave's report must price
-	// capacity from the two survivors.
-	if err := s.fleet.DrainShard(1); err != nil {
-		t.Fatal(err)
-	}
-	rep := s.RunWave()
-	want := full * 2 / 3
-	if rep.LiveShards != 2 || rep.Budget != want {
-		t.Errorf("post-drain wave: LiveShards=%d Budget=%v, want 2 shards at %v", rep.LiveShards, rep.Budget, want)
-	}
-	if got := s.Budget(); got != want {
-		t.Errorf("Budget() = %v after drain, want %v (pre-fix: stayed at %v)", got, want, full)
-	}
-
-	// And the load signal's denominator follows: an identical arrival burst
-	// must measure 1.5x the load it did against three shards.
-	var served [3]atomic.Int64
-	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(request(i, &served)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep = s.RunWave()
-	wantLoad := 3 * costAcc * rep.Ratio / want // fresh arrivals only, empty backlog
-	if rep.Load < wantLoad*0.99 {
-		t.Errorf("post-drain load %v, want >= %v (budget denominator still at full fleet?)", rep.Load, wantLoad)
-	}
-}
-
 // TestServeExpiredDeepInQueueFreesSlots is the stranded-expiry regression
 // test: requests whose deadline passes while queued must not hold queue
 // slots against live traffic, however deep they sit. Before the fix the

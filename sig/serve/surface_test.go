@@ -10,7 +10,7 @@ import (
 )
 
 // TestConfigSurface is the one pin for everything a caller can set: the field
-// counts of the five configuration structs. Each independently settable value
+// counts of the four configuration structs. Each independently settable value
 // doubles the configurations the tests, goldens and benchmark must cover, so
 // the count moves only by a deliberate edit here.
 func TestConfigSurface(t *testing.T) {
@@ -19,10 +19,9 @@ func TestConfigSurface(t *testing.T) {
 		fields int
 	}{
 		{sig.Config{}, 7},
-		{Config{}, 14},
-		{shard.Config{}, 3},
+		{Config{}, 13},
+		{shard.Config{}, 2},
 		{adapt.Config{}, 8},
-		{shard.AutoscalerConfig{}, 7},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		if got := typ.NumField(); got != c.fields {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/sig/adapt"
-	"repro/sig/shard"
 )
 
 // slowPump is a real-clock server whose cadence is far longer than any
@@ -245,11 +244,10 @@ func TestServeStepOverloadShedsWithinBound(t *testing.T) {
 // pumpRun is what simulatePump reads over the waves it measures, after a
 // warm-up that lets the cadence settle.
 type pumpRun struct {
-	load    float64 // mean Load()
-	early   int     // waves counted in Totals.EarlyWaves
-	tokens  int     // waves a wake token fired
-	short   int     // waves that started less than a cadence after the one before
-	resized int     // waves, warm-up included, whose live shard count changed
+	load   float64 // mean Load()
+	early  int     // waves counted in Totals.EarlyWaves
+	tokens int     // waves a wake token fired
+	short  int     // waves that started less than a cadence after the one before
 }
 
 // simulatePump runs Start's pump loop (pacer.run) in fake time over evenly
@@ -263,7 +261,6 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 	const warmup = 50
 	epoch := fc.Now()
 	arrivals, n := 0, 0
-	live := s.fleet.Live()
 	var prevStart time.Time
 	wait := func(delay time.Duration) (token, ok bool) {
 		if n == warmup+waves {
@@ -293,10 +290,6 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 	s.pace.run(wait, func(token bool) time.Duration {
 		start, cadence, early := fc.Now(), s.PacePeriod(), s.pace.earlyWaves.Load()
 		rep := s.runWave(token)
-		if rep.LiveShards != live {
-			live = rep.LiveShards
-			run.resized++
-		}
 		if n++; n > warmup {
 			run.load += s.Load()
 			run.early += int(s.pace.earlyWaves.Load() - early)
@@ -350,16 +343,14 @@ func TestServeLoadSignalHonest(t *testing.T) {
 	}
 }
 
-// TestServeEarlyWavesDoNotScaleDown: an autoscaled fleet at 60 % of its
-// capacity sits between the scaler's thresholds and must stay put. Early
-// waves priced against the full-period budget read a fraction of that, fall
-// under DownAt, and drain a shard the load then needs back.
-func TestServeEarlyWavesDoNotScaleDown(t *testing.T) {
+// TestServeEarlyWavesReadFleetLoad: a 2-shard fleet at 60 % of its capacity
+// must read 60 % load while early waves fire. Early waves priced against the
+// full-period budget would read a fraction of that.
+func TestServeEarlyWavesReadFleetLoad(t *testing.T) {
 	const gap = 125 * time.Microsecond
 	s, fc := newPaceServer(t, func(c *Config) {
 		c.Shards = 2 // × Workers 1
 		c.MinRatio = 1
-		c.AutoScale = &shard.AutoscalerConfig{MinShards: 1, MaxShards: 4}
 	})
 	defer s.Close()
 	cost := time.Duration(0.6 * 2 * float64(gap))
@@ -371,9 +362,6 @@ func TestServeEarlyWavesDoNotScaleDown(t *testing.T) {
 	run := simulatePump(t, s, fc, gap, mk, true, 0, 200)
 	if math.Abs(run.load-0.6) > 0.06 {
 		t.Errorf("mean Load() %.3f at 60%% of the fleet's capacity", run.load)
-	}
-	if run.resized != 0 {
-		t.Fatalf("steady 60%% load resized the fleet on %d waves", run.resized)
 	}
 	if s.Totals().EarlyWaves == 0 {
 		t.Fatal("no early wave fired; the test exercised the cadence only")

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzShardRouting feeds adversarial routing scenarios — shard count,
-// sig policy, significance stream, wave cuts, mid-stream
-// ratio retargeting and mid-stream shard drains — through the Router and
+// sig policy, significance stream, wave cuts and mid-stream
+// ratio retargeting — through the Router and
 // holds it to the cross-shard invariants (invariant_test.go): global
 // conservation against instrumented bodies and the shard sum, the
 // special-significance contracts, the merged ratio floor (when a single
@@ -22,21 +22,18 @@ import (
 //	data[2]  sig policy selector
 //	data[3]  requested ratio, v/255
 //	data[4]  flags: bit0 = batch submission; bit1 = every third task has
-//	         no approximate body; bit2 = 254 bytes in the stream drain a
-//	         shard; bit3 = wave boundaries retarget the ratio; bit4 =
-//	         elastic mode — the router gets two spare slots and each 254
-//	         byte consumes one selector byte choosing drain / rejoin
-//	         fleet surgery (overrides bit2)
+//	         no approximate body; bit3 = wave boundaries retarget the
+//	         ratio; bits 2 and 4 are reserved, ignored (kept so the seeds
+//	         keep their layout)
 //	data[5]  workers per shard, 1 + v%3
 //	data[6:] the stream: 255 is a taskwait boundary (followed, when
-//	         retargeting, by one byte of new ratio); 254 drains the next
-//	         live shard (when enabled) or performs elastic surgery; any
-//	         other byte v is a task of significance v/253 — so the fuzzer
-//	         can position the special values and the chaos adversarially.
+//	         retargeting, by one byte of new ratio); 254 is reserved, a
+//	         no-op (kept so the seeds keep their layout); any other byte v
+//	         is a task of significance v/253 — so the fuzzer can position
+//	         the special values adversarially.
 func FuzzShardRouting(f *testing.F) {
-	// Seeds: baseline, drains, retargeting, single-shard degenerate,
-	// drain-heavy chaos, elastic surgery (drain→rejoin same index, rejoin at
-	// max fleet, drain/rejoin churn).
+	// Seeds: baseline, retargeting, single-shard degenerate, and streams
+	// dense in reserved bytes.
 	nine := []byte{3, 0, 2, 128, 0, 1}
 	for i := 0; i < 60; i++ {
 		nine = append(nine, byte(25*(i%9+1)))
@@ -63,23 +60,16 @@ func FuzzShardRouting(f *testing.F) {
 		if data[4]&2 != 0 {
 			noApprox = 3
 		}
-		drains := data[4]&4 != 0
 		retargets := data[4]&8 != 0
-		elastic := data[4]&16 != 0
 		workers := 1 + int(data[5])%3
 		stream := data[6:]
 		if len(stream) > 1024 {
 			stream = stream[:1024]
 		}
 
-		maxShards := shards
-		if elastic {
-			maxShards = shards + 2
-		}
 		r, err := New(Config{
-			Shards:    shards,
-			MaxShards: maxShards,
-			Runtime:   sig.Config{Workers: workers, Policy: kind},
+			Shards:  shards,
+			Runtime: sig.Config{Workers: workers, Policy: kind},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +90,6 @@ func FuzzShardRouting(f *testing.F) {
 		ranApx = make([]atomic.Bool, len(stream))
 
 		waves := 1
-		drained := 0
 		var pending []sig.TaskSpec
 		flush := func() {
 			if len(pending) == 0 {
@@ -127,51 +116,8 @@ func FuzzShardRouting(f *testing.F) {
 				}
 				continue
 			}
-			if v == 254 && elastic {
-				// Fleet surgery: the selector byte picks the operation.
-				// Refusals (last shard, fleet full, slot draining) are part
-				// of the guardrail contract; only accepted operations void
-				// the single-ratio floor.
-				sel := byte(0)
-				if pos+1 < len(stream) {
-					pos++
-					sel = stream[pos]
-				}
-				switch sel % 2 {
-				case 0: // drain the lowest routable shard
-					for i := 0; i < r.Shards(); i++ {
-						if r.routable(i) {
-							if err := r.DrainShard(i); err == nil {
-								drained++
-							}
-							break
-						}
-					}
-				case 1: // rejoin into the lowest free slot
-					if _, err := r.AddShard(); err == nil {
-						drained++
-					}
-				}
-				if r.Live() < 1 {
-					t.Fatal("surgery left no live shard")
-				}
-				continue
-			}
-			if v == 254 && drains {
-				// Drain the lowest-numbered live shard; refusing to kill
-				// the last one is part of the contract under test.
-				for i := 0; i < shards; i++ {
-					if r.routable(i) {
-						if err := r.DrainShard(i); err == nil {
-							drained++
-						}
-						break
-					}
-				}
-				if r.Live() < 1 {
-					t.Fatal("drains left no live shard")
-				}
-				continue
+			if v == 254 {
+				continue // reserved
 			}
 			i := grow()
 			s := float64(v) / 253
@@ -202,10 +148,9 @@ func FuzzShardRouting(f *testing.F) {
 			waves:    waves,
 			noApprox: noApprox,
 		}
-		// Mid-stream retargeting or drains make the single-ratio floor
-		// ill-defined (a drain cuts an extra quota epoch on its shard);
+		// Mid-stream retargeting makes the single-ratio floor ill-defined;
 		// those runs check conservation, specials and Wait sanity only.
-		if retargets || drained > 0 {
+		if retargets {
 			sc.ratio = 0
 		}
 		checkShardInvariants(t, sc, r, g, ranAcc[:len(sigs)], ranApx[:len(sigs)], g.Stats(), provided)

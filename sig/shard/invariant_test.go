@@ -160,22 +160,9 @@ func checkShardInvariants(t *testing.T, sc shardScenario, r *Router, g *Group, r
 			acc, apx, drop, gs.Accurate, gs.Approximate, gs.Dropped)
 	}
 	if r != nil && g != nil {
-		// Start from the retirement account (drained/replaced incarnations),
-		// then add every occupied slot; empty slots contribute zero.
-		g.retiredMu.Lock()
-		sum := sig.GroupStats{
-			Submitted:   g.retired.Submitted,
-			Accurate:    g.retired.Accurate,
-			Approximate: g.retired.Approximate,
-			Dropped:     g.retired.Dropped,
-		}
-		g.retiredMu.Unlock()
+		var sum sig.GroupStats
 		for i := 0; i < r.Shards(); i++ {
-			p := g.Part(i)
-			if p == nil {
-				continue
-			}
-			ps := p.Stats()
+			ps := g.Part(i).Stats()
 			sum.Submitted += ps.Submitted
 			sum.Accurate += ps.Accurate
 			sum.Approximate += ps.Approximate

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,10 +28,9 @@ func (p *orderPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
 func (p *orderPolicy) Flush(dst []*sig.Task) []*sig.Task        { return dst }
 func (p *orderPolicy) WorkerDecide(int, *sig.Task) sig.Decision { return sig.DecideAccurate }
 
-// scatter builds a 5-slot fleet — slots 1 and 3 drained when surgery is
-// set — submits specs through submit and returns what it left
-// behind: each slot's sub-batch in arrival order.
-func scatter(t *testing.T, surgery bool, specs []sig.TaskSpec, submit func(*Router, *Group)) [][]float64 {
+// scatter builds a 5-shard fleet, submits specs through submit and returns
+// what it left behind: each shard's sub-batch in arrival order.
+func scatter(t *testing.T, specs []sig.TaskSpec, submit func(*Router, *Group)) [][]float64 {
 	t.Helper()
 	var mu sync.Mutex
 	seen := map[*sig.Group][]float64{}
@@ -43,30 +41,20 @@ func scatter(t *testing.T, surgery bool, specs []sig.TaskSpec, submit func(*Rout
 	}
 	defer r.Close()
 	g := r.Group("scatter", 1.0)
-	if surgery {
-		if err := r.DrainShard(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.DrainShard(3); err != nil {
-			t.Fatal(err)
-		}
-	}
 	submit(r, g)
 	subs := make([][]float64, r.Shards())
+	mu.Lock()
 	for i := range subs {
-		if p := g.Part(i); p != nil {
-			mu.Lock()
-			subs[i] = slices.Clone(seen[p])
-			mu.Unlock()
-		}
+		subs[i] = slices.Clone(seen[g.Part(i)])
 	}
+	mu.Unlock()
 	r.WaitPhase(g)
 	return subs
 }
 
-// TestScatterMatchesSubmitLoop: on a quiescent fleet SubmitBatch is a loop of
-// Submit calls — the same sub-batch per shard in the same order — although it
-// takes one cursor range and resolves each home slot once.
+// TestScatterMatchesSubmitLoop: SubmitBatch is a loop of Submit calls — the
+// same sub-batch per shard in the same order — although it takes one cursor
+// range for the whole batch.
 func TestScatterMatchesSubmitLoop(t *testing.T) {
 	const n = 997
 	specs := make([]sig.TaskSpec, n)
@@ -74,34 +62,31 @@ func TestScatterMatchesSubmitLoop(t *testing.T) {
 		// Unique mid-range significances identify the specs.
 		specs[i] = sig.TaskSpec{Fn: func() {}, Significance: float64(i+1) / (n + 2)}
 	}
-	for _, surgery := range []bool{false, true} {
-		t.Run(fmt.Sprintf("round-robin/surgery=%v", surgery), func(t *testing.T) {
-			loop := scatter(t, surgery, specs, func(r *Router, g *Group) {
-				for i := range specs {
-					r.Submit(g, specs[i])
-				}
-			})
-			// Two batches: the second starts mid-sequence.
-			batch := scatter(t, surgery, specs, func(r *Router, g *Group) {
-				r.SubmitBatch(g, specs[:n/3])
-				r.SubmitBatch(g, specs[n/3:])
-			})
-			total := 0
-			for i := range loop {
-				total += len(loop[i])
-				if !slices.Equal(loop[i], batch[i]) {
-					t.Errorf("shard %d: SubmitBatch sent %d specs, the Submit loop %d, or in another order",
-						i, len(batch[i]), len(loop[i]))
-				}
-				if surgery && (i == 1 || i == 3) && len(batch[i]) != 0 {
-					t.Errorf("unroutable shard %d received %d specs", i, len(batch[i]))
-				}
-			}
-			if total != n {
-				t.Fatalf("the Submit loop delivered %d of %d specs", total, n)
+	// The fleet takes no surgery; the case keeps the name it had beside the
+	// drained-slot case.
+	t.Run("round-robin/surgery=false", func(t *testing.T) {
+		loop := scatter(t, specs, func(r *Router, g *Group) {
+			for i := range specs {
+				r.Submit(g, specs[i])
 			}
 		})
-	}
+		// Two batches: the second starts mid-sequence.
+		batch := scatter(t, specs, func(r *Router, g *Group) {
+			r.SubmitBatch(g, specs[:n/3])
+			r.SubmitBatch(g, specs[n/3:])
+		})
+		total := 0
+		for i := range loop {
+			total += len(loop[i])
+			if !slices.Equal(loop[i], batch[i]) {
+				t.Errorf("shard %d: SubmitBatch sent %d specs, the Submit loop %d, or in another order",
+					i, len(batch[i]), len(loop[i]))
+			}
+		}
+		if total != n {
+			t.Fatalf("the Submit loop delivered %d of %d specs", total, n)
+		}
+	})
 }
 
 // TestRouterSubmitSharesSlabs: Router.Submit sends one-spec batches, which

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/sig"
 	"repro/sig/adapt"
@@ -37,8 +38,8 @@ func TestRouterSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Shards() != 4 || r.Energy().Workers != 4 || r.Live() != 4 {
-		t.Fatalf("fleet shape: %d shards, %d workers, %d live", r.Shards(), r.Energy().Workers, r.Live())
+	if r.Shards() != 4 || r.Energy().Workers != 4 {
+		t.Fatalf("fleet shape: %d shards, %d workers", r.Shards(), r.Energy().Workers)
 	}
 	g := r.Group("web", 0.5)
 	if g2 := r.Group("web", 0.8); g2 != g {
@@ -134,8 +135,7 @@ func TestRouterDefaultGroup(t *testing.T) {
 }
 
 // TestRouterNilBodyValidatedUpfront: a nil body must panic before anything
-// is routed — no partial batch and no in-flight slot leaked (a leaked slot
-// would wedge DrainShard forever).
+// is placed — no partial batch dispatched.
 func TestRouterNilBodyValidatedUpfront(t *testing.T) {
 	r, err := New(Config{Shards: 2, Runtime: sig.Config{Workers: 1}})
 	if err != nil {
@@ -154,9 +154,75 @@ func TestRouterNilBodyValidatedUpfront(t *testing.T) {
 	if got := g.Stats().Submitted; got != 0 {
 		t.Errorf("%d tasks of the invalid batch were dispatched", got)
 	}
-	// Both shards must still be drainable: the failed call held no slot.
-	if err := r.DrainShard(0); err != nil {
-		t.Errorf("DrainShard after the recovered panic: %v", err)
+}
+
+// TestStalledShardHoldsWave wedges one shard mid-wave (its task bodies block
+// on a gate): the merged taskwait must not report completion early, the
+// sibling shard must run its cut meanwhile, new work must queue behind the
+// stall, and every task must be conserved once the gate opens.
+func TestStalledShardHoldsWave(t *testing.T) {
+	r, err := New(Config{Shards: 2, Runtime: sig.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	g := r.Group("stall", 1.0)
+
+	gate := make(chan struct{})
+	var stalled, fast atomic.Int64
+	// On a fresh two-shard router the n-th task goes to shard n mod 2: the
+	// gated tasks (even) all land on shard 0, the fast ones (odd) on shard 1.
+	for i := 0; i < 8; i++ {
+		r.Submit(g, sig.TaskSpec{
+			Fn:      func() { <-gate; stalled.Add(1) },
+			HasCost: true, CostAccurate: 100, CostApprox: 0,
+		})
+		r.Submit(g, sig.TaskSpec{
+			Fn:      func() { fast.Add(1) },
+			HasCost: true, CostAccurate: 200, CostApprox: 0,
+		})
+	}
+	if a, b := g.Part(0).Stats().Submitted, g.Part(1).Stats().Submitted; a != 8 || b != 8 {
+		t.Fatalf("round-robin split %d/%d, want 8/8", a, b)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		r.Wait(g)
+		close(done)
+	}()
+	// The wave must be held open by the stalled shard.
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("merged Wait returned while one shard was stalled mid-wave")
+	default:
+	}
+	// The healthy shard runs its whole cut with the gate still shut: none of
+	// its tasks queued behind the stall.
+	for deadline := time.Now().Add(5 * time.Second); fast.Load() != 8; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy shard ran %d bodies with its sibling stalled, want 8", fast.Load())
+		}
+	}
+	// The next task's turn is the stalled shard's; it must queue, not vanish.
+	r.Submit(g, sig.TaskSpec{
+		Fn:      func() { stalled.Add(1) },
+		HasCost: true, CostAccurate: 100, CostApprox: 0,
+	})
+	if got := g.Part(0).Stats().Submitted; got != 9 {
+		t.Errorf("stalled shard holds %d tasks, want 9", got)
+	}
+	close(gate)
+	<-done
+	r.WaitPhase(g) // the straggler submitted after the Wait goroutine started
+
+	if got := stalled.Load(); got != 9 {
+		t.Errorf("stalled shard ran %d bodies, want 9", got)
+	}
+	gs := g.Stats()
+	if gs.Submitted != 17 || gs.Accurate != 17 {
+		t.Errorf("merged stats %+v after the stall, want 17 submitted and accurate", gs)
 	}
 }
 
