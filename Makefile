@@ -27,7 +27,8 @@ vet:
 # mutant of the product code, and each test row's test must fail under its
 # own — the goldens under the pacer's perShard without its workers factor,
 # TestServeDueArrivalFiresWave under a Submit that never posts the due token,
-# and the paper golden under perforation truncating its step.
+# and the paper golden under perforation truncating its step and under LQH
+# halving its history.
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint

@@ -6,21 +6,25 @@
 //
 //	sigbench table1
 //	sigbench fig1   [-out fig1.pgm] [-scale 0.25] [-workers 16]
-//	sigbench fig2   [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
+//	sigbench fig2   [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
 //	sigbench fig3   [-out fig3.pgm] [-scale 0.25] [-workers 16]
-//	sigbench fig4   [-bench Sobel,DCT] [-scale 0.25] [-reps 3]
 //	sigbench table2 [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
 //	sigbench ablate [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
 //	sigbench <study>
-//	sigbench all    [-bench Sobel,DCT] [-scale 0.25] [-workers 16] [-reps 3]
+//	sigbench all    [-bench Sobel,DCT] [-scale 0.25] [-workers 16]
 //
-// Scale 1.0 reproduces evaluation-size problems; smaller scales shrink the
-// workloads proportionally for quick runs. A <study> is an entry of
-// harness.Studies (`sigbench` alone lists them): it takes no flags and
-// prints, byte for byte, internal/harness/testdata/<study>.golden. `all` is
-// the paper commands in the order above, then every study. An unknown
-// command, a flag the command does not read, or a stray argument is a usage
-// error (exit 2). Wall-clock performance is `go run ./benchmark`, not this.
+// Scale in (0,1]: 1.0 (the default) reproduces evaluation-size problems;
+// smaller scales shrink the workloads proportionally for quick runs. A
+// <study> is an entry of harness.Studies (`sigbench` alone lists them): it
+// takes no flags and prints, byte for byte,
+// internal/harness/testdata/<study>.golden. `all` is the paper commands in
+// the order above, then every study. An unknown command, a flag the command
+// does not read, a -scale outside (0,1] or a stray argument is a usage error
+// (exit 2).
+//
+// Every column sigbench prints is modeled: at -workers 1 the output is the
+// same bytes on every run. Wall-clock performance, the paper's Figure 4
+// (runtime overhead) included, is `go run ./benchmark`, not this.
 package main
 
 import (
@@ -29,6 +33,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/harness"
@@ -44,7 +49,7 @@ type options struct {
 }
 
 // command is one subcommand: the flags it reads (a subset of "scale workers
-// reps bench out") and what it prints.
+// bench out") and what it prints.
 type command struct {
 	name  string
 	flags string
@@ -55,23 +60,10 @@ type command struct {
 var paper = []command{
 	{"table1", "", func(w io.Writer, _ options) error { harness.Table1(w); return nil }},
 	{"fig1", "out scale workers", func(w io.Writer, o options) error { return mosaic(w, o, "fig1.pgm", harness.Fig1) }},
-	{"fig2", "bench scale workers reps", fig2},
+	{"fig2", "bench scale workers", func(w io.Writer, o options) error { return harness.Fig2(w, o.Options) }},
 	{"fig3", "out scale workers", func(w io.Writer, o options) error { return mosaic(w, o, "fig3.pgm", harness.Fig3) }},
-	{"fig4", "bench scale reps", func(w io.Writer, o options) error {
-		rows, err := harness.Fig4(o.Options)
-		if err == nil {
-			harness.PrintFig4(w, rows)
-		}
-		return err
-	}},
-	{"table2", "bench scale workers", func(w io.Writer, o options) error {
-		rows, err := harness.Table2(o.Options)
-		if err == nil {
-			harness.PrintTable2(w, rows)
-		}
-		return err
-	}},
-	{"ablate", "bench scale workers", ablate},
+	{"table2", "bench scale workers", func(w io.Writer, o options) error { return harness.Table2(w, o.Options) }},
+	{"ablate", "bench scale workers", func(w io.Writer, o options) error { return harness.GTBWindowSweep(w, o.Options) }},
 }
 
 // commands is every subcommand but `all`: the paper commands, then one per
@@ -92,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	selected, flags := cmds, "bench scale workers reps" // `all`
+	selected, flags := cmds, "bench scale workers" // `all`
 	if args[0] != "all" {
 		selected = nil
 		for _, c := range cmds {
@@ -113,11 +105,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, name := range strings.Fields(flags) {
 		switch name {
 		case "scale":
-			fs.Float64Var(&o.Scale, "scale", 1.0, "problem scale in (0,1]; 1.0 = evaluation scale")
+			fs.Func("scale", "problem scale in (0,1] (default 1, evaluation scale)", func(s string) error {
+				v, err := strconv.ParseFloat(s, 64)
+				if err == nil && !(v > 0 && v <= 1) {
+					err = fmt.Errorf("%v is outside (0,1]", v)
+				}
+				o.Scale = v
+				return err
+			})
 		case "workers":
 			fs.IntVar(&o.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		case "reps":
-			fs.IntVar(&o.Repetitions, "reps", 1, "repetitions to average over")
 		case "bench":
 			fs.Func("bench", "comma-separated benchmark subset (default all)", func(s string) error {
 				o.Benches = strings.Split(s, ",")
@@ -164,12 +161,12 @@ func usage(w io.Writer) {
 
 // mosaic writes the Figure 1/3 quadrant image and prints its PSNRs.
 func mosaic(w io.Writer, o options, def string,
-	f func(string, float64, int) (map[harness.Degree]float64, error)) error {
+	f func(string, harness.Options) (map[harness.Degree]float64, error)) error {
 	out := o.out
 	if out == "" {
 		out = def
 	}
-	psnrs, err := f(out, o.Scale, o.Workers)
+	psnrs, err := f(out, o.Options)
 	if err != nil {
 		return err
 	}
@@ -178,22 +175,4 @@ func mosaic(w io.Writer, o options, def string,
 		fmt.Fprintf(w, "  %-7s PSNR = %6.2f dB\n", d, psnrs[d])
 	}
 	return nil
-}
-
-func fig2(w io.Writer, o options) error {
-	fmt.Fprintln(w, "Figure 2: execution time, energy and quality per benchmark/degree/policy.")
-	fmt.Fprintln(w, "Quality: 1/PSNR for Sobel and DCT, relative error (%) otherwise; lower is better.")
-	fmt.Fprintln(w)
-	harness.FormatMeasurementHeader(w)
-	return harness.Fig2(o.Options, func(m harness.Fig2Row) {
-		harness.PrintFig2Row(w, m, "")
-	})
-}
-
-func ablate(w io.Writer, o options) error {
-	sweep, err := harness.GTBWindowSweep(o.Options)
-	if err == nil {
-		harness.PrintWindowSweep(w, sweep)
-	}
-	return err
 }

@@ -61,9 +61,9 @@ func TestStudyCommands(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an unknown command, a flag the command does not read and
-// a stray argument all exit 2 with the complaint on stderr and nothing on
-// stdout — not exit 0 having ignored it.
+// TestUsageErrors: an unknown command, a flag the command does not read, a
+// -scale outside (0,1] and a stray argument all exit 2 with the complaint on
+// stderr and nothing on stdout — not exit 0 having ignored it.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
@@ -74,8 +74,12 @@ func TestUsageErrors(t *testing.T) {
 		{"table1", "-backend", "kmeans"},
 		{"serve", "-shards", "4"},
 		{"adaptive", "-reps", "3"},
-		{"fig4", "-workers", "2"},
+		{"fig4"},
+		{"fig2", "-reps", "3"},
+		{"all", "-reps", "3"},
 		{"ablate", "-reps", "3"},
+		{"fig2", "-scale", "7"},
+		{"table2", "-scale", "0"},
 		{"fig2", "-out", "x.pgm"},
 		{"all", "-out", "x.pgm"},
 		{"table1", "extra"},
@@ -94,7 +98,8 @@ func TestUsageErrors(t *testing.T) {
 
 // TestAllFollowsRegistry: `all` is the paper commands then every study in
 // registry order, one blank line between consecutive commands and none
-// doubled — the sharded serve scenario and the ablate/paper seam included.
+// doubled — the sharded serve scenario and the ablate/paper seam included —
+// and at one worker it prints the same bytes on every run.
 func TestAllFollowsRegistry(t *testing.T) {
 	dir, err := os.Getwd()
 	if err != nil {
@@ -105,9 +110,13 @@ func TestAllFollowsRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(dir)
-	code, stdout, stderr := sigbench("all", "-scale", "0.04", "-bench", "Sobel")
+	args := []string{"all", "-scale", "0.04", "-workers", "1"}
+	code, stdout, stderr := sigbench(args...)
 	if code != 0 {
 		t.Fatalf("sigbench all: exit %d\n%s", code, stderr)
+	}
+	if _, again, _ := sigbench(args...); again != stdout {
+		t.Errorf("sigbench %v printed different bytes on a second run", args)
 	}
 	var head, tail bytes.Buffer
 	harness.Table1(&head)

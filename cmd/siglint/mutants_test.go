@@ -96,6 +96,17 @@ var mutants = []struct {
 		old:  "uint64(math.Round(p.g.Ratio() * (1 << 32)))",
 		new:  "uint64(p.g.Ratio() * (1 << 32))",
 	},
+	{
+		// LQH classifying against half its history: a noisier quantile
+		// estimate that every ratio bound still admits. At one worker the
+		// paper golden's LQH rows move (Sobel Medium prov% 39.8 → 33.5).
+		name: "lqhHistory",
+		test: "TestStudyGoldens/paper",
+		pkg:  "./internal/harness",
+		file: "sig/policy.go",
+		old:  "DefaultLQHHistory = 32",
+		new:  "DefaultLQHHistory = 16",
+	},
 }
 
 // TestMutantsAreFlagged applies each mutant through the go command's

@@ -28,7 +28,8 @@ type Measurement struct {
 	Applicable bool
 	// Wall is the measured execution time, Joules the modeled energy and
 	// Quality the benchmark's lower-is-better metric versus the
-	// reference output.
+	// reference output. Wall and TasksPerSec are read by the benchmark
+	// ledger alone: nothing this package prints depends on the host clock.
 	Wall    time.Duration
 	Joules  float64
 	Quality float64
@@ -69,9 +70,9 @@ func Execute(spec Spec, inst Instance, ref any, mode Mode, degree Degree, opt Ru
 	if err != nil {
 		return m, err
 	}
-	start := time.Now()
+	start := time.Now() //siglint:wallclock Wall is the benchmark ledger's (benchmark/paper_apps.go); no printed column reads it
 	out := inst.Run(rt, ratio)
-	m.Wall = time.Since(start)
+	m.Wall = time.Since(start) //siglint:wallclock the other end of start's read, for the same ledger
 	if err := rt.Close(); err != nil {
 		return m, err
 	}
@@ -92,36 +93,4 @@ func Execute(spec Spec, inst Instance, ref any, mode Mode, degree Degree, opt Ru
 		}
 	}
 	return m, nil
-}
-
-// executeAveraged repeats Execute reps times and averages the numeric
-// fields; the remaining fields come from the first repetition.
-func executeAveraged(spec Spec, inst Instance, ref any, mode Mode, degree Degree, opt RunOptions, reps int) (Measurement, error) {
-	var acc Measurement
-	for i := 0; i < reps; i++ {
-		m, err := Execute(spec, inst, ref, mode, degree, opt)
-		if err != nil {
-			return m, err
-		}
-		if !m.Applicable {
-			return m, nil
-		}
-		if i == 0 {
-			acc = m
-			continue
-		}
-		acc.Wall += m.Wall
-		acc.Joules += m.Joules
-		acc.Quality += m.Quality
-		acc.ProvidedRatio += m.ProvidedRatio
-		acc.TasksPerSec += m.TasksPerSec
-	}
-	if reps > 1 {
-		acc.Wall /= time.Duration(reps)
-		acc.Joules /= float64(reps)
-		acc.Quality /= float64(reps)
-		acc.ProvidedRatio /= float64(reps)
-		acc.TasksPerSec /= float64(reps)
-	}
-	return acc, nil
 }

@@ -1,8 +1,9 @@
 package harness
 
 import (
+	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro/internal/bench/sobel"
 	"repro/internal/imaging"
@@ -12,30 +13,27 @@ import (
 // Fig1 regenerates the paper's Figure 1: the Sobel output as a quadrant
 // mosaic — accurate (top-left), Mild (top-right), Medium (bottom-left) and
 // Aggressive (bottom-right) under the GTB max-buffering policy — written as
-// a PGM to path. It returns the PSNR per degree.
-func Fig1(path string, scale float64, workers int) (map[Degree]float64, error) {
-	return sobelMosaic(path, scale, workers, sig.PolicyGTBMaxBuffer)
+// a PGM to path. It returns the PSNR per degree; opt.Benches is not read.
+func Fig1(path string, opt Options) (map[Degree]float64, error) {
+	return sobelMosaic(path, opt, sig.PolicyGTBMaxBuffer)
 }
 
 // Fig3 is the same mosaic under loop perforation (Figure 3): dropped rows
 // stay black, showing why significance-blind dropping degrades faster.
-func Fig3(path string, scale float64, workers int) (map[Degree]float64, error) {
-	return sobelMosaic(path, scale, workers, sig.PolicyPerforation)
+func Fig3(path string, opt Options) (map[Degree]float64, error) {
+	return sobelMosaic(path, opt, sig.PolicyPerforation)
 }
 
-func sobelMosaic(path string, scale float64, workers int, kind sig.PolicyKind) (map[Degree]float64, error) {
+func sobelMosaic(path string, opt Options, kind sig.PolicyKind) (map[Degree]float64, error) {
 	spec, _ := SpecByName("Sobel")
-	if scale <= 0 || scale > 1 {
-		scale = 1
-	}
 	p := sobel.DefaultParams()
-	p.W, p.H = scaled(p.W, scale, 64), scaled(p.H, scale, 64)
+	p.W, p.H = scaled(p.W, opt.scale(), 64), scaled(p.H, opt.scale(), 64)
 	app := sobel.New(p)
 	ref := app.Sequential()
 	psnrs := make(map[Degree]float64, 3)
 	outs := make(map[Degree]*imaging.Image, 3)
 	for _, d := range Degrees() {
-		rt, err := sig.New(sig.Config{Workers: workers, Policy: kind})
+		rt, err := sig.New(sig.Config{Workers: opt.Workers, Policy: kind})
 		if err != nil {
 			return nil, err
 		}
@@ -61,106 +59,53 @@ func sobelMosaic(path string, scale float64, workers int, kind sig.PolicyKind) (
 	return psnrs, f.Close()
 }
 
-// Fig2Row is one cell of Figure 2: a benchmark under one policy at one
-// degree.
-type Fig2Row = Measurement
+// modeledFmt prints a modeled energy and quality pair. Declared costs make
+// joules a multiple of 12 nJ (DefaultActiveWatts × 1 ns), so nine decimals
+// show every cost unit a run executed; modeledHeader heads the two columns.
+const modeledFmt = "%14.9fJ %11.8f"
 
-// Fig2 runs the quality/energy/time comparison of Figure 2 — every
-// benchmark of the subset under every policy at every degree — streaming
-// each measured row to emit as it completes.
-func Fig2(opt Options, emit func(Fig2Row)) error {
+var modeledHeader = fmt.Sprintf("%15s %11s", "energy", "quality")
+
+// Fig2 prints the quality/energy comparison of Figure 2 — every benchmark of
+// the subset under every policy at every degree — one row per cell as it
+// completes. Every column is modeled: energy from declared task costs,
+// quality against the reference output, and the requested and provided
+// accurate ratios.
+func Fig2(w io.Writer, opt Options) error {
 	benches, err := subset(opt)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "Figure 2: modeled energy and quality per benchmark, degree and policy")
+	fmt.Fprintln(w, "Quality: 1/PSNR for Sobel and DCT, relative error (%) otherwise; lower is better.")
+	fmt.Fprintf(w, "%-13s %-10s %-12s %s %6s %6s\n", "benchmark", "degree", "policy", modeledHeader, "req%", "prov%")
 	for _, spec := range benches {
 		inst := spec.Make(opt.scale())
 		ref := inst.Reference()
 		// The accurate baseline ignores the degree (Execute pins its
-		// ratio to 1.0), so run it once and re-emit it per degree
+		// ratio to 1.0), so run it once and print it under every degree
 		// instead of repeating the most expensive run three times.
-		var accurate *Measurement
+		accurate, err := Execute(spec, inst, ref, ModeAccurate, Mild, RunOptions{Workers: opt.Workers})
+		if err != nil {
+			return err
+		}
 		for _, d := range Degrees() {
 			for _, mode := range Modes() {
-				if mode == ModeAccurate && accurate != nil {
-					m := *accurate
-					m.Degree = d
-					emit(m)
+				m := accurate
+				m.Degree = d
+				if mode != ModeAccurate {
+					if m, err = Execute(spec, inst, ref, mode, d, RunOptions{Workers: opt.Workers}); err != nil {
+						return err
+					}
+				}
+				if !m.Applicable {
+					fmt.Fprintf(w, "%-13s %-10s %-12s %15s\n", m.Bench, m.Degree, m.Mode, "n/a")
 					continue
 				}
-				m, err := executeAveraged(spec, inst, ref, mode, d,
-					RunOptions{Workers: opt.Workers}, opt.reps())
-				if err != nil {
-					return err
-				}
-				if mode == ModeAccurate {
-					accurate = &m
-				}
-				emit(m)
+				fmt.Fprintf(w, "%-13s %-10s %-12s "+modeledFmt+" %6.1f %6.1f\n", m.Bench, m.Degree, m.Mode,
+					m.Joules, m.Quality, 100*m.RequestedRatio, 100*m.ProvidedRatio)
 			}
 		}
 	}
 	return nil
-}
-
-// Fig4Row is the runtime-overhead measurement for one benchmark: the
-// all-accurate runtime execution time at several worker counts, normalized
-// to the sequential (runtime-free) time.
-type Fig4Row struct {
-	Bench          string
-	SequentialWall time.Duration
-	Workers        []int
-	Normalized     []float64
-}
-
-// Fig4 measures the runtime overhead experiment of Figure 4.
-func Fig4(opt Options) ([]Fig4Row, error) {
-	benches, err := subset(opt)
-	if err != nil {
-		return nil, err
-	}
-	workerCounts := []int{1, 2, 4}
-	rows := make([]Fig4Row, 0, len(benches))
-	for _, spec := range benches {
-		// Warm caches and code paths on a throwaway instance so the
-		// timed sequential baseline is not penalized for first-touch
-		// costs the runtime runs won't pay either, then keep the best
-		// of reps timings to shed preemption outliers.
-		spec.Make(opt.scale()).Reference()
-		inst := spec.Make(opt.scale())
-		start := time.Now()
-		ref := inst.Reference()
-		seq := time.Since(start)
-		for r := 1; r < opt.reps(); r++ {
-			fresh := spec.Make(opt.scale()) // construction stays untimed
-			start = time.Now()
-			fresh.Reference()
-			if d := time.Since(start); d < seq {
-				seq = d
-			}
-		}
-		if seq <= 0 {
-			seq = time.Nanosecond
-		}
-		row := Fig4Row{Bench: spec.Name, SequentialWall: seq, Workers: workerCounts}
-		for _, w := range workerCounts {
-			// Best-of-reps on the runtime side too, matching the
-			// sequential baseline — otherwise one preempted rep
-			// would inflate the overhead ratio asymmetrically.
-			var best time.Duration
-			for r := 0; r < opt.reps(); r++ {
-				m, err := Execute(spec, inst, ref, ModeAccurate, Medium,
-					RunOptions{Workers: w})
-				if err != nil {
-					return nil, err
-				}
-				if r == 0 || m.Wall < best {
-					best = m.Wall
-				}
-			}
-			row.Normalized = append(row.Normalized, float64(best)/float64(seq))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

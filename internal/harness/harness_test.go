@@ -201,7 +201,7 @@ func TestAdaptiveStudyDeterministic(t *testing.T) {
 // TestFig1WritesMosaic smoke-tests the Figure 1 path end to end.
 func TestFig1WritesMosaic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig1.pgm")
-	psnrs, err := Fig1(path, 0.05, 0)
+	psnrs, err := Fig1(path, Options{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ const studyScale = 0.1
 // entry with its golden, and cmd/sigbench dispatches `<name>` and `all`
 // through it. Wall time is not their subject — that is `go run ./benchmark`.
 var Studies = []Study{
-	{"paper", "the paper's modeled columns: Fig. 2 without LQH, Table 2's GTB and GTB(max), the GTB window sweep",
+	{"paper", "the paper's modeled columns: sigbench fig2, table2 and ablate at one worker, LQH included",
 		printPaper},
 	{"adaptive", "sig/adapt controller: step response and disturbance rejection on streaming sobel, energy cap on kmeans",
 		func(w io.Writer) error {
@@ -92,41 +92,19 @@ func printServe(w io.Writer, shards int, backends ...string) error {
 	return nil
 }
 
-// printPaper prints the deterministic columns of the paper's evaluation, for
-// every benchmark at a smoke scale on two workers: Fig. 2's modeled energy,
-// quality and ratios for every policy but LQH, Table 2's GTB and GTB(max)
-// columns, and the GTB window sweep. LQH decides per worker, so its columns
-// vary run to run; TestPolicyRatioCompliance bounds its ratio instead. Wall
-// time is not printed: that is `sigbench fig2`'s.
+// printPaper prints the paper commands whose every column is modeled —
+// `sigbench fig2`, `table2` and `ablate` — at a smoke scale on one worker. One
+// worker decides every LQH task, in submission order, against one history,
+// so LQH's columns are pinned with the rest; at more than one worker they
+// vary run to run, and TestPolicyRatioCompliance bounds its ratio instead.
 func printPaper(w io.Writer) error {
-	opt := Options{Scale: 0.05, Workers: 2}
-	fmt.Fprintf(w, "Figure 2, modeled columns (scale %g, %d workers; LQH is not pinned)\n",
-		opt.Scale, opt.Workers)
-	fmt.Fprintf(w, "%-13s %-10s %-12s %s %6s %6s\n", "benchmark", "degree", "policy", modeledHeader, "req%", "prov%")
-	err := Fig2(opt, func(m Fig2Row) {
-		switch {
-		case m.Mode == ModeLQH: // not pinned
-		case !m.Applicable:
-			fmt.Fprintf(w, "%-13s %-10s %-12s %15s\n", m.Bench, m.Degree, m.Mode, "n/a")
-		default:
-			fmt.Fprintf(w, "%-13s %-10s %-12s "+modeledFmt+" %6.1f %6.1f\n", m.Bench, m.Degree, m.Mode,
-				m.Joules, m.Quality, 100*m.RequestedRatio, 100*m.ProvidedRatio)
+	opt := Options{Scale: 0.05, Workers: 1}
+	fmt.Fprintf(w, "sigbench fig2, table2 and ablate -scale %g -workers %d\n", opt.Scale, opt.Workers)
+	for _, artifact := range []func(io.Writer, Options) error{Fig2, Table2, GTBWindowSweep} {
+		fmt.Fprintln(w)
+		if err := artifact(w, opt); err != nil {
+			return err
 		}
-	})
-	if err != nil {
-		return err
 	}
-	rows, err := Table2(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	PrintTable2(w, rows, ModeGTB, ModeGTBMax)
-	sweep, err := GTBWindowSweep(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	PrintWindowSweep(w, sweep)
 	return nil
 }

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/sig"
@@ -20,52 +22,38 @@ func Table1(w io.Writer) {
 	}
 }
 
-// Table2Row reports, for one benchmark at the Medium degree, how precisely
-// each significance-aware policy honored the requested ratio and how often
-// it inverted the significance order (ran a less significant task accurately
-// at the expense of a more significant one).
-type Table2Row struct {
-	Bench string
-	// Requested is the Medium-degree target accurate ratio.
-	Requested float64
-	// ProvidedPct is the delivered accurate percentage per mode.
-	ProvidedPct map[Mode]float64
-	// InversionPct is the percentage of accurate-execution slots spent
-	// on tasks outside the top-Requested significance set.
-	InversionPct map[Mode]float64
-}
-
-// table2Modes are the significance-aware policies Table 2 audits.
-func table2Modes() []Mode { return []Mode{ModeGTB, ModeGTBMax, ModeLQH} }
-
-// Table2 runs the policy-accuracy experiment.
-func Table2(opt Options) ([]Table2Row, error) {
+// Table2 prints the policy-accuracy experiment: for every benchmark of the
+// subset at the Medium degree, how precisely each significance-aware policy
+// honored the requested ratio (prov%) and how often it inverted the
+// significance order (inv%: ran a less significant task accurately at the
+// expense of a more significant one).
+func Table2(w io.Writer, opt Options) error {
 	benches, err := subset(opt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows := make([]Table2Row, 0, len(benches))
+	modes := []Mode{ModeGTB, ModeGTBMax, ModeLQH}
+	fmt.Fprintln(w, "Table 2: requested vs provided accurate ratio and significance inversions (Medium)")
+	fmt.Fprintf(w, "%-13s %6s", "benchmark", "req%")
+	for _, m := range modes {
+		fmt.Fprintf(w, " %9s-prov%% %9s-inv%%", m, m)
+	}
+	fmt.Fprintln(w)
 	for _, spec := range benches {
 		inst := spec.Make(opt.scale())
 		ref := inst.Reference()
-		row := Table2Row{
-			Bench:        spec.Name,
-			Requested:    spec.Ratios[Medium],
-			ProvidedPct:  make(map[Mode]float64),
-			InversionPct: make(map[Mode]float64),
-		}
-		for _, mode := range table2Modes() {
+		fmt.Fprintf(w, "%-13s %6.1f", spec.Name, 100*spec.Ratios[Medium])
+		for _, mode := range modes {
 			m, err := Execute(spec, inst, ref, mode, Medium,
 				RunOptions{Workers: opt.Workers, RecordDecisions: true})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			row.ProvidedPct[mode] = 100 * m.ProvidedRatio
-			row.InversionPct[mode] = inversionPct(m.Decisions)
+			fmt.Fprintf(w, " %15.1f %14.1f", 100*m.ProvidedRatio, inversionPct(m.Decisions))
 		}
-		rows = append(rows, row)
+		fmt.Fprintln(w)
 	}
-	return rows, nil
+	return nil
 }
 
 // inversionPct measures how far the accurate set strays from the
@@ -73,15 +61,19 @@ func Table2(opt Options) ([]Table2Row, error) {
 // oracle spends all k slots on the wave's k most significant tasks; every
 // accurate task strictly below that cutoff is an inversion. Waves are
 // scored independently — iterative benchmarks reassign significance each
-// wave, so cross-wave comparisons would be meaningless — and aggregated
-// over the total accurate count.
+// wave, so cross-wave comparisons would be meaningless — in wave order, and
+// aggregated over the total accurate count.
 func inversionPct(recs []sig.DecisionRecord) float64 {
-	waves := make(map[int][]sig.DecisionRecord)
-	for _, r := range recs {
-		waves[r.Wave] = append(waves[r.Wave], r)
-	}
+	recs = slices.Clone(recs)
+	slices.SortFunc(recs, func(a, b sig.DecisionRecord) int { return cmp.Compare(a.Wave, b.Wave) })
 	totalInv, totalK := 0, 0
-	for _, wave := range waves {
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].Wave == recs[0].Wave {
+			n++
+		}
+		wave := recs[:n]
+		recs = recs[n:]
 		k := 0
 		for _, r := range wave {
 			if r.Accurate {
