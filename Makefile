@@ -25,7 +25,7 @@ vet:
 # (noalloc) — and the must-fail mutants of cmd/siglint/mutants_test.go, each
 # applied by -overlay (the tree is never edited): each analyzer must flag its
 # mutant of the product code, and each test row's test must fail under its
-# own — the goldens under the pacer's perShard without its workers factor,
+# own — the goldens under the pacer's price without its workers factor,
 # TestServeDueArrivalFiresWave under a Submit that never posts the due token,
 # and the paper golden under perforation truncating its step and under LQH
 # halving its history.

@@ -70,7 +70,7 @@ func TestUsageErrors(t *testing.T) {
 		{"nope"},
 		{"multicore"},
 		{"slo", "-scale", "0.5"},
-		{"serve_4shards", "-workers", "9"},
+		{"serve_4shards"},
 		{"table1", "-backend", "kmeans"},
 		{"serve", "-shards", "4"},
 		{"adaptive", "-reps", "3"},

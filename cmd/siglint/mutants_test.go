@@ -62,8 +62,9 @@ var mutants = []struct {
 		escape:   "make([]*Ticket, 0, len(l.q)) escapes to heap",
 	},
 	{
-		// The pacer pricing a shard's wave without its workers factor: half
-		// a 2-worker server's capacity. The studies drive RunWave, the
+		// The pacer pricing a wave without its workers factor (its price
+		// method was perShard while a server could run several shards):
+		// half a 2-worker server's capacity. The studies drive RunWave, the
 		// pump's own step, so the serving goldens move; a study with a
 		// budget rule of its own again would not.
 		name: "perShard",

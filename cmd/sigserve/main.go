@@ -7,15 +7,13 @@
 // Usage:
 //
 //	sigserve [-addr :8080] [-backend sobel|kmeans] [-scale 0.25]
-//	         [-workers 0] [-shards 1] [-period 5ms] [-queue 4096]
+//	         [-workers 0] [-period 5ms] [-queue 4096]
 //	         [-min-period 0] [-max-period 0]
 //	         [-minratio 0] [-target-load 1.0] [-deadline 0]
 //	         [-priority-at 0] [-quality-floor 0] [-quality-window 0]
 //
-// The server always runs over a shard.Router fleet of -shards N runtime
-// shards (default 1; -workers is the per-shard pool), fixed for the life of
-// the process. With N ≥ 2 the admission controller is hierarchical: global
-// load cap over merged waves, per-shard ratio trim underneath.
+// The server runs every wave on one sig runtime of -workers workers
+// (default GOMAXPROCS). A -scale outside (0,1] is a usage error.
 //
 // -deadline D gives every request a default deadline D from arrival
 // (0 = none); a request may override it with ?deadline_ms=N. Requests that
@@ -93,8 +91,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		backendSel = flag.String("backend", "sobel", "request backend: sobel or kmeans")
 		scale      = flag.Float64("scale", 0.25, "backend problem scale in (0,1]")
-		workers    = flag.Int("workers", 0, "worker goroutines per shard (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "runtime shards behind the router (0 = 1)")
+		workers    = flag.Int("workers", 0, "runtime worker goroutines (0 = GOMAXPROCS)")
 		period     = flag.Duration("period", serve.DefaultWavePeriod, "nominal wave period (the pacer retimes to the measured wall within the min/max bounds)")
 		minPeriod  = flag.Duration("min-period", 0, "pacer cadence floor (0 = period/4)")
 		maxPeriod  = flag.Duration("max-period", 0, "pacer cadence ceiling (0 = 8x period)")
@@ -123,7 +120,6 @@ func main() {
 	}
 	cfg := serve.Config{
 		Workers:       *workers,
-		Shards:        *shards,
 		QueueLimit:    *queue,
 		WavePeriod:    *period,
 		MinPeriod:     *minPeriod,
@@ -149,8 +145,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Printf("sigserve: %s backend on %s (%d shard(s), period %v, queue %d, minratio %.2f)",
-		backend.Name, *addr, max(*shards, 1), *period, *queue, *minRatio)
+	log.Printf("sigserve: %s backend on %s (period %v, queue %d, minratio %.2f)",
+		backend.Name, *addr, *period, *queue, *minRatio)
 	if err := run(ctx, ln, handler, srv); err != nil {
 		fmt.Fprintln(os.Stderr, "sigserve:", err)
 		os.Exit(1)
@@ -168,8 +164,8 @@ const shutdownGrace = 5 * time.Second
 // loses no accepted request: /readyz turns 503, the listener closes, every
 // request already in a handler gets its reply — its ticket resolves on the
 // waves srv's pump keeps firing — and only when the last handler has returned
-// (or shutdownGrace has passed) does srv.Close stop admission and retire the
-// fleet. Serve returns the moment Shutdown is called, not when it is done, so
+// (or shutdownGrace has passed) does srv.Close stop admission and close the
+// runtime. Serve returns the moment Shutdown is called, not when it is done, so
 // run returns — and the process may exit — only after Shutdown has.
 func run(ctx context.Context, ln net.Listener, h *front, srv *serve.Server) error {
 	httpSrv := &http.Server{Handler: h}
@@ -283,8 +279,6 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 		bulkDepth, prioDepth := srv.LaneDepths()
 		writeJSON(w, map[string]any{
 			"backend":            backend.Name,
-			"shards":             srv.Shards(),
-			"live_shards":        srv.Shards(),
 			"ratio":              srv.Ratio(),
 			"load":               srv.Load(),
 			"budget":             srv.Budget(),

@@ -93,8 +93,12 @@ func KmeansServeBackend(scale float64) *ServeBackend {
 	}
 }
 
-// ServeBackendByName resolves a -backend flag onto a request source.
+// ServeBackendByName resolves a -backend flag onto a request source of the
+// given -scale, which must lie in (0,1].
 func ServeBackendByName(name string, scale float64) (*ServeBackend, error) {
+	if !(scale > 0 && scale <= 1) { // also NaN
+		return nil, fmt.Errorf("harness: serve scale %v outside (0,1]", scale)
+	}
 	switch strings.ToLower(name) {
 	case "", "sobel":
 		return SobelServeBackend(scale), nil
@@ -108,14 +112,9 @@ func ServeBackendByName(name string, scale float64) (*ServeBackend, error) {
 type ServeConfig struct {
 	// Scale in (0,1] sizes the backend's per-request work.
 	Scale float64
-	// Workers per runtime shard (0 = 2). Capacity is workers × the wave
-	// period, so the default is a constant, not GOMAXPROCS.
+	// Workers of the server's runtime (0 = 2). Capacity is workers × the
+	// wave period, so the default is a constant, not GOMAXPROCS.
 	Workers int
-	// Shards is the size of the shard.Router fleet behind the server (0 = 1).
-	// Shards ≥ 2 is the sharded overload scenario, with the hierarchical
-	// admission controller (global TargetLoad over merged waves, per-shard
-	// trim below).
-	Shards int
 	// Backend is "sobel" (default) or "kmeans".
 	Backend string
 	// Waves is the open-loop stream length (default 28); the overload
@@ -192,7 +191,6 @@ type ServeWaveRow struct {
 // ServeResult is the outcome of the serving study.
 type ServeResult struct {
 	Backend     string
-	Shards      int // as configured: 0/1 = one-shard fleet; ≥ 2 = sharded fleet
 	BasePerWave int
 	Overload    float64
 	StepAt      int
@@ -230,7 +228,6 @@ type ServeResult struct {
 func newStudyServer(cfg ServeConfig, b *ServeBackend) (*serve.Server, error) {
 	return newFrozenServer(serve.Config{
 		Workers:    cfg.Workers,
-		Shards:     cfg.Shards,
 		QueueLimit: 64 * serveBasePerWave,
 	}, serveBasePerWave*b.CostAccurate/serveUtilization)
 }
@@ -249,7 +246,6 @@ func ServeStudy(cfg ServeConfig) (ServeResult, error) {
 	}
 	res := ServeResult{
 		Backend:     backend.Name,
-		Shards:      cfg.Shards,
 		BasePerWave: serveBasePerWave,
 		Overload:    serveOverload,
 		StepAt:      cfg.StepAt,
@@ -396,12 +392,8 @@ func serveClosedLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) e
 // the commanded ratio across the overload step, and the summary lines the
 // gating tests read.
 func PrintServeStudy(w io.Writer, r ServeResult) {
-	engine := ""
-	if r.Shards >= 2 {
-		engine = fmt.Sprintf(", %d shards", r.Shards)
-	}
-	fmt.Fprintf(w, "Serve study (%s backend%s): open-loop %.0fx overload step over waves [%d,%d)\n",
-		r.Backend, engine, r.Overload, r.StepAt, r.StepEnd)
+	fmt.Fprintf(w, "Serve study (%s backend): open-loop %.0fx overload step over waves [%d,%d)\n",
+		r.Backend, r.Overload, r.StepAt, r.StepEnd)
 	fmt.Fprintf(w, "%-5s %7s %7s %6s %6s %6s %6s %6s %5s/%-5s/%-4s %10s\n",
 		"wave", "offered", "admit", "depth", "load", "req%", "prov%", "next%", "acc", "deg", "drop", "energy")
 	for _, row := range r.Rows {

@@ -38,9 +38,7 @@ var Studies = []Study{
 			return err
 		}},
 	{"serve", "sig/serve under a 4x overload step, open then closed loop, sobel and kmeans backends",
-		func(w io.Writer) error { return printServe(w, 0, "sobel", "kmeans") }},
-	{"serve_4shards", "the same overload step served by a 4-shard fleet",
-		func(w io.Writer) error { return printServe(w, 4, "sobel") }},
+		func(w io.Writer) error { return printServe(w, "sobel", "kmeans") }},
 	{"slo", "measured shed/recover waves vs the derived bounds, windowed quality floor, priority lane",
 		func(w io.Writer) error {
 			res, err := SLOStudy()
@@ -62,11 +60,11 @@ var Studies = []Study{
 // newFrozenServer builds a server of sc with a fixed capacity of budget cost
 // units per wave under the production budget rule: a FakeClock nobody
 // advances measures every wave at zero, so the pacer holds its cadence at
-// MinPeriod and prices each wave at workers × MinPeriod per shard.
+// MinPeriod and prices each wave at workers × MinPeriod.
 // sc's Workers must be set, and budget must split into a whole period of
 // nanoseconds, or the rule would not reproduce it exactly.
 func newFrozenServer(sc serve.Config, budget float64) (*serve.Server, error) {
-	n := float64(max(sc.Shards, 1) * sc.Workers)
+	n := float64(sc.Workers)
 	period := time.Duration(budget / n)
 	if period <= 0 || float64(period)*n != budget {
 		return nil, fmt.Errorf("harness: wave budget %v is not a whole period of ns over %v workers", budget, n)
@@ -78,12 +76,12 @@ func newFrozenServer(sc serve.Config, budget float64) (*serve.Server, error) {
 
 // printServe runs the serving overload study on each backend and prints the
 // studies in order, a blank line between them.
-func printServe(w io.Writer, shards int, backends ...string) error {
+func printServe(w io.Writer, backends ...string) error {
 	for i, name := range backends {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		res, err := ServeStudy(ServeConfig{Scale: studyScale, Shards: shards, Backend: name})
+		res, err := ServeStudy(ServeConfig{Scale: studyScale, Backend: name})
 		if err != nil {
 			return err
 		}

@@ -307,7 +307,7 @@ func (s *Server) bodyEnd(slot *slabSlot, o Outcome) {
 }
 
 // stage writes one admitted request into the next slot of the wave's open
-// slab, submitting the slab to the fleet the moment it fills. Requests of
+// slab, submitting the slab to the runtime the moment it fills. Requests of
 // any declared cost share the stream, so tasks reach the policy in admission
 // order. Called from runWave under waveMu.
 //
@@ -337,22 +337,22 @@ func (s *Server) stage(tk *Ticket) {
 	}
 }
 
-// submitSlab hands the open slab's filled specs to the fleet and lists the
+// submitSlab hands the open slab's filled specs to the runtime and lists the
 // slab for its wave's end.
 //
 //siglint:noalloc
 func (s *Server) submitSlab() {
 	sl := s.cur
 	s.cur = nil
-	s.fleet.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig/shard, where siglint cannot follow; TestServeSubmitAllocs holds the path to 0 allocs
-	s.slabs = append(s.slabs, sl)               //siglint:allocok amortized growth of the reused slab list
+	s.rt.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig, where noalloc has no cross-package facts; SubmitBatch is //siglint:noalloc there and TestServeSubmitAllocs holds the path to 0 allocs
+	s.slabs = append(s.slabs, sl)            //siglint:allocok amortized growth of the reused slab list
 }
 
 // endSlabs is the slab stream's wave end. It reports the wave from the
 // outcomes its bodies left in their slots, resolves each slot no body ran
-// for as the policy's drop, and returns every slab to the pool. The fleet is
-// fixed and WaitPhase has waited out every shard the wave's slabs went to:
-// by now no closure of them can still run.
+// for as the policy's drop, and returns every slab to the pool. WaitPhase
+// has drained the wave's group: by now no closure of its slabs can still
+// run.
 //
 //siglint:noalloc
 func (s *Server) endSlabs(rep *WaveReport, wave, nowNs int64) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,101 +343,98 @@ func TestTicketDropsRequestAtResolution(t *testing.T) {
 
 // TestServeMixedClassWave is the contract of the single slab stream: one
 // wave mixing three declared cost classes, degradable and drop-only requests,
-// at tied significances and across a slab boundary, at one shard and at four.
-// Every ticket resolves once with the body its outcome names, Totals
-// conserve, the modeled joules are exactly DefaultActiveWatts × the declared cost of
-// what ran, and among equal significances the earlier arrival is the one
-// served accurately — GTB breaks ties by submission sequence, and requests
-// reach it in admission order whatever their costs. (Round-robin placement
-// sends arrival i to shard i mod N, so at four shards the order that counts
-// is the arrival order within each shard.)
+// at tied significances and across a slab boundary. Every ticket resolves
+// once with the body its outcome names, Totals conserve, the modeled joules
+// are exactly DefaultActiveWatts × the declared cost of what ran, and among
+// equal significances the earlier arrival is the one served accurately — GTB
+// breaks ties by submission sequence, and requests reach it in admission
+// order whatever their costs.
 func TestServeMixedClassWave(t *testing.T) {
 	classes := [3]costSums{{30_000, 4_000}, {50_000, 10_000}, {80_000, 20_000}}
 	const n = serveSlabSize + serveSlabSize/2 // one full slab and a partial one
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := New(frozen(Config{Workers: 1, Shards: shards, QueueLimit: n}, 1e9))
-			if err != nil {
+	// A server is one runtime, a single shard; the subtest keeps the name it
+	// had when the shard count was a parameter.
+	t.Run("shards=1", func(t *testing.T) {
+		s, err := New(frozen(Config{Workers: 1, QueueLimit: n}, 1e9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var ranAcc, ranDeg [n]atomic.Int32
+		reqs := make([]Request, n)
+		tks := make([]*Ticket, n)
+		for i := range reqs {
+			c := classes[i%3]
+			reqs[i] = Request{
+				Significance: 0.5,
+				Handler:      func() { ranAcc[i].Add(1) },
+				Degraded:     func() { ranDeg[i].Add(1) },
+				CostAccurate: c.acc,
+				CostDegraded: c.deg, // declared on the drop-only ones too: must not be charged
+			}
+			if (i/4)%4 == 0 {
+				reqs[i].Significance = 0.8
+			}
+			if i%5 == 4 {
+				reqs[i].Degraded = nil
+			}
+			if tks[i], err = s.Submit(reqs[i]); err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
-			var ranAcc, ranDeg [n]atomic.Int32
-			reqs := make([]Request, n)
-			tks := make([]*Ticket, n)
-			for i := range reqs {
-				c := classes[i%3]
-				reqs[i] = Request{
-					Significance: 0.5,
-					Handler:      func() { ranAcc[i].Add(1) },
-					Degraded:     func() { ranDeg[i].Add(1) },
-					CostAccurate: c.acc,
-					CostDegraded: c.deg, // declared on the drop-only ones too: must not be charged
-				}
-				if (i/4)%4 == 0 {
-					reqs[i].Significance = 0.8
-				}
-				if i%5 == 4 {
-					reqs[i].Degraded = nil
-				}
-				if tks[i], err = s.Submit(reqs[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.grp.SetRatio(0.5) // the cut falls inside the 0.5 level: ties decide it
-			rep := s.RunWave()
-			if rep.Admitted != n || rep.Accurate == 0 || rep.Degraded == 0 || rep.Dropped == 0 {
-				t.Fatalf("wave %+v: want all %d admitted and every outcome present", rep, n)
-			}
+		}
+		s.grp.SetRatio(0.5) // the cut falls inside the 0.5 level: ties decide it
+		rep := s.RunWave()
+		if rep.Admitted != n || rep.Accurate == 0 || rep.Degraded == 0 || rep.Dropped == 0 {
+			t.Fatalf("wave %+v: want all %d admitted and every outcome present", rep, n)
+		}
 
-			var ran time.Duration
-			var count [3]int
-			shed := make(map[[2]float64]int) // (shard, significance) → first arrival not served accurately
-			for i, tk := range tks {
-				select {
-				case <-tk.Done():
-				default:
-					t.Fatalf("request %d unresolved after its wave", i)
-				}
-				o := tk.Outcome()
-				wantAcc, wantDeg := int32(0), int32(0)
-				switch o {
-				case OutcomeAccurate:
-					wantAcc, ran = 1, ran+time.Duration(reqs[i].CostAccurate)
-				case OutcomeDegraded:
-					wantDeg, ran = 1, ran+time.Duration(reqs[i].CostDegraded)
-					if reqs[i].Degraded == nil {
-						t.Errorf("drop-only request %d served degraded", i)
-					}
-				case OutcomeDropped:
-					if reqs[i].Degraded != nil {
-						t.Errorf("degradable request %d dropped", i)
-					}
-				default:
-					t.Fatalf("request %d resolved %v", i, o)
-				}
-				count[o]++
-				if a, d := ranAcc[i].Load(), ranDeg[i].Load(); a != wantAcc || d != wantDeg {
-					t.Errorf("request %d resolved %v but its bodies ran %d/%d times", i, o, a, d)
-				}
-				group := [2]float64{float64(i % shards), reqs[i].Significance}
-				if first, seen := shed[group]; o != OutcomeAccurate && !seen {
-					shed[group] = i
-				} else if o == OutcomeAccurate && seen {
-					t.Errorf("shard %d, significance %.1f: request %d served accurately after the earlier %d was shed",
-						i%shards, reqs[i].Significance, i, first)
-				}
+		var ran time.Duration
+		var count [3]int
+		shed := make(map[float64]int) // significance → first arrival not served accurately
+		for i, tk := range tks {
+			select {
+			case <-tk.Done():
+			default:
+				t.Fatalf("request %d unresolved after its wave", i)
 			}
-			if count != [3]int{rep.Accurate, rep.Degraded, rep.Dropped} {
-				t.Errorf("ticket outcomes %v disagree with the report %d/%d/%d", count, rep.Accurate, rep.Degraded, rep.Dropped)
+			o := tk.Outcome()
+			wantAcc, wantDeg := int32(0), int32(0)
+			switch o {
+			case OutcomeAccurate:
+				wantAcc, ran = 1, ran+time.Duration(reqs[i].CostAccurate)
+			case OutcomeDegraded:
+				wantDeg, ran = 1, ran+time.Duration(reqs[i].CostDegraded)
+				if reqs[i].Degraded == nil {
+					t.Errorf("drop-only request %d served degraded", i)
+				}
+			case OutcomeDropped:
+				if reqs[i].Degraded != nil {
+					t.Errorf("degradable request %d dropped", i)
+				}
+			default:
+				t.Fatalf("request %d resolved %v", i, o)
 			}
-			tot := s.Totals()
-			if tot.Submitted != n || tot.Completed != n || tot.Rejected != 0 ||
-				tot.Accurate != int64(count[0]) || tot.Degraded != int64(count[1]) || tot.Dropped != int64(count[2]) {
-				t.Errorf("totals %+v do not conserve %d requests served %v", tot, n, count)
+			count[o]++
+			if a, d := ranAcc[i].Load(), ranDeg[i].Load(); a != wantAcc || d != wantDeg {
+				t.Errorf("request %d resolved %v but its bodies ran %d/%d times", i, o, a, d)
 			}
-			if want := sig.DefaultActiveWatts * ran.Seconds(); rep.Joules != want || tot.Joules != want {
-				t.Errorf("modeled %v J (totals %v J), want exactly %v J = DefaultActiveWatts × %v of declared cost run", rep.Joules, tot.Joules, want, ran)
+			sv := reqs[i].Significance
+			if first, seen := shed[sv]; o != OutcomeAccurate && !seen {
+				shed[sv] = i
+			} else if o == OutcomeAccurate && seen {
+				t.Errorf("significance %.1f: request %d served accurately after the earlier %d was shed", sv, i, first)
 			}
-		})
-	}
+		}
+		if count != [3]int{rep.Accurate, rep.Degraded, rep.Dropped} {
+			t.Errorf("ticket outcomes %v disagree with the report %d/%d/%d", count, rep.Accurate, rep.Degraded, rep.Dropped)
+		}
+		tot := s.Totals()
+		if tot.Submitted != n || tot.Completed != n || tot.Rejected != 0 ||
+			tot.Accurate != int64(count[0]) || tot.Degraded != int64(count[1]) || tot.Dropped != int64(count[2]) {
+			t.Errorf("totals %+v do not conserve %d requests served %v", tot, n, count)
+		}
+		if want := sig.DefaultActiveWatts * ran.Seconds(); rep.Joules != want || tot.Joules != want {
+			t.Errorf("modeled %v J (totals %v J), want exactly %v J = DefaultActiveWatts × %v of declared cost run", rep.Joules, tot.Joules, want, ran)
+		}
+	})
 }

@@ -58,8 +58,6 @@ func (s *Server) WriteMetrics(out io.Writer) error {
 	fmt.Fprintf(w, "sigserve_wave_period_seconds %s\n", fmtFloat(s.MeasuredPeriod().Seconds()))
 	mf("sigserve_pace_period_seconds", "gauge", "The pacer's current wave cadence.")
 	fmt.Fprintf(w, "sigserve_pace_period_seconds %s\n", fmtFloat(s.PacePeriod().Seconds()))
-	mf("sigserve_live_shards", "gauge", "Shards in the fleet behind the server, fixed at start.")
-	fmt.Fprintf(w, "sigserve_live_shards %d\n", s.fleet.Shards())
 
 	mf("sigserve_queue_depth", "gauge", "Admission queue depth, per lane.")
 	for ln, name := range laneNames {

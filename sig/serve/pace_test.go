@@ -21,7 +21,7 @@ func paceRequest(fc *FakeClock, d time.Duration) Request {
 }
 
 // newPaceServer builds a Workers=1 fake-clock server: one worker makes
-// "measured period × live workers" and "sum of admitted cost" the same
+// "measured period × workers" and "sum of admitted cost" the same
 // quantity, so budget assertions are exact.
 func newPaceServer(t *testing.T, mut func(*Config)) (*Server, *FakeClock) {
 	t.Helper()
@@ -182,7 +182,7 @@ func TestServePacerBounds(t *testing.T) {
 
 // TestServePacedBudgetTracksMeasured: a configured WaveBudget is only the
 // first wave's guess — after a measured wave, capacity is re-derived as
-// effective measured period × live workers.
+// effective measured period × workers.
 func TestServePacedBudgetTracksMeasured(t *testing.T) {
 	s, fc := newPaceServer(t, func(c *Config) { c.WaveBudget = 1e6 })
 	defer s.Close()
@@ -199,26 +199,25 @@ func TestServePacedBudgetTracksMeasured(t *testing.T) {
 	}
 }
 
-// TestServeDefaultBudgetAcrossShardCounts pins the one budget derivation:
-// at any shard count the default WaveBudget is per-shard workers × shards ×
-// WavePeriod (so 4 workers on one shard equal 2×2 and 1×4), and a frozen-clock
-// wave's rebuild (the pacer's workers × period, × shards) reproduces exactly
-// that number — no drift between withDefaults' basis and the rebuild's.
-func TestServeDefaultBudgetAcrossShardCounts(t *testing.T) {
+// TestServeDefaultBudget pins the one budget derivation: the default
+// WaveBudget is workers × WavePeriod, and a frozen-clock wave's rebuild (the
+// pacer's workers × period) reproduces exactly that number — no drift
+// between withDefaults' basis and the rebuild's.
+func TestServeDefaultBudget(t *testing.T) {
 	const period = 2 * time.Millisecond
-	want := 4 * float64(period.Nanoseconds())
-	for _, tc := range []struct{ shards, workers int }{{0, 4}, {1, 4}, {2, 2}, {4, 1}} {
-		s, err := New(Config{Workers: tc.workers, Shards: tc.shards, WavePeriod: period, MinPeriod: period, Clock: NewFakeClock()})
+	for _, workers := range []int{1, 2, 4} {
+		want := float64(workers) * float64(period.Nanoseconds())
+		s, err := New(Config{Workers: workers, WavePeriod: period, MinPeriod: period, Clock: NewFakeClock()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := s.Budget(); got != want {
-			t.Errorf("Shards %d x Workers %d: default budget %v, want %v", tc.shards, tc.workers, got, want)
+			t.Errorf("Workers %d: default budget %v, want %v", workers, got, want)
 		}
 		// The rebuild at a wave boundary must reproduce the same number.
-		if rep := s.RunWave(); s.Budget() != want || rep.Budget != want || s.Shards() != max(tc.shards, 1) {
-			t.Errorf("Shards %d x Workers %d: budget %v (report %v, %d shards) after the per-wave rebuild, want %v",
-				tc.shards, tc.workers, s.Budget(), rep.Budget, s.Shards(), want)
+		if rep := s.RunWave(); s.Budget() != want || rep.Budget != want {
+			t.Errorf("Workers %d: budget %v (report %v) after the per-wave rebuild, want %v",
+				workers, s.Budget(), rep.Budget, want)
 		}
 		s.Close()
 	}

@@ -20,11 +20,11 @@ const (
 // pacer is everything that decides when a wave fires and what interval it
 // is priced on: the cadence and its [lo, hi] clamp, the due time, the
 // measured-period EWMA, the wake token and the load carry an early wave
-// needs, the overrun and early counters, and the measured per-shard budget
-// price. Server keeps no pacing state of its own and calls in at three
-// points: Submit's tail (idleArrival, dueArrival), a wave's begin and end
-// with the load signal's carry between them and its settle and perShard
-// after, and the pump loop that fires waves (run).
+// needs, the overrun and early counters, and the measured budget price.
+// Server keeps no pacing state of its own and calls in at three points:
+// Submit's tail (idleArrival, dueArrival), a wave's begin and end with the
+// load signal's carry between them and its settle and price after, and the
+// pump loop that fires waves (run).
 //
 // begin, end, carry and settle run under Server.waveMu, one wave at a time,
 // so measuredNs, paceNs and due have a single writer and are stored plainly;
@@ -32,7 +32,7 @@ const (
 // RetryAfter pricing, MeasuredPeriod, PacePeriod, the metrics.
 type pacer struct {
 	lo, hi  int64 // Config.MinPeriod and MaxPeriod, the cadence clamp
-	workers int   // resolved per-shard worker pool, the factor every budget derivation shares
+	workers int   // resolved worker pool, the factor every budget derivation shares
 
 	measuredNs atomic.Int64 // bounded EWMA of wave wall time; 0 until the first wave measures
 	paceNs     atomic.Int64 // the current cadence
@@ -58,7 +58,7 @@ type pacer struct {
 
 // init sets the pacer to the configured cadence, with the first wave due
 // one WavePeriod after now; cfg has its defaults resolved and workers is the
-// per-shard pool.
+// resolved pool.
 func (p *pacer) init(cfg *Config, workers int, now time.Time) {
 	p.lo, p.hi, p.workers = int64(cfg.MinPeriod), int64(cfg.MaxPeriod), workers
 	p.paceNs.Store(int64(cfg.WavePeriod))
@@ -80,11 +80,11 @@ func (p *pacer) effective() time.Duration {
 	return time.Duration(max(p.paceNs.Load(), p.measuredNs.Load()))
 }
 
-// perShard is the measured per-shard wave budget: what one wave can actually
-// absorb is the wall time a wave occupies times the workers executing it,
-// not the configured guess. (Cost units are ~1ns of work, so period
-// nanoseconds × workers is directly a cost budget.)
-func (p *pacer) perShard() float64 { return float64(p.workers) * float64(p.effective()) }
+// price is the measured wave budget: what one wave can actually absorb is
+// the wall time a wave occupies times the workers executing it, not the
+// configured guess. (Cost units are ~1ns of work, so period nanoseconds ×
+// workers is directly a cost budget.)
+func (p *pacer) price() float64 { return float64(p.workers) * float64(p.effective()) }
 
 // idleArrival is Submit's step, under Server.mu, for the request that ends an
 // idle spell. The cadence is a batching window, and batching only buys a

@@ -20,17 +20,17 @@
 // wave's measured wall time feeds a bounded EWMA (MeasuredPeriod) that
 // prices the RetryAfter backoff hint honestly, retimes the wave cadence
 // within [MinPeriod, MaxPeriod] and re-derives the wave budget from
-// measured period × live workers — the closed measured-feedback loop, as
+// measured period × workers — the closed measured-feedback loop, as
 // opposed to trusting the configured WavePeriod open-loop. Every wave runs
 // that one discipline, whether Start's pump or an explicit RunWave fires
 // it. When a wave fires and what interval it is priced on is decided in
 // one place, the pacer (pacer.go); the wave budget has one rule, rebudget:
-// the pacer's per-shard price × the fleet's shards, once per wave.
+// the pacer's measured price, once per wave.
 //
-// The fleet is fixed at New: Config.Shards runtimes (one by default) serve
-// every wave until Close, and callers only read its size (Shards). So, as
-// after the paper's taskwait, a wave's task storage is free the moment the
-// wave ends: every slab it submitted returns to the pool then.
+// Every wave runs on one sig.Runtime, built at New and closed by Close, in
+// one group: the paper's runtime, one scheduler over the machine's cores.
+// So, as after the paper's taskwait, a wave's task storage is free the
+// moment the wave ends: every slab it submitted returns to the pool then.
 //
 // With declared costs, the deterministic policy every wave runs under (GTB
 // max buffering), a deterministic arrival order and a FakeClock behind the
@@ -53,7 +53,6 @@ import (
 
 	"repro/sig"
 	"repro/sig/adapt"
-	"repro/sig/shard"
 )
 
 // Defaults for Config's zero fields, and the two fixed tuning constants.
@@ -77,7 +76,7 @@ const (
 	DefaultQualityWindow = 16
 )
 
-// groupName names the serving task group on the fleet.
+// groupName names the serving task group on the runtime.
 const groupName = "serve"
 
 // Request is one unit of service traffic.
@@ -181,12 +180,6 @@ type Config struct {
 	// replay guarantee (package doc) rests on. A server that must never
 	// degrade sets MinRatio to 1.
 	Workers int
-	// Shards is the number of sig.Runtime shards in the shard.Router fleet
-	// that executes the waves (0 means 1; round-robin placement). Workers is
-	// the per-shard pool. The admission controller commands one global ratio
-	// over the router's merged waves; with two or more shards the router's
-	// per-shard trim controllers keep each shard tracking the command.
-	Shards int
 	// QueueLimit bounds the admission queue; Submit returns ErrQueueFull
 	// beyond it (default DefaultQueueLimit). With a priority lane enabled, a
 	// quarter of the limit (at least one slot) is the priority lane's own
@@ -202,8 +195,8 @@ type Config struct {
 	PriorityAt float64
 	// WaveBudget is the modeled work (cost units, ~1ns) the first wave
 	// admits, before the pacer has measured anything; from then on every
-	// wave is priced at the pacer's effective period × live workers.
-	// Default: resolved workers × WavePeriod in nanoseconds × shards.
+	// wave is priced at the pacer's effective period × workers.
+	// Default: resolved workers × WavePeriod in nanoseconds.
 	WaveBudget float64
 	// TargetLoad is the cap the admission controller holds the load
 	// signal under (default DefaultTargetLoad). Lower values keep more
@@ -239,7 +232,7 @@ type Config struct {
 	Clock WaveClock
 }
 
-func (c Config) withDefaults(workersPerShard int) Config {
+func (c Config) withDefaults(workers int) Config {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = DefaultQueueLimit
 	}
@@ -253,10 +246,9 @@ func (c Config) withDefaults(workersPerShard int) Config {
 		c.MaxPeriod = maxPeriodMult * c.WavePeriod
 	}
 	if c.WaveBudget <= 0 {
-		// The one default-budget derivation: per-shard workers × period,
-		// scaled by the shard count — the same per-shard arithmetic the
-		// per-wave rebuild uses (rebudget: per-shard price × shards).
-		c.WaveBudget = float64(workersPerShard) * float64(c.WavePeriod.Nanoseconds()) * float64(max(c.Shards, 1))
+		// The one default-budget derivation: workers × period, the
+		// arithmetic the per-wave rebuild uses (rebudget: the pacer's price).
+		c.WaveBudget = float64(workers) * float64(c.WavePeriod.Nanoseconds())
 	}
 	if c.TargetLoad <= 0 {
 		c.TargetLoad = DefaultTargetLoad
@@ -364,20 +356,18 @@ type Totals struct {
 	Joules     float64
 }
 
-// Server admits requests as significance-annotated task waves over a
-// shard.Router fleet of sig runtimes (one shard unless Config.Shards asks
-// for more). Create one with New; fire waves explicitly with RunWave (the
+// Server admits requests as significance-annotated task waves on one sig
+// runtime. Create one with New; fire waves explicitly with RunWave (the
 // deterministic study mode) or let Start pump them on the pacer's cadence;
 // stop with Close.
 type Server struct {
 	cfg Config
 	ctl *adapt.Controller
 
-	// fleet executes the waves and grp is the serving group on it — the one
-	// engine, whatever the shard count; runWave hands the controller each
-	// merged wave WaitPhase returns.
-	fleet *shard.Router
-	grp   *shard.Group
+	// rt executes the waves and grp is the serving group on it; runWave
+	// hands the controller each wave WaitPhase returns.
+	rt  *sig.Runtime
+	grp *sig.Group
 
 	// clock is the WaveClock seam (Config.Clock, or the wall clock). pace
 	// is the pacer: every piece of state that decides when a wave fires and
@@ -386,10 +376,10 @@ type Server struct {
 	pace  pacer
 
 	// waveMu serializes RunWave with itself and with Close's final drain,
-	// so shutdown can never tear the fleet down under an in-flight wave
+	// so shutdown can never tear the runtime down under an in-flight wave
 	// (which would panic the wave's batch submit and strand its tickets).
 	waveMu  sync.Mutex
-	stopped bool // fleet closed; RunWave becomes a no-op (guarded by waveMu)
+	stopped bool // runtime closed; RunWave becomes a no-op (guarded by waveMu)
 
 	mu        sync.Mutex
 	lanes     [laneCount]lane // the admission lanes (q and cost guarded by mu)
@@ -408,7 +398,7 @@ type Server struct {
 	slabs       []*waveSlab
 
 	// closeDone is closed (after closeErr is set) once the winning Close
-	// finished draining and retired the fleet; losing concurrent Close
+	// finished draining and closed the runtime; losing concurrent Close
 	// calls block on it so a returned Close always means "shut down".
 	closeDone chan struct{}
 	closeErr  error
@@ -435,9 +425,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("serve: negative worker count %d", cfg.Workers)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("serve: negative shard count %d", cfg.Shards)
-	}
 	if cfg.MinRatio < 0 || cfg.MinRatio > 1 {
 		return nil, fmt.Errorf("serve: MinRatio %v outside [0,1]", cfg.MinRatio)
 	}
@@ -455,7 +442,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	workers := cfg.Workers
 	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0) // per shard
+		workers = runtime.GOMAXPROCS(0)
 	}
 	cfg = cfg.withDefaults(workers)
 	if cfg.PriorityAt > 0 && cfg.QueueLimit < 2 {
@@ -494,14 +481,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.fleet, err = shard.New(shard.Config{
-		Shards:  cfg.Shards,
-		Runtime: sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer},
-	})
+	s.rt, err = sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		return nil, err
 	}
-	s.grp = s.fleet.Group(groupName, 1.0) // start at full quality
+	s.grp = s.rt.Group(groupName, 1.0) // start at full quality
 	return s, nil
 }
 
@@ -509,7 +493,7 @@ func New(cfg Config) (*Server, error) {
 //
 //siglint:noalloc
 func (s *Server) Ratio() float64 {
-	return s.grp.Ratio() //siglint:allocok crosses into sig/shard, where siglint cannot follow: Group.Ratio is one atomic load
+	return s.grp.Ratio() //siglint:allocok crosses into sig, where noalloc has no cross-package facts: Group.Ratio is one atomic load
 }
 
 // Depth returns the current admission-queue depth across all lanes.
@@ -557,8 +541,8 @@ func (s *Server) Load() float64 {
 	return s.lastLoad
 }
 
-// Budget returns the current modeled per-wave capacity: the per-shard
-// price of the last wave (see rebudget) × the live shard count.
+// Budget returns the current modeled per-wave capacity: the pacer's price
+// of the last wave (see rebudget).
 func (s *Server) Budget() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -610,10 +594,6 @@ func (s *Server) MeasuredPeriod() time.Duration {
 // WavePeriod until a wave retimes it toward the measured EWMA within
 // [MinPeriod, MaxPeriod].
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
-
-// Shards returns the shard count of the fleet that executes the server's
-// waves: Config.Shards (or 1), fixed from New to Close.
-func (s *Server) Shards() int { return s.fleet.Shards() }
 
 // reqCosts returns the request's declared cost sums, substituting the
 // pacing default for undeclared accurate costs. Requests without a Degraded
@@ -915,7 +895,7 @@ func (s *Server) runWave(token bool) WaveReport {
 	if s.cur != nil {
 		s.submitSlab()
 	}
-	ws := s.fleet.WaitPhase(s.grp)
+	ws := s.rt.WaitPhase(s.grp)
 	s.ctl.Observe(s.grp, ws) // the admission controller retunes the ratio for the next wave
 	end := s.clock.Now()
 	// The wave's measured wall time — admission through taskwait — is the
@@ -956,11 +936,11 @@ func (s *Server) runWave(token bool) WaveReport {
 }
 
 // rebudget is the one budget rule, reached once per wave after settle's
-// retime: the pacer's per-shard price, on the cadence the next wave fires
-// at, × the fleet's shards. The wave budget is admit's cut-off and the load
-// signal's denominator. Caller holds s.mu.
+// retime: the pacer's price, on the cadence the next wave fires at. The wave
+// budget is admit's cut-off and the load signal's denominator. Caller holds
+// s.mu.
 func (s *Server) rebudget() float64 {
-	s.budget = s.pace.perShard() * float64(s.fleet.Shards())
+	s.budget = s.pace.price()
 	return s.budget
 }
 
@@ -988,18 +968,18 @@ func (s *Server) Start() {
 }
 
 // Close stops admitting, drains the queue through final waves (every
-// accepted ticket completes), and shuts the fleet down. It is idempotent
+// accepted ticket completes), and closes the runtime. It is idempotent
 // and safe to call while an explicit RunWave is in flight: the in-flight
 // wave finishes first (its tickets resolve normally), the drain waves run
-// after it, and only then is the fleet torn down — a RunWave arriving
-// later is a no-op. The fleet's energy report stays valid afterwards.
+// after it, and only then is the runtime closed — a RunWave arriving
+// later is a no-op. The runtime's energy report stays valid afterwards.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		// A concurrent Close already owns the shutdown: wait for it, so
 		// every returned Close means the same thing — tickets resolved,
-		// fleet retired, energy frozen.
+		// runtime closed, energy frozen.
 		<-s.closeDone
 		return s.closeErr
 	}
@@ -1012,7 +992,7 @@ func (s *Server) Close() error {
 	}
 	// Each RunWave below serializes behind any in-flight wave; once the
 	// queue is empty (no new Submit can refill it past the closed flag),
-	// the fleet can be retired under the same lock, so no wave can ever
+	// the runtime can be closed under the same lock, so no wave can ever
 	// find it half-closed. Every wave recycled its own slabs at its end, so
 	// no request is left on one.
 	for s.Depth() > 0 {
@@ -1020,12 +1000,12 @@ func (s *Server) Close() error {
 	}
 	s.waveMu.Lock()
 	s.stopped = true
-	err := s.fleet.Close()
+	err := s.rt.Close()
 	s.waveMu.Unlock()
 	s.closeErr = err
 	close(s.closeDone)
 	return err
 }
 
-// Energy returns the fleet's modeled energy report, merged across shards.
-func (s *Server) Energy() sig.Report { return s.fleet.Energy() }
+// Energy returns the runtime's modeled energy report.
+func (s *Server) Energy() sig.Report { return s.rt.Energy() }

@@ -46,12 +46,12 @@ func newTestServer(t *testing.T, base int, mut func(*Config)) *Server {
 // frozen fixes cfg's capacity at budget cost units per wave under the one
 // budget rule: a FakeClock nobody advances (cfg's own, if it has one)
 // measures every wave at zero, so the pacer holds the cadence at MinPeriod
-// and prices each wave at workers × MinPeriod per live shard.
+// and prices each wave at workers × MinPeriod.
 func frozen(cfg Config, budget float64) Config {
 	if cfg.Clock == nil {
 		cfg.Clock = NewFakeClock()
 	}
-	cfg.WavePeriod = time.Duration(budget / float64(max(cfg.Shards, 1)*cfg.Workers))
+	cfg.WavePeriod = time.Duration(budget / float64(cfg.Workers))
 	cfg.MinPeriod = cfg.WavePeriod
 	return cfg
 }
@@ -477,79 +477,9 @@ func TestServeConcurrentClose(t *testing.T) {
 	}
 }
 
-// TestServeShardedOverload runs the overload-step contract over a sharded
-// engine: with Config.Shards the admission controller is hierarchical —
-// global ratio over the router's merged waves, per-shard trim underneath —
-// and the behavior must match the single-runtime server: quality sheds
-// before requests, everything conserves, and the closed loop replays
-// bit-identically (declared costs, round-robin placement, merged joules
-// summed in the exact integer domain).
-func TestServeShardedOverload(t *testing.T) {
-	const base = 8
-	run := func() (ratios []float64, joules []uint64, rejected int64, tot Totals) {
-		// newTestServer's capacity (base accurate requests at 60%
-		// utilization) is the fleet's aggregate: frozen splits it into
-		// each shard's workers × period.
-		s := newTestServer(t, base, func(c *Config) {
-			c.Shards = 4
-			c.Workers = 1
-		})
-		var served [3]atomic.Int64
-		seq := 0
-		for w := 0; w < 20; w++ {
-			offered := base
-			if w >= 6 && w < 12 {
-				offered *= 4
-			}
-			for i := 0; i < offered; i++ {
-				s.Submit(request(seq, &served))
-				seq++
-			}
-			rep := s.RunWave()
-			ratios = append(ratios, rep.NextRatio)
-			joules = append(joules, math.Float64bits(rep.Joules))
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		tot = s.Totals()
-		return ratios, joules, tot.Rejected, tot
-	}
-	ratios, joules, rejected, tot := run()
-	if rejected != 0 {
-		t.Errorf("%d requests rejected; the sharded fleet should shed quality first", rejected)
-	}
-	if tot.Completed != tot.Submitted {
-		t.Errorf("sharded totals leak requests: %+v", tot)
-	}
-	if tot.Accurate+tot.Degraded+tot.Dropped != tot.Completed {
-		t.Errorf("sharded outcome conservation broken: %+v", tot)
-	}
-	minRatio := 1.0
-	for _, r := range ratios[6:12] {
-		minRatio = math.Min(minRatio, r)
-	}
-	if minRatio > 0.7 {
-		t.Errorf("sharded ratio only fell to %.3f under a 4x step", minRatio)
-	}
-	if last := ratios[len(ratios)-1]; last < 0.95 {
-		t.Errorf("sharded ratio %.3f did not recover after the step", last)
-	}
-	ratios2, joules2, _, _ := run()
-	for w := range ratios {
-		if ratios[w] != ratios2[w] || joules[w] != joules2[w] {
-			t.Fatalf("sharded wave %d diverged across identical runs: ratio %v/%v joules %x/%x",
-				w, ratios[w], ratios2[w], joules[w], joules2[w])
-		}
-	}
-}
-
 func TestServeConfigValidation(t *testing.T) {
 	if _, err := New(Config{Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
-	}
-	if _, err := New(Config{Shards: -1}); err == nil {
-		t.Error("negative shard count accepted")
 	}
 	if _, err := New(Config{MinRatio: 1.5}); err == nil {
 		t.Error("MinRatio > 1 accepted")
@@ -639,50 +569,48 @@ func TestServeTotalsCountBeforeDone(t *testing.T) {
 // server's controller is swapped for one whose Measure records the wave it
 // was handed, then prices it with the server's own signal.
 func TestServeObservesOncePerWave(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		s := newTestServer(t, 8, func(c *Config) { c.Shards = shards })
-		var seen []int
-		ctl, err := adapt.New(adapt.Config{Objective: adapt.TargetLoad, Budget: DefaultTargetLoad,
-			Measure: func(ws sig.WaveStats) float64 {
-				seen = append(seen, ws.Wave)
-				return s.measure(ws)
-			}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.ctl = ctl
-		var served [3]atomic.Int64
-		seq := 0
-		submit := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := s.Submit(request(seq, &served)); err != nil {
-					t.Fatal(err)
-				}
-				seq++
+	s := newTestServer(t, 8, nil)
+	var seen []int
+	ctl, err := adapt.New(adapt.Config{Objective: adapt.TargetLoad, Budget: DefaultTargetLoad,
+		Measure: func(ws sig.WaveStats) float64 {
+			seen = append(seen, ws.Wave)
+			return s.measure(ws)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ctl = ctl
+	var served [3]atomic.Int64
+	seq := 0
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.Submit(request(seq, &served)); err != nil {
+				t.Fatal(err)
 			}
+			seq++
 		}
-		for w := 0; w < 6; w++ {
-			if w%3 != 2 { // two loaded waves, then an empty one
-				submit(8)
-			}
-			s.RunWave()
+	}
+	for w := 0; w < 6; w++ {
+		if w%3 != 2 { // two loaded waves, then an empty one
+			submit(8)
 		}
-		before := s.Totals().Waves
-		submit(64) // several waves' worth, left for Close to drain
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		waves := s.Totals().Waves
-		if waves < before+2 {
-			t.Fatalf("%d shards: Close drained in %d waves, want at least 2", shards, waves-before)
-		}
-		if int64(len(seen)) != waves {
-			t.Fatalf("%d shards: controller observed %d waves, the server ran %d", shards, len(seen), waves)
-		}
-		for i, w := range seen {
-			if w != i {
-				t.Fatalf("%d shards: step %d observed wave %d", shards, i, w)
-			}
+		s.RunWave()
+	}
+	before := s.Totals().Waves
+	submit(64) // several waves' worth, left for Close to drain
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waves := s.Totals().Waves
+	if waves < before+2 {
+		t.Fatalf("Close drained in %d waves, want at least 2", waves-before)
+	}
+	if int64(len(seen)) != waves {
+		t.Fatalf("controller observed %d waves, the server ran %d", len(seen), waves)
+	}
+	for i, w := range seen {
+		if w != i {
+			t.Fatalf("step %d observed wave %d", i, w)
 		}
 	}
 }

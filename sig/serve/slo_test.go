@@ -314,7 +314,6 @@ func TestServeWriteMetrics(t *testing.T) {
 		"# TYPE sigserve_wave_latency_waves histogram\n",
 		"sigserve_wave_latency_waves_bucket{lane=\"priority\",le=\"1\"}",
 		"sigserve_wave_latency_waves_bucket{lane=\"bulk\",le=\"+Inf\"}",
-		"sigserve_live_shards 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)

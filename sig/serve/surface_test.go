@@ -19,7 +19,7 @@ func TestConfigSurface(t *testing.T) {
 		fields int
 	}{
 		{sig.Config{}, 7},
-		{Config{}, 13},
+		{Config{}, 12},
 		{shard.Config{}, 2},
 		{adapt.Config{}, 8},
 	} {

@@ -343,13 +343,14 @@ func TestServeLoadSignalHonest(t *testing.T) {
 	}
 }
 
-// TestServeEarlyWavesReadFleetLoad: a 2-shard fleet at 60 % of its capacity
-// must read 60 % load while early waves fire. Early waves priced against the
-// full-period budget would read a fraction of that.
+// TestServeEarlyWavesReadFleetLoad: a 2-worker server at 60 % of its
+// capacity must read 60 % load while early waves fire. Early waves priced
+// against the full-period budget would read a fraction of that, and a wave
+// priced without its workers factor would read twice it.
 func TestServeEarlyWavesReadFleetLoad(t *testing.T) {
 	const gap = 125 * time.Microsecond
 	s, fc := newPaceServer(t, func(c *Config) {
-		c.Shards = 2 // × Workers 1
+		c.Workers = 2
 		c.MinRatio = 1
 	})
 	defer s.Close()
@@ -361,7 +362,7 @@ func TestServeEarlyWavesReadFleetLoad(t *testing.T) {
 	}
 	run := simulatePump(t, s, fc, gap, mk, true, 0, 200)
 	if math.Abs(run.load-0.6) > 0.06 {
-		t.Errorf("mean Load() %.3f at 60%% of the fleet's capacity", run.load)
+		t.Errorf("mean Load() %.3f at 60%% of the server's capacity", run.load)
 	}
 	if s.Totals().EarlyWaves == 0 {
 		t.Fatal("no early wave fired; the test exercised the cadence only")

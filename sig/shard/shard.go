@@ -12,7 +12,9 @@
 // shed below the command), so the merged provided ratio tracks the global
 // knob even when placement skews significance across shards. A one-shard
 // Router has no placement to skew and runs no trim: it is a sig.Runtime wave
-// for wave, which is what lets sig/serve use it as its only engine. WaitPhase
+// for wave. No front end serves through a Router — sig/serve drives one
+// sig.Runtime directly — so its callers are its tests and the benchmark's
+// runtime_tasks rungs, which measure what a fleet costs. WaitPhase
 // drains every shard and returns one merged WaveStats. The arithmetic of every
 // merged account is sig's own (WaveStats.Merge, GroupStats.Merge,
 // Report.Merge): modeled joules are priced from the exact integer sum of the
@@ -305,8 +307,8 @@ func (r *Router) SubmitBatch(g *Group, specs []sig.TaskSpec) {
 // additivity survives any shard count (invariant-tested). After the merge the
 // per-shard trim controllers absorb each shard's provided-ratio lag and the
 // next wave's ratios are applied; a controller that observes the returned
-// wave (serve.runWave does, on the next line) retunes the global ratio on
-// top of that, outside waveMu. A shard that stalls holds the merged wave
+// wave (adapt.Controller.Observe) retunes the global ratio on top of that,
+// outside waveMu. A shard that stalls holds the merged wave
 // until its cut completes.
 func (r *Router) WaitPhase(g *Group) sig.WaveStats {
 	if g == nil {

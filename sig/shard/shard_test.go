@@ -377,8 +377,7 @@ func TestDeterministicShardedReplay(t *testing.T) {
 // trajectory, per-wave outcome counts and bit-identical joules. Trim exists
 // to correct placement skew between shards; boosting a lone shard whose
 // provided ratio lags on 0.0-significance traffic would make the router a
-// different machine from the runtime it wraps (and sig/serve relies on them
-// being the same machine).
+// different machine from the runtime it wraps.
 func TestOneSlotRouterIsARuntime(t *testing.T) {
 	type waveRec struct {
 		ratio              float64
