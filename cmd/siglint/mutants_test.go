@@ -39,7 +39,7 @@ var mutants = []struct {
 		// invisible to every test.
 		analyzer: "poolpair",
 		file:     "sig/sig.go",
-		old:      "\t\trt.pools.release(t)\n\t\tpanic(\"sig: task label belongs to a different runtime\")",
+		old:      "\t\trt.pools.releaseChunk(one)\n\t\tpanic(\"sig: task label belongs to a different runtime\")",
 		new:      "\t\tpanic(\"sig: task label belongs to a different runtime\")",
 	},
 	{

@@ -14,9 +14,11 @@ import (
 // what serializes it against four submitters and Close's flush.
 type stashPolicy struct{ buf []*Task }
 
-func (p *stashPolicy) Submit(t *Task) (*Task, []*Task) {
-	p.buf = append(p.buf, t)
-	return nil, nil
+func (p *stashPolicy) Submit(dst []*Task, ts []Task) []*Task {
+	for i := range ts {
+		p.buf = append(p.buf, &ts[i])
+	}
+	return dst
 }
 func (p *stashPolicy) Flush(dst []*Task) []*Task {
 	out := append(dst, p.buf...)

@@ -3,15 +3,17 @@ package sig
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 )
 
-// checkRank runs gtbPolicy.rank over one window with the given significances
-// and quota and requires the accurate set a stable sort by (Significance
-// desc, Seq asc) picks. Sequence numbers are dealt in shuffled order, so
-// "first in the buffer" and "lowest Seq" are different tasks.
+// checkRank fills a GTB(max) buffer with the given significances through
+// Submit, in chunks of random length, runs rank over it with the given quota
+// and requires the accurate set a stable sort by (Significance desc, Seq asc)
+// picks. Sequence numbers are dealt in shuffled order, so "first in the
+// buffer" and "lowest Seq" are different tasks.
 func checkRank(t *testing.T, label string, sigs []float64, want int, rng *rand.Rand) {
 	t.Helper()
 	n := len(sigs)
@@ -30,8 +32,18 @@ func checkRank(t *testing.T, label string, sigs []float64, want int, rng *rand.R
 
 	g := &Group{}
 	g.setRatio(float64(want) / float64(n))
-	p := &gtbPolicy{g: g, buf: buf}
+	p := &gtbPolicy{g: g}
+	for rest := tasks; len(rest) > 0; {
+		k := 1 + rng.Intn(min(len(rest), 2*slabSize))
+		if out := p.Submit(nil, rest[:k]); len(out) != 0 {
+			t.Fatalf("%s, n=%d: GTB(max) handed back %d tasks at Submit", label, n, len(out))
+		}
+		rest = rest[k:]
+	}
 	p.rank()
+	if p.hist != ([rankBins]int32{}) {
+		t.Fatalf("%s, n=%d want=%d: rank left counts in the ingest histogram", label, n, want)
+	}
 	for i, task := range buf {
 		wantD := DecideApprox
 		if accurate[task] {
@@ -80,7 +92,8 @@ var rankDistributions = []struct {
 // TestRankMatchesStableSort is the differential test of the GTB rank kernel
 // on both sides of rankByBinMin: every window length up to 160, a sample up
 // to 600, a GTB(max) wave of 4096, and the quotas 0, 1, n-1, n and a random
-// one.
+// one. Every window is filled through Submit, so rankByBin ranks from the
+// ingest histogram.
 func TestRankMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	check := func(n, dist int) {
@@ -207,21 +220,24 @@ func TestLQHMatchesFloatCount(t *testing.T) {
 // policy's Flush(dst) leaves dst's prefix untouched and appends exactly the
 // tasks it had buffered, decided, once each, in submission order — whether or
 // not dst has room for them. A policy that buffers nothing returns dst
-// itself. The runtime relies on both halves: it flushes into a pooled buffer
-// and keeps whatever array comes back.
+// itself. Given an empty dst with room for its window, GTB returns its own
+// buffer and adopts dst's array, and its next Submit writes into that array,
+// never into the one it handed out. The runtime relies on all of it: it
+// flushes into a pooled buffer and keeps whatever array comes back.
 func TestPolicyFlushAppends(t *testing.T) {
 	const buffered = 5 // below the GTB window: nothing is decided before the flush
 	for _, kind := range []PolicyKind{PolicyAccurate, PolicyGTB, PolicyGTBMaxBuffer, PolicyLQH, PolicyPerforation} {
-		for _, room := range []int{0, 2 * buffered} {
+		for _, tc := range []struct{ prefix, room int }{{2, 0}, {2, 2 * buffered}, {0, 0}, {0, 2 * buffered}} {
 			g := &Group{}
 			g.setRatio(0.5)
 			p := newPolicy(Config{Policy: kind, GTBWindow: 2 * buffered}, g, 2)
-			tasks := make([]Task, buffered)
+			tasks := make([]Task, 2*buffered)
 			var held []*Task // what the policy kept at Submit
 			for i := range tasks {
-				tasks[i] = Task{Significance: float64(i+1) / 10, Seq: uint64(i + 1)}
-				ready, batch := p.Submit(&tasks[i])
-				if ready == nil && batch == nil {
+				tasks[i] = Task{Significance: float64(i+1) / 20, Seq: uint64(i + 1)}
+			}
+			for i := range tasks[:buffered] {
+				if out := p.Submit(nil, tasks[i:i+1]); len(out) == 0 {
 					held = append(held, &tasks[i])
 				}
 			}
@@ -232,27 +248,101 @@ func TestPolicyFlushAppends(t *testing.T) {
 			if len(held) != wantHeld {
 				t.Fatalf("%v: Submit kept %d tasks, want %d", kind, len(held), wantHeld)
 			}
-			prefix := [2]Task{}
-			dst := make([]*Task, len(prefix), len(prefix)+room)
-			dst[0], dst[1] = &prefix[0], &prefix[1]
-			out := p.Flush(dst)
-			if len(out) != len(dst)+len(held) || out[0] != &prefix[0] || out[1] != &prefix[1] {
-				t.Fatalf("%v, room %d: Flush returned %d tasks after a prefix of %d and %d buffered, or moved the prefix", kind, room, len(out), len(dst), len(held))
+			prefix := make([]Task, tc.prefix)
+			dst := make([]*Task, tc.prefix, tc.prefix+tc.room)
+			for i := range prefix {
+				dst[i] = &prefix[i]
 			}
-			if len(held) == 0 && (&out[0] != &dst[0] || cap(out) != cap(dst)) {
-				t.Errorf("%v, room %d: a policy with nothing buffered must return dst itself", kind, room)
+			var own []*Task // the policy's buffer before the flush
+			if gtb, ok := p.(*gtbPolicy); ok {
+				own = gtb.buf
+			}
+			out := p.Flush(dst)
+			if len(out) != len(dst)+len(held) {
+				t.Fatalf("%v, %+v: Flush returned %d tasks after a prefix of %d and %d buffered", kind, tc, len(out), len(dst), len(held))
+			}
+			for i := range prefix {
+				if out[i] != &prefix[i] {
+					t.Fatalf("%v, %+v: Flush moved the prefix", kind, tc)
+				}
+			}
+			if len(held) == 0 && (unsafe.SliceData(out) != unsafe.SliceData(dst) || cap(out) != cap(dst)) {
+				t.Errorf("%v, %+v: a policy with nothing buffered must return dst itself", kind, tc)
+			}
+			// GTB trades arrays with an empty dst that can hold the window,
+			// and appends into one that cannot: adopting a short array would
+			// only regrow it at the next window's cost.
+			trades := len(held) > 0 && tc.prefix == 0 && tc.room >= len(held)
+			if gotOwn := len(held) > 0 && unsafe.SliceData(out) == unsafe.SliceData(own); gotOwn != trades {
+				t.Errorf("%v, %+v: Flush handed out the policy's own buffer: %v, want %v", kind, tc, gotOwn, trades)
 			}
 			for i, task := range out[len(dst):] {
 				if task != held[i] || task.Decision == decideNone {
-					t.Errorf("%v, room %d: flushed task %d is %p (decision %d), want buffered task %p, decided", kind, room, i, task, task.Decision, held[i])
+					t.Errorf("%v, %+v: flushed task %d is %p (decision %d), want buffered task %p, decided", kind, tc, i, task, task.Decision, held[i])
 				}
 			}
-			if prefix[0].Decision != decideNone || prefix[1].Decision != decideNone {
-				t.Errorf("%v, room %d: Flush decided a task of the prefix", kind, room)
+			for i := range prefix {
+				if prefix[i].Decision != decideNone {
+					t.Errorf("%v, %+v: Flush decided a task of the prefix", kind, tc)
+				}
 			}
-			if again := p.Flush(out[:0]); len(again) != 0 {
-				t.Errorf("%v, room %d: a second Flush handed back %d tasks again", kind, room, len(again))
+			if again := p.Flush(nil); len(again) != 0 {
+				t.Errorf("%v, %+v: a second Flush handed back %d tasks again", kind, tc, len(again))
 			}
+			// What was handed out is the dispatcher's: buffering the next
+			// window must not write into it.
+			handed := slices.Clone(out)
+			for i := buffered; i < len(tasks); i++ {
+				p.Submit(nil, tasks[i:i+1])
+			}
+			if !slices.Equal(out, handed) {
+				t.Errorf("%v, %+v: the next Submits wrote into the array Flush handed out", kind, tc)
+			}
+		}
+	}
+}
+
+// TestIngestHistogramMatchesRecount: the per-bin counts GTB(max) keeps as
+// tasks arrive, through Submit and SubmitBatch mixed and with the special
+// values the runtime decides itself among them, equal a recount of its
+// buffer; the taskwait's flush empties them.
+func TestIngestHistogramMatchesRecount(t *testing.T) {
+	rt := newRT(t, Config{Workers: 1, Policy: PolicyGTBMaxBuffer})
+	defer rt.Close()
+	g := rt.Group("hist", 0.5)
+	p := g.policy.(*gtbPolicy)
+	rng := rand.New(rand.NewSource(23))
+	for _, d := range rankDistributions {
+		for i := 0; i < 40; i++ {
+			if rng.Intn(2) == 0 {
+				rt.Submit(func() {}, WithLabel(g), WithSignificance(d.draw(rng)))
+				continue
+			}
+			specs := make([]TaskSpec, 1+rng.Intn(3*slabSize))
+			for j := range specs {
+				specs[j] = TaskSpec{Fn: func() {}, Significance: specSig(d.draw(rng))}
+			}
+			rt.SubmitBatch(g, specs)
+		}
+		var recount [rankBins]int32
+		g.mu.Lock()
+		for _, task := range p.buf {
+			recount[sigBin(task.Significance)]++
+		}
+		hist, n := p.hist, len(p.buf)
+		g.mu.Unlock()
+		if n == 0 {
+			t.Fatalf("%s: nothing buffered", d.name)
+		}
+		if hist != recount {
+			t.Fatalf("%s: the ingest histogram differs from a recount of the %d buffered tasks", d.name, n)
+		}
+		rt.Wait(g)
+		g.mu.Lock()
+		hist = p.hist
+		g.mu.Unlock()
+		if hist != ([rankBins]int32{}) {
+			t.Fatalf("%s: the flush left counts in the ingest histogram", d.name)
 		}
 	}
 }

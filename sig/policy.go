@@ -85,19 +85,22 @@ const (
 // tasks are recycled by the runtime, so retaining a returned *Task is an
 // error.
 type Policy interface {
-	// Submit offers a newly submitted task. A policy that decides the
-	// task immediately returns it as ready (the allocation-free fast
-	// path); a policy that buffers returns (nil, nil) until a window
-	// fills, then returns the decided window as batch in dispatch order.
-	// ready and batch are never both non-empty for built-in policies, but
-	// callers must handle both. The runtime copies the batch before the group
-	// lock is released, so a policy may hand out its own buffer and overwrite
-	// it from the next call on.
-	Submit(t *Task) (ready *Task, batch []*Task)
+	// Submit offers a run of newly submitted tasks in submission order —
+	// one task for a Submit, up to a slab of them for a SubmitBatch — whose
+	// significances all lie strictly between 0 and 1 (the runtime decides
+	// the special values itself). A policy appends every task it decides now
+	// to dst, in dispatch order, and returns the extended slice; a task it
+	// buffers it hands back later, from a Submit that fills its window or
+	// from Flush. dst belongs to the runtime, which dispatches what was
+	// appended once the group lock is released.
+	Submit(dst []*Task, ts []Task) []*Task
 	// Flush decides all buffered tasks and appends them to dst, returning
 	// the extended slice; called at taskwait and Close. The runtime hands
-	// in a pooled dispatch buffer, so a steady-state wave flush costs no
-	// heap. A policy that buffers nothing returns dst.
+	// in a pooled dispatch buffer and keeps whatever array comes back, so a
+	// steady-state wave flush costs no heap. A policy that buffers nothing
+	// returns dst. Given an empty dst, a policy may instead return its own
+	// buffer and adopt dst's array as its next one: it must then never
+	// write into the returned array again.
 	Flush(dst []*Task) []*Task
 	// WorkerDecide resolves a task the policy emitted with
 	// DecideAtWorker; worker identifies the calling worker goroutine.
@@ -132,9 +135,18 @@ func newPolicy(cfg Config, g *Group, workers int) Policy {
 // accuratePolicy runs everything accurately.
 type accuratePolicy struct{}
 
-func (accuratePolicy) Submit(t *Task) (*Task, []*Task) {
-	t.Decision = DecideAccurate
-	return t, nil
+func (accuratePolicy) Submit(dst []*Task, ts []Task) []*Task {
+	return decideAll(dst, ts, DecideAccurate)
+}
+
+// decideAll appends every task of ts to dst with decision d: the Submit of a
+// policy that buffers nothing.
+func decideAll(dst []*Task, ts []Task, d Decision) []*Task {
+	for i := range ts {
+		ts[i].Decision = d
+		dst = append(dst, &ts[i])
+	}
+	return dst
 }
 
 func (accuratePolicy) Flush(dst []*Task) []*Task { return dst }
@@ -151,16 +163,20 @@ type perforationPolicy struct {
 	acc uint64
 }
 
-func (p *perforationPolicy) Submit(t *Task) (*Task, []*Task) {
+func (p *perforationPolicy) Submit(dst []*Task, ts []Task) []*Task {
 	delta := uint64(math.Round(p.g.Ratio() * (1 << 32)))
-	before := p.acc
-	p.acc += delta
-	if p.acc>>32 != before>>32 {
-		t.Decision = DecideAccurate
-	} else {
-		t.Decision = DecideDrop
+	for i := range ts {
+		t := &ts[i]
+		before := p.acc
+		p.acc += delta
+		if p.acc>>32 != before>>32 {
+			t.Decision = DecideAccurate
+		} else {
+			t.Decision = DecideDrop
+		}
+		dst = append(dst, t)
 	}
-	return t, nil
+	return dst
 }
 
 func (p *perforationPolicy) Flush(dst []*Task) []*Task { return dst }
@@ -174,21 +190,31 @@ type gtbPolicy struct {
 	g      *Group
 	window int
 	buf    []*Task
-	// scratch is the reusable ranking workspace of decide; it only lives
-	// between the entry and exit of one decide call (always under the
-	// group's policy lock).
+	// hist counts buf's tasks per significance bin (sigBin) as they arrive,
+	// so a long window's rank starts from the histogram instead of a pass
+	// over the buffer. rank empties it with the window it decides.
+	hist [rankBins]int32
+	// scratch is the reusable ranking workspace of rank; it only lives
+	// between the entry and exit of one rank call (always under the group's
+	// policy lock).
 	scratch []*Task
 
 	decidedTotal    int64
 	decidedAccurate int64
 }
 
-func (p *gtbPolicy) Submit(t *Task) (*Task, []*Task) {
-	p.buf = append(p.buf, t)
-	if p.window > 0 && len(p.buf) >= p.window {
-		return nil, p.decide()
+func (p *gtbPolicy) Submit(dst []*Task, ts []Task) []*Task {
+	for i := range ts {
+		t := &ts[i]
+		p.buf = append(p.buf, t)
+		p.hist[sigBin(t.Significance)]++
+		if p.window > 0 && len(p.buf) >= p.window {
+			p.rank()
+			dst = append(dst, p.buf...)
+			p.buf = p.buf[:0]
+		}
 	}
-	return nil, nil
+	return dst
 }
 
 // Flush decides the remaining buffer and closes the wave's quota epoch: the
@@ -200,26 +226,27 @@ func (p *gtbPolicy) Submit(t *Task) (*Task, []*Task) {
 // target — a second integrator in the control loop that sends it into a
 // limit cycle.
 //
-// The decided tasks are appended to dst in submission order and the grown
-// buffer array is kept for the next window: the copy is owned by the
-// dispatcher, which may still be handing it to the workers while new
-// submissions buffer.
+// The decided tasks leave in submission order. Given an empty dst that could
+// hold them — the runtime's taskwait flush, once its pooled scratch arrays
+// have grown to a wave — the buffer itself leaves and dst's array becomes the
+// next one, so a GTB(max) wave is handed to the dispatcher without a copy and
+// the next wave of its size buffers without growing. Otherwise they are
+// appended to dst and the grown buffer array is kept for the next window.
+// Either way the array handed out is the dispatcher's, which may still be
+// handing it to the workers while new submissions buffer.
 func (p *gtbPolicy) Flush(dst []*Task) []*Task {
 	p.rank()
+	p.decidedTotal, p.decidedAccurate = 0, 0
+	switch {
+	case len(p.buf) == 0:
+		return dst
+	case len(dst) == 0 && cap(dst) >= len(p.buf):
+		out := p.buf
+		p.buf = dst
+		return out
+	}
 	out := append(dst, p.buf...)
 	clear(p.buf)
-	p.buf = p.buf[:0]
-	p.decidedTotal, p.decidedAccurate = 0, 0
-	return out
-}
-
-// decide hands out the full, decided window in place: the window-boundary
-// path of Submit. The policy is serialized by the group lock, under which the
-// runtime copies the batch into its pooled dispatch scratch, so the buffer is
-// free to be overwritten from the next Submit on.
-func (p *gtbPolicy) decide() []*Task {
-	p.rank()
-	out := p.buf
 	p.buf = p.buf[:0]
 	return out
 }
@@ -230,7 +257,7 @@ func (p *gtbPolicy) decide() []*Task {
 // windows. The order is (significance desc, Seq asc) — a strict total order,
 // so the accurate set is identical to what a stable sort would pick — and a
 // long window is cut by a histogram first (rankByBin), so only the tasks of
-// one bin are ever compared with each other.
+// one bin are ever compared with each other. It empties the histogram.
 func (p *gtbPolicy) rank() {
 	n := len(p.buf)
 	if n == 0 {
@@ -261,6 +288,7 @@ func (p *gtbPolicy) rank() {
 	}
 	p.decidedTotal += int64(n)
 	p.decidedAccurate += int64(want)
+	clear(p.hist[:])
 }
 
 // rankScratch marks the want top-ranked tasks of scratch accurate and the
@@ -279,10 +307,11 @@ func (p *gtbPolicy) rankScratch(want int) {
 	p.scratch = p.scratch[:0]
 }
 
-// rankBins is the resolution of rankByBin's histogram, and rankByBinMin the
-// window length from which its two sequential passes beat a quickselect that
-// chases every task pointer ~3 times: GTB's 32-task windows stay below it, a
-// GTB(max) wave is far above.
+// rankBins is the resolution of the ingest histogram, and rankByBinMin the
+// window length from which rankByBin beats a quickselect that chases every
+// task pointer ~3 times (measured when rankByBin still counted the window in
+// a pass of its own): GTB's 32-task windows stay below it, a GTB(max) wave is
+// far above.
 const (
 	rankBins     = 256
 	rankByBinMin = 128
@@ -294,19 +323,15 @@ func sigBin(s float64) int {
 	return max(0, min(int(s*rankBins), rankBins-1))
 }
 
-// rankByBin is rank for a long window, 0 < want < len(buf): one pass counts
-// the tasks per bin, a walk down from the top bin finds the one the quota
-// runs out in, and a second pass marks everything above it accurate and
-// everything below it approximate without comparing two tasks. Only the
-// boundary bin's tasks are ranked against each other.
+// rankByBin is rank for a long window, 0 < want < len(buf): a walk down the
+// ingest histogram from the top bin finds the one the quota runs out in, and
+// one pass marks everything above it accurate and everything below it
+// approximate without comparing two tasks. Only the boundary bin's tasks are
+// ranked against each other.
 func (p *gtbPolicy) rankByBin(want int) {
-	var hist [rankBins]int32
-	for _, t := range p.buf {
-		hist[sigBin(t.Significance)]++
-	}
 	edge := rankBins - 1
-	for ; int(hist[edge]) < want; edge-- {
-		want -= int(hist[edge])
+	for ; int(p.hist[edge]) < want; edge-- {
+		want -= int(p.hist[edge])
 	}
 	p.scratch = p.scratch[:0]
 	for _, t := range p.buf {
@@ -411,9 +436,8 @@ func newLQHPolicy(g *Group, workers, history int) *lqhPolicy {
 	return p
 }
 
-func (p *lqhPolicy) Submit(t *Task) (*Task, []*Task) {
-	t.Decision = DecideAtWorker
-	return t, nil
+func (p *lqhPolicy) Submit(dst []*Task, ts []Task) []*Task {
+	return decideAll(dst, ts, DecideAtWorker)
 }
 
 func (p *lqhPolicy) Flush(dst []*Task) []*Task { return dst }

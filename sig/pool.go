@@ -94,12 +94,6 @@ func (p *taskPools) carve(n int) []Task {
 	return s.tasks[lo:hi]
 }
 
-// get carves the single task of one Submit.
-//
-//siglint:poolget
-//siglint:noalloc
-func (p *taskPools) get() *Task { return &p.carve(1)[0] }
-
 // release recycles one completed task; see releaseAll.
 //
 //siglint:poolput
@@ -107,6 +101,17 @@ func (p *taskPools) get() *Task { return &p.carve(1)[0] }
 func (p *taskPools) release(t *Task) {
 	one := [1]*Task{t}
 	p.releaseAll(one[:])
+}
+
+// releaseChunk recycles a carved chunk none of whose tasks was handed on: a
+// submission refused before its policy saw it. A chunk lies in one slab.
+//
+//siglint:poolput
+//siglint:noalloc
+func (p *taskPools) releaseChunk(ts []Task) {
+	if s := ts[0].slab; s.done.Add(int32(len(ts))) == slabSize {
+		p.slabs.Put(s)
+	}
 }
 
 // releaseAll recycles a chunk of completed tasks, publishing one completion

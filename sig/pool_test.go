@@ -147,12 +147,14 @@ type slabCounter struct {
 	drawn int
 }
 
-func (p *slabCounter) Submit(t *Task) (*Task, []*Task) {
-	if t.slab != p.last {
-		p.last = t.slab
-		p.drawn++
+func (p *slabCounter) Submit(dst []*Task, ts []Task) []*Task {
+	for i := range ts {
+		if ts[i].slab != p.last {
+			p.last = ts[i].slab
+			p.drawn++
+		}
 	}
-	return p.accuratePolicy.Submit(t)
+	return p.accuratePolicy.Submit(dst, ts)
 }
 
 // TestShortBatchesShareSlab: one-spec batches — what shard.Router.Submit

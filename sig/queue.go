@@ -359,11 +359,12 @@ func (s *sched) publish(ts []*Task, scratch *[]*Task) {
 
 // claim moves the next chunk of the published segment into dst and returns
 // its size, 0 when nothing is published or everything is claimed. The chunk
-// is guided — remaining/(2·claimers), at least 1 and at most len(dst), the
-// claimers being the workers and the goroutine in the taskwait (help) — so
-// claims are ring-batch sized while the window is long and shrink toward
-// its end: the claimers finish a short wave of uneven bodies together
-// instead of one of them holding the last full batch.
+// is guided — remaining/(2·claimers), at least 1 and at most len(dst)
+// (claimBatchSize from the workers and help), the claimers being the workers
+// and the goroutine in the taskwait (help) — so claims are large while the
+// window is long and shrink toward its end: the claimers finish a short wave
+// of uneven bodies together instead of one of them holding the last full
+// batch.
 //
 //siglint:poolput
 //siglint:noalloc
@@ -413,8 +414,17 @@ func (s *sched) anyQueued() bool {
 // between rounds) before parking on the wake semaphore.
 const workerSpinRounds = 4
 
-// popBatchSize bounds how many tasks a worker claims per lock acquisition.
-const popBatchSize = 16
+// popBatchSize bounds how many tasks a worker pops per ring lock
+// acquisition, and claimBatchSize how many it or the taskwait claims from the
+// flush segment at once. A segment claim is one compare-and-swap whatever its
+// size, and the guided rule already shrinks it toward a wave's end, so its
+// cap only bounds the head of a long wave: at two workers a claim exceeds 16
+// tasks only while more than 96 remain. A ring pop holds the ring's lock
+// across its copy and competes with the producer, so it stays short.
+const (
+	popBatchSize   = 16
+	claimBatchSize = 64
+)
 
 // worker is the scheduling loop of one worker goroutine: drain the own ring
 // in batches, claim from the flush segment when it is empty, steal from
@@ -425,19 +435,19 @@ func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
 	s := rt.sched
 	own := s.rings[id]
-	var batch [popBatchSize]*Task
+	var batch [claimBatchSize]*Task
 	idle := 0
 	for turn := 0; ; turn++ {
 		var n int
 		if turn&1 == 0 {
-			if n = s.pop(own, batch[:]); n == 0 {
+			if n = s.pop(own, batch[:popBatchSize]); n == 0 {
 				n = rt.claim(batch[:])
 			}
 		} else if n = rt.claim(batch[:]); n == 0 {
-			n = s.pop(own, batch[:])
+			n = s.pop(own, batch[:popBatchSize])
 		}
 		if n == 0 {
-			n = rt.steal(id, batch[:])
+			n = rt.steal(id, batch[:popBatchSize])
 		}
 		if n > 0 {
 			idle = 0

@@ -223,6 +223,30 @@ func TestServeDefaultBudget(t *testing.T) {
 	}
 }
 
+// TestServeNewErrorClosesRuntime: New builds its runtime before it prices the
+// default budget, so a config it rejects after that point must not leave the
+// runtime's workers behind.
+func TestServeNewErrorClosesRuntime(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, cfg := range []Config{
+		{Workers: 4, PriorityAt: 0.5, QueueLimit: 1},
+		{Workers: 4, WavePeriod: time.Millisecond, MinPeriod: 2 * time.Millisecond},
+		{Workers: 4, WavePeriod: time.Millisecond, MaxPeriod: time.Millisecond / 2},
+	} {
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Fatalf("New(%+v) accepted a config it must reject", cfg)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines outlive the rejected New calls (baseline %d)", got-base, base)
+	}
+}
+
 // TestServeStartLifecycle covers the pump's edges: a second Start is a
 // no-op on the same pump, and Start after Close spawns nothing.
 func TestServeStartLifecycle(t *testing.T) {

@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -440,18 +439,26 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QualityWindow < 0 {
 		return nil, fmt.Errorf("serve: negative QualityWindow %d", cfg.QualityWindow)
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// The runtime resolves Workers == 0 to GOMAXPROCS; the default budget is
+	// priced on the pool it actually started, and every error from here on
+	// closes it.
+	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
+	if err != nil {
+		return nil, err
 	}
+	fail := func(err error) (*Server, error) {
+		_ = rt.Close() // a fresh runtime: Close only reports double-close
+		return nil, err
+	}
+	workers := rt.Workers()
 	cfg = cfg.withDefaults(workers)
 	if cfg.PriorityAt > 0 && cfg.QueueLimit < 2 {
-		return nil, fmt.Errorf("serve: PriorityAt needs QueueLimit >= 2 (got %d): each lane owns at least one slot", cfg.QueueLimit)
+		return fail(fmt.Errorf("serve: PriorityAt needs QueueLimit >= 2 (got %d): each lane owns at least one slot", cfg.QueueLimit))
 	}
 	if cfg.MinPeriod > cfg.WavePeriod || cfg.MaxPeriod < cfg.WavePeriod {
-		return nil, fmt.Errorf("serve: pacer bounds [%v, %v] must bracket WavePeriod %v", cfg.MinPeriod, cfg.MaxPeriod, cfg.WavePeriod)
+		return fail(fmt.Errorf("serve: pacer bounds [%v, %v] must bracket WavePeriod %v", cfg.MinPeriod, cfg.MaxPeriod, cfg.WavePeriod))
 	}
-	s := &Server{cfg: cfg, closeDone: make(chan struct{})}
+	s := &Server{cfg: cfg, closeDone: make(chan struct{}), rt: rt}
 	s.clock = cfg.Clock
 	if s.clock == nil {
 		s.clock = wallClock{}
@@ -469,7 +476,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QualityFloor > 0 {
 		wf = &adapt.WindowFloor{Window: cfg.QualityWindow, Floor: cfg.QualityFloor}
 	}
-	var err error
 	s.ctl, err = adapt.New(adapt.Config{
 		Objective:   adapt.TargetLoad,
 		Budget:      cfg.TargetLoad,
@@ -479,13 +485,9 @@ func New(cfg Config) (*Server, error) {
 		WindowFloor: wf,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	s.rt, err = sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
-	if err != nil {
-		return nil, err
-	}
-	s.grp = s.rt.Group(groupName, 1.0) // start at full quality
+	s.grp = rt.Group(groupName, 1.0) // start at full quality
 	return s, nil
 }
 

@@ -18,12 +18,15 @@ type orderPolicy struct {
 	g    *sig.Group
 }
 
-func (p *orderPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
+func (p *orderPolicy) Submit(dst []*sig.Task, ts []sig.Task) []*sig.Task {
 	p.mu.Lock()
-	p.seen[p.g] = append(p.seen[p.g], t.Significance)
-	p.mu.Unlock()
-	t.Decision = sig.DecideAccurate
-	return t, nil
+	defer p.mu.Unlock()
+	for i := range ts {
+		p.seen[p.g] = append(p.seen[p.g], ts[i].Significance)
+		ts[i].Decision = sig.DecideAccurate
+		dst = append(dst, &ts[i])
+	}
+	return dst
 }
 func (p *orderPolicy) Flush(dst []*sig.Task) []*sig.Task        { return dst }
 func (p *orderPolicy) WorkerDecide(int, *sig.Task) sig.Decision { return sig.DecideAccurate }

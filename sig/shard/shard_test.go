@@ -266,16 +266,20 @@ func TestShardedWaveMerge(t *testing.T) {
 // controller must detect the lag from wave telemetry and boost the shard.
 type laggingPolicy struct{ g *sig.Group }
 
-func (p *laggingPolicy) Submit(t *sig.Task) (*sig.Task, []*sig.Task) {
+func (p *laggingPolicy) Submit(dst []*sig.Task, ts []sig.Task) []*sig.Task {
 	// Run accurately only the top ratio/2 significance band: the provided
 	// ratio lands at about half the request at any trim, so the lag never
 	// closes and the trim integrator must rail at TrimMax.
-	if t.Significance >= 1-p.g.Ratio()/2 {
-		t.Decision = sig.DecideAccurate
-	} else {
-		t.Decision = sig.DecideApprox
+	for i := range ts {
+		t := &ts[i]
+		if t.Significance >= 1-p.g.Ratio()/2 {
+			t.Decision = sig.DecideAccurate
+		} else {
+			t.Decision = sig.DecideApprox
+		}
+		dst = append(dst, t)
 	}
-	return t, nil
+	return dst
 }
 func (p *laggingPolicy) Flush(dst []*sig.Task) []*sig.Task { return dst }
 func (p *laggingPolicy) WorkerDecide(worker int, t *sig.Task) sig.Decision {

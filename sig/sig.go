@@ -110,9 +110,10 @@ type Group struct {
 
 	// Submitter-written. Every submission and every flush holds mu while it
 	// counts its tasks, calls the policy and raises pending — and never while
-	// it enqueues.
+	// it enqueues. out is the dst a Submit hands the policy, kept under mu.
 	mu        sync.Mutex
 	submitted atomic.Int64
+	out       []*Task
 	_         [64]byte
 
 	// Worker-written. pending counts dispatched-but-unfinished tasks; Wait
@@ -278,23 +279,37 @@ func (rt *Runtime) admit(g *Group) bool {
 	return true
 }
 
-// decide is where a task meets its policy, under g.mu. The special
-// significance values bypass it (§2 of the paper): 1.0 is unconditionally
-// accurate, 0.0 unconditionally approximate. Ownership of t passes through:
-// to the policy's buffer, or back out as ready for the caller to dispatch.
+// decide is where a carved chunk of g's tasks meets its policy, under g.mu:
+// what is decided now is appended to dst in dispatch order. The special
+// significance values bypass the policy (§2 of the paper): 1.0 is
+// unconditionally accurate, 0.0 unconditionally approximate. They cut the
+// chunk into runs, and the policy takes each run in one call. Ownership of
+// the tasks passes through: to the policy's buffer, or into dst for the
+// caller to dispatch.
 //
 //siglint:poolput
 //siglint:noalloc
-func (g *Group) decide(t *Task) (ready *Task, batch []*Task) {
-	switch {
-	case t.Significance >= 1.0:
-		t.Decision = DecideAccurate
-	case t.Significance <= 0.0:
-		t.Decision = DecideApprox
-	default:
-		return g.policy.Submit(t) //siglint:allocok policy boundary: buffering policies amortize into their reused window
+func (g *Group) decide(dst []*Task, ts []Task) []*Task {
+	for len(ts) > 0 {
+		run := 0
+		for run < len(ts) && !(ts[run].Significance >= 1.0 || ts[run].Significance <= 0.0) {
+			run++
+		}
+		if run > 0 {
+			dst = g.policy.Submit(dst, ts[:run]) //siglint:allocok policy boundary: policies append into dst, a reused runtime buffer, and buffer into their own reused window
+			ts = ts[run:]
+			continue
+		}
+		t := &ts[0]
+		if t.Significance >= 1.0 {
+			t.Decision = DecideAccurate
+		} else {
+			t.Decision = DecideApprox
+		}
+		dst = append(dst, t) //siglint:allocok amortized growth of a reused dispatch buffer (the caller's pooled scratch or Group.out)
+		ts = ts[1:]
 	}
-	return t, nil
+	return dst
 }
 
 // Submit schedules fn as a significance-annotated task. Options attach the
@@ -306,7 +321,8 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	if fn == nil {
 		panic("sig: Submit with nil task body")
 	}
-	t := rt.pools.get()
+	one := rt.pools.carve(1)
+	t := &one[0]
 	t.Significance, t.Decision = 1.0, decideNone
 	t.group, t.accurate, t.approx = nil, fn, nil
 	t.costAcc, t.costApprox = -1, -1
@@ -321,41 +337,38 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	if g.rt != rt {
 		// The task came from this runtime's pool: hand it back before
 		// panicking so the failed call does not leak it.
-		rt.pools.release(t)
+		rt.pools.releaseChunk(one)
 		panic("sig: task label belongs to a different runtime")
 	}
 	if !rt.admit(g) {
-		rt.pools.release(t)
+		rt.pools.releaseChunk(one)
 		panic("sig: Submit on closed runtime")
 	}
 	g.submitted.Add(1)
 	t.wave = int(g.wave.Load())
 	// What is handed back is counted pending while the lock is held: a
 	// concurrent Wait that flushes after us sees these tasks in the buffer or
-	// pending — never neither. A window is copied out under the lock too, so
-	// the policy can hand out its own buffer.
-	ready, batch := g.decide(t)
+	// pending — never neither. g.out is the group's, so what the policy
+	// appended leaves it before the lock is released: a lone task by value, a
+	// window by trading arrays with a pooled scratch.
+	out := g.decide(g.out[:0], one)
+	var ready *Task
 	var scratch *[]*Task
-	n := int64(len(batch))
-	if n > 0 {
+	if n := len(out); n == 1 {
+		ready, out[0] = out[0], nil
+		g.pending.Add(1)
+	} else if n > 1 {
+		g.pending.Add(int64(n))
 		scratch = rt.pools.getDispatch()
-		*scratch = append(*scratch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
-		batch = *scratch
+		*scratch, out = out, *scratch
 	}
-	if ready != nil {
-		n++
-	}
-	if n > 0 {
-		g.pending.Add(n)
-	}
+	g.out = out[:0]
 	g.mu.Unlock()
 	if ready != nil {
 		rt.dispatch(ready)
 	}
-	if len(batch) > 0 {
-		rt.dispatchBatch(batch)
-	}
 	if scratch != nil {
+		rt.dispatchBatch(*scratch)
 		rt.pools.putDispatch(scratch)
 	}
 }
@@ -394,7 +407,7 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 	defer rt.pools.putDispatch(dispatchP)
 	dispatch := *dispatchP
 	for off := 0; off < len(specs); {
-		chunk := rt.pools.carve(len(specs) - off) //siglint:leakok its tasks are handed to the policy or to dispatch one by one, or released below
+		chunk := rt.pools.carve(len(specs) - off) //siglint:leakok its tasks are handed on by decide, or released below
 		for i := range chunk {
 			sp := &specs[off+i]
 			t := &chunk[i]
@@ -420,9 +433,7 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			t.wave = wave
 		}
 		if !rt.admit(g) {
-			for i := range chunk {
-				rt.pools.release(&chunk[i])
-			}
+			rt.pools.releaseChunk(chunk)
 			// Earlier chunks were accepted and are pending: deliver them.
 			*dispatchP = dispatch
 			rt.dispatchBatch(dispatch)
@@ -430,13 +441,7 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 		}
 		g.submitted.Add(int64(len(chunk)))
 		decided := len(dispatch)
-		for i := range chunk {
-			ready, batch := g.decide(&chunk[i])
-			if ready != nil {
-				dispatch = append(dispatch, ready) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
-			}
-			dispatch = append(dispatch, batch...) //siglint:allocok amortized growth of the pooled dispatch scratch; recycled grown
-		}
+		dispatch = g.decide(dispatch, chunk)
 		// As in Submit, count what was handed to dispatch under the lock.
 		if handed := int64(len(dispatch) - decided); handed > 0 {
 			g.pending.Add(handed)
@@ -713,7 +718,7 @@ func (rt *Runtime) help() {
 			go panic(p)
 		}
 	}()
-	var batch [popBatchSize]*Task
+	var batch [claimBatchSize]*Task
 	for {
 		n := rt.claim(batch[:])
 		if n == 0 {
