@@ -4,7 +4,7 @@ GO ?= go
 # (this Makefile, CI) greps it from there.
 STATICCHECK_VERSION := $(shell grep -o 'staticcheck [0-9][0-9A-Za-z.]*' tools/go.mod | cut -d' ' -f2)
 
-.PHONY: test vet lint runpatterns race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard
+.PHONY: test vet lint runpatterns race goldens bench perf perf-quick fuzz fuzz-serve fuzz-shard loc
 
 # -shuffle=on randomizes test order within each package so order-dependent
 # tests cannot hide behind file order; CI runs the same way.
@@ -107,3 +107,14 @@ fuzz:
 # `make fuzz-serve|fuzz-shard`: the one target of that package.
 fuzz-serve fuzz-shard:
 	@$(MAKE) --no-print-directory fuzz FUZZ_TARGETS='$(filter ./sig/$(@:fuzz-%=%):%,$(FUZZ_TARGETS))'
+
+# Go lines per package directory, non-test and test files apart, over the
+# files git tracks (`git ls-files '*.go'`), then the totals: the counts the
+# ROADMAP and CHANGES.md quote.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		if ($$2 ~ /_test\.go$$/) { test[d] += $$1; tt += $$1 } else { src[d] += $$1; ts += $$1 }; dirs[d] = 1 } \
+		END { printf "%7s %7s  %s\n", "source", "test", "package"; \
+		for (d in dirs) printf "%7d %7d  %s\n", src[d], test[d], d | "sort -k3"; close("sort -k3"); \
+		printf "%7d %7d  %s\n", ts, tt, "total" }'

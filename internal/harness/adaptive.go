@@ -13,43 +13,6 @@ import (
 	"repro/sig/adapt"
 )
 
-// AdaptiveConfig parameterizes AdaptiveStudy. Zero fields take defaults.
-type AdaptiveConfig struct {
-	// Scale in (0,1]: 1.0 is evaluation-scale frames.
-	Scale float64
-	// Workers for the runtimes (0 = GOMAXPROCS).
-	Workers int
-	// Setpoint is the PSNR target in dB for the streaming-sobel loop
-	// (0 = 16 dB).
-	Setpoint float64
-	// Waves is the total sobel stream length (0 = 24); ChangeAt the wave
-	// at which the scene switches (0 = Waves/2).
-	Waves    int
-	ChangeAt int
-	// KmeansWaves is the length of the energy-capped kmeans stream
-	// (0 = 12).
-	KmeansWaves int
-}
-
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Scale <= 0 || c.Scale > 1 {
-		c.Scale = 1
-	}
-	if c.Setpoint <= 0 {
-		c.Setpoint = 16
-	}
-	if c.Waves <= 0 {
-		c.Waves = 24
-	}
-	if c.ChangeAt <= 0 || c.ChangeAt >= c.Waves {
-		c.ChangeAt = c.Waves / 2
-	}
-	if c.KmeansWaves <= 0 {
-		c.KmeansWaves = 12
-	}
-	return c
-}
-
 // AdaptiveWave is one wave of an adaptive stream's recorded trajectory.
 type AdaptiveWave struct {
 	Wave  int
@@ -74,8 +37,8 @@ type AdaptiveSegment struct {
 	// setpoint on this scene (offline bisection).
 	OracleRatio float64
 	// ConvergedAfter is how many waves after the segment began the
-	// provided ratio entered — and stayed within — ±Tolerance of the
-	// oracle; -1 means it never settled.
+	// provided ratio entered — and stayed within — ±adaptiveTolerance of
+	// the oracle; -1 means it never settled.
 	ConvergedAfter int
 	// SteadyRatio and SteadyPSNR are the segment's final-wave provided
 	// ratio and quality.
@@ -86,10 +49,8 @@ type AdaptiveSegment struct {
 // AdaptiveResult is the outcome of the adaptive-controller study.
 type AdaptiveResult struct {
 	// Sobel step-response + disturbance-rejection stream (TargetQuality).
-	Setpoint  float64
-	Tolerance float64
-	Rows      []AdaptiveWave
-	Segments  [2]AdaptiveSegment
+	Rows     []AdaptiveWave
+	Segments [2]AdaptiveSegment
 
 	// Kmeans energy-capped stream (TargetEnergy).
 	KmeansBudget float64
@@ -100,31 +61,39 @@ type AdaptiveResult struct {
 	KmeansRows        []AdaptiveWave
 }
 
-// adaptiveTolerance is the steady-state band around the oracle static
-// ratio the study scores convergence against.
-const adaptiveTolerance = 0.05
+const (
+	// adaptiveSetpoint is the sobel stream's PSNR target in dB, and
+	// adaptiveTolerance the steady-state band around the oracle static ratio
+	// the study scores convergence against.
+	adaptiveSetpoint  = 16.0
+	adaptiveTolerance = 0.05
+	// The pinned streams: adaptiveWaves sobel waves with the scene change
+	// at adaptiveChangeAt, then adaptiveKmeansWaves kmeans waves. The
+	// runtimes have GOMAXPROCS workers; max buffering decides the same at
+	// any count.
+	adaptiveWaves, adaptiveChangeAt = 24, 12
+	adaptiveKmeansWaves             = 12
+)
 
 // AdaptiveStudy runs the closed-loop evaluation of sig/adapt:
 //
 //   - A streaming sobel workload under a TargetQuality controller. The
 //     stream starts fully accurate, the controller walks the ratio down to
 //     the cheapest point holding the PSNR setpoint (step response), and at
-//     ChangeAt the scene switches to one with texture the approximation
-//     cannot reproduce — the controller must re-converge onto the new
-//     scene's oracle ratio (disturbance rejection).
+//     adaptiveChangeAt the scene switches to one with texture the
+//     approximation cannot reproduce — the controller must re-converge onto
+//     the new scene's oracle ratio (disturbance rejection).
 //   - A streaming kmeans workload under a TargetEnergy controller capping
 //     modeled joules per wave while maximizing the ratio.
 //
 // Everything is deterministic: GTB max-buffering decisions, declared task
 // costs and a pure-arithmetic control law.
-func AdaptiveStudy(cfg AdaptiveConfig) (AdaptiveResult, error) {
-	cfg = cfg.withDefaults()
-	res := AdaptiveResult{Setpoint: cfg.Setpoint, Tolerance: adaptiveTolerance}
-
-	if err := adaptiveSobel(cfg, &res); err != nil {
+func AdaptiveStudy() (AdaptiveResult, error) {
+	var res AdaptiveResult
+	if err := adaptiveSobel(&res); err != nil {
 		return res, err
 	}
-	if err := adaptiveKmeans(cfg, &res); err != nil {
+	if err := adaptiveKmeans(&res); err != nil {
 		return res, err
 	}
 	return res, nil
@@ -138,14 +107,14 @@ var sobelScenes = [2]struct {
 	detail float64
 }{{1, 0}, {2, 0.75}}
 
-func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
+func adaptiveSobel(res *AdaptiveResult) error {
 	p := sobel.DefaultParams()
-	p.W, p.H = scaled(p.W, cfg.Scale, 64), scaled(p.H, cfg.Scale, 64)
+	p.W, p.H = scaled(p.W, studyScale, 64), scaled(p.H, studyScale, 64)
 	app := sobel.New(p)
 	app.SetScene(sobelScenes[0].seed, sobelScenes[0].detail)
 	ref := app.Sequential()
 
-	oracle, err := sobelOracleRatio(app, ref, cfg.Setpoint, cfg.Workers)
+	oracle, err := sobelOracleRatio(app, ref)
 	if err != nil {
 		return err
 	}
@@ -157,7 +126,7 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	var lastPSNR float64
 	ctl, err := adapt.New(adapt.Config{
 		Objective: adapt.TargetQuality,
-		Setpoint:  cfg.Setpoint,
+		Setpoint:  adaptiveSetpoint,
 		Probe: func() float64 {
 			lastPSNR = imaging.PSNR(ref, out)
 			return lastPSNR
@@ -166,7 +135,7 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	if err != nil {
 		return err
 	}
-	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
+	rt, err := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		return err
 	}
@@ -174,12 +143,12 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	grp := rt.Group("sobel", 1.0) // step response: start fully accurate
 
 	scene := 0
-	for w := 0; w < cfg.Waves; w++ {
-		if w == cfg.ChangeAt {
+	for w := range adaptiveWaves {
+		if w == adaptiveChangeAt {
 			scene = 1
 			app.SetScene(sobelScenes[1].seed, sobelScenes[1].detail)
 			ref = app.Sequential()
-			oracle, err := sobelOracleRatio(app, ref, cfg.Setpoint, cfg.Workers)
+			oracle, err := sobelOracleRatio(app, ref)
 			if err != nil {
 				return err
 			}
@@ -200,24 +169,24 @@ func adaptiveSobel(cfg AdaptiveConfig, res *AdaptiveResult) error {
 		})
 	}
 
-	scoreSegment(&res.Segments[0], res.Rows[:cfg.ChangeAt], res.Tolerance)
-	scoreSegment(&res.Segments[1], res.Rows[cfg.ChangeAt:], res.Tolerance)
+	scoreSegment(&res.Segments[0], res.Rows[:adaptiveChangeAt])
+	scoreSegment(&res.Segments[1], res.Rows[adaptiveChangeAt:])
 	return nil
 }
 
 // sobelOracleRatio bisects for the lowest static ratio whose PSNR against
-// ref meets the setpoint on the app's current scene. PSNR is monotone in
+// ref meets adaptiveSetpoint on the app's current scene. PSNR is monotone in
 // the ratio under max buffering (larger ratios only grow the accurate set),
 // so bisection is exact to the returned precision.
-func sobelOracleRatio(app *sobel.App, ref *imaging.Image, setpoint float64, workers int) (float64, error) {
+func sobelOracleRatio(app *sobel.App, ref *imaging.Image) (float64, error) {
 	meets := func(ratio float64) (bool, error) {
-		rt, err := sig.New(sig.Config{Workers: workers, Policy: sig.PolicyGTBMaxBuffer})
+		rt, err := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer})
 		if err != nil {
 			return false, err
 		}
 		defer rt.Close()
 		out := app.Run(rt, ratio)
-		return imaging.PSNR(ref, out) >= setpoint, nil
+		return imaging.PSNR(ref, out) >= adaptiveSetpoint, nil
 	}
 	lo, hi := 0.0, 1.0 // PSNR(1.0) = +Inf always meets
 	for i := 0; i < 20; i++ {
@@ -236,8 +205,9 @@ func sobelOracleRatio(app *sobel.App, ref *imaging.Image, setpoint float64, work
 }
 
 // scoreSegment fills the convergence metrics: the first wave from which the
-// provided ratio stays within tol of the oracle through the segment's end.
-func scoreSegment(seg *AdaptiveSegment, rows []AdaptiveWave, tol float64) {
+// provided ratio stays within adaptiveTolerance of the oracle through the
+// segment's end.
+func scoreSegment(seg *AdaptiveSegment, rows []AdaptiveWave) {
 	if len(rows) == 0 {
 		seg.ConvergedAfter = -1
 		return
@@ -246,7 +216,7 @@ func scoreSegment(seg *AdaptiveSegment, rows []AdaptiveWave, tol float64) {
 	seg.SteadyPSNR = rows[len(rows)-1].PSNR
 	converged := -1
 	for i := len(rows) - 1; i >= 0; i-- {
-		if math.Abs(rows[i].Provided-seg.OracleRatio) > tol {
+		if math.Abs(rows[i].Provided-seg.OracleRatio) > adaptiveTolerance {
 			break
 		}
 		converged = i
@@ -254,9 +224,9 @@ func scoreSegment(seg *AdaptiveSegment, rows []AdaptiveWave, tol float64) {
 	seg.ConvergedAfter = converged
 }
 
-func adaptiveKmeans(cfg AdaptiveConfig, res *AdaptiveResult) error {
+func adaptiveKmeans(res *AdaptiveResult) error {
 	p := kmeans.DefaultParams()
-	p.N = scaled(p.N, cfg.Scale, p.K*16)
+	p.N = scaled(p.N, studyScale, p.K*16)
 	p.Chunk = max(p.N/64, 64)
 	app := kmeans.New(p)
 
@@ -278,13 +248,13 @@ func adaptiveKmeans(cfg AdaptiveConfig, res *AdaptiveResult) error {
 	if err != nil {
 		return err
 	}
-	rt, err := sig.New(sig.Config{Workers: cfg.Workers, Policy: sig.PolicyGTBMaxBuffer})
+	rt, err := sig.New(sig.Config{Policy: sig.PolicyGTBMaxBuffer})
 	if err != nil {
 		return err
 	}
 	defer rt.Close()
 	grp := rt.Group("kmeans", 1.0)
-	app.RunStream(rt, grp, cfg.KmeansWaves, func(ws sig.WaveStats) {
+	app.RunStream(rt, grp, adaptiveKmeansWaves, func(ws sig.WaveStats) {
 		step := ctl.Observe(grp, ws)
 		res.KmeansRows = append(res.KmeansRows, AdaptiveWave{
 			Wave:      ws.Wave,
@@ -301,7 +271,7 @@ func adaptiveKmeans(cfg AdaptiveConfig, res *AdaptiveResult) error {
 // PrintAdaptiveStudy renders the study: the wave-by-wave tables, an ASCII
 // step-response plot of the ratio trajectory and the convergence summary.
 func PrintAdaptiveStudy(w io.Writer, r AdaptiveResult) {
-	fmt.Fprintf(w, "Adaptive study: streaming sobel under a TargetQuality controller (setpoint %.1f dB)\n", r.Setpoint)
+	fmt.Fprintf(w, "Adaptive study: streaming sobel under a TargetQuality controller (setpoint %.1f dB)\n", adaptiveSetpoint)
 	fmt.Fprintf(w, "%-5s %-6s %6s %6s %8s %10s %8s\n", "wave", "scene", "req%", "prov%", "PSNR", "energy", "next%")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-5d %-6d %6.1f %6.1f %8.2f %9.4fJ %8.1f\n",
@@ -316,7 +286,7 @@ func PrintAdaptiveStudy(w io.Writer, r AdaptiveResult) {
 			conv = fmt.Sprintf("%d waves", seg.ConvergedAfter)
 		}
 		fmt.Fprintf(w, "scene %d: oracle static ratio %.3f, converged within +/-%.2f after %s, steady prov %.3f at %.2f dB\n",
-			seg.Scene, seg.OracleRatio, r.Tolerance, conv, seg.SteadyRatio, seg.SteadyPSNR)
+			seg.Scene, seg.OracleRatio, adaptiveTolerance, conv, seg.SteadyRatio, seg.SteadyPSNR)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "Adaptive study: streaming kmeans under a TargetEnergy controller (budget %.4f J/wave, oracle ratio %.2f)\n",

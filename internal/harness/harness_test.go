@@ -129,25 +129,25 @@ func TestInversionPct(t *testing.T) {
 // decisions, declared costs, arithmetic control law), so exact thresholds
 // are safe to assert.
 func TestAdaptiveStudyConverges(t *testing.T) {
-	res, err := AdaptiveStudy(AdaptiveConfig{Scale: 0.05, Waves: 20, ChangeAt: 10})
+	res, err := AdaptiveStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seg := range res.Segments {
 		if seg.ConvergedAfter < 0 {
 			t.Errorf("scene %d: controller never converged to within %.2f of oracle %.3f",
-				seg.Scene, res.Tolerance, seg.OracleRatio)
+				seg.Scene, adaptiveTolerance, seg.OracleRatio)
 			continue
 		}
 		if seg.ConvergedAfter > 8 {
 			t.Errorf("scene %d: converged after %d waves, want <= 8", seg.Scene, seg.ConvergedAfter)
 		}
-		if d := math.Abs(seg.SteadyRatio - seg.OracleRatio); d > res.Tolerance {
+		if d := math.Abs(seg.SteadyRatio - seg.OracleRatio); d > adaptiveTolerance {
 			t.Errorf("scene %d: steady provided ratio %.3f is %.3f from oracle %.3f (tolerance %.2f)",
-				seg.Scene, seg.SteadyRatio, d, seg.OracleRatio, res.Tolerance)
+				seg.Scene, seg.SteadyRatio, d, seg.OracleRatio, adaptiveTolerance)
 		}
-		if seg.SteadyPSNR < res.Setpoint {
-			t.Errorf("scene %d: steady PSNR %.2f dB below the %.2f dB setpoint", seg.Scene, seg.SteadyPSNR, res.Setpoint)
+		if seg.SteadyPSNR < adaptiveSetpoint {
+			t.Errorf("scene %d: steady PSNR %.2f dB below the %.2f dB setpoint", seg.Scene, seg.SteadyPSNR, adaptiveSetpoint)
 		}
 	}
 	// The disturbance must be real: the two scenes need distinct oracles,
@@ -174,12 +174,11 @@ func TestAdaptiveStudyConverges(t *testing.T) {
 // TestAdaptiveStudyDeterministic: two runs of the study must agree exactly
 // — the controller's replay contract holds end to end through the harness.
 func TestAdaptiveStudyDeterministic(t *testing.T) {
-	cfg := AdaptiveConfig{Scale: 0.03, Waves: 8, ChangeAt: 4, KmeansWaves: 4}
-	a, err := AdaptiveStudy(cfg)
+	a, err := AdaptiveStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AdaptiveStudy(cfg)
+	b, err := AdaptiveStudy()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,18 +37,14 @@ var paceCosts = [4]float64{50_000, 100_000, 150_000, 200_000}
 const paceOverhead = 250 * time.Microsecond
 
 const (
-	// paceBasePerWave is the per-wave arrival count.
+	// paceBasePerWave is the per-wave arrival count, and paceWaves the
+	// cadence phase's length.
 	paceBasePerWave = 8
+	paceWaves       = 24
 	// paceWavePeriod is the deliberately wrong configured period the pacer
 	// must correct away from: half the true mean wall.
 	paceWavePeriod = 500 * time.Microsecond
 )
-
-// PaceConfig parameterizes PaceStudy.
-type PaceConfig struct {
-	// Waves is the cadence phase length (0 = 24).
-	Waves int
-}
 
 // PaceWaveRow is one paced wave's trajectory sample.
 type PaceWaveRow struct {
@@ -63,11 +59,8 @@ type PaceWaveRow struct {
 
 // PaceResult is the outcome of the pace study.
 type PaceResult struct {
-	BasePerWave int
-	Waves       int
-	NominalMs   float64 // the configured (wrong) WavePeriod
-	TrueMeanMs  float64 // mean offered work per wave — the honest cadence
-	Rows        []PaceWaveRow
+	TrueMeanMs float64 // mean offered work per wave — the honest cadence
+	Rows       []PaceWaveRow
 
 	// Cadence section: ConvergedAt is the first wave (1-based) from which
 	// the cadence stays within 25% of TrueMeanMs for the rest of the
@@ -130,15 +123,12 @@ func paceRequest(fc *serve.FakeClock, i int) serve.Request {
 
 // PaceStudy runs the measured-time pacing study twice and verifies the
 // second run reproduces the first bit-identically (ReplayIdentical).
-func PaceStudy(cfg PaceConfig) (PaceResult, error) {
-	if cfg.Waves <= 0 {
-		cfg.Waves = 24
-	}
-	res, err := cfg.run()
+func PaceStudy() (PaceResult, error) {
+	res, err := paceRun()
 	if err != nil {
 		return res, err
 	}
-	replay, err := cfg.run()
+	replay, err := paceRun()
 	if err != nil {
 		return res, err
 	}
@@ -146,7 +136,7 @@ func PaceStudy(cfg PaceConfig) (PaceResult, error) {
 	return res, nil
 }
 
-func (cfg PaceConfig) run() (PaceResult, error) {
+func paceRun() (PaceResult, error) {
 	fc := serve.NewFakeClock()
 	s, err := serve.New(serve.Config{
 		Workers:    1, // one worker: measured period × workers = admitted work, exactly
@@ -160,53 +150,42 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 		return PaceResult{}, err
 	}
 	defer s.Close()
-
-	res := PaceResult{
-		BasePerWave: paceBasePerWave,
-		Waves:       cfg.Waves,
-		NominalMs:   durMs(paceWavePeriod),
+	r := &studyRun{
+		s:     s,
+		next:  func(i int) serve.Request { return paceRequest(fc, i) },
+		clock: fc, // the pump's sleep, in fake time
 	}
-	seq := 0
-	wave := func(arrivals int) (serve.WaveReport, error) {
-		// The per-wave overhead probe: near-zero declared cost, fixed wall
-		// advance. When the queue is at its limit (the burst phase) the
-		// probe is shed and that wave simply runs without its overhead —
-		// a fixed-cost loss well inside the one-wave honesty gate.
-		var oe *serve.OverloadError
-		if _, err := s.Submit(serve.Request{
-			Significance: 1.0,
-			Handler:      func() { fc.Advance(paceOverhead) },
-			CostAccurate: 1000,
-		}); err != nil && !errors.As(err, &oe) {
-			return serve.WaveReport{}, fmt.Errorf("pace study overhead probe: %w", err)
-		}
-		for i := 0; i < arrivals; i++ {
-			if _, err := s.Submit(paceRequest(fc, seq)); err != nil {
-				return serve.WaveReport{}, fmt.Errorf("pace study submit %d: %w", seq, err)
-			}
-			seq++
-		}
-		rep := s.RunWave()
-		fc.Advance(rep.Next) // the pump's sleep, in fake time
+	// The per-wave overhead probe: near-zero declared cost, fixed wall
+	// advance.
+	probe := serve.Request{
+		Significance: 1.0,
+		Handler:      func() { fc.Advance(paceOverhead) },
+		CostAccurate: 1000,
+	}
+
+	var res PaceResult
+	wave := func(arrivals int) serve.WaveReport {
+		// When the queue is at its limit (the burst's drain) the probe is
+		// shed and that wave runs without its overhead — a fixed-cost loss
+		// well inside the one-wave honesty gate.
+		s.Submit(probe)
+		rep := r.wave(arrivals)
 		res.PaceCalls++
 		if rep.Overrun {
 			res.OverrunsSeen++
 		}
-		return rep, nil
+		return rep
 	}
 
 	// Cadence phase: paceBasePerWave arrivals per wave; the wave's true wall is
 	// their declared cost plus the fixed overhead the probe injects.
 	var offered float64
-	for w := 0; w < cfg.Waves; w++ {
+	for w := range paceWaves {
 		offered += float64(paceOverhead)
-		for i := 0; i < paceBasePerWave; i++ {
-			offered += paceCosts[paceClass(seq+i)]
+		for i := range paceBasePerWave {
+			offered += paceCosts[paceClass(r.seq+i)]
 		}
-		rep, err := wave(paceBasePerWave)
-		if err != nil {
-			return res, err
-		}
+		rep := wave(paceBasePerWave)
 		res.Rows = append(res.Rows, PaceWaveRow{
 			Wave:     w + 1,
 			Admitted: rep.Admitted,
@@ -217,7 +196,7 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 			Overrun:  rep.Overrun,
 		})
 	}
-	res.TrueMeanMs = offered / float64(cfg.Waves) / 1e6
+	res.TrueMeanMs = offered / paceWaves / 1e6
 	res.ConvergedAt = -1
 	for w := len(res.Rows) - 1; w >= 0; w-- {
 		if math.Abs(res.Rows[w].PaceMs-res.TrueMeanMs) > 0.25*res.TrueMeanMs {
@@ -230,18 +209,16 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 	// Drain the cadence phase's leftovers so the burst below is the whole
 	// backlog the RetryAfter hint prices.
 	for s.Depth() > 0 {
-		if _, err := wave(0); err != nil {
-			return res, err
-		}
+		wave(0)
 	}
 
 	// RetryAfter honesty phase: fill the queue to rejection, then measure
 	// how long the backlog actually takes to drain in fake time.
 	var oe *serve.OverloadError
-	for i := 0; ; i++ {
-		_, err := s.Submit(paceRequest(fc, seq))
+	for {
+		_, err := s.Submit(r.next(r.seq))
 		if err == nil {
-			seq++
+			r.seq++
 			continue
 		}
 		if !errors.As(err, &oe) {
@@ -261,9 +238,7 @@ func (cfg PaceConfig) run() (PaceResult, error) {
 	oneWave := s.MeasuredPeriod()
 	start := fc.Now()
 	for s.Depth() > 0 {
-		if _, err := wave(0); err != nil {
-			return res, err
-		}
+		wave(0)
 	}
 	drain := fc.Now().Sub(start)
 	res.DrainMs = durMs(drain)
@@ -291,7 +266,7 @@ func durMs(d time.Duration) float64 { return float64(d) / 1e6 }
 // summary lines the gating tests read.
 func PrintPaceStudy(w io.Writer, r PaceResult) {
 	fmt.Fprintf(w, "pace study (base %d req/wave, 4x cost variance, nominal period %.3g ms, true mean wall %.4g ms)\n",
-		r.BasePerWave, r.NominalMs, r.TrueMeanMs)
+		paceBasePerWave, durMs(paceWavePeriod), r.TrueMeanMs)
 	fmt.Fprintf(w, "%-5s %5s %6s %8s %8s %9s %8s\n", "wave", "adm", "depth", "wall ms", "pace ms", "budget k", "overrun")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-5d %5d %6d %8.3f %8.3f %9.1f %8v\n",

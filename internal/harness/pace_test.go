@@ -11,7 +11,7 @@ import (
 // ticks dropped, the RetryAfter hint lands within one measured wave of the
 // observed fake-clock drain, and the whole study replays bit-identically.
 func TestPaceStudyGates(t *testing.T) {
-	res, err := PaceStudy(PaceConfig{})
+	res, err := PaceStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +45,9 @@ func TestPaceStudyGates(t *testing.T) {
 	}
 }
 
-// TestPrintPaceStudy pins the summary lines on a shorter cadence phase.
+// TestPrintPaceStudy pins the printer's summary lines.
 func TestPrintPaceStudy(t *testing.T) {
-	res, err := PaceStudy(PaceConfig{Waves: 8})
+	res, err := PaceStudy()
 	if err != nil {
 		t.Fatal(err)
 	}

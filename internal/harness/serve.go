@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/bench/kmeans"
@@ -108,49 +107,6 @@ func ServeBackendByName(name string, scale float64) (*ServeBackend, error) {
 	return nil, fmt.Errorf("harness: unknown serve backend %q (want sobel or kmeans)", name)
 }
 
-// ServeConfig parameterizes ServeStudy. Zero fields take defaults.
-type ServeConfig struct {
-	// Scale in (0,1] sizes the backend's per-request work.
-	Scale float64
-	// Workers of the server's runtime (0 = 2). Capacity is workers × the
-	// wave period, so the default is a constant, not GOMAXPROCS.
-	Workers int
-	// Backend is "sobel" (default) or "kmeans".
-	Backend string
-	// Waves is the open-loop stream length (default 28); the overload
-	// step spans [StepAt, StepEnd) (defaults 8, 16).
-	Waves, StepAt, StepEnd int
-	// ClosedWaves is the length of the closed-loop segment (default 12).
-	ClosedWaves int
-}
-
-func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Scale <= 0 || c.Scale > 1 {
-		c.Scale = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	if c.Waves <= 0 {
-		c.Waves = 28
-	}
-	// The step must start inside the stream (StepAt in [1, Waves-1]) and
-	// end after it starts, at the latest when the stream does — whatever
-	// combination the caller asked for.
-	c.Waves = max(c.Waves, 4)
-	if c.StepAt <= 0 {
-		c.StepAt = 8
-	}
-	c.StepAt = min(c.StepAt, c.Waves-1)
-	if c.StepEnd <= c.StepAt || c.StepEnd > c.Waves {
-		c.StepEnd = min(c.StepAt+8, c.Waves)
-	}
-	if c.ClosedWaves <= 0 {
-		c.ClosedWaves = 12
-	}
-	return c
-}
-
 const (
 	// serveBasePerWave is the light-load arrival rate in requests per wave,
 	// and serveUtilization the fraction of a wave that many accurate
@@ -159,6 +115,13 @@ const (
 	serveUtilization = 0.6
 	// serveOverload is the step's multiple of the base arrival rate.
 	serveOverload = 4.0
+	// The pinned script: serveWaves open-loop waves with the overload step
+	// over [serveStepAt, serveStepEnd), then serveClosedWaves closed-loop
+	// waves, each loop on its own serveWorkers-worker server. Capacity is
+	// workers × the wave period, so it does not follow GOMAXPROCS.
+	serveWaves, serveStepAt, serveStepEnd = 28, 8, 16
+	serveClosedWaves                      = 12
+	serveWorkers                          = 2
 )
 
 // studyRequest builds the i-th request of the study's streams: the
@@ -190,11 +153,7 @@ type ServeWaveRow struct {
 
 // ServeResult is the outcome of the serving study.
 type ServeResult struct {
-	Backend     string
-	BasePerWave int
-	Overload    float64
-	StepAt      int
-	StepEnd     int
+	Backend string
 
 	// Open-loop overload step.
 	Rows []ServeWaveRow
@@ -204,7 +163,7 @@ type ServeResult struct {
 	Rejected int64
 	// PreStepRatio is the commanded ratio just before the step;
 	// MinStepRatio the lowest command during it; RecoveredAfter how many
-	// waves past StepEnd the command climbed back within 0.05 of the
+	// waves past the step's end the command climbed back within 0.05 of the
 	// pre-step ratio (-1 = never).
 	PreStepRatio   float64
 	MinStepRatio   float64
@@ -222,65 +181,52 @@ type ServeResult struct {
 	ClosedP99        int     // latency p99 in waves
 }
 
-// newStudyServer builds the study's server: capacity sized for
-// serveBasePerWave at serveUtilization, a queue deep enough that the step
-// sheds quality rather than requests.
-func newStudyServer(cfg ServeConfig, b *ServeBackend) (*serve.Server, error) {
-	return newFrozenServer(serve.Config{
-		Workers:    cfg.Workers,
+// newServeRun builds a loop's server and its stream of the backend's study
+// requests: capacity sized for serveBasePerWave at serveUtilization, a queue
+// deep enough that the step sheds quality rather than requests.
+func newServeRun(b *ServeBackend, workers int) (*studyRun, error) {
+	s, err := newFrozenServer(serve.Config{
+		Workers:    workers,
 		QueueLimit: 64 * serveBasePerWave,
 	}, serveBasePerWave*b.CostAccurate/serveUtilization)
+	if err != nil {
+		return nil, err
+	}
+	return &studyRun{s: s, next: func(i int) serve.Request { return studyRequest(b, i) }}, nil
 }
 
-// ServeStudy runs the serving-layer evaluation: an open-loop request
-// stream with an overload step (offered load jumps serveOverload-fold for
-// [StepAt, StepEnd) waves), then a closed-loop segment with a fixed client
-// population. Declared request costs, the deterministic max-buffering
-// policy and a deterministic arrival order make the whole study — ratio
-// trajectory, outcomes, modeled joules — bit-identical across runs.
-func ServeStudy(cfg ServeConfig) (ServeResult, error) {
-	cfg = cfg.withDefaults()
-	backend, err := ServeBackendByName(cfg.Backend, cfg.Scale)
+// ServeStudy runs the serving-layer evaluation on the named backend ("sobel"
+// or "kmeans"): an open-loop request stream with an overload step (offered
+// load jumps serveOverload-fold over [serveStepAt, serveStepEnd)), then a
+// closed-loop segment with a fixed client population. Declared request
+// costs, the deterministic max-buffering policy and a deterministic arrival
+// order make the whole study — ratio trajectory, outcomes, modeled joules —
+// bit-identical across runs.
+func ServeStudy(backend string) (ServeResult, error) {
+	b, err := ServeBackendByName(backend, studyScale)
 	if err != nil {
 		return ServeResult{}, err
 	}
-	res := ServeResult{
-		Backend:     backend.Name,
-		BasePerWave: serveBasePerWave,
-		Overload:    serveOverload,
-		StepAt:      cfg.StepAt,
-		StepEnd:     cfg.StepEnd,
-	}
-	if err := serveOpenLoop(cfg, backend, &res); err != nil {
-		return res, err
-	}
-	if err := serveClosedLoop(cfg, backend, &res); err != nil {
-		return res, err
+	res := ServeResult{Backend: b.Name}
+	for _, loop := range []func(*studyRun, *ServeResult) error{serveOpenLoop, serveClosedLoop} {
+		r, err := newServeRun(b, serveWorkers)
+		if err != nil {
+			return res, err
+		}
+		if err := loop(r, &res); err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }
 
-func serveOpenLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) error {
-	s, err := newStudyServer(cfg, backend)
-	if err != nil {
-		return err
-	}
-	var tickets []*serve.Ticket
-	seq := 0
-	for w := 0; w < cfg.Waves; w++ {
+func serveOpenLoop(r *studyRun, res *ServeResult) error {
+	for w := range serveWaves {
 		offered := serveBasePerWave
-		if w >= cfg.StepAt && w < cfg.StepEnd {
+		if w >= serveStepAt && w < serveStepEnd {
 			offered *= serveOverload
 		}
-		for i := 0; i < offered; i++ {
-			tk, err := s.Submit(studyRequest(backend, seq))
-			seq++
-			if err != nil {
-				continue // counted by the server's Rejected total
-			}
-			tickets = append(tickets, tk)
-		}
-		rep := s.RunWave()
+		rep := r.wave(offered)
 		res.Rows = append(res.Rows, ServeWaveRow{
 			Wave:     rep.Wave,
 			Offered:  offered,
@@ -292,99 +238,52 @@ func serveOpenLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) err
 			Joules: rep.Joules,
 		})
 	}
-	if err := s.Close(); err != nil { // drains the remaining backlog
+	if err := r.s.Close(); err != nil { // drains the remaining backlog
 		return err
 	}
-
-	lats := make([]int, 0, len(tickets))
-	for _, tk := range tickets {
-		lats = append(lats, tk.WaveLatency())
-		tk.Release() // Close resolved every accepted ticket
-	}
-	sort.Ints(lats)
-	if len(lats) > 0 {
-		res.P50 = lats[len(lats)*50/100]
-		res.P99 = lats[len(lats)*99/100]
-	}
-	res.Outcomes = s.Totals()
+	var lats []int
+	r.reap(func(_, waves int) { lats = append(lats, waves) })
+	res.P50, res.P99 = percentiles(lats)
+	res.Outcomes = r.s.Totals()
 	res.Rejected = res.Outcomes.Rejected
 	res.TotalJoules = res.Outcomes.Joules
 
-	res.PreStepRatio = res.Rows[cfg.StepAt-1].NextRatio
+	res.PreStepRatio = res.Rows[serveStepAt-1].NextRatio
 	res.MinStepRatio = 1
-	for _, r := range res.Rows[cfg.StepAt:cfg.StepEnd] {
-		res.MinStepRatio = math.Min(res.MinStepRatio, r.NextRatio)
+	for _, row := range res.Rows[serveStepAt:serveStepEnd] {
+		res.MinStepRatio = math.Min(res.MinStepRatio, row.NextRatio)
 	}
 	res.RecoveredAfter = -1
-	for w := cfg.StepEnd; w < len(res.Rows); w++ {
+	for w := serveStepEnd; w < len(res.Rows); w++ {
 		if res.Rows[w].NextRatio >= res.PreStepRatio-0.05 {
-			res.RecoveredAfter = w - cfg.StepEnd
+			res.RecoveredAfter = w - serveStepEnd
 			break
 		}
 	}
 	return nil
 }
 
-func serveClosedLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) error {
-	s, err := newStudyServer(cfg, backend)
-	if err != nil {
-		return err
-	}
+func serveClosedLoop(r *studyRun, res *ServeResult) error {
 	// 3x the requests a full-quality wave can serve: saturating, but
 	// absorbable by degradation.
 	perWave := float64(serveBasePerWave) / serveUtilization
-	clients := 3 * int(perWave)
-	res.Clients = clients
-
-	outstanding := make([]*serve.Ticket, 0, clients)
+	res.Clients = 3 * int(perWave)
 	var lats []int
-	completedTotal := 0
-	seq := 0
-	submit := func() {
-		tk, err := s.Submit(studyRequest(backend, seq))
-		seq++
-		if err == nil {
-			outstanding = append(outstanding, tk)
-		}
+	completed, total := res.Clients, 0
+	for range serveClosedWaves {
+		// Each client whose request completed submits its next one.
+		rep := r.wave(completed)
+		res.ClosedRatio = rep.NextRatio
+		completed = r.reap(func(_, waves int) { lats = append(lats, waves) })
+		total += completed
 	}
-	for i := 0; i < clients; i++ {
-		submit()
-	}
-	var lastRatio float64
-	for w := 0; w < cfg.ClosedWaves; w++ {
-		rep := s.RunWave()
-		lastRatio = rep.NextRatio
-		// Each completed client immediately submits its next request.
-		still := outstanding[:0]
-		completed := 0
-		for _, tk := range outstanding {
-			select {
-			case <-tk.Done():
-				lats = append(lats, tk.WaveLatency())
-				tk.Release()
-				completed++
-			default:
-				still = append(still, tk)
-			}
-		}
-		outstanding = still
-		completedTotal += completed
-		for i := 0; i < completed; i++ {
-			submit()
-		}
-	}
-	if err := s.Close(); err != nil {
+	r.offer(completed)
+	if err := r.s.Close(); err != nil {
 		return err
 	}
-	for _, tk := range outstanding {
-		tk.Release() // Close resolved the remaining in-flight requests
-	}
-	res.ClosedThroughput = float64(completedTotal) / float64(cfg.ClosedWaves)
-	res.ClosedRatio = lastRatio
-	sort.Ints(lats)
-	if len(lats) > 0 {
-		res.ClosedP99 = lats[len(lats)*99/100]
-	}
+	r.reap(func(int, int) {}) // Close resolved the remaining in-flight requests
+	res.ClosedThroughput = float64(total) / serveClosedWaves
+	_, res.ClosedP99 = percentiles(lats)
 	return nil
 }
 
@@ -393,7 +292,7 @@ func serveClosedLoop(cfg ServeConfig, backend *ServeBackend, res *ServeResult) e
 // gating tests read.
 func PrintServeStudy(w io.Writer, r ServeResult) {
 	fmt.Fprintf(w, "Serve study (%s backend): open-loop %.0fx overload step over waves [%d,%d)\n",
-		r.Backend, r.Overload, r.StepAt, r.StepEnd)
+		r.Backend, serveOverload, serveStepAt, serveStepEnd)
 	fmt.Fprintf(w, "%-5s %7s %7s %6s %6s %6s %6s %6s %5s/%-5s/%-4s %10s\n",
 		"wave", "offered", "admit", "depth", "load", "req%", "prov%", "next%", "acc", "deg", "drop", "energy")
 	for _, row := range r.Rows {
@@ -429,7 +328,7 @@ func plotServeRatio(w io.Writer, r ServeResult) {
 		fmt.Fprintf(&b, "%4.1f ", ratio)
 		for i, row := range r.Rows {
 			ch := byte(' ')
-			if i == r.StepAt || i == r.StepEnd {
+			if i == serveStepAt || i == serveStepEnd {
 				ch = '|'
 			}
 			if math.Abs(row.NextRatio-ratio) <= 0.5/levels {

@@ -10,13 +10,13 @@ import (
 // the acceptance criteria: under the 4x overload step the admission
 // controller degrades the provided ratio instead of queueing unboundedly
 // (latency p99 bounded, nothing rejected), recovers within 8 waves after
-// the step ends, and the modeled joules are bit-identical across runs.
+// the step ends, and the modeled joules are bit-identical when the open
+// loop replays on a 4-worker server: decisions and joules do not depend on
+// the worker count.
 func TestServeStudyShedsQualityUnderOverload(t *testing.T) {
 	for _, backend := range []string{"sobel", "kmeans"} {
-		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			cfg := ServeConfig{Scale: 0.1, Workers: 4, Backend: backend}
-			res, err := ServeStudy(cfg)
+			res, err := ServeStudy(backend)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +39,7 @@ func TestServeStudyShedsQualityUnderOverload(t *testing.T) {
 			for _, row := range res.Rows {
 				maxDepth = max(maxDepth, row.Depth)
 			}
-			if limit := 8 * res.BasePerWave; maxDepth > limit {
+			if limit := 8 * serveBasePerWave; maxDepth > limit {
 				t.Errorf("queue depth peaked at %d (> %d): shedding did not bound the backlog", maxDepth, limit)
 			}
 			// The stream's drop-only requests (no degraded body) must show
@@ -59,41 +59,30 @@ func TestServeStudyShedsQualityUnderOverload(t *testing.T) {
 				t.Errorf("closed-loop p99 %d waves, want <= 6", res.ClosedP99)
 			}
 
-			// Bit-identical replay: the modeled joules of every wave and the
-			// ratio trajectory are pure functions of the declared costs.
-			res2, err := ServeStudy(cfg)
+			// Replay the open loop at twice the workers (the wave budget
+			// stays the same): every wave's decisions and modeled joules
+			// are pure functions of the declared costs.
+			b, err := ServeBackendByName(backend, studyScale)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(res.TotalJoules) != math.Float64bits(res2.TotalJoules) {
-				t.Fatalf("total joules diverged across identical runs: %v vs %v", res.TotalJoules, res2.TotalJoules)
+			r, err := newServeRun(b, 2*serveWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res4 ServeResult
+			if err := serveOpenLoop(r, &res4); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(res.TotalJoules) != math.Float64bits(res4.TotalJoules) {
+				t.Fatalf("total joules diverged at %d workers: %v vs %v", 2*serveWorkers, res.TotalJoules, res4.TotalJoules)
 			}
 			for w := range res.Rows {
-				a, b := res.Rows[w], res2.Rows[w]
-				if math.Float64bits(a.Joules) != math.Float64bits(b.Joules) || a.NextRatio != b.NextRatio || a.Admitted != b.Admitted {
-					t.Fatalf("wave %d diverged: %+v vs %+v", w, a, b)
+				if a, b := res.Rows[w], res4.Rows[w]; a != b {
+					t.Fatalf("wave %d diverged at %d workers: %+v vs %+v", w, 2*serveWorkers, a, b)
 				}
 			}
 		})
-	}
-}
-
-// TestServeStudyClampsDegenerateWindows: short streams and out-of-range
-// step bounds must be clamped into the stream, never panic.
-func TestServeStudyClampsDegenerateWindows(t *testing.T) {
-	for _, cfg := range []ServeConfig{
-		{Scale: 0.05, Workers: 1, Waves: 6, ClosedWaves: 2},                         // Waves < default StepAt
-		{Scale: 0.05, Workers: 1, Waves: 1, ClosedWaves: 2},                         // degenerate stream
-		{Scale: 0.05, Workers: 1, Waves: 10, StepAt: 20, ClosedWaves: 2},            // StepAt past the end
-		{Scale: 0.05, Workers: 1, Waves: 10, StepAt: 4, StepEnd: 3, ClosedWaves: 2}, // inverted step
-	} {
-		res, err := ServeStudy(cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if res.StepAt < 1 || res.StepAt >= len(res.Rows) || res.StepEnd <= res.StepAt || res.StepEnd > len(res.Rows) {
-			t.Errorf("%+v: step [%d,%d) outside the %d-wave stream", cfg, res.StepAt, res.StepEnd, len(res.Rows))
-		}
 	}
 }
 
@@ -108,7 +97,10 @@ func TestServeStudyPrinterAndBackends(t *testing.T) {
 			t.Errorf("scale %v accepted", scale)
 		}
 	}
-	res, err := ServeStudy(ServeConfig{Scale: 0.05, Workers: 2, Waves: 10, StepAt: 3, StepEnd: 6, ClosedWaves: 4})
+	if _, err := ServeStudy("nope"); err == nil {
+		t.Error("ServeStudy accepted an unknown backend")
+	}
+	res, err := ServeStudy("sobel")
 	if err != nil {
 		t.Fatal(err)
 	}

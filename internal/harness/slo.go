@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/sig/adapt"
 	"repro/sig/serve"
@@ -64,28 +63,22 @@ type SLOReactionRow struct {
 
 // SLOResult is the outcome of the SLO study.
 type SLOResult struct {
-	BasePerWave int
-	Utilization float64
-
 	// Reaction section: measured shed/recover waves vs the derived bounds,
 	// one row per overload multiple. AllWithinBound is the headline claim.
 	Reaction       []SLOReactionRow
 	AllWithinBound bool
 
-	// Quality-floor section: a sustained 4x overload under a Window-wave
-	// Floor. MinWindowMean is the worst full-window mean of the provided
+	// Quality-floor section: a sustained 4x overload under a
+	// sloWindow-wave sloFloor. MinWindowMean is the worst full-window mean of the provided
 	// ratio (the SLO: must hold the floor); MinProvided the worst single
 	// wave (expected to dip below it — the floor is a long-run average);
 	// FloorDips counts the waves that dipped.
-	Window        int
-	Floor         float64
 	MinWindowMean float64
 	MinProvided   float64
 	FloorDips     int
 
 	// Priority-lane section: premium (tier 1.0) vs bulk wave-latency
 	// percentiles under the same sustained overload.
-	PriorityAt       float64
 	PremiumCompleted int64
 	PrioP50, PrioP99 int
 	BulkP50, BulkP99 int
@@ -103,74 +96,58 @@ func sloRequest(i int) serve.Request {
 	}
 }
 
-// sloServer builds the section's server: capacity sized for sloBasePerWave
-// at the study utilization, a queue deep enough that steps shed quality, not
-// requests. The reaction section caps load at 1.0 (full capacity), the
-// setting the bounds' absorbability assumption is stated for.
-func sloServer(mut func(*serve.Config)) (*serve.Server, error) {
+// newSLORun builds a section's server and its stream of sloRequests:
+// capacity sized for sloBasePerWave at the study utilization, a queue deep
+// enough that steps shed quality, not requests. mut sets the section's SLO.
+func newSLORun(mut func(*serve.Config)) (*studyRun, error) {
 	sc := serve.Config{
 		Workers:    2,
 		QueueLimit: 64 * sloBasePerWave,
 	}
-	if mut != nil {
-		mut(&sc)
+	mut(&sc)
+	s, err := newFrozenServer(sc, sloBasePerWave*sloCostAcc/sloUtilization)
+	if err != nil {
+		return nil, err
 	}
-	return newFrozenServer(sc, sloBasePerWave*sloCostAcc/sloUtilization)
+	return &studyRun{s: s, next: sloRequest}, nil
 }
 
 // SLOStudy runs the three SLO sections. Deterministic end to end: declared
 // costs, no deadlines, explicit waves on a frozen FakeClock.
 func SLOStudy() (SLOResult, error) {
-	res := SLOResult{
-		BasePerWave: sloBasePerWave,
-		Utilization: sloUtilization,
-		Window:      sloWindow,
-		Floor:       sloFloor,
-		PriorityAt:  sloPriorityAt,
-	}
-	if err := sloReaction(&res); err != nil {
-		return res, err
-	}
-	if err := sloFloorSection(&res); err != nil {
-		return res, err
-	}
-	if err := sloLanes(&res); err != nil {
-		return res, err
+	var res SLOResult
+	for _, section := range []func(*SLOResult) error{sloReaction, sloFloorSection, sloLanes} {
+		if err := section(&res); err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }
 
+// sloReaction caps load at 1.0 (full capacity), the setting the bounds'
+// absorbability assumption is stated for.
 func sloReaction(res *SLOResult) error {
 	res.AllWithinBound = true
 	for _, over := range sloOverloads {
-		s, err := sloServer(func(c *serve.Config) { c.TargetLoad = 1.0 })
+		r, err := newSLORun(func(c *serve.Config) { c.TargetLoad = 1.0 })
 		if err != nil {
 			return err
 		}
-		seq := 0
-		wave := func(n int) serve.WaveReport {
-			for i := 0; i < n; i++ {
-				if _, err := s.Submit(sloRequest(seq)); err == nil {
-					seq++
-				}
-			}
-			return s.RunWave()
+		for range 8 {
+			r.wave(sloBasePerWave) // settle at the base rate
 		}
-		for w := 0; w < 8; w++ {
-			wave(sloBasePerWave) // settle at the base rate
-		}
-		row := SLOReactionRow{Overload: over, PreRatio: s.Ratio()}
+		row := SLOReactionRow{Overload: over, PreRatio: r.s.Ratio()}
 		row.ShedBound = adapt.ShedBound(row.PreRatio, adapt.DefaultMaxStep)
 		row.ShedWaves = -1
 
 		stepped := int(sloBasePerWave * over)
 		for w := 1; w <= row.ShedBound+2; w++ {
-			rep := wave(stepped)
+			rep := r.wave(stepped)
 			if row.ShedWaves < 0 && rep.Load <= 1.0 {
 				row.ShedWaves = w
 			}
 		}
-		row.Backlog = s.Depth()
+		row.Backlog = r.s.Depth()
 
 		// The recovery bound owns only the climb; the backlog-drain phase
 		// belongs to the caller's arithmetic: each post-step wave admits at
@@ -185,13 +162,13 @@ func sloReaction(res *SLOResult) error {
 			adapt.RecoverBound(row.PreRatio, adapt.DefaultGain, adapt.DefaultMaxStep, 1-sloUtilization)
 		row.RecoverWaves = -1
 		for w := 1; w <= row.RecoverBound+5; w++ {
-			rep := wave(sloBasePerWave)
+			rep := r.wave(sloBasePerWave)
 			if rep.NextRatio >= row.PreRatio-0.05 {
 				row.RecoverWaves = w
 				break
 			}
 		}
-		if err := s.Close(); err != nil {
+		if err := r.s.Close(); err != nil {
 			return err
 		}
 		if row.ShedWaves < 0 || row.ShedWaves > row.ShedBound ||
@@ -204,7 +181,7 @@ func sloReaction(res *SLOResult) error {
 }
 
 func sloFloorSection(res *SLOResult) error {
-	s, err := sloServer(func(c *serve.Config) {
+	r, err := newSLORun(func(c *serve.Config) {
 		c.QualityFloor = sloFloor
 		c.QualityWindow = sloWindow
 	})
@@ -212,19 +189,12 @@ func sloFloorSection(res *SLOResult) error {
 		return err
 	}
 	var provided []float64
-	seq := 0
-	for w := 0; w < 60; w++ {
-		for i := 0; i < 4*sloBasePerWave; i++ {
-			if _, err := s.Submit(sloRequest(seq)); err == nil {
-				seq++
-			}
-		}
-		rep := s.RunWave()
-		if rep.Admitted > 0 {
+	for range 60 {
+		if rep := r.wave(4 * sloBasePerWave); rep.Admitted > 0 {
 			provided = append(provided, rep.Provided)
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := r.s.Close(); err != nil {
 		return err
 	}
 	res.MinWindowMean, res.MinProvided = 1, 1
@@ -246,59 +216,35 @@ func sloFloorSection(res *SLOResult) error {
 }
 
 func sloLanes(res *SLOResult) error {
-	s, err := sloServer(func(c *serve.Config) { c.PriorityAt = sloPriorityAt })
+	r, err := newSLORun(func(c *serve.Config) { c.PriorityAt = sloPriorityAt })
 	if err != nil {
 		return err
 	}
-	type tagged struct {
-		tk      *serve.Ticket
-		premium bool
+	for range 24 {
+		r.wave(4 * sloBasePerWave)
 	}
-	var tks []tagged
-	seq := 0
-	for w := 0; w < 24; w++ {
-		for i := 0; i < 4*sloBasePerWave; i++ {
-			req := sloRequest(seq)
-			tk, err := s.Submit(req)
-			seq++
-			if err != nil {
-				continue
-			}
-			tks = append(tks, tagged{tk: tk, premium: req.Significance >= sloPriorityAt})
-		}
-		s.RunWave()
-	}
-	if err := s.Close(); err != nil { // resolves every accepted ticket
+	if err := r.s.Close(); err != nil { // resolves every accepted ticket
 		return err
 	}
 	var prio, bulk []int
-	for _, t := range tks {
-		if t.premium {
-			prio = append(prio, t.tk.WaveLatency())
+	r.reap(func(i, waves int) {
+		if serveTier(i) >= sloPriorityAt {
+			prio = append(prio, waves)
 		} else {
-			bulk = append(bulk, t.tk.WaveLatency())
+			bulk = append(bulk, waves)
 		}
-		t.tk.Release()
-	}
-	res.PremiumCompleted = s.Totals().Priority
-	res.PrioP50, res.PrioP99 = percentilesWaves(prio)
-	res.BulkP50, res.BulkP99 = percentilesWaves(bulk)
+	})
+	res.PremiumCompleted = r.s.Totals().Priority
+	res.PrioP50, res.PrioP99 = percentiles(prio)
+	res.BulkP50, res.BulkP99 = percentiles(bulk)
 	return nil
-}
-
-func percentilesWaves(lats []int) (p50, p99 int) {
-	if len(lats) == 0 {
-		return 0, 0
-	}
-	sort.Ints(lats)
-	return lats[len(lats)*50/100], lats[len(lats)*99/100]
 }
 
 // PrintSLOStudy renders the study: the reaction table (measured vs bound),
 // the floor section, and the lane percentiles the gating test reads.
 func PrintSLOStudy(w io.Writer, r SLOResult) {
 	fmt.Fprintf(w, "SLO study (base %d req/wave at %.0f%% utilization, declared costs)\n",
-		r.BasePerWave, 100*r.Utilization)
+		sloBasePerWave, 100*sloUtilization)
 	fmt.Fprintf(w, "%-9s %6s %6s %7s %8s %7s %8s %9s\n",
 		"overload", "preR", "shed", "shedBnd", "backlog", "drain", "recover", "recovBnd")
 	for _, row := range r.Reaction {
@@ -308,7 +254,7 @@ func PrintSLOStudy(w io.Writer, r SLOResult) {
 	}
 	fmt.Fprintf(w, "reaction: all measured reactions within the derived bounds: %v\n", r.AllWithinBound)
 	fmt.Fprintf(w, "floor: window %d floor %.2f -> min window mean %.3f, min wave %.3f, %d waves dipped\n",
-		r.Window, r.Floor, r.MinWindowMean, r.MinProvided, r.FloorDips)
+		sloWindow, sloFloor, r.MinWindowMean, r.MinProvided, r.FloorDips)
 	fmt.Fprintf(w, "lanes: priority>=%.2f -> premium p50/p99 %d/%d waves vs bulk %d/%d (%d premium completed)\n",
-		r.PriorityAt, r.PrioP50, r.PrioP99, r.BulkP50, r.BulkP99, r.PremiumCompleted)
+		sloPriorityAt, r.PrioP50, r.PrioP99, r.BulkP50, r.BulkP99, r.PremiumCompleted)
 }

@@ -5,6 +5,10 @@
 // cmd/sigbench drives, and the deterministic studies of the layers built on
 // the runtime.
 //
+// A study (Studies) is one pinned configuration: it takes no settings, and
+// its golden is its whole output. The three serving studies — serve, slo and
+// pace — fire every wave through one runner, studyRun.
+//
 // Everything the package prints is modeled — energy from declared task
 // costs, quality against a reference, ratios and counts — so it is the same
 // bytes on every run. The one wall-clock read is Execute's Measurement.Wall,

@@ -26,9 +26,16 @@ func benchOpts(g *Group) []TaskOption {
 const benchFlushEvery = 1 << 15
 
 // BenchmarkSubmit measures single-threaded submit throughput per policy.
+// Each leaf holds GOMAXPROCS at 1 for its duration, so the workers run the
+// submitted bodies only in the untimed drains. Without it, a policy that
+// dispatches at Submit (Accurate, LQH) shares the timed loop with workers
+// that park and wake, and at -cpu 2 one binary read 175–540 ns/op.
 func BenchmarkSubmit(b *testing.B) {
 	for _, kind := range []PolicyKind{PolicyAccurate, PolicyGTB, PolicyGTBMaxBuffer, PolicyLQH, PolicyPerforation} {
 		b.Run(kind.String(), func(b *testing.B) {
+			// Here, not in the parent: the framework sets -cpu's
+			// GOMAXPROCS again before each leaf.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			rt, err := New(Config{Workers: 2, Policy: kind})
 			if err != nil {
 				b.Fatal(err)
