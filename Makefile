@@ -110,11 +110,12 @@ fuzz-serve fuzz-shard:
 
 # Go lines per package directory, non-test and test files apart, over the
 # files git tracks (`git ls-files '*.go'`), then the totals: the counts the
-# ROADMAP and CHANGES.md quote.
+# ROADMAP and CHANGES.md quote. A file under a testdata/ directory (an
+# analyzer fixture) is test, counted to the package that holds the testdata.
 loc:
 	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
-		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
-		if ($$2 ~ /_test\.go$$/) { test[d] += $$1; tt += $$1 } else { src[d] += $$1; ts += $$1 }; dirs[d] = 1 } \
+		d = $$2; if (!sub(/\/testdata\/.*$$/, "", d) && !sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		if ($$2 ~ /_test\.go$$/ || $$2 ~ /(^|\/)testdata\//) { test[d] += $$1; tt += $$1 } else { src[d] += $$1; ts += $$1 }; dirs[d] = 1 } \
 		END { printf "%7s %7s  %s\n", "source", "test", "package"; \
 		for (d in dirs) printf "%7d %7d  %s\n", src[d], test[d], d | "sort -k3"; close("sort -k3"); \
 		printf "%7d %7d  %s\n", ts, tt, "total" }'

@@ -98,8 +98,9 @@ func TestUsageErrors(t *testing.T) {
 
 // TestAllFollowsRegistry: `all` is the paper commands then every study in
 // registry order, one blank line between consecutive commands and none
-// doubled — the sharded serve scenario and the ablate/paper seam included —
-// and at one worker it prints the same bytes on every run.
+// doubled — the ablate/paper seam included — and at one worker it prints the
+// same bytes on every run. Each study's part is its golden, which
+// TestStudyGoldens holds to a fresh run, so no study runs here a third time.
 func TestAllFollowsRegistry(t *testing.T) {
 	dir, err := os.Getwd()
 	if err != nil {
@@ -122,10 +123,12 @@ func TestAllFollowsRegistry(t *testing.T) {
 	harness.Table1(&head)
 	head.WriteString("\nwrote fig1.pgm")
 	for _, s := range harness.Studies {
-		tail.WriteByte('\n')
-		if err := s.Run(&tail); err != nil {
+		golden, err := os.ReadFile(filepath.Join(dir, "../../internal/harness/testdata", s.Name+".golden"))
+		if err != nil {
 			t.Fatal(err)
 		}
+		tail.WriteByte('\n')
+		tail.Write(golden)
 	}
 	if !strings.HasPrefix(stdout, head.String()) {
 		t.Errorf("`all` does not open with table1, a blank line, fig1:\n%.400s", stdout)

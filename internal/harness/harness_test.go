@@ -171,32 +171,6 @@ func TestAdaptiveStudyConverges(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStudyDeterministic: two runs of the study must agree exactly
-// — the controller's replay contract holds end to end through the harness.
-func TestAdaptiveStudyDeterministic(t *testing.T) {
-	a, err := AdaptiveStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AdaptiveStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			t.Errorf("sobel wave %d diverged between runs:\n%+v\n%+v", i, a.Rows[i], b.Rows[i])
-		}
-	}
-	for i := range a.KmeansRows {
-		if a.KmeansRows[i] != b.KmeansRows[i] {
-			t.Errorf("kmeans wave %d diverged between runs:\n%+v\n%+v", i, a.KmeansRows[i], b.KmeansRows[i])
-		}
-	}
-}
-
 // TestFig1WritesMosaic smoke-tests the Figure 1 path end to end.
 func TestFig1WritesMosaic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig1.pgm")

@@ -149,7 +149,7 @@ func paceRun() (PaceResult, error) {
 	if err != nil {
 		return PaceResult{}, err
 	}
-	defer s.Close()
+	defer s.Close() // on an error path; a run that succeeds ends in r.close
 	r := &studyRun{
 		s:     s,
 		next:  func(i int) serve.Request { return paceRequest(fc, i) },
@@ -168,7 +168,7 @@ func paceRun() (PaceResult, error) {
 		// When the queue is at its limit (the burst's drain) the probe is
 		// shed and that wave runs without its overhead — a fixed-cost loss
 		// well inside the one-wave honesty gate.
-		s.Submit(probe)
+		_ = r.submit(probe, -1)
 		rep := r.wave(arrivals)
 		res.PaceCalls++
 		if rep.Overrun {
@@ -216,7 +216,7 @@ func paceRun() (PaceResult, error) {
 	// how long the backlog actually takes to drain in fake time.
 	var oe *serve.OverloadError
 	for {
-		_, err := s.Submit(r.next(r.seq))
+		err := r.submit(r.next(r.seq), r.seq)
 		if err == nil {
 			r.seq++
 			continue
@@ -256,7 +256,7 @@ func paceRun() (PaceResult, error) {
 	tot := s.Totals()
 	res.Overruns = tot.Overruns
 	res.WavesRun = tot.Waves
-	return res, nil
+	return res, r.close(func(int, int) {})
 }
 
 // durMs renders a duration in fractional milliseconds.

@@ -238,11 +238,10 @@ func serveOpenLoop(r *studyRun, res *ServeResult) error {
 			Joules: rep.Joules,
 		})
 	}
-	if err := r.s.Close(); err != nil { // drains the remaining backlog
+	var lats []int // Close drains the remaining backlog
+	if err := r.close(func(_, waves int) { lats = append(lats, waves) }); err != nil {
 		return err
 	}
-	var lats []int
-	r.reap(func(_, waves int) { lats = append(lats, waves) })
 	res.P50, res.P99 = percentiles(lats)
 	res.Outcomes = r.s.Totals()
 	res.Rejected = res.Outcomes.Rejected
@@ -278,10 +277,9 @@ func serveClosedLoop(r *studyRun, res *ServeResult) error {
 		total += completed
 	}
 	r.offer(completed)
-	if err := r.s.Close(); err != nil {
+	if err := r.close(func(int, int) {}); err != nil { // the remaining in-flight requests
 		return err
 	}
-	r.reap(func(int, int) {}) // Close resolved the remaining in-flight requests
 	res.ClosedThroughput = float64(total) / serveClosedWaves
 	_, res.ClosedP99 = percentiles(lats)
 	return nil

@@ -168,7 +168,7 @@ func sloReaction(res *SLOResult) error {
 				break
 			}
 		}
-		if err := r.s.Close(); err != nil {
+		if err := r.close(func(int, int) {}); err != nil {
 			return err
 		}
 		if row.ShedWaves < 0 || row.ShedWaves > row.ShedBound ||
@@ -194,7 +194,7 @@ func sloFloorSection(res *SLOResult) error {
 			provided = append(provided, rep.Provided)
 		}
 	}
-	if err := r.s.Close(); err != nil {
+	if err := r.close(func(int, int) {}); err != nil {
 		return err
 	}
 	res.MinWindowMean, res.MinProvided = 1, 1
@@ -223,17 +223,16 @@ func sloLanes(res *SLOResult) error {
 	for range 24 {
 		r.wave(4 * sloBasePerWave)
 	}
-	if err := r.s.Close(); err != nil { // resolves every accepted ticket
-		return err
-	}
 	var prio, bulk []int
-	r.reap(func(i, waves int) {
+	if err := r.close(func(i, waves int) {
 		if serveTier(i) >= sloPriorityAt {
 			prio = append(prio, waves)
 		} else {
 			bulk = append(bulk, waves)
 		}
-	})
+	}); err != nil {
+		return err
+	}
 	res.PremiumCompleted = r.s.Totals().Priority
 	res.PrioP50, res.PrioP99 = percentiles(prio)
 	res.BulkP50, res.BulkP99 = percentiles(bulk)

@@ -1,13 +1,12 @@
 package harness
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestSLOStudyHoldsContracts gates the SLO study's three claims: every measured reaction sits within its
-// derived bound, the windowed quality floor holds its mean while per-wave
-// quality still dips, and the priority lane's tail latency beats bulk's.
+// TestSLOStudyHoldsContracts gates the SLO study's three claims: every
+// measured reaction sits within its derived bound, the windowed quality floor
+// holds its mean while per-wave quality still dips, and the priority lane's
+// tail latency beats bulk's. Its replay and printed lines are
+// TestStudyGoldens/slo's, which byte-compares the study.
 func TestSLOStudyHoldsContracts(t *testing.T) {
 	res, err := SLOStudy()
 	if err != nil {
@@ -36,27 +35,5 @@ func TestSLOStudyHoldsContracts(t *testing.T) {
 	}
 	if res.PremiumCompleted == 0 {
 		t.Errorf("no premium request completed")
-	}
-
-	// Bit-identical replay: the study is deterministic by construction.
-	res2, err := SLOStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.MinWindowMean != res.MinWindowMean || res2.PrioP99 != res.PrioP99 {
-		t.Errorf("SLO study not deterministic: %+v vs %+v", res, res2)
-	}
-	for i := range res.Reaction {
-		if res.Reaction[i] != res2.Reaction[i] {
-			t.Errorf("reaction row %d diverged across replays: %+v vs %+v", i, res.Reaction[i], res2.Reaction[i])
-		}
-	}
-
-	var b strings.Builder
-	PrintSLOStudy(&b, res)
-	for _, want := range []string{"within the derived bounds: true", "min window mean", "premium p50/p99"} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("printed study missing %q", want)
-		}
 	}
 }

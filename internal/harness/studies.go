@@ -106,13 +106,20 @@ type keptTicket struct {
 	i  int
 }
 
-// offer submits the stream's next n requests and keeps the accepted ones'
-// tickets; the server counts a rejected one in its Rejected total.
+// submit offers req, the stream's i-th request (-1 for one outside the
+// stream), and keeps its ticket when the server accepts it.
+func (r *studyRun) submit(req serve.Request, i int) error {
+	tk, err := r.s.Submit(req)
+	if err == nil {
+		r.kept = append(r.kept, keptTicket{tk, i})
+	}
+	return err
+}
+
+// offer submits the stream's next n requests.
 func (r *studyRun) offer(n int) {
 	for range n {
-		if tk, err := r.s.Submit(r.next(r.seq)); err == nil {
-			r.kept = append(r.kept, keptTicket{tk, r.seq})
-		}
+		_ = r.submit(r.next(r.seq), r.seq) // the server counts a rejection in its Rejected total
 		r.seq++
 	}
 }
@@ -144,6 +151,21 @@ func (r *studyRun) reap(f func(i, waves int)) int {
 	n := len(r.kept) - len(still)
 	r.kept = still
 	return n
+}
+
+// close ends the section: it closes the server, which resolves every
+// accepted ticket, and reaps them all through f. A ticket still kept after
+// that fails the section, so none is left to the garbage collector instead
+// of going back to the server's pool.
+func (r *studyRun) close(f func(i, waves int)) error {
+	if err := r.s.Close(); err != nil {
+		return err
+	}
+	r.reap(f)
+	if len(r.kept) > 0 {
+		return fmt.Errorf("harness: %d tickets unresolved after Close", len(r.kept))
+	}
+	return nil
 }
 
 // percentiles returns the p50 and p99 of wave latencies (sorting lats), or

@@ -210,9 +210,9 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // Target is the retunable surface the controller drives: the knob of a
-// group whose accuracy ratio it owns. *sig.Group satisfies it, and so does a
-// sharded front end's merged group (sig/shard) — the control law does not
-// care how many runtimes sit behind the knob.
+// group whose accuracy ratio it owns. *sig.Group satisfies it; a caller whose
+// knob is spelled otherwise — a sig/shard Router group is retargeted by
+// calling Router.Group again — wraps it in a one-method adapter.
 type Target interface {
 	SetRatio(float64)
 }

@@ -154,7 +154,7 @@ func TestSubmitCloseRace(t *testing.T) {
 					}
 				}
 			}
-			gs := g.Stats()
+			gs := g.stats()
 			if gs.Submitted != gs.Accurate+gs.Approximate+gs.Dropped {
 				t.Errorf("submitted %d, decided %d+%d+%d", gs.Submitted, gs.Accurate, gs.Approximate, gs.Dropped)
 			}
@@ -273,7 +273,7 @@ func TestConcurrentSubmittersConserve(t *testing.T) {
 						zeros++
 					}
 				}
-				gs := g.Stats()
+				gs := g.stats()
 				if gs.Submitted != n || gs.Accurate+gs.Approximate+gs.Dropped != n {
 					t.Errorf("submitted %d of %d, decided %d+%d+%d", gs.Submitted, n, gs.Accurate, gs.Approximate, gs.Dropped)
 				}

@@ -29,17 +29,7 @@ type Report struct {
 	Workers int
 }
 
-// joules is the energy rule of every account — a wave's, a runtime's, a
-// fleet's: one multiplication over exact integer busy nanoseconds.
+// joules is the energy rule of every account — a wave's, a runtime's: one
+// multiplication over exact integer busy nanoseconds, never a sum of float
+// joules.
 func joules(busy time.Duration) float64 { return DefaultActiveWatts * busy.Seconds() }
-
-// Merge folds in the account of a runtime that ran beside r's, or before it in
-// the same fleet slot: busy time and workers add, Wall is the longer, and
-// Joules is priced afresh from the integer busy sum — never by adding float
-// joules — so the merge is bit-identical to one runtime running the same bodies.
-func (r *Report) Merge(o Report) {
-	r.Busy += o.Busy
-	r.Wall = max(r.Wall, o.Wall)
-	r.Workers += o.Workers
-	r.Joules = joules(r.Busy)
-}

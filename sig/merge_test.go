@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// The three Merge helpers are the only arithmetic behind every merged account
-// (a wave, a group, an energy report). These pin the edge their former copies
-// disagreed about most easily — an account that decided nothing provides its
-// requested ratio, in a wave and in a group — and the rule that floats are
-// derived from integer sums, never added.
+// WaveStats.Merge is the arithmetic behind every wave account, a runtime's
+// and a sig/shard Router's merged one. These pin the edge most easily got
+// wrong — an account that decided nothing provides its requested ratio — and
+// the rule that floats are derived from integer sums, never added.
 
 func TestWaveMergeEmptyProvidesRequested(t *testing.T) {
 	w := WaveStats{Wave: 7, RequestedRatio: 0.3}
@@ -47,36 +46,5 @@ func TestWaveMergePricesTheIntegerSum(t *testing.T) {
 	}
 	if math.Float64bits(floatSum) == math.Float64bits(want) {
 		t.Fatal("the cuts' float joules add exactly: the test does not tell the two rules apart")
-	}
-}
-
-func TestGroupMergeEmptyProvidesRequested(t *testing.T) {
-	gs := GroupStats{Name: "g", RequestedRatio: 0.7}
-	gs.Merge(GroupStats{Name: "shard-part", Submitted: 5, RequestedRatio: 1, ProvidedRatio: 1})
-	if gs.ProvidedRatio != 0.7 || gs.Name != "g" || gs.RequestedRatio != 0.7 || gs.Submitted != 5 {
-		t.Fatalf("undecided group merged to %+v, want provided 0.7 under its own name and ratio", gs)
-	}
-	gs.Merge(GroupStats{Accurate: 3, Dropped: 1, Decisions: []DecisionRecord{{Wave: 1}}})
-	gs.Merge(GroupStats{Approximate: 2, Decisions: []DecisionRecord{{Wave: 2}, {Wave: 3}}})
-	if gs.ProvidedRatio != 0.5 {
-		t.Fatalf("merged %+v, want provided 0.5 (3 of 6)", gs)
-	}
-	for i, d := range gs.Decisions {
-		if d.Wave != i+1 {
-			t.Fatalf("decision log %+v is not in argument order", gs.Decisions)
-		}
-	}
-}
-
-func TestReportMerge(t *testing.T) {
-	var rep Report
-	rep.Merge(Report{Busy: 333_333, Wall: 5 * time.Millisecond, Workers: 2, Joules: 1e9})
-	rep.Merge(Report{Busy: 100_001, Wall: 3 * time.Millisecond, Workers: 1})
-	busy := time.Duration(433_334)
-	want := Report{
-		Joules: DefaultActiveWatts * busy.Seconds(), Wall: 5 * time.Millisecond, Busy: busy, Workers: 3,
-	}
-	if rep != want {
-		t.Fatalf("merged report %+v, want %+v", rep, want)
 	}
 }

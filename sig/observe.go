@@ -40,10 +40,11 @@ type WaveStats struct {
 func (w WaveStats) Decided() int { return w.Accurate + w.Approximate + w.Dropped }
 
 // Merge folds the integer account of ws — task counts and busy nanoseconds: a
-// group's diff against its last boundary, or one shard's cut of a fleet's wave
-// — into w and derives Joules and ProvidedRatio afresh from the sums (never by
-// adding float joules), so a merged wave is bit-identical to a single
-// runtime's that ran the same bodies. Wave and RequestedRatio stay w's.
+// group's diff against its last boundary, or one runtime's cut of a wave that
+// sig/shard's Router.WaitPhase split across runtimes — into w and derives
+// Joules and ProvidedRatio afresh from the sums (never by adding float
+// joules), so a merged wave is bit-identical to a single runtime's that ran
+// the same bodies. Wave and RequestedRatio stay w's.
 func (w *WaveStats) Merge(ws WaveStats) {
 	w.Submitted += ws.Submitted
 	w.Accurate += ws.Accurate
@@ -81,7 +82,7 @@ func (rt *Runtime) WaitPhase(g *Group) WaveStats {
 func (rt *Runtime) endWave(g *Group) WaveStats {
 	g.phaseMu.Lock()
 	defer g.phaseMu.Unlock()
-	sub, acc, app, drop := g.Counts()
+	sub, acc, app, drop := g.counts()
 	busy := rt.busyNS()
 	ws := WaveStats{Wave: int(g.wave.Load()), RequestedRatio: g.Ratio()}
 	ws.Merge(WaveStats{

@@ -157,9 +157,10 @@ func (p *slabCounter) Submit(dst []*Task, ts []Task) []*Task {
 	return p.accuratePolicy.Submit(dst, ts)
 }
 
-// TestShortBatchesShareSlab: one-spec batches — what shard.Router.Submit
-// sends — carve from the open slab like Submit does: N of them draw ⌈N/64⌉
-// slabs, not N.
+// TestShortBatchesShareSlab: one-spec batches — what a loop of SubmitBatch
+// calls of one spec each sends, through a runtime or a sig/shard Router —
+// carve from the open slab like Submit does: N of them draw ⌈N/64⌉ slabs,
+// not N.
 func TestShortBatchesShareSlab(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: the open slab changes at random")

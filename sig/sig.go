@@ -628,7 +628,7 @@ func (g *Group) record(t *Task, accurate bool) {
 
 // providedRatio is the achieved accurate fraction over all decided tasks.
 func (g *Group) providedRatio() float64 {
-	_, acc, app, drop := g.Counts()
+	_, acc, app, drop := g.counts()
 	return provided(acc, acc+app+drop, g.Ratio())
 }
 
@@ -675,11 +675,11 @@ func anyAtWorker(ts []*Task) bool {
 
 // Flush is the non-blocking first half of a taskwait: it decides the group's
 // buffered tasks and publishes them to the workers without waiting for them,
-// so a caller holding several runtimes (sig/shard) can start every one
-// before it waits on any. A following Wait or WaitPhase completes the wave
-// exactly as if Flush had not been called. Flush never blocks on the
-// scheduler: when an earlier flush on this runtime is still being claimed it
-// leaves the buffer to that Wait.
+// so a caller holding several runtimes (sig/shard's Router.WaitPhase) can
+// start every one before it waits on any. A following Wait or WaitPhase
+// completes the wave exactly as if Flush had not been called. Flush never
+// blocks on the scheduler: when an earlier flush on this runtime is still
+// being claimed it leaves the buffer to that Wait.
 func (rt *Runtime) Flush(g *Group) {
 	if g == nil {
 		g = rt.defaultGroup()
@@ -795,9 +795,8 @@ func (rt *Runtime) busyNS() int64 {
 }
 
 func (rt *Runtime) report(wall time.Duration) Report {
-	var rep Report
-	rep.Merge(Report{Wall: wall, Busy: time.Duration(rt.busyNS()), Workers: rt.workers})
-	return rep
+	busy := time.Duration(rt.busyNS())
+	return Report{Joules: joules(busy), Wall: wall, Busy: busy, Workers: rt.workers}
 }
 
 // Stats returns a snapshot of per-group task accounting. Workers retire
@@ -809,14 +808,14 @@ func (rt *Runtime) Stats() Stats {
 	groups := append([]*Group(nil), rt.order...)
 	rt.mu.Unlock()
 	st := Stats{}
-	var sum GroupStats
 	for _, g := range groups {
-		gs := g.Stats()
+		gs := g.stats()
 		st.Groups = append(st.Groups, gs)
-		gs.Decisions = nil // the totals carry no log
-		sum.Merge(gs)
+		st.Submitted += gs.Submitted
+		st.Accurate += gs.Accurate
+		st.Approximate += gs.Approximate
+		st.Dropped += gs.Dropped
 	}
-	st.Submitted, st.Accurate, st.Approximate, st.Dropped = sum.Submitted, sum.Accurate, sum.Approximate, sum.Dropped
 	return st
 }
 

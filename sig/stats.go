@@ -42,30 +42,16 @@ func provided(accurate, decided int64, requested float64) float64 {
 	return float64(accurate) / float64(decided)
 }
 
-// Merge folds another snapshot of the same logical group — one shard's, or a
-// retired incarnation's — into gs: counters add, o's decision log follows
-// gs's, and ProvidedRatio is derived afresh from the summed counters. Name
-// and RequestedRatio stay gs's.
-func (gs *GroupStats) Merge(o GroupStats) {
-	gs.Submitted += o.Submitted
-	gs.Accurate += o.Accurate
-	gs.Approximate += o.Approximate
-	gs.Dropped += o.Dropped
-	gs.Decisions = append(gs.Decisions, o.Decisions...)
-	gs.ProvidedRatio = provided(gs.Accurate, gs.Accurate+gs.Approximate+gs.Dropped, gs.RequestedRatio)
-}
-
-// Counts returns the group's task counters — submitted, accurate,
-// approximate, dropped — without the decision-log copy Stats makes: the
-// O(1) read a per-wave merge loop (sig/shard) wants.
-func (g *Group) Counts() (submitted, accurate, approximate, dropped int64) {
+// counts returns the group's task counters — submitted, accurate,
+// approximate, dropped — without the decision-log copy stats makes: the O(1)
+// read every wave boundary takes.
+func (g *Group) counts() (submitted, accurate, approximate, dropped int64) {
 	return g.submitted.Load(), g.accurate.Load(), g.approximate.Load(), g.dropped.Load()
 }
 
-// Stats returns the group's own accounting snapshot, without taking the
-// runtime-wide lock Runtime.Stats needs. Sharded front ends (sig/shard) use
-// it to merge one logical group's counters across runtimes.
-func (g *Group) Stats() GroupStats {
+// stats returns the group's own accounting snapshot: its entry in
+// Runtime.Stats.
+func (g *Group) stats() GroupStats {
 	gs := GroupStats{
 		Name:           g.name,
 		Submitted:      g.submitted.Load(),
