@@ -85,6 +85,18 @@ var mutants = []struct {
 		new:  "",
 	},
 	{
+		// The pacer's cadence ceiling at WavePeriod instead of
+		// maxPeriodMult×WavePeriod: an overrunning wave can no longer
+		// stretch the cadence past the nominal period. The pace golden
+		// moves too; the unit test names the clamp itself.
+		name: "maxPeriod",
+		test: "TestServePacerBounds",
+		pkg:  "./sig/serve",
+		file: "sig/serve/pacer.go",
+		old:  "maxPeriodMult*int64(cfg.WavePeriod)",
+		new:  "int64(cfg.WavePeriod)",
+	},
+	{
 		// Perforation's error-diffusion step truncated instead of rounded:
 		// at ratio 0.8 the fifth task no longer carries, so the dropped
 		// set shifts. Every perforation ratio test still holds within a

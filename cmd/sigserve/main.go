@@ -8,7 +8,7 @@
 //
 //	sigserve [-addr :8080] [-backend sobel|kmeans] [-scale 0.25]
 //	         [-workers 0] [-period 5ms] [-queue 4096]
-//	         [-min-period 0] [-max-period 0]
+//	         [-min-period 0]
 //	         [-minratio 0] [-target-load 1.0] [-deadline 0]
 //	         [-priority-at 0] [-quality-floor 0] [-quality-window 0]
 //
@@ -24,7 +24,7 @@
 //
 // -period P is the nominal wave cadence; the background pump measures each
 // wave's wall time and retimes itself toward the EWMA within [-min-period,
-// -max-period] (defaults P/4 and 8×P). Waves that outrun the cadence are
+// 8×P] (-min-period defaults to P/4). Waves that outrun the cadence are
 // counted, never dropped — /stats reports overruns and the measured and
 // paced periods, /metrics the matching gauges. The cadence is the batching
 // window while quality is being shed; a request that arrives once its wave
@@ -92,9 +92,8 @@ func main() {
 		backendSel = flag.String("backend", "sobel", "request backend: sobel or kmeans")
 		scale      = flag.Float64("scale", 0.25, "backend problem scale in (0,1]")
 		workers    = flag.Int("workers", 0, "runtime worker goroutines (0 = GOMAXPROCS)")
-		period     = flag.Duration("period", serve.DefaultWavePeriod, "nominal wave period (the pacer retimes to the measured wall within the min/max bounds)")
+		period     = flag.Duration("period", serve.DefaultWavePeriod, "nominal wave period (the pacer retimes to the measured wall within [min-period, 8x period])")
 		minPeriod  = flag.Duration("min-period", 0, "pacer cadence floor (0 = period/4)")
-		maxPeriod  = flag.Duration("max-period", 0, "pacer cadence ceiling (0 = 8x period)")
 		queue      = flag.Int("queue", serve.DefaultQueueLimit, "admission queue limit")
 		minRatio   = flag.Float64("minratio", 0, "quality contract: lowest accuracy ratio")
 		targetLoad = flag.Float64("target-load", serve.DefaultTargetLoad, "admission controller load cap")
@@ -123,7 +122,6 @@ func main() {
 		QueueLimit:    *queue,
 		WavePeriod:    *period,
 		MinPeriod:     *minPeriod,
-		MaxPeriod:     *maxPeriod,
 		MinRatio:      *minRatio,
 		TargetLoad:    *targetLoad,
 		PriorityAt:    *priorityAt,
@@ -235,9 +233,6 @@ func newHandler(srv *serve.Server, backend *harness.ServeBackend, deadline time.
 			return
 		case errors.As(err, &oe):
 			w.Header().Set("Retry-After", retryAfterSeconds(oe.RetryAfter))
-			http.Error(w, "overloaded: admission queue full", http.StatusServiceUnavailable)
-			return
-		case errors.Is(err, serve.ErrQueueFull):
 			http.Error(w, "overloaded: admission queue full", http.StatusServiceUnavailable)
 			return
 		case errors.Is(err, serve.ErrClosed):

@@ -52,7 +52,7 @@ type AdaptiveResult struct {
 	Rows     []AdaptiveWave
 	Segments [2]AdaptiveSegment
 
-	// Kmeans energy-capped stream (TargetEnergy).
+	// Kmeans energy-capped stream (TargetLoad on the wave's joules).
 	KmeansBudget float64
 	// KmeansOracleRatio is the analytic ratio at which the wave energy
 	// (linear in the accurate fraction under declared costs) meets the
@@ -83,8 +83,9 @@ const (
 //     adaptiveChangeAt the scene switches to one with texture the
 //     approximation cannot reproduce — the controller must re-converge onto
 //     the new scene's oracle ratio (disturbance rejection).
-//   - A streaming kmeans workload under a TargetEnergy controller capping
-//     modeled joules per wave while maximizing the ratio.
+//   - A streaming kmeans workload under a TargetLoad controller whose
+//     measure is the wave's modeled joules: it caps joules per wave while
+//     maximizing the ratio.
 //
 // Everything is deterministic: GTB max-buffering decisions, declared task
 // costs and a pure-arithmetic control law.
@@ -242,8 +243,9 @@ func adaptiveKmeans(res *AdaptiveResult) error {
 	res.KmeansOracleRatio = targetFraction
 
 	ctl, err := adapt.New(adapt.Config{
-		Objective: adapt.TargetEnergy,
+		Objective: adapt.TargetLoad,
 		Budget:    res.KmeansBudget,
+		Measure:   func(ws sig.WaveStats) float64 { return ws.Joules },
 	})
 	if err != nil {
 		return err
@@ -289,6 +291,7 @@ func PrintAdaptiveStudy(w io.Writer, r AdaptiveResult) {
 			seg.Scene, seg.OracleRatio, adaptiveTolerance, conv, seg.SteadyRatio, seg.SteadyPSNR)
 	}
 	fmt.Fprintln(w)
+	// "TargetEnergy" is the golden's name for the joules cap.
 	fmt.Fprintf(w, "Adaptive study: streaming kmeans under a TargetEnergy controller (budget %.4f J/wave, oracle ratio %.2f)\n",
 		r.KmeansBudget, r.KmeansOracleRatio)
 	fmt.Fprintf(w, "%-5s %6s %6s %10s %8s\n", "wave", "req%", "prov%", "energy", "next%")

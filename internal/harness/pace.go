@@ -250,9 +250,10 @@ func paceRun() (PaceResult, error) {
 
 	res.FinalPaceMs = durMs(s.PacePeriod())
 	res.MeasuredMs = durMs(s.MeasuredPeriod())
-	res.ShedBoundMs = durMs(adapt.ShedBoundSeconds(1.0, adapt.DefaultMaxStep, s.MeasuredPeriod()))
-	res.ShedBoundNominalMs = durMs(adapt.ShedBoundSeconds(1.0, adapt.DefaultMaxStep, paceWavePeriod))
-	res.RecoverBoundMs = durMs(adapt.RecoverBoundSeconds(1.0, adapt.DefaultGain, adapt.DefaultMaxStep, 0.4, s.MeasuredPeriod()))
+	shed := time.Duration(adapt.ShedBound(1.0))
+	res.ShedBoundMs = durMs(shed * s.MeasuredPeriod())
+	res.ShedBoundNominalMs = durMs(shed * paceWavePeriod)
+	res.RecoverBoundMs = durMs(time.Duration(adapt.RecoverBound(1.0, 0.4)) * s.MeasuredPeriod())
 	tot := s.Totals()
 	res.Overruns = tot.Overruns
 	res.WavesRun = tot.Waves

@@ -137,7 +137,7 @@ func sloReaction(res *SLOResult) error {
 			r.wave(sloBasePerWave) // settle at the base rate
 		}
 		row := SLOReactionRow{Overload: over, PreRatio: r.s.Ratio()}
-		row.ShedBound = adapt.ShedBound(row.PreRatio, adapt.DefaultMaxStep)
+		row.ShedBound = adapt.ShedBound(row.PreRatio)
 		row.ShedWaves = -1
 
 		stepped := int(sloBasePerWave * over)
@@ -159,7 +159,7 @@ func sloReaction(res *SLOResult) error {
 			row.DrainWaves = int(math.Ceil(float64(row.Backlog) / netDrain))
 		}
 		row.RecoverBound = row.DrainWaves +
-			adapt.RecoverBound(row.PreRatio, adapt.DefaultGain, adapt.DefaultMaxStep, 1-sloUtilization)
+			adapt.RecoverBound(row.PreRatio, 1-sloUtilization)
 		row.RecoverWaves = -1
 		for w := 1; w <= row.RecoverBound+5; w++ {
 			rep := r.wave(sloBasePerWave)

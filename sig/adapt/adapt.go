@@ -3,16 +3,16 @@
 // ratio and retunes it wave by wave from the per-wave telemetry WaitPhase
 // returns. The caller hands each wave on; nobody is called back.
 //
-// Three objectives are supported. TargetQuality drives a caller-supplied
+// Two objectives are supported. TargetQuality drives a caller-supplied
 // quality probe to a setpoint using the lowest ratio that holds it — the
-// operator's "hold PSNR above X with minimum energy". TargetEnergy caps the
-// modeled joules per wave while providing the highest ratio the budget
-// affords. TargetLoad is TargetEnergy with a pluggable measure: it caps a
-// caller-computed load signal (sig/serve uses it to map queue depth and
-// modeled demand onto the ratio). All laws are pure float arithmetic over
-// the wave telemetry (no clocks, no randomness), so a run with declared task
-// costs and a deterministic policy reproduces the identical ratio trajectory
-// at any worker count — regression-tested under -race.
+// operator's "hold PSNR above X with minimum energy". TargetLoad caps a
+// caller-computed load signal while providing the highest ratio the cap
+// affords: sig/serve uses it to map queue depth and modeled demand onto the
+// ratio, and a Measure that returns ws.Joules caps the modeled joules per
+// wave. Both laws are pure float arithmetic over the wave telemetry (no
+// clocks, no randomness), so a run with declared task costs and a
+// deterministic policy reproduces the identical ratio trajectory at any
+// worker count — regression-tested under -race.
 //
 // Usage:
 //
@@ -46,14 +46,11 @@ const (
 	// TargetQuality drives the quality probe to Config.Setpoint with the
 	// lowest ratio (hence minimal modeled energy) that holds it.
 	TargetQuality Objective = iota
-	// TargetEnergy caps the modeled joules per wave at Config.Budget while
-	// providing the highest ratio that fits the cap.
-	TargetEnergy
 	// TargetLoad caps a caller-measured load signal (Config.Measure — e.g.
-	// a serving layer's queue depth or modeled demand vs capacity) at
-	// Config.Budget while providing the highest ratio that fits the cap.
-	// It is TargetEnergy's control law with a pluggable measure: the
-	// signal must be monotone increasing in the ratio.
+	// a serving layer's queue depth or modeled demand vs capacity, or the
+	// wave's modeled joules) at Config.Budget while providing the highest
+	// ratio that fits the cap. The signal must be monotone increasing in
+	// the ratio.
 	TargetLoad
 )
 
@@ -83,7 +80,7 @@ type WindowFloor struct {
 	// Window is the averaging horizon in waves (≥ 1). Window 1 degenerates
 	// to a per-wave floor.
 	Window int
-	// Floor is the windowed mean provided ratio to hold, in [0, Config.Max].
+	// Floor is the windowed mean provided ratio to hold, in [0, 1].
 	Floor float64
 }
 
@@ -99,16 +96,15 @@ type Config struct {
 	// TargetQuality; called once per wave inside Observe, after every task
 	// of the wave finished.
 	Probe func() float64
-	// Budget is the cap on the regulated variable: modeled joules per wave
-	// for TargetEnergy, the Measure signal's units for TargetLoad.
+	// Budget is TargetLoad's cap on the Measure signal, in its units.
 	Budget float64
 	// Measure maps the completed wave's telemetry to the regulated load
 	// signal. Required for TargetLoad; called once per wave inside Observe,
 	// so it may also read state the caller updates between waves (queue
 	// depths, arrival counts).
 	Measure func(ws sig.WaveStats) float64
-	// Min and Max bound the commanded ratio (defaults 0 and 1).
-	Min, Max float64
+	// Min floors the commanded ratio, in [0, 1]; the ceiling is 1.
+	Min float64
 	// WindowFloor, when non-nil, wraps the objective with a long-run
 	// quality floor: whatever the law commands, the next ratio is raised
 	// (never lowered) to the minimum that keeps the mean provided ratio
@@ -131,8 +127,7 @@ type Sample struct {
 	Ratio     float64
 	NextRatio float64
 	// Measure is the regulated variable: the probe's value under
-	// TargetQuality, the wave's modeled joules under TargetEnergy, the
-	// Config.Measure signal under TargetLoad.
+	// TargetQuality, the Config.Measure signal under TargetLoad.
 	Measure float64
 	// ProvidedRatio and Joules echo the wave telemetry.
 	ProvidedRatio float64
@@ -174,10 +169,6 @@ func New(cfg Config) (*Controller, error) {
 		if math.IsNaN(cfg.Setpoint) || math.IsInf(cfg.Setpoint, 0) {
 			return nil, fmt.Errorf("adapt: non-finite Setpoint %v", cfg.Setpoint)
 		}
-	case TargetEnergy:
-		if !(cfg.Budget > 0) {
-			return nil, fmt.Errorf("adapt: TargetEnergy requires a positive Budget, got %v", cfg.Budget)
-		}
 	case TargetLoad:
 		if cfg.Measure == nil {
 			return nil, fmt.Errorf("adapt: TargetLoad requires a Measure")
@@ -188,18 +179,15 @@ func New(cfg Config) (*Controller, error) {
 	default:
 		return nil, fmt.Errorf("adapt: unknown objective %d", cfg.Objective)
 	}
-	if cfg.Max == 0 {
-		cfg.Max = 1
-	}
-	if cfg.Min < 0 || cfg.Max > 1 || cfg.Min > cfg.Max {
-		return nil, fmt.Errorf("adapt: ratio bounds [%v,%v] outside [0,1]", cfg.Min, cfg.Max)
+	if cfg.Min < 0 || cfg.Min > 1 {
+		return nil, fmt.Errorf("adapt: Min %v outside [0,1]", cfg.Min)
 	}
 	if wf := cfg.WindowFloor; wf != nil {
 		if wf.Window < 1 {
 			return nil, fmt.Errorf("adapt: WindowFloor.Window %d < 1", wf.Window)
 		}
-		if wf.Floor < 0 || wf.Floor > cfg.Max {
-			return nil, fmt.Errorf("adapt: WindowFloor.Floor %v outside [0,%v]", wf.Floor, cfg.Max)
+		if wf.Floor < 0 || wf.Floor > 1 {
+			return nil, fmt.Errorf("adapt: WindowFloor.Floor %v outside [0,1]", wf.Floor)
 		}
 	}
 	c := &Controller{cfg: cfg}
@@ -219,23 +207,21 @@ type Target interface {
 
 // Observe runs one control step on a completed wave of g — the WaveStats
 // g's WaitPhase returned — retunes g's ratio for the next wave and returns
-// the step's record. For TargetQuality and TargetEnergy an empty wave
-// carries no information: it leaves the controller and g untouched and
-// returns the zero Sample. For TargetLoad an empty wave IS informative —
-// zero demand — and is processed, so a load-shedding server recovers its
-// ratio while idle instead of freezing at the last overload's value.
+// the step's record. For TargetQuality an empty wave carries no
+// information: it leaves the controller and g untouched and returns the
+// zero Sample. For TargetLoad an empty wave IS informative — zero demand —
+// and is processed, so a load-shedding server recovers its ratio while idle
+// instead of freezing at the last overload's value. That holds for a joules
+// cap too: an empty wave measures 0 J and steps the ratio up.
 func (c *Controller) Observe(g Target, ws sig.WaveStats) Sample {
-	if ws.Submitted == 0 && c.cfg.Objective != TargetLoad {
-		return Sample{}
-	}
 	var measure float64
-	switch c.cfg.Objective {
-	case TargetQuality:
+	if c.cfg.Objective == TargetQuality {
+		if ws.Submitted == 0 {
+			return Sample{}
+		}
 		measure = c.cfg.Probe()
-	case TargetLoad:
+	} else {
 		measure = c.cfg.Measure(ws)
-	default:
-		measure = ws.Joules
 	}
 	c.mu.Lock()
 	next, held := c.step(ws.RequestedRatio, measure)
@@ -261,7 +247,7 @@ func (c *Controller) Observe(g Target, ws sig.WaveStats) Sample {
 // the measured variable, pick the next ratio. Caller holds c.mu.
 func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 	setpoint := c.cfg.Setpoint
-	isCap := c.cfg.Objective != TargetQuality // energy and load budgets are caps
+	isCap := c.cfg.Objective == TargetLoad // a load budget is a cap
 	if isCap {
 		setpoint = c.cfg.Budget
 	}
@@ -280,7 +266,7 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 
 	// The setpoint is one-sided: a quality target is a floor (hold the
 	// probe at or above it, as close as the deadband allows — that is the
-	// minimal-energy point), an energy budget is a cap (stay at or below
+	// minimal-energy point), a load budget is a cap (stay at or below
 	// it while providing as much ratio as fits). The controller holds
 	// only inside the band on the safe side of the setpoint.
 	err := setpoint - measure
@@ -299,7 +285,7 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 	// Secant step: estimate the local measure-vs-ratio slope from the
 	// last informative wave and jump to where the setpoint should sit.
 	// Both objectives increase with ratio (more accurate tasks = better
-	// quality, more joules), so only a positive slope is trusted;
+	// quality, more load), so only a positive slope is trusted;
 	// otherwise fall back to a proportional step on the normalized error.
 	step := DefaultGain * clamp(err/scale, -1, 1) * DefaultMaxStep
 	if c.havePrev && ratio != c.prevRatio {
@@ -319,8 +305,8 @@ func (c *Controller) step(ratio, measure float64) (next float64, held bool) {
 // recent min(seen, Window−1) provided ratios — the part of the next wave's
 // window already fixed — the next wave must provide at least
 // (k+1)·Floor − Σ p_i; the commanded ratio stands in for what it will
-// provide. A floor beyond Max clamps to Max: the controller commands the
-// best it can. Caller holds c.mu.
+// provide. A need beyond 1 clamps to 1: the controller commands the best it
+// can. Caller holds c.mu.
 func (c *Controller) applyFloor(next float64, held bool, provided float64) (float64, bool, float64) {
 	wf := c.cfg.WindowFloor
 	w := len(c.win)
@@ -350,7 +336,7 @@ func (c *Controller) applyFloor(next float64, held bool, provided float64) (floa
 }
 
 func (c *Controller) clampRatio(r float64) float64 {
-	return clamp(r, c.cfg.Min, c.cfg.Max)
+	return clamp(r, c.cfg.Min, 1)
 }
 
 func clamp(x, lo, hi float64) float64 {

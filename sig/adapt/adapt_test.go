@@ -110,18 +110,19 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestEnergyTargetReplayAndCap: the TargetEnergy trajectory is equally
-// deterministic, converges under the budget, and lands near the analytic
-// oracle ratio (wave energy is linear in the accurate count with declared
-// costs 100/10).
+// TestEnergyTargetReplayAndCap: a joules cap (TargetLoad measuring
+// ws.Joules) is equally deterministic, converges under the budget, and lands
+// near the analytic oracle ratio (wave energy is linear in the accurate count
+// with declared costs 100/10).
 func TestEnergyTargetReplayAndCap(t *testing.T) {
 	const waves, n = 15, 128
 	// Budget = energy of a wave with exactly half the tasks accurate.
 	budget := sig.DefaultActiveWatts * float64(n/2*100+n/2*10) * 1e-9
 	mk := func(func() float64) *adapt.Controller {
 		ctl, err := adapt.New(adapt.Config{
-			Objective: adapt.TargetEnergy,
+			Objective: adapt.TargetLoad,
 			Budget:    budget,
+			Measure:   func(ws sig.WaveStats) float64 { return ws.Joules },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -246,16 +247,16 @@ func TestControllerIgnoresOtherGroupsAndEmptyWaves(t *testing.T) {
 
 // TestConfigValidation covers the constructor's error paths.
 func TestConfigValidation(t *testing.T) {
+	meas := func(sig.WaveStats) float64 { return 0 }
 	cases := []adapt.Config{
 		{Objective: adapt.TargetQuality, Setpoint: 1},                                               // no probe
 		{Objective: adapt.TargetQuality, Setpoint: math.Inf(1), Probe: func() float64 { return 0 }}, // bad setpoint
-		{Objective: adapt.TargetEnergy},                                                             // no budget
-		{Objective: adapt.TargetEnergy, Budget: -2},                                                 // negative budget
 		{Objective: adapt.TargetLoad, Budget: 1},                                                    // no measure
-		{Objective: adapt.TargetLoad, Measure: func(sig.WaveStats) float64 { return 0 }},            // no budget
+		{Objective: adapt.TargetLoad, Measure: meas},                                                // no budget
+		{Objective: adapt.TargetLoad, Budget: -2, Measure: meas},                                    // negative budget
 		{Objective: adapt.Objective(42)},                                                            // unknown objective
-		{Objective: adapt.TargetEnergy, Budget: 1, Min: 0.9, Max: 0.1},                              // inverted bounds
-		{Objective: adapt.TargetEnergy, Budget: 1, Min: -0.5},                                       // out-of-range bound
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: 1.1},                           // floor above 1
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: -0.5},                          // out-of-range bound
 	}
 	for i, cfg := range cases {
 		if _, err := adapt.New(cfg); err == nil {
@@ -273,7 +274,7 @@ func TestControllerHotPathAllocs(t *testing.T) {
 	}
 	for _, cfg := range []adapt.Config{
 		{Objective: adapt.TargetQuality, Setpoint: 0.5, Probe: func() float64 { return 0.4 }},
-		{Objective: adapt.TargetEnergy, Budget: 1},
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: func(ws sig.WaveStats) float64 { return ws.Joules }},
 		{Objective: adapt.TargetLoad, Budget: 1, WindowFloor: &adapt.WindowFloor{Window: 8, Floor: 0.3},
 			// A load that alternates across the cap keeps the commands moving.
 			Measure: func(ws sig.WaveStats) float64 { return 0.5 + float64(ws.Wave%2) }},
@@ -299,7 +300,7 @@ func TestControllerHotPathAllocs(t *testing.T) {
 // previously untested: waves whose tasks all declare zero cost (measure 0,
 // no usable secant slope) and fully empty waves (which TargetLoad must
 // process — zero demand is information) both walk a shed ratio back up to
-// Max without a NaN or an out-of-bounds command ever reaching the group.
+// 1 without a NaN or an out-of-bounds command ever reaching the group.
 func TestTargetLoadZeroCostWaves(t *testing.T) {
 	ctl, err := adapt.New(adapt.Config{
 		Objective: adapt.TargetLoad,
@@ -344,6 +345,6 @@ func TestTargetLoadZeroCostWaves(t *testing.T) {
 		}
 	}
 	if got := g.Ratio(); got != 1 {
-		t.Errorf("ratio %v after 12 zero-demand waves, want recovered to the Max of 1", got)
+		t.Errorf("ratio %v after 12 zero-demand waves, want recovered to 1", got)
 	}
 }

@@ -1,18 +1,19 @@
 package adapt
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
-// Provable reaction bounds of the cap objectives (TargetLoad/TargetEnergy),
-// derived from the secant law's update arithmetic in step():
+// Provable reaction bounds of the cap objective (TargetLoad), in waves,
+// derived from the secant law's update arithmetic in step() at the fixed
+// gains DefaultGain and DefaultMaxStep. A caller prices a bound in wall time
+// by multiplying it by the wave period it holds — the measured one
+// (serve.Server.MeasuredPeriod): a bound priced at the configured nominal
+// period understates the reaction time by the factor the waves overrun.
 //
 //   - The measure is affine in the ratio for declared-cost loads:
 //     sig/serve prices demand as Σ(r·acc + (1−r)·deg)/budget, so between
 //     two waves in the same load regime the secant slope estimate is exact
 //     and one step lands on the cap.
-//   - Every step is clamped to ±MaxStep and the command to [Min, Max].
+//   - Every step is clamped to ±MaxStep and the command to [Min, 1].
 //   - The proportional fallback (used when the two retained points
 //     straddle a regime change and the slope estimate is non-positive)
 //     moves Gain·clamp(err/scale, −1, 1)·MaxStep.
@@ -37,7 +38,7 @@ import (
 // measure at any command is ≤ u·cap, so the normalized error is at least
 // the headroom 1−u: the proportional fallback climbs at least
 // Gain·(1−u)·MaxStep per wave (clamped at MaxStep), and an uphill secant
-// step aims at the ratio where the measure meets the cap — beyond Max when
+// step aims at the ratio where the measure meets the cap — beyond 1 when
 // u < 1, so it too clamps to MaxStep. Climb per wave is therefore at least
 // min(Gain·(1−u), 1)·MaxStep, and the same detect + re-anchor waves
 // bracket the travel: 2 + ⌈ΔR/(min(Gain·(1−u), 1)·MaxStep)⌉.
@@ -58,50 +59,18 @@ import (
 // deltaR of ratio: detect + re-anchor + travel at MaxStep per wave.
 // deltaR is conservatively the full commanded range (pre-step ratio − Min)
 // when the post-shed equilibrium ratio is unknown.
-func ShedBound(deltaR, maxStep float64) int {
-	return 2 + travelWaves(deltaR, maxStep)
+func ShedBound(deltaR float64) int {
+	return 2 + travelWaves(deltaR, DefaultMaxStep)
 }
 
 // RecoverBound returns the maximum waves the secant law needs to climb
 // deltaR of ratio back once the overload has ended AND the backlog has
 // drained (the caller adds its drain-phase estimate): detect + re-anchor +
-// travel at min(gain·headroom, 1)·MaxStep per wave, where headroom = 1−u
+// travel at min(Gain·headroom, 1)·MaxStep per wave, where headroom = 1−u
 // is the post-recovery capacity slack.
-func RecoverBound(deltaR, gain, maxStep, headroom float64) int {
-	climb := gain * headroom
-	if climb > 1 {
-		climb = 1
-	}
-	return 2 + travelWaves(deltaR, climb*maxStep)
-}
-
-// ShedBoundSeconds converts ShedBound into wall time: the waves-to-react
-// bound priced at the wave period actually in force. Feed it the measured
-// period (serve.Server.MeasuredPeriod) — a bound priced at the configured
-// nominal period understates the reaction time by exactly the factor the
-// waves overrun, which is what made the PR 8 SLO numbers "seconds" in name
-// only.
-func ShedBoundSeconds(deltaR, maxStep float64, period time.Duration) time.Duration {
-	return wavesToSeconds(ShedBound(deltaR, maxStep), period)
-}
-
-// RecoverBoundSeconds is RecoverBound priced in wall time at the given wave
-// period (the measured period, like ShedBoundSeconds); the caller still
-// adds its backlog drain-phase estimate, also in measured-period units.
-func RecoverBoundSeconds(deltaR, gain, maxStep, headroom float64, period time.Duration) time.Duration {
-	return wavesToSeconds(RecoverBound(deltaR, gain, maxStep, headroom), period)
-}
-
-// wavesToSeconds prices a wave count at a period, saturating instead of
-// overflowing when the count is the travelWaves "never arrives" sentinel.
-func wavesToSeconds(waves int, period time.Duration) time.Duration {
-	if waves <= 0 || period <= 0 {
-		return 0
-	}
-	if int64(waves) > math.MaxInt64/int64(period) {
-		return math.MaxInt64
-	}
-	return time.Duration(waves) * period
+func RecoverBound(deltaR, headroom float64) int {
+	climb := min(DefaultGain*headroom, 1)
+	return 2 + travelWaves(deltaR, climb*DefaultMaxStep)
 }
 
 // travelWaves is ⌈deltaR/step⌉ with the degenerate cases pinned: no

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/sig"
 	"repro/sig/adapt"
@@ -97,7 +96,6 @@ func newLoadSim(t *testing.T, cAcc, cDeg, budget float64, wf *adapt.WindowFloor)
 // construction: declared costs (affine measure), an absorbable step
 // (degraded-only load under the cap), genuine overload while shedding.
 func TestReactionBoundsOnServingLoadModel(t *testing.T) {
-	const gain, maxStep = adapt.DefaultGain, adapt.DefaultMaxStep
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		base := 4 + rng.Intn(13)
@@ -116,7 +114,7 @@ func TestReactionBoundsOnServingLoadModel(t *testing.T) {
 		pre := sim.tgt.ratio
 
 		// Step up: first wave with the stepped arrivals is the detect wave.
-		shedBound := adapt.ShedBound(pre-0, maxStep)
+		shedBound := adapt.ShedBound(pre - 0)
 		shed := -1
 		stepWaves := shedBound + 4
 		for w := 1; w <= stepWaves; w++ {
@@ -139,7 +137,7 @@ func TestReactionBoundsOnServingLoadModel(t *testing.T) {
 		if sim.backlog > 0 {
 			drainWaves = int(math.Ceil(float64(sim.backlog) / netDrain))
 		}
-		recoverBound := drainWaves + adapt.RecoverBound(pre-0, gain, maxStep, 1-util)
+		recoverBound := drainWaves + adapt.RecoverBound(pre-0, 1-util)
 		recovered := -1
 		for w := 1; w <= recoverBound+5; w++ {
 			sim.runWave(base)
@@ -241,7 +239,7 @@ func TestWindowFloorValidation(t *testing.T) {
 		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, WindowFloor: &adapt.WindowFloor{Window: 0, Floor: 0.5}},
 		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, WindowFloor: &adapt.WindowFloor{Window: 4, Floor: -0.1}},
 		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, WindowFloor: &adapt.WindowFloor{Window: 4, Floor: 1.1}},
-		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Max: 0.8, WindowFloor: &adapt.WindowFloor{Window: 4, Floor: 0.9}},
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: 1.1, WindowFloor: &adapt.WindowFloor{Window: 4, Floor: 0.9}},
 	}
 	for i, cfg := range cases {
 		if _, err := adapt.New(cfg); err == nil {
@@ -250,48 +248,28 @@ func TestWindowFloorValidation(t *testing.T) {
 	}
 }
 
-// TestBoundArithmetic pins the bound functions' shapes and edges.
+// TestBoundArithmetic pins the bound functions' shapes and edges at the
+// fixed gains (DefaultMaxStep 0.25, DefaultGain 2).
 func TestBoundArithmetic(t *testing.T) {
-	if got := adapt.ShedBound(1.0, 0.25); got != 6 {
-		t.Errorf("ShedBound(1, 0.25) = %d, want 6 (detect + re-anchor + 4 travel)", got)
+	if got := adapt.ShedBound(1.0); got != 6 {
+		t.Errorf("ShedBound(1) = %d, want 6 (detect + re-anchor + 4 travel)", got)
 	}
-	if got := adapt.ShedBound(0, 0.25); got != 2 {
-		t.Errorf("ShedBound(0, 0.25) = %d, want 2", got)
+	if got := adapt.ShedBound(0); got != 2 {
+		t.Errorf("ShedBound(0) = %d, want 2", got)
 	}
-	if got := adapt.ShedBound(0.5, 0.25); got != 4 {
-		t.Errorf("ShedBound(0.5, 0.25) = %d, want 4", got)
+	if got := adapt.ShedBound(0.5); got != 4 {
+		t.Errorf("ShedBound(0.5) = %d, want 4", got)
 	}
 	// Headroom 0.4 at gain 2: climb fraction 0.8 → step 0.2 → 5 travel waves.
-	if got := adapt.RecoverBound(1.0, 2.0, 0.25, 0.4); got != 7 {
-		t.Errorf("RecoverBound(1, 2, 0.25, 0.4) = %d, want 7", got)
+	if got := adapt.RecoverBound(1.0, 0.4); got != 7 {
+		t.Errorf("RecoverBound(1, 0.4) = %d, want 7", got)
 	}
 	// Large headroom clamps the climb fraction at 1 — RecoverBound meets
 	// ShedBound there.
-	if got, want := adapt.RecoverBound(1.0, 2.0, 0.25, 0.9), adapt.ShedBound(1.0, 0.25); got != want {
+	if got, want := adapt.RecoverBound(1.0, 0.9), adapt.ShedBound(1.0); got != want {
 		t.Errorf("RecoverBound with clamped climb = %d, want %d", got, want)
 	}
-	if got := adapt.RecoverBound(0.5, 2.0, 0.25, 0); got < 1<<30 {
+	if got := adapt.RecoverBound(0.5, 0); got < 1<<30 {
 		t.Errorf("RecoverBound with zero headroom = %d, want effectively unbounded", got)
-	}
-}
-
-// TestBoundSeconds pins the wall-time forms: waves priced at the measured
-// period, with the zero and never-arrives edges saturating instead of
-// overflowing.
-func TestBoundSeconds(t *testing.T) {
-	period := 4 * time.Millisecond
-	if got, want := adapt.ShedBoundSeconds(1.0, 0.25, period), 6*period; got != want {
-		t.Errorf("ShedBoundSeconds(1, 0.25, %v) = %v, want %v", period, got, want)
-	}
-	if got, want := adapt.RecoverBoundSeconds(1.0, 2.0, 0.25, 0.4, period), 7*period; got != want {
-		t.Errorf("RecoverBoundSeconds(1, 2, 0.25, 0.4, %v) = %v, want %v", period, got, want)
-	}
-	if got := adapt.ShedBoundSeconds(1.0, 0.25, 0); got != 0 {
-		t.Errorf("ShedBoundSeconds at zero period = %v, want 0", got)
-	}
-	// Zero headroom: the recover bound never arrives; the seconds form must
-	// saturate at the maximum duration, not wrap negative.
-	if got := adapt.RecoverBoundSeconds(0.5, 2.0, 0.25, 0, time.Hour); got != 1<<63-1 {
-		t.Errorf("RecoverBoundSeconds with zero headroom = %v, want saturated max", got)
 	}
 }

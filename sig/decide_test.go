@@ -123,7 +123,6 @@ func TestRankMatchesStableSort(t *testing.T) {
 // it decision for decision.
 type lqhReference struct {
 	ratio           float64
-	history         int
 	ring            []float64
 	next            int
 	total, accurate int64
@@ -137,7 +136,7 @@ func (st *lqhReference) decide(sig float64) Decision {
 		accurate = true
 	case ratio <= 0:
 		accurate = false
-	case n < min(8, st.history):
+	case n < 8:
 		accurate = sig >= 1-ratio
 	default:
 		above := 0
@@ -156,11 +155,11 @@ func (st *lqhReference) decide(sig float64) Decision {
 			accurate = true
 		}
 	}
-	if len(st.ring) < st.history {
+	if len(st.ring) < DefaultLQHHistory {
 		st.ring = append(st.ring, sig)
 	} else {
 		st.ring[st.next] = sig
-		st.next = (st.next + 1) % st.history
+		st.next = (st.next + 1) % DefaultLQHHistory
 	}
 	st.total++
 	if accurate {
@@ -193,24 +192,22 @@ func TestLQHMatchesFloatCount(t *testing.T) {
 	}
 	for _, stream := range streams {
 		for _, ratio := range []float64{0, 0.1, 0.5, 0.85, 1} {
-			for _, history := range []int{1, 5, 32} {
-				rng := rand.New(rand.NewSource(int64(history)))
-				g := &Group{}
-				g.setRatio(ratio)
-				p := newLQHPolicy(g, 1, history)
-				ref := &lqhReference{ratio: ratio, history: history}
-				for i := 0; i < 2000; i++ {
-					sig := stream.draw(rng)
-					got, want := p.WorkerDecide(0, &Task{Significance: sig}), ref.decide(sig)
-					if got != want {
-						t.Fatalf("%s, ratio %v, history %d: task %d (sig %v) decided %d, the float count decides %d",
-							stream.name, ratio, history, i, sig, got, want)
-					}
+			rng := rand.New(rand.NewSource(32))
+			g := &Group{}
+			g.setRatio(ratio)
+			p := newLQHPolicy(g, 1)
+			ref := &lqhReference{ratio: ratio}
+			for i := 0; i < 2000; i++ {
+				sig := stream.draw(rng)
+				got, want := p.WorkerDecide(0, &Task{Significance: sig}), ref.decide(sig)
+				if got != want {
+					t.Fatalf("%s, ratio %v: task %d (sig %v) decided %d, the float count decides %d",
+						stream.name, ratio, i, sig, got, want)
 				}
-				if st := &p.states[0]; st.total != ref.total || st.accurate != ref.accurate {
-					t.Fatalf("%s, ratio %v, history %d: totals %d/%d, the float count has %d/%d",
-						stream.name, ratio, history, st.accurate, st.total, ref.accurate, ref.total)
-				}
+			}
+			if st := &p.states[0]; st.total != ref.total || st.accurate != ref.accurate {
+				t.Fatalf("%s, ratio %v: totals %d/%d, the float count has %d/%d",
+					stream.name, ratio, st.accurate, st.total, ref.accurate, ref.total)
 			}
 		}
 	}

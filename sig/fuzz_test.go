@@ -17,7 +17,7 @@ import (
 //	data[0]       policy selector
 //	data[1]       requested ratio, quantized to data[1]/255
 //	data[2]       worker count (1..8) and batch-vs-scalar (high bit)
-//	data[3]       GTB window / LQH history parameter
+//	data[3]       GTB window
 //	data[4]       flags: bit0 = the ratio changes at wave boundaries;
 //	              bit1 = every third task carries no approximate body
 //	              (approximate decisions on it are task drops)
@@ -67,7 +67,7 @@ func FuzzPolicyDecisions(f *testing.F) {
 			stream = stream[:2048]
 		}
 
-		rt, err := New(Config{Workers: workers, Policy: kind, GTBWindow: param, LQHHistory: param})
+		rt, err := New(Config{Workers: workers, Policy: kind, GTBWindow: param})
 		if err != nil {
 			t.Fatal(err)
 		}

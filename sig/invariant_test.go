@@ -31,14 +31,13 @@ import (
 
 // invScenario is one randomized property-test case.
 type invScenario struct {
-	kind       PolicyKind
-	workers    int
-	ratio      float64
-	sigs       []float64
-	batch      bool
-	waves      int // number of taskwait boundaries the stream is cut into
-	gtbWindow  int
-	lqhHistory int
+	kind      PolicyKind
+	workers   int
+	ratio     float64
+	sigs      []float64
+	batch     bool
+	waves     int // number of taskwait boundaries the stream is cut into
+	gtbWindow int
 	// noApprox > 0 omits the approximate body from every noApprox-th task
 	// (index i with i%noApprox == 0): an approximate decision on such a
 	// task is the model's task dropping and must be counted dropped.
@@ -91,10 +90,9 @@ func ratioSlack(kind PolicyKind, workers, waves, n int) float64 {
 func runScenario(t *testing.T, sc invScenario) (invOutcome, GroupStats, float64) {
 	t.Helper()
 	rt, err := New(Config{
-		Workers:    sc.workers,
-		Policy:     sc.kind,
-		GTBWindow:  sc.gtbWindow,
-		LQHHistory: sc.lqhHistory,
+		Workers:   sc.workers,
+		Policy:    sc.kind,
+		GTBWindow: sc.gtbWindow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,15 +269,14 @@ func TestPolicyInvariants(t *testing.T) {
 					sigs[i] = dist.gen(r)
 				}
 				sc := invScenario{
-					kind:       kind,
-					workers:    workerCounts[r.Intn(len(workerCounts))],
-					ratio:      ratios[r.Intn(len(ratios))],
-					sigs:       sigs,
-					batch:      trial%2 == 1,
-					waves:      1 + r.Intn(4),
-					gtbWindow:  []int{0, 8, 64}[r.Intn(3)],
-					lqhHistory: []int{0, 4, 64}[r.Intn(3)],
-					noApprox:   []int{0, 0, 2, 3}[r.Intn(4)],
+					kind:      kind,
+					workers:   workerCounts[r.Intn(len(workerCounts))],
+					ratio:     ratios[r.Intn(len(ratios))],
+					sigs:      sigs,
+					batch:     trial%2 == 1,
+					waves:     1 + r.Intn(4),
+					gtbWindow: []int{0, 8, 64}[r.Intn(3)],
+					noApprox:  []int{0, 0, 2, 3}[r.Intn(4)],
 				}
 				name := fmt.Sprintf("trial%02d-%s-r%.2f-w%d-batch%v", trial, dist.name, sc.ratio, sc.workers, sc.batch)
 				t.Run(name, func(t *testing.T) {

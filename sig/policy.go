@@ -66,7 +66,8 @@ const (
 	DecideAtWorker
 )
 
-// Default policy parameters.
+// Policy parameters: DefaultGTBWindow is Config.GTBWindow's default, and
+// DefaultLQHHistory is PolicyLQH's per-worker history length.
 const (
 	DefaultGTBWindow  = 32
 	DefaultLQHHistory = 32
@@ -121,11 +122,7 @@ func newPolicy(cfg Config, g *Group, workers int) Policy {
 	case PolicyGTBMaxBuffer:
 		return &gtbPolicy{g: g, window: 0}
 	case PolicyLQH:
-		h := cfg.LQHHistory
-		if h == 0 {
-			h = DefaultLQHHistory
-		}
-		return newLQHPolicy(g, workers, h)
+		return newLQHPolicy(g, workers)
 	case PolicyPerforation:
 		return &perforationPolicy{g: g}
 	}
@@ -411,9 +408,8 @@ func partitionTasks(s []*Task, lo, hi int) int {
 // near the target when the significance distribution defeats the histogram
 // estimate.
 type lqhPolicy struct {
-	g       *Group
-	history int
-	states  []lqhState
+	g      *Group
+	states []lqhState
 }
 
 // lqhState is one worker's history, a cache line of its own. The ring holds
@@ -428,10 +424,10 @@ type lqhState struct {
 	_        [8]byte
 }
 
-func newLQHPolicy(g *Group, workers, history int) *lqhPolicy {
-	p := &lqhPolicy{g: g, history: history, states: make([]lqhState, workers)}
+func newLQHPolicy(g *Group, workers int) *lqhPolicy {
+	p := &lqhPolicy{g: g, states: make([]lqhState, workers)}
 	for i := range p.states {
-		p.states[i].ring = make([]uint64, 0, history)
+		p.states[i].ring = make([]uint64, 0, DefaultLQHHistory)
 	}
 	return p
 }
@@ -458,10 +454,9 @@ func (p *lqhPolicy) WorkerDecide(worker int, t *Task) Decision {
 		accurate = true
 	case ratio <= 0:
 		accurate = false
-	case st.n < min(8, p.history):
+	case st.n < 8:
 		// Cold start: assume significance ~ U(0,1), so the top-ratio
-		// quantile boundary sits at 1-ratio. Capped by the history
-		// length so short histories still reach the histogram path.
+		// quantile boundary sits at 1-ratio.
 		accurate = t.Significance >= 1-ratio
 	default:
 		// Histogram estimate: the task runs accurately if its
@@ -484,12 +479,12 @@ func (p *lqhPolicy) WorkerDecide(worker int, t *Task) Decision {
 		}
 	}
 	// Record the observation in the ring.
-	if len(st.ring) < p.history {
+	if len(st.ring) < DefaultLQHHistory {
 		st.ring = append(st.ring, sig)
 		st.n = len(st.ring)
 	} else {
 		st.ring[st.next] = sig
-		st.next = (st.next + 1) % p.history
+		st.next = (st.next + 1) % DefaultLQHHistory
 	}
 	st.total++
 	if accurate {

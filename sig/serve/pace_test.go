@@ -159,13 +159,13 @@ func TestServePacerCountsOverruns(t *testing.T) {
 	}
 }
 
-// TestServePacerBounds pins the cadence clamp: the EWMA may exceed
-// MaxPeriod, but the pacer never paces outside [MinPeriod, MaxPeriod] —
+// TestServePacerBounds pins the cadence clamp: the EWMA may exceed the
+// ceiling, but the pacer never paces outside [MinPeriod, 8×WavePeriod] —
 // while RetryAfter keeps pricing with the unclamped, honest measurement.
 func TestServePacerBounds(t *testing.T) {
 	s, fc := newPaceServer(t, func(c *Config) {
 		c.WaveBudget = 1e9
-		c.MaxPeriod = 2 * time.Millisecond
+		c.WavePeriod = 250 * time.Microsecond
 	})
 	defer s.Close()
 	if _, err := s.Submit(paceRequest(fc, 40*time.Millisecond)); err != nil {
@@ -173,7 +173,7 @@ func TestServePacerBounds(t *testing.T) {
 	}
 	s.RunWave()
 	if got := s.PacePeriod(); got != 2*time.Millisecond {
-		t.Fatalf("cadence %v, want clamped MaxPeriod 2ms", got)
+		t.Fatalf("cadence %v, want the 2ms ceiling (8 x the 250us WavePeriod)", got)
 	}
 	if got := s.MeasuredPeriod(); got != 40*time.Millisecond {
 		t.Fatalf("MeasuredPeriod %v, want the unclamped 40ms", got)
@@ -231,7 +231,6 @@ func TestServeNewErrorClosesRuntime(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 4, PriorityAt: 0.5, QueueLimit: 1},
 		{Workers: 4, WavePeriod: time.Millisecond, MinPeriod: 2 * time.Millisecond},
-		{Workers: 4, WavePeriod: time.Millisecond, MaxPeriod: time.Millisecond / 2},
 	} {
 		if s, err := New(cfg); err == nil {
 			s.Close()

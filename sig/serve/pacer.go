@@ -8,8 +8,8 @@ import (
 // Pacer tuning. The measured-period EWMA folds 1/periodAlphaInv of every
 // new wall-time sample in (bounded memory, geometric horizon); the pacer
 // only retimes when the clamped EWMA has moved more than
-// 1/paceHysteresisInv off the current cadence; MinPeriod and MaxPeriod
-// default to WavePeriod/minPeriodDiv and maxPeriodMult×WavePeriod.
+// 1/paceHysteresisInv off the current cadence; MinPeriod defaults to
+// WavePeriod/minPeriodDiv, and the cadence ceiling is maxPeriodMult×WavePeriod.
 const (
 	periodAlphaInv    = 4
 	paceHysteresisInv = 10
@@ -31,7 +31,7 @@ const (
 // they are atomics for their lock-free readers — Submit's due check and
 // RetryAfter pricing, MeasuredPeriod, PacePeriod, the metrics.
 type pacer struct {
-	lo, hi  int64 // Config.MinPeriod and MaxPeriod, the cadence clamp
+	lo, hi  int64 // Config.MinPeriod and maxPeriodMult×WavePeriod, the cadence clamp
 	workers int   // resolved worker pool, the factor every budget derivation shares
 
 	measuredNs atomic.Int64 // bounded EWMA of wave wall time; 0 until the first wave measures
@@ -60,7 +60,7 @@ type pacer struct {
 // one WavePeriod after now; cfg has its defaults resolved and workers is the
 // resolved pool.
 func (p *pacer) init(cfg *Config, workers int, now time.Time) {
-	p.lo, p.hi, p.workers = int64(cfg.MinPeriod), int64(cfg.MaxPeriod), workers
+	p.lo, p.hi, p.workers = int64(cfg.MinPeriod), maxPeriodMult*int64(cfg.WavePeriod), workers
 	p.paceNs.Store(int64(cfg.WavePeriod))
 	p.due.Store(now.UnixNano() + int64(cfg.WavePeriod))
 	p.wake = make(chan struct{}, 1)

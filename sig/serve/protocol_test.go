@@ -59,7 +59,7 @@ const (
 // dueArrival from Submit.
 type tokMutant struct{ noSpend, noDue bool }
 
-var tokCfg = Config{WavePeriod: tokPeriod, MinPeriod: tokPeriod / 4, MaxPeriod: 8 * tokPeriod}
+var tokCfg = Config{WavePeriod: tokPeriod, MinPeriod: tokPeriod / 4}
 
 // load rebuilds the real pacer and its clock from st.
 func (st *tokState) load() (*pacer, *FakeClock) {

@@ -19,7 +19,7 @@
 // latency stamps and the per-wave wall-time measurement all read it. Each
 // wave's measured wall time feeds a bounded EWMA (MeasuredPeriod) that
 // prices the RetryAfter backoff hint honestly, retimes the wave cadence
-// within [MinPeriod, MaxPeriod] and re-derives the wave budget from
+// within [MinPeriod, 8×WavePeriod] and re-derives the wave budget from
 // measured period × workers — the closed measured-feedback loop, as
 // opposed to trusting the configured WavePeriod open-loop. Every wave runs
 // that one discipline, whether Start's pump or an explicit RunWave fires
@@ -218,12 +218,10 @@ type Config struct {
 	// been measured the pacer retimes toward the measured wall-time EWMA;
 	// WavePeriod is then only the pre-measurement guess.
 	WavePeriod time.Duration
-	// MinPeriod and MaxPeriod bound the pacer: the cadence tracks the
-	// measured-period EWMA but never leaves [MinPeriod, MaxPeriod]
-	// (defaults WavePeriod/4 and 8×WavePeriod). WavePeriod must lie inside
-	// the bounds.
+	// MinPeriod floors the pacer: the cadence tracks the measured-period
+	// EWMA but never leaves [MinPeriod, 8×WavePeriod] (default
+	// WavePeriod/4). It must not exceed WavePeriod.
 	MinPeriod time.Duration
-	MaxPeriod time.Duration
 	// Clock injects the serving layer's time source (nil = the monotonic
 	// wall clock). A FakeClock behind this seam makes the whole
 	// measured-time loop — deadlines, MeasuredPeriod, the pacer cadence,
@@ -240,9 +238,6 @@ func (c Config) withDefaults(workers int) Config {
 	}
 	if c.MinPeriod <= 0 {
 		c.MinPeriod = c.WavePeriod / minPeriodDiv
-	}
-	if c.MaxPeriod <= 0 {
-		c.MaxPeriod = maxPeriodMult * c.WavePeriod
 	}
 	if c.WaveBudget <= 0 {
 		// The one default-budget derivation: workers × period, the
@@ -455,8 +450,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PriorityAt > 0 && cfg.QueueLimit < 2 {
 		return fail(fmt.Errorf("serve: PriorityAt needs QueueLimit >= 2 (got %d): each lane owns at least one slot", cfg.QueueLimit))
 	}
-	if cfg.MinPeriod > cfg.WavePeriod || cfg.MaxPeriod < cfg.WavePeriod {
-		return fail(fmt.Errorf("serve: pacer bounds [%v, %v] must bracket WavePeriod %v", cfg.MinPeriod, cfg.MaxPeriod, cfg.WavePeriod))
+	if cfg.MinPeriod > cfg.WavePeriod {
+		return fail(fmt.Errorf("serve: MinPeriod %v exceeds WavePeriod %v", cfg.MinPeriod, cfg.WavePeriod))
 	}
 	s := &Server{cfg: cfg, closeDone: make(chan struct{}), rt: rt}
 	s.clock = cfg.Clock
@@ -481,7 +476,6 @@ func New(cfg Config) (*Server, error) {
 		Budget:      cfg.TargetLoad,
 		Measure:     s.measure,
 		Min:         cfg.MinRatio,
-		Max:         1,
 		WindowFloor: wf,
 	})
 	if err != nil {
@@ -594,7 +588,7 @@ func (s *Server) MeasuredPeriod() time.Duration {
 
 // PacePeriod returns the pacer's current cadence: the configured
 // WavePeriod until a wave retimes it toward the measured EWMA within
-// [MinPeriod, MaxPeriod].
+// [MinPeriod, 8×WavePeriod].
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
 // reqCosts returns the request's declared cost sums, substituting the

@@ -18,10 +18,10 @@ func TestConfigSurface(t *testing.T) {
 		cfg    any
 		fields int
 	}{
-		{sig.Config{}, 7},
-		{Config{}, 12},
+		{sig.Config{}, 6},
+		{Config{}, 11},
 		{shard.Config{}, 2},
-		{adapt.Config{}, 8},
+		{adapt.Config{}, 7},
 	} {
 		typ := reflect.TypeOf(c.cfg)
 		if got := typ.NumField(); got != c.fields {

@@ -181,7 +181,7 @@ func TestServeDueArrivalFiresWave(t *testing.T) {
 
 // TestServeStepOverloadShedsWithinBound drives a step from idle to 2x
 // modeled capacity through the real pump and holds the time to shed against
-// adapt.ShedBoundSeconds priced at the period in force. Early waves fire
+// adapt.ShedBound priced at the period in force. Early waves fire
 // only until the first sample over the cap drops the ratio, so they can
 // bring detection forward but never delay it.
 func TestServeStepOverloadShedsWithinBound(t *testing.T) {
@@ -212,8 +212,9 @@ func TestServeStepOverloadShedsWithinBound(t *testing.T) {
 	}
 
 	req := Request{Significance: 0.5, Handler: func() {}, Degraded: func() {}, CostAccurate: costAcc, CostDegraded: costDeg}
+	shedWaves := adapt.ShedBound(1) // deltaR: the whole commanded range
 	start := time.Now()
-	bound := adapt.ShedBoundSeconds(1, adapt.DefaultMaxStep, floor) // deltaR: the whole commanded range
+	bound := time.Duration(shedWaves) * floor
 	sent := 0
 	for s.Ratio() > 0.5 {
 		el := time.Since(start)
@@ -229,15 +230,15 @@ func TestServeStepOverloadShedsWithinBound(t *testing.T) {
 	}
 	shed := time.Since(start)
 	if p := max(s.PacePeriod(), s.MeasuredPeriod()); p > floor {
-		bound = adapt.ShedBoundSeconds(1, adapt.DefaultMaxStep, p)
+		bound = time.Duration(shedWaves) * p
 	}
 	tot := s.Totals()
 	t.Logf("shed to ratio %.3f in %v (bound %v), %d waves of which %d early", s.Ratio(), shed, bound, tot.Waves, tot.EarlyWaves)
 	if shed > bound {
 		t.Fatalf("step overload shed in %v, bound %v", shed, bound)
 	}
-	if timed := tot.Waves - tot.EarlyWaves; timed > int64(adapt.ShedBound(1, adapt.DefaultMaxStep)) {
-		t.Fatalf("%d cadence waves to shed, bound %d", timed, adapt.ShedBound(1, adapt.DefaultMaxStep))
+	if timed := tot.Waves - tot.EarlyWaves; timed > int64(shedWaves) {
+		t.Fatalf("%d cadence waves to shed, bound %d", timed, shedWaves)
 	}
 }
 

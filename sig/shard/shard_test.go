@@ -207,13 +207,15 @@ type retarget struct {
 
 func (t retarget) SetRatio(x float64) { t.r.Group(t.name, x) }
 
-// closedLoop runs waves of stream(w) through wave, a TargetEnergy controller
-// observing each and retargeting through tg, and returns the waves.
+// closedLoop runs waves of stream(w) through wave, a joules-capping
+// controller observing each and retargeting through tg, and returns the
+// waves.
 func closedLoop(t *testing.T, waves int, stream func(w int) []sig.TaskSpec, tg adapt.Target,
 	wave func([]sig.TaskSpec) sig.WaveStats) []sig.WaveStats {
 	ctl, err := adapt.New(adapt.Config{
-		Objective: adapt.TargetEnergy,
+		Objective: adapt.TargetLoad,
 		Budget:    sig.DefaultActiveWatts * 400 * 1e-9, // ~half of full-accurate demand
+		Measure:   func(ws sig.WaveStats) float64 { return ws.Joules },
 	})
 	if err != nil {
 		t.Fatal(err)

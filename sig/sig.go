@@ -49,9 +49,6 @@ type Config struct {
 	Policy PolicyKind
 	// GTBWindow is the buffer size of PolicyGTB (0 means DefaultGTBWindow).
 	GTBWindow int
-	// LQHHistory is the per-worker history length of PolicyLQH
-	// (0 means DefaultLQHHistory).
-	LQHHistory int
 	// QueueCapacity is the per-worker run-queue capacity, rounded up to a
 	// power of two (0 means DefaultQueueCapacity). Submit applies
 	// backpressure once every queue is full.
@@ -178,8 +175,8 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("sig: negative worker count %d", cfg.Workers)
 	}
-	if cfg.GTBWindow < 0 || cfg.LQHHistory < 0 {
-		return nil, fmt.Errorf("sig: negative policy parameter")
+	if cfg.GTBWindow < 0 {
+		return nil, fmt.Errorf("sig: negative GTBWindow %d", cfg.GTBWindow)
 	}
 	if cfg.QueueCapacity < 0 {
 		return nil, fmt.Errorf("sig: negative queue capacity %d", cfg.QueueCapacity)

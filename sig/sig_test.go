@@ -86,7 +86,6 @@ func TestPolicyRatioCompliance(t *testing.T) {
 		{"Perforation-0.3", Config{Policy: PolicyPerforation}, 0.3, 0.3, 0.02},
 		{"LQH-0.3", Config{Policy: PolicyLQH}, 0.3, 0.3, 0.15},
 		{"LQH-0.6", Config{Policy: PolicyLQH}, 0.6, 0.6, 0.15},
-		{"LQH-short-history", Config{Policy: PolicyLQH, LQHHistory: 4}, 0.4, 0.4, 0.15},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
