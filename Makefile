@@ -27,9 +27,11 @@ vet:
 # mutant of the product code, and each test row's test must fail under its
 # own — the goldens under the pacer's price without its workers factor,
 # TestServeDueArrivalFiresWave under a Submit that never posts the due token,
-# TestServePacerBounds under a pacer whose cadence ceiling is WavePeriod, and
-# the paper golden under perforation truncating its step and under LQH
-# halving its history.
+# TestServeEarlyWavesReadFleetLoad under a due rule that never calls a wave
+# early, TestServeFakeTimeWake under a pump that fires only when a wave is
+# due, TestServePacerBounds under a pacer whose cadence ceiling is
+# WavePeriod, and the paper golden under perforation truncating its step and
+# under LQH halving its history.
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint

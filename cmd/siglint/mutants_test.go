@@ -75,14 +75,39 @@ var mutants = []struct {
 		new:  "return float64(p.effective())",
 	},
 	{
-		// Submit never posting the due token: an arrival that finds its
-		// wave due waits out the pump's late timer instead of firing it.
+		// Submit never posting the due token (its arrival step posts only
+		// the idle wake): an arrival that finds its wave due waits out the
+		// pump's late timer instead of firing it.
 		name: "dueArrival",
 		test: "TestServeDueArrivalFiresWave",
 		pkg:  "./sig/serve",
-		file: "sig/serve/serve.go",
-		old:  "\ts.pace.dueArrival(now)\n",
-		new:  "",
+		file: "sig/serve/pacer.go",
+		old:  "if fire, _, _ := p.next(now, wake); fire {",
+		new:  "if wake {",
+	},
+	{
+		// The due rule never calling a token wave early: every wave is a
+		// cadence wave, so none carries the previous load reading and an
+		// early wave is priced as if it spanned a whole period.
+		name: "nextEarly",
+		test: "TestServeEarlyWavesReadFleetLoad",
+		pkg:  "./sig/serve",
+		file: "sig/serve/pacer.go",
+		old:  "early = token && now.UnixNano() < due",
+		new:  "early = false",
+	},
+	{
+		// The pump firing a wave only when next finds one due, not on every
+		// return of its wait: a timer that fires before the due time — a
+		// wall clock stepped back under Start's monotonic timer — is re-armed
+		// for the same wakeAt, and nothing is served until the wall clock
+		// catches up.
+		name: "pumpFireCheck",
+		test: "TestServeFakeTimeWake/timer_before_wakeAt",
+		pkg:  "./sig/serve",
+		file: "sig/serve/pacer.go",
+		old:  "\t\twave(token)\n\t\t_, _, wakeAt = p.next(clock.Now(), false)\n",
+		new:  "\t\tif fire, _, _ := p.next(clock.Now(), token); fire {\n\t\t\twave(token)\n\t\t}\n\t\t_, _, wakeAt = p.next(clock.Now(), false)\n",
 	},
 	{
 		// The pacer's cadence ceiling at WavePeriod instead of

@@ -291,8 +291,7 @@ func PrintAdaptiveStudy(w io.Writer, r AdaptiveResult) {
 			seg.Scene, seg.OracleRatio, adaptiveTolerance, conv, seg.SteadyRatio, seg.SteadyPSNR)
 	}
 	fmt.Fprintln(w)
-	// "TargetEnergy" is the golden's name for the joules cap.
-	fmt.Fprintf(w, "Adaptive study: streaming kmeans under a TargetEnergy controller (budget %.4f J/wave, oracle ratio %.2f)\n",
+	fmt.Fprintf(w, "Adaptive study: streaming kmeans under a TargetLoad controller on the wave's joules (budget %.4f J/wave, oracle ratio %.2f)\n",
 		r.KmeansBudget, r.KmeansOracleRatio)
 	fmt.Fprintf(w, "%-5s %6s %6s %10s %8s\n", "wave", "req%", "prov%", "energy", "next%")
 	for _, row := range r.KmeansRows {

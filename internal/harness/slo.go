@@ -98,13 +98,16 @@ func sloRequest(i int) serve.Request {
 
 // newSLORun builds a section's server and its stream of sloRequests:
 // capacity sized for sloBasePerWave at the study utilization, a queue deep
-// enough that steps shed quality, not requests. mut sets the section's SLO.
+// enough that steps shed quality, not requests. mut, when set, sets the
+// section's SLO; nil keeps the defaults.
 func newSLORun(mut func(*serve.Config)) (*studyRun, error) {
 	sc := serve.Config{
 		Workers:    2,
 		QueueLimit: 64 * sloBasePerWave,
 	}
-	mut(&sc)
+	if mut != nil {
+		mut(&sc)
+	}
 	s, err := newFrozenServer(sc, sloBasePerWave*sloCostAcc/sloUtilization)
 	if err != nil {
 		return nil, err
@@ -124,12 +127,13 @@ func SLOStudy() (SLOResult, error) {
 	return res, nil
 }
 
-// sloReaction caps load at 1.0 (full capacity), the setting the bounds'
-// absorbability assumption is stated for.
+// sloReaction runs at the default load cap, serve.DefaultTargetLoad (1.0,
+// full capacity), the setting the bounds' absorbability assumption is
+// stated for.
 func sloReaction(res *SLOResult) error {
 	res.AllWithinBound = true
 	for _, over := range sloOverloads {
-		r, err := newSLORun(func(c *serve.Config) { c.TargetLoad = 1.0 })
+		r, err := newSLORun(nil)
 		if err != nil {
 			return err
 		}

@@ -237,18 +237,27 @@ func TestServeNewErrorClosesRuntime(t *testing.T) {
 			t.Fatalf("New(%+v) accepted a config it must reject", cfg)
 		}
 	}
+	noGoroutinesPast(t, base, "the rejected New calls")
+}
+
+// noGoroutinesPast fails t unless the goroutine count is back at base within
+// two seconds: what outlives must have let every goroutine it started go.
+func noGoroutinesPast(t *testing.T, base int, what string) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines outlive the rejected New calls (baseline %d)", got-base, base)
+		t.Fatalf("%d goroutines outlive %s (baseline %d)", got-base, what, base)
 	}
 }
 
 // TestServeStartLifecycle covers the pump's edges: a second Start is a
-// no-op on the same pump, and Start after Close spawns nothing.
+// no-op on the same pump, Close stops it — no goroutine outlives Start and
+// Close — and Start after Close spawns nothing.
 func TestServeStartLifecycle(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s, _ := newPaceServer(t, nil)
 	pump := func() chan struct{} {
 		s.mu.Lock()
@@ -270,6 +279,7 @@ func TestServeStartLifecycle(t *testing.T) {
 	if pump() != first {
 		t.Fatal("Close must not clear the pump record it already joined")
 	}
+	noGoroutinesPast(t, base, "Start and Close")
 
 	s2, _ := newPaceServer(t, nil)
 	if err := s2.Close(); err != nil {
@@ -342,8 +352,13 @@ func TestServeCloseDuringPacedWaveDrains(t *testing.T) {
 					}
 				}(g)
 			}
-			for s.Totals().EarlyWaves < 8 {
-				time.Sleep(100 * time.Microsecond)
+			// Bounded, so a pacer that never counts an early wave fails here
+			// instead of growing accepted until memory runs out.
+			for deadline := time.Now().Add(10 * time.Second); s.Totals().EarlyWaves < 8; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("EarlyWaves=%d after 10s of idle arrivals at ratio 1.0, want 8", s.Totals().EarlyWaves)
+					break
+				}
 			}
 			close(closing)
 			return func() []*Ticket {
@@ -388,13 +403,5 @@ func closeUnderLoad(t *testing.T, load func(*Server) func() []*Ticket) {
 	if tot := s.Totals(); tot.Completed != int64(len(tks)) || tot.Submitted != tot.Completed+tot.Rejected {
 		t.Fatalf("%d accepted tickets, totals %+v", len(tks), tot)
 	}
-	// The pump and the engine workers must be gone; give the runtime a
-	// moment to reap them.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines outlive Close (baseline %d)", got-base, base)
-	}
+	noGoroutinesPast(t, base, "Close") // the pump and the engine workers
 }

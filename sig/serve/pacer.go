@@ -22,9 +22,10 @@ const (
 // measured-period EWMA, the wake token and the load carry an early wave
 // needs, the overrun and early counters, and the measured budget price.
 // Server keeps no pacing state of its own and calls in at three points:
-// Submit's tail (idleArrival, dueArrival), a wave's begin and end with the
+// Submit's tail (arrival), a wave's begin and end with the
 // load signal's carry between them and its settle and price after, and the
-// pump loop that fires waves (run).
+// pump loop that fires waves (run). Whether an arrival fires a wave, whether
+// a wave is early and when the pump wakes are one pure step's, next.
 //
 // begin, end, carry and settle run under Server.waveMu, one wave at a time,
 // so measuredNs, paceNs and due have a single writer and are stored plainly;
@@ -86,31 +87,35 @@ func (p *pacer) effective() time.Duration {
 // workers is directly a cost budget.)
 func (p *pacer) price() float64 { return float64(p.workers) * float64(p.effective()) }
 
-// idleArrival is Submit's step, under Server.mu, for the request that ends an
-// idle spell. The cadence is a batching window, and batching only buys a
-// better significance ranking. At ratio 1.0 nothing is shed, so there is
-// nothing to rank: the arrival wakes the pump instead of waiting the cadence
-// out.
+// arrival is Submit's step, under Server.mu, for every request it queues;
+// wake says the request ends an idle spell at ratio 1.0. The cadence is a
+// batching window, and batching only buys a better significance ranking: at
+// ratio 1.0 nothing is shed, so such an arrival wakes the pump the way a
+// token does instead of waiting the cadence out. Any other arrival fires a
+// wave only when next finds it due — whatever the ratio, instead of leaving
+// it to the pump's timer, which fires late. The wave it fires starts at or
+// after its due time, so it is a cadence wave: due waves never start closer
+// together than one cadence, and the batching window is what it was.
 //
 //siglint:noalloc
-func (p *pacer) idleArrival(ratio float64) {
-	if ratio >= 1 {
+func (p *pacer) arrival(now time.Time, wake bool) {
+	if fire, _, _ := p.next(now, wake); fire {
 		p.post()
 	}
 }
 
-// dueArrival is Submit's step, under Server.mu, for every request it
-// queues: an arrival whose clock reading is at or past the due time fires
-// the wave it finds due, whatever the ratio, instead of leaving it to the
-// pump's timer, which fires late. The wave it fires starts at or after its
-// due time, so it is a cadence wave: due waves never start closer together
-// than one cadence, and the batching window is what it was.
+// next is the due rule, and its one home: at now, with token set when a wake
+// token woke the pump, a wave fires if a token woke it or the wave is due
+// (now at or past due), and is early if a token fires it before it is due;
+// whatever fires now, the pump's timer is for wakeAt, the due time. next
+// reads the pacer and changes nothing. begin reads early, arrival fire, and
+// the pump's loop (run) and WaveReport.Next wakeAt.
 //
 //siglint:noalloc
-func (p *pacer) dueArrival(now time.Time) {
-	if now.UnixNano() >= p.due.Load() {
-		p.post()
-	}
+func (p *pacer) next(now time.Time, token bool) (fire, early bool, wakeAt time.Time) {
+	due := p.due.Load()
+	early = token && now.UnixNano() < due
+	return token || now.UnixNano() >= due, early, time.Unix(0, due)
 }
 
 // post leaves the wake token for the pump. The send never blocks: a token
@@ -139,12 +144,11 @@ func (p *pacer) spend() {
 }
 
 // begin opens a wave that starts at start; token says the pump fired it on
-// a wake token. A wave that starts at or after its due time is a cadence
-// wave, whoever fired it; a token wave that starts before it marks — and
-// counts — the wave early (see carry). The next wave is then due one
-// cadence after this one's start.
+// a wake token. A token wave that next calls early is marked — and counted —
+// early (see carry); any other wave is a cadence wave, whoever fired it. The
+// next wave is then due one cadence after this one's start.
 func (p *pacer) begin(start time.Time, token bool) {
-	if p.early = token && start.UnixNano() < p.due.Load(); p.early {
+	if _, p.early, _ = p.next(start, token); p.early {
 		p.earlyWaves.Add(1)
 	}
 	p.due.Store(start.UnixNano() + p.paceNs.Load())
@@ -185,10 +189,10 @@ func (p *pacer) end(now time.Time, wall time.Duration) {
 // an overrun when the wave outran the cadence that fired it, moves the
 // cadence toward the measured EWMA, clamped into [lo, hi], with
 // 1/paceHysteresisInv relative hysteresis so measurement jitter doesn't
-// wobble the timer, moves the due time with the cadence, and returns the
-// delay until the next wave is due — zero after an overrun: the wave ran and
-// the next one follows immediately, never a dropped tick.
-func (p *pacer) settle(wall time.Duration) (overrun bool, delay time.Duration) {
+// wobble the timer, and moves the due time with the cadence. After an
+// overrun the next wave is already due: it follows immediately, never a
+// dropped tick.
+func (p *pacer) settle(wall time.Duration) (overrun bool) {
 	cur := p.paceNs.Load()
 	if overrun = int64(wall) > cur; overrun {
 		p.overruns.Add(1)
@@ -198,34 +202,35 @@ func (p *pacer) settle(wall time.Duration) (overrun bool, delay time.Duration) {
 		if diff := target - cur; diff > cur/paceHysteresisInv || diff < -cur/paceHysteresisInv {
 			p.paceNs.Store(target)
 			p.due.Add(target - cur) // begin stored start + cur
-			cur = target
 		}
 	}
-	return overrun, max(time.Duration(cur)-wall, 0)
+	return overrun
 }
 
-// run is the pump: it hands wait each delay, the cadence first and then
-// what the last wave returned — the delay to the due time, for the fallback
-// timer — and fires wave(token) when wait returns, token when a wake token
-// woke it (tokens posted during a wave make the next one back-to-back, so
-// batches grow with load on their own), until wait reports !ok. Start's wait
-// is timerWait; a test's can run in fake time.
-func (p *pacer) run(wait func(delay time.Duration) (token, ok bool), wave func(token bool) time.Duration) {
-	for delay := p.period(); ; {
-		token, ok := wait(delay)
+// run is the pump, one loop over a wait and next: wait returns at wakeAt or
+// on a wake token (token), until it reports !ok, and every return fires
+// wave(token); the loop then waits for next's wakeAt (the first wave's is one
+// cadence after the loop starts). A token posted during a wave makes the next
+// one back-to-back, so batches grow with load on their own, and a timer that
+// fires early — a wall clock stepped back under a monotonic timer — still
+// fires its wave, whose begin moves the due time onto the clock it reads.
+func (p *pacer) run(clock WaveClock, wait func(wakeAt time.Time) (token, ok bool), wave func(token bool)) {
+	for wakeAt := clock.Now().Add(p.period()); ; {
+		token, ok := wait(wakeAt)
 		if !ok {
 			return
 		}
-		delay = wave(token)
+		wave(token)
+		_, _, wakeAt = p.next(clock.Now(), false)
 	}
 }
 
-// timerWait is the pump's real-time wait: one timer, re-armed for each
-// delay, raced against the wake token and stop.
-func (p *pacer) timerWait(stop <-chan struct{}) func(time.Duration) (token, ok bool) {
+// timerWait is Start's wait: one real timer, re-armed for each wakeAt, raced
+// against the wake token and stop.
+func (p *pacer) timerWait(clock WaveClock, stop <-chan struct{}) func(wakeAt time.Time) (token, ok bool) {
 	timer := time.NewTimer(p.period())
-	return func(delay time.Duration) (token, ok bool) {
-		timer.Reset(delay) // discards a tick that expired during a token wave
+	return func(wakeAt time.Time) (token, ok bool) {
+		timer.Reset(wakeAt.Sub(clock.Now())) // discards a tick that expired during a token wave
 		select {
 		case <-stop:
 			return false, false

@@ -8,13 +8,16 @@ import (
 )
 
 // The wake-token protocol between Submit and the pump, as a finite-control
-// machine over the real pacer: up to three arrivals, each of which reads the
-// clock and later queues its request under Server.mu (idleArrival into an
-// empty queue, dueArrival always); a pump that fires a wave on the token or
-// on its timer, begins it, admits (pops every queued request, then spend),
-// and ends it (end and settle, re-arming the timer); and a clock that jumps
-// to the due time. tokState is one state of it: the pacer's fields, the fake
-// clock and the model's own bookkeeping, all comparable.
+// machine over the real pacer and the production pump loop: up to three
+// arrivals, each of which reads the clock and later queues its request under
+// Server.mu (arrival, told whether it wakes an idle queue); a pump whose
+// every step is one turn of pacer.run — it wakes on the token, or on its timer
+// once next's wakeAt has come, and fires a wave that begins, admits (pops every
+// queued request, then spend), runs a short or an overrunning wall of fake
+// time, ends and settles, while arrivals that have read the clock may queue
+// after its begin or after its admit; and a clock that jumps to the due time.
+// tokState is one state of it: the pacer's fields, the fake clock and the
+// arrivals, all comparable.
 type tokState struct {
 	now, due, pace, measured, lastEnd int64 // the FakeClock and the pacer
 	early                             bool
@@ -26,9 +29,6 @@ type tokState struct {
 		due   bool  // it queued at or past the due time in force
 	}
 
-	pump         int8 // pumpWaiting → pumpFired → pumpBegun → pumpRunning → pumpWaiting
-	fired        bool // the wave in flight was fired by a token
-	start, timer int64
 	waves, ticks int8
 }
 
@@ -39,24 +39,19 @@ const (
 	arrPopped
 )
 
-const (
-	pumpWaiting int8 = iota
-	pumpFired
-	pumpBegun
-	pumpRunning
-)
-
-// The model's bounds, and the one wave wall it runs: half the configured
-// period, so the first wave's settle retimes the cadence down.
+// The model's bounds, and the two wave walls the pump may run: half the
+// configured period, so the first wave's settle retimes the cadence down, and
+// one and a half, an overrun.
 const (
 	tokWaves  = 2
 	tokTicks  = 3
 	tokPeriod = time.Millisecond
-	tokWall   = tokPeriod / 2
 )
 
-// tokMutant drops one step of the protocol: spend from admit, or
-// dueArrival from Submit.
+var tokWalls = [...]time.Duration{tokPeriod / 2, 3 * tokPeriod / 2}
+
+// tokMutant drops one step of the protocol: spend from admit, or the due
+// token from Submit (arrival posting only its idle wake).
 type tokMutant struct{ noSpend, noDue bool }
 
 var tokCfg = Config{WavePeriod: tokPeriod, MinPeriod: tokPeriod / 4}
@@ -77,18 +72,100 @@ func (st *tokState) load() (*pacer, *FakeClock) {
 	return p, fc
 }
 
-// store copies the pacer and its clock back into st; poster is the arrival
-// a token left pending now was posted by, if it was posted in this step.
-func (st *tokState) store(p *pacer, fc *FakeClock, poster int8) {
+// store copies the pacer and its clock back into st; the arrival that
+// posted a pending token is queue's to record.
+func (st *tokState) store(p *pacer, fc *FakeClock) {
 	st.now = fc.Now().UnixNano()
 	st.due, st.pace, st.measured = p.due.Load(), p.paceNs.Load(), p.measuredNs.Load()
 	st.early, st.lastEnd = p.early, p.lastEnd.UnixNano()
-	switch {
-	case len(p.wake) == 0:
+	if len(p.wake) == 0 {
 		st.token = -1
-	case st.token < 0:
-		st.token = poster
 	}
+}
+
+// wakeAt is when the pump's timer fires in st: next's wakeAt.
+func (st *tokState) wakeAt() int64 {
+	p, fc := st.load()
+	_, _, at := p.next(fc.Now(), false)
+	return at.UnixNano()
+}
+
+// queue is arrival i's second step, Submit's tail under Server.mu: its
+// request joins the queue, and the pacer hears of it (arrival, told whether
+// it ends an idle spell at ratio 1.0).
+func (st *tokState) queue(p *pacer, i int, ratio float64, m tokMutant) {
+	idle := true
+	for _, a := range st.arr {
+		idle = idle && a.phase != arrQueued
+	}
+	st.arr[i].phase, st.arr[i].due = arrQueued, st.arr[i].at >= p.due.Load()
+	if wake := idle && ratio >= 1; !m.noDue {
+		p.arrival(time.Unix(0, st.arr[i].at), wake)
+	} else if wake {
+		p.post()
+	}
+	if len(p.wake) > 0 && st.token < 0 {
+		st.token = int8(i)
+	}
+}
+
+// Where an arrival queues during a pump step (tokState.pump's mid): not in
+// this step; one that has read the clock, after the wave's begin or after its
+// admit; or one that has not, reading the clock as the wave's wall ends — past
+// the due time if the wave overran — and queuing then.
+const (
+	midNone int8 = iota
+	midBegun
+	midAdmitted
+	midLate
+)
+
+// pump is one turn of the production pump loop (pacer.run) from st: its wait
+// returns once, on the token or on the timer, and its wave is runWave's pacer
+// steps around a wall of fake time. Arrival i queues inside the wave as
+// mid[i] says, those in one slot in index order.
+func (st tokState) pump(token bool, wall time.Duration, mid [3]int8, ratio float64, m tokMutant) tokState {
+	p, fc := st.load()
+	queue := func(slot int8) {
+		for i := range st.arr {
+			if mid[i] == slot {
+				st.queue(p, i, ratio, m)
+			}
+		}
+	}
+	waits := 0
+	p.run(fc, func(time.Time) (bool, bool) {
+		if waits++; waits == 1 && token {
+			<-p.wake
+			st.token = -1
+		}
+		return token, waits == 1
+	}, func(token bool) {
+		p.begin(fc.Now(), token)
+		queue(midBegun)
+		for i := range st.arr {
+			if st.arr[i].phase == arrQueued {
+				st.arr[i].phase = arrPopped
+			}
+		}
+		if !m.noSpend {
+			p.spend()
+			st.token = -1
+		}
+		queue(midAdmitted)
+		fc.Advance(wall)
+		for i := range st.arr {
+			if mid[i] == midLate {
+				st.arr[i].at = fc.Now().UnixNano()
+			}
+		}
+		queue(midLate)
+		p.end(fc.Now(), wall)
+		p.settle(wall)
+		st.waves++
+	})
+	st.store(p, fc)
+	return st
 }
 
 // next returns every state one step of one actor leads to from st, each
@@ -100,10 +177,6 @@ func (st tokState) next(ratio float64, m tokMutant) (out []tokState, steps []str
 		n.now, n.ticks = st.due, st.ticks+1
 		add(n, fmt.Sprintf("clock to due %v", time.Duration(st.due)))
 	}
-	idle := true
-	for _, a := range st.arr {
-		idle = idle && a.phase != arrQueued
-	}
 	for i, a := range st.arr {
 		switch a.phase {
 		case arrFree:
@@ -113,68 +186,36 @@ func (st tokState) next(ratio float64, m tokMutant) (out []tokState, steps []str
 		case arrRead:
 			n := st
 			p, fc := n.load()
-			at := time.Unix(0, a.at)
-			n.arr[i].phase, n.arr[i].due = arrQueued, a.at >= p.due.Load()
-			if idle {
-				p.idleArrival(ratio)
-			}
-			if !m.noDue {
-				p.dueArrival(at)
-			}
-			n.store(p, fc, int8(i))
-			add(n, fmt.Sprintf("arrival %d queues (idle %v, due %v)", i, idle, n.arr[i].due))
+			n.queue(p, i, ratio, m)
+			n.store(p, fc)
+			add(n, fmt.Sprintf("arrival %d queues (due %v)", i, n.arr[i].due))
 		}
 	}
-	switch st.pump {
-	case pumpWaiting:
-		if st.waves == tokWaves {
-			break
-		}
-		if st.token >= 0 {
-			n := st
-			p, fc := n.load()
-			<-p.wake
-			n.store(p, fc, -1)
-			n.pump, n.fired = pumpFired, true
-			add(n, "pump wakes on the token")
-		}
-		if st.now >= st.timer {
-			n := st
-			n.pump, n.fired = pumpFired, false
-			add(n, "pump's timer fires")
-		}
-	case pumpFired:
-		n := st
-		p, fc := n.load()
-		p.begin(fc.Now(), st.fired)
-		n.store(p, fc, -1)
-		n.pump, n.start = pumpBegun, st.now
-		add(n, fmt.Sprintf("wave begins (token %v, early %v)", st.fired, n.early))
-	case pumpBegun:
-		n := st
-		for i := range n.arr {
-			if n.arr[i].phase == arrQueued {
-				n.arr[i].phase = arrPopped
+	if st.waves == tokWaves {
+		return out, steps
+	}
+	// Every way the arrivals can queue during the wave. Within a slot they
+	// queue in index order: the arrivals are interchangeable, so any other
+	// order is that of a state the walk reaches with the indices swapped.
+	for c := range 64 {
+		mid, ok := [3]int8{int8(c % 4), int8(c / 4 % 4), int8(c / 16)}, true
+		for i, a := range st.arr {
+			switch mid[i] {
+			case midBegun, midAdmitted:
+				ok = ok && a.phase == arrRead
+			case midLate:
+				ok = ok && a.phase == arrFree
 			}
 		}
-		p, fc := n.load()
-		if !m.noSpend {
-			p.spend()
+		for _, wall := range tokWalls {
+			if ok && st.token >= 0 {
+				n := st.pump(true, wall, mid, ratio, m)
+				add(n, fmt.Sprintf("pump wakes on the token: wave of %v (early %v, arrivals queued mid-wave %v)", wall, n.early, mid))
+			}
+			if ok && st.now >= st.wakeAt() {
+				add(st.pump(false, wall, mid, ratio, m), fmt.Sprintf("pump's timer fires: wave of %v (arrivals queued mid-wave %v)", wall, mid))
+			}
 		}
-		n.store(p, fc, -1)
-		n.pump = pumpRunning
-		add(n, "wave admits")
-	case pumpRunning:
-		n := st
-		p, fc := n.load()
-		fc.Advance(time.Duration(st.start) + tokWall - time.Duration(st.now))
-		end := fc.Now()
-		wall := end.Sub(time.Unix(0, st.start))
-		p.end(end, wall)
-		_, delay := p.settle(wall)
-		n.store(p, fc, -1)
-		n.pump, n.timer, n.waves = pumpWaiting, end.Add(delay).UnixNano(), st.waves+1
-		add(n, fmt.Sprintf("wave ends, timer at %v", time.Duration(n.timer)))
 	}
 	return out, steps
 }
@@ -182,23 +223,20 @@ func (st tokState) next(ratio float64, m tokMutant) (out []tokState, steps []str
 // violation names the first of the two properties st breaks, or "".
 //   - no spare wave: a pending token was posted by a request an admit has
 //     already popped, so it would fire a wave with nothing of its own;
-//   - no lost due wave: while the pump waits, a queued request that found
-//     its wave due has a token pending, and one that queued before its due
-//     time has the timer armed no later than that due time.
+//   - no lost due wave: a queued request that found its wave due has a
+//     token pending, and one that queued before its due time has the pump's
+//     wakeAt no later than that due time.
 func (st *tokState) violation() string {
 	if st.token >= 0 && st.arr[st.token].phase == arrPopped {
 		return fmt.Sprintf("spare wave: arrival %d's token outlived the admit that popped it", st.token)
-	}
-	if st.pump != pumpWaiting {
-		return ""
 	}
 	for i, a := range st.arr {
 		switch {
 		case a.phase != arrQueued:
 		case a.due && st.token < 0:
 			return fmt.Sprintf("lost due wave: arrival %d queued past its due time and left no token", i)
-		case !a.due && st.timer > max(st.due, st.now):
-			return fmt.Sprintf("lost due wave: arrival %d waits on a timer at %v, past the due time %v", i, time.Duration(st.timer), time.Duration(st.due))
+		case !a.due && st.wakeAt() > max(st.due, st.now):
+			return fmt.Sprintf("lost due wave: arrival %d waits on a timer at %v, past the due time %v", i, time.Duration(st.wakeAt()), time.Duration(st.due))
 		}
 	}
 	return ""
@@ -217,8 +255,8 @@ func exploreTokens(ratio float64, m tokMutant) (states int, bad string) {
 	var init tokState
 	p := new(pacer)
 	p.init(&tokCfg, 1, time.Unix(0, 0))
-	init.store(p, NewFakeClock(), -1)
-	init.timer = init.due
+	init.token = -1
+	init.store(p, NewFakeClock())
 	seen := map[tokState]edge{init: {}}
 	stack := []tokState{init}
 	for len(stack) > 0 {
@@ -249,14 +287,15 @@ func exploreTokens(ratio float64, m tokMutant) (states int, bad string) {
 
 // TestPacerTokenProtocol checks the wake-token protocol exhaustively: every
 // interleaving of up to three arrivals — before or after the due time, into
-// an empty or a non-empty queue, at ratio 1.0 and below it — with two waves'
-// fire, begin, admit and spend, and end, and the pump's wait, on the real
-// pacer methods over a FakeClock. No spare wave and no lost due wave (see
-// violation) must hold in every state. Each property is shown to bite under
-// its own mutant:
+// an empty or a non-empty queue, between waves or inside one before or after
+// its admit, at ratio 1.0 and below it — with two turns of the production
+// pump loop, each a short or an overrunning wave, on the real pacer methods
+// over a FakeClock. No spare wave and no lost due wave
+// (see violation) must hold in every state. Each property is shown to bite
+// under its own mutant:
 //   - noSpend, an admit that pops without spend, must break "no spare wave";
-//   - noDue, a Submit that never calls dueArrival, must break "no lost due
-//     wave".
+//   - noDue, a Submit that never posts the due token, must break "no lost
+//     due wave".
 func TestPacerTokenProtocol(t *testing.T) {
 	for _, c := range []struct {
 		name string

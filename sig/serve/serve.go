@@ -309,8 +309,9 @@ type WaveReport struct {
 	// it; such waves are counted in Totals.Overruns and the next wave
 	// starts immediately — never a dropped tick.
 	Overrun bool
-	// Next is the delay until the next wave is due on the retimed cadence
-	// (zero after an overrun): what Start's pump re-arms its timer with.
+	// Next is the delay from the wave's end until the next wave is due on
+	// the retimed cadence: the pacer's wakeAt less the end, floored at zero
+	// (zero after an overrun). Start's pump waits for the same wakeAt.
 	Next time.Duration
 	// Stats is the underlying wave telemetry.
 	Stats sig.WaveStats
@@ -687,10 +688,7 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		s.deadlined++
 	}
 	// Under s.mu, so the admit that pops this request spends the token.
-	if s.depthLocked() == 0 {
-		s.pace.idleArrival(s.Ratio())
-	}
-	s.pace.dueArrival(now)
+	s.pace.arrival(now, s.depthLocked() == 0 && s.Ratio() >= 1)
 	l.q = append(l.q, tk) //siglint:allocok amortized growth of the retained lane backlog
 	s.mu.Unlock()
 	return tk, nil
@@ -918,7 +916,9 @@ func (s *Server) runWave(token bool) WaveReport {
 	// Every body of the wave resolved its own request as it returned; the
 	// slots say which, and the rest are the policy's drops.
 	s.endSlabs(&rep, wave, nowNs)
-	rep.Overrun, rep.Next = s.pace.settle(rep.WallTime)
+	rep.Overrun = s.pace.settle(rep.WallTime)
+	_, _, wakeAt := s.pace.next(end, false)
+	rep.Next = max(wakeAt.Sub(end), 0)
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
 	rep.Load = s.lastLoad
@@ -959,7 +959,7 @@ func (s *Server) Start() {
 	s.pumpDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		s.pace.run(s.pace.timerWait(stop), func(token bool) time.Duration { return s.runWave(token).Next })
+		s.pace.run(s.clock, s.pace.timerWait(s.clock, stop), func(token bool) { s.runWave(token) })
 	}(s.pumpStop, s.pumpDone)
 }
 

@@ -2,22 +2,11 @@ package serve
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/sig/adapt"
 )
-
-// slowPump is a real-clock server whose cadence is far longer than any
-// test waits (first tick at 1 s, floor 250 ms): whatever resolves quickly
-// was resolved by an early wave, not by the timer.
-func slowPump(t *testing.T) *Server {
-	return newTestServer(t, 8, func(c *Config) {
-		c.WavePeriod = time.Second
-		c.MinPeriod = 250 * time.Millisecond
-	})
-}
 
 // cheapRequest is a premium request too small to load any test server: it
 // exercises the pump without ever moving the ratio off 1.0.
@@ -25,9 +14,11 @@ var cheapRequest = Request{Significance: 1.0, Handler: func() {}, CostAccurate: 
 
 // TestServeIdleArrivalFiresWave: at ratio 1.0 the arrival that ends an idle
 // spell does not wait the cadence out — its wave fires at once and is
-// counted as early.
+// counted as early. Start's real pump on a cadence far longer than the test
+// waits (first tick at 1 s, floor 250 ms): what resolves quickly was
+// resolved by an early wave, not by the timer.
 func TestServeIdleArrivalFiresWave(t *testing.T) {
-	s := slowPump(t)
+	s := newTestServer(t, 8, func(c *Config) { c.WavePeriod, c.MinPeriod = time.Second, 250*time.Millisecond })
 	defer s.Close()
 	s.Start()
 	tk, err := s.Submit(cheapRequest)
@@ -55,9 +46,8 @@ func TestServeIdleArrivalFiresWave(t *testing.T) {
 
 // TestServeWaveSpendsWakeToken: the token an idle arrival posts is spent by
 // the wave that admits its request; left behind, it would fire a spare early
-// wave the moment the pump next waits. A request a body submits during its
-// own wave arrives after admission, so its token stays and the next wave
-// follows back-to-back — how batches grow with load.
+// wave the moment the pump next waits. (A token posted after admission stays:
+// TestServeFakeTimeWake's "token during a wave".)
 func TestServeWaveSpendsWakeToken(t *testing.T) {
 	s, fc := newPaceServer(t, func(c *Config) { c.MinRatio = 1 })
 	defer s.Close()
@@ -71,175 +61,161 @@ func TestServeWaveSpendsWakeToken(t *testing.T) {
 	if n := len(s.pace.wake); n != 0 {
 		t.Fatalf("%d tokens after the wave that admitted the arrival, want 0", n)
 	}
-
-	inner := make(chan error, 1)
-	if _, err := s.Submit(Request{Significance: 1, CostAccurate: 1000, Handler: func() {
-		_, err := s.Submit(paceRequest(fc, 100*time.Microsecond))
-		inner <- err
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	s.RunWave()
-	if err := <-inner; err != nil {
-		t.Fatal(err)
-	}
-	if n, d := len(s.pace.wake), s.Depth(); n != 1 || d != 1 {
-		t.Fatalf("%d tokens and %d queued after a body submitted during its wave, want 1 and 1", n, d)
-	}
-	if rep := s.RunWave(); rep.Admitted != 1 || len(s.pace.wake) != 0 {
-		t.Fatalf("next wave admitted %d and left %d tokens, want 1 and 0", rep.Admitted, len(s.pace.wake))
-	}
-}
-
-// sheddingPump is slowPump after a sustained overload through explicit
-// waves, drained so the queue is momentarily empty: the ratio is below 1.0,
-// the cadence is at its 250 ms floor, and the next wave is due one cadence
-// after the last drain wave started. It returns the index of the next
-// request.
-func sheddingPump(t *testing.T, served *[3]atomic.Int64) (*Server, int) {
-	s := slowPump(t)
-	// The first wave retimes the cadence to its 250 ms floor, 5e8 cost units
-	// over two workers: costs 1250x request's keep newTestServer's 2.4x
-	// overload.
-	seq := 0
-	for w := 0; w < 6; w++ {
-		for i := 0; i < 32; i++ {
-			req := request(seq, served)
-			req.CostAccurate, req.CostDegraded = 1250*costAcc, 1250*costDeg
-			if _, err := s.Submit(req); err != nil {
-				t.Fatal(err)
-			}
-			seq++
-		}
-		s.RunWave()
-	}
-	for s.Depth() > 0 {
-		s.RunWave()
-	}
-	if r := s.Ratio(); r >= 1 {
-		t.Fatalf("ratio %v after the overload; the test needs a shedding server", r)
-	}
-	return s, seq
 }
 
 // TestServeSheddingKeepsCadence: while the ratio is below 1.0 the cadence is
-// the batching window that ranks significance, so an arrival into a
-// momentarily empty queue before the wave is due posts no token and waits
-// for the wave to come due.
+// the batching window that ranks significance, so an arrival into an empty
+// queue before the wave is due posts no token and waits for the wave to come
+// due. In fake time at ratio 0.5: a request at 0.5 ms is admitted by the
+// timer's cadence wave at the 1 ms due time.
 func TestServeSheddingKeepsCadence(t *testing.T) {
-	var served [3]atomic.Int64
-	s, seq := sheddingPump(t, &served)
-	s.Start()
-	tk, err := s.Submit(request(seq, &served))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-tk.Done():
-		t.Fatal("a wave fired before it was due while the server was shedding")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if tot := s.Totals(); tot.EarlyWaves != 0 || len(s.pace.wake) != 0 {
-		t.Fatalf("EarlyWaves=%d pending tokens=%d, want no token before the wave is due", tot.EarlyWaves, len(s.pace.wake))
-	}
-	if err := s.Close(); err != nil { // the drain serves what the cadence had not reached
-		t.Fatal(err)
-	}
-	select {
-	case <-tk.Done():
-	default:
-		t.Fatal("Close's drain left the queued request unresolved")
+	s, fc := newPaceServer(t, nil)
+	defer s.Close()
+	s.grp.SetRatio(0.5)
+	ws := runPump(t, s, fc, arriveAt(500*time.Microsecond), func(int) Request { return paceRequest(fc, time.Microsecond) }, 0, false, 1)
+	if w := ws[0]; w.token || w.early || w.start != time.Unix(0, int64(time.Millisecond)) || w.admitted != 1 {
+		t.Fatalf("wave %+v, want the timer's cadence wave at 1ms admitting the request", w)
 	}
 }
 
 // TestServeDueArrivalFiresWave: an arrival that finds its wave due fires it,
-// whatever the ratio, instead of waiting out the pump's timer. The shedding
-// server's next wave is due 250 ms after its last drain wave; once that has
-// passed, Start arms the fallback timer a full cadence out, and an arrival
-// must resolve long before it fires. Its wave starts past its due time, so
-// it is a cadence wave, not an early one.
+// whatever the ratio, instead of waiting out the pump's timer. In fake time
+// at ratio 0.5, the first wave is due 1 ms after New; the pump starts once
+// that has passed, so its timer is a full cadence out, at 2 ms, and an
+// arrival at 1.5 ms must fire its wave then. The wave starts past its due
+// time, so it is a cadence wave, not an early one.
 func TestServeDueArrivalFiresWave(t *testing.T) {
-	var served [3]atomic.Int64
-	s, seq := sheddingPump(t, &served)
+	s, fc := newPaceServer(t, nil)
 	defer s.Close()
-	time.Sleep(time.Until(time.Unix(0, s.pace.due.Load())))
-	s.Start()
-	tk, err := s.Submit(request(seq, &served))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-tk.Done():
-	case <-time.After(50 * time.Millisecond):
-		t.Fatal("an arrival past the due time still queued after 50ms of a 250ms fallback timer: it did not fire its wave")
-	}
-	// The wave counted itself as it began, before it admitted the request.
-	if n := s.Totals().EarlyWaves; n != 0 {
-		t.Fatalf("EarlyWaves=%d, want 0: a wave fired at its due time is a cadence wave", n)
+	s.grp.SetRatio(0.5)
+	fc.Advance(time.Millisecond)
+	ws := runPump(t, s, fc, arriveAt(1500*time.Microsecond), func(int) Request { return paceRequest(fc, time.Microsecond) }, 0, false, 1)
+	if w := ws[0]; !w.token || w.early || w.start != time.Unix(0, int64(1500*time.Microsecond)) || w.admitted != 1 {
+		t.Fatalf("wave %+v, want the arrival's token to fire a cadence wave at 1.5ms", w)
 	}
 }
 
-// TestServeStepOverloadShedsWithinBound drives a step from idle to 2x
-// modeled capacity through the real pump and holds the time to shed against
-// adapt.ShedBound priced at the period in force. Early waves fire
-// only until the first sample over the cap drops the ratio, so they can
-// bring detection forward but never delay it.
-func TestServeStepOverloadShedsWithinBound(t *testing.T) {
-	const (
-		period  = 400 * time.Millisecond
-		floor   = 100 * time.Millisecond // long against host jitter: the bound is in real seconds
-		costAcc = 1e6                    // 1 ms of modeled work; 2 workers => 2000 req/s capacity
-		costDeg = 1e5
-		rate    = 4000 // req/s: 2x capacity; the load meets the cap at ratio 4/9
-	)
-	s, err := New(Config{Workers: 2, QueueLimit: 8192, WavePeriod: period, MinPeriod: floor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Start()
-	// One idle arrival: its early wave measures, and the pacer retimes from
-	// the nominal period to the floor before the step begins.
-	tk, err := s.Submit(cheapRequest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk.Wait()
-	for deadline := time.Now().Add(time.Second); s.PacePeriod() != floor; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) { // the retime follows the ticket's resolution by a few instructions
-			t.Fatalf("cadence %v before the step, want the %v floor", s.PacePeriod(), floor)
-		}
-	}
+// arriveAt is a runPump arrival script of one request at d past the epoch
+// (the rest an hour apart, past any test's last wave).
+func arriveAt(d time.Duration) func(i int) time.Time {
+	return func(i int) time.Time { return time.Unix(0, int64(d+time.Duration(i)*time.Hour)) }
+}
 
-	req := Request{Significance: 0.5, Handler: func() {}, Degraded: func() {}, CostAccurate: costAcc, CostDegraded: costDeg}
+// TestServeStepOverloadShedsWithinBound drives a step from idle to 2x
+// modeled capacity through the pump loop in fake time and holds the time to
+// shed against adapt.ShedBound priced at the period in force. Early waves
+// fire only until the first sample over the cap drops the ratio, so they can
+// bring detection forward but never delay it. One worker; one idle arrival
+// first, whose early wave measures and retimes the cadence to its 250 µs
+// floor; from the step on, one request every 25 µs costing 50 µs accurate
+// and 5 µs degraded, so the load meets the cap at ratio 4/9.
+func TestServeStepOverloadShedsWithinBound(t *testing.T) {
+	const gap = 25 * time.Microsecond
+	s, fc := newPaceServer(t, nil)
+	defer s.Close()
+	step := time.Unix(0, int64(time.Millisecond))
+	at := func(i int) time.Time {
+		if i == 0 {
+			return time.Unix(0, 0)
+		}
+		return step.Add(time.Duration(i-1) * gap)
+	}
+	mk := func(i int) Request {
+		if i == 0 {
+			return paceRequest(fc, time.Microsecond)
+		}
+		r := paceRequest(fc, 2*gap)
+		r.Significance, r.Degraded, r.CostDegraded = 0.5, func() { fc.Advance(gap / 5) }, float64(gap/5)
+		return r
+	}
 	shedWaves := adapt.ShedBound(1) // deltaR: the whole commanded range
-	start := time.Now()
-	bound := time.Duration(shedWaves) * floor
-	sent := 0
-	for s.Ratio() > 0.5 {
-		el := time.Since(start)
-		if el > 4*bound {
-			t.Fatalf("ratio still %.3f after %v (bound %v)", s.Ratio(), el, bound)
+	ws := runPump(t, s, fc, at, mk, 0, false, 8*shedWaves)
+	timed, period := 0, time.Duration(0)
+	for _, w := range ws {
+		if w.start.Before(step) {
+			continue
 		}
-		for due := int(el.Seconds() * rate); sent <= due; sent++ {
-			if _, err := s.Submit(req); err != nil {
-				t.Fatal(err)
+		if floor := time.Duration(s.pace.lo); period == 0 && w.cadence != floor {
+			t.Fatalf("cadence %v at the step, want the %v floor", w.cadence, floor)
+		}
+		if period = max(period, w.cadence); !w.early {
+			timed++
+		}
+		if w.ratio <= 0.5 {
+			shed, bound := w.end.Sub(step), time.Duration(shedWaves)*period
+			t.Logf("shed to ratio %.3f in %v (bound %v), %d cadence waves", w.ratio, shed, bound, timed)
+			if shed > bound {
+				t.Fatalf("step overload shed in %v, bound %v", shed, bound)
 			}
+			if timed > shedWaves {
+				t.Fatalf("%d cadence waves to shed, bound %d", timed, shedWaves)
+			}
+			return
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
-	shed := time.Since(start)
-	if p := max(s.PacePeriod(), s.MeasuredPeriod()); p > floor {
-		bound = time.Duration(shedWaves) * p
-	}
-	tot := s.Totals()
-	t.Logf("shed to ratio %.3f in %v (bound %v), %d waves of which %d early", s.Ratio(), shed, bound, tot.Waves, tot.EarlyWaves)
-	if shed > bound {
-		t.Fatalf("step overload shed in %v, bound %v", shed, bound)
-	}
-	if timed := tot.Waves - tot.EarlyWaves; timed > int64(shedWaves) {
-		t.Fatalf("%d cadence waves to shed, bound %d", timed, shedWaves)
-	}
+	t.Fatalf("ratio still over 0.5 after %d waves", len(ws))
+}
+
+// pumpWave is one wave runPump fired: when it started and ended, the
+// cadence in force as it started, whether a token fired it and whether it
+// was counted early, what it admitted, and Load() and Ratio() after it.
+type pumpWave struct {
+	start, end   time.Time
+	cadence      time.Duration
+	token, early bool
+	admitted     int
+	load, ratio  float64
+}
+
+// runPump runs Start's pump loop (pacer.run) for n waves on a wait in
+// discrete-event fake time, what Start's real timer is on the wall clock.
+// Each wait submits every scripted arrival at or before fc's instant — those
+// that came due during a wave at the wave's end — and returns if a wake
+// token is pending or fc has reached the timer (wakeAt, or late after it for
+// a timer that fires late); else it advances fc to the earlier of the timer
+// and the next arrival and goes again. arrival(i) is when the i-th scripted
+// arrival comes and mk(i) its request. A deaf pump drains every token and
+// ignores it: the timer alone. Every return of the wait must fire a wave.
+func runPump(t *testing.T, s *Server, fc *FakeClock, arrival func(i int) time.Time, mk func(i int) Request, late time.Duration, deaf bool, n int) []pumpWave {
+	t.Helper()
+	var waves []pumpWave
+	i, waits := 0, 0
+	s.pace.run(fc, func(wakeAt time.Time) (token, ok bool) {
+		if waits++; waits > len(waves)+1 {
+			t.Fatalf("the pump waited again at %v without firing a wave", fc.Now())
+		}
+		if len(waves) == n {
+			return false, false
+		}
+		for timer := wakeAt.Add(late); ; {
+			for ; !arrival(i).After(fc.Now()); i++ {
+				if _, err := s.Submit(mk(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-s.pace.wake:
+				if !deaf {
+					return true, true
+				}
+			default:
+			}
+			if !fc.Now().Before(timer) {
+				return false, true
+			}
+			next := arrival(i)
+			if next.After(timer) {
+				next = timer
+			}
+			fc.Advance(next.Sub(fc.Now()))
+		}
+	}, func(token bool) {
+		w, early := pumpWave{start: fc.Now(), cadence: s.PacePeriod(), token: token}, s.pace.earlyWaves.Load()
+		rep := s.runWave(token)
+		w.end, w.early, w.admitted, w.load, w.ratio = w.start.Add(rep.WallTime), s.pace.earlyWaves.Load() > early, rep.Admitted, rep.Load, s.Ratio()
+		waves = append(waves, w)
+	})
+	return waves
 }
 
 // pumpRun is what simulatePump reads over the waves it measures, after a
@@ -251,61 +227,83 @@ type pumpRun struct {
 	short  int     // waves that started less than a cadence after the one before
 }
 
-// simulatePump runs Start's pump loop (pacer.run) in fake time over evenly
-// spaced arrivals (one every gap, built by mk). Its wait stands in for the
-// timer, which fires late after the delay it is armed with: it submits each
-// arrival due before the timer fires, then advances the clock to the timer
-// — or, when wake is set, returns on any token, an idle arrival's or a due
-// one's (the pump without it is the timer alone).
+// simulatePump runs the pump in fake time (runPump) over evenly spaced
+// arrivals, one every gap built by mk, and reads waves waves after a
+// warm-up; without wake the pump is deaf to tokens.
 func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk func() Request, wake bool, late time.Duration, waves int) (run pumpRun) {
 	t.Helper()
 	const warmup = 50
 	epoch := fc.Now()
-	arrivals, n := 0, 0
-	var prevStart time.Time
-	wait := func(delay time.Duration) (token, ok bool) {
-		if n == warmup+waves {
-			return false, false
+	at := func(i int) time.Time { return epoch.Add(time.Duration(i+1) * gap) }
+	ws := runPump(t, s, fc, at, func(int) Request { return mk() }, late, !wake, warmup+waves)
+	for i := warmup; i < len(ws); i++ {
+		run.load += ws[i].load
+		if ws[i].early {
+			run.early++
 		}
-		timerAt := fc.Now().Add(delay + late)
-		for {
-			select {
-			case <-s.pace.wake:
-				if wake {
-					return true, true
-				}
-			default:
-			}
-			next := epoch.Add(time.Duration(arrivals+1) * gap)
-			if !next.Before(timerAt) {
-				fc.Advance(timerAt.Sub(fc.Now()))
-				return false, true
-			}
-			fc.Advance(next.Sub(fc.Now())) // a no-op for an arrival that came due during a wave
-			if _, err := s.Submit(mk()); err != nil {
-				t.Fatal(err)
-			}
-			arrivals++
+		if ws[i].token {
+			run.tokens++
+		}
+		if ws[i].start.Sub(ws[i-1].start) < ws[i].cadence {
+			run.short++
 		}
 	}
-	s.pace.run(wait, func(token bool) time.Duration {
-		start, cadence, early := fc.Now(), s.PacePeriod(), s.pace.earlyWaves.Load()
-		rep := s.runWave(token)
-		if n++; n > warmup {
-			run.load += s.Load()
-			run.early += int(s.pace.earlyWaves.Load() - early)
-			if token {
-				run.tokens++
-			}
-			if start.Sub(prevStart) < cadence {
-				run.short++
-			}
-		}
-		prevStart = start
-		return rep.Next
-	})
 	run.load /= float64(waves)
 	return run
+}
+
+// TestServeFakeTimeWake pins the fake-time wait every pump test runs the
+// production loop on, one edge a row. The server's first wave is due at 1 ms,
+// and the first request's body submits a second one:
+//   - arrival at wakeAt: an arrival exactly at the first wakeAt is queued
+//     before the timer's wave fires, which admits it;
+//   - token during a wave: the body's submit into the empty queue posts a
+//     token that fires the next wave back-to-back, at the first one's end;
+//   - timer before wakeAt: a timer that fires half a cadence early, as a
+//     monotonic timer does when the wall clock steps back, still fires a
+//     wave, a cadence wave, instead of the pump waiting again for wakeAt.
+//
+// That a late timer still fires cadence waves, never early ones, is
+// TestServeDueWavesKeepCadence's.
+func TestServeFakeTimeWake(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		at    time.Duration // the first arrival, past the epoch
+		late  time.Duration
+		deaf  bool
+		waves int
+		holds func(ws []pumpWave) bool
+	}{
+		{"arrival at wakeAt", time.Millisecond, 0, true, 1,
+			func(ws []pumpWave) bool {
+				return ws[0].start == time.Unix(0, int64(time.Millisecond)) && ws[0].admitted == 1
+			}},
+		{"token during a wave", 0, 0, false, 2,
+			func(ws []pumpWave) bool { return ws[1].token && ws[1].start == ws[0].end && ws[1].admitted == 1 }},
+		{"timer before wakeAt", time.Hour, -500 * time.Microsecond, false, 1,
+			func(ws []pumpWave) bool {
+				return ws[0].start == time.Unix(0, int64(500*time.Microsecond)) && !ws[0].token && !ws[0].early
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, fc := newPaceServer(t, nil)
+			defer s.Close()
+			mk := func(i int) Request {
+				r := paceRequest(fc, 10*time.Microsecond)
+				if i == 0 {
+					r.Handler = func() {
+						fc.Advance(10 * time.Microsecond)
+						_, _ = s.Submit(paceRequest(fc, 10*time.Microsecond)) // a refusal shows as the next wave admitting nothing
+					}
+				}
+				return r
+			}
+			ws := runPump(t, s, fc, arriveAt(c.at), mk, c.late, c.deaf, c.waves)
+			if !c.holds(ws) {
+				t.Fatalf("waves %+v", ws)
+			}
+		})
+	}
 }
 
 // TestServeLoadSignalHonest: the load signal must mean the same thing —
@@ -375,7 +373,8 @@ func TestServeEarlyWavesReadFleetLoad(t *testing.T) {
 // cadence late, the arrivals that find their wave due must fire the waves —
 // never two less than a cadence apart, none counted early — and the load
 // signal must read what a pump with an on-time timer reads, to within a
-// tenth — which the late timer alone does not. One worker, one request every 25 µs costing 60 % of that, a degraded
+// tenth — which the late timer alone, itself never early or short, does not.
+// One worker, one request every 25 µs costing 60 % of that, a degraded
 // body as dear as the accurate one: the load cannot fall under the 0.5 cap,
 // so the ratio sits at its 0.5 floor.
 func TestServeDueWavesKeepCadence(t *testing.T) {
@@ -406,8 +405,10 @@ func TestServeDueWavesKeepCadence(t *testing.T) {
 	if due.tokens == 0 {
 		t.Fatal("no due arrival fired a wave; the test exercised the timer only")
 	}
-	if due.short != 0 || due.early != 0 {
-		t.Fatalf("%d waves started less than a cadence after the one before, %d counted early; want none", due.short, due.early)
+	for _, r := range []pumpRun{lateTimer, due} { // a late timer, deaf or not, still fires cadence waves
+		if r.short != 0 || r.early != 0 {
+			t.Fatalf("%d waves started less than a cadence after the one before, %d counted early; want none", r.short, r.early)
+		}
 	}
 	if math.Abs(due.load-onTime.load) > 0.1*onTime.load {
 		t.Errorf("due arrivals read Load() %.3f, an on-time timer %.3f", due.load, onTime.load)
