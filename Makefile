@@ -30,8 +30,9 @@ vet:
 # TestServeEarlyWavesReadFleetLoad under a due rule that never calls a wave
 # early, TestServeFakeTimeWake under a pump that fires only when a wave is
 # due, TestServePacerBounds under a pacer whose cadence ceiling is
-# WavePeriod, and the paper golden under perforation truncating its step and
-# under LQH halving its history.
+# WavePeriod, the paper golden under perforation truncating its step and
+# under LQH halving its history, and TestKernelQualityGoldens under Sobel's
+# degraded-pixel table read one difference off.
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint
@@ -76,7 +77,7 @@ goldens:
 	$(GO) test ./internal/harness -run TestStudyGoldens -update
 
 bench:
-	$(GO) test ./sig ./sig/shard ./sig/serve -run xxx -bench . -benchtime 1s
+	$(GO) test ./sig ./sig/shard ./sig/serve ./internal/bench/... -run xxx -bench . -benchtime 1s
 
 # The repository's performance benchmark (BENCHMARK.json, benchmark/README.md):
 # four workloads end to end, ~2 min. `perf-quick` is its 1 s smoke with every

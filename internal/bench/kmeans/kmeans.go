@@ -194,23 +194,22 @@ func (a *App) NewScorer(cent []float64) *Scorer {
 	return s
 }
 
-// Score classifies the observation chunk [lo,hi) and returns its
-// assignments. Restricted mode reuses the approximate kernel's candidate
-// search, seeding each point with its generator-assigned cluster (i % K)
-// instead of a running assignment.
-func (s *Scorer) Score(lo, hi int, restricted bool) []int32 {
+// Score classifies the observation chunk [lo, lo+len(out)) into out, the
+// caller's buffer, so a request body allocates nothing. Restricted mode
+// reuses the approximate kernel's candidate search, seeding each point with
+// its generator-assigned cluster (i % K) instead of a running assignment.
+func (s *Scorer) Score(out []int32, lo int, restricted bool) {
 	a := s.a
-	out := make([]int32, hi-lo)
-	for i := lo; i < hi; i++ {
+	for j := range out {
+		i := lo + j
 		var k int
 		if restricted {
 			k, _ = a.nearestAmong(s.cent, i, s.table.rows[i%a.p.K])
 		} else {
 			k, _ = a.nearest(s.cent, i)
 		}
-		out[i-lo] = int32(k)
+		out[j] = int32(k)
 	}
-	return out
 }
 
 // ScoreCosts returns the declared cost units of scoring an n-point chunk

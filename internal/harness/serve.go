@@ -79,14 +79,14 @@ func KmeansServeBackend(scale float64) *ServeBackend {
 		CostDegraded: costDeg,
 		NewRequest: func(i int) serve.Request {
 			lo := (i % chunks) * p.Chunk
-			hi := lo + p.Chunk
+			out := make([]int32, p.Chunk)
 			req := serve.Request{
 				Significance: serveTier(i),
-				Handler:      func() { scorer.Score(lo, hi, false) },
+				Handler:      func() { scorer.Score(out, lo, false) },
 				CostAccurate: costAcc,
 				CostDegraded: costDeg,
 			}
-			req.Degraded = func() { scorer.Score(lo, hi, true) }
+			req.Degraded = func() { scorer.Score(out, lo, true) }
 			return req
 		},
 	}

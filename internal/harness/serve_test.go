@@ -100,3 +100,22 @@ func TestServeStudyPrinterAndBackends(t *testing.T) {
 		t.Error("ServeStudy accepted an unknown backend")
 	}
 }
+
+// TestServeBackendBodiesAllocNothing holds both backends' request bodies,
+// accurate and degraded, at zero allocations: each request owns its output
+// (Sobel's frame, kmeans' assignments), built once by NewRequest, so the
+// body is pure compute on the serving hot path.
+func TestServeBackendBodiesAllocNothing(t *testing.T) {
+	for _, name := range []string{"sobel", "kmeans"} {
+		b, err := ServeBackendByName(name, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := b.NewRequest(0)
+		for body, f := range map[string]func(){"Handler": req.Handler, "Degraded": req.Degraded} {
+			if n := testing.AllocsPerRun(10, f); n != 0 {
+				t.Errorf("%s %s: %v allocs per run, want 0", name, body, n)
+			}
+		}
+	}
+}
