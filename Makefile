@@ -29,7 +29,8 @@ vet:
 # TestServeDueArrivalFiresWave under a Submit that never posts the due token,
 # TestServeEarlyWavesReadFleetLoad under a due rule that never calls a wave
 # early, TestServeFakeTimeWake under a pump that fires only when a wave is
-# due, TestServePacerBounds under a pacer whose cadence ceiling is
+# due, the pace golden under a pump that arms its timer a cadence after each
+# wave's end, TestServePacerBounds under a pacer whose cadence ceiling is
 # WavePeriod, the paper golden under perforation truncating its step and
 # under LQH halving its history, and TestKernelQualityGoldens under Sobel's
 # degraded-pixel table read one difference off.

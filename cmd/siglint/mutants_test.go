@@ -64,9 +64,9 @@ var mutants = []struct {
 	{
 		// The pacer pricing a wave without its workers factor (its price
 		// method was perShard while a server could run several shards):
-		// half a 2-worker server's capacity. The studies drive RunWave, the
-		// pump's own step, so the serving goldens move; a study with a
-		// budget rule of its own again would not.
+		// half a 2-worker server's capacity. The studies fire every wave
+		// through the pump's own step, so the serving goldens move; a study
+		// with a budget rule of its own again would not.
 		name: "perShard",
 		test: "TestStudyGoldens/serve",
 		pkg:  "./internal/harness",
@@ -108,6 +108,18 @@ var mutants = []struct {
 		file: "sig/serve/pacer.go",
 		old:  "\t\twave(token)\n\t\t_, _, wakeAt = p.next(clock.Now(), false)\n",
 		new:  "\t\tif fire, _, _ := p.next(clock.Now(), token); fire {\n\t\t\twave(token)\n\t\t}\n\t\t_, _, wakeAt = p.next(clock.Now(), false)\n",
+	},
+	{
+		// The pump arming its timer a cadence after each wave's end, not for
+		// next's due time: an overrunning wave's successor waits a cadence it
+		// does not owe. The studies fire every wave through the pump, so the
+		// pace golden's observed drain stretches (5.102 → 9.903 ms).
+		name: "pumpWakeAt",
+		test: "TestStudyGoldens/pace",
+		pkg:  "./internal/harness",
+		file: "sig/serve/pacer.go",
+		old:  "_, _, wakeAt = p.next(clock.Now(), false)",
+		new:  "wakeAt = clock.Now().Add(p.period())",
 	},
 	{
 		// The pacer's cadence ceiling at WavePeriod instead of

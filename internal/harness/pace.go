@@ -46,21 +46,13 @@ const (
 	paceWavePeriod = 500 * time.Microsecond
 )
 
-// PaceWaveRow is one paced wave's trajectory sample.
-type PaceWaveRow struct {
-	Wave     int
-	Admitted int
-	Depth    int
-	WallMs   float64
-	PaceMs   float64
-	BudgetK  float64 // modeled capacity after the wave, in kilo-cost-units
-	Overrun  bool
-}
-
 // PaceResult is the outcome of the pace study.
 type PaceResult struct {
 	TrueMeanMs float64 // mean offered work per wave — the honest cadence
-	Rows       []PaceWaveRow
+	// Rows are the cadence phase's wave reports, and Pace the cadence in
+	// force after each.
+	Rows []serve.WaveReport
+	Pace []time.Duration
 
 	// Cadence section: ConvergedAt is the first wave (1-based) from which
 	// the cadence stays within 25% of TrueMeanMs for the rest of the
@@ -71,8 +63,8 @@ type PaceResult struct {
 	MeasuredMs  float64 // MeasuredPeriod at the end of the study
 
 	// Overrun accounting: Overruns (Totals) must equal OverrunsSeen
-	// (per-report flags) and WavesRun must equal PaceCalls — every late
-	// wave counted, none dropped.
+	// (per-report flags) and WavesRun must equal PaceCalls (the waves the
+	// study fired) — every late wave counted, none dropped.
 	Overruns     int64
 	OverrunsSeen int64
 	WavesRun     int64
@@ -136,70 +128,54 @@ func PaceStudy() (PaceResult, error) {
 	return res, nil
 }
 
+// paceRun plays the study on a one-worker server whose request handlers,
+// and a probe ahead of every wave's arrivals, advance its clock.
 func paceRun() (PaceResult, error) {
 	fc := serve.NewFakeClock()
-	s, err := serve.New(serve.Config{
-		Workers:    1, // one worker: measured period × workers = admitted work, exactly
-		MinRatio:   1, // no quality shedding: backlog pricing is exact at ratio 1
-		QueueLimit: 4 * paceBasePerWave,
-		WavePeriod: paceWavePeriod,
-		WaveBudget: 4 * float64(paceWavePeriod), // the configured guess the pacer must outgrow
-		Clock:      fc,
-	})
-	if err != nil {
-		return PaceResult{}, err
-	}
-	defer s.Close() // on an error path; a run that succeeds ends in r.close
-	r := &studyRun{
-		s:     s,
-		next:  func(i int) serve.Request { return paceRequest(fc, i) },
-		clock: fc, // the pump's sleep, in fake time
-	}
-	// The per-wave overhead probe: near-zero declared cost, fixed wall
-	// advance.
-	probe := serve.Request{
-		Significance: 1.0,
-		Handler:      func() { fc.Advance(paceOverhead) },
-		CostAccurate: 1000,
-	}
-
-	var res PaceResult
-	wave := func(arrivals int) serve.WaveReport {
-		// When the queue is at its limit (the burst's drain) the probe is
+	sc := scenario{
+		cfg: serve.Config{
+			Workers:    1, // one worker: measured period × workers = admitted work, exactly
+			MinRatio:   1, // no quality shedding: backlog pricing is exact at ratio 1
+			QueueLimit: 4 * paceBasePerWave,
+			WavePeriod: paceWavePeriod,
+			WaveBudget: 4 * float64(paceWavePeriod), // the configured guess the pacer must outgrow
+		},
+		clock:  fc,
+		stream: func(i int) serve.Request { return paceRequest(fc, i) },
+		// The per-wave overhead probe: near-zero declared cost, fixed wall
+		// advance. When the queue is at its limit (the burst's drain) it is
 		// shed and that wave runs without its overhead — a fixed-cost loss
 		// well inside the one-wave honesty gate.
-		_ = r.submit(probe, -1)
-		rep := r.wave(arrivals)
-		res.PaceCalls++
-		if rep.Overrun {
-			res.OverrunsSeen++
-		}
-		return rep
+		probe: &serve.Request{
+			Significance: 1.0,
+			Handler:      func() { fc.Advance(paceOverhead) },
+			CostAccurate: 1000,
+		},
 	}
+	var res PaceResult
+	_, err := sc.play(func(r *studyRun) error { return paceSections(r, fc, &res) }, nil)
+	return res, err
+}
 
+// paceSections plays the study's phases on r: the cadence phase, then the
+// burst and its drain, then the bounds priced at the measured period.
+func paceSections(r *studyRun, fc *serve.FakeClock, res *PaceResult) error {
+	s := r.s
 	// Cadence phase: paceBasePerWave arrivals per wave; the wave's true wall is
 	// their declared cost plus the fixed overhead the probe injects.
 	var offered float64
-	for w := range paceWaves {
+	for range paceWaves {
 		offered += float64(paceOverhead)
 		for i := range paceBasePerWave {
 			offered += paceCosts[paceClass(r.seq+i)]
 		}
-		rep := wave(paceBasePerWave)
-		res.Rows = append(res.Rows, PaceWaveRow{
-			Wave:     w + 1,
-			Admitted: rep.Admitted,
-			Depth:    rep.Depth,
-			WallMs:   durMs(rep.WallTime),
-			PaceMs:   durMs(s.PacePeriod()),
-			BudgetK:  rep.Budget / 1000,
-			Overrun:  rep.Overrun,
-		})
+		res.Rows = append(res.Rows, r.wave(paceBasePerWave))
+		res.Pace = append(res.Pace, s.PacePeriod())
 	}
 	res.TrueMeanMs = offered / paceWaves / 1e6
 	res.ConvergedAt = -1
-	for w := len(res.Rows) - 1; w >= 0; w-- {
-		if math.Abs(res.Rows[w].PaceMs-res.TrueMeanMs) > 0.25*res.TrueMeanMs {
+	for w := len(res.Pace) - 1; w >= 0; w-- {
+		if math.Abs(durMs(res.Pace[w])-res.TrueMeanMs) > 0.25*res.TrueMeanMs {
 			break
 		}
 		res.ConvergedAt = w + 1
@@ -209,27 +185,20 @@ func paceRun() (PaceResult, error) {
 	// Drain the cadence phase's leftovers so the burst below is the whole
 	// backlog the RetryAfter hint prices.
 	for s.Depth() > 0 {
-		wave(0)
+		r.wave(0)
 	}
 
 	// RetryAfter honesty phase: fill the queue to rejection, then measure
 	// how long the backlog actually takes to drain in fake time.
+	var err error
+	for ; err == nil; r.seq++ {
+		err = r.submit(r.sc.stream(r.seq), r.seq)
+	}
 	var oe *serve.OverloadError
-	for {
-		err := r.submit(r.next(r.seq), r.seq)
-		if err == nil {
-			r.seq++
-			continue
-		}
-		if !errors.As(err, &oe) {
-			return res, fmt.Errorf("pace study burst: want OverloadError, got %w", err)
-		}
-		break
+	if !errors.As(err, &oe) {
+		return fmt.Errorf("pace study burst: want OverloadError, got %w", err)
 	}
-	effective := s.MeasuredPeriod()
-	if p := s.PacePeriod(); p > effective {
-		effective = p
-	}
+	effective := max(s.MeasuredPeriod(), s.PacePeriod())
 	// The hint is waves × effective period; the same waves at the
 	// configured period is what pre-fix code told clients.
 	pricedWaves := int64(oe.RetryAfter / effective)
@@ -238,15 +207,14 @@ func paceRun() (PaceResult, error) {
 	oneWave := s.MeasuredPeriod()
 	start := fc.Now()
 	for s.Depth() > 0 {
-		wave(0)
+		r.wave(0)
 	}
 	drain := fc.Now().Sub(start)
 	res.DrainMs = durMs(drain)
 	res.RetryErrAfter = math.Abs(res.RetryAfterMs-res.DrainMs) / res.DrainMs
 	res.RetryErrBefore = math.Abs(res.RetryBeforeMs-res.DrainMs) / res.DrainMs
-	if diff := oe.RetryAfter - drain; diff <= oneWave && -diff <= oneWave {
-		res.RetryWithinOneWave = true
-	}
+	diff := oe.RetryAfter - drain
+	res.RetryWithinOneWave = diff <= oneWave && -diff <= oneWave
 
 	res.FinalPaceMs = durMs(s.PacePeriod())
 	res.MeasuredMs = durMs(s.MeasuredPeriod())
@@ -255,9 +223,9 @@ func paceRun() (PaceResult, error) {
 	res.ShedBoundNominalMs = durMs(shed * paceWavePeriod)
 	res.RecoverBoundMs = durMs(time.Duration(adapt.RecoverBound(1.0, 0.4)) * s.MeasuredPeriod())
 	tot := s.Totals()
-	res.Overruns = tot.Overruns
-	res.WavesRun = tot.Waves
-	return res, r.close(func(int, int) {})
+	res.Overruns, res.OverrunsSeen = tot.Overruns, r.overruns
+	res.WavesRun, res.PaceCalls = tot.Waves, r.waves
+	return nil
 }
 
 // durMs renders a duration in fractional milliseconds.
@@ -269,9 +237,9 @@ func PrintPaceStudy(w io.Writer, r PaceResult) {
 	fmt.Fprintf(w, "pace study (base %d req/wave, 4x cost variance, nominal period %.3g ms, true mean wall %.4g ms)\n",
 		paceBasePerWave, durMs(paceWavePeriod), r.TrueMeanMs)
 	fmt.Fprintf(w, "%-5s %5s %6s %8s %8s %9s %8s\n", "wave", "adm", "depth", "wall ms", "pace ms", "budget k", "overrun")
-	for _, row := range r.Rows {
+	for i, row := range r.Rows {
 		fmt.Fprintf(w, "%-5d %5d %6d %8.3f %8.3f %9.1f %8v\n",
-			row.Wave, row.Admitted, row.Depth, row.WallMs, row.PaceMs, row.BudgetK, row.Overrun)
+			i+1, row.Admitted, row.Depth, durMs(row.WallTime), durMs(r.Pace[i]), row.Budget/1000, row.Overrun)
 	}
 	fmt.Fprintf(w, "cadence converged: %v (wave %d, final pace %.4g ms vs true mean %.4g ms, measured EWMA %.4g ms)\n",
 		r.Converged, r.ConvergedAt, r.FinalPaceMs, r.TrueMeanMs, r.MeasuredMs)

@@ -137,30 +137,25 @@ func studyRequest(b *ServeBackend, i int) serve.Request {
 	return req
 }
 
-// ServeWaveRow is one wave of the open-loop overload study.
-type ServeWaveRow struct {
-	Wave     int
-	Offered  int
-	Admitted int
-	Depth    int
-	Load     float64
-	// Ratio ran the wave, NextRatio is the controller's command for the
-	// next, Provided the wave's accurate fraction.
-	Ratio, NextRatio, Provided  float64
-	Accurate, Degraded, Dropped int
-	Joules                      float64
+// serveOffered is the open loop's arrivals in wave w: the base rate, stepped
+// serveOverload-fold over [serveStepAt, serveStepEnd).
+func serveOffered(w int) int {
+	if w >= serveStepAt && w < serveStepEnd {
+		return serveBasePerWave * serveOverload
+	}
+	return serveBasePerWave
 }
 
 // ServeResult is the outcome of the serving study.
 type ServeResult struct {
 	Backend string
 
-	// Open-loop overload step.
-	Rows []ServeWaveRow
+	// Open-loop overload step: one report a wave, its offered arrivals
+	// serveOffered(wave).
+	Rows []serve.WaveReport
 	// P50/P99 are request latency percentiles in waves over every
 	// completed request of the open-loop stream.
 	P50, P99 int
-	Rejected int64
 	// PreStepRatio is the commanded ratio just before the step;
 	// MinStepRatio the lowest command during it; RecoveredAfter how many
 	// waves past the step's end the command climbed back within 0.05 of the
@@ -168,10 +163,9 @@ type ServeResult struct {
 	PreStepRatio   float64
 	MinStepRatio   float64
 	RecoveredAfter int
-	// TotalJoules is the server's cumulative modeled energy, and
-	// Outcomes the cumulative accounting, both after the drain.
-	TotalJoules float64
-	Outcomes    serve.Totals
+	// Outcomes is the server's cumulative accounting (Rejected, modeled
+	// Joules, ...) after the drain.
+	Outcomes serve.Totals
 
 	// Closed-loop segment: Clients concurrent callers, each submitting
 	// its next request as the previous completes.
@@ -181,18 +175,16 @@ type ServeResult struct {
 	ClosedP99        int     // latency p99 in waves
 }
 
-// newServeRun builds a loop's server and its stream of the backend's study
-// requests: capacity sized for serveBasePerWave at serveUtilization, a queue
-// deep enough that the step sheds quality rather than requests.
-func newServeRun(b *ServeBackend, workers int) (*studyRun, error) {
-	s, err := newFrozenServer(serve.Config{
-		Workers:    workers,
-		QueueLimit: 64 * serveBasePerWave,
-	}, serveBasePerWave*b.CostAccurate/serveUtilization)
-	if err != nil {
-		return nil, err
+// serveScenario is a loop's frozen server on workers workers and its stream
+// of the backend's study requests: capacity sized for serveBasePerWave at
+// serveUtilization, a queue deep enough that the step sheds quality rather
+// than requests.
+func serveScenario(b *ServeBackend, workers int) scenario {
+	return scenario{
+		cfg:    serve.Config{Workers: workers, QueueLimit: 64 * serveBasePerWave},
+		budget: serveBasePerWave * b.CostAccurate / serveUtilization,
+		stream: func(i int) serve.Request { return studyRequest(b, i) },
 	}
-	return &studyRun{s: s, next: func(i int) serve.Request { return studyRequest(b, i) }}, nil
 }
 
 // ServeStudy runs the serving-layer evaluation on the named backend ("sobel"
@@ -208,44 +200,25 @@ func ServeStudy(backend string) (ServeResult, error) {
 		return ServeResult{}, err
 	}
 	res := ServeResult{Backend: b.Name}
-	for _, loop := range []func(*studyRun, *ServeResult) error{serveOpenLoop, serveClosedLoop} {
-		r, err := newServeRun(b, serveWorkers)
-		if err != nil {
-			return res, err
-		}
-		if err := loop(r, &res); err != nil {
-			return res, err
-		}
+	if err := serveOpenLoop(serveScenario(b, serveWorkers), &res); err != nil {
+		return res, err
 	}
-	return res, nil
+	return res, serveClosedLoop(serveScenario(b, serveWorkers), &res)
 }
 
-func serveOpenLoop(r *studyRun, res *ServeResult) error {
-	for w := range serveWaves {
-		offered := serveBasePerWave
-		if w >= serveStepAt && w < serveStepEnd {
-			offered *= serveOverload
-		}
-		rep := r.wave(offered)
-		res.Rows = append(res.Rows, ServeWaveRow{
-			Wave:     rep.Wave,
-			Offered:  offered,
-			Admitted: rep.Admitted,
-			Depth:    rep.Depth,
-			Load:     rep.Load,
-			Ratio:    rep.Ratio, NextRatio: rep.NextRatio, Provided: rep.Provided,
-			Accurate: rep.Accurate, Degraded: rep.Degraded, Dropped: rep.Dropped,
-			Joules: rep.Joules,
-		})
-	}
+func serveOpenLoop(sc scenario, res *ServeResult) error {
 	var lats []int // Close drains the remaining backlog
-	if err := r.close(func(_, waves int) { lats = append(lats, waves) }); err != nil {
+	tot, err := sc.play(func(r *studyRun) error {
+		for w := range serveWaves {
+			res.Rows = append(res.Rows, r.wave(serveOffered(w)))
+		}
+		return nil
+	}, func(_, waves int) { lats = append(lats, waves) })
+	if err != nil {
 		return err
 	}
 	res.P50, res.P99 = percentiles(lats)
-	res.Outcomes = r.s.Totals()
-	res.Rejected = res.Outcomes.Rejected
-	res.TotalJoules = res.Outcomes.Joules
+	res.Outcomes = tot
 
 	res.PreStepRatio = res.Rows[serveStepAt-1].NextRatio
 	res.MinStepRatio = 1
@@ -262,27 +235,27 @@ func serveOpenLoop(r *studyRun, res *ServeResult) error {
 	return nil
 }
 
-func serveClosedLoop(r *studyRun, res *ServeResult) error {
+func serveClosedLoop(sc scenario, res *ServeResult) error {
 	// 3x the requests a full-quality wave can serve: saturating, but
 	// absorbable by degradation.
 	perWave := float64(serveBasePerWave) / serveUtilization
 	res.Clients = 3 * int(perWave)
 	var lats []int
-	completed, total := res.Clients, 0
-	for range serveClosedWaves {
-		// Each client whose request completed submits its next one.
-		rep := r.wave(completed)
-		res.ClosedRatio = rep.NextRatio
-		completed = r.reap(func(_, waves int) { lats = append(lats, waves) })
-		total += completed
-	}
-	r.offer(completed)
-	if err := r.close(func(int, int) {}); err != nil { // the remaining in-flight requests
-		return err
-	}
+	total := 0
+	_, err := sc.play(func(r *studyRun) error {
+		completed := res.Clients
+		for range serveClosedWaves {
+			// Each client whose request completed submits its next one.
+			res.ClosedRatio = r.wave(completed).NextRatio
+			completed = r.reap(func(_, waves int) { lats = append(lats, waves) })
+			total += completed
+		}
+		r.offer(completed) // Close serves the remaining in-flight requests
+		return nil
+	}, nil)
 	res.ClosedThroughput = float64(total) / serveClosedWaves
 	_, res.ClosedP99 = percentiles(lats)
-	return nil
+	return err
 }
 
 // PrintServeStudy renders the study: the per-wave table, an ASCII plot of
@@ -293,9 +266,9 @@ func PrintServeStudy(w io.Writer, r ServeResult) {
 		r.Backend, serveOverload, serveStepAt, serveStepEnd)
 	fmt.Fprintf(w, "%-5s %7s %7s %6s %6s %6s %6s %6s %5s/%-5s/%-4s %10s\n",
 		"wave", "offered", "admit", "depth", "load", "req%", "prov%", "next%", "acc", "deg", "drop", "energy")
-	for _, row := range r.Rows {
+	for i, row := range r.Rows {
 		fmt.Fprintf(w, "%-5d %7d %7d %6d %6.2f %6.1f %6.1f %6.1f %5d/%-5d/%-4d %9.4fJ\n",
-			row.Wave, row.Offered, row.Admitted, row.Depth, row.Load,
+			row.Wave, serveOffered(i), row.Admitted, row.Depth, row.Load,
 			100*row.Ratio, 100*row.Provided, 100*row.NextRatio,
 			row.Accurate, row.Degraded, row.Dropped, row.Joules)
 	}
@@ -309,7 +282,7 @@ func PrintServeStudy(w io.Writer, r ServeResult) {
 	fmt.Fprintf(w, "open loop: ratio %.3f -> min %.3f under the step, recovered within 0.05 after %s\n",
 		r.PreStepRatio, r.MinStepRatio, rec)
 	fmt.Fprintf(w, "open loop: latency p50 %d / p99 %d waves, %d rejected, %.4f J total (%d acc / %d deg / %d drop)\n",
-		r.P50, r.P99, r.Rejected, r.TotalJoules,
+		r.P50, r.P99, r.Outcomes.Rejected, r.Outcomes.Joules,
 		r.Outcomes.Accurate, r.Outcomes.Degraded, r.Outcomes.Dropped)
 	fmt.Fprintf(w, "closed loop: %d clients -> %.1f req/wave at ratio %.3f, latency p99 %d waves\n",
 		r.Clients, r.ClosedThroughput, r.ClosedRatio, r.ClosedP99)

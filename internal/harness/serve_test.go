@@ -19,8 +19,8 @@ func TestServeStudyShedsQualityUnderOverload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Rejected != 0 {
-				t.Errorf("%d requests rejected: overload must shed quality before requests", res.Rejected)
+			if res.Outcomes.Rejected != 0 {
+				t.Errorf("%d requests rejected: overload must shed quality before requests", res.Outcomes.Rejected)
 			}
 			if res.PreStepRatio < 0.95 {
 				t.Errorf("pre-step ratio %.3f, want ~1 under light load", res.PreStepRatio)
@@ -65,16 +65,12 @@ func TestServeStudyShedsQualityUnderOverload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := newServeRun(b, 2*serveWorkers)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var res4 ServeResult
-			if err := serveOpenLoop(r, &res4); err != nil {
+			if err := serveOpenLoop(serveScenario(b, 2*serveWorkers), &res4); err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(res.TotalJoules) != math.Float64bits(res4.TotalJoules) {
-				t.Fatalf("total joules diverged at %d workers: %v vs %v", 2*serveWorkers, res.TotalJoules, res4.TotalJoules)
+			if math.Float64bits(res.Outcomes.Joules) != math.Float64bits(res4.Outcomes.Joules) {
+				t.Fatalf("total joules diverged at %d workers: %v vs %v", 2*serveWorkers, res.Outcomes.Joules, res4.Outcomes.Joules)
 			}
 			for w := range res.Rows {
 				if a, b := res.Rows[w], res4.Rows[w]; a != b {

@@ -96,27 +96,20 @@ func sloRequest(i int) serve.Request {
 	}
 }
 
-// newSLORun builds a section's server and its stream of sloRequests:
+// sloScenario is a section's frozen server and its stream of sloRequests:
 // capacity sized for sloBasePerWave at the study utilization, a queue deep
-// enough that steps shed quality, not requests. mut, when set, sets the
-// section's SLO; nil keeps the defaults.
-func newSLORun(mut func(*serve.Config)) (*studyRun, error) {
-	sc := serve.Config{
-		Workers:    2,
-		QueueLimit: 64 * sloBasePerWave,
+// enough that steps shed quality, not requests. A section sets its own SLO.
+func sloScenario() scenario {
+	return scenario{
+		cfg:    serve.Config{Workers: 2, QueueLimit: 64 * sloBasePerWave},
+		budget: sloBasePerWave * sloCostAcc / sloUtilization,
+		stream: sloRequest,
 	}
-	if mut != nil {
-		mut(&sc)
-	}
-	s, err := newFrozenServer(sc, sloBasePerWave*sloCostAcc/sloUtilization)
-	if err != nil {
-		return nil, err
-	}
-	return &studyRun{s: s, next: sloRequest}, nil
 }
 
 // SLOStudy runs the three SLO sections. Deterministic end to end: declared
-// costs, no deadlines, explicit waves on a frozen FakeClock.
+// costs, no deadlines, every wave fired by the pump on a FakeClock its
+// bodies never advance.
 func SLOStudy() (SLOResult, error) {
 	var res SLOResult
 	for _, section := range []func(*SLOResult) error{sloReaction, sloFloorSection, sloLanes} {
@@ -129,50 +122,43 @@ func SLOStudy() (SLOResult, error) {
 
 // sloReaction runs at the default load cap, serve.DefaultTargetLoad (1.0,
 // full capacity), the setting the bounds' absorbability assumption is
-// stated for.
+// stated for: per overload, settle at the base rate, step the arrivals
+// over-fold, then return to the base rate.
 func sloReaction(res *SLOResult) error {
 	res.AllWithinBound = true
 	for _, over := range sloOverloads {
-		r, err := newSLORun(nil)
-		if err != nil {
-			return err
-		}
-		for range 8 {
-			r.wave(sloBasePerWave) // settle at the base rate
-		}
-		row := SLOReactionRow{Overload: over, PreRatio: r.s.Ratio()}
-		row.ShedBound = adapt.ShedBound(row.PreRatio)
-		row.ShedWaves = -1
-
-		stepped := int(sloBasePerWave * over)
-		for w := 1; w <= row.ShedBound+2; w++ {
-			rep := r.wave(stepped)
-			if row.ShedWaves < 0 && rep.Load <= 1.0 {
-				row.ShedWaves = w
+		row := SLOReactionRow{Overload: over, ShedWaves: -1, RecoverWaves: -1}
+		if _, err := sloScenario().play(func(r *studyRun) error {
+			for range 8 {
+				r.wave(sloBasePerWave)
 			}
-		}
-		row.Backlog = r.s.Depth()
-
-		// The recovery bound owns only the climb; the backlog-drain phase
-		// belongs to the caller's arithmetic: each post-step wave admits at
-		// least budget/costAcc requests (full-cost worst case) and receives
-		// sloBasePerWave fresh ones, for a net drain of base/util − 1 − base.
-		base := float64(sloBasePerWave) // a variable: the division rounds as float64, as recorded
-		netDrain := base/sloUtilization - 1 - base
-		if row.Backlog > 0 {
-			row.DrainWaves = int(math.Ceil(float64(row.Backlog) / netDrain))
-		}
-		row.RecoverBound = row.DrainWaves +
-			adapt.RecoverBound(row.PreRatio, 1-sloUtilization)
-		row.RecoverWaves = -1
-		for w := 1; w <= row.RecoverBound+5; w++ {
-			rep := r.wave(sloBasePerWave)
-			if rep.NextRatio >= row.PreRatio-0.05 {
-				row.RecoverWaves = w
-				break
+			row.PreRatio = r.s.Ratio()
+			row.ShedBound = adapt.ShedBound(row.PreRatio)
+			for w := 1; w <= row.ShedBound+2; w++ {
+				if rep := r.wave(int(sloBasePerWave * over)); row.ShedWaves < 0 && rep.Load <= 1.0 {
+					row.ShedWaves = w
+				}
 			}
-		}
-		if err := r.close(func(int, int) {}); err != nil {
+			row.Backlog = r.s.Depth()
+
+			// The recovery bound owns only the climb; the backlog-drain phase
+			// belongs to the caller's arithmetic: each post-step wave admits at
+			// least budget/costAcc requests (full-cost worst case) and receives
+			// sloBasePerWave fresh ones, for a net drain of base/util − 1 − base.
+			base := float64(sloBasePerWave) // a variable: the division rounds as float64, as recorded
+			netDrain := base/sloUtilization - 1 - base
+			if row.Backlog > 0 {
+				row.DrainWaves = int(math.Ceil(float64(row.Backlog) / netDrain))
+			}
+			row.RecoverBound = row.DrainWaves +
+				adapt.RecoverBound(row.PreRatio, 1-sloUtilization)
+			for w := 1; w <= row.RecoverBound+5 && row.RecoverWaves < 0; w++ {
+				if r.wave(sloBasePerWave).NextRatio >= row.PreRatio-0.05 {
+					row.RecoverWaves = w
+				}
+			}
+			return nil
+		}, nil); err != nil {
 			return err
 		}
 		if row.ShedWaves < 0 || row.ShedWaves > row.ShedBound ||
@@ -185,20 +171,17 @@ func sloReaction(res *SLOResult) error {
 }
 
 func sloFloorSection(res *SLOResult) error {
-	r, err := newSLORun(func(c *serve.Config) {
-		c.QualityFloor = sloFloor
-		c.QualityWindow = sloWindow
-	})
-	if err != nil {
-		return err
-	}
 	var provided []float64
-	for range 60 {
-		if rep := r.wave(4 * sloBasePerWave); rep.Admitted > 0 {
-			provided = append(provided, rep.Provided)
+	sc := sloScenario()
+	sc.cfg.QualityFloor, sc.cfg.QualityWindow = sloFloor, sloWindow
+	if _, err := sc.play(func(r *studyRun) error {
+		for range 60 {
+			if rep := r.wave(4 * sloBasePerWave); rep.Admitted > 0 {
+				provided = append(provided, rep.Provided)
+			}
 		}
-	}
-	if err := r.close(func(int, int) {}); err != nil {
+		return nil
+	}, nil); err != nil {
 		return err
 	}
 	res.MinWindowMean, res.MinProvided = 1, 1
@@ -220,27 +203,25 @@ func sloFloorSection(res *SLOResult) error {
 }
 
 func sloLanes(res *SLOResult) error {
-	r, err := newSLORun(func(c *serve.Config) { c.PriorityAt = sloPriorityAt })
-	if err != nil {
-		return err
-	}
-	for range 24 {
-		r.wave(4 * sloBasePerWave)
-	}
 	var prio, bulk []int
-	if err := r.close(func(i, waves int) {
+	sc := sloScenario()
+	sc.cfg.PriorityAt = sloPriorityAt
+	tot, err := sc.play(func(r *studyRun) error {
+		for range 24 {
+			r.wave(4 * sloBasePerWave)
+		}
+		return nil
+	}, func(i, waves int) {
 		if serveTier(i) >= sloPriorityAt {
 			prio = append(prio, waves)
 		} else {
 			bulk = append(bulk, waves)
 		}
-	}); err != nil {
-		return err
-	}
-	res.PremiumCompleted = r.s.Totals().Priority
+	})
+	res.PremiumCompleted = tot.Priority
 	res.PrioP50, res.PrioP99 = percentiles(prio)
 	res.BulkP50, res.BulkP99 = percentiles(bulk)
-	return nil
+	return err
 }
 
 // PrintSLOStudy renders the study: the reaction table (measured vs bound),

@@ -7,7 +7,10 @@
 //
 // A study (Studies) is one pinned configuration: it takes no settings, and
 // its golden is its whole output. The three serving studies — serve, slo and
-// pace — fire every wave through one runner, studyRun.
+// pace — are sections, each a scenario (a server config, a request stream, a
+// per-wave arrival step) played by one runner, scenario.play: the
+// production pump fires every wave in fake time (serve.FakeClock.Run), and
+// nothing here fires a wave or advances a clock between waves itself.
 //
 // Everything the package prints is modeled — energy from declared task
 // costs, quality against a reference, ratios and counts — so it is the same

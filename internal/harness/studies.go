@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"time"
 
@@ -13,8 +15,8 @@ import (
 // layer built on its runtime: Run prints it in full at the one configuration
 // its golden pins. A study takes no settings; its scale, worker count and
 // wave script are constants of its file. The output is a function of
-// declared costs (and, for every serving study, a FakeClock behind the
-// production pacer), so it is the same bytes on every run, host and
+// declared costs (and, for every serving study, the production pump and
+// pacer in fake time), so it is the same bytes on every run, host and
 // GOMAXPROCS.
 type Study struct {
 	// Name is the `sigbench <Name>` command and testdata/<Name>.golden.
@@ -51,23 +53,6 @@ func printStudy[R any](w io.Writer, run func() (R, error), show func(io.Writer, 
 	return err
 }
 
-// newFrozenServer builds a server of sc with a fixed capacity of budget cost
-// units per wave under the production budget rule: a FakeClock nobody
-// advances measures every wave at zero, so the pacer holds its cadence at
-// MinPeriod and prices each wave at workers × MinPeriod.
-// sc's Workers must be set, and budget must split into a whole period of
-// nanoseconds, or the rule would not reproduce it exactly.
-func newFrozenServer(sc serve.Config, budget float64) (*serve.Server, error) {
-	n := float64(sc.Workers)
-	period := time.Duration(budget / n)
-	if period <= 0 || float64(period)*n != budget {
-		return nil, fmt.Errorf("harness: wave budget %v is not a whole period of ns over %v workers", budget, n)
-	}
-	sc.Clock = serve.NewFakeClock()
-	sc.WavePeriod, sc.MinPeriod = period, period
-	return serve.New(sc)
-}
-
 // printServe runs the serving overload study on each backend and prints the
 // studies in order, a blank line between them.
 func printServe(w io.Writer, backends ...string) error {
@@ -75,29 +60,81 @@ func printServe(w io.Writer, backends ...string) error {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		res, err := ServeStudy(name)
-		if err != nil {
+		if err := printStudy(w, func() (ServeResult, error) { return ServeStudy(name) }, PrintServeStudy); err != nil {
 			return err
 		}
-		PrintServeStudy(w, res)
 	}
 	return nil
 }
 
-// studyRun plays one section of a serving study, one scripted wave at a
-// time: each wave offers the next requests of the section's stream, fires
-// RunWave and, on a clocked study, sleeps the pump's rep.Next in fake time.
-// The serve, slo and pace studies fire every wave through wave, so moving
-// them onto the production pump (Start under fake time) changes wave alone.
+// scenario is one section of a serving study: the server it plays on, its
+// request stream (stream(i) is the i-th request) and, when set, a probe
+// submitted ahead of every wave's arrivals. A frozen scenario (budget set)
+// fixes the capacity at budget cost units a wave under the production
+// budget rule: its bodies never advance the clock, so every wave measures
+// zero wall and the pacer prices it at Workers × MinPeriod, with WavePeriod
+// = MinPeriod = budget ÷ Workers, exact in nanoseconds. clock is the
+// scenario's FakeClock when its stream must advance it; play makes one
+// otherwise.
+type scenario struct {
+	cfg    serve.Config
+	budget float64
+	clock  *serve.FakeClock
+	stream func(i int) serve.Request
+	probe  *serve.Request
+}
+
+// play runs section on a fresh server of sc, whose every wave the
+// production pump fires in fake time (FakeClock.Run): each wait sleeps to
+// the wave's due time (at once after an overrun) and hands over to the
+// section there, whose r.wave offers the wave's arrivals and returns once
+// the next is due. play then ends the section (studyRun.close, reaping
+// through done) and returns the server's totals after the drain.
+func (sc scenario) play(section func(r *studyRun) error, done func(i, waves int)) (serve.Totals, error) {
+	fc := cmp.Or(sc.clock, serve.NewFakeClock())
+	sc.cfg.Clock = fc
+	if sc.budget > 0 {
+		n := float64(sc.cfg.Workers)
+		period := time.Duration(sc.budget / n)
+		if period <= 0 || float64(period)*n != sc.budget {
+			return serve.Totals{}, fmt.Errorf("harness: wave budget %v is not a whole period of ns over %v workers", sc.budget, n)
+		}
+		sc.cfg.WavePeriod, sc.cfg.MinPeriod = period, period
+	}
+	s, err := serve.New(sc.cfg)
+	if err != nil {
+		return serve.Totals{}, err
+	}
+	r := &studyRun{sc: sc, s: s}
+	r.pull, r.stop = iter.Pull(func(yield func(serve.WaveReport) bool) {
+		var last serve.WaveReport
+		fc.Run(s, func(wakeAt time.Time) (time.Time, bool) {
+			if fc.Now().Before(wakeAt) {
+				return wakeAt, true // sleep to the due time
+			}
+			return wakeAt, yield(last) // the section offers the wave's arrivals
+		}, func(rep serve.WaveReport) { last = rep })
+	})
+	r.pull() // to the first wave's due time
+	err = section(r)
+	if cerr := r.close(done); err == nil {
+		err = cerr
+	}
+	return s.Totals(), err
+}
+
+// studyRun is a scenario in play, its pump paused at a wave's due time.
 type studyRun struct {
-	s    *serve.Server
-	next func(i int) serve.Request // the i-th request of the section's stream
-	seq  int                       // stream requests offered so far
-	// clock, when set, is advanced by each wave's rep.Next.
-	clock *serve.FakeClock
+	sc  scenario
+	s   *serve.Server
+	seq int // stream requests offered so far
 	// kept holds the accepted stream requests' tickets that reap has not
 	// released yet, in submission order.
 	kept []keptTicket
+	pull func() (serve.WaveReport, bool) // fire the wave, pause at the next's due time
+	stop func()
+	// waves and overruns count the waves fired and those that overran.
+	waves, overruns int64
 }
 
 // keptTicket is an accepted request's ticket and its stream index.
@@ -119,30 +156,38 @@ func (r *studyRun) submit(req serve.Request, i int) error {
 // offer submits the stream's next n requests.
 func (r *studyRun) offer(n int) {
 	for range n {
-		_ = r.submit(r.next(r.seq), r.seq) // the server counts a rejection in its Rejected total
+		_ = r.submit(r.sc.stream(r.seq), r.seq) // the server counts a rejection in its Rejected total
 		r.seq++
 	}
 }
 
-// wave offers the stream's next n requests, then fires one wave.
+// wave is the section's arrival step: it offers the probe (shed, like any
+// request, at the queue limit) and the stream's next n requests, lets the
+// pump fire the wave, and returns its report once the next wave is due.
 func (r *studyRun) wave(n int) serve.WaveReport {
+	if r.sc.probe != nil {
+		_ = r.submit(*r.sc.probe, -1)
+	}
 	r.offer(n)
-	rep := r.s.RunWave()
-	if r.clock != nil {
-		r.clock.Advance(rep.Next)
+	rep, _ := r.pull() // the pump runs until close stops it
+	r.waves++
+	if rep.Overrun {
+		r.overruns++
 	}
 	return rep
 }
 
 // reap releases every kept ticket that has resolved — after Close, all of
-// them — handing f its stream index and wave latency, keeps the rest, and
-// returns how many it released.
+// them — handing f, when set, its stream index and wave latency, keeps the
+// rest, and returns how many it released.
 func (r *studyRun) reap(f func(i, waves int)) int {
 	still := r.kept[:0]
 	for _, k := range r.kept {
 		select {
 		case <-k.tk.Done():
-			f(k.i, k.tk.WaveLatency())
+			if f != nil {
+				f(k.i, k.tk.WaveLatency())
+			}
 			k.tk.Release()
 		default:
 			still = append(still, k)
@@ -153,11 +198,12 @@ func (r *studyRun) reap(f func(i, waves int)) int {
 	return n
 }
 
-// close ends the section: it closes the server, which resolves every
-// accepted ticket, and reaps them all through f. A ticket still kept after
-// that fails the section, so none is left to the garbage collector instead
-// of going back to the server's pool.
+// close ends the section: it stops the pump, closes the server, which
+// resolves every accepted ticket, and reaps them all through f. A ticket
+// still kept after that fails the section, so none is left to the garbage
+// collector instead of going back to the server's pool.
 func (r *studyRun) close(f func(i, waves int)) error {
+	r.stop()
 	if err := r.s.Close(); err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // The production implementation (the zero Config) is the monotonic wall
 // clock; FakeClock is the deterministic stand-in the replay studies and the
 // fuzz/invariant suites inject so closed-loop runs — including the measured
-// cadence — replay bit-identically.
+// cadence and, under FakeClock.Run, the pump itself — replay bit-identically.
 type WaveClock interface {
 	// Now returns the current time. Implementations must be monotone
 	// non-decreasing: the pacer and the latency stamps subtract readings.
@@ -31,12 +31,13 @@ func (wallClock) Now() time.Time {
 }
 
 // FakeClock is a deterministic WaveClock: time stands still except for
-// explicit Advance calls. Studies give request handlers index-derived
-// advances (cost(i) nanoseconds for request i), so a wave's measured wall
-// time is the exact sum of the work it admitted — pure index arithmetic,
-// independent of scheduling, worker count or host speed — and the whole
-// measured-time loop (EWMA, pacer cadence, re-derived budget, RetryAfter)
-// replays bit-identically.
+// explicit Advance calls and the sleeps of Run, the pump in fake time.
+// Studies give request handlers index-derived advances (cost(i) nanoseconds
+// for request i), so a wave's measured wall time is the exact sum of the
+// work it admitted — pure index arithmetic, independent of scheduling,
+// worker count or host speed — and the whole measured-time loop (when waves
+// fire, EWMA, pacer cadence, re-derived budget, RetryAfter) replays
+// bit-identically.
 //
 // The offset is one atomic word: concurrent handler advances commute, so
 // even racy wave execution yields the same end-of-wave reading. A reading
@@ -66,4 +67,31 @@ func (c *FakeClock) Advance(d time.Duration) {
 	if d > 0 {
 		c.offset.Add(int64(d))
 	}
+}
+
+// Run is Start's pump in fake time: pacer.run on a discrete-event wait in
+// place of Start's timer, for s on c (not Started), until look stops it.
+// Each wait looks: look(wakeAt) submits what has arrived by c's instant and
+// returns the next instant it must look at — an arrival, or the pump's
+// timer (Start's is for wakeAt) — or !ok to stop. A pending wake token, or
+// a look at an instant c has reached, fires a wave; else c sleeps to that
+// instant and the wait looks again. fired gets every wave's report.
+func (c *FakeClock) Run(s *Server, look func(wakeAt time.Time) (at time.Time, ok bool), fired func(WaveReport)) {
+	s.pace.run(c, func(wakeAt time.Time) (token, ok bool) {
+		for {
+			at, ok := look(wakeAt)
+			if !ok {
+				return false, false
+			}
+			select {
+			case <-s.pace.wake:
+				return true, true
+			default:
+			}
+			if !at.After(c.Now()) {
+				return false, true
+			}
+			c.Advance(at.Sub(c.Now()))
+		}
+	}, func(token bool) { fired(s.runWave(token)) })
 }

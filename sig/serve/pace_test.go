@@ -118,21 +118,24 @@ func TestServeRetryAfterMeasuredPeriod(t *testing.T) {
 }
 
 // TestServePacerCountsOverruns pins the tick-coalescing fix: a wave whose
-// wall time outruns the cadence is counted — Totals.Overruns, the report's
-// Overrun flag, a zero next-wave delay — and the wave count tracks every
-// RunWave call; nothing is silently dropped the way the old fixed Ticker
-// coalesced late ticks.
+// wall time outruns the cadence is counted (Totals.Overruns, the report's
+// Overrun flag) and the next is due at once — one cadence out after an idle
+// wave — and the wave count tracks every RunWave call: no tick coalesced.
 func TestServePacerCountsOverruns(t *testing.T) {
 	s, fc := newPaceServer(t, func(c *Config) { c.WaveBudget = 1e9 })
 	defer s.Close()
+	dueIn := func() time.Duration { // until the pump's timer (next's wakeAt); 0 if due
+		_, _, wakeAt := s.pace.next(fc.Now(), false)
+		return max(wakeAt.Sub(fc.Now()), 0)
+	}
 
 	// Wave 1 overruns: 4ms of work against the 1ms starting cadence.
 	if _, err := s.Submit(paceRequest(fc, 4*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	rep := s.RunWave()
-	if !rep.Overrun || rep.Next != 0 {
-		t.Fatalf("overrunning wave: Overrun=%v Next=%v, want true/0", rep.Overrun, rep.Next)
+	if !rep.Overrun || dueIn() != 0 {
+		t.Fatalf("overrunning wave: Overrun=%v, next due in %v, want true/0", rep.Overrun, dueIn())
 	}
 	if got := s.Totals().Overruns; got != 1 {
 		t.Fatalf("Overruns %d after one overrunning wave, want 1", got)
@@ -146,13 +149,13 @@ func TestServePacerCountsOverruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep = s.RunWave()
-	if rep.Overrun || rep.Next != 0 {
-		t.Fatalf("retimed wave: Overrun=%v Next=%v, want false/0", rep.Overrun, rep.Next)
+	if rep.Overrun || dueIn() != 0 {
+		t.Fatalf("retimed wave: Overrun=%v, next due in %v, want false/0", rep.Overrun, dueIn())
 	}
-	// An empty wave underruns; the delay is the remaining cadence.
+	// An empty wave underruns; the next is due one cadence after its start.
 	rep = s.RunWave()
-	if rep.Overrun || rep.Next <= 0 {
-		t.Fatalf("idle wave: Overrun=%v Next=%v, want false/positive", rep.Overrun, rep.Next)
+	if rep.Overrun || dueIn() != s.PacePeriod() {
+		t.Fatalf("idle wave: Overrun=%v, next due in %v, want false/%v", rep.Overrun, dueIn(), s.PacePeriod())
 	}
 	if tot := s.Totals(); tot.Overruns != 1 || tot.Waves != 3 {
 		t.Fatalf("totals Overruns=%d Waves=%d, want 1 and 3 (every RunWave counted)", tot.Overruns, tot.Waves)

@@ -109,7 +109,8 @@ func (p *pacer) arrival(now time.Time, wake bool) {
 // (now at or past due), and is early if a token fires it before it is due;
 // whatever fires now, the pump's timer is for wakeAt, the due time. next
 // reads the pacer and changes nothing. begin reads early, arrival fire, and
-// the pump's loop (run) and WaveReport.Next wakeAt.
+// the pump's loop (run) wakeAt, whichever wait it runs on: Start's timer or
+// FakeClock.Run's discrete-event wait.
 //
 //siglint:noalloc
 func (p *pacer) next(now time.Time, token bool) (fire, early bool, wakeAt time.Time) {

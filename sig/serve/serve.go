@@ -22,10 +22,10 @@
 // within [MinPeriod, 8×WavePeriod] and re-derives the wave budget from
 // measured period × workers — the closed measured-feedback loop, as
 // opposed to trusting the configured WavePeriod open-loop. Every wave runs
-// that one discipline, whether Start's pump or an explicit RunWave fires
-// it. When a wave fires and what interval it is priced on is decided in
-// one place, the pacer (pacer.go); the wave budget has one rule, rebudget:
-// the pacer's measured price, once per wave.
+// that one discipline, whether the pump (Start's, or FakeClock.Run's in fake
+// time) or an explicit RunWave fires it. When a wave fires and what interval
+// it is priced on is decided in one place, the pacer (pacer.go); the wave
+// budget has one rule, rebudget: the pacer's measured price, once per wave.
 //
 // Every wave runs on one sig.Runtime, built at New and closed by Close, in
 // one group: the paper's runtime, one scheduler over the machine's cores.
@@ -34,10 +34,10 @@
 //
 // With declared costs, the deterministic policy every wave runs under (GTB
 // max buffering), a deterministic arrival order and a FakeClock behind the
-// seam, the whole closed loop — ratio trajectory, per-request outcomes,
-// modeled joules, measured cadence — replays bit-identically;
-// harness.ServeStudy, harness.PaceStudy and the regression suite rely on
-// it.
+// seam, the whole closed loop — when each wave fires (FakeClock.Run), ratio
+// trajectory, per-request outcomes, modeled joules, measured cadence —
+// replays bit-identically; the harness's serving studies and the regression
+// suite rely on it.
 //
 //siglint:deterministic
 package serve
@@ -309,10 +309,6 @@ type WaveReport struct {
 	// it; such waves are counted in Totals.Overruns and the next wave
 	// starts immediately — never a dropped tick.
 	Overrun bool
-	// Next is the delay from the wave's end until the next wave is due on
-	// the retimed cadence: the pacer's wakeAt less the end, floored at zero
-	// (zero after an overrun). Start's pump waits for the same wakeAt.
-	Next time.Duration
 	// Stats is the underlying wave telemetry.
 	Stats sig.WaveStats
 }
@@ -352,9 +348,9 @@ type Totals struct {
 }
 
 // Server admits requests as significance-annotated task waves on one sig
-// runtime. Create one with New; fire waves explicitly with RunWave (the
-// deterministic study mode) or let Start pump them on the pacer's cadence;
-// stop with Close.
+// runtime. Create one with New; let Start pump waves on the pacer's cadence
+// (or FakeClock.Run, the same pump in fake time), or fire one explicitly
+// with RunWave; stop with Close.
 type Server struct {
 	cfg Config
 	ctl *adapt.Controller
@@ -415,7 +411,7 @@ type Server struct {
 }
 
 // New builds and starts a Server (its runtime workers start immediately;
-// waves only run via RunWave or after Start).
+// waves only run under a pump — Start, or FakeClock.Run — or via RunWave).
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("serve: negative worker count %d", cfg.Workers)
@@ -854,10 +850,10 @@ func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([
 // waves serialize; after Close's final drain it is a no-op returning an
 // empty report). A wave with nothing to admit still advances the wave epoch
 // (tickets measure latency in waves). RunWave is the pump's cadence-fired
-// step, fired explicitly: the deterministic way to drive the production
-// discipline (on a FakeClock, as the harness studies do). The pacer settles
-// after it (pacer.settle); the report's Next is the delay until the next
-// wave is due.
+// step, fired explicitly, whenever it is called: Close's drain, the layer
+// ladder of go run ./benchmark and unit tests fire waves this way. The
+// pacer settles after it (pacer.settle), so the next wave is due one
+// cadence after this one's start.
 func (s *Server) RunWave() WaveReport { return s.runWave(false) }
 
 // runWave is the one wave body: RunWave's, and the pump's step, which alone
@@ -867,7 +863,7 @@ func (s *Server) runWave(token bool) WaveReport {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
-		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio(), Next: s.pace.period()}
+		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio()}
 	}
 	start := s.clock.Now()
 	s.pace.begin(start, token)
@@ -917,8 +913,6 @@ func (s *Server) runWave(token bool) WaveReport {
 	// slots say which, and the rest are the policy's drops.
 	s.endSlabs(&rep, wave, nowNs)
 	rep.Overrun = s.pace.settle(rep.WallTime)
-	_, _, wakeAt := s.pace.next(end, false)
-	rep.Next = max(wakeAt.Sub(end), 0)
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
 	rep.Load = s.lastLoad

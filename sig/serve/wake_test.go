@@ -167,51 +167,40 @@ type pumpWave struct {
 	load, ratio  float64
 }
 
-// runPump runs Start's pump loop (pacer.run) for n waves on a wait in
-// discrete-event fake time, what Start's real timer is on the wall clock.
-// Each wait submits every scripted arrival at or before fc's instant — those
-// that came due during a wave at the wave's end — and returns if a wake
-// token is pending or fc has reached the timer (wakeAt, or late after it for
-// a timer that fires late); else it advances fc to the earlier of the timer
-// and the next arrival and goes again. arrival(i) is when the i-th scripted
-// arrival comes and mk(i) its request. A deaf pump drains every token and
-// ignores it: the timer alone. Every return of the wait must fire a wave.
+// runPump runs the package's pump in fake time (FakeClock.Run) for n waves,
+// on a look that submits every scripted arrival at or before fc's instant —
+// those that came due during a wave at the wave's end — and arms the timer
+// at wakeAt, or late after it for a timer that fires late. arrival(i) is
+// when the i-th scripted arrival comes and mk(i) its request. A deaf pump
+// drains every token and ignores it: the timer alone. Every return of the
+// wait must fire a wave: a look at the instant of the one before it, with no
+// wave between, is a wait that returned without one.
 func runPump(t *testing.T, s *Server, fc *FakeClock, arrival func(i int) time.Time, mk func(i int) Request, late time.Duration, deaf bool, n int) []pumpWave {
 	t.Helper()
 	var waves []pumpWave
-	i, waits := 0, 0
-	s.pace.run(fc, func(wakeAt time.Time) (token, ok bool) {
-		if waits++; waits > len(waves)+1 {
+	var w pumpWave                      // the wave a return of this look fires
+	i, looked, early := 0, -1, int64(0) // looked: len(waves) at the last look; early: earlyWaves then
+	fc.Run(s, func(wakeAt time.Time) (time.Time, bool) {
+		if len(waves) == looked && fc.Now().Equal(w.start) {
 			t.Fatalf("the pump waited again at %v without firing a wave", fc.Now())
 		}
-		if len(waves) == n {
-			return false, false
+		if looked = len(waves); looked == n {
+			return time.Time{}, false
 		}
-		for timer := wakeAt.Add(late); ; {
-			for ; !arrival(i).After(fc.Now()); i++ {
-				if _, err := s.Submit(mk(i)); err != nil {
-					t.Fatal(err)
-				}
+		for ; !arrival(i).After(fc.Now()); i++ {
+			if _, err := s.Submit(mk(i)); err != nil {
+				t.Fatal(err)
 			}
-			select {
-			case <-s.pace.wake:
-				if !deaf {
-					return true, true
-				}
-			default:
-			}
-			if !fc.Now().Before(timer) {
-				return false, true
-			}
-			next := arrival(i)
-			if next.After(timer) {
-				next = timer
-			}
-			fc.Advance(next.Sub(fc.Now()))
 		}
-	}, func(token bool) {
-		w, early := pumpWave{start: fc.Now(), cadence: s.PacePeriod(), token: token}, s.pace.earlyWaves.Load()
-		rep := s.runWave(token)
+		if deaf {
+			s.pace.spend()
+		}
+		w, early = pumpWave{start: fc.Now(), cadence: s.PacePeriod(), token: len(s.pace.wake) > 0}, s.pace.earlyWaves.Load()
+		if timer := wakeAt.Add(late); timer.Before(arrival(i)) {
+			return timer, true
+		}
+		return arrival(i), true
+	}, func(rep WaveReport) {
 		w.end, w.early, w.admitted, w.load, w.ratio = w.start.Add(rep.WallTime), s.pace.earlyWaves.Load() > early, rep.Admitted, rep.Load, s.Ratio()
 		waves = append(waves, w)
 	})
