@@ -33,7 +33,9 @@ vet:
 # wave's end, TestServePacerBounds under a pacer whose cadence ceiling is
 # WavePeriod, the paper golden under perforation truncating its step and
 # under LQH halving its history, and TestKernelQualityGoldens under Sobel's
-# degraded-pixel table read one difference off.
+# degraded-pixel table read one difference off. The same test binary resolves
+# every backticked name DESIGN.md and the verify skill cite
+# (docnames_test.go).
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns
 	$(GO) build -o siglint.bin ./cmd/siglint

@@ -1,12 +1,13 @@
 package pragma
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// listing1 is the paper's Listing 1 sobel kernel in the directive dialect,
-// exactly as examples/pragma feeds it to the translator.
+// listing1 is the paper's Listing 1 sobel kernel in the directive dialect;
+// ExampleTransformFile pins what it lowers to.
 const listing1 = `package main
 
 // sobel filters img into res, one task per output row.
@@ -19,40 +20,51 @@ func sobel(rt *sig.Runtime, img, res []byte, height int) {
 }
 `
 
-// listing1Lowered is the golden translator output: the task directive
-// becomes rt.Submit with the clauses mapped to functional options, the
-// taskwait becomes rt.Wait, and the taskwait's ratio clause is propagated
-// backward onto the group handle of the submissions. The data clauses lower to
+// ExampleTransformFile lowers Listing 1: the task directive becomes
+// rt.Submit with the clauses mapped to functional options, the taskwait
+// becomes rt.Wait, and the taskwait's ratio clause is propagated backward
+// onto the group handle of the submissions. The data clauses lower to
 // nothing.
-const listing1Lowered = `package main
-
-import "repro/sig"
-
-// sobel filters img into res, one task per output row.
-func sobel(rt *sig.Runtime, img, res []byte, height int) {
-	for i := 1; i < height-1; i++ {
-		rt.Submit(func() { sblTask(res, img, i) },
-			sig.WithLabel(rt.Group("sobel", 0.35)),
-			sig.WithSignificance(float64(i%9+1)/10),
-			sig.WithApprox(func() { sblTaskAppr(res, img, i) }))
+func ExampleTransformFile() {
+	out, err := TransformFile("listing1.go", []byte(listing1), Options{Runtime: "rt"})
+	if err != nil {
+		panic(err)
 	}
-	rt.Wait(rt.Group("sobel", 0.35))
+	fmt.Print(string(out))
+	// Output:
+	// package main
+	//
+	// import "repro/sig"
+	//
+	// // sobel filters img into res, one task per output row.
+	// func sobel(rt *sig.Runtime, img, res []byte, height int) {
+	// 	for i := 1; i < height-1; i++ {
+	// 		rt.Submit(func() { sblTask(res, img, i) },
+	// 			sig.WithLabel(rt.Group("sobel", 0.35)),
+	// 			sig.WithSignificance(float64(i%9+1)/10),
+	// 			sig.WithApprox(func() { sblTaskAppr(res, img, i) }))
+	// 	}
+	// 	rt.Wait(rt.Group("sobel", 0.35))
+	// }
 }
-`
 
-// TestTransformListing1Golden lowers Listing 1 as the paper writes it, and
-// with its in/out clauses swapped for inout or dropped: all three are the
-// same Submit.
+// TestTransformListing1Golden lowers Listing 1 with its in/out clauses
+// swapped for inout or dropped: both are the Submit ExampleTransformFile
+// pins for the clauses as the paper writes them.
 func TestTransformListing1Golden(t *testing.T) {
-	for _, clauses := range []string{"in(img) out(res) ", "inout(img) ", ""} {
+	want, err := TransformFile("listing1.go", []byte(listing1), Options{Runtime: "rt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clauses := range []string{"inout(img) ", ""} {
 		src := strings.Replace(listing1, "in(img) out(res) ", clauses, 1)
 		out, err := TransformFile("listing1.go", []byte(src), Options{Runtime: "rt"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(out) != listing1Lowered {
-			t.Errorf("data clauses %q: translator output diverges from golden.\n--- got ---\n%s\n--- want ---\n%s",
-				clauses, out, listing1Lowered)
+		if string(out) != string(want) {
+			t.Errorf("data clauses %q: translator output diverges from Listing 1's.\n--- got ---\n%s\n--- want ---\n%s",
+				clauses, out, want)
 		}
 	}
 }

@@ -15,14 +15,11 @@ import "time"
 // modeled: it is policy-invariant at equal wall time.
 const DefaultActiveWatts = 12.0
 
-// Report is a modeled energy account of a runtime's lifetime. Reports
-// returned after Close are frozen: the wall clock stops at Close and
-// repeated Energy calls return identical values.
+// Report is a modeled energy account of a runtime's lifetime. After Close
+// no task runs, so repeated Energy calls return identical reports.
 type Report struct {
 	// Joules is the total modeled energy.
 	Joules float64
-	// Wall is the elapsed wall-clock time of the runtime.
-	Wall time.Duration
 	// Busy is the summed task-execution time across all workers.
 	Busy time.Duration
 	// Workers is the worker-pool size the report was computed for.

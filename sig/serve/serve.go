@@ -969,7 +969,7 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		// A concurrent Close already owns the shutdown: wait for it, so
 		// every returned Close means the same thing — tickets resolved,
-		// runtime closed, energy frozen.
+		// runtime closed, energy final.
 		<-s.closeDone
 		return s.closeErr
 	}

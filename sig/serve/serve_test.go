@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,101 +109,6 @@ func TestServeBasicWave(t *testing.T) {
 	tot := s.Totals()
 	if tot.Submitted != 8 || tot.Completed != 8 || tot.Rejected != 0 {
 		t.Errorf("totals %+v, want 8 submitted/completed, 0 rejected", tot)
-	}
-}
-
-// TestServeOverloadShedsQualityFirst is the package-level acceptance test:
-// under a 4x offered-load step the admission controller degrades the
-// provided ratio instead of queueing unboundedly, keeps wave latency
-// bounded, rejects nothing, and recovers full quality within 8 waves of
-// the step ending.
-func TestServeOverloadShedsQualityFirst(t *testing.T) {
-	const (
-		base            = 8
-		waves           = 28
-		stepAt, stepEnd = 8, 16
-	)
-	run := func() (rows []WaveReport, lats []int, rejected int64, joules []float64) {
-		s := newTestServer(t, base, nil)
-		var served [3]atomic.Int64
-		var tks []*Ticket
-		seq := 0
-		for w := 0; w < waves; w++ {
-			offered := base
-			if w >= stepAt && w < stepEnd {
-				offered *= 4
-			}
-			for i := 0; i < offered; i++ {
-				tk, err := s.Submit(request(seq, &served))
-				seq++
-				if err != nil {
-					continue
-				}
-				tks = append(tks, tk)
-			}
-			rep := s.RunWave()
-			rows = append(rows, rep)
-			joules = append(joules, rep.Joules)
-		}
-		if err := s.Close(); err != nil { // drains the tail of the backlog
-			t.Fatal(err)
-		}
-		for _, tk := range tks {
-			lats = append(lats, tk.WaveLatency())
-		}
-		rejected = s.Totals().Rejected
-		return rows, lats, rejected, joules
-	}
-
-	rows, lats, rejected, joules := run()
-
-	// Quality sheds before requests: nothing rejected, ratio drops hard.
-	if rejected != 0 {
-		t.Errorf("%d requests rejected; quality shedding should have absorbed the step", rejected)
-	}
-	preStep := rows[stepAt-1].NextRatio
-	if preStep < 0.95 {
-		t.Errorf("pre-step ratio %.3f, want ~1 under light load", preStep)
-	}
-	minRatio := 1.0
-	for _, r := range rows[stepAt:stepEnd] {
-		minRatio = math.Min(minRatio, r.NextRatio)
-	}
-	if minRatio > preStep-0.3 {
-		t.Errorf("ratio only fell to %.3f under a 4x step (pre-step %.3f)", minRatio, preStep)
-	}
-
-	// Latency stays bounded: the queue drains instead of growing without
-	// bound, so even p99 over the overload window is a handful of waves.
-	sort.Ints(lats)
-	p99 := lats[len(lats)*99/100]
-	if p99 > 6 {
-		t.Errorf("p99 wave latency %d, want <= 6", p99)
-	}
-
-	// Recovery: full quality back within 8 waves of the step ending.
-	recovered := -1
-	for w := stepEnd; w < len(rows); w++ {
-		if rows[w].NextRatio >= 0.95 {
-			recovered = w - stepEnd
-			break
-		}
-	}
-	if recovered < 0 || recovered > 8 {
-		t.Errorf("ratio recovered after %d waves (want within 8)", recovered)
-	}
-
-	// Determinism: with declared costs the whole closed loop replays
-	// bit-identically — including the modeled joules of every wave.
-	rows2, _, _, joules2 := run()
-	for w := range rows {
-		if rows[w].NextRatio != rows2[w].NextRatio || rows[w].Admitted != rows2[w].Admitted {
-			t.Fatalf("wave %d diverged across identical runs: ratio %.6f/%.6f admitted %d/%d",
-				w, rows[w].NextRatio, rows2[w].NextRatio, rows[w].Admitted, rows2[w].Admitted)
-		}
-		if math.Float64bits(joules[w]) != math.Float64bits(joules2[w]) {
-			t.Fatalf("wave %d joules not bit-identical: %v vs %v", w, joules[w], joules2[w])
-		}
 	}
 }
 

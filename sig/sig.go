@@ -154,15 +154,13 @@ type Runtime struct {
 	sched   *sched
 	pools   taskPools
 	clocks  []clock
-	start   time.Time
 	closed  atomic.Bool
 	def     atomic.Pointer[Group]
 	wg      sync.WaitGroup
 
-	mu     sync.Mutex // guards groups/order/frozen; never on the submit path
+	mu     sync.Mutex // guards groups/order; never on the submit path
 	groups map[string]*Group
 	order  []*Group
-	frozen *Report
 
 	// Written per submission: a cache line of its own.
 	_   [64]byte
@@ -197,7 +195,6 @@ func New(cfg Config) (*Runtime, error) {
 		workers: workers,
 		sched:   newSched(workers, queueCap),
 		groups:  make(map[string]*Group),
-		start:   time.Now(), //siglint:wallclock wall anchor for the idle split of Energy reports; never feeds a decision
 		clocks:  make([]clock, workers+1),
 	}
 	rt.pools.init()
@@ -749,10 +746,10 @@ func (rt *Runtime) WaitAll() {
 	}
 }
 
-// Close drains all groups, stops the workers and freezes the energy report.
-// It is idempotent. Energy and Stats remain valid after Close; Energy is
-// additionally guaranteed to be stable (repeated calls return the identical
-// report), which makes `rt.Close(); rep := rt.Energy()` a supported idiom.
+// Close drains all groups and stops the workers. It is idempotent. Energy
+// and Stats remain valid after Close, and Energy is stable: no task runs
+// after Close, so the busy clocks it reads no longer move and repeated calls
+// return the identical report (`rt.Close(); rep := rt.Energy()`).
 func (rt *Runtime) Close() error {
 	if rt.closed.Swap(true) {
 		return nil
@@ -761,25 +758,14 @@ func (rt *Runtime) Close() error {
 	rt.WaitAll()
 	close(rt.sched.done)
 	rt.wg.Wait()
-
-	rep := rt.report(time.Since(rt.start)) //siglint:wallclock wall/idle split of the frozen Energy report; not replay state
-	rt.mu.Lock()
-	rt.frozen = &rep
-	rt.mu.Unlock()
 	return nil
 }
 
-// Energy returns the modeled energy report. Before Close it is a live
-// snapshot; after Close it is frozen at the moment the last task finished
-// and stays stable across calls.
+// Energy returns the modeled energy report: a live snapshot before Close,
+// the final account after it.
 func (rt *Runtime) Energy() Report {
-	rt.mu.Lock()
-	frozen := rt.frozen
-	rt.mu.Unlock()
-	if frozen != nil {
-		return *frozen
-	}
-	return rt.report(time.Since(rt.start)) //siglint:wallclock wall/idle split of a live Energy snapshot; not replay state
+	busy := time.Duration(rt.busyNS())
+	return Report{Joules: joules(busy), Busy: busy, Workers: rt.workers}
 }
 
 // busyNS sums the busy clocks: the workers' and the taskwait helpers'.
@@ -789,11 +775,6 @@ func (rt *Runtime) busyNS() int64 {
 		busy += rt.clocks[i].busyNS.Load()
 	}
 	return busy
-}
-
-func (rt *Runtime) report(wall time.Duration) Report {
-	busy := time.Duration(rt.busyNS())
-	return Report{Joules: joules(busy), Wall: wall, Busy: busy, Workers: rt.workers}
 }
 
 // Stats returns a snapshot of per-group task accounting. Workers retire

@@ -39,8 +39,8 @@ func newRT(t *testing.T, cfg Config) *Runtime {
 }
 
 // TestEnergyStableAfterClose is the regression test for the documented
-// contract that Energy() is valid and stable after Close — the idiom the
-// sobel example relies on (rt.Close(); rep := rt.Energy()).
+// contract that Energy() is valid and stable after Close (rt.Close(); rep :=
+// rt.Energy()).
 func TestEnergyStableAfterClose(t *testing.T) {
 	rt := newRT(t, Config{Policy: PolicyGTBMaxBuffer})
 	_, _ = submitBatch(t, rt, 50, 0.5)
@@ -55,9 +55,6 @@ func TestEnergyStableAfterClose(t *testing.T) {
 	}
 	if rep1.Joules <= 0 {
 		t.Errorf("expected positive modeled energy, got %v", rep1.Joules)
-	}
-	if rep1.Wall <= 0 {
-		t.Errorf("expected positive wall time, got %v", rep1.Wall)
 	}
 	// With declared costs the energy account is exact: 25 accurate
 	// (cost 100) + 25 approximate (cost 10) at ActiveWatts per ns.
