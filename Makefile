@@ -22,19 +22,11 @@ vet:
 # Full static suite: everything `vet` runs, plus the repo's own analyzers
 # (cmd/siglint) proving the runtime's invariants — replay determinism
 # (determinism), pool get/put pairing (poolpair), noalloc hot paths
-# (noalloc) — and the must-fail mutants of cmd/siglint/mutants_test.go, each
-# applied by -overlay (the tree is never edited): each analyzer must flag its
-# mutant of the product code, and each test row's test must fail under its
-# own — the goldens under the pacer's price without its workers factor,
-# TestServeDueArrivalFiresWave under a Submit that never posts the due token,
-# TestServeEarlyWavesReadFleetLoad under a due rule that never calls a wave
-# early, TestServeFakeTimeWake under a pump that fires only when a wave is
-# due, the pace golden under a pump that arms its timer a cadence after each
-# wave's end, TestServePacerBounds under a pacer whose cadence ceiling is
-# WavePeriod, the paper golden under perforation truncating its step and
-# under LQH halving its history, and TestKernelQualityGoldens under Sobel's
-# degraded-pixel table read one difference off. The same test binary resolves
-# every backticked name DESIGN.md and the verify skill cite
+# (noalloc) — and the must-fail mutants, each applied by -overlay (the tree
+# is never edited): each analyzer must flag its mutant of the product code,
+# and each test row's test must fail under its own. The rows, and what each
+# one breaks, are listed in cmd/siglint/mutants_test.go alone. The same test
+# binary resolves every backticked name DESIGN.md and the verify skill cite
 # (docnames_test.go).
 # runpatterns runs first: every repeated -run pattern must still name tests.
 lint: vet runpatterns

@@ -63,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -327,7 +328,7 @@ func requestSignificance(query url.Values) (sig float64, ok bool, err error) {
 	}
 	if raw := query.Get("sig"); raw != "" {
 		s, err := strconv.ParseFloat(raw, 64)
-		if err != nil || s < 0 || s > 1 {
+		if err != nil || !(s >= 0 && s <= 1) { // also NaN
 			return 0, false, fmt.Errorf("sig must be a number in [0,1], got %q", raw)
 		}
 		return s, true, nil
@@ -341,10 +342,13 @@ func requestSignificance(query url.Values) (sig float64, ok bool, err error) {
 func requestDeadline(query url.Values, def time.Duration, now time.Time) (time.Time, bool, error) {
 	if raw := query.Get("deadline_ms"); raw != "" {
 		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms <= 0 {
-			return time.Time{}, false, fmt.Errorf("deadline_ms must be a positive number, got %q", raw)
+		// A NaN fails ms > 0; +Inf, and any span past a Duration's ~292
+		// years, fails the range test: converting it would wrap negative.
+		ns := ms * float64(time.Millisecond)
+		if err != nil || !(ms > 0) || ns >= math.MaxInt64 {
+			return time.Time{}, false, fmt.Errorf("deadline_ms must be a positive number of milliseconds that fits a duration, got %q", raw)
 		}
-		return now.Add(time.Duration(ms * float64(time.Millisecond))), true, nil
+		return now.Add(time.Duration(ns)), true, nil
 	}
 	if def > 0 {
 		return now.Add(def), true, nil

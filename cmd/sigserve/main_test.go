@@ -61,8 +61,14 @@ func TestWorkStatus(t *testing.T) {
 		{"/work?tier=platinum", http.StatusBadRequest, `unknown tier "platinum"`},
 		{"/work?sig=1.5", http.StatusBadRequest, "sig must be a number in [0,1]"},
 		{"/work?sig=high", http.StatusBadRequest, "sig must be a number in [0,1]"},
+		{"/work?sig=NaN", http.StatusBadRequest, "sig must be a number in [0,1]"},
 		{"/work?deadline_ms=0", http.StatusBadRequest, "deadline_ms must be a positive number"},
 		{"/work?deadline_ms=soon", http.StatusBadRequest, "deadline_ms must be a positive number"},
+		// NaN, +Inf and a span past a Duration's range would wrap negative:
+		// a 400, not an expired deadline's 504.
+		{"/work?deadline_ms=NaN", http.StatusBadRequest, "deadline_ms must be a positive number"},
+		{"/work?deadline_ms=Inf", http.StatusBadRequest, "deadline_ms must be a positive number"},
+		{"/work?deadline_ms=1e300", http.StatusBadRequest, "deadline_ms must be a positive number"},
 		// One nanosecond from arrival: gone before Submit reads the clock.
 		{"/work?tier=gold&deadline_ms=0.000001", http.StatusGatewayTimeout, "deadline expired before admission"},
 		{"/healthz", http.StatusOK, "ok"},
@@ -245,8 +251,8 @@ func TestWorkClientGone(t *testing.T) {
 	if depth := srv.Depth(); depth != 1 {
 		t.Fatalf("depth %d after the client left, want its request still queued", depth)
 	}
-	if rep := srv.RunWave(); rep.Admitted != 1 || rep.Accurate != 1 {
-		t.Errorf("wave after the disconnect: %d admitted, %d accurate; want the abandoned request served", rep.Admitted, rep.Accurate)
+	if rep := srv.RunWave(); rep.Admitted != 1 || rep.Stats.Accurate != 1 {
+		t.Errorf("wave after the disconnect: %d admitted, %d accurate; want the abandoned request served", rep.Admitted, rep.Stats.Accurate)
 	}
 	if tot := srv.Totals(); tot.Submitted != 1 || tot.Completed != 1 || tot.Rejected != 0 {
 		t.Errorf("totals %+v, want 1 submitted and completed", tot)

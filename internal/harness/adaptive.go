@@ -13,20 +13,14 @@ import (
 	"repro/sig/adapt"
 )
 
-// AdaptiveWave is one wave of an adaptive stream's recorded trajectory.
+// AdaptiveWave is one wave of an adaptive stream's recorded trajectory: the
+// scene it ran on (sobel stream only), the wave's telemetry and the
+// controller's step on it. On the sobel stream Control.Measure is the
+// frame's PSNR.
 type AdaptiveWave struct {
-	Wave  int
-	Scene int
-	// Ratio was in effect while the wave ran; NextRatio is what the
-	// controller commanded afterwards.
-	Ratio     float64
-	NextRatio float64
-	// Provided is the wave-local provided ratio; PSNR the frame quality
-	// (sobel stream only); Joules the wave's modeled energy.
-	Provided float64
-	PSNR     float64
-	Joules   float64
-	Dropped  int
+	Scene   int
+	Stats   sig.WaveStats
+	Control adapt.Sample
 }
 
 // AdaptiveSegment summarizes one steady scene of the sobel stream.
@@ -122,16 +116,10 @@ func adaptiveSobel(res *AdaptiveResult) error {
 	res.Segments[0] = AdaptiveSegment{Scene: 0, StartWave: 0, OracleRatio: oracle}
 
 	out := imaging.NewImage(p.W, p.H)
-	// The probe caches its last value so the per-wave row below does not
-	// pay a second full-frame PSNR pass over the identical ref/out pair.
-	var lastPSNR float64
 	ctl, err := adapt.New(adapt.Config{
 		Objective: adapt.TargetQuality,
 		Setpoint:  adaptiveSetpoint,
-		Probe: func() float64 {
-			lastPSNR = imaging.PSNR(ref, out)
-			return lastPSNR
-		},
+		Probe:     func() float64 { return imaging.PSNR(ref, out) },
 	})
 	if err != nil {
 		return err
@@ -157,17 +145,7 @@ func adaptiveSobel(res *AdaptiveResult) error {
 		}
 		app.SubmitFrame(rt, grp, out)
 		ws := rt.WaitPhase(grp)
-		step := ctl.Observe(grp, ws)
-		res.Rows = append(res.Rows, AdaptiveWave{
-			Wave:      w,
-			Scene:     scene,
-			Ratio:     ws.RequestedRatio,
-			NextRatio: step.NextRatio,
-			Provided:  ws.ProvidedRatio,
-			PSNR:      lastPSNR,
-			Joules:    ws.Joules,
-			Dropped:   ws.Dropped,
-		})
+		res.Rows = append(res.Rows, AdaptiveWave{Scene: scene, Stats: ws, Control: ctl.Observe(grp, ws)})
 	}
 
 	scoreSegment(&res.Segments[0], res.Rows[:adaptiveChangeAt])
@@ -213,11 +191,11 @@ func scoreSegment(seg *AdaptiveSegment, rows []AdaptiveWave) {
 		seg.ConvergedAfter = -1
 		return
 	}
-	seg.SteadyRatio = rows[len(rows)-1].Provided
-	seg.SteadyPSNR = rows[len(rows)-1].PSNR
+	seg.SteadyRatio = rows[len(rows)-1].Stats.ProvidedRatio
+	seg.SteadyPSNR = rows[len(rows)-1].Control.Measure
 	converged := -1
 	for i := len(rows) - 1; i >= 0; i-- {
-		if math.Abs(rows[i].Provided-seg.OracleRatio) > adaptiveTolerance {
+		if math.Abs(rows[i].Stats.ProvidedRatio-seg.OracleRatio) > adaptiveTolerance {
 			break
 		}
 		converged = i
@@ -257,15 +235,7 @@ func adaptiveKmeans(res *AdaptiveResult) error {
 	defer rt.Close()
 	grp := rt.Group("kmeans", 1.0)
 	app.RunStream(rt, grp, adaptiveKmeansWaves, func(ws sig.WaveStats) {
-		step := ctl.Observe(grp, ws)
-		res.KmeansRows = append(res.KmeansRows, AdaptiveWave{
-			Wave:      ws.Wave,
-			Ratio:     ws.RequestedRatio,
-			NextRatio: step.NextRatio,
-			Provided:  ws.ProvidedRatio,
-			Joules:    ws.Joules,
-			Dropped:   ws.Dropped,
-		})
+		res.KmeansRows = append(res.KmeansRows, AdaptiveWave{Stats: ws, Control: ctl.Observe(grp, ws)})
 	})
 	return nil
 }
@@ -276,8 +246,9 @@ func PrintAdaptiveStudy(w io.Writer, r AdaptiveResult) {
 	fmt.Fprintf(w, "Adaptive study: streaming sobel under a TargetQuality controller (setpoint %.1f dB)\n", adaptiveSetpoint)
 	fmt.Fprintf(w, "%-5s %-6s %6s %6s %8s %10s %8s\n", "wave", "scene", "req%", "prov%", "PSNR", "energy", "next%")
 	for _, row := range r.Rows {
+		ws := row.Stats
 		fmt.Fprintf(w, "%-5d %-6d %6.1f %6.1f %8.2f %9.4fJ %8.1f\n",
-			row.Wave, row.Scene, 100*row.Ratio, 100*row.Provided, row.PSNR, row.Joules, 100*row.NextRatio)
+			ws.Wave, row.Scene, 100*ws.RequestedRatio, 100*ws.ProvidedRatio, row.Control.Measure, ws.Joules, 100*row.Control.NextRatio)
 	}
 	fmt.Fprintln(w)
 	plotRatioTrajectory(w, r)
@@ -295,8 +266,9 @@ func PrintAdaptiveStudy(w io.Writer, r AdaptiveResult) {
 		r.KmeansBudget, r.KmeansOracleRatio)
 	fmt.Fprintf(w, "%-5s %6s %6s %10s %8s\n", "wave", "req%", "prov%", "energy", "next%")
 	for _, row := range r.KmeansRows {
+		ws := row.Stats
 		fmt.Fprintf(w, "%-5d %6.1f %6.1f %9.4fJ %8.1f\n",
-			row.Wave, 100*row.Ratio, 100*row.Provided, row.Joules, 100*row.NextRatio)
+			ws.Wave, 100*ws.RequestedRatio, 100*ws.ProvidedRatio, ws.Joules, 100*row.Control.NextRatio)
 	}
 }
 
@@ -319,7 +291,7 @@ func plotRatioTrajectory(w io.Writer, r AdaptiveResult) {
 			if math.Abs(seg.OracleRatio-ratio) <= 0.5/levels {
 				ch = '-'
 			}
-			if math.Abs(row.Provided-ratio) <= 0.5/levels {
+			if math.Abs(row.Stats.ProvidedRatio-ratio) <= 0.5/levels {
 				ch = '*'
 			}
 			b.WriteByte(ch)

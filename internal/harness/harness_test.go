@@ -162,12 +162,12 @@ func TestAdaptiveStudyConverges(t *testing.T) {
 	if n := len(res.KmeansRows); n == 0 {
 		t.Fatal("kmeans stream recorded no waves")
 	}
-	last := res.KmeansRows[len(res.KmeansRows)-1]
+	last := res.KmeansRows[len(res.KmeansRows)-1].Stats
 	if last.Joules > res.KmeansBudget*(1+1e-9) {
 		t.Errorf("kmeans steady wave energy %.6gJ exceeds the %.6gJ budget", last.Joules, res.KmeansBudget)
 	}
-	if d := math.Abs(last.Provided - res.KmeansOracleRatio); d > 0.05 {
-		t.Errorf("kmeans steady ratio %.3f is %.3f from the analytic oracle %.2f", last.Provided, d, res.KmeansOracleRatio)
+	if d := math.Abs(last.ProvidedRatio - res.KmeansOracleRatio); d > 0.05 {
+		t.Errorf("kmeans steady ratio %.3f is %.3f from the analytic oracle %.2f", last.ProvidedRatio, d, res.KmeansOracleRatio)
 	}
 }
 

@@ -220,14 +220,14 @@ func serveOpenLoop(sc scenario, res *ServeResult) error {
 	res.P50, res.P99 = percentiles(lats)
 	res.Outcomes = tot
 
-	res.PreStepRatio = res.Rows[serveStepAt-1].NextRatio
+	res.PreStepRatio = res.Rows[serveStepAt-1].Control.NextRatio
 	res.MinStepRatio = 1
 	for _, row := range res.Rows[serveStepAt:serveStepEnd] {
-		res.MinStepRatio = math.Min(res.MinStepRatio, row.NextRatio)
+		res.MinStepRatio = math.Min(res.MinStepRatio, row.Control.NextRatio)
 	}
 	res.RecoveredAfter = -1
 	for w := serveStepEnd; w < len(res.Rows); w++ {
-		if res.Rows[w].NextRatio >= res.PreStepRatio-0.05 {
+		if res.Rows[w].Control.NextRatio >= res.PreStepRatio-0.05 {
 			res.RecoveredAfter = w - serveStepEnd
 			break
 		}
@@ -246,7 +246,7 @@ func serveClosedLoop(sc scenario, res *ServeResult) error {
 		completed := res.Clients
 		for range serveClosedWaves {
 			// Each client whose request completed submits its next one.
-			res.ClosedRatio = r.wave(completed).NextRatio
+			res.ClosedRatio = r.wave(completed).Control.NextRatio
 			completed = r.reap(func(_, waves int) { lats = append(lats, waves) })
 			total += completed
 		}
@@ -268,9 +268,9 @@ func PrintServeStudy(w io.Writer, r ServeResult) {
 		"wave", "offered", "admit", "depth", "load", "req%", "prov%", "next%", "acc", "deg", "drop", "energy")
 	for i, row := range r.Rows {
 		fmt.Fprintf(w, "%-5d %7d %7d %6d %6.2f %6.1f %6.1f %6.1f %5d/%-5d/%-4d %9.4fJ\n",
-			row.Wave, serveOffered(i), row.Admitted, row.Depth, row.Load,
-			100*row.Ratio, 100*row.Provided, 100*row.NextRatio,
-			row.Accurate, row.Degraded, row.Dropped, row.Joules)
+			row.Stats.Wave, serveOffered(i), row.Admitted, row.Depth, row.Control.Measure,
+			100*row.Stats.RequestedRatio, 100*row.Stats.ProvidedRatio, 100*row.Control.NextRatio,
+			row.Stats.Accurate, row.Stats.Approximate, row.Stats.Dropped, row.Stats.Joules)
 	}
 	fmt.Fprintln(w)
 	plotServeRatio(w, r)
@@ -302,7 +302,7 @@ func plotServeRatio(w io.Writer, r ServeResult) {
 			if i == serveStepAt || i == serveStepEnd {
 				ch = '|'
 			}
-			if math.Abs(row.NextRatio-ratio) <= 0.5/levels {
+			if math.Abs(row.Control.NextRatio-ratio) <= 0.5/levels {
 				ch = '*'
 			}
 			b.WriteByte(ch)

@@ -97,10 +97,10 @@ func TestServeStudyShedsQualityUnderOverload(t *testing.T) {
 // bit.
 func sameWave(a, b serve.WaveReport) bool {
 	for _, f := range [][2]float64{
-		{a.Ratio, b.Ratio}, {a.NextRatio, b.NextRatio}, {a.Provided, b.Provided},
-		{a.Load, b.Load}, {a.Budget, b.Budget}, {a.Joules, b.Joules},
 		{a.Stats.RequestedRatio, b.Stats.RequestedRatio},
 		{a.Stats.ProvidedRatio, b.Stats.ProvidedRatio}, {a.Stats.Joules, b.Stats.Joules},
+		{a.Control.NextRatio, b.Control.NextRatio}, {a.Control.Measure, b.Control.Measure},
+		{a.Control.WindowMean, b.Control.WindowMean}, {a.Budget, b.Budget},
 	} {
 		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
 			return false

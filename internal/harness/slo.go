@@ -135,7 +135,7 @@ func sloReaction(res *SLOResult) error {
 			row.PreRatio = r.s.Ratio()
 			row.ShedBound = adapt.ShedBound(row.PreRatio)
 			for w := 1; w <= row.ShedBound+2; w++ {
-				if rep := r.wave(int(sloBasePerWave * over)); row.ShedWaves < 0 && rep.Load <= 1.0 {
+				if rep := r.wave(int(sloBasePerWave * over)); row.ShedWaves < 0 && rep.Control.Measure <= 1.0 {
 					row.ShedWaves = w
 				}
 			}
@@ -153,7 +153,7 @@ func sloReaction(res *SLOResult) error {
 			row.RecoverBound = row.DrainWaves +
 				adapt.RecoverBound(row.PreRatio, 1-sloUtilization)
 			for w := 1; w <= row.RecoverBound+5 && row.RecoverWaves < 0; w++ {
-				if r.wave(sloBasePerWave).NextRatio >= row.PreRatio-0.05 {
+				if r.wave(sloBasePerWave).Control.NextRatio >= row.PreRatio-0.05 {
 					row.RecoverWaves = w
 				}
 			}
@@ -177,7 +177,7 @@ func sloFloorSection(res *SLOResult) error {
 	if _, err := sc.play(func(r *studyRun) error {
 		for range 60 {
 			if rep := r.wave(4 * sloBasePerWave); rep.Admitted > 0 {
-				provided = append(provided, rep.Provided)
+				provided = append(provided, rep.Stats.ProvidedRatio)
 			}
 		}
 		return nil

@@ -25,7 +25,8 @@
 //	grp := rt.Group("sobel", 1.0)
 //	for each frame {
 //		app.SubmitFrame(rt, grp, out)
-//		s := ctl.Observe(grp, rt.WaitPhase(grp)) // retunes grp's ratio; s is the wave's record
+//		ws := rt.WaitPhase(grp)
+//		s := ctl.Observe(grp, ws) // retunes grp's ratio; (ws, s) is the wave's record
 //	}
 //
 //siglint:deterministic
@@ -116,22 +117,16 @@ type Config struct {
 	WindowFloor *WindowFloor
 }
 
-// Sample is one control step's record: what Observe saw of a wave and what
-// it commanded. The controller keeps no trace; a caller that wants one
-// collects the Samples Observe returns.
+// Sample is one control step's record: what Observe decided from a wave.
+// The wave itself is the WaveStats Observe was handed, so a Sample holds
+// none of its fields; a caller that wants a trace keeps the pair. The
+// controller keeps no trace of its own.
 type Sample struct {
-	// Wave is the runtime's wave index.
-	Wave int
-	// Ratio is the ratio that was in effect while the wave ran;
 	// NextRatio is what the controller commanded for the next wave.
-	Ratio     float64
 	NextRatio float64
 	// Measure is the regulated variable: the probe's value under
 	// TargetQuality, the Config.Measure signal under TargetLoad.
 	Measure float64
-	// ProvidedRatio and Joules echo the wave telemetry.
-	ProvidedRatio float64
-	Joules        float64
 	// Held reports that the measure sat inside the deadband and the
 	// ratio was left alone.
 	Held bool
@@ -179,14 +174,15 @@ func New(cfg Config) (*Controller, error) {
 	default:
 		return nil, fmt.Errorf("adapt: unknown objective %d", cfg.Objective)
 	}
-	if cfg.Min < 0 || cfg.Min > 1 {
+	// The !(in range) form rejects NaN too, which every comparison fails.
+	if !(cfg.Min >= 0 && cfg.Min <= 1) {
 		return nil, fmt.Errorf("adapt: Min %v outside [0,1]", cfg.Min)
 	}
 	if wf := cfg.WindowFloor; wf != nil {
 		if wf.Window < 1 {
 			return nil, fmt.Errorf("adapt: WindowFloor.Window %d < 1", wf.Window)
 		}
-		if wf.Floor < 0 || wf.Floor > 1 {
+		if !(wf.Floor >= 0 && wf.Floor <= 1) {
 			return nil, fmt.Errorf("adapt: WindowFloor.Floor %v outside [0,1]", wf.Floor)
 		}
 	}
@@ -231,16 +227,7 @@ func (c *Controller) Observe(g Target, ws sig.WaveStats) Sample {
 	}
 	c.mu.Unlock()
 	g.SetRatio(next)
-	return Sample{
-		Wave:          ws.Wave,
-		Ratio:         ws.RequestedRatio,
-		NextRatio:     next,
-		Measure:       measure,
-		ProvidedRatio: ws.ProvidedRatio,
-		Joules:        ws.Joules,
-		Held:          held,
-		WindowMean:    winMean,
-	}
+	return Sample{NextRatio: next, Measure: measure, Held: held, WindowMean: winMean}
 }
 
 // step runs one control update: from the ratio that produced the wave and

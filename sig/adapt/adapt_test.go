@@ -11,11 +11,11 @@ import (
 // streamWorkload drives a synthetic streaming workload under a controller:
 // waves of n tasks whose significances follow a fixed pattern, with
 // declared costs so modeled energy is deterministic. It returns the
-// controller's trace: the Sample each wave's Observe returned. The quality
-// probe is the significance-weighted
-// accurate fraction of the last wave — a deterministic, monotone function
-// of the ratio under GTB max buffering.
-func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk func(probe func() float64) *adapt.Controller) []adapt.Sample {
+// controller's trace: each wave's WaveStats and the Sample Observe returned
+// for it. The quality probe is the significance-weighted accurate fraction
+// of the last wave — a deterministic, monotone function of the ratio under
+// GTB max buffering.
+func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk func(probe func() float64) *adapt.Controller) []step {
 	t.Helper()
 	ranAcc := make([]bool, n)
 	sigs := make([]float64, n)
@@ -40,7 +40,7 @@ func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk 
 	}
 	defer rt.Close()
 	g := rt.Group("stream", startRatio)
-	var trace []adapt.Sample
+	var trace []step
 	for w := 0; w < waves; w++ {
 		for i := range ranAcc {
 			ranAcc[i] = false
@@ -53,9 +53,17 @@ func streamWorkload(t *testing.T, workers, waves, n int, startRatio float64, mk 
 				sig.WithApprox(func() {}),
 				sig.WithCost(100, 10))
 		}
-		trace = append(trace, ctl.Observe(g, rt.WaitPhase(g)))
+		ws := rt.WaitPhase(g)
+		trace = append(trace, step{ws, ctl.Observe(g, ws)})
 	}
 	return trace
+}
+
+// step is one wave of a trace: the wave Observe was handed and what it
+// decided.
+type step struct {
+	ws sig.WaveStats
+	s  adapt.Sample
 }
 
 func qualityController(t *testing.T, setpoint float64) func(func() float64) *adapt.Controller {
@@ -73,10 +81,10 @@ func qualityController(t *testing.T, setpoint float64) func(func() float64) *ada
 }
 
 // trajectory flattens a trace into the commanded-ratio sequence.
-func trajectory(trace []adapt.Sample) []float64 {
+func trajectory(trace []step) []float64 {
 	out := make([]float64, len(trace))
-	for i, s := range trace {
-		out[i] = s.NextRatio
+	for i, st := range trace {
+		out[i] = st.s.NextRatio
 	}
 	return out
 }
@@ -143,11 +151,11 @@ func TestEnergyTargetReplayAndCap(t *testing.T) {
 			}
 		}
 		last := trace[len(trace)-1]
-		if last.Joules > budget*(1+1e-9) {
-			t.Errorf("workers=%d: steady-state wave energy %.6gJ exceeds budget %.6gJ", workers, last.Joules, budget)
+		if last.ws.Joules > budget*(1+1e-9) {
+			t.Errorf("workers=%d: steady-state wave energy %.6gJ exceeds budget %.6gJ", workers, last.ws.Joules, budget)
 		}
-		if math.Abs(last.ProvidedRatio-0.5) > 0.05 {
-			t.Errorf("workers=%d: steady-state ratio %.3f, want within 0.05 of the analytic oracle 0.5", workers, last.ProvidedRatio)
+		if math.Abs(last.ws.ProvidedRatio-0.5) > 0.05 {
+			t.Errorf("workers=%d: steady-state ratio %.3f, want within 0.05 of the analytic oracle 0.5", workers, last.ws.ProvidedRatio)
 		}
 	}
 }
@@ -186,7 +194,7 @@ func TestLoadTargetCapsCustomMeasure(t *testing.T) {
 				}
 			}
 		}
-		last := trace[len(trace)-1]
+		last := trace[len(trace)-1].s
 		if last.Measure > 1.2*(1+1e-9) {
 			t.Errorf("workers=%d: steady-state load %.4f exceeds the 1.2 cap", workers, last.Measure)
 		}
@@ -204,15 +212,15 @@ func TestQualityConvergesToSetpointFloor(t *testing.T) {
 	for _, start := range []float64{0.05, 1.0} {
 		trace := streamWorkload(t, 1, waves, n, start, qualityController(t, 0.8))
 		last := trace[len(trace)-1]
-		if last.Measure < 0.8 {
-			t.Errorf("start=%.2f: steady-state quality %.4f below setpoint 0.8", start, last.Measure)
+		if last.s.Measure < 0.8 {
+			t.Errorf("start=%.2f: steady-state quality %.4f below setpoint 0.8", start, last.s.Measure)
 		}
-		if last.Measure > 0.85 {
-			t.Errorf("start=%.2f: steady-state quality %.4f wastes energy (far above setpoint)", start, last.Measure)
+		if last.s.Measure > 0.85 {
+			t.Errorf("start=%.2f: steady-state quality %.4f wastes energy (far above setpoint)", start, last.s.Measure)
 		}
-		if !last.Held {
+		if !last.s.Held {
 			t.Errorf("start=%.2f: controller still moving at wave %d (measure %.4f -> next %.3f)",
-				start, last.Wave, last.Measure, last.NextRatio)
+				start, last.ws.Wave, last.s.Measure, last.s.NextRatio)
 		}
 	}
 }
@@ -249,14 +257,16 @@ func TestControllerIgnoresOtherGroupsAndEmptyWaves(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	meas := func(sig.WaveStats) float64 { return 0 }
 	cases := []adapt.Config{
-		{Objective: adapt.TargetQuality, Setpoint: 1},                                               // no probe
-		{Objective: adapt.TargetQuality, Setpoint: math.Inf(1), Probe: func() float64 { return 0 }}, // bad setpoint
-		{Objective: adapt.TargetLoad, Budget: 1},                                                    // no measure
-		{Objective: adapt.TargetLoad, Measure: meas},                                                // no budget
-		{Objective: adapt.TargetLoad, Budget: -2, Measure: meas},                                    // negative budget
-		{Objective: adapt.Objective(42)},                                                            // unknown objective
-		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: 1.1},                           // floor above 1
-		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: -0.5},                          // out-of-range bound
+		{Objective: adapt.TargetQuality, Setpoint: 1},                                                                          // no probe
+		{Objective: adapt.TargetQuality, Setpoint: math.Inf(1), Probe: func() float64 { return 0 }},                            // bad setpoint
+		{Objective: adapt.TargetLoad, Budget: 1},                                                                               // no measure
+		{Objective: adapt.TargetLoad, Measure: meas},                                                                           // no budget
+		{Objective: adapt.TargetLoad, Budget: -2, Measure: meas},                                                               // negative budget
+		{Objective: adapt.Objective(42)},                                                                                       // unknown objective
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: 1.1},                                                      // floor above 1
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: -0.5},                                                     // out-of-range bound
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, Min: math.NaN()},                                               // NaN floor
+		{Objective: adapt.TargetLoad, Budget: 1, Measure: meas, WindowFloor: &adapt.WindowFloor{Window: 4, Floor: math.NaN()}}, // NaN window floor
 	}
 	for i, cfg := range cases {
 		if _, err := adapt.New(cfg); err == nil {
@@ -327,8 +337,8 @@ func TestTargetLoadZeroCostWaves(t *testing.T) {
 			}
 		}
 		s := ctl.Observe(g, rt.WaitPhase(g))
-		if s.Wave != wave {
-			t.Fatalf("wave %d stepped as wave %d (empty waves are informative for TargetLoad)", wave, s.Wave)
+		if s == (adapt.Sample{}) {
+			t.Fatalf("wave %d: Observe skipped the wave (empty waves are informative for TargetLoad)", wave)
 		}
 		trace = append(trace, s)
 		r := g.Ratio()

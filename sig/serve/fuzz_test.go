@@ -15,6 +15,10 @@ import (
 //   - every accepted ticket completes with exactly one outcome, and the
 //     per-outcome totals conserve (accurate+degraded+dropped = completed =
 //     accepted);
+//   - each wave's report splits its admissions by the runtime's count
+//     (Stats.Accurate+Approximate+Dropped = Admitted), and those splits,
+//     summed over every wave, are the per-outcome totals — the report holds
+//     no outcome count of its own, so the runtime's must be the server's;
 //   - accepted + rejected = attempted;
 //   - each admission lane never exceeds its own slot share, and a Submit
 //     is rejected only when its lane is at that share — the priority slice
@@ -95,11 +99,22 @@ func FuzzServeAdmission(f *testing.F) {
 		var tks []accepted
 		attempted, rejected := 0, 0
 		acceptedPrio := int64(0)
+		var waveAcc, waveApx, waveDrop int64 // summed over every wave's Stats
+		runWave := func() {
+			rep := s.RunWave()
+			if rep.Control.NextRatio < minRatio-1e-9 {
+				t.Fatalf("commanded ratio %.4f below MinRatio %.4f", rep.Control.NextRatio, minRatio)
+			}
+			if ws := rep.Stats; ws.Accurate+ws.Approximate+ws.Dropped != rep.Admitted {
+				t.Fatalf("wave %d: %d/%d/%d decided, %d admitted", ws.Wave, ws.Accurate, ws.Approximate, ws.Dropped, rep.Admitted)
+			}
+			waveAcc += int64(rep.Stats.Accurate)
+			waveApx += int64(rep.Stats.Approximate)
+			waveDrop += int64(rep.Stats.Dropped)
+		}
 		for _, v := range ops {
 			if v == 0 {
-				if rep := s.RunWave(); rep.NextRatio < minRatio-1e-9 {
-					t.Fatalf("commanded ratio %.4f below MinRatio %.4f", rep.NextRatio, minRatio)
-				}
+				runWave()
 				continue
 			}
 			handler := func() { fc.Advance(advance) }
@@ -150,6 +165,11 @@ func FuzzServeAdmission(f *testing.F) {
 				t.Fatalf("priority lane depth %d above its %d slots", prioD, pl)
 			}
 		}
+		// Drain wave by wave so every wave is counted; Close then has
+		// nothing left to run.
+		for s.Depth() > 0 {
+			runWave()
+		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -188,6 +208,9 @@ func FuzzServeAdmission(f *testing.F) {
 		tot := s.Totals()
 		if tot.Completed != int64(len(tks)) || tot.Accurate != acc || tot.Degraded != deg || tot.Dropped != drop {
 			t.Fatalf("totals %+v disagree with tickets %d/%d/%d over %d", tot, acc, deg, drop, len(tks))
+		}
+		if waveAcc != tot.Accurate || waveApx != tot.Degraded || waveDrop != tot.Dropped {
+			t.Fatalf("waves decided %d/%d/%d, totals %d/%d/%d", waveAcc, waveApx, waveDrop, tot.Accurate, tot.Degraded, tot.Dropped)
 		}
 		if tot.Rejected != int64(rejected) {
 			t.Fatalf("rejected total %d, want %d", tot.Rejected, rejected)

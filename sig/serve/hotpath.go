@@ -250,16 +250,16 @@ func discardTicket(tk *Ticket) {
 }
 
 // slabSlot carries the per-request state a slab spec's prebuilt closures
-// read and write when they run: the ticket, which holds the bodies, and the
-// outcome the body that ran left — OutcomeDropped until one does. The
-// wave's end reads the slot's outcome, never the ticket's: a body resolves
-// its ticket, and from then on the ticket is the caller's. approx is the
-// slot's prebuilt degraded closure, which stage hands the spec for a request
-// that has a Degraded body and withholds from one that has not.
+// read and write when they run: the ticket, which holds the bodies, and
+// whether a body ran. The wave's end reads the slot's flag, never the
+// ticket: a body resolves its ticket, and from then on the ticket is the
+// caller's. approx is the slot's prebuilt degraded closure, which stage
+// hands the spec for a request that has a Degraded body and withholds from
+// one that has not.
 type slabSlot struct {
-	tk      *Ticket
-	outcome atomic.Int32
-	approx  func()
+	tk     *Ticket
+	ran    atomic.Bool
+	approx func()
 }
 
 // waveSlab is the submission unit: serveSlabSize slots and the matching
@@ -282,7 +282,6 @@ func newWaveSlab() *waveSlab {
 	sl := &waveSlab{}
 	for i := range sl.slots {
 		slot := &sl.slots[i]
-		slot.outcome.Store(int32(OutcomeDropped))
 		sl.specs[i].Fn = func() {
 			slot.tk.req.Handler()
 			sl.srv.bodyEnd(slot, OutcomeAccurate)
@@ -296,13 +295,13 @@ func newWaveSlab() *waveSlab {
 }
 
 // bodyEnd resolves a request at the end of the body that served it, on the
-// goroutine that ran it, stamped through the WaveClock then. The slot keeps
-// the outcome for the wave's report before the ticket is published: after
-// that the caller may Release it and a concurrent Submit re-draw it.
+// goroutine that ran it, stamped through the WaveClock then. The slot
+// records that a body ran before the ticket is published: after that the
+// caller may Release it and a concurrent Submit re-draw it.
 //
 //siglint:noalloc
 func (s *Server) bodyEnd(slot *slabSlot, o Outcome) {
-	slot.outcome.Store(int32(o))
+	slot.ran.Store(true)
 	s.resolve(slot.tk, o, s.wave.Load(), s.clock.Now().UnixNano()) //siglint:allocok clock seam: one virtual read behind the WaveClock interface
 }
 
@@ -348,28 +347,21 @@ func (s *Server) submitSlab() {
 	s.slabs = append(s.slabs, sl)            //siglint:allocok amortized growth of the reused slab list
 }
 
-// endSlabs is the slab stream's wave end. It reports the wave from the
-// outcomes its bodies left in their slots, resolves each slot no body ran
-// for as the policy's drop, and returns every slab to the pool. WaitPhase
-// has drained the wave's group: by now no closure of its slabs can still
-// run.
+// endSlabs is the slab stream's wave end. It resolves each slot no body ran
+// for as the policy's drop and returns every slab to the pool; the wave's
+// outcome split is the runtime's to count (WaveReport.Stats). WaitPhase has
+// drained the wave's group: by now no closure of its slabs can still run.
 //
 //siglint:noalloc
-func (s *Server) endSlabs(rep *WaveReport, wave, nowNs int64) {
+func (s *Server) endSlabs(wave, nowNs int64) {
 	for _, sl := range s.slabs {
 		for j := range sl.n {
 			slot := &sl.slots[j]
-			switch Outcome(slot.outcome.Load()) {
-			case OutcomeAccurate:
-				rep.Accurate++
-			case OutcomeDegraded:
-				rep.Degraded++
-			default:
-				rep.Dropped++
+			if !slot.ran.Load() {
 				s.resolve(slot.tk, OutcomeDropped, wave, nowNs)
 			}
 			slot.tk = nil
-			slot.outcome.Store(int32(OutcomeDropped))
+			slot.ran.Store(false)
 		}
 		sl.n, sl.srv = 0, nil
 		slabPool.Put(sl)

@@ -384,7 +384,7 @@ func TestServeMixedClassWave(t *testing.T) {
 		}
 		s.grp.SetRatio(0.5) // the cut falls inside the 0.5 level: ties decide it
 		rep := s.RunWave()
-		if rep.Admitted != n || rep.Accurate == 0 || rep.Degraded == 0 || rep.Dropped == 0 {
+		if rep.Admitted != n || rep.Stats.Accurate == 0 || rep.Stats.Approximate == 0 || rep.Stats.Dropped == 0 {
 			t.Fatalf("wave %+v: want all %d admitted and every outcome present", rep, n)
 		}
 
@@ -425,16 +425,16 @@ func TestServeMixedClassWave(t *testing.T) {
 				t.Errorf("significance %.1f: request %d served accurately after the earlier %d was shed", sv, i, first)
 			}
 		}
-		if count != [3]int{rep.Accurate, rep.Degraded, rep.Dropped} {
-			t.Errorf("ticket outcomes %v disagree with the report %d/%d/%d", count, rep.Accurate, rep.Degraded, rep.Dropped)
+		if count != [3]int{rep.Stats.Accurate, rep.Stats.Approximate, rep.Stats.Dropped} {
+			t.Errorf("ticket outcomes %v disagree with the report %d/%d/%d", count, rep.Stats.Accurate, rep.Stats.Approximate, rep.Stats.Dropped)
 		}
 		tot := s.Totals()
 		if tot.Submitted != n || tot.Completed != n || tot.Rejected != 0 ||
 			tot.Accurate != int64(count[0]) || tot.Degraded != int64(count[1]) || tot.Dropped != int64(count[2]) {
 			t.Errorf("totals %+v do not conserve %d requests served %v", tot, n, count)
 		}
-		if want := sig.DefaultActiveWatts * ran.Seconds(); rep.Joules != want || tot.Joules != want {
-			t.Errorf("modeled %v J (totals %v J), want exactly %v J = DefaultActiveWatts × %v of declared cost run", rep.Joules, tot.Joules, want, ran)
+		if want := sig.DefaultActiveWatts * ran.Seconds(); rep.Stats.Joules != want || tot.Joules != want {
+			t.Errorf("modeled %v J (totals %v J), want exactly %v J = DefaultActiveWatts × %v of declared cost run", rep.Stats.Joules, tot.Joules, want, ran)
 		}
 	})
 }

@@ -52,7 +52,7 @@ func TestServeDoneAtBodyEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rep := s.RunWave(); rep.Admitted != 2 || rep.Accurate != 2 {
+	if rep := s.RunWave(); rep.Admitted != 2 || rep.Stats.Accurate != 2 {
 		t.Fatalf("wave %+v, want both requests served accurately", rep)
 	}
 	if !<-waited {
@@ -121,8 +121,8 @@ func TestServeReleaseAtDoneResubmits(t *testing.T) {
 		before := s.Totals()
 		rep := s.RunWave()
 		d := s.Totals()
-		if got := [3]int64{d.Accurate - before.Accurate, d.Degraded - before.Degraded, d.Dropped - before.Dropped}; got != [3]int64{int64(rep.Accurate), int64(rep.Degraded), int64(rep.Dropped)} {
-			t.Fatalf("wave %d reports %d/%d/%d, Totals moved %v", rep.Wave, rep.Accurate, rep.Degraded, rep.Dropped, got)
+		if got := [3]int64{d.Accurate - before.Accurate, d.Degraded - before.Degraded, d.Dropped - before.Dropped}; got != [3]int64{int64(rep.Stats.Accurate), int64(rep.Stats.Approximate), int64(rep.Stats.Dropped)} {
+			t.Fatalf("wave %d reports %d/%d/%d, Totals moved %v", rep.Stats.Wave, rep.Stats.Accurate, rep.Stats.Approximate, rep.Stats.Dropped, got)
 		}
 		if rep.Admitted == 0 {
 			runtime.Gosched()

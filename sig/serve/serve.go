@@ -13,7 +13,10 @@
 // run their degraded handlers (or are skipped entirely, the model's task
 // dropping), which shrinks per-request cost and raises throughput. Only
 // when the queue is full despite maximum degradation does Submit reject —
-// quality sheds first, requests last.
+// quality sheds first, requests last. A wave's record, WaveReport, is the
+// runtime's sig.WaveStats and the controller's adapt.Sample for it, beside
+// what only the serving layer knows (admissions, queue depth, budget, wall
+// time).
 //
 // Time enters the package through one seam, the WaveClock: deadlines,
 // latency stamps and the per-wave wall-time measurement all read it. Each
@@ -269,38 +272,36 @@ func (s *costSums) sub(c costSums) { s.acc -= c.acc; s.deg -= c.deg }
 //siglint:noalloc
 func (s costSums) at(r float64) float64 { return r*s.acc + (1-r)*s.deg }
 
-// WaveReport is the telemetry of one serving wave.
+// WaveReport is the record of one serving wave: the runtime's telemetry of
+// the wave (Stats), what the admission controller decided from it (Control)
+// and what only the serving layer knows — admission, the queue, the wave
+// budget and the measured wall time. The wave's index, the ratio it ran at
+// and the one it provided, its joules and its outcome split are Stats'
+// alone, the next ratio and the load signal Control's.
 type WaveReport struct {
-	// Wave is the wave index.
-	Wave int
-	// Admitted is how many requests the wave served; Accurate, Degraded
-	// and Dropped split them by outcome. TimedOut counts queued requests
-	// whose deadline expired before this wave could admit them — resolved
-	// without running, on top of Admitted.
+	// Stats is the wave's runtime telemetry. Stats.Accurate,
+	// Stats.Approximate and Stats.Dropped split Admitted by outcome (degraded
+	// is Approximate); Stats.RequestedRatio ran the wave.
+	Stats sig.WaveStats
+	// Control is the admission controller's step on the wave:
+	// Control.NextRatio commands the next one, and Control.Measure is the
+	// load signal it regulated (demand+backlog over capacity, see package
+	// doc; Server.Load reads the last one).
+	Control adapt.Sample
+	// Admitted is how many requests the wave served: Stats.Submitted, kept
+	// under the name the benchmark's layer ladder reads. TimedOut counts
+	// queued requests whose deadline expired before this wave could admit
+	// them — resolved without running, on top of Admitted.
 	Admitted int
-	Accurate int
-	Degraded int
-	Dropped  int
 	TimedOut int
 	// PriorityAdmitted is how many of Admitted came through the priority
 	// lane. Zero without a configured lane.
 	PriorityAdmitted int
 	// Depth is the admission-queue depth after the wave's admissions.
 	Depth int
-	// Ratio ran the wave; NextRatio is what the admission controller
-	// commanded for the next one; Provided is the wave's accurate
-	// fraction.
-	Ratio     float64
-	NextRatio float64
-	Provided  float64
-	// Load is the signal the admission controller regulated this wave
-	// (demand+backlog over capacity, see package doc); Budget is the
-	// modeled per-wave capacity it was priced against, rebuilt from the
-	// pacer's measured period at every wave boundary.
-	Load   float64
+	// Budget is the modeled per-wave capacity the load was priced against,
+	// rebuilt from the pacer's measured period at every wave boundary.
 	Budget float64
-	// Joules is the wave's modeled energy.
-	Joules float64
 	// WallTime is the wave's measured wall time (admission through
 	// taskwait), read through the WaveClock seam; it is the sample that
 	// feeds the MeasuredPeriod EWMA.
@@ -309,8 +310,6 @@ type WaveReport struct {
 	// it; such waves are counted in Totals.Overruns and the next wave
 	// starts immediately — never a dropped tick.
 	Overrun bool
-	// Stats is the underlying wave telemetry.
-	Stats sig.WaveStats
 }
 
 // Totals is the server's cumulative accounting. A request is counted under
@@ -416,14 +415,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("serve: negative worker count %d", cfg.Workers)
 	}
-	if cfg.MinRatio < 0 || cfg.MinRatio > 1 {
+	// The !(in range) form rejects NaN too, which every comparison fails.
+	if !(cfg.MinRatio >= 0 && cfg.MinRatio <= 1) {
 		return nil, fmt.Errorf("serve: MinRatio %v outside [0,1]", cfg.MinRatio)
 	}
-	if cfg.PriorityAt < 0 || cfg.PriorityAt > 1 {
+	if !(cfg.PriorityAt >= 0 && cfg.PriorityAt <= 1) {
 		return nil, fmt.Errorf("serve: PriorityAt %v outside [0,1]", cfg.PriorityAt)
 	}
-	if cfg.QualityFloor < 0 || cfg.QualityFloor > 1 {
+	if !(cfg.QualityFloor >= 0 && cfg.QualityFloor <= 1) {
 		return nil, fmt.Errorf("serve: QualityFloor %v outside [0,1]", cfg.QualityFloor)
+	}
+	if math.IsNaN(cfg.WaveBudget) || math.IsInf(cfg.WaveBudget, 0) {
+		return nil, fmt.Errorf("serve: non-finite WaveBudget %v", cfg.WaveBudget)
 	}
 	if cfg.QualityWindow != 0 && cfg.QualityFloor == 0 {
 		return nil, fmt.Errorf("serve: QualityWindow %d without QualityFloor", cfg.QualityWindow)
@@ -615,8 +618,11 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	if req.Handler == nil {
 		return nil, fmt.Errorf("serve: Submit with nil Handler") //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
-	if req.CostAccurate < 0 || req.CostDegraded < 0 {
-		return nil, fmt.Errorf("serve: negative request cost (%v/%v)", req.CostAccurate, req.CostDegraded) //siglint:allocok rejected-request path; the caller has a bug to fix
+	// Written so NaN fails it too: a NaN or infinite cost would poison the
+	// lanes' cost sums, and with them every later wave's load signal.
+	if !(req.CostAccurate >= 0 && req.CostAccurate <= math.MaxFloat64 &&
+		req.CostDegraded >= 0 && req.CostDegraded <= math.MaxFloat64) {
+		return nil, fmt.Errorf("serve: request cost (%v/%v) not a finite non-negative number", req.CostAccurate, req.CostDegraded) //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
 	if req.CostAccurate == 0 && req.CostDegraded > 0 {
 		return nil, fmt.Errorf("serve: CostDegraded declared without CostAccurate") //siglint:allocok rejected-request path; the caller has a bug to fix
@@ -863,14 +869,17 @@ func (s *Server) runWave(token bool) WaveReport {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
 	if s.stopped {
-		return WaveReport{Wave: int(s.wave.Load()), Ratio: s.Ratio(), NextRatio: s.Ratio()}
+		r := s.Ratio()
+		return WaveReport{
+			Stats:   sig.WaveStats{Wave: int(s.wave.Load()), RequestedRatio: r, ProvidedRatio: r},
+			Control: adapt.Sample{NextRatio: r},
+		}
 	}
 	start := s.clock.Now()
 	s.pace.begin(start, token)
-	ratio := s.Ratio()
-	batch := s.admit(start, ratio)
+	batch := s.admit(start, s.Ratio())
 
-	rep := WaveReport{Wave: int(s.wave.Load()), Admitted: len(batch), Ratio: ratio}
+	rep := WaveReport{Admitted: len(batch)}
 	// Stage the batch, in admission order, into slabs of prebuilt specs; a
 	// slab submits the moment it fills, the partial one here (see
 	// hotpath.go). From the first submit on, a body may resolve its ticket,
@@ -885,8 +894,8 @@ func (s *Server) runWave(token bool) WaveReport {
 	if s.cur != nil {
 		s.submitSlab()
 	}
-	ws := s.rt.WaitPhase(s.grp)
-	s.ctl.Observe(s.grp, ws) // the admission controller retunes the ratio for the next wave
+	rep.Stats = s.rt.WaitPhase(s.grp)
+	rep.Control = s.ctl.Observe(s.grp, rep.Stats) // the admission controller retunes the ratio for the next wave
 	end := s.clock.Now()
 	// The wave's measured wall time — admission through taskwait — is the
 	// sample behind MeasuredPeriod.
@@ -896,7 +905,7 @@ func (s *Server) runWave(token bool) WaveReport {
 	// resolved at the wave's end finds its wave in Totals too.
 	for {
 		old := s.tot.joules.Load()
-		if s.tot.joules.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+ws.Joules)) {
+		if s.tot.joules.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+rep.Stats.Joules)) {
 			break
 		}
 	}
@@ -911,17 +920,12 @@ func (s *Server) runWave(token bool) WaveReport {
 	s.waveExpired = s.waveExpired[:0]
 	// Every body of the wave resolved its own request as it returned; the
 	// slots say which, and the rest are the policy's drops.
-	s.endSlabs(&rep, wave, nowNs)
+	s.endSlabs(wave, nowNs)
 	rep.Overrun = s.pace.settle(rep.WallTime)
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
-	rep.Load = s.lastLoad
 	rep.Budget = s.rebudget()
 	s.mu.Unlock()
-	rep.NextRatio = s.Ratio()
-	rep.Provided = ws.ProvidedRatio
-	rep.Joules = ws.Joules
-	rep.Stats = ws
 	return rep
 }
 

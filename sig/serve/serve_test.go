@@ -100,8 +100,8 @@ func TestServeBasicWave(t *testing.T) {
 			t.Errorf("light-load wave latency %d, want 1", got)
 		}
 	}
-	if acc != rep.Accurate || deg != rep.Degraded {
-		t.Errorf("ticket outcomes %d/%d disagree with report %d/%d", acc, deg, rep.Accurate, rep.Degraded)
+	if acc != rep.Stats.Accurate || deg != rep.Stats.Approximate {
+		t.Errorf("ticket outcomes %d/%d disagree with report %d/%d", acc, deg, rep.Stats.Accurate, rep.Stats.Approximate)
 	}
 	if int64(acc) != served[0].Load() || int64(deg) != served[1].Load() {
 		t.Errorf("outcomes %d/%d vs bodies run %d/%d", acc, deg, served[0].Load(), served[1].Load())
@@ -219,8 +219,8 @@ func TestServeMinRatioHonored(t *testing.T) {
 		for i := 0; i < 16; i++ { // 4x the base the budget was sized for
 			s.Submit(request(w*16+i, &served))
 		}
-		if rep := s.RunWave(); rep.NextRatio < 0.6-1e-9 {
-			t.Fatalf("wave %d commanded ratio %.3f below the MinRatio contract", w, rep.NextRatio)
+		if rep := s.RunWave(); rep.Control.NextRatio < 0.6-1e-9 {
+			t.Fatalf("wave %d commanded ratio %.3f below the MinRatio contract", w, rep.Control.NextRatio)
 		}
 	}
 	if tot := s.Totals(); tot.Rejected == 0 {
@@ -388,6 +388,21 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := New(Config{MinRatio: 1.5}); err == nil {
 		t.Error("MinRatio > 1 accepted")
 	}
+	// NaN fails every comparison, so a range check spelled as "outside"
+	// lets it through; each must still be refused.
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"MinRatio":     {MinRatio: nan},
+		"PriorityAt":   {PriorityAt: nan, QueueLimit: 8},
+		"QualityFloor": {QualityFloor: nan},
+		"WaveBudget":   {WaveBudget: nan},
+		"+Inf budget":  {WaveBudget: math.Inf(1)},
+	} {
+		if s, err := New(cfg); err == nil {
+			s.Close()
+			t.Errorf("%s: config %+v accepted", name, cfg)
+		}
+	}
 	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -400,6 +415,14 @@ func TestServeConfigValidation(t *testing.T) {
 	h := func() {}
 	if _, err := s.Submit(Request{Handler: h, CostAccurate: -1}); err == nil {
 		t.Error("negative cost accepted")
+	}
+	for _, c := range []float64{nan, math.Inf(1)} {
+		if _, err := s.Submit(Request{Handler: h, CostAccurate: c}); err == nil {
+			t.Errorf("accurate cost %v accepted", c)
+		}
+		if _, err := s.Submit(Request{Handler: h, Degraded: h, CostAccurate: 5, CostDegraded: c}); err == nil {
+			t.Errorf("degraded cost %v accepted", c)
+		}
 	}
 	if _, err := s.Submit(Request{Handler: h, CostDegraded: 5}); err == nil {
 		t.Error("CostDegraded without CostAccurate accepted")

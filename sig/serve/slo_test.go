@@ -163,54 +163,6 @@ func TestServePriorityReservedSlice(t *testing.T) {
 	}
 }
 
-// TestServeWindowedQualityFloor drives a sustained 4x overload whose
-// unfloored equilibrium ratio sits far below the floor and checks the
-// windowed SLO end to end: every full window's mean provided ratio holds
-// the floor (within slack for provided-vs-commanded quantization), while
-// individual waves still dip below it — the floor is a long-run average,
-// not a per-wave clamp.
-func TestServeWindowedQualityFloor(t *testing.T) {
-	const window, floor = 8, 0.5
-	s := newTestServer(t, 8, func(c *Config) {
-		c.QualityFloor = floor
-		c.QualityWindow = window
-	})
-	defer s.Close()
-	var served [3]atomic.Int64
-
-	var provided []float64
-	for w := 0; w < 60; w++ {
-		for i := 0; i < 32; i++ {
-			if _, err := s.Submit(request(i, &served)); err != nil && !errors.Is(err, ErrQueueFull) {
-				t.Fatal(err)
-			}
-		}
-		rep := s.RunWave()
-		if rep.Admitted > 0 {
-			provided = append(provided, rep.Provided)
-		}
-	}
-	dipped := false
-	for i := range provided {
-		if provided[i] < floor-1e-9 {
-			dipped = true
-		}
-		if i+1 < window {
-			continue
-		}
-		var sum float64
-		for _, p := range provided[i+1-window : i+1] {
-			sum += p
-		}
-		if mean := sum / window; mean < floor-0.05 {
-			t.Errorf("window ending at wave %d: mean provided %.3f below floor %.2f", i, mean, floor)
-		}
-	}
-	if !dipped {
-		t.Errorf("no wave dipped below the %.2f floor under 4x overload: the window floor is acting per-wave", floor)
-	}
-}
-
 // TestServeOutcomeConservation drives seeded random Submit/RunWave/deadline
 // interleavings and asserts the serving ledger balances at every quiescent
 // point: everything submitted is rejected, completed, or still queued; and

@@ -201,7 +201,7 @@ func runPump(t *testing.T, s *Server, fc *FakeClock, arrival func(i int) time.Ti
 		}
 		return arrival(i), true
 	}, func(rep WaveReport) {
-		w.end, w.early, w.admitted, w.load, w.ratio = w.start.Add(rep.WallTime), s.pace.earlyWaves.Load() > early, rep.Admitted, rep.Load, s.Ratio()
+		w.end, w.early, w.admitted, w.load, w.ratio = w.start.Add(rep.WallTime), s.pace.earlyWaves.Load() > early, rep.Admitted, rep.Control.Measure, s.Ratio()
 		waves = append(waves, w)
 	})
 	return waves
