@@ -67,7 +67,9 @@ race:
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against
 # — from the current code. Only for a change that means to move those
-# numbers; explain each differing line in the PR.
+# numbers; explain each differing line in the PR. A serving study (serve,
+# slo, pace) that breaks one of its own contracts fails here too, and no
+# golden of it is written: it fails on its contract as well as on a diff.
 goldens:
 	$(GO) test ./internal/harness -run TestStudyGoldens -update
 

@@ -1,11 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"time"
 
 	"repro/sig/adapt"
@@ -46,52 +46,6 @@ const (
 	paceWavePeriod = 500 * time.Microsecond
 )
 
-// PaceResult is the outcome of the pace study.
-type PaceResult struct {
-	TrueMeanMs float64 // mean offered work per wave — the honest cadence
-	// Rows are the cadence phase's wave reports, and Pace the cadence in
-	// force after each.
-	Rows []serve.WaveReport
-	Pace []time.Duration
-
-	// Cadence section: ConvergedAt is the first wave (1-based) from which
-	// the cadence stays within 25% of TrueMeanMs for the rest of the
-	// phase (-1 = never); Converged additionally demands ConvergedAt <= 16.
-	ConvergedAt int
-	Converged   bool
-	FinalPaceMs float64
-	MeasuredMs  float64 // MeasuredPeriod at the end of the study
-
-	// Overrun accounting: Overruns (Totals) must equal OverrunsSeen
-	// (per-report flags) and WavesRun must equal PaceCalls (the waves the
-	// study fired) — every late wave counted, none dropped.
-	Overruns     int64
-	OverrunsSeen int64
-	WavesRun     int64
-	PaceCalls    int64
-
-	// Seconds-true SLO bounds: the secant-law reaction bounds (full
-	// commanded range, default gains) priced at the measured period vs the
-	// configured one — the factor the nominal-period "seconds" were off by.
-	ShedBoundMs        float64
-	ShedBoundNominalMs float64
-	RecoverBoundMs     float64
-
-	// RetryAfter honesty: the measured-period hint vs the observed
-	// fake-clock drain of the backlog it priced, and the configured-period
-	// price pre-fix code would have returned for the same waves.
-	RetryAfterMs       float64
-	DrainMs            float64
-	RetryBeforeMs      float64
-	RetryErrAfter      float64 // |RetryAfter−Drain|/Drain
-	RetryErrBefore     float64
-	RetryWithinOneWave bool
-
-	// ReplayIdentical: the whole study, re-run from scratch on a fresh
-	// fake clock, reproduced every number above bit-identically.
-	ReplayIdentical bool
-}
-
 // paceClass picks request i's cost class: a multiplicative hash over the
 // request index, so the per-wave class mix varies wave to wave (the cost
 // variance the pacer must average over) while staying pure index
@@ -113,24 +67,36 @@ func paceRequest(fc *serve.FakeClock, i int) serve.Request {
 	}
 }
 
-// PaceStudy runs the measured-time pacing study twice and verifies the
-// second run reproduces the first bit-identically (ReplayIdentical).
-func PaceStudy() (PaceResult, error) {
-	res, err := paceRun()
-	if err != nil {
-		return res, err
+// PaceStudy prints the measured-time pacing study and fails on a broken
+// contract. It plays the study twice, the second time from scratch on a
+// fresh fake clock, and fails unless the replay reproduced every wave report,
+// total and printed line bit-identically.
+func PaceStudy(w io.Writer) error {
+	var out [2]bytes.Buffer
+	var runs [2]studyLog
+	for i := range runs {
+		runs[i] = studyLog{w: &out[i], workers: 1}
+		if err := paceRun(&runs[i]); err != nil {
+			return err
+		}
 	}
-	replay, err := paceRun()
-	if err != nil {
-		return res, err
+	diff := runs[0].diff(&runs[1])
+	if diff == nil && out[0].String() != out[1].String() {
+		diff = errors.New("printed output diverged")
 	}
-	res.ReplayIdentical = reflect.DeepEqual(res, replay)
-	return res, nil
+	out[0].WriteTo(w)
+	fmt.Fprintf(w, "replay: bit-identical: %v\n", diff == nil)
+	if diff != nil {
+		return fmt.Errorf("pace study: fake-clock replay: %w", diff)
+	}
+	return nil
 }
 
 // paceRun plays the study on a one-worker server whose request handlers,
-// and a probe ahead of every wave's arrivals, advance its clock.
-func paceRun() (PaceResult, error) {
+// and a probe ahead of every wave's arrivals, advance its clock: the
+// cadence phase, then the burst and its drain, then the bounds priced at
+// the measured period.
+func paceRun(l *studyLog) error {
 	fc := serve.NewFakeClock()
 	sc := scenario{
 		cfg: serve.Config{
@@ -152,102 +118,110 @@ func paceRun() (PaceResult, error) {
 			CostAccurate: 1000,
 		},
 	}
-	var res PaceResult
-	_, err := sc.play(func(r *studyRun) error { return paceSections(r, fc, &res) }, nil)
-	return res, err
-}
-
-// paceSections plays the study's phases on r: the cadence phase, then the
-// burst and its drain, then the bounds priced at the measured period.
-func paceSections(r *studyRun, fc *serve.FakeClock, res *PaceResult) error {
-	s := r.s
-	// Cadence phase: paceBasePerWave arrivals per wave; the wave's true wall is
-	// their declared cost plus the fixed overhead the probe injects.
-	var offered float64
-	for range paceWaves {
-		offered += float64(paceOverhead)
-		for i := range paceBasePerWave {
-			offered += paceCosts[paceClass(r.seq+i)]
-		}
-		res.Rows = append(res.Rows, r.wave(paceBasePerWave))
-		res.Pace = append(res.Pace, s.PacePeriod())
+	// The honest cadence: the cadence phase's mean offered work per wave, its
+	// requests' declared costs plus the probe's overhead, in ms.
+	offered := paceWaves * float64(paceOverhead)
+	for i := range paceWaves * paceBasePerWave {
+		offered += paceCosts[paceClass(i)]
 	}
-	res.TrueMeanMs = offered / paceWaves / 1e6
-	res.ConvergedAt = -1
-	for w := len(res.Pace) - 1; w >= 0; w-- {
-		if math.Abs(durMs(res.Pace[w])-res.TrueMeanMs) > 0.25*res.TrueMeanMs {
+	trueMean := offered / paceWaves / 1e6
+	fmt.Fprintf(l.w, "pace study (base %d req/wave, 4x cost variance, nominal period %.3g ms, true mean wall %.4g ms)\n",
+		paceBasePerWave, durMs(paceWavePeriod), trueMean)
+	var oe *serve.OverloadError
+	var effective, oneWave, drain, measured time.Duration
+	rows, tot, err := sc.play(l, func(r *studyRun) error {
+		s := r.s
+		// Cadence phase: paceBasePerWave arrivals per wave; the wave's true
+		// wall is their declared cost plus the fixed overhead the probe
+		// injects.
+		for range paceWaves {
+			r.wave(paceBasePerWave)
+		}
+		// Drain the cadence phase's leftovers so the burst below is the whole
+		// backlog the RetryAfter hint prices.
+		for s.Depth() > 0 {
+			r.wave(0)
+		}
+		// RetryAfter honesty phase: fill the queue to rejection, then measure
+		// how long the backlog actually takes to drain in fake time.
+		var err error
+		for ; err == nil; r.seq++ {
+			err = r.submit(r.sc.stream(r.seq), r.seq)
+		}
+		if !errors.As(err, &oe) {
+			return fmt.Errorf("pace study burst: want OverloadError, got %w", err)
+		}
+		effective, oneWave = max(s.MeasuredPeriod(), s.PacePeriod()), s.MeasuredPeriod()
+		start := fc.Now()
+		for s.Depth() > 0 {
+			r.wave(0)
+		}
+		drain = fc.Now().Sub(start)
+		measured = s.MeasuredPeriod()
+		return nil
+	}, nil)
+	if err != nil {
+		return err
+	}
+
+	// Cadence: the first wave from which the cadence stays within 25% of the
+	// true mean for the rest of the phase (-1 = never); it must be one of
+	// the first 16.
+	convergedAt := -1
+	for w := paceWaves - 1; w >= 0; w-- {
+		if math.Abs(durMs(rows[w].pace)-trueMean) > 0.25*trueMean {
 			break
 		}
-		res.ConvergedAt = w + 1
+		convergedAt = rows[w].Stats.Wave
 	}
-	res.Converged = res.ConvergedAt > 0 && res.ConvergedAt <= 16
-
-	// Drain the cadence phase's leftovers so the burst below is the whole
-	// backlog the RetryAfter hint prices.
-	for s.Depth() > 0 {
-		r.wave(0)
+	converged := convergedAt >= 0 && convergedAt < 16
+	// Overruns: every late wave counted, none dropped.
+	var overruns int64
+	for _, row := range rows {
+		if row.Overrun {
+			overruns++
+		}
 	}
-
-	// RetryAfter honesty phase: fill the queue to rejection, then measure
-	// how long the backlog actually takes to drain in fake time.
-	var err error
-	for ; err == nil; r.seq++ {
-		err = r.submit(r.sc.stream(r.seq), r.seq)
-	}
-	var oe *serve.OverloadError
-	if !errors.As(err, &oe) {
-		return fmt.Errorf("pace study burst: want OverloadError, got %w", err)
-	}
-	effective := max(s.MeasuredPeriod(), s.PacePeriod())
-	// The hint is waves × effective period; the same waves at the
-	// configured period is what pre-fix code told clients.
-	pricedWaves := int64(oe.RetryAfter / effective)
-	res.RetryAfterMs = durMs(oe.RetryAfter)
-	res.RetryBeforeMs = durMs(time.Duration(pricedWaves) * paceWavePeriod)
-	oneWave := s.MeasuredPeriod()
-	start := fc.Now()
-	for s.Depth() > 0 {
-		r.wave(0)
-	}
-	drain := fc.Now().Sub(start)
-	res.DrainMs = durMs(drain)
-	res.RetryErrAfter = math.Abs(res.RetryAfterMs-res.DrainMs) / res.DrainMs
-	res.RetryErrBefore = math.Abs(res.RetryBeforeMs-res.DrainMs) / res.DrainMs
+	// RetryAfter honesty: the hint is waves × effective period; the same
+	// waves at the configured period is what pre-fix code told clients.
+	retryAfter, drainMs := durMs(oe.RetryAfter), durMs(drain)
+	retryBefore := durMs(time.Duration(int64(oe.RetryAfter/effective)) * paceWavePeriod)
+	errAfter := math.Abs(retryAfter-drainMs) / drainMs
+	errBefore := math.Abs(retryBefore-drainMs) / drainMs
 	diff := oe.RetryAfter - drain
-	res.RetryWithinOneWave = diff <= oneWave && -diff <= oneWave
-
-	res.FinalPaceMs = durMs(s.PacePeriod())
-	res.MeasuredMs = durMs(s.MeasuredPeriod())
+	withinOneWave := diff <= oneWave && -diff <= oneWave
+	// Seconds-true SLO bounds: the secant-law reaction bounds (full
+	// commanded range, default gains) priced at the measured period vs the
+	// configured one — the factor the nominal-period "seconds" were off by.
 	shed := time.Duration(adapt.ShedBound(1.0))
-	res.ShedBoundMs = durMs(shed * s.MeasuredPeriod())
-	res.ShedBoundNominalMs = durMs(shed * paceWavePeriod)
-	res.RecoverBoundMs = durMs(time.Duration(adapt.RecoverBound(1.0, 0.4)) * s.MeasuredPeriod())
-	tot := s.Totals()
-	res.Overruns, res.OverrunsSeen = tot.Overruns, r.overruns
-	res.WavesRun, res.PaceCalls = tot.Waves, r.waves
+	shedMs, shedNominalMs := durMs(shed*measured), durMs(shed*paceWavePeriod)
+	recoverMs := durMs(time.Duration(adapt.RecoverBound(1.0, 0.4)) * measured)
+
+	finalPace := durMs(rows[len(rows)-1].pace)
+	fmt.Fprintf(l.w, "cadence converged: %v (wave %d, final pace %.4g ms vs true mean %.4g ms, measured EWMA %.4g ms)\n",
+		converged, convergedAt, finalPace, trueMean, durMs(measured))
+	fmt.Fprintf(l.w, "overruns: %d counted (%d flagged in reports), waves run %d of %d pace calls — 0 dropped ticks\n",
+		tot.Overruns, overruns, tot.Waves, len(rows))
+	fmt.Fprintf(l.w, "retry-after: measured-period price %.4g ms vs observed drain %.4g ms (within one wave: %v); configured-period price %.4g ms (error %.0f%% -> %.0f%%)\n",
+		retryAfter, drainMs, withinOneWave, retryBefore, 100*errBefore, 100*errAfter)
+	fmt.Fprintf(l.w, "seconds-true bounds: shed %.4g ms at the measured period (%.4g ms at nominal), recover %.4g ms\n",
+		shedMs, shedNominalMs, recoverMs)
+
+	err = errors.Join(
+		broken(converged, "cadence did not converge by wave 16: converged at %d, final pace %.4g ms vs true mean %.4g ms",
+			convergedAt, finalPace, trueMean),
+		broken(tot.Overruns == overruns, "overrun totals %d disagree with per-report flags %d", tot.Overruns, overruns),
+		broken(overruns > 0, "never overran: the nominal period is half the true wall time"),
+		broken(tot.Waves == int64(len(rows)), "waves run %d != pace calls %d: a tick was silently dropped", tot.Waves, len(rows)),
+		broken(withinOneWave, "RetryAfter %.4g ms not within one measured wave (%.4g ms) of drain %.4g ms",
+			retryAfter, durMs(oneWave), drainMs),
+		broken(errAfter < errBefore, "measured-period pricing error %.3f not below configured-period %.3f", errAfter, errBefore),
+		broken(shedMs > shedNominalMs, "measured-period shed bound %.4g ms not above the nominal-period %.4g ms", shedMs, shedNominalMs))
+	if err != nil {
+		return fmt.Errorf("pace study: %w", err)
+	}
 	return nil
 }
 
 // durMs renders a duration in fractional milliseconds.
 func durMs(d time.Duration) float64 { return float64(d) / 1e6 }
-
-// PrintPaceStudy renders the study: the per-wave cadence trajectory and the
-// summary lines the gating tests read.
-func PrintPaceStudy(w io.Writer, r PaceResult) {
-	fmt.Fprintf(w, "pace study (base %d req/wave, 4x cost variance, nominal period %.3g ms, true mean wall %.4g ms)\n",
-		paceBasePerWave, durMs(paceWavePeriod), r.TrueMeanMs)
-	fmt.Fprintf(w, "%-5s %5s %6s %8s %8s %9s %8s\n", "wave", "adm", "depth", "wall ms", "pace ms", "budget k", "overrun")
-	for i, row := range r.Rows {
-		fmt.Fprintf(w, "%-5d %5d %6d %8.3f %8.3f %9.1f %8v\n",
-			i+1, row.Admitted, row.Depth, durMs(row.WallTime), durMs(r.Pace[i]), row.Budget/1000, row.Overrun)
-	}
-	fmt.Fprintf(w, "cadence converged: %v (wave %d, final pace %.4g ms vs true mean %.4g ms, measured EWMA %.4g ms)\n",
-		r.Converged, r.ConvergedAt, r.FinalPaceMs, r.TrueMeanMs, r.MeasuredMs)
-	fmt.Fprintf(w, "overruns: %d counted (%d flagged in reports), waves run %d of %d pace calls — 0 dropped ticks\n",
-		r.Overruns, r.OverrunsSeen, r.WavesRun, r.PaceCalls)
-	fmt.Fprintf(w, "retry-after: measured-period price %.4g ms vs observed drain %.4g ms (within one wave: %v); configured-period price %.4g ms (error %.0f%% -> %.0f%%)\n",
-		r.RetryAfterMs, r.DrainMs, r.RetryWithinOneWave, r.RetryBeforeMs, 100*r.RetryErrBefore, 100*r.RetryErrAfter)
-	fmt.Fprintf(w, "seconds-true bounds: shed %.4g ms at the measured period (%.4g ms at nominal), recover %.4g ms\n",
-		r.ShedBoundMs, r.ShedBoundNominalMs, r.RecoverBoundMs)
-	fmt.Fprintf(w, "replay: bit-identical: %v\n", r.ReplayIdentical)
-}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -137,167 +138,145 @@ func studyRequest(b *ServeBackend, i int) serve.Request {
 	return req
 }
 
-// serveOffered is the open loop's arrivals in wave w: the base rate, stepped
-// serveOverload-fold over [serveStepAt, serveStepEnd).
-func serveOffered(w int) int {
-	if w >= serveStepAt && w < serveStepEnd {
-		return serveBasePerWave * serveOverload
-	}
-	return serveBasePerWave
-}
-
-// ServeResult is the outcome of the serving study.
-type ServeResult struct {
-	Backend string
-
-	// Open-loop overload step: one report a wave, its offered arrivals
-	// serveOffered(wave).
-	Rows []serve.WaveReport
-	// P50/P99 are request latency percentiles in waves over every
-	// completed request of the open-loop stream.
-	P50, P99 int
-	// PreStepRatio is the commanded ratio just before the step;
-	// MinStepRatio the lowest command during it; RecoveredAfter how many
-	// waves past the step's end the command climbed back within 0.05 of the
-	// pre-step ratio (-1 = never).
-	PreStepRatio   float64
-	MinStepRatio   float64
-	RecoveredAfter int
-	// Outcomes is the server's cumulative accounting (Rejected, modeled
-	// Joules, ...) after the drain.
-	Outcomes serve.Totals
-
-	// Closed-loop segment: Clients concurrent callers, each submitting
-	// its next request as the previous completes.
-	Clients          int
-	ClosedThroughput float64 // completed requests per wave
-	ClosedRatio      float64 // final commanded ratio
-	ClosedP99        int     // latency p99 in waves
-}
-
-// serveScenario is a loop's frozen server on workers workers and its stream
-// of the backend's study requests: capacity sized for serveBasePerWave at
-// serveUtilization, a queue deep enough that the step sheds quality rather
-// than requests.
-func serveScenario(b *ServeBackend, workers int) scenario {
+// serveScenario is a loop's frozen server on serveWorkers workers and its
+// stream of the backend's study requests: capacity sized for
+// serveBasePerWave at serveUtilization, a queue deep enough that the step
+// sheds quality rather than requests.
+func serveScenario(b *ServeBackend) scenario {
 	return scenario{
-		cfg:    serve.Config{Workers: workers, QueueLimit: 64 * serveBasePerWave},
+		cfg:    serve.Config{Workers: serveWorkers, QueueLimit: 64 * serveBasePerWave},
 		budget: serveBasePerWave * b.CostAccurate / serveUtilization,
 		stream: func(i int) serve.Request { return studyRequest(b, i) },
 	}
 }
 
-// ServeStudy runs the serving-layer evaluation on the named backend ("sobel"
-// or "kmeans"): an open-loop request stream with an overload step (offered
-// load jumps serveOverload-fold over [serveStepAt, serveStepEnd)), then a
-// closed-loop segment with a fixed client population. Declared request
-// costs, the deterministic max-buffering policy and a deterministic arrival
-// order make the whole study — ratio trajectory, outcomes, modeled joules —
-// bit-identical across runs.
-func ServeStudy(backend string) (ServeResult, error) {
-	b, err := ServeBackendByName(backend, studyScale)
-	if err != nil {
-		return ServeResult{}, err
-	}
-	res := ServeResult{Backend: b.Name}
-	if err := serveOpenLoop(serveScenario(b, serveWorkers), &res); err != nil {
-		return res, err
-	}
-	return res, serveClosedLoop(serveScenario(b, serveWorkers), &res)
+// ServeStudy prints the serving-layer evaluation on the named backend
+// ("sobel" or "kmeans") and fails on a broken contract: an open-loop request
+// stream with an overload step (offered load jumps serveOverload-fold over
+// [serveStepAt, serveStepEnd)), then a closed-loop segment with a fixed
+// client population. Under the step the admission controller must shed
+// quality instead of requests or queueing unboundedly, and recover once it
+// ends. Declared request costs, the deterministic max-buffering policy and
+// a deterministic arrival order make the whole study — ratio trajectory,
+// outcomes, modeled joules — bit-identical across runs and worker counts.
+func ServeStudy(w io.Writer, backend string) error {
+	return serveStudy(&studyLog{w: w, workers: 1}, backend)
 }
 
-func serveOpenLoop(sc scenario, res *ServeResult) error {
+func serveStudy(l *studyLog, backend string) error {
+	b, err := ServeBackendByName(backend, studyScale)
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(serveOpenLoop(l, b), serveClosedLoop(l, b)); err != nil {
+		return fmt.Errorf("serve study (%s backend): %w", b.Name, err)
+	}
+	return nil
+}
+
+// serveOpenLoop plays the overload step: the base rate, stepped
+// serveOverload-fold over waves [serveStepAt, serveStepEnd).
+func serveOpenLoop(l *studyLog, b *ServeBackend) error {
+	fmt.Fprintf(l.w, "Serve study (%s backend): open-loop %.0fx overload step over waves [%d,%d)\n",
+		b.Name, serveOverload, serveStepAt, serveStepEnd)
 	var lats []int // Close drains the remaining backlog
-	tot, err := sc.play(func(r *studyRun) error {
+	rows, tot, err := serveScenario(b).play(l, func(r *studyRun) error {
 		for w := range serveWaves {
-			res.Rows = append(res.Rows, r.wave(serveOffered(w)))
+			if w >= serveStepAt && w < serveStepEnd {
+				r.wave(serveBasePerWave * serveOverload)
+			} else {
+				r.wave(serveBasePerWave)
+			}
 		}
 		return nil
 	}, func(_, waves int) { lats = append(lats, waves) })
 	if err != nil {
 		return err
 	}
-	res.P50, res.P99 = percentiles(lats)
-	res.Outcomes = tot
-
-	res.PreStepRatio = res.Rows[serveStepAt-1].Control.NextRatio
-	res.MinStepRatio = 1
-	for _, row := range res.Rows[serveStepAt:serveStepEnd] {
-		res.MinStepRatio = math.Min(res.MinStepRatio, row.Control.NextRatio)
-	}
-	res.RecoveredAfter = -1
-	for w := serveStepEnd; w < len(res.Rows); w++ {
-		if res.Rows[w].Control.NextRatio >= res.PreStepRatio-0.05 {
-			res.RecoveredAfter = w - serveStepEnd
-			break
+	p50, p99 := percentiles(lats)
+	// The commanded ratio just before the step, its lowest during it, and
+	// how many waves past the step's end it climbed back within 0.05 of the
+	// pre-step ratio (-1 = never).
+	pre, minStep, recovered, maxDepth := rows[serveStepAt-1].Control.NextRatio, 1.0, -1, 0
+	for w, row := range rows {
+		maxDepth = max(maxDepth, row.Depth)
+		if next := row.Control.NextRatio; w >= serveStepEnd && recovered < 0 && next >= pre-0.05 {
+			recovered = w - serveStepEnd
+		} else if w >= serveStepAt && w < serveStepEnd {
+			minStep = math.Min(minStep, next)
 		}
 	}
-	return nil
+
+	fmt.Fprintln(l.w)
+	plotServeRatio(l.w, rows)
+	fmt.Fprintln(l.w)
+	rec := "never"
+	if recovered >= 0 {
+		rec = fmt.Sprintf("%d waves", recovered)
+	}
+	fmt.Fprintf(l.w, "open loop: ratio %.3f -> min %.3f under the step, recovered within 0.05 after %s\n",
+		pre, minStep, rec)
+	fmt.Fprintf(l.w, "open loop: latency p50 %d / p99 %d waves, %d rejected, %.4f J total (%d acc / %d deg / %d drop)\n",
+		p50, p99, tot.Rejected, tot.Joules, tot.Accurate, tot.Degraded, tot.Dropped)
+
+	return errors.Join(
+		broken(tot.Rejected == 0, "%d requests rejected: overload must shed quality before requests", tot.Rejected),
+		broken(pre >= 0.95, "pre-step ratio %.3f, want ~1 under light load", pre),
+		broken(minStep <= pre-0.3, "ratio only fell to %.3f during the step (pre-step %.3f)", minStep, pre),
+		broken(p99 <= 6, "open-loop p99 latency %d waves, want <= 6 (queue must stay bounded)", p99),
+		broken(recovered >= 0 && recovered <= 8, "recovered after %d waves, want within 8 of the step ending", recovered),
+		broken(maxDepth <= 8*serveBasePerWave, "queue depth peaked at %d (> %d): shedding did not bound the backlog",
+			maxDepth, 8*serveBasePerWave),
+		// The stream's drop-only requests (no degraded body) must show up as
+		// drops — charged zero modeled joules by the runtime.
+		broken(tot.Dropped > 0, "no dropped outcomes: the drop-only tier was not exercised"),
+		broken(tot.Accurate+tot.Degraded+tot.Dropped == tot.Completed, "outcome conservation broken: %+v", tot))
 }
 
-func serveClosedLoop(sc scenario, res *ServeResult) error {
+// serveClosedLoop plays a saturating client population, each client
+// submitting its next request as the previous completes; it must be served
+// at a degraded ratio with bounded latency.
+func serveClosedLoop(l *studyLog, b *ServeBackend) error {
 	// 3x the requests a full-quality wave can serve: saturating, but
 	// absorbable by degradation.
 	perWave := float64(serveBasePerWave) / serveUtilization
-	res.Clients = 3 * int(perWave)
+	clients := 3 * int(perWave)
+	fmt.Fprintf(l.w, "closed loop: %d clients, each resubmitting once its request completes, %d waves\n",
+		clients, serveClosedWaves)
 	var lats []int
 	total := 0
-	_, err := sc.play(func(r *studyRun) error {
-		completed := res.Clients
+	rows, _, err := serveScenario(b).play(l, func(r *studyRun) error {
+		completed := clients
 		for range serveClosedWaves {
-			// Each client whose request completed submits its next one.
-			res.ClosedRatio = r.wave(completed).Control.NextRatio
+			r.wave(completed)
 			completed = r.reap(func(_, waves int) { lats = append(lats, waves) })
 			total += completed
 		}
 		r.offer(completed) // Close serves the remaining in-flight requests
 		return nil
 	}, nil)
-	res.ClosedThroughput = float64(total) / serveClosedWaves
-	_, res.ClosedP99 = percentiles(lats)
-	return err
-}
-
-// PrintServeStudy renders the study: the per-wave table, an ASCII plot of
-// the commanded ratio across the overload step, and the summary lines the
-// gating tests read.
-func PrintServeStudy(w io.Writer, r ServeResult) {
-	fmt.Fprintf(w, "Serve study (%s backend): open-loop %.0fx overload step over waves [%d,%d)\n",
-		r.Backend, serveOverload, serveStepAt, serveStepEnd)
-	fmt.Fprintf(w, "%-5s %7s %7s %6s %6s %6s %6s %6s %5s/%-5s/%-4s %10s\n",
-		"wave", "offered", "admit", "depth", "load", "req%", "prov%", "next%", "acc", "deg", "drop", "energy")
-	for i, row := range r.Rows {
-		fmt.Fprintf(w, "%-5d %7d %7d %6d %6.2f %6.1f %6.1f %6.1f %5d/%-5d/%-4d %9.4fJ\n",
-			row.Stats.Wave, serveOffered(i), row.Admitted, row.Depth, row.Control.Measure,
-			100*row.Stats.RequestedRatio, 100*row.Stats.ProvidedRatio, 100*row.Control.NextRatio,
-			row.Stats.Accurate, row.Stats.Approximate, row.Stats.Dropped, row.Stats.Joules)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(w)
-	plotServeRatio(w, r)
-	fmt.Fprintln(w)
-	rec := "never"
-	if r.RecoveredAfter >= 0 {
-		rec = fmt.Sprintf("%d waves", r.RecoveredAfter)
-	}
-	fmt.Fprintf(w, "open loop: ratio %.3f -> min %.3f under the step, recovered within 0.05 after %s\n",
-		r.PreStepRatio, r.MinStepRatio, rec)
-	fmt.Fprintf(w, "open loop: latency p50 %d / p99 %d waves, %d rejected, %.4f J total (%d acc / %d deg / %d drop)\n",
-		r.P50, r.P99, r.Outcomes.Rejected, r.Outcomes.Joules,
-		r.Outcomes.Accurate, r.Outcomes.Degraded, r.Outcomes.Dropped)
-	fmt.Fprintf(w, "closed loop: %d clients -> %.1f req/wave at ratio %.3f, latency p99 %d waves\n",
-		r.Clients, r.ClosedThroughput, r.ClosedRatio, r.ClosedP99)
+	ratio := rows[len(rows)-1].Control.NextRatio
+	_, p99 := percentiles(lats)
+	fmt.Fprintf(l.w, "closed loop: %d clients -> %.1f req/wave at ratio %.3f, latency p99 %d waves\n",
+		clients, float64(total)/serveClosedWaves, ratio, p99)
+	return errors.Join(
+		broken(ratio <= 0.9, "closed-loop ratio %.3f: %d clients should saturate the budget", ratio, clients),
+		broken(p99 <= 6, "closed-loop p99 %d waves, want <= 6", p99))
 }
 
 // plotServeRatio draws the commanded-ratio trajectory ('*') with the
 // overload step bracketed by '|' columns.
-func plotServeRatio(w io.Writer, r ServeResult) {
+func plotServeRatio(w io.Writer, rows []waveRow) {
 	const levels = 10
 	fmt.Fprintln(w, "commanded ratio vs wave ('*' trajectory, '|' overload step bounds):")
 	for lvl := levels; lvl >= 0; lvl-- {
 		ratio := float64(lvl) / levels
 		var b strings.Builder
 		fmt.Fprintf(&b, "%4.1f ", ratio)
-		for i, row := range r.Rows {
+		for i, row := range rows {
 			ch := byte(' ')
 			if i == serveStepAt || i == serveStepEnd {
 				ch = '|'

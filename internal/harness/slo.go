@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -8,14 +9,6 @@ import (
 	"repro/sig/adapt"
 	"repro/sig/serve"
 )
-
-// SLOStudy measures the serving layer's SLO machinery against its paper
-// contracts: the reaction-time bounds derived from the secant law's
-// arithmetic (sig/adapt/bounds.go), the windowed quality floor, and the
-// priority lane's latency separation. Requests are synthetic no-op bodies
-// with declared costs — the study isolates the admission arithmetic the
-// bounds are proven for (assumption 1: declared costs make the load signal
-// affine in the ratio), so every number is bit-identical across runs.
 
 // The study's fixed configuration.
 const (
@@ -38,51 +31,6 @@ const (
 
 // sloOverloads are the step multiples the reaction section measures.
 var sloOverloads = [...]float64{2, 4, 6}
-
-// SLOReactionRow is one overload step's measured reaction against the
-// derived bound.
-type SLOReactionRow struct {
-	Overload float64
-	// PreRatio is the commanded ratio before the step; DeltaR = PreRatio
-	// (conservative travel distance: the bound does not know the post-shed
-	// equilibrium, so it assumes the full commanded range).
-	PreRatio float64
-	// ShedWaves is the first wave of the step whose measured load is back
-	// at or under the cap; ShedBound the derived maximum (-1 = never, a
-	// bound violation).
-	ShedWaves, ShedBound int
-	// Backlog is the queue depth when the step ends; DrainWaves the
-	// modeled waves to work it off at the post-shed admission rate — the
-	// caller-owned phase the recovery bound sits on top of.
-	Backlog, DrainWaves int
-	// RecoverWaves is how many waves past the step's end the command
-	// climbed back within 0.05 of PreRatio; RecoverBound the derived
-	// maximum including DrainWaves (-1 = never).
-	RecoverWaves, RecoverBound int
-}
-
-// SLOResult is the outcome of the SLO study.
-type SLOResult struct {
-	// Reaction section: measured shed/recover waves vs the derived bounds,
-	// one row per overload multiple. AllWithinBound is the headline claim.
-	Reaction       []SLOReactionRow
-	AllWithinBound bool
-
-	// Quality-floor section: a sustained 4x overload under a
-	// sloWindow-wave sloFloor. MinWindowMean is the worst full-window mean of the provided
-	// ratio (the SLO: must hold the floor); MinProvided the worst single
-	// wave (expected to dip below it — the floor is a long-run average);
-	// FloorDips counts the waves that dipped.
-	MinWindowMean float64
-	MinProvided   float64
-	FloorDips     int
-
-	// Priority-lane section: premium (tier 1.0) vs bulk wave-latency
-	// percentiles under the same sustained overload.
-	PremiumCompleted int64
-	PrioP50, PrioP99 int
-	BulkP50, BulkP99 int
-}
 
 // sloRequest is the i-th synthetic request: the study tier spread, no-op
 // bodies, declared costs.
@@ -107,39 +55,55 @@ func sloScenario() scenario {
 	}
 }
 
-// SLOStudy runs the three SLO sections. Deterministic end to end: declared
-// costs, no deadlines, every wave fired by the pump on a FakeClock its
-// bodies never advance.
-func SLOStudy() (SLOResult, error) {
-	var res SLOResult
-	for _, section := range []func(*SLOResult) error{sloReaction, sloFloorSection, sloLanes} {
-		if err := section(&res); err != nil {
-			return res, err
-		}
+// SLOStudy prints the serving layer's SLO machinery against its paper
+// contracts and fails on a broken one: the reaction-time bounds derived from
+// the secant law's arithmetic (sig/adapt/bounds.go), the windowed quality
+// floor, and the priority lane's latency separation. Requests are synthetic
+// no-op bodies with declared costs — the study isolates the admission
+// arithmetic the bounds are proven for (assumption 1: declared costs make
+// the load signal affine in the ratio) — and every wave is fired by the pump
+// on a FakeClock its bodies never advance, so every number is bit-identical
+// across runs.
+func SLOStudy(w io.Writer) error { return sloStudy(&studyLog{w: w, workers: 1}) }
+
+func sloStudy(l *studyLog) error {
+	fmt.Fprintf(l.w, "SLO study (base %d req/wave at %.0f%% utilization, declared costs)\n",
+		sloBasePerWave, 100*sloUtilization)
+	if err := errors.Join(sloReaction(l), sloFloorSection(l), sloLanes(l)); err != nil {
+		return fmt.Errorf("slo study: %w", err)
 	}
-	return res, nil
+	return nil
 }
 
 // sloReaction runs at the default load cap, serve.DefaultTargetLoad (1.0,
 // full capacity), the setting the bounds' absorbability assumption is
 // stated for: per overload, settle at the base rate, step the arrivals
-// over-fold, then return to the base rate.
-func sloReaction(res *SLOResult) error {
-	res.AllWithinBound = true
+// over-fold, then return to the base rate. Its table holds per step the
+// pre-step ratio (the bounds' conservative travel distance, the full
+// commanded range), the first step wave whose load is back under the cap,
+// the queue depth at the step's end and the modeled waves to drain it, and
+// the waves until the command is back within 0.05 of the pre-step ratio
+// (-1 = never), each wave count against its derived bound.
+func sloReaction(l *studyLog) error {
+	table := fmt.Sprintf("%-9s %6s %6s %7s %8s %7s %8s %9s\n",
+		"overload", "preR", "shed", "shedBnd", "backlog", "drain", "recover", "recovBnd")
+	var errs []error
 	for _, over := range sloOverloads {
-		row := SLOReactionRow{Overload: over, ShedWaves: -1, RecoverWaves: -1}
-		if _, err := sloScenario().play(func(r *studyRun) error {
+		fmt.Fprintf(l.w, "reaction %gx: 8 waves at the base rate, the step to its shed bound + 2, the base rate until recovered\n", over)
+		var pre float64
+		shed, shedBound, backlog, drain, recover, recoverBound := -1, 0, 0, 0, -1, 0
+		if _, _, err := sloScenario().play(l, func(r *studyRun) error {
 			for range 8 {
 				r.wave(sloBasePerWave)
 			}
-			row.PreRatio = r.s.Ratio()
-			row.ShedBound = adapt.ShedBound(row.PreRatio)
-			for w := 1; w <= row.ShedBound+2; w++ {
-				if rep := r.wave(int(sloBasePerWave * over)); row.ShedWaves < 0 && rep.Control.Measure <= 1.0 {
-					row.ShedWaves = w
+			pre = r.s.Ratio()
+			shedBound = adapt.ShedBound(pre)
+			for w := 1; w <= shedBound+2; w++ {
+				if rep := r.wave(int(sloBasePerWave * over)); shed < 0 && rep.Control.Measure <= 1.0 {
+					shed = w
 				}
 			}
-			row.Backlog = r.s.Depth()
+			backlog = r.s.Depth()
 
 			// The recovery bound owns only the climb; the backlog-drain phase
 			// belongs to the caller's arithmetic: each post-step wave admits at
@@ -147,66 +111,91 @@ func sloReaction(res *SLOResult) error {
 			// sloBasePerWave fresh ones, for a net drain of base/util − 1 − base.
 			base := float64(sloBasePerWave) // a variable: the division rounds as float64, as recorded
 			netDrain := base/sloUtilization - 1 - base
-			if row.Backlog > 0 {
-				row.DrainWaves = int(math.Ceil(float64(row.Backlog) / netDrain))
+			if backlog > 0 {
+				drain = int(math.Ceil(float64(backlog) / netDrain))
 			}
-			row.RecoverBound = row.DrainWaves +
-				adapt.RecoverBound(row.PreRatio, 1-sloUtilization)
-			for w := 1; w <= row.RecoverBound+5 && row.RecoverWaves < 0; w++ {
-				if r.wave(sloBasePerWave).Control.NextRatio >= row.PreRatio-0.05 {
-					row.RecoverWaves = w
+			recoverBound = drain + adapt.RecoverBound(pre, 1-sloUtilization)
+			for w := 1; w <= recoverBound+5 && recover < 0; w++ {
+				if r.wave(sloBasePerWave).Control.NextRatio >= pre-0.05 {
+					recover = w
 				}
 			}
 			return nil
 		}, nil); err != nil {
 			return err
 		}
-		if row.ShedWaves < 0 || row.ShedWaves > row.ShedBound ||
-			row.RecoverWaves < 0 || row.RecoverWaves > row.RecoverBound {
-			res.AllWithinBound = false
-		}
-		res.Reaction = append(res.Reaction, row)
+		errs = append(errs,
+			broken(shed >= 1 && shed <= shedBound, "overload %gx: shed in %d waves, bound %d", over, shed, shedBound),
+			broken(recover >= 1 && recover <= recoverBound, "overload %gx: recovered in %d waves, bound %d",
+				over, recover, recoverBound))
+		table += fmt.Sprintf("%-9s %6.2f %6d %7d %8d %7d %8d %9d\n",
+			fmt.Sprintf("%gx", over), pre, shed, shedBound, backlog, drain, recover, recoverBound)
 	}
-	return nil
+	io.WriteString(l.w, table)
+	err := errors.Join(errs...)
+	fmt.Fprintf(l.w, "reaction: all measured reactions within the derived bounds: %v\n", err == nil)
+	return err
 }
 
-func sloFloorSection(res *SLOResult) error {
-	var provided []float64
+// sloFloorSection plays a sustained 4x overload under a sloWindow-wave
+// sloFloor: every full window's mean provided ratio must hold the floor (to
+// 0.05), while single waves still dip below it — the floor is a long-run
+// average. Its window means are the study's own, over the waves that
+// admitted a request: the independent reference the controller's
+// Control.WindowMean must match.
+func sloFloorSection(l *studyLog) error {
+	fmt.Fprintf(l.w, "floor: window %d floor %.2f under a sustained 4x overload, 60 waves\n", sloWindow, sloFloor)
 	sc := sloScenario()
 	sc.cfg.QualityFloor, sc.cfg.QualityWindow = sloFloor, sloWindow
-	if _, err := sc.play(func(r *studyRun) error {
+	rows, _, err := sc.play(l, func(r *studyRun) error {
 		for range 60 {
-			if rep := r.wave(4 * sloBasePerWave); rep.Admitted > 0 {
-				provided = append(provided, rep.Stats.ProvidedRatio)
-			}
+			r.wave(4 * sloBasePerWave)
 		}
 		return nil
-	}, nil); err != nil {
+	}, nil)
+	if err != nil {
 		return err
 	}
-	res.MinWindowMean, res.MinProvided = 1, 1
-	for i, p := range provided {
-		res.MinProvided = math.Min(res.MinProvided, p)
+	var served []waveRow
+	for _, row := range rows {
+		if row.Admitted > 0 {
+			served = append(served, row)
+		}
+	}
+	minMean, minProvided, dips := 1.0, 1.0, 0
+	var errs []error
+	for i, row := range served {
+		p := row.Stats.ProvidedRatio
+		minProvided = math.Min(minProvided, p)
 		if p < sloFloor {
-			res.FloorDips++
+			dips++
 		}
 		if i+1 < sloWindow {
 			continue
 		}
 		var sum float64
-		for _, q := range provided[i+1-sloWindow : i+1] {
-			sum += q
+		for _, q := range served[i+1-sloWindow : i+1] {
+			sum += q.Stats.ProvidedRatio
 		}
-		res.MinWindowMean = math.Min(res.MinWindowMean, sum/sloWindow)
+		minMean = math.Min(minMean, sum/sloWindow)
+		errs = append(errs, broken(math.Abs(sum/sloWindow-row.Control.WindowMean) < 1e-9,
+			"wave %d: the controller's window mean %.6f is not the study's own %.6f", row.Stats.Wave, row.Control.WindowMean, sum/sloWindow))
 	}
-	return nil
+	fmt.Fprintf(l.w, "floor: window %d floor %.2f -> min window mean %.3f, min wave %.3f, %d waves dipped\n",
+		sloWindow, sloFloor, minMean, minProvided, dips)
+	return errors.Join(append(errs,
+		broken(minMean >= sloFloor-0.05, "min window mean %.3f below floor %.2f", minMean, sloFloor),
+		broken(dips > 0, "no wave dipped below the floor: the window floor is acting per-wave"))...)
 }
 
-func sloLanes(res *SLOResult) error {
+// sloLanes plays the same sustained overload with a priority lane: the
+// premium (tier 1.0) requests' tail wave latency must not exceed bulk's.
+func sloLanes(l *studyLog) error {
+	fmt.Fprintf(l.w, "lanes: priority>=%.2f under a sustained 4x overload, 24 waves\n", sloPriorityAt)
 	var prio, bulk []int
 	sc := sloScenario()
 	sc.cfg.PriorityAt = sloPriorityAt
-	tot, err := sc.play(func(r *studyRun) error {
+	_, tot, err := sc.play(l, func(r *studyRun) error {
 		for range 24 {
 			r.wave(4 * sloBasePerWave)
 		}
@@ -218,27 +207,15 @@ func sloLanes(res *SLOResult) error {
 			bulk = append(bulk, waves)
 		}
 	})
-	res.PremiumCompleted = tot.Priority
-	res.PrioP50, res.PrioP99 = percentiles(prio)
-	res.BulkP50, res.BulkP99 = percentiles(bulk)
-	return err
-}
-
-// PrintSLOStudy renders the study: the reaction table (measured vs bound),
-// the floor section, and the lane percentiles the gating test reads.
-func PrintSLOStudy(w io.Writer, r SLOResult) {
-	fmt.Fprintf(w, "SLO study (base %d req/wave at %.0f%% utilization, declared costs)\n",
-		sloBasePerWave, 100*sloUtilization)
-	fmt.Fprintf(w, "%-9s %6s %6s %7s %8s %7s %8s %9s\n",
-		"overload", "preR", "shed", "shedBnd", "backlog", "drain", "recover", "recovBnd")
-	for _, row := range r.Reaction {
-		fmt.Fprintf(w, "%-9s %6.2f %6d %7d %8d %7d %8d %9d\n",
-			fmt.Sprintf("%gx", row.Overload), row.PreRatio, row.ShedWaves, row.ShedBound,
-			row.Backlog, row.DrainWaves, row.RecoverWaves, row.RecoverBound)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(w, "reaction: all measured reactions within the derived bounds: %v\n", r.AllWithinBound)
-	fmt.Fprintf(w, "floor: window %d floor %.2f -> min window mean %.3f, min wave %.3f, %d waves dipped\n",
-		sloWindow, sloFloor, r.MinWindowMean, r.MinProvided, r.FloorDips)
-	fmt.Fprintf(w, "lanes: priority>=%.2f -> premium p50/p99 %d/%d waves vs bulk %d/%d (%d premium completed)\n",
-		sloPriorityAt, r.PrioP50, r.PrioP99, r.BulkP50, r.BulkP99, r.PremiumCompleted)
+	prioP50, prioP99 := percentiles(prio)
+	bulkP50, bulkP99 := percentiles(bulk)
+	fmt.Fprintf(l.w, "lanes: priority>=%.2f -> premium p50/p99 %d/%d waves vs bulk %d/%d (%d premium completed)\n",
+		sloPriorityAt, prioP50, prioP99, bulkP50, bulkP99, tot.Priority)
+	return errors.Join(
+		broken(prioP99 <= bulkP99, "premium p99 %d waves above bulk p99 %d: the priority lane is not bypassing the backlog",
+			prioP99, bulkP99),
+		broken(tot.Priority > 0, "no premium request completed"))
 }

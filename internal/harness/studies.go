@@ -35,36 +35,67 @@ var Studies = []Study{
 	{"paper", "the paper's modeled columns: sigbench fig2, table2 and ablate at one worker, LQH included",
 		printPaper},
 	{"adaptive", "sig/adapt controller: step response and disturbance rejection on streaming sobel, energy cap on kmeans",
-		func(w io.Writer) error { return printStudy(w, AdaptiveStudy, PrintAdaptiveStudy) }},
-	{"serve", "sig/serve under a 4x overload step, open then closed loop, sobel and kmeans backends",
-		func(w io.Writer) error { return printServe(w, "sobel", "kmeans") }},
-	{"slo", "measured shed/recover waves vs the derived bounds, windowed quality floor, priority lane",
-		func(w io.Writer) error { return printStudy(w, SLOStudy, PrintSLOStudy) }},
-	{"pace", "measured-time pacing on a fake clock: cadence, counted overruns, RetryAfter honesty, replay",
-		func(w io.Writer) error { return printStudy(w, PaceStudy, PrintPaceStudy) }},
-}
-
-// printStudy runs a study and, when it succeeds, prints its result.
-func printStudy[R any](w io.Writer, run func() (R, error), show func(io.Writer, R)) error {
-	res, err := run()
-	if err == nil {
-		show(w, res)
-	}
-	return err
-}
-
-// printServe runs the serving overload study on each backend and prints the
-// studies in order, a blank line between them.
-func printServe(w io.Writer, backends ...string) error {
-	for i, name := range backends {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := printStudy(w, func() (ServeResult, error) { return ServeStudy(name) }, PrintServeStudy); err != nil {
+		func(w io.Writer) error {
+			res, err := AdaptiveStudy()
+			if err == nil {
+				PrintAdaptiveStudy(w, res)
+			}
 			return err
+		}},
+	{"serve", "sig/serve under a 4x overload step, open then closed loop, sobel and kmeans backends",
+		func(w io.Writer) error {
+			if err := ServeStudy(w, "sobel"); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+			return ServeStudy(w, "kmeans")
+		}},
+	{"slo", "measured shed/recover waves vs the derived bounds, windowed quality floor, priority lane",
+		SLOStudy},
+	{"pace", "measured-time pacing on a fake clock: cadence, counted overruns, RetryAfter honesty, replay",
+		PaceStudy},
+}
+
+// studyLog is where a serving study plays its sections: w takes every line
+// the study prints, every scenario runs on workers × its configured workers
+// (1 in the goldens), and rows and totals record every wave fired and each
+// play's totals after its drain, in play order, for a replay to diff.
+type studyLog struct {
+	w       io.Writer
+	workers int
+	rows    []waveRow
+	totals  []serve.Totals
+}
+
+// diff returns an error naming the first wave report (sameWave), or else
+// the totals, on which o's record differs from l's bit for bit, or nil.
+func (l *studyLog) diff(o *studyLog) error {
+	if len(l.rows) != len(o.rows) {
+		return fmt.Errorf("%d waves vs %d", len(l.rows), len(o.rows))
+	}
+	for i, row := range l.rows {
+		if a, b := row.WaveReport, o.rows[i].WaveReport; !sameWave(a, b) {
+			return fmt.Errorf("wave report %d diverged: %+v vs %+v", i, a, b)
 		}
+	}
+	if a, b := fmt.Sprint(l.totals), fmt.Sprint(o.totals); a != b {
+		return fmt.Errorf("totals diverged: %s vs %s", a, b)
 	}
 	return nil
+}
+
+// sameWave reports whether two wave reports are equal, every float bit for
+// bit: %v prints a float64 in the shortest form that parses back to its bits.
+func sameWave(a, b serve.WaveReport) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+
+// broken returns an error naming the contract format states, with the
+// values that broke it, unless ok. A serving study joins its checks
+// (errors.Join) into its error, which fails its golden and sigbench.
+func broken(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
 }
 
 // scenario is one section of a serving study: the server it plays on, its
@@ -84,57 +115,93 @@ type scenario struct {
 	probe  *serve.Request
 }
 
-// play runs section on a fresh server of sc, whose every wave the
-// production pump fires in fake time (FakeClock.Run): each wait sleeps to
-// the wave's due time (at once after an overrun) and hands over to the
-// section there, whose r.wave offers the wave's arrivals and returns once
-// the next is due. play then ends the section (studyRun.close, reaping
-// through done) and returns the server's totals after the drain.
-func (sc scenario) play(section func(r *studyRun) error, done func(i, waves int)) (serve.Totals, error) {
+// play runs section on a fresh server of sc, on l.workers × its workers,
+// whose every wave the production pump fires in fake time (FakeClock.Run):
+// each wait sleeps to the wave's due time (at once after an overrun) and
+// hands over to the section there, whose r.wave offers the wave's arrivals
+// and returns once the next is due. play then ends the section
+// (studyRun.close, reaping through done), prints its waves (printWaves) and
+// records them, with the server's totals after the drain, in l.
+func (sc scenario) play(l *studyLog, section func(r *studyRun) error, done func(i, waves int)) ([]waveRow, serve.Totals, error) {
 	fc := cmp.Or(sc.clock, serve.NewFakeClock())
 	sc.cfg.Clock = fc
+	sc.cfg.Workers *= l.workers
 	if sc.budget > 0 {
 		n := float64(sc.cfg.Workers)
 		period := time.Duration(sc.budget / n)
 		if period <= 0 || float64(period)*n != sc.budget {
-			return serve.Totals{}, fmt.Errorf("harness: wave budget %v is not a whole period of ns over %v workers", sc.budget, n)
+			return nil, serve.Totals{}, fmt.Errorf("harness: wave budget %v is not a whole period of ns over %v workers", sc.budget, n)
 		}
 		sc.cfg.WavePeriod, sc.cfg.MinPeriod = period, period
 	}
 	s, err := serve.New(sc.cfg)
 	if err != nil {
-		return serve.Totals{}, err
+		return nil, serve.Totals{}, err
 	}
 	r := &studyRun{sc: sc, s: s}
-	r.pull, r.stop = iter.Pull(func(yield func(serve.WaveReport) bool) {
-		var last serve.WaveReport
+	r.pull, r.stop = iter.Pull(func(yield func(struct{}) bool) {
 		fc.Run(s, func(wakeAt time.Time) (time.Time, bool) {
 			if fc.Now().Before(wakeAt) {
 				return wakeAt, true // sleep to the due time
 			}
-			return wakeAt, yield(last) // the section offers the wave's arrivals
-		}, func(rep serve.WaveReport) { last = rep })
+			return wakeAt, yield(struct{}{}) // the section offers the wave's arrivals
+		}, func(rep serve.WaveReport) {
+			r.rows = append(r.rows, waveRow{rep, r.offered, s.PacePeriod()})
+			r.offered = 0
+		})
 	})
 	r.pull() // to the first wave's due time
 	err = section(r)
 	if cerr := r.close(done); err == nil {
 		err = cerr
 	}
-	return s.Totals(), err
+	if err != nil {
+		return nil, serve.Totals{}, err
+	}
+	tot := s.Totals()
+	printWaves(l.w, r.rows)
+	l.rows, l.totals = append(l.rows, r.rows...), append(l.totals, tot)
+	return r.rows, tot, nil
+}
+
+// waveRow is one wave the pump fired: its report, the requests the section
+// offered since the wave before (a rejected one included), and the cadence
+// the wave left in force.
+type waveRow struct {
+	serve.WaveReport
+	offered int
+	pace    time.Duration
+}
+
+// printWaves is the one printer of the serving studies' waves: one row a
+// wave, holding the arrivals offered and every WaveReport field once —
+// Admitted is Stats.Submitted, and Stats.Busy is Stats.Joules over the
+// modeled active watts — then the cadence in force after it.
+func printWaves(w io.Writer, rows []waveRow) {
+	fmt.Fprintf(w, "%-4s %7s %5s %4s/%-4s/%-4s %6s %6s %10s %6s %6s %5s %6s %4s %4s %5s %9s %8s %7s %8s\n",
+		"wave", "offered", "sub", "acc", "deg", "drop", "req%", "prov%", "energy", "next%", "load", "held", "wmean",
+		"prio", "tout", "depth", "budget k", "wall ms", "overrun", "pace ms")
+	for _, row := range rows {
+		st, c := row.Stats, row.Control
+		fmt.Fprintf(w, "%-4d %7d %5d %4d/%-4d/%-4d %6.1f %6.1f %9.4fJ %6.1f %6.2f %5v %6.3f %4d %4d %5d %9.1f %8.3f %7v %8.3f\n",
+			st.Wave, row.offered, st.Submitted, st.Accurate, st.Approximate, st.Dropped,
+			100*st.RequestedRatio, 100*st.ProvidedRatio, st.Joules, 100*c.NextRatio, c.Measure, c.Held, c.WindowMean,
+			row.PriorityAdmitted, row.TimedOut, row.Depth, row.Budget/1000, durMs(row.WallTime), row.Overrun, durMs(row.pace))
+	}
 }
 
 // studyRun is a scenario in play, its pump paused at a wave's due time.
 type studyRun struct {
-	sc  scenario
-	s   *serve.Server
-	seq int // stream requests offered so far
+	sc      scenario
+	s       *serve.Server
+	seq     int // stream requests offered so far
+	offered int // requests submitted since the last wave fired
 	// kept holds the accepted stream requests' tickets that reap has not
 	// released yet, in submission order.
 	kept []keptTicket
-	pull func() (serve.WaveReport, bool) // fire the wave, pause at the next's due time
+	pull func() (struct{}, bool) // fire the wave, pause at the next's due time
 	stop func()
-	// waves and overruns count the waves fired and those that overran.
-	waves, overruns int64
+	rows []waveRow // every wave the pump fired, in order
 }
 
 // keptTicket is an accepted request's ticket and its stream index.
@@ -146,6 +213,7 @@ type keptTicket struct {
 // submit offers req, the stream's i-th request (-1 for one outside the
 // stream), and keeps its ticket when the server accepts it.
 func (r *studyRun) submit(req serve.Request, i int) error {
+	r.offered++
 	tk, err := r.s.Submit(req)
 	if err == nil {
 		r.kept = append(r.kept, keptTicket{tk, i})
@@ -169,12 +237,8 @@ func (r *studyRun) wave(n int) serve.WaveReport {
 		_ = r.submit(*r.sc.probe, -1)
 	}
 	r.offer(n)
-	rep, _ := r.pull() // the pump runs until close stops it
-	r.waves++
-	if rep.Overrun {
-		r.overruns++
-	}
-	return rep
+	r.pull() // the pump runs until close stops it
+	return r.rows[len(r.rows)-1].WaveReport
 }
 
 // reap releases every kept ticket that has resolved — after Close, all of

@@ -86,7 +86,8 @@ type Request struct {
 	// Significance in [0,1] orders requests for degradation: higher
 	// values keep their accurate handler longer as load climbs. The
 	// special values bypass the policy — 1.0 (e.g. a premium tier) always
-	// runs Handler, 0.0 (e.g. a best-effort prefetch) never does.
+	// runs Handler, 0.0 (e.g. a best-effort prefetch) never does. Submit
+	// refuses a NaN, which no comparison can rank.
 	Significance float64
 	// Handler is the accurate request body (required).
 	Handler func()
@@ -623,6 +624,9 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	if !(req.CostAccurate >= 0 && req.CostAccurate <= math.MaxFloat64 &&
 		req.CostDegraded >= 0 && req.CostDegraded <= math.MaxFloat64) {
 		return nil, fmt.Errorf("serve: request cost (%v/%v) not a finite non-negative number", req.CostAccurate, req.CostDegraded) //siglint:allocok rejected-request path; the caller has a bug to fix
+	}
+	if math.IsNaN(req.Significance) {
+		return nil, fmt.Errorf("serve: request significance is NaN") //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
 	if req.CostAccurate == 0 && req.CostDegraded > 0 {
 		return nil, fmt.Errorf("serve: CostDegraded declared without CostAccurate") //siglint:allocok rejected-request path; the caller has a bug to fix

@@ -424,6 +424,11 @@ func TestServeConfigValidation(t *testing.T) {
 			t.Errorf("degraded cost %v accepted", c)
 		}
 	}
+	// A NaN significance would be served as the special 0.0 and never
+	// reach the priority lane.
+	if _, err := s.Submit(Request{Handler: h, Significance: nan}); err == nil {
+		t.Error("NaN significance accepted")
+	}
 	if _, err := s.Submit(Request{Handler: h, CostDegraded: 5}); err == nil {
 		t.Error("CostDegraded without CostAccurate accepted")
 	}
