@@ -172,7 +172,9 @@ func TestBackpressureStealersNoDeadlock(t *testing.T) {
 	go func() {
 		defer close(finished)
 		for i := 0; i < tasks; i++ {
-			rt.seq.Add(3) // the next sequence number is 0 mod 4 again
+			// Seq is the group's submitted count: skip three numbers so the
+			// next is 0 mod 4 again. The group reports four times the tasks.
+			g.submitted.Add(3)
 			rt.Submit(body, WithLabel(g), WithSignificance(0.5), WithApprox(body), WithCost(10, 1))
 		}
 		rt.Wait(g)
@@ -180,7 +182,7 @@ func TestBackpressureStealersNoDeadlock(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("deadlock: %d of %d tasks submitted, %d submitters waiting", rt.Stats().Submitted, tasks, rt.sched.spaceWaiters.Load())
+		t.Fatalf("deadlock: %d of %d tasks submitted, %d submitters waiting", rt.Stats().Submitted/4, tasks, rt.sched.spaceWaiters.Load())
 	}
 }
 

@@ -295,3 +295,67 @@ func TestConcurrentSubmittersConserve(t *testing.T) {
 		}
 	}
 }
+
+// seqRecorder decides every task accurately as it arrives and counts the
+// tasks that reach it with a Seq no greater than one it has already seen.
+// The group lock serializes its calls.
+type seqRecorder struct {
+	last             uint64
+	seen, inversions int
+}
+
+func (p *seqRecorder) Submit(dst []*Task, ts []Task) []*Task {
+	for i := range ts {
+		t := &ts[i]
+		if t.Seq <= p.last {
+			p.inversions++
+		}
+		p.last = max(p.last, t.Seq)
+		p.seen++
+		t.Decision = DecideAccurate
+		dst = append(dst, t)
+	}
+	return dst
+}
+
+func (p *seqRecorder) Flush(dst []*Task) []*Task { return dst }
+
+func (p *seqRecorder) WorkerDecide(int, *Task) Decision { return DecideAccurate }
+
+// TestConcurrentSubmittersNumberInPolicyOrder: two producers alternate
+// 100-spec batches and single submits into one group. A task's Seq is the
+// group's count of it, taken under the lock that hands it to the policy, so
+// the policy sees 1, 2, 3, … with no number out of order or skipped —
+// whichever submitter won the lock.
+func TestConcurrentSubmittersNumberInPolicyOrder(t *testing.T) {
+	const producers, rounds, batch = 2, 300, 100
+	rec := &seqRecorder{}
+	rt := newRT(t, Config{Workers: 2, NewPolicy: func(*Group) Policy { return rec }})
+	defer rt.Close()
+	g := rt.Group("numbered", 0.5)
+	body := func() {}
+	specs := make([]TaskSpec, batch)
+	for i := range specs {
+		specs[i] = TaskSpec{Fn: body, Significance: 0.5}
+	}
+	var prod sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		prod.Add(1)
+		go func() {
+			defer prod.Done()
+			for r := 0; r < rounds; r++ {
+				rt.SubmitBatch(g, specs)
+				rt.Submit(body, WithLabel(g), WithSignificance(0.5))
+			}
+		}()
+	}
+	prod.Wait()
+	rt.Wait(g)
+	const n = producers * rounds * (batch + 1)
+	if rec.inversions != 0 {
+		t.Errorf("%d of %d tasks reached the policy with a Seq below one it had already seen", rec.inversions, rec.seen)
+	}
+	if rec.seen != n || rec.last != n {
+		t.Errorf("policy saw %d tasks numbered up to %d, want %d numbered 1..%d", rec.seen, rec.last, n, n)
+	}
+}

@@ -347,7 +347,7 @@ func (p *gtbPolicy) rankByBin(want int) {
 func (p *gtbPolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate }
 
 // taskBefore is the GTB ranking order: higher significance first, then lower
-// sequence number — a strict total order (Seq is unique), which makes the
+// Seq — a strict total order (Seq is unique within the group), which makes the
 // top-k set deterministic.
 func taskBefore(a, b *Task) bool {
 	if a.Significance != b.Significance {

@@ -11,7 +11,7 @@ import (
 const DefaultQueueCapacity = 256
 
 // ring is one worker's bounded run queue. Producers are any submitting
-// goroutine (sharded by task sequence number); consumers are the owning
+// goroutine (sharded by the task's per-group Seq); consumers are the owning
 // worker plus stealing workers. head/tail are atomics so emptiness can be
 // probed without the lock (parking heuristics, backpressure rechecks); all
 // mutations happen under mu.
@@ -169,8 +169,8 @@ func newSched(workers, queueCap int) *sched {
 	return s
 }
 
-// tryPush offers t to the shard selected by its sequence number, spilling to
-// the other rings when the preferred one is full.
+// tryPush offers t to the shard selected by its Seq, spilling to the other
+// rings when the preferred one is full.
 //
 //siglint:noalloc
 func (s *sched) tryPush(t *Task) bool {
@@ -229,8 +229,8 @@ func (s *sched) arm() {
 }
 
 // enqueueBatch places every task of ts in order, one lock acquisition per
-// contiguous chunk. It does not stripe: the ring the first task's sequence
-// number selects takes everything that fits — a whole 32-task window lands
+// contiguous chunk. It does not stripe: the ring the first task's Seq
+// selects takes everything that fits — a whole 32-task window lands
 // on one ring — and the next ring is only tried for what did not fit, so the
 // siblings get their share by stealing. (Capping each chunk at
 // ceil(len/rings) was measured and was not faster: single_gtb's wave p50

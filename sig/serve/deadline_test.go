@@ -44,7 +44,7 @@ func TestServeExpiredAtSubmit(t *testing.T) {
 	if served[0].Load()+served[1].Load() != 0 {
 		t.Fatal("a handler ran for an expired request")
 	}
-	if got := s.Energy().Joules; got != 0 {
+	if got := s.Totals().Joules; got != 0 {
 		t.Fatalf("expired request modeled %v J, want 0", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestServeQueuedDeadlineTimesOut(t *testing.T) {
 	}
 	// Only the surviving request's accurate handler may be charged.
 	want := sig.DefaultActiveWatts * costAcc * 1e-9
-	if got := s.Energy().Joules; got != want {
+	if got := s.Totals().Joules; got != want {
 		t.Fatalf("joules %v, want %v (timed-out request must cost zero)", got, want)
 	}
 	if served[0].Load() != 1 || served[1].Load() != 0 {

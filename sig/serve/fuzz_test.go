@@ -218,7 +218,7 @@ func FuzzServeAdmission(f *testing.F) {
 		if tot.Priority != acceptedPrio {
 			t.Fatalf("Totals.Priority %d, want %d premium requests accepted", tot.Priority, acceptedPrio)
 		}
-		rep := s.Energy()
+		rep := s.Totals()
 		want := sig.DefaultActiveWatts * wantCost * 1e-9
 		if math.Abs(rep.Joules-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("modeled %.12f J, want %.12f J from declared costs (dropped must charge 0)",

@@ -438,3 +438,59 @@ func TestServeMixedClassWave(t *testing.T) {
 		}
 	})
 }
+
+// TestServeTotalsJoulesExact: over hundreds of waves of varying size, ratio
+// and cost mix, Totals.Joules is the runtime's one account —
+// DefaultActiveWatts × the integer sum of the declared nanoseconds that ran —
+// bit for bit, not a float sum of per-wave joules that drifts from it.
+func TestServeTotalsJoulesExact(t *testing.T) {
+	const waves = 400
+	s, err := New(frozen(Config{Workers: 2}, 1e12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var ran time.Duration
+	var count [outcomeCount]int
+	tks := make([]*Ticket, 0, 32)
+	costs := make([]costSums, 0, 32)
+	for w := 0; w < waves; w++ {
+		n := 1 + (w*7)%29
+		for i := 0; i < n; i++ {
+			req := Request{
+				Significance: float64((w+i)%9+1) / 10,
+				Handler:      func() {},
+				CostAccurate: float64(30_001 + 977*((w*i)%13)),
+			}
+			if i%4 != 3 { // every fourth request is drop-only
+				req.Degraded, req.CostDegraded = func() {}, float64(4_003+131*(i%7))
+			}
+			tk, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+			costs = append(costs, costSums{req.CostAccurate, req.CostDegraded})
+		}
+		s.grp.SetRatio(float64(w%5) / 4)
+		s.RunWave()
+		for i, tk := range tks {
+			count[tk.Outcome()]++
+			switch tk.Outcome() {
+			case OutcomeAccurate:
+				ran += time.Duration(costs[i].acc)
+			case OutcomeDegraded:
+				ran += time.Duration(costs[i].deg)
+			}
+			tk.Release()
+		}
+		tks, costs = tks[:0], costs[:0]
+	}
+	if count[OutcomeAccurate] == 0 || count[OutcomeDegraded] == 0 || count[OutcomeDropped] == 0 {
+		t.Fatalf("outcomes %v: want every outcome present", count)
+	}
+	want := sig.DefaultActiveWatts * ran.Seconds()
+	if got := s.Totals().Joules; got != want {
+		t.Errorf("after %d waves Totals().Joules = %v, want exactly %v = DefaultActiveWatts × %v of declared cost run", waves, got, want, ran)
+	}
+}

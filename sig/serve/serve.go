@@ -87,7 +87,8 @@ type Request struct {
 	// values keep their accurate handler longer as load climbs. The
 	// special values bypass the policy — 1.0 (e.g. a premium tier) always
 	// runs Handler, 0.0 (e.g. a best-effort prefetch) never does. Submit
-	// refuses a NaN, which no comparison can rank.
+	// refuses a value outside [0, 1], NaN included, before a ticket is
+	// drawn: the priority lane and the specials would read it as in range.
 	Significance float64
 	// Handler is the accurate request body (required).
 	Handler func()
@@ -314,8 +315,10 @@ type WaveReport struct {
 }
 
 // Totals is the server's cumulative accounting. A request is counted under
-// its outcome before its Done closes; the per-wave fields (Waves, Overruns,
-// Joules) are counted by the time its wave ends. Every snapshot conserves,
+// its outcome before its Done closes; the per-wave fields (Waves, Overruns)
+// are counted by the time its wave ends. Joules is the runtime's live, exact
+// account (sig.Runtime.Energy): it includes every body that has returned,
+// and is final after Close. Every snapshot conserves,
 // even one taken while waves run: Completed is exactly Accurate + Degraded
 // + Dropped + the queued timeouts, Submitted ≥ Completed + Rejected, and
 // Priority ≤ Completed.
@@ -403,7 +406,6 @@ type Server struct {
 		submitted, rejected  atomic.Int64
 		outcomes             [outcomeCount]atomic.Int64
 		preExpired, priority atomic.Int64
-		joules               atomic.Uint64 // math.Float64bits
 	}
 
 	pumpStop chan struct{}
@@ -573,7 +575,7 @@ func (s *Server) totals() (Totals, [outcomeCount]int64) {
 	t.Waves = s.wave.Load()
 	t.Overruns = s.pace.overruns.Load()
 	t.EarlyWaves = s.pace.earlyWaves.Load()
-	t.Joules = math.Float64frombits(s.tot.joules.Load())
+	t.Joules = s.rt.Energy().Joules
 	return t, byOutcome
 }
 
@@ -625,8 +627,8 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		req.CostDegraded >= 0 && req.CostDegraded <= math.MaxFloat64) {
 		return nil, fmt.Errorf("serve: request cost (%v/%v) not a finite non-negative number", req.CostAccurate, req.CostDegraded) //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
-	if math.IsNaN(req.Significance) {
-		return nil, fmt.Errorf("serve: request significance is NaN") //siglint:allocok rejected-request path; the caller has a bug to fix
+	if !(req.Significance >= 0 && req.Significance <= 1) {
+		return nil, fmt.Errorf("serve: request significance %v outside [0, 1]", req.Significance) //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
 	if req.CostAccurate == 0 && req.CostDegraded > 0 {
 		return nil, fmt.Errorf("serve: CostDegraded declared without CostAccurate") //siglint:allocok rejected-request path; the caller has a bug to fix
@@ -907,12 +909,6 @@ func (s *Server) runWave(token bool) WaveReport {
 	s.pace.end(end, rep.WallTime)
 	// The wave counts itself before it resolves anything, so a request
 	// resolved at the wave's end finds its wave in Totals too.
-	for {
-		old := s.tot.joules.Load()
-		if s.tot.joules.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+rep.Stats.Joules)) {
-			break
-		}
-	}
 	wave := s.wave.Add(1) - 1
 	nowNs := end.UnixNano()
 	// The deadline casualties admit skimmed resolve at this wave's epoch.
@@ -1004,6 +1000,3 @@ func (s *Server) Close() error {
 	close(s.closeDone)
 	return err
 }
-
-// Energy returns the runtime's modeled energy report.
-func (s *Server) Energy() sig.Report { return s.rt.Energy() }

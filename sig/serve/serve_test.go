@@ -159,7 +159,7 @@ func TestServeDroppedRequestsCostZeroJoules(t *testing.T) {
 	if ran != 2 || dropped != 6 {
 		t.Fatalf("ran %d, dropped %d; want 2/6", ran, dropped)
 	}
-	rep := s.Energy()
+	rep := s.Totals()
 	want := sig.DefaultActiveWatts * 2 * costAcc * 1e-9
 	if math.Abs(rep.Joules-want) > 1e-12 {
 		t.Errorf("modeled %.12f J, want %.12f J: dropped requests were charged", rep.Joules, want)
@@ -428,6 +428,16 @@ func TestServeConfigValidation(t *testing.T) {
 	// reach the priority lane.
 	if _, err := s.Submit(Request{Handler: h, Significance: nan}); err == nil {
 		t.Error("NaN significance accepted")
+	}
+	// Out of range, a significance above PriorityAt would queue as premium
+	// and run as the special 1.0, one below 0 be dropped as the special 0.0.
+	for _, v := range []float64{7, -3, 1 + 1e-9, math.Inf(1), math.Inf(-1)} {
+		if _, err := s.Submit(Request{Handler: h, Significance: v}); err == nil {
+			t.Errorf("significance %v accepted", v)
+		}
+	}
+	if _, err := s.Submit(Request{Handler: h, Significance: 1}); err != nil {
+		t.Errorf("significance 1 rejected: %v", err)
 	}
 	if _, err := s.Submit(Request{Handler: h, CostDegraded: 5}); err == nil {
 		t.Error("CostDegraded without CostAccurate accepted")

@@ -72,8 +72,9 @@ type Task struct {
 	// quality. The special values are handled by the runtime itself:
 	// 1.0 always runs accurately, 0.0 always approximately.
 	Significance float64
-	// Seq is the submission sequence number within the runtime (for
-	// deterministic tie-breaking).
+	// Seq numbers the task within its group, from 1, in the order the
+	// group's policy sees its tasks: the group's submitted count once the
+	// task is counted (for deterministic tie-breaking).
 	Seq uint64
 	// Decision is set by the policy (or the runtime, for the special
 	// significance values) before the task is dispatched.
@@ -161,11 +162,6 @@ type Runtime struct {
 	mu     sync.Mutex // guards groups/order; never on the submit path
 	groups map[string]*Group
 	order  []*Group
-
-	// Written per submission: a cache line of its own.
-	_   [64]byte
-	seq atomic.Uint64
-	_   [56]byte
 }
 
 // New creates and starts a Runtime.
@@ -323,7 +319,6 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	for _, o := range opts {
 		o(t) //siglint:allocok TaskOption callbacks are caller code; the runtime's own path stays allocation-free
 	}
-	t.Seq = rt.seq.Add(1)
 	if t.group == nil {
 		t.group = rt.defaultGroup() //siglint:allocok one-time lazy creation of the default group, then a pointer load
 	}
@@ -338,31 +333,31 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 		rt.pools.releaseChunk(one)
 		panic("sig: Submit on closed runtime")
 	}
-	g.submitted.Add(1)
+	t.Seq = uint64(g.submitted.Add(1))
 	t.wave = int(g.wave.Load())
 	// What is handed back is counted pending while the lock is held: a
 	// concurrent Wait that flushes after us sees these tasks in the buffer or
 	// pending — never neither. g.out is the group's, so what the policy
-	// appended leaves it before the lock is released: a lone task by value, a
-	// window by trading arrays with a pooled scratch.
+	// appended leaves it before the lock is released: a lone task as a batch
+	// of one, a window by trading arrays with a pooled scratch.
 	out := g.decide(g.out[:0], one)
-	var ready *Task
+	var lone [1]*Task
+	var ready []*Task
 	var scratch *[]*Task
 	if n := len(out); n == 1 {
-		ready, out[0] = out[0], nil
+		lone[0], out[0] = out[0], nil
+		ready = lone[:]
 		g.pending.Add(1)
 	} else if n > 1 {
 		g.pending.Add(int64(n))
 		scratch = rt.pools.getDispatch()
 		*scratch, out = out, *scratch
+		ready = *scratch
 	}
 	g.out = out[:0]
 	g.mu.Unlock()
-	if ready != nil {
-		rt.dispatch(ready)
-	}
+	rt.dispatchBatch(ready)
 	if scratch != nil {
-		rt.dispatchBatch(*scratch)
 		rt.pools.putDispatch(scratch)
 	}
 }
@@ -371,8 +366,8 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 
 // SubmitBatch schedules every spec as a task of group g (nil means the
 // default group). It is semantically a loop of Submit calls but amortizes
-// the per-task scheduling costs — sequence allocation, policy locking,
-// queue locking and task carving (see pool.go) — across the batch, which
+// the per-task scheduling costs — policy locking, queue locking and task
+// carving (see pool.go) — across the batch, which
 // makes it the preferred path for fine-grained task streams. A batch that
 // races Close may panic after its first chunks were accepted; those run.
 //
@@ -394,9 +389,6 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			panic("sig: SubmitBatch with nil task body")
 		}
 	}
-	base := rt.seq.Add(uint64(len(specs))) - uint64(len(specs))
-	wave := int(g.wave.Load())
-
 	dispatchP := rt.pools.getDispatch() // decided tasks accumulated across the batch
 	defer rt.pools.putDispatch(dispatchP)
 	dispatch := *dispatchP
@@ -415,7 +407,6 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			default:
 				t.Significance = clamp01(sp.Significance)
 			}
-			t.Seq = base + uint64(off+i) + 1
 			t.Decision = decideNone
 			t.group = g
 			t.accurate = sp.Fn
@@ -424,7 +415,6 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			if sp.HasCost {
 				t.costAcc, t.costApprox = sp.CostAccurate, sp.CostApprox
 			}
-			t.wave = wave
 		}
 		if !rt.admit(g) {
 			rt.pools.releaseChunk(chunk)
@@ -433,7 +423,13 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			rt.dispatchBatch(dispatch)
 			panic("sig: Submit on closed runtime")
 		}
-		g.submitted.Add(int64(len(chunk)))
+		// As in Submit, Seq is the group's count and the wave label is read
+		// under the lock, so the policy sees the chunk in Seq order.
+		base := uint64(g.submitted.Add(int64(len(chunk)))) - uint64(len(chunk))
+		wave := int(g.wave.Load())
+		for i := range chunk {
+			chunk[i].Seq, chunk[i].wave = base+uint64(i)+1, wave
+		}
 		decided := len(dispatch)
 		dispatch = g.decide(dispatch, chunk)
 		// As in Submit, count what was handed to dispatch under the lock.
@@ -447,23 +443,11 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 	rt.dispatchBatch(dispatch)
 }
 
-// dispatch routes a decided task: dropped tasks complete immediately, the
-// rest go to a worker queue. No lock is held while enqueueing. Either way
-// ownership transfers: the worker (or completeDrop) releases the task.
-//
-//siglint:poolput
-//siglint:noalloc
-func (rt *Runtime) dispatch(t *Task) {
-	if t.Decision == DecideDrop {
-		rt.completeDrop(t)
-		return
-	}
-	rt.sched.enqueue(t)
-}
-
-// dispatchBatch routes a decided batch in order through the worker queues,
-// one lock acquisition per enqueued run. Ownership of every task in ts
-// transfers to the workers.
+// dispatchBatch routes a decided batch in order: a task dropped at decision
+// time completes here without touching a queue, the rest go through the
+// worker queues, one lock acquisition per enqueued run. No lock is held
+// while enqueueing. Either way ownership of every task in ts transfers: the
+// workers, or this loop for a drop, release it.
 //
 //siglint:poolput
 //siglint:noalloc
@@ -476,7 +460,11 @@ func (rt *Runtime) dispatchBatch(ts []*Task) {
 				rt.sched.enqueueBatch(ts[runStart:i])
 				runStart = -1
 			}
-			rt.completeDrop(t)
+			g := t.group
+			g.dropped.Add(1)
+			g.record(t, false)
+			rt.pools.release(t)
+			g.leave(1)
 			continue
 		}
 		if runStart < 0 {
@@ -486,19 +474,6 @@ func (rt *Runtime) dispatchBatch(ts []*Task) {
 	if runStart >= 0 {
 		rt.sched.enqueueBatch(ts[runStart:])
 	}
-}
-
-// completeDrop finishes a task dropped at decision time without touching a
-// queue.
-//
-//siglint:poolput
-//siglint:noalloc
-func (rt *Runtime) completeDrop(t *Task) {
-	g := t.group
-	g.dropped.Add(1)
-	g.record(t, false)
-	rt.pools.release(t)
-	g.leave(1)
 }
 
 // runChunk executes the tasks a worker popped or claimed and retires them
