@@ -48,8 +48,8 @@ var mutants = []struct {
 		// studies read WaveLatency only, so no golden moves.
 		analyzer: "determinism",
 		file:     "sig/serve/hotpath.go",
-		old:      "s.resolve(slot.tk, o, s.wave.Load(), s.clock.Now().UnixNano())",
-		new:      "s.resolve(slot.tk, o, s.wave.Load(), time.Now().UnixNano())",
+		old:      "s.resolve(tk, o, s.wave.Load(), s.clock.Now().UnixNano())",
+		new:      "s.resolve(tk, o, s.wave.Load(), time.Now().UnixNano())",
 	},
 	{
 		// The deadline sweep compacting into a fresh slice instead of in
@@ -73,6 +73,17 @@ var mutants = []struct {
 		file: "sig/serve/pacer.go",
 		old:  "return float64(p.workers) * float64(p.effective())",
 		new:  "return float64(p.effective())",
+	},
+	{
+		// The wave's end leaving each request's ran flag set: the next wave
+		// that reuses the index takes its request for one a body served,
+		// never resolves the policy's drop, and its waiter hangs.
+		name: "ranReset",
+		test: "TestServeReleaseAtDoneResubmits",
+		pkg:  "./sig/serve",
+		file: "sig/serve/hotpath.go",
+		old:  "\t\ts.ran[i].Store(false)\n",
+		new:  "",
 	},
 	{
 		// Submit never posting the due token (its arrival step posts only

@@ -26,7 +26,8 @@ type TaskSpec struct {
 	// always-approximate significance 0.0, set any negative value.
 	Significance float64
 	// HasCost declares CostAccurate/CostApprox as the task's nominal
-	// costs (see WithCost); when false, execution time is measured.
+	// costs (see WithCost, and its range [0, 2^63)); when false,
+	// execution time is measured.
 	HasCost      bool
 	CostAccurate float64
 	CostApprox   float64
@@ -56,6 +57,8 @@ func WithApprox(fn func()) TaskOption {
 // Declared costs feed the modeled energy account deterministically —
 // immune to preemption and timer noise — instead of the measured execution
 // time fallback. Pass approx 0 for a task whose approximation is a drop.
+// A body that runs is charged its cost as int64 nanoseconds, so a declared
+// cost must lie in [0, 2^63); one outside that range wraps the account.
 func WithCost(accurate, approx float64) TaskOption {
 	return func(t *Task) {
 		t.costAcc = accurate

@@ -9,16 +9,16 @@ import (
 )
 
 // The serving admission hot path. A steady-state request allocates nothing:
-// the Ticket is drawn from a pool, carries its request through the queue and
-// is refcounted back, admitted requests are staged, in admission order, into
-// one stream of slabs of prebuilt TaskSpecs (one slab draw per serveSlabSize
-// requests instead of per-request spec construction), and every per-wave
-// scratch slice — admit's batch, the submitted-slab list — is reused across
-// waves. The slabs feed sig's SubmitBatch slab ingest, so the batch fast path
-// PR 2 built for the scheduler now runs end-to-end from Submit.
+// the Ticket is drawn from a pool, carries its request through the queue,
+// carries its two body closures (built once, when the pool missed), and is
+// refcounted back. Admitted requests are staged, in admission order, as one
+// TaskSpec each into a spec buffer the server reuses, and every per-wave
+// scratch slice — admit's batch, the spec buffer, the per-request ran flags
+// — is reused across waves. The specs feed sig's SubmitBatch slab ingest, so
+// the batch fast path the scheduler has runs end-to-end from Submit.
 
-// serveSlabSize is how many requests one slab carries — matched to sig's
-// internal task slab size so one serve slab maps onto one task slab.
+// serveSlabSize is how many staged specs one SubmitBatch carries — matched
+// to sig's internal task slab size so one submit maps onto one task slab.
 const serveSlabSize = 64
 
 // Admission lanes, as data: everything that tells one lane from another is a
@@ -112,12 +112,37 @@ type Ticket struct {
 	mu   sync.Mutex
 	done chan struct{} // created lazily by Done; nil when nobody waited
 
-	// req is the queued request and lane the admission lane holding it.
-	// Both are the server's alone: Submit writes them before the ticket is
-	// queued, finish (or discardTicket) clears them before the server's
+	// req is the queued request and lane the admission lane holding it;
+	// srv is the server whose wave staged it and slot its index in that
+	// wave's admission order. All four are the server's alone: Submit
+	// writes req and lane before the ticket is queued, Server.stage srv and
+	// slot, finish (or discardTicket) clears them before the server's
 	// reference goes, and no accessor reads them.
 	req  Request
 	lane int
+	srv  *Server
+	slot int
+
+	// acc and deg are the request's task bodies, built once per Ticket by
+	// newTicket: each runs the request's handler, then resolves it through
+	// srv.bodyEnd.
+	acc, deg func()
+}
+
+// newTicket builds a Ticket and its two body closures — paid at a pool
+// miss, then amortized over every request the Ticket serves. Each closure
+// resolves its request the moment its body returns.
+func newTicket() *Ticket {
+	tk := &Ticket{}
+	tk.acc = func() {
+		tk.req.Handler()
+		tk.srv.bodyEnd(tk, OutcomeAccurate)
+	}
+	tk.deg = func() {
+		tk.req.Degraded()
+		tk.srv.bodyEnd(tk, OutcomeDegraded)
+	}
+	return tk
 }
 
 // Done is closed when the request resolved: a request that ran a body
@@ -215,11 +240,7 @@ func (tk *Ticket) complete(wave, nowNs int64) {
 	tk.mu.Unlock()
 }
 
-var (
-	ticketPool sync.Pool // of *Ticket
-	// slabPool recycles waveSlabs; a miss prebuilds one.
-	slabPool = sync.Pool{New: func() any { return newWaveSlab() }}
-)
+var ticketPool sync.Pool // of *Ticket
 
 // getTicket draws a Ticket with both references (server + caller) live and
 // the outcome preset to Dropped — a request shed without running any body
@@ -230,7 +251,7 @@ var (
 func getTicket(nowNs int64) *Ticket {
 	tk, _ := ticketPool.Get().(*Ticket)
 	if tk == nil {
-		tk = &Ticket{} //siglint:allocok pool miss: steady state always hits the pool
+		tk = newTicket() //siglint:allocok pool miss: steady state always hits the pool
 	}
 	tk.refs.Store(2)
 	tk.outcome.Store(int32(OutcomeDropped))
@@ -244,128 +265,75 @@ func getTicket(nowNs int64) *Ticket {
 //siglint:poolput
 //siglint:noalloc
 func discardTicket(tk *Ticket) {
-	tk.req, tk.lane = Request{}, 0
+	tk.req, tk.lane, tk.srv = Request{}, 0, nil
 	tk.refs.Store(1)
 	tk.release()
 }
 
-// slabSlot carries the per-request state a slab spec's prebuilt closures
-// read and write when they run: the ticket, which holds the bodies, and
-// whether a body ran. The wave's end reads the slot's flag, never the
-// ticket: a body resolves its ticket, and from then on the ticket is the
-// caller's. approx is the slot's prebuilt degraded closure, which stage
-// hands the spec for a request that has a Degraded body and withholds from
-// one that has not.
-type slabSlot struct {
-	tk     *Ticket
-	ran    atomic.Bool
-	approx func()
-}
-
-// waveSlab is the submission unit: serveSlabSize slots and the matching
-// prebuilt TaskSpecs whose closures capture their slot by pointer. Filling
-// slot i costs one ticket store and the spec's five per-request fields — no
-// closure or spec construction. srv is the server the slab is staged on
-// (slabs are pooled package-wide), which the closures resolve through. A
-// slab lives one wave: its wave's end recycles it.
-type waveSlab struct {
-	n     int
-	srv   *Server
-	slots [serveSlabSize]slabSlot
-	specs [serveSlabSize]sig.TaskSpec
-}
-
-// newWaveSlab prebuilds both closures of every slot once: they are paid
-// here, then amortized over every wave the slab serves. Each resolves its
-// request the moment its body returns.
-func newWaveSlab() *waveSlab {
-	sl := &waveSlab{}
-	for i := range sl.slots {
-		slot := &sl.slots[i]
-		sl.specs[i].Fn = func() {
-			slot.tk.req.Handler()
-			sl.srv.bodyEnd(slot, OutcomeAccurate)
-		}
-		slot.approx = func() {
-			slot.tk.req.Degraded()
-			sl.srv.bodyEnd(slot, OutcomeDegraded)
-		}
-	}
-	return sl
-}
-
 // bodyEnd resolves a request at the end of the body that served it, on the
-// goroutine that ran it, stamped through the WaveClock then. The slot
-// records that a body ran before the ticket is published: after that the
-// caller may Release it and a concurrent Submit re-draw it.
+// goroutine that ran it, stamped through the WaveClock then. The request's
+// ran flag is set before the ticket is published: after that the caller may
+// Release it and a concurrent Submit re-draw it, and the wave's end reads
+// the flag, never the ticket.
 //
 //siglint:noalloc
-func (s *Server) bodyEnd(slot *slabSlot, o Outcome) {
-	slot.ran.Store(true)
-	s.resolve(slot.tk, o, s.wave.Load(), s.clock.Now().UnixNano()) //siglint:allocok clock seam: one virtual read behind the WaveClock interface
+func (s *Server) bodyEnd(tk *Ticket, o Outcome) {
+	s.ran[tk.slot].Store(true)
+	s.resolve(tk, o, s.wave.Load(), s.clock.Now().UnixNano()) //siglint:allocok clock seam: one virtual read behind the WaveClock interface
 }
 
-// stage writes one admitted request into the next slot of the wave's open
-// slab, submitting the slab to the runtime the moment it fills. Requests of
-// any declared cost share the stream, so tasks reach the policy in admission
-// order. Called from runWave under waveMu.
+// stage appends admitted request i of the wave, in admission order, to the
+// spec buffer as one TaskSpec whose bodies are the ticket's own closures,
+// and hands the buffer to the runtime each time it holds serveSlabSize
+// specs. Requests of any declared cost share the stream, so tasks reach the
+// policy in admission order. Called from runWave under waveMu.
 //
 //siglint:noalloc
-func (s *Server) stage(tk *Ticket) {
-	if s.cur == nil {
-		s.cur = slabPool.Get().(*waveSlab)
-		s.cur.srv = s
-	}
-	sl := s.cur
-	slot, spec := &sl.slots[sl.n], &sl.specs[sl.n]
-	slot.tk = tk
+func (s *Server) stage(tk *Ticket, i int) {
+	tk.srv, tk.slot = s, i
 	var approx func()
 	if tk.req.Degraded != nil {
-		approx = slot.approx
+		approx = tk.deg
 	}
 	sv := tk.req.Significance
 	if sv <= 0 {
 		sv = -1 // batch spelling of the special 0.0
 	}
-	spec.Approx, spec.Significance = approx, sv
-	spec.HasCost = tk.req.CostAccurate > 0
-	spec.CostAccurate = tk.req.CostAccurate
-	spec.CostApprox = tk.req.CostDegraded
-	if sl.n++; sl.n == serveSlabSize {
-		s.submitSlab()
+	s.specs = append(s.specs, sig.TaskSpec{ //siglint:allocok amortized growth of the reused spec buffer
+		Fn:           tk.acc,
+		Approx:       approx,
+		Significance: sv,
+		HasCost:      tk.req.CostAccurate > 0,
+		CostAccurate: tk.req.CostAccurate,
+		CostApprox:   tk.req.CostDegraded,
+	})
+	if len(s.specs) == serveSlabSize {
+		s.flush()
 	}
 }
 
-// submitSlab hands the open slab's filled specs to the runtime and lists the
-// slab for its wave's end.
+// flush hands the staged specs to the runtime and empties the buffer;
+// SubmitBatch copies what it needs, so the buffer is free at once.
 //
 //siglint:noalloc
-func (s *Server) submitSlab() {
-	sl := s.cur
-	s.cur = nil
-	s.rt.SubmitBatch(s.grp, sl.specs[:sl.n]) //siglint:allocok crosses into sig, where noalloc has no cross-package facts; SubmitBatch is //siglint:noalloc there and TestServeSubmitAllocs holds the path to 0 allocs
-	s.slabs = append(s.slabs, sl)            //siglint:allocok amortized growth of the reused slab list
+func (s *Server) flush() {
+	s.rt.SubmitBatch(s.grp, s.specs) //siglint:allocok crosses into sig, where noalloc has no cross-package facts; SubmitBatch is //siglint:noalloc there and TestServeSubmitAllocs holds the path to 0 allocs
+	s.specs = s.specs[:0]
 }
 
-// endSlabs is the slab stream's wave end. It resolves each slot no body ran
-// for as the policy's drop and returns every slab to the pool; the wave's
-// outcome split is the runtime's to count (WaveReport.Stats). WaitPhase has
-// drained the wave's group: by now no closure of its slabs can still run.
+// endWave is the wave's end for its admitted batch: each request no body ran
+// for resolves as the policy's drop, and every flag resets. A set flag means
+// the ticket is the caller's now, so it is never read. WaitPhase has drained
+// the wave's group: by now no body of the wave can still run. The wave's
+// outcome split is the runtime's to count (WaveReport.Stats).
 //
 //siglint:noalloc
-func (s *Server) endSlabs(wave, nowNs int64) {
-	for _, sl := range s.slabs {
-		for j := range sl.n {
-			slot := &sl.slots[j]
-			if !slot.ran.Load() {
-				s.resolve(slot.tk, OutcomeDropped, wave, nowNs)
-			}
-			slot.tk = nil
-			slot.ran.Store(false)
+func (s *Server) endWave(batch []*Ticket, wave, nowNs int64) {
+	for i := range batch {
+		if !s.ran[i].Load() {
+			s.resolve(batch[i], OutcomeDropped, wave, nowNs)
 		}
-		sl.n, sl.srv = 0, nil
-		slabPool.Put(sl)
+		s.ran[i].Store(false)
+		batch[i] = nil
 	}
-	clear(s.slabs)
-	s.slabs = s.slabs[:0]
 }

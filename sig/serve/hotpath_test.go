@@ -14,10 +14,10 @@ import (
 // path: once the pools are warm, a full steady-state wave — benchWave
 // Submits, one RunWave, ticket reads and Releases — performs no heap
 // allocation at all, on any goroutine. It mirrors sig's TestSubmitAllocs
-// one layer up: the request path from Submit through slab-staged batch
-// ingest to ticket resolution. The slab stream writes each request's costs
-// and degradability into its slot, so a wave that alternates three declared
-// cost classes, one of them drop-only, costs what a uniform one does.
+// one layer up: the request path from Submit through the staged spec stream's
+// batch ingest to ticket resolution. Staging writes each request's costs and
+// degradability into its spec, so a wave that alternates three declared cost
+// classes, one of them drop-only, costs what a uniform one does.
 func TestServeSubmitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting is noisy under -short race runs")
@@ -58,7 +58,8 @@ func TestServeSubmitAllocs(t *testing.T) {
 				tks = recycleTickets(tks)
 			}
 			// Warm every pool and reusable buffer: the ticket pool, the
-			// wave's slab, admit's batch buffer, the queue's backing array.
+			// spec buffer and ran flags, admit's batch buffer, the queue's
+			// backing array.
 			for i := 0; i < 8; i++ {
 				wave()
 			}
@@ -226,11 +227,12 @@ func TestTicketReleaseBeforeDone(t *testing.T) {
 }
 
 // requestGone reports whether tk carries no trace of a request: no handler
-// closure a holder of the ticket (or the pool) would pin, and the zero lane.
+// closure or server a holder of the ticket (or the pool) would pin, and the
+// zero lane.
 func requestGone(tk *Ticket) bool {
 	r := &tk.req
 	return r.Handler == nil && r.Degraded == nil && r.Deadline.IsZero() &&
-		r.Significance == 0 && r.CostAccurate == 0 && r.CostDegraded == 0 && tk.lane == 0
+		r.Significance == 0 && r.CostAccurate == 0 && r.CostDegraded == 0 && tk.lane == 0 && tk.srv == nil
 }
 
 // rejectedTicket has s reject req with wantErr on a ticket the test planted
@@ -242,7 +244,7 @@ func rejectedTicket(t *testing.T, s *Server, req Request, wantErr error) *Ticket
 	for try := 0; try < 1000; try++ {
 		for ticketPool.Get() != nil {
 		}
-		planted := &Ticket{}
+		planted := newTicket()
 		ticketPool.Put(planted)
 		if _, err := s.Submit(req); !errors.Is(err, wantErr) {
 			t.Fatalf("Submit: got %v, want %v", err, wantErr)
@@ -341,9 +343,9 @@ func TestTicketDropsRequestAtResolution(t *testing.T) {
 	}
 }
 
-// TestServeMixedClassWave is the contract of the single slab stream: one
+// TestServeMixedClassWave is the contract of the single spec stream: one
 // wave mixing three declared cost classes, degradable and drop-only requests,
-// at tied significances and across a slab boundary. Every ticket resolves
+// at tied significances and across a submit boundary. Every ticket resolves
 // once with the body its outcome names, Totals conserve, the modeled joules
 // are exactly DefaultActiveWatts × the declared cost of what ran, and among
 // equal significances the earlier arrival is the one served accurately — GTB
@@ -351,7 +353,7 @@ func TestTicketDropsRequestAtResolution(t *testing.T) {
 // order whatever their costs.
 func TestServeMixedClassWave(t *testing.T) {
 	classes := [3]costSums{{30_000, 4_000}, {50_000, 10_000}, {80_000, 20_000}}
-	const n = serveSlabSize + serveSlabSize/2 // one full slab and a partial one
+	const n = serveSlabSize + serveSlabSize/2 // one full submit and a partial one
 	// A server is one runtime, a single shard; the subtest keeps the name it
 	// had when the shard count was a parameter.
 	t.Run("shards=1", func(t *testing.T) {

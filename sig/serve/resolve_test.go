@@ -14,8 +14,8 @@ import (
 // The per-request resolution contract: a request that runs a body resolves
 // when that body returns, not when its wave's taskwait does; the wave end
 // resolves only what no body ran for, reads no ticket a body resolved, and
-// recycles the slab stream's slots only once the taskwait has waited out
-// every task staged on them.
+// resets the wave's ran flags only once the taskwait has waited out every
+// body that sets them.
 
 // TestServeDoneAtBodyEnd: of two requests in one wave, the body that starts
 // second waits (bounded) for the other's Done. Whether the two run side by

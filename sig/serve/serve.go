@@ -32,8 +32,8 @@
 //
 // Every wave runs on one sig.Runtime, built at New and closed by Close, in
 // one group: the paper's runtime, one scheduler over the machine's cores.
-// So, as after the paper's taskwait, a wave's task storage is free the
-// moment the wave ends: every slab it submitted returns to the pool then.
+// So, as after the paper's taskwait, a wave's per-request state is free the
+// moment the wave ends: its ran flags reset and its batch is let go then.
 //
 // With declared costs, the deterministic policy every wave runs under (GTB
 // max buffering), a deterministic arrival order and a FakeClock behind the
@@ -112,6 +112,8 @@ type Request struct {
 	// pair: Submit rejects a CostDegraded without a CostAccurate, and a
 	// Degraded handler whose cost is left undeclared while CostAccurate
 	// is set — half-declared costs would silently model shed work as free.
+	// Submit also rejects a cost outside [0, 2^63): the runtime accounts a
+	// body's cost as int64 nanoseconds, and a larger one would wrap it.
 	CostAccurate float64
 	CostDegraded float64
 }
@@ -383,13 +385,15 @@ type Server struct {
 	closed    bool
 	lastLoad  float64
 
-	// Per-wave hot-path state, touched only under waveMu (see hotpath.go):
-	// admit's reused batch buffer, the slab the wave is filling, and the
-	// slabs the wave submitted, which its end recycles — empty between waves.
+	// Per-wave hot-path state, reused across waves (see hotpath.go): admit's
+	// batch buffer, the specs staged since the last submit, and one flag per
+	// admitted request, in admission order, that the body which served it
+	// sets (bodyEnd) and the wave's end resets (endWave). All but the flags
+	// are touched only under waveMu.
 	wavePending []*Ticket
 	waveExpired []*Ticket // deadline-expired requests skimmed by admit
-	cur         *waveSlab
-	slabs       []*waveSlab
+	specs       []sig.TaskSpec
+	ran         []atomic.Bool
 
 	// closeDone is closed (after closeErr is set) once the winning Close
 	// finished draining and closed the runtime; losing concurrent Close
@@ -621,11 +625,13 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	if req.Handler == nil {
 		return nil, fmt.Errorf("serve: Submit with nil Handler") //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
-	// Written so NaN fails it too: a NaN or infinite cost would poison the
-	// lanes' cost sums, and with them every later wave's load signal.
-	if !(req.CostAccurate >= 0 && req.CostAccurate <= math.MaxFloat64 &&
-		req.CostDegraded >= 0 && req.CostDegraded <= math.MaxFloat64) {
-		return nil, fmt.Errorf("serve: request cost (%v/%v) not a finite non-negative number", req.CostAccurate, req.CostDegraded) //siglint:allocok rejected-request path; the caller has a bug to fix
+	// Written so NaN fails it too. The runtime charges a body's cost as
+	// int64 nanoseconds (sig.WithCost): a cost at or past 2^63 wraps that
+	// account, and an infinite one would poison the lanes' cost sums, and
+	// with them every later wave's load signal.
+	if !(req.CostAccurate >= 0 && req.CostAccurate < 1<<63 &&
+		req.CostDegraded >= 0 && req.CostDegraded < 1<<63) {
+		return nil, fmt.Errorf("serve: request cost (%v/%v) outside [0, 2^63) ns", req.CostAccurate, req.CostDegraded) //siglint:allocok rejected-request path; the caller has a bug to fix
 	}
 	if !(req.Significance >= 0 && req.Significance <= 1) {
 		return nil, fmt.Errorf("serve: request significance %v outside [0, 1]", req.Significance) //siglint:allocok rejected-request path; the caller has a bug to fix
@@ -761,7 +767,7 @@ func (s *Server) resolve(tk *Ticket, o Outcome, wave, nowNs int64) {
 //siglint:noalloc
 func (s *Server) finish(tk *Ticket, wave, nowNs int64) {
 	ln := tk.lane
-	tk.req, tk.lane = Request{}, 0
+	tk.req, tk.lane, tk.srv = Request{}, 0, nil
 	tk.complete(wave, nowNs)
 	s.lanes[ln].lat.record(wave - tk.enqWave.Load() + 1)
 	tk.release()
@@ -886,20 +892,20 @@ func (s *Server) runWave(token bool) WaveReport {
 	batch := s.admit(start, s.Ratio())
 
 	rep := WaveReport{Admitted: len(batch)}
-	// Stage the batch, in admission order, into slabs of prebuilt specs; a
-	// slab submits the moment it fills, the partial one here (see
+	if len(batch) > len(s.ran) {
+		s.ran = make([]atomic.Bool, len(batch)) //siglint:allocok grows with the largest wave; every flag is reset at its wave's end
+	}
+	// Stage the batch, in admission order, one spec per request; every
+	// serveSlabSize specs submit as they fill, the remainder here (see
 	// hotpath.go). From the first submit on, a body may resolve its ticket,
-	// so nothing below reads the batch.
+	// so nothing below reads a ticket of the batch before its flag.
 	for i, tk := range batch {
 		if tk.lane == lanePriority {
 			rep.PriorityAdmitted++
 		}
-		s.stage(tk)
-		batch[i] = nil
+		s.stage(tk, i)
 	}
-	if s.cur != nil {
-		s.submitSlab()
-	}
+	s.flush()
 	rep.Stats = s.rt.WaitPhase(s.grp)
 	rep.Control = s.ctl.Observe(s.grp, rep.Stats) // the admission controller retunes the ratio for the next wave
 	end := s.clock.Now()
@@ -919,8 +925,8 @@ func (s *Server) runWave(token bool) WaveReport {
 	}
 	s.waveExpired = s.waveExpired[:0]
 	// Every body of the wave resolved its own request as it returned; the
-	// slots say which, and the rest are the policy's drops.
-	s.endSlabs(wave, nowNs)
+	// flags say which, and the rest are the policy's drops.
+	s.endWave(batch, wave, nowNs)
 	rep.Overrun = s.pace.settle(rep.WallTime)
 	s.mu.Lock()
 	rep.Depth = s.depthLocked()
@@ -987,8 +993,8 @@ func (s *Server) Close() error {
 	// Each RunWave below serializes behind any in-flight wave; once the
 	// queue is empty (no new Submit can refill it past the closed flag),
 	// the runtime can be closed under the same lock, so no wave can ever
-	// find it half-closed. Every wave recycled its own slabs at its end, so
-	// no request is left on one.
+	// find it half-closed. Every wave resolved its whole batch at its end,
+	// so no request is left in one.
 	for s.Depth() > 0 {
 		s.RunWave()
 	}

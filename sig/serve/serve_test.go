@@ -416,7 +416,9 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := s.Submit(Request{Handler: h, CostAccurate: -1}); err == nil {
 		t.Error("negative cost accepted")
 	}
-	for _, c := range []float64{nan, math.Inf(1)} {
+	// The runtime charges a body's cost as int64 nanoseconds, so a cost
+	// from 2^63 on would wrap the energy account.
+	for _, c := range []float64{nan, math.Inf(1), 1e19, math.MaxFloat64, 1 << 63} {
 		if _, err := s.Submit(Request{Handler: h, CostAccurate: c}); err == nil {
 			t.Errorf("accurate cost %v accepted", c)
 		}
@@ -454,8 +456,37 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := s.Submit(Request{Handler: h, Degraded: h}); err != nil {
 		t.Errorf("fully undeclared request rejected: %v", err)
 	}
+	if _, err := s.Submit(Request{Handler: h, CostAccurate: math.Nextafter(1<<63, 0)}); err != nil {
+		t.Errorf("the largest accurate cost below 2^63 rejected: %v", err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeCostSumsStayFinite: whatever costs callers declare, the lanes'
+// backlog sums, the load signal and the energy account stay finite and
+// non-negative. Two requests queued at the float64 maximum left the bulk
+// lane's sum at +Inf after the queue drained, and every later wave's load
+// at +Inf or NaN; one at 1e19 wrapped the runtime's int64 account negative.
+func TestServeCostSumsStayFinite(t *testing.T) {
+	s := newTestServer(t, 8, nil)
+	defer s.Close()
+	h := func() {}
+	for _, c := range []float64{math.MaxFloat64, math.MaxFloat64, 1e19, math.Nextafter(1<<63, 0)} {
+		_, _ = s.Submit(Request{Handler: h, CostAccurate: c}) // Submit refuses the ones the runtime cannot account
+	}
+	for w := 0; w < 6; w++ {
+		rep := s.RunWave()
+		s.mu.Lock()
+		bulk := s.lanes[laneBulk].cost
+		s.mu.Unlock()
+		if load := s.Load(); math.IsNaN(load) || math.IsInf(load, 0) || math.IsInf(bulk.acc, 0) || math.IsNaN(bulk.acc) {
+			t.Fatalf("wave %d: load %v, bulk lane cost sum %+v", rep.Stats.Wave, load, bulk)
+		}
+	}
+	if tot := s.Totals(); s.Depth() != 0 || tot.Completed != tot.Submitted-tot.Rejected || !(tot.Joules >= 0) {
+		t.Errorf("depth %d, totals %+v: want the queue drained and a non-negative energy account", s.Depth(), tot)
 	}
 }
 
