@@ -18,9 +18,12 @@ import (
 // TestDocNamesResolve resolves every backticked name DESIGN.md and the
 // verify skill cite: a reader is told to read or run what they name. A
 // dotted name resolves when its first part names a package or a type of the
-// module, a `TestX`/`BenchmarkX`/`FuzzX`/`ExampleX` when the function exists,
-// and a repository path (`:line` suffixes allowed) when the file or
-// directory does. The test every mutants row names must exist too.
+// module, a bare camelCase or capitalised identifier when some package of
+// the module declares it, some type has it as a method or field or a mutants
+// row is named so (an ALL_CAPS word is left alone), a
+// `TestX`/`BenchmarkX`/`FuzzX`/`ExampleX` when the function exists, and a
+// repository path (`:line` suffixes allowed) when the file or directory
+// does. The test every mutants row names must exist too.
 func TestDocNamesResolve(t *testing.T) {
 	idx := indexTree(t)
 	for _, m := range mutants {
@@ -53,7 +56,7 @@ func TestDocNamesCatchStaleCites(t *testing.T) {
 		{"stale.md", []string{
 			"sig.Report.Wall", "Runtime.start", "shard.Autoscaler", "pacer.nextDue",
 			"TestServeOverloadShedsQualityFirst", "ExampleRuntime_Wait",
-			"examples/quickstart/main.go", "sig/chaos", "slab.go",
+			"examples/quickstart/main.go", "sig/chaos", "slab.go", "waveSlab", "endSlabs",
 		}},
 	} {
 		src, err := os.ReadFile(filepath.Join("testdata", "docnames", c.fixture))
@@ -74,6 +77,7 @@ type treeIndex struct {
 	decls       map[string]map[string]bool // package name → its top-level names
 	members     map[string]map[string]bool // "Type" and "pkg.Type" → methods and fields
 	tests       map[string]bool            // functions of test files
+	names       map[string]bool            // every top-level name, method, field and mutants row
 	metrics     map[string]bool            // BENCHMARK.json's workload and metric names
 }
 
@@ -92,7 +96,7 @@ func indexTree(t *testing.T) *treeIndex {
 	}
 	idx := &treeIndex{root: root, files: map[string]bool{}, dirs: map[string]bool{}, top: map[string]bool{},
 		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{},
-		tests: map[string]bool{}, metrics: map[string]bool{}}
+		tests: map[string]bool{}, names: map[string]bool{}, metrics: map[string]bool{}}
 	for _, f := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		if _, err := os.Stat(filepath.Join(root, f)); err != nil {
 			continue // deleted, not yet staged
@@ -121,6 +125,9 @@ func indexTree(t *testing.T) *treeIndex {
 	for _, m := range slices.Concat(bench.Workloads, bench.EndToEnd, bench.PerLayer) {
 		idx.metrics[m.Name] = true
 	}
+	for _, m := range mutants {
+		idx.names[m.name] = true
+	}
 	return idx
 }
 
@@ -136,6 +143,7 @@ func (idx *treeIndex) addGoFile(t *testing.T, f string) {
 		}
 		if name != "" {
 			m[key][name] = true
+			idx.names[name] = true
 		}
 	}
 	member := func(typ, name string) {
@@ -205,6 +213,7 @@ func typeName(e ast.Expr) string {
 var (
 	testCite   = regexp.MustCompile(`^(Test|Benchmark|Fuzz|Example)[A-Z_]\w*(/\S*)?$`)
 	dotted     = regexp.MustCompile(`^[A-Za-z_]\w*(\.[A-Za-z_]\w*)+$`)
+	bare       = regexp.MustCompile(`^([a-z]\w*[A-Z]|[A-Z]\w*[a-z])\w*$`) // camelCase or capitalised, not ALL_CAPS
 	lineSuffix = regexp.MustCompile(`(:\d+)+$`)
 	fileExt    = regexp.MustCompile(`\.(go|md|json|ya?ml|golden|mod)$`)
 	codeSpan   = regexp.MustCompile("`([^`]+)`")
@@ -260,6 +269,8 @@ func (idx *treeIndex) resolves(span string) bool {
 		return false
 	case strings.Contains(p, "/") && idx.top[dir]:
 		return idx.dirs[p]
+	case bare.MatchString(name):
+		return idx.names[name]
 	case strings.Contains(p, "/") || !dotted.MatchString(name):
 		return true // net/http, a workload/metric pair, a bare word
 	}

@@ -86,6 +86,18 @@ var mutants = []struct {
 		new:  "",
 	},
 	{
+		// A wave without its follow-on admission: a request that queues
+		// while the wave runs waits a whole cadence for the next one, though
+		// the wave's budget had room for it. In fake time no arrival lands
+		// mid-wave, so no golden moves.
+		name: "followOn",
+		test: "TestServeFollowOnAdmission",
+		pkg:  "./sig/serve",
+		file: "sig/serve/serve.go",
+		old:  "\tif batch = s.admit(s.clock.Now(), ratio, true); len(batch) > n {\n\t\trep.Stats.Merge(s.runBatch(batch, n, &rep))\n\t}\n",
+		new:  "\t_ = n\n",
+	},
+	{
 		// Submit never posting the due token (its arrival step posts only
 		// the idle wake): an arrival that finds its wave due waits out the
 		// pump's late timer instead of firing it.

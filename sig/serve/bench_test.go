@@ -174,7 +174,7 @@ func BenchmarkServeAdmit(b *testing.B) {
 	for done := 0; done < b.N; {
 		n := min(admitWindow, b.N-done)
 		for i := 0; i < n; i++ {
-			batch := s.admit(now, 1)
+			batch := s.admit(now, 1, false)
 			if len(batch) != benchWave {
 				b.Fatalf("admitted %d of %d", len(batch), benchWave)
 			}
@@ -194,7 +194,7 @@ func BenchmarkServeAdmit(b *testing.B) {
 	}
 	b.StopTimer()
 	for s.Depth() > 0 {
-		for _, tk := range s.admit(now, 1) {
+		for _, tk := range s.admit(now, 1, false) {
 			s.finish(tk, 0, 0)
 		}
 	}

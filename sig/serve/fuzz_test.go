@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,10 @@ import (
 //     (Stats.Accurate+Approximate+Dropped = Admitted), and those splits,
 //     summed over every wave, are the per-outcome totals — the report holds
 //     no outcome count of its own, so the runtime's must be the server's;
+//   - a wave's admitted expected cost, at its ratio, exceeds the budget it
+//     was priced on only by the first admission's one-request exemption —
+//     the follow-on admission, which admits what bodies submitted while the
+//     wave ran, never overdraws it;
 //   - accepted + rejected = attempted;
 //   - each admission lane never exceeds its own slot share, and a Submit
 //     is rejected only when its lane is at that share — the priority slice
@@ -48,7 +53,8 @@ import (
 //	         wall times and the pacer prices them
 //	data[6:] op stream: 0 runs a wave; any other byte v submits a request
 //	         with significance (v%11)/10, a degraded body iff v%3 != 0,
-//	         and declared costs derived from v.
+//	         and declared costs derived from v; when v%7 == 0 each of its
+//	         bodies also submits the request of byte v/7, mid-wave.
 func FuzzServeAdmission(f *testing.F) {
 	f.Add([]byte{1, 8, 4, 0, 0, 0, 7, 7, 7, 0, 9, 9, 0})
 	f.Add([]byte{2, 2, 1, 128, 0, 0, 3, 6, 9, 12, 0, 3, 6, 9, 12, 0, 0})
@@ -95,45 +101,102 @@ func FuzzServeAdmission(f *testing.F) {
 			tk       *Ticket
 			acc, deg float64 // declared costs
 			hasDeg   bool
+			mid      bool // submitted by a body, while a wave ran
 		}
+		// mu guards the accounting below against the submits bodies make
+		// mid-wave, on the runtime's workers.
+		var mu sync.Mutex
 		var tks []accepted
 		attempted, rejected := 0, 0
 		acceptedPrio := int64(0)
 		var waveAcc, waveApx, waveDrop int64 // summed over every wave's Stats
 		runWave := func() {
+			budget := s.Budget() // what the wave's admissions are priced on
 			rep := s.RunWave()
 			if rep.Control.NextRatio < minRatio-1e-9 {
 				t.Fatalf("commanded ratio %.4f below MinRatio %.4f", rep.Control.NextRatio, minRatio)
 			}
-			if ws := rep.Stats; ws.Accurate+ws.Approximate+ws.Dropped != rep.Admitted {
+			ws := rep.Stats
+			if ws.Accurate+ws.Approximate+ws.Dropped != rep.Admitted {
 				t.Fatalf("wave %d: %d/%d/%d decided, %d admitted", ws.Wave, ws.Accurate, ws.Approximate, ws.Dropped, rep.Admitted)
 			}
-			waveAcc += int64(rep.Stats.Accurate)
-			waveApx += int64(rep.Stats.Approximate)
-			waveDrop += int64(rep.Stats.Dropped)
+			waveAcc += int64(ws.Accurate)
+			waveApx += int64(ws.Approximate)
+			waveDrop += int64(ws.Dropped)
+			// The wave's admissions are the tickets it resolved (no
+			// deadlines here, so none timed out), priced as admit prices them;
+			// one a body submitted during this very wave came through its
+			// follow-on.
+			var cost float64
+			followOn := 0
+			mu.Lock()
+			for _, a := range tks {
+				if a.tk.completed.Load() && a.tk.doneWave.Load() == int64(ws.Wave) {
+					c := costSums{acc: a.acc}
+					if a.hasDeg {
+						c.deg = a.deg
+					}
+					cost += c.at(ws.RequestedRatio)
+					if a.mid && a.tk.enqWave.Load() == int64(ws.Wave) {
+						followOn++
+					}
+				}
+			}
+			mu.Unlock()
+			if cost > budget*(1+1e-9) && (rep.Admitted > 1 || followOn > 0) {
+				t.Fatalf("wave %d admitted %d requests (%d through its follow-on) of expected cost %v over its budget %v", ws.Wave, rep.Admitted, followOn, cost, budget)
+			}
+		}
+		mkReq := func(v byte) (req Request, hasDeg bool) {
+			handler := func() { fc.Advance(advance) }
+			req = Request{
+				Significance: float64(int(v)%11) / 10,
+				Handler:      handler,
+				CostAccurate: float64(100 + 10*int(v)),
+				CostDegraded: float64(1 + int(v)%50),
+			}
+			if hasDeg = v%3 != 0; hasDeg {
+				req.Degraded = handler
+			}
+			return req, hasDeg
+		}
+		// record accounts one Submit's result; true when it was accepted.
+		record := func(req Request, hasDeg, mid bool, tk *Ticket, err error) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			attempted++
+			if err != nil {
+				rejected++
+				return false
+			}
+			if cfg.PriorityAt > 0 && req.Significance >= cfg.PriorityAt {
+				acceptedPrio++
+			}
+			tks = append(tks, accepted{tk: tk, acc: req.CostAccurate, deg: req.CostDegraded, hasDeg: hasDeg, mid: mid})
+			return true
 		}
 		for _, v := range ops {
 			if v == 0 {
 				runWave()
 				continue
 			}
-			handler := func() { fc.Advance(advance) }
-			req := Request{
-				Significance: float64(int(v)%11) / 10,
-				Handler:      handler,
-				CostAccurate: float64(100 + 10*int(v)),
-				CostDegraded: float64(1 + int(v)%50),
-			}
-			hasDeg := v%3 != 0
-			if hasDeg {
-				req.Degraded = handler
+			req, hasDeg := mkReq(v)
+			if v%7 == 0 {
+				child, childDeg := mkReq(v / 7)
+				spawn := func() {
+					fc.Advance(advance)
+					tk, err := s.Submit(child)
+					record(child, childDeg, true, tk, err)
+				}
+				req.Handler = spawn
+				if hasDeg {
+					req.Degraded = spawn
+				}
 			}
 			prio := cfg.PriorityAt > 0 && req.Significance >= cfg.PriorityAt
 			laneDepth, laneLimit := laneState(s, prio)
-			attempted++
 			tk, err := s.Submit(req)
-			if err != nil {
-				rejected++
+			if !record(req, hasDeg, false, tk, err) {
 				// RetryAfter honesty: a queue-full backoff hint must cover at
 				// least one measured period, whatever wall times the fake
 				// clock has given the waves so far.
@@ -150,10 +213,6 @@ func FuzzServeAdmission(f *testing.F) {
 				}
 				continue
 			}
-			if prio {
-				acceptedPrio++
-			}
-			tks = append(tks, accepted{tk: tk, acc: req.CostAccurate, deg: req.CostDegraded, hasDeg: hasDeg})
 			bulkD, prioD := s.LaneDepths()
 			if bulkD+prioD > cfg.QueueLimit {
 				t.Fatalf("queue depth %d above limit %d", bulkD+prioD, cfg.QueueLimit)

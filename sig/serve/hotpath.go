@@ -13,8 +13,8 @@ import (
 // carries its two body closures (built once, when the pool missed), and is
 // refcounted back. Admitted requests are staged, in admission order, as one
 // TaskSpec each into a spec buffer the server reuses, and every per-wave
-// scratch slice — admit's batch, the spec buffer, the per-request ran flags
-// — is reused across waves. The specs feed sig's SubmitBatch slab ingest, so
+// scratch slice — admit's batch, which both of a wave's admissions fill, the
+// spec buffer, the per-request ran flags — is reused across waves. The specs feed sig's SubmitBatch slab ingest, so
 // the batch fast path the scheduler has runs end-to-end from Submit.
 
 // serveSlabSize is how many staged specs one SubmitBatch carries — matched
@@ -48,7 +48,9 @@ type lane struct {
 
 // waveLatBuckets are the wave-latency histogram's upper bounds, in waves —
 // the deterministic latency unit of the wave-driven serving layer. A
-// request served by the wave after its arrival has latency 1.
+// request served by the first wave to start after its arrival has latency 1,
+// and so has one served by the wave in flight when it arrived (through that
+// wave's follow-on admission).
 var waveLatBuckets = [...]int64{1, 2, 4, 8, 16, 32}
 
 // latHist is one lane's wave-latency histogram: lock-free single-bucket
@@ -286,7 +288,7 @@ func (s *Server) bodyEnd(tk *Ticket, o Outcome) {
 // spec buffer as one TaskSpec whose bodies are the ticket's own closures,
 // and hands the buffer to the runtime each time it holds serveSlabSize
 // specs. Requests of any declared cost share the stream, so tasks reach the
-// policy in admission order. Called from runWave under waveMu.
+// policy in admission order. Called from runBatch under waveMu.
 //
 //siglint:noalloc
 func (s *Server) stage(tk *Ticket, i int) {
@@ -321,10 +323,11 @@ func (s *Server) flush() {
 	s.specs = s.specs[:0]
 }
 
-// endWave is the wave's end for its admitted batch: each request no body ran
-// for resolves as the policy's drop, and every flag resets. A set flag means
-// the ticket is the caller's now, so it is never read. WaitPhase has drained
-// the wave's group: by now no body of the wave can still run. The wave's
+// endWave is the wave's end for its admitted batch, both admissions': each
+// request no body ran for resolves as the policy's drop, and every flag
+// resets. A set flag means the ticket is the caller's now, so it is never
+// read. The wave's last WaitPhase has drained its group: by now no body of
+// the wave can still run. The wave's
 // outcome split is the runtime's to count (WaveReport.Stats).
 //
 //siglint:noalloc

@@ -14,8 +14,9 @@ import (
 // every step is one turn of pacer.run — it wakes on the token, or on its timer
 // once next's wakeAt has come, and fires a wave that begins, admits (pops every
 // queued request, then spend), runs a short or an overrunning wall of fake
-// time, ends and settles, while arrivals that have read the clock may queue
-// after its begin or after its admit; and a clock that jumps to the due time.
+// time, admits again (its follow-on: pops what queued meanwhile, then spend),
+// ends and settles, while arrivals queue after its begin, between its two
+// admissions or after the second; and a clock that jumps to the due time.
 // tokState is one state of it: the pacer's fields, the fake clock and the
 // arrivals, all comparable.
 type tokState struct {
@@ -50,8 +51,9 @@ const (
 
 var tokWalls = [...]time.Duration{tokPeriod / 2, 3 * tokPeriod / 2}
 
-// tokMutant drops one step of the protocol: spend from admit, or the due
-// token from Submit (arrival posting only its idle wake).
+// tokMutant drops one step of the protocol: spend from both of a wave's
+// admissions, or the due token from Submit (arrival posting only its idle
+// wake).
 type tokMutant struct{ noSpend, noDue bool }
 
 var tokCfg = Config{WavePeriod: tokPeriod, MinPeriod: tokPeriod / 4}
@@ -111,13 +113,17 @@ func (st *tokState) queue(p *pacer, i int, ratio float64, m tokMutant) {
 
 // Where an arrival queues during a pump step (tokState.pump's mid): not in
 // this step; one that has read the clock, after the wave's begin or after its
-// admit; or one that has not, reading the clock as the wave's wall ends — past
-// the due time if the wave overran — and queuing then.
+// first admit; one that has not, reading the clock as the wave's wall ends —
+// past the due time if the wave overran — and queuing before the follow-on
+// admit; or one that has read the clock or reads it then, queuing after the
+// follow-on admit, for the next wave.
 const (
 	midNone int8 = iota
 	midBegun
 	midAdmitted
 	midLate
+	midFollowed
+	midSlots
 )
 
 // pump is one turn of the production pump loop (pacer.run) from st: its wait
@@ -141,25 +147,30 @@ func (st tokState) pump(token bool, wall time.Duration, mid [3]int8, ratio float
 		}
 		return token, waits == 1
 	}, func(token bool) {
-		p.begin(fc.Now(), token)
-		queue(midBegun)
-		for i := range st.arr {
-			if st.arr[i].phase == arrQueued {
-				st.arr[i].phase = arrPopped
+		admit := func() {
+			for i := range st.arr {
+				if st.arr[i].phase == arrQueued {
+					st.arr[i].phase = arrPopped
+				}
+			}
+			if !m.noSpend {
+				p.spend()
+				st.token = -1
 			}
 		}
-		if !m.noSpend {
-			p.spend()
-			st.token = -1
-		}
+		p.begin(fc.Now(), token)
+		queue(midBegun)
+		admit()
 		queue(midAdmitted)
 		fc.Advance(wall)
 		for i := range st.arr {
-			if mid[i] == midLate {
+			if st.arr[i].phase == arrFree && (mid[i] == midLate || mid[i] == midFollowed) {
 				st.arr[i].at = fc.Now().UnixNano()
 			}
 		}
 		queue(midLate)
+		admit() // the follow-on
+		queue(midFollowed)
 		p.end(fc.Now(), wall)
 		p.settle(wall)
 		st.waves++
@@ -197,14 +208,16 @@ func (st tokState) next(ratio float64, m tokMutant) (out []tokState, steps []str
 	// Every way the arrivals can queue during the wave. Within a slot they
 	// queue in index order: the arrivals are interchangeable, so any other
 	// order is that of a state the walk reaches with the indices swapped.
-	for c := range 64 {
-		mid, ok := [3]int8{int8(c % 4), int8(c / 4 % 4), int8(c / 16)}, true
+	for c := range midSlots * midSlots * midSlots {
+		mid, ok := [3]int8{int8(c % midSlots), int8(c / midSlots % midSlots), int8(c / (midSlots * midSlots))}, true
 		for i, a := range st.arr {
 			switch mid[i] {
 			case midBegun, midAdmitted:
 				ok = ok && a.phase == arrRead
 			case midLate:
 				ok = ok && a.phase == arrFree
+			case midFollowed:
+				ok = ok && (a.phase == arrRead || a.phase == arrFree)
 			}
 		}
 		for _, wall := range tokWalls {
@@ -287,13 +300,13 @@ func exploreTokens(ratio float64, m tokMutant) (states int, bad string) {
 
 // TestPacerTokenProtocol checks the wake-token protocol exhaustively: every
 // interleaving of up to three arrivals — before or after the due time, into
-// an empty or a non-empty queue, between waves or inside one before or after
-// its admit, at ratio 1.0 and below it — with two turns of the production
-// pump loop, each a short or an overrunning wave, on the real pacer methods
-// over a FakeClock. No spare wave and no lost due wave
+// an empty or a non-empty queue, between waves or inside one before, between
+// or after its two admissions, at ratio 1.0 and below it — with two turns of
+// the production pump loop, each a short or an overrunning wave, on the real
+// pacer methods over a FakeClock. No spare wave and no lost due wave
 // (see violation) must hold in every state. Each property is shown to bite
 // under its own mutant:
-//   - noSpend, an admit that pops without spend, must break "no spare wave";
+//   - noSpend, admissions that pop without spend, must break "no spare wave";
 //   - noDue, a Submit that never posts the due token, must break "no lost
 //     due wave".
 func TestPacerTokenProtocol(t *testing.T) {

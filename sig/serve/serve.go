@@ -4,8 +4,10 @@
 //
 // Callers submit Requests carrying a significance (user tier, staleness
 // tolerance) and, optionally, a cheap Degraded handler. Admitted requests
-// queue until the next wave; each wave the server pops requests up to a
-// modeled work budget, submits them as one batch and taskwaits. An
+// queue until a wave admits them: each wave the server pops requests up to a
+// modeled work budget, submits them as one batch and taskwaits, then pops
+// what queued meanwhile, while the budget still covers it, and taskwaits
+// once more. An
 // admission controller (adapt.TargetLoad) observes every wave and maps the
 // measured load — queue depth and modeled joules of demand vs per-wave
 // capacity, both computed from declared request costs — onto the group's
@@ -283,7 +285,8 @@ func (s costSums) at(r float64) float64 { return r*s.acc + (1-r)*s.deg }
 // and the one it provided, its joules and its outcome split are Stats'
 // alone, the next ratio and the load signal Control's.
 type WaveReport struct {
-	// Stats is the wave's runtime telemetry. Stats.Accurate,
+	// Stats is the wave's runtime telemetry, its taskwaits' merged (see
+	// RunWave), indexed by the server's wave count. Stats.Accurate,
 	// Stats.Approximate and Stats.Dropped split Admitted by outcome (degraded
 	// is Approximate); Stats.RequestedRatio ran the wave.
 	Stats sig.WaveStats
@@ -306,8 +309,8 @@ type WaveReport struct {
 	// Budget is the modeled per-wave capacity the load was priced against,
 	// rebuilt from the pacer's measured period at every wave boundary.
 	Budget float64
-	// WallTime is the wave's measured wall time (admission through
-	// taskwait), read through the WaveClock seam; it is the sample that
+	// WallTime is the wave's measured wall time (first admission through
+	// last taskwait), read through the WaveClock seam; it is the sample that
 	// feeds the MeasuredPeriod EWMA.
 	WallTime time.Duration
 	// Overrun marks a wave whose WallTime exceeded the cadence that fired
@@ -386,14 +389,18 @@ type Server struct {
 	lastLoad  float64
 
 	// Per-wave hot-path state, reused across waves (see hotpath.go): admit's
-	// batch buffer, the specs staged since the last submit, and one flag per
-	// admitted request, in admission order, that the body which served it
-	// sets (bodyEnd) and the wave's end resets (endWave). All but the flags
-	// are touched only under waveMu.
+	// batch buffer and the expected cost it holds, the specs staged since the
+	// last submit, and one flag per admitted request, in admission order,
+	// that the body which served it sets (bodyEnd) and the wave's end resets
+	// (endWave). All but the flags are touched only under waveMu.
 	wavePending []*Ticket
+	waveCost    float64   // expected cost of wavePending at the wave's ratio
 	waveExpired []*Ticket // deadline-expired requests skimmed by admit
 	specs       []sig.TaskSpec
 	ran         []atomic.Bool
+	// followOnCost is the declared cost of what the wave's follow-on
+	// admission popped: measure still prices it as backlog (guarded by mu).
+	followOnCost costSums
 
 	// closeDone is closed (after closeErr is set) once the winning Close
 	// finished draining and closed the runtime; losing concurrent Close
@@ -615,10 +622,10 @@ func reqCosts(req *Request) costSums {
 	return c
 }
 
-// Submit admits a request into the next wave. It returns ErrQueueFull when
-// the admission queue is at its limit (the request is shed) and ErrClosed
-// on a shut-down server; otherwise the Ticket tracks the request to
-// completion.
+// Submit queues a request for the next admission: the follow-on of the wave
+// in flight, or the next wave's first. It returns ErrQueueFull when the
+// admission queue is at its limit (the request is shed) and ErrClosed on a
+// shut-down server; otherwise the Ticket tracks the request to completion.
 //
 //siglint:noalloc
 func (s *Server) Submit(req Request) (*Ticket, error) {
@@ -712,9 +719,9 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 // from every lane, however deep it sits — queue slot and cost share freed,
 // the lane compacted in place — so an expired request can never hold a slot
 // against live traffic or keep its cost in the backlog sums. admit runs it
-// at every wave boundary and defers the casualties to waveExpired (runWave
-// resolves them at the wave's epoch, after the taskwait); the queue-full
-// Submit path resolves them on the spot. Caller holds s.mu.
+// at each of a wave's admissions and defers the casualties to waveExpired
+// (runWave resolves them at the wave's epoch, after its last taskwait); the
+// queue-full Submit path resolves them on the spot. Caller holds s.mu.
 //
 //siglint:noalloc
 func (s *Server) sweepExpiredLocked(now time.Time, deferred bool) {
@@ -774,17 +781,22 @@ func (s *Server) finish(tk *Ticket, wave, nowNs int64) {
 }
 
 // measure is the admission controller's load signal, evaluated at the wave
-// boundary (inside RunWave's taskwait): the modeled cost of fresh arrivals
-// plus a DefaultDrainGain share of the backlog, both priced at the wave's
-// ratio, over the per-wave capacity. It is monotone increasing in the ratio,
-// which is what lets the secant law of adapt.TargetLoad converge in a handful
-// of waves.
+// boundary (after RunWave's last taskwait): the modeled cost of fresh
+// arrivals plus a DefaultDrainGain share of the backlog, both priced at the
+// wave's ratio, over the per-wave capacity. The backlog is priced as if the
+// follow-on admission had popped nothing — the queue plus followOnCost — so
+// every request that arrives while a wave runs counts once as backlog,
+// whether the follow-on serves it or the next wave does. It is monotone
+// increasing in the ratio, which is what lets the secant law of
+// adapt.TargetLoad converge in a handful of waves.
 func (s *Server) measure(ws sig.WaveStats) float64 {
 	carry := s.pace.carry(s.clock) // before s.mu: the clock is caller-supplied code
 	r := ws.RequestedRatio
 	s.mu.Lock()
 	// Every lane drains from the same capacity.
-	load := (s.arrCost.at(r) + DefaultDrainGain*s.backlogLocked(laneBulk).at(r)) / s.budget
+	backlog := s.backlogLocked(laneBulk)
+	backlog.add(s.followOnCost)
+	load := (s.arrCost.at(r) + DefaultDrainGain*backlog.at(r)) / s.budget
 	s.arrCost = costSums{} // next wave accounts fresh arrivals only
 	if carry > 0 {
 		// An early wave speaks for a share of the period; the rest keeps
@@ -796,50 +808,58 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 	return load
 }
 
-// admit pops the next wave's worth of requests: the lanes in drain order
-// (priority, then the bulk FIFO), while the expected modeled cost at the
-// wave's ratio fits the wave budget (always at least one when anything is
-// queued, so a single oversized request cannot wedge the queue), and spends
-// the wake token an idle arrival among them posted. Before popping, every
-// lane is swept for requests whose Deadline expired while queued — they move
-// to the waveExpired buffer, consuming no budget. The
-// returned batch is the server's reused wavePending buffer (valid until the
-// next admit); lane remainders compact to the front of their backing
-// arrays, so steady-state waves neither grow nor churn them. now is the
-// wave's start-of-wave clock reading (RunWave takes it through the
-// WaveClock seam) — admit performs no clock reads of its own.
+// admit pops the lanes in drain order (priority, then the bulk FIFO) onto
+// the wave's batch while the expected modeled cost at the wave's ratio fits
+// the wave budget, and spends the wake token an arrival among them posted.
+// A wave admits twice. Its first admission, as it fires, starts the batch
+// afresh and admits at least one request when anything is queued, so a
+// single oversized request cannot wedge the queue. Its follow-on, once the
+// first taskwait has returned, appends what queued meanwhile while the
+// budget the first left covers it, with no such exemption, and records what
+// it popped for measure (followOnCost). Before popping, every lane is swept
+// for requests whose Deadline passed by now — they move to the waveExpired
+// buffer, consuming no budget. The returned batch is the server's reused
+// wavePending buffer (valid until the next wave's first admit); lane
+// remainders compact to the front of their backing arrays, so steady-state
+// waves neither grow nor churn them. now is a clock reading runWave took
+// through the WaveClock seam — admit performs no clock reads of its own.
 //
 //siglint:noalloc
-func (s *Server) admit(now time.Time, ratio float64) []*Ticket {
+func (s *Server) admit(now time.Time, ratio float64, followOn bool) []*Ticket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batch := s.wavePending[:0]
-	s.waveExpired = s.waveExpired[:0]
+	if !followOn {
+		s.wavePending, s.waveCost = s.wavePending[:0], 0
+	}
 	s.sweepExpiredLocked(now, true)
-	var cost float64
+	var popped costSums
 	for i := laneCount - 1; i >= 0; i-- {
-		batch, cost = s.popLaneLocked(batch, &s.lanes[i], ratio, cost)
+		popped.add(s.popLaneLocked(&s.lanes[i], ratio, !followOn))
+	}
+	if followOn {
+		s.followOnCost = popped
 	}
 	s.pace.spend()
-	s.wavePending = batch
-	return batch
+	return s.wavePending
 }
 
-// popLaneLocked pops one lane FIFO into batch while the running cost fits
-// the budget (admitting at least one request overall), returning the grown
-// batch and cost. Caller holds s.mu.
+// popLaneLocked pops one lane FIFO onto wavePending while waveCost, the
+// wave's running expected cost, fits the budget — exempt admits the wave's
+// first request whatever its cost — and returns the declared costs it
+// popped. Caller holds s.mu.
 //
 //siglint:noalloc
-func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([]*Ticket, float64) {
+func (s *Server) popLaneLocked(l *lane, ratio float64, exempt bool) (popped costSums) {
 	n := 0
 	for n < len(l.q) {
 		tk := l.q[n]
 		c := reqCosts(&tk.req)
-		if len(batch) > 0 && cost+c.at(ratio) > s.budget {
+		if !(exempt && len(s.wavePending) == 0) && s.waveCost+c.at(ratio) > s.budget {
 			break
 		}
-		batch = append(batch, tk) //siglint:allocok amortized growth of the reused wavePending batch buffer
-		cost += c.at(ratio)
+		s.wavePending = append(s.wavePending, tk) //siglint:allocok amortized growth of the reused wavePending batch buffer
+		s.waveCost += c.at(ratio)
+		popped.add(c)
 		l.cost.sub(c)
 		if !tk.req.Deadline.IsZero() {
 			s.deadlined--
@@ -854,12 +874,16 @@ func (s *Server) popLaneLocked(batch []*Ticket, l *lane, ratio, cost float64) ([
 	if len(l.q) == 0 && cap(l.q) > max(64, l.limit/8) {
 		l.q = nil // release a burst-grown backing array once it drains
 	}
-	return batch, cost
+	return popped
 }
 
 // RunWave executes one serving wave: admit a budget's worth of queued
-// requests, run them as one significance-annotated batch, taskwait, and
-// let the admission controller retune the ratio. Each request that runs a
+// requests, run them as one significance-annotated batch and taskwait; then
+// admit once more what queued meanwhile, while the budget the first
+// admission left covers it, run that too and taskwait again; and let the
+// admission controller retune the ratio on the two taskwaits' merged
+// telemetry. A request that queues after the second admission waits for the
+// next wave, so a wave is at most two taskwaits. Each request that runs a
 // body resolves the moment that body returns, so by the time RunWave
 // returns its callers may have been woken, read their outcome and Released
 // the ticket; the requests the policy dropped and the deadline casualties
@@ -889,35 +913,32 @@ func (s *Server) runWave(token bool) WaveReport {
 	}
 	start := s.clock.Now()
 	s.pace.begin(start, token)
-	batch := s.admit(start, s.Ratio())
-
-	rep := WaveReport{Admitted: len(batch)}
-	if len(batch) > len(s.ran) {
-		s.ran = make([]atomic.Bool, len(batch)) //siglint:allocok grows with the largest wave; every flag is reset at its wave's end
+	ratio := s.Ratio()
+	var rep WaveReport
+	batch := s.admit(start, ratio, false)
+	rep.Stats = s.runBatch(batch, 0, &rep)
+	// The follow-on admission: what queued while the first batch ran fills
+	// the budget it left. A follow-on that pops nothing runs no taskwait.
+	n := len(batch)
+	if batch = s.admit(s.clock.Now(), ratio, true); len(batch) > n {
+		rep.Stats.Merge(s.runBatch(batch, n, &rep))
 	}
-	// Stage the batch, in admission order, one spec per request; every
-	// serveSlabSize specs submit as they fill, the remainder here (see
-	// hotpath.go). From the first submit on, a body may resolve its ticket,
-	// so nothing below reads a ticket of the batch before its flag.
-	for i, tk := range batch {
-		if tk.lane == lanePriority {
-			rep.PriorityAdmitted++
-		}
-		s.stage(tk, i)
-	}
-	s.flush()
-	rep.Stats = s.rt.WaitPhase(s.grp)
+	// The wave's index is the server's: a follow-on's taskwait is one more
+	// of the runtime's.
+	rep.Stats.Wave = int(s.wave.Load())
+	rep.Admitted = len(batch)
 	rep.Control = s.ctl.Observe(s.grp, rep.Stats) // the admission controller retunes the ratio for the next wave
 	end := s.clock.Now()
-	// The wave's measured wall time — admission through taskwait — is the
-	// sample behind MeasuredPeriod.
+	// The wave's measured wall time — admission through the last taskwait —
+	// is the sample behind MeasuredPeriod.
 	rep.WallTime = end.Sub(start)
 	s.pace.end(end, rep.WallTime)
 	// The wave counts itself before it resolves anything, so a request
 	// resolved at the wave's end finds its wave in Totals too.
 	wave := s.wave.Add(1) - 1
 	nowNs := end.UnixNano()
-	// The deadline casualties admit skimmed resolve at this wave's epoch.
+	// The deadline casualties both admissions skimmed resolve at this
+	// wave's epoch.
 	rep.TimedOut = len(s.waveExpired)
 	for i, tk := range s.waveExpired {
 		s.resolve(tk, OutcomeTimedOut, wave, nowNs)
@@ -933,6 +954,31 @@ func (s *Server) runWave(token bool) WaveReport {
 	rep.Budget = s.rebudget()
 	s.mu.Unlock()
 	return rep
+}
+
+// runBatch stages batch[from:], one admission's requests, in admission
+// order, one spec per request; every serveSlabSize specs submit as they
+// fill, the remainder here (see hotpath.go). It then taskwaits and returns
+// the runtime's telemetry of that taskwait. From the first submit on, a body
+// may resolve its ticket, so nothing reads a ticket of the batch before its
+// flag. The ran flags grow to the batch, keeping those set so far: no body
+// of the wave runs between its admissions.
+func (s *Server) runBatch(batch []*Ticket, from int, rep *WaveReport) sig.WaveStats {
+	if len(batch) > len(s.ran) {
+		ran := make([]atomic.Bool, len(batch)) //siglint:allocok grows with the largest wave; every flag is reset at its wave's end
+		for i := range s.ran {
+			ran[i].Store(s.ran[i].Load())
+		}
+		s.ran = ran
+	}
+	for i := from; i < len(batch); i++ {
+		if batch[i].lane == lanePriority {
+			rep.PriorityAdmitted++
+		}
+		s.stage(batch[i], i)
+	}
+	s.flush()
+	return s.rt.WaitPhase(s.grp)
 }
 
 // rebudget is the one budget rule, reached once per wave after settle's

@@ -490,6 +490,24 @@ func TestServeCostSumsStayFinite(t *testing.T) {
 	}
 }
 
+// TestServeBusyAccountSaturates: one wave of two premium requests, each at
+// the largest cost Submit accepts, charges more than the runtime's int64
+// busy account holds. It wrapped to -2048 ns (Totals().Joules -2.4576e-05);
+// it saturates at math.MaxInt64.
+func TestServeBusyAccountSaturates(t *testing.T) {
+	s, _ := newPaceServer(t, func(c *Config) { c.WaveBudget = 1 << 64 })
+	defer s.Close()
+	for range 2 {
+		if _, err := s.Submit(Request{Significance: 1, Handler: func() {}, CostAccurate: math.Nextafter(1<<63, 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := s.RunWave()
+	if tot := s.Totals(); rep.Stats.Accurate != 2 || rep.Stats.Busy != math.MaxInt64 || !(tot.Joules > 0) {
+		t.Fatalf("wave ran %d accurate for %d ns, Totals().Joules %v: want both, the account saturated", rep.Stats.Accurate, int64(rep.Stats.Busy), tot.Joules)
+	}
+}
+
 // TestServeTotalsCountBeforeDone pins the contract that Totals lead Done,
 // request by request: a caller that has seen k tickets resolve finds at
 // least k requests in Totals, conserved across the outcome counters, while

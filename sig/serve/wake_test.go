@@ -243,11 +243,16 @@ func simulatePump(t *testing.T, s *Server, fc *FakeClock, gap time.Duration, mk 
 
 // TestServeFakeTimeWake pins the fake-time wait every pump test runs the
 // production loop on, one edge a row. The server's first wave is due at 1 ms,
-// and the first request's body submits a second one:
+// and the first request's body submits a second one, which joins the same
+// wave through its follow-on admission:
 //   - arrival at wakeAt: an arrival exactly at the first wakeAt is queued
-//     before the timer's wave fires, which admits it;
-//   - token during a wave: the body's submit into the empty queue posts a
-//     token that fires the next wave back-to-back, at the first one's end;
+//     before the timer's wave fires, which admits it (and then its body's
+//     submit);
+//   - a submit during a wave joins its follow-on: the body's submit into the
+//     empty queue posts a token, and the wave's follow-on admission admits
+//     the request and spends the token, so both requests are served by the
+//     one wave (wave latency 1) and the next wave is the timer's, not a
+//     back-to-back token wave;
 //   - timer before wakeAt: a timer that fires half a cadence early, as a
 //     monotonic timer does when the wall clock steps back, still fires a
 //     wave, a cadence wave, instead of the pump waiting again for wakeAt.
@@ -261,16 +266,19 @@ func TestServeFakeTimeWake(t *testing.T) {
 		late  time.Duration
 		deaf  bool
 		waves int
-		holds func(ws []pumpWave) bool
+		holds func(s *Server, ws []pumpWave) bool
 	}{
 		{"arrival at wakeAt", time.Millisecond, 0, true, 1,
-			func(ws []pumpWave) bool {
-				return ws[0].start == time.Unix(0, int64(time.Millisecond)) && ws[0].admitted == 1
+			func(_ *Server, ws []pumpWave) bool {
+				return ws[0].start == time.Unix(0, int64(time.Millisecond)) && ws[0].admitted == 2
 			}},
-		{"token during a wave", 0, 0, false, 2,
-			func(ws []pumpWave) bool { return ws[1].token && ws[1].start == ws[0].end && ws[1].admitted == 1 }},
+		{"a submit during a wave joins its follow-on", 0, 0, false, 2,
+			func(s *Server, ws []pumpWave) bool {
+				cum, _, _ := s.lanes[laneBulk].lat.snapshot()
+				return ws[0].admitted == 2 && cum[0] == 2 && !ws[1].token && ws[1].admitted == 0
+			}},
 		{"timer before wakeAt", time.Hour, -500 * time.Microsecond, false, 1,
-			func(ws []pumpWave) bool {
+			func(_ *Server, ws []pumpWave) bool {
 				return ws[0].start == time.Unix(0, int64(500*time.Microsecond)) && !ws[0].token && !ws[0].early
 			}},
 	} {
@@ -282,16 +290,75 @@ func TestServeFakeTimeWake(t *testing.T) {
 				if i == 0 {
 					r.Handler = func() {
 						fc.Advance(10 * time.Microsecond)
-						_, _ = s.Submit(paceRequest(fc, 10*time.Microsecond)) // a refusal shows as the next wave admitting nothing
+						_, _ = s.Submit(paceRequest(fc, 10*time.Microsecond)) // a refusal shows as a wave admitting one request
 					}
 				}
 				return r
 			}
 			ws := runPump(t, s, fc, arriveAt(c.at), mk, c.late, c.deaf, c.waves)
-			if !c.holds(ws) {
+			if !c.holds(s, ws) {
 				t.Fatalf("waves %+v", ws)
 			}
 		})
+	}
+}
+
+// TestServeFollowOnAdmission pins the wave's second admission in fake time,
+// on one worker whose first wave is priced at 1 ms of declared cost, with
+// MinRatio 1 so every request is priced at its accurate cost. A queued
+// request A (400 µs) submits B (300 µs) and C (400 µs) from its body; B's
+// body submits D (1 µs):
+//   - B fits the budget A left, so the follow-on admits it and B resolves in
+//     its own wave (wave latency 1);
+//   - C does not fit what A and B left, and the follow-on grants no
+//     exemption, so C waits for the next wave;
+//   - D queues during the follow-on, which is the wave's last admission, so
+//     D waits for the next wave too, although it fits.
+func TestServeFollowOnAdmission(t *testing.T) {
+	s, fc := newPaceServer(t, func(c *Config) { c.MinRatio = 1 })
+	defer s.Close()
+	var b, c, d *Ticket
+	submit := func(r Request) *Ticket {
+		tk, err := s.Submit(r)
+		if err != nil {
+			t.Error(err)
+		}
+		return tk
+	}
+	reqB := paceRequest(fc, 300*time.Microsecond)
+	reqB.Handler = func() {
+		fc.Advance(300 * time.Microsecond)
+		d = submit(paceRequest(fc, time.Microsecond))
+	}
+	reqA := paceRequest(fc, 400*time.Microsecond)
+	reqA.Handler = func() {
+		fc.Advance(400 * time.Microsecond)
+		b = submit(reqB)
+		c = submit(paceRequest(fc, 400*time.Microsecond))
+	}
+	a := submit(reqA)
+	if rep := s.RunWave(); rep.Admitted != 2 || rep.Stats.Accurate != 2 || rep.Depth != 2 {
+		t.Fatalf("first wave admitted %d (%d accurate), left %d queued; want A and B, with C and D queued", rep.Admitted, rep.Stats.Accurate, rep.Depth)
+	}
+	for i, tk := range []*Ticket{a, b} {
+		if tk.Wait() != OutcomeAccurate || tk.WaveLatency() != 1 {
+			t.Errorf("%c: %v at wave latency %d, want accurate in its own wave", 'A'+i, tk.Outcome(), tk.WaveLatency())
+		}
+	}
+	for i, tk := range []*Ticket{c, d} {
+		select {
+		case <-tk.Done():
+			t.Fatalf("%c resolved in the wave it queued during", 'C'+i)
+		default:
+		}
+	}
+	if rep := s.RunWave(); rep.Admitted != 2 {
+		t.Fatalf("second wave admitted %d, want C and D", rep.Admitted)
+	}
+	for i, tk := range []*Ticket{c, d} {
+		if tk.Wait() != OutcomeAccurate || tk.WaveLatency() != 2 {
+			t.Errorf("%c: %v at wave latency %d, want accurate in the next wave", 'C'+i, tk.Outcome(), tk.WaveLatency())
+		}
 	}
 }
 

@@ -495,7 +495,8 @@ func (rt *Runtime) runChunk(id int, ts []*Task) {
 // per outcome counter, one busy-clock add — the sum of the same int64(cost)
 // terms the bodies would have charged singly, so modeled joules are
 // bit-identical — one completion count per slab run, and the pending count
-// last, so a waiter released by it never reads counters that trail.
+// last, so a waiter released by it never reads counters that trail. The busy
+// sum and the clock add saturate (addSat).
 func (rt *Runtime) runGroup(id int, g *Group, ts []*Task) {
 	var accurate, approximate, dropped, busy int64
 	for _, t := range ts {
@@ -506,12 +507,12 @@ func (rt *Runtime) runGroup(id int, g *Group, ts []*Task) {
 		}
 		switch d {
 		case DecideAccurate:
-			busy += rt.runBody(t.accurate, t.costAcc)
+			busy = addSat(busy, rt.runBody(t.accurate, t.costAcc))
 			accurate++
 			g.record(t, true)
 		case DecideApprox:
 			if t.approx != nil {
-				busy += rt.runBody(t.approx, t.costApprox)
+				busy = addSat(busy, rt.runBody(t.approx, t.costApprox))
 				approximate++
 			} else {
 				// Body-less approximate execution is the model's task
@@ -538,7 +539,11 @@ func (rt *Runtime) runGroup(id int, g *Group, ts []*Task) {
 		g.dropped.Add(dropped)
 	}
 	if busy != 0 {
-		rt.clocks[id].busyNS.Add(busy)
+		// Both terms are non-negative, so a negative sum is a wrap: pin it
+		// (a concurrent helper's add after the wrap is pinned the same way).
+		if c := &rt.clocks[id].busyNS; c.Add(busy) < 0 {
+			c.Store(math.MaxInt64)
+		}
 	}
 	rt.pools.releaseAll(ts)
 	g.leave(int64(len(ts)))
@@ -747,9 +752,22 @@ func (rt *Runtime) Energy() Report {
 func (rt *Runtime) busyNS() int64 {
 	var busy int64
 	for i := range rt.clocks {
-		busy += rt.clocks[i].busyNS.Load()
+		busy = addSat(busy, rt.clocks[i].busyNS.Load())
 	}
 	return busy
+}
+
+// addSat adds two busy-time terms, saturating at math.MaxInt64. Every term
+// is non-negative — a declared cost in [0, 2^63) or a measured duration — so
+// the account only ever stops at the ceiling, where several costs just under
+// 2^63 would otherwise wrap it negative.
+//
+//siglint:noalloc
+func addSat(a, b int64) int64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return math.MaxInt64
 }
 
 // Stats returns a snapshot of per-group task accounting. Workers retire

@@ -64,6 +64,25 @@ func TestEnergyStableAfterClose(t *testing.T) {
 	}
 }
 
+// TestBusyAccountSaturates: costs just under 2^63 are each accountable, but
+// two of them wrapped the int64 busy account negative (two in one chunk, or
+// one more added to a clock already near the top). The account saturates at
+// math.MaxInt64 instead, through the chunk sum, the clock add and the sum
+// over clocks.
+func TestBusyAccountSaturates(t *testing.T) {
+	rt := newRT(t, Config{Workers: 1})
+	c := math.Nextafter(1<<63, 0)
+	for range 2 {
+		for range 2 {
+			rt.Submit(func() {}, WithSignificance(1.0), WithCost(c, 0))
+		}
+		rt.Wait(nil)
+		if rep := rt.Energy(); rep.Busy != math.MaxInt64 || !(rep.Joules > 0) {
+			t.Fatalf("busy %d ns, %v J: want the account saturated at MaxInt64", int64(rep.Busy), rep.Joules)
+		}
+	}
+}
+
 // TestPolicyRatioCompliance checks requested-vs-provided accurate ratios
 // for every built-in policy.
 func TestPolicyRatioCompliance(t *testing.T) {
