@@ -56,14 +56,17 @@ runpatterns:
 # The lines after the first repeat the ring, backpressure, helping-taskwait
 # and concurrent-submitter tests, the serving pump's wake-token (the new
 # token test included: `Wake` lists it), due-arrival, early-wave and pacer
-# tests, the per-request resolution tests (body-end Done, release and
+# tests (`ServePace|PacedWave`: the token protocol model,
+# TestPacerTokenProtocol, starts no goroutine of its own — a sequential,
+# exhaustive exploration — so it runs once, in the first line), the
+# per-request resolution tests (body-end Done, release and
 # resubmit mid-wave, Totals snapshots under load; CI's race job repeats these
 # three) and the follow-on admission of a body's submit: their failures are
 # interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
-	$(GO) test -race -count=20 -run 'Wake|Due|Early|Pace|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|FollowOn' ./sig/serve
+	$(GO) test -race -count=20 -run 'Wake|Due|Early|ServePace|PacedWave|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|FollowOn' ./sig/serve
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output
 # of every entry of harness.Studies, which TestStudyGoldens compares against

@@ -109,6 +109,18 @@ var mutants = []struct {
 		new:  "if wake {",
 	},
 	{
+		// A wave's begin not storing its start: the due time, one cadence
+		// after the last start, stays one cadence after New's clock reading,
+		// so past it every arrival finds a wave due and fires one
+		// back-to-back, less than a cadence after the last.
+		name: "beginStart",
+		test: "TestServeDueWavesKeepCadence",
+		pkg:  "./sig/serve",
+		file: "sig/serve/pacer.go",
+		old:  "\tp.startNs.Store(start.UnixNano())\n",
+		new:  "",
+	},
+	{
 		// The due rule never calling a token wave early: every wave is a
 		// cadence wave, so none carries the previous load reading and an
 		// early wave is priced as if it spanned a whole period.

@@ -357,13 +357,15 @@ func requestDeadline(query url.Values, def time.Duration, now time.Time) (time.T
 }
 
 // retryAfterSeconds renders a backoff hint as the integral seconds the
-// Retry-After header requires, rounding sub-second hints up to 1.
+// Retry-After header requires, rounding up — sub-second hints to 1. It
+// divides before it rounds, so a hint saturated at the longest Duration
+// cannot wrap.
 func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+	secs := int64(d / time.Second)
+	if d%time.Second > 0 {
+		secs++
 	}
-	return strconv.FormatInt(secs, 10)
+	return strconv.FormatInt(max(secs, 1), 10)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

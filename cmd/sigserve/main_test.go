@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,26 @@ func TestWorkQueueFull(t *testing.T) {
 	}
 	if tot := srv.Totals(); tot.Submitted != 2 || tot.Rejected != 1 || tot.Completed != 1 {
 		t.Errorf("totals %+v, want 2 submitted, 1 rejected, 1 completed", tot)
+	}
+}
+
+// TestRetryAfterSeconds: the header's whole seconds round every hint up,
+// a sub-second one to 1, and the longest Duration — the hint a backlog
+// priced past it saturates at — renders without wrapping.
+func TestRetryAfterSeconds(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "1"},
+		{time.Nanosecond, "1"},
+		{time.Second, "1"},
+		{time.Second + time.Nanosecond, "2"},
+		{math.MaxInt64, "9223372037"},
+	} {
+		if got := retryAfterSeconds(c.d); got != c.want {
+			t.Errorf("retryAfterSeconds(%v) = %s, want %s", c.d, got, c.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -117,6 +118,28 @@ func TestServeRetryAfterMeasuredPeriod(t *testing.T) {
 	}
 }
 
+// TestServeRetryAfterSaturates: a declared backlog may price past the
+// longest Duration — each cost below 2^63 is accepted — so the hint
+// saturates at math.MaxInt64 instead of wrapping negative. One worker, two
+// queued requests of 9e18 cost units each: 1.8e13 waves of 1 ms.
+func TestServeRetryAfterSaturates(t *testing.T) {
+	s, _ := newPaceServer(t, func(c *Config) { c.QueueLimit = 2 })
+	defer s.Close()
+	huge := Request{Significance: 1, Handler: func() {}, CostAccurate: 9e18}
+	for range 2 {
+		if _, err := s.Submit(huge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var oe *OverloadError
+	if _, err := s.Submit(huge); !errors.As(err, &oe) {
+		t.Fatalf("expected OverloadError from the full queue, got %v", err)
+	}
+	if oe.RetryAfter != math.MaxInt64 {
+		t.Fatalf("RetryAfter %v, want the saturated %v", oe.RetryAfter, time.Duration(math.MaxInt64))
+	}
+}
+
 // TestServePacerCountsOverruns pins the tick-coalescing fix: a wave whose
 // wall time outruns the cadence is counted (Totals.Overruns, the report's
 // Overrun flag) and the next is due at once — one cadence out after an idle
@@ -180,6 +203,39 @@ func TestServePacerBounds(t *testing.T) {
 	}
 	if got := s.MeasuredPeriod(); got != 40*time.Millisecond {
 		t.Fatalf("MeasuredPeriod %v, want the unclamped 40ms", got)
+	}
+}
+
+// TestServePacerReturnsToFloor: the cadence is the measured EWMA clamped
+// into [MinPeriod, 8×WavePeriod], nothing held between, so once an overrun
+// has lifted it off its floor, waves that measure under the floor bring it
+// back. One worker, WavePeriod 4 ms, MinPeriod 1 ms: waves of 0, 4.8 and
+// 0.6 ms of work, then two empty ones, leave the EWMA at 590.626 µs, so the
+// cadence reads MinPeriod, the budget is priced on it and the next wave is
+// due one MinPeriod after the last one started.
+func TestServePacerReturnsToFloor(t *testing.T) {
+	s, fc := newPaceServer(t, func(c *Config) {
+		c.WaveBudget = 1e9
+		c.WavePeriod, c.MinPeriod = 4*time.Millisecond, time.Millisecond
+	})
+	defer s.Close()
+	for _, d := range []time.Duration{0, 4800 * time.Microsecond, 600 * time.Microsecond, 0, 0} {
+		if d > 0 {
+			if _, err := s.Submit(paceRequest(fc, d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rep := s.RunWave(); rep.WallTime != d {
+			t.Fatalf("wave wall %v, want %v", rep.WallTime, d)
+		}
+	}
+	if m := s.MeasuredPeriod(); m != 590626*time.Nanosecond {
+		t.Fatalf("EWMA %v, want 590.626µs", m)
+	}
+	_, _, wakeAt := s.pace.next(fc.Now(), false)
+	if got := s.PacePeriod(); got != time.Millisecond || s.Budget() != 1e6 || wakeAt.Sub(fc.Now()) != time.Millisecond {
+		t.Fatalf("cadence %v, budget %v, next wave due in %v; want the 1ms MinPeriod, 1e6 and 1ms",
+			got, s.Budget(), wakeAt.Sub(fc.Now()))
 	}
 }
 

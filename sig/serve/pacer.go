@@ -6,46 +6,41 @@ import (
 )
 
 // Pacer tuning. The measured-period EWMA folds 1/periodAlphaInv of every
-// new wall-time sample in (bounded memory, geometric horizon); the pacer
-// only retimes when the clamped EWMA has moved more than
-// 1/paceHysteresisInv off the current cadence; MinPeriod defaults to
-// WavePeriod/minPeriodDiv, and the cadence ceiling is maxPeriodMult×WavePeriod.
+// new wall-time sample in (bounded memory, geometric horizon); MinPeriod
+// defaults to WavePeriod/minPeriodDiv, and the cadence ceiling is
+// maxPeriodMult×WavePeriod.
 const (
-	periodAlphaInv    = 4
-	paceHysteresisInv = 10
-	minPeriodDiv      = 4
-	maxPeriodMult     = 8
+	periodAlphaInv = 4
+	minPeriodDiv   = 4
+	maxPeriodMult  = 8
 )
 
 // pacer is everything that decides when a wave fires and what interval it
-// is priced on: the cadence and its [lo, hi] clamp, the due time, the
-// measured-period EWMA, the wake token and the load carry an early wave
-// needs, the overrun and early counters, and the measured budget price.
-// Server keeps no pacing state of its own and calls in at three points:
-// Submit's tail (arrival), a wave's begin and end with the
-// load signal's carry between them and its settle and price after, and the
-// pump loop that fires waves (run). Whether an arrival fires a wave, whether
-// a wave is early and when the pump wakes are one pure step's, next.
+// is priced on. It stores two facts its waves record, the wall-time EWMA and
+// the last wave's start, and derives the rest from them: the cadence
+// (period, the EWMA clamped into [lo, hi]), the due time (the start plus the
+// cadence) and the wave budget (price). Beside them it keeps the wake token
+// and the load carry an early wave needs, and the overrun and early
+// counters. Server keeps no pacing state of its own and calls in at three
+// points: Submit's tail (arrival), a wave's begin and end with the load
+// signal's carry between them, and the pump loop that fires waves (run).
+// Whether an arrival fires a wave, whether a wave is early and when the pump
+// wakes are one pure step's, next.
 //
-// begin, end, carry and settle run under Server.waveMu, one wave at a time,
-// so measuredNs, paceNs and due have a single writer and are stored plainly;
-// they are atomics for their lock-free readers — Submit's due check and
-// RetryAfter pricing, MeasuredPeriod, PacePeriod, the metrics.
+// begin, carry and end run under Server.waveMu, one wave at a time, so
+// measuredNs and startNs have a single writer; they are atomics for their
+// lock-free readers — Submit's due check and RetryAfter pricing, admit and
+// measure's budget, Budget, MeasuredPeriod, PacePeriod, the metrics.
 type pacer struct {
-	lo, hi  int64 // Config.MinPeriod and maxPeriodMult×WavePeriod, the cadence clamp
-	workers int   // resolved worker pool, the factor every budget derivation shares
+	lo, hi      int64   // Config.MinPeriod and maxPeriodMult×WavePeriod, the cadence clamp
+	first       int64   // Config.WavePeriod, the cadence before the first wave measures
+	firstBudget float64 // Config.WaveBudget, the price before the first wave measures
+	workers     int     // resolved worker pool, the factor every budget derivation shares
 
 	measuredNs atomic.Int64 // bounded EWMA of wave wall time; 0 until the first wave measures
-	paceNs     atomic.Int64 // the current cadence
+	startNs    atomic.Int64 // the last wave's start in WaveClock nanoseconds; New's clock reading before the first
 	overruns   atomic.Int64 // waves that outran the cadence that fired them
 	earlyWaves atomic.Int64 // token waves that started before they were due
-
-	// due is when the next wave is due, in WaveClock nanoseconds: the start
-	// of the last wave plus the cadence in force — New's clock reading plus
-	// WavePeriod before the first wave. begin stores it as a wave starts, so
-	// no arrival during the wave finds the wave due unless the wave overruns
-	// its cadence, and settle moves it with the cadence it retimes.
-	due atomic.Int64
 
 	// wake is the 1-slot channel on which an arrival tells the pump to fire
 	// its wave now. early marks the wave in flight as one fired that way
@@ -57,35 +52,59 @@ type pacer struct {
 	lastEnd time.Time
 }
 
-// init sets the pacer to the configured cadence, with the first wave due
-// one WavePeriod after now; cfg has its defaults resolved and workers is the
-// resolved pool.
+// init sets the pacer to the configured cadence and budget, with the first
+// wave due one WavePeriod after now; cfg has its defaults resolved and
+// workers is the resolved pool.
 func (p *pacer) init(cfg *Config, workers int, now time.Time) {
 	p.lo, p.hi, p.workers = int64(cfg.MinPeriod), maxPeriodMult*int64(cfg.WavePeriod), workers
-	p.paceNs.Store(int64(cfg.WavePeriod))
-	p.due.Store(now.UnixNano() + int64(cfg.WavePeriod))
+	p.first, p.firstBudget = int64(cfg.WavePeriod), cfg.WaveBudget
+	p.startNs.Store(now.UnixNano())
 	p.wake = make(chan struct{}, 1)
 }
 
-// period is the cadence in force: the configured WavePeriod until settle
-// retimes it.
-func (p *pacer) period() time.Duration { return time.Duration(p.paceNs.Load()) }
+// period is the cadence: the measured EWMA clamped into [lo, hi], or the
+// configured WavePeriod before the first wave measures.
+//
+//siglint:noalloc
+func (p *pacer) period() time.Duration {
+	if m := p.measuredNs.Load(); m != 0 {
+		return time.Duration(min(max(m, p.lo), p.hi))
+	}
+	return time.Duration(p.first)
+}
+
+// due is when the next wave is due, in WaveClock nanoseconds: one cadence
+// after the last wave started. No arrival during a wave finds the next one
+// due unless the wave overruns its cadence, and an overrun's successor is
+// due the moment it ends — never a dropped tick.
+//
+//siglint:noalloc
+func (p *pacer) due() int64 { return p.startNs.Load() + int64(p.period()) }
 
 // effective is the honest wall-time price of one wave: the measured EWMA,
-// floored at the current cadence (the configured WavePeriod until the pacer
-// retimes) — a queued request can't be reached faster than waves fire, and
+// floored at the cadence (the configured WavePeriod before the first wave
+// measures) — a queued request can't be reached faster than waves fire, and
 // an overrunning wave takes as long as it measures.
 //
 //siglint:noalloc
 func (p *pacer) effective() time.Duration {
-	return time.Duration(max(p.paceNs.Load(), p.measuredNs.Load()))
+	return max(p.period(), time.Duration(p.measuredNs.Load()))
 }
 
-// price is the measured wave budget: what one wave can actually absorb is
-// the wall time a wave occupies times the workers executing it, not the
-// configured guess. (Cost units are ~1ns of work, so period nanoseconds ×
-// workers is directly a cost budget.)
-func (p *pacer) price() float64 { return float64(p.workers) * float64(p.effective()) }
+// price is the wave budget: what one wave can actually absorb is the wall
+// time a wave occupies times the workers executing it, not the configured
+// guess, which prices only the waves before the first measurement. (Cost
+// units are ~1ns of work, so period nanoseconds × workers is directly a cost
+// budget.) It is admit's cut-off, the load signal's denominator and
+// RetryAfter's wave size.
+//
+//siglint:noalloc
+func (p *pacer) price() float64 {
+	if p.measuredNs.Load() == 0 {
+		return p.firstBudget
+	}
+	return float64(p.workers) * float64(p.effective())
+}
 
 // arrival is Submit's step, under Server.mu, for every request it queues;
 // wake says the request ends an idle spell at ratio 1.0. The cadence is a
@@ -114,7 +133,7 @@ func (p *pacer) arrival(now time.Time, wake bool) {
 //
 //siglint:noalloc
 func (p *pacer) next(now time.Time, token bool) (fire, early bool, wakeAt time.Time) {
-	due := p.due.Load()
+	due := p.due()
 	early = token && now.UnixNano() < due
 	return token || now.UnixNano() >= due, early, time.Unix(0, due)
 }
@@ -152,7 +171,7 @@ func (p *pacer) begin(start time.Time, token bool) {
 	if _, p.early, _ = p.next(start, token); p.early {
 		p.earlyWaves.Add(1)
 	}
-	p.due.Store(start.UnixNano() + p.paceNs.Load())
+	p.startNs.Store(start.UnixNano())
 }
 
 // carry is the weight the previous load reading keeps in this wave's
@@ -172,39 +191,24 @@ func (p *pacer) carry(clock WaveClock) float64 {
 	return max(1-share, 0)
 }
 
-// end closes a wave that ended at now after wall of admission and taskwait:
-// wall is folded into the EWMA behind MeasuredPeriod (α = 1/periodAlphaInv:
-// bounded memory, geometric horizon) — the pacer's cadence target and the
-// honest RetryAfter price. Samples are floored at 1ns so a measured wave is
-// never mistaken for the zero "no measurement yet" sentinel.
-func (p *pacer) end(now time.Time, wall time.Duration) {
+// end closes a wave that ended at now after wall of admission and taskwait.
+// It counts an overrun when the wave outran the cadence that fired it, the
+// one in force before this sample, and returns it; after an overrun the next
+// wave is already due. It then folds wall into the EWMA behind
+// MeasuredPeriod (α = 1/periodAlphaInv: bounded memory, geometric horizon),
+// which moves the cadence, the due time and the price with it. Samples are
+// floored at 1ns so a measured wave is never mistaken for the zero "no
+// measurement yet" sentinel.
+func (p *pacer) end(now time.Time, wall time.Duration) (overrun bool) {
 	p.lastEnd = now
+	if overrun = wall > p.period(); overrun {
+		p.overruns.Add(1)
+	}
 	w := max(int64(wall), 1)
 	if old := p.measuredNs.Load(); old != 0 {
 		w = max(old+(w-old)/periodAlphaInv, 1)
 	}
 	p.measuredNs.Store(w)
-}
-
-// settle closes every wave, after end, given its wall time: it counts
-// an overrun when the wave outran the cadence that fired it, moves the
-// cadence toward the measured EWMA, clamped into [lo, hi], with
-// 1/paceHysteresisInv relative hysteresis so measurement jitter doesn't
-// wobble the timer, and moves the due time with the cadence. After an
-// overrun the next wave is already due: it follows immediately, never a
-// dropped tick.
-func (p *pacer) settle(wall time.Duration) (overrun bool) {
-	cur := p.paceNs.Load()
-	if overrun = int64(wall) > cur; overrun {
-		p.overruns.Add(1)
-	}
-	if target := p.measuredNs.Load(); target != 0 { // zero: nothing measured yet
-		target = min(max(target, p.lo), p.hi)
-		if diff := target - cur; diff > cur/paceHysteresisInv || diff < -cur/paceHysteresisInv {
-			p.paceNs.Store(target)
-			p.due.Add(target - cur) // begin stored start + cur
-		}
-	}
 	return overrun
 }
 

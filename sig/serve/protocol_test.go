@@ -15,14 +15,15 @@ import (
 // once next's wakeAt has come, and fires a wave that begins, admits (pops every
 // queued request, then spend), runs a short or an overrunning wall of fake
 // time, admits again (its follow-on: pops what queued meanwhile, then spend),
-// ends and settles, while arrivals queue after its begin, between its two
-// admissions or after the second; and a clock that jumps to the due time.
-// tokState is one state of it: the pacer's fields, the fake clock and the
-// arrivals, all comparable.
+// ends, while arrivals queue after its begin, between its two admissions or
+// after the second; and a clock that jumps to the due time. tokState is one
+// state of it: the pacer's stored fields, the fake clock and the arrivals,
+// all comparable. The due time is not a field: it is the pacer's, derived
+// from start and measured (tokState.due).
 type tokState struct {
-	now, due, pace, measured, lastEnd int64 // the FakeClock and the pacer
-	early                             bool
-	token                             int8 // the arrival that posted the pending token; -1 for none
+	now, start, measured, lastEnd int64 // the FakeClock and the pacer
+	early                         bool
+	token                         int8 // the arrival that posted the pending token; -1 for none
 
 	arr [3]struct {
 		phase int8  // arrFree → arrRead → arrQueued → arrPopped
@@ -41,7 +42,7 @@ const (
 )
 
 // The model's bounds, and the two wave walls the pump may run: half the
-// configured period, so the first wave's settle retimes the cadence down, and
+// configured period, so the first wave's sample moves the cadence down, and
 // one and a half, an overrun.
 const (
 	tokWaves  = 2
@@ -64,8 +65,7 @@ func (st *tokState) load() (*pacer, *FakeClock) {
 	fc.Advance(time.Duration(st.now))
 	p := new(pacer)
 	p.init(&tokCfg, 1, time.Unix(0, 0))
-	p.due.Store(st.due)
-	p.paceNs.Store(st.pace)
+	p.startNs.Store(st.start)
 	p.measuredNs.Store(st.measured)
 	p.early, p.lastEnd = st.early, time.Unix(0, st.lastEnd)
 	if st.token >= 0 {
@@ -78,11 +78,17 @@ func (st *tokState) load() (*pacer, *FakeClock) {
 // posted a pending token is queue's to record.
 func (st *tokState) store(p *pacer, fc *FakeClock) {
 	st.now = fc.Now().UnixNano()
-	st.due, st.pace, st.measured = p.due.Load(), p.paceNs.Load(), p.measuredNs.Load()
+	st.start, st.measured = p.startNs.Load(), p.measuredNs.Load()
 	st.early, st.lastEnd = p.early, p.lastEnd.UnixNano()
 	if len(p.wake) == 0 {
 		st.token = -1
 	}
+}
+
+// due is when the next wave is due in st, as the pacer derives it.
+func (st *tokState) due() int64 {
+	p, _ := st.load()
+	return p.due()
 }
 
 // wakeAt is when the pump's timer fires in st: next's wakeAt.
@@ -100,7 +106,7 @@ func (st *tokState) queue(p *pacer, i int, ratio float64, m tokMutant) {
 	for _, a := range st.arr {
 		idle = idle && a.phase != arrQueued
 	}
-	st.arr[i].phase, st.arr[i].due = arrQueued, st.arr[i].at >= p.due.Load()
+	st.arr[i].phase, st.arr[i].due = arrQueued, st.arr[i].at >= p.due()
 	if wake := idle && ratio >= 1; !m.noDue {
 		p.arrival(time.Unix(0, st.arr[i].at), wake)
 	} else if wake {
@@ -172,7 +178,6 @@ func (st tokState) pump(token bool, wall time.Duration, mid [3]int8, ratio float
 		admit() // the follow-on
 		queue(midFollowed)
 		p.end(fc.Now(), wall)
-		p.settle(wall)
 		st.waves++
 	})
 	st.store(p, fc)
@@ -183,10 +188,10 @@ func (st tokState) pump(token bool, wall time.Duration, mid [3]int8, ratio float
 // with the step's name.
 func (st tokState) next(ratio float64, m tokMutant) (out []tokState, steps []string) {
 	add := func(n tokState, step string) { out, steps = append(out, n), append(steps, step) }
-	if st.ticks < tokTicks && st.now < st.due {
+	if due := st.due(); st.ticks < tokTicks && st.now < due {
 		n := st
-		n.now, n.ticks = st.due, st.ticks+1
-		add(n, fmt.Sprintf("clock to due %v", time.Duration(st.due)))
+		n.now, n.ticks = due, st.ticks+1
+		add(n, fmt.Sprintf("clock to due %v", time.Duration(due)))
 	}
 	for i, a := range st.arr {
 		switch a.phase {
@@ -248,8 +253,8 @@ func (st *tokState) violation() string {
 		case a.phase != arrQueued:
 		case a.due && st.token < 0:
 			return fmt.Sprintf("lost due wave: arrival %d queued past its due time and left no token", i)
-		case !a.due && st.wakeAt() > max(st.due, st.now):
-			return fmt.Sprintf("lost due wave: arrival %d waits on a timer at %v, past the due time %v", i, time.Duration(st.wakeAt()), time.Duration(st.due))
+		case !a.due && st.wakeAt() > max(st.due(), st.now):
+			return fmt.Sprintf("lost due wave: arrival %d waits on a timer at %v, past the due time %v", i, time.Duration(st.wakeAt()), time.Duration(st.due()))
 		}
 	}
 	return ""

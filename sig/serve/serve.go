@@ -23,14 +23,15 @@
 // Time enters the package through one seam, the WaveClock: deadlines,
 // latency stamps and the per-wave wall-time measurement all read it. Each
 // wave's measured wall time feeds a bounded EWMA (MeasuredPeriod) that
-// prices the RetryAfter backoff hint honestly, retimes the wave cadence
-// within [MinPeriod, 8×WavePeriod] and re-derives the wave budget from
-// measured period × workers — the closed measured-feedback loop, as
-// opposed to trusting the configured WavePeriod open-loop. Every wave runs
-// that one discipline, whether the pump (Start's, or FakeClock.Run's in fake
-// time) or an explicit RunWave fires it. When a wave fires and what interval
-// it is priced on is decided in one place, the pacer (pacer.go); the wave
-// budget has one rule, rebudget: the pacer's measured price, once per wave.
+// prices the RetryAfter backoff hint honestly, sets the wave cadence (the
+// EWMA clamped into [MinPeriod, 8×WavePeriod]) and the wave budget (measured
+// period × workers) — the closed measured-feedback loop, as opposed to
+// trusting the configured WavePeriod open-loop. Every wave runs that one
+// discipline, whether the pump (Start's, or FakeClock.Run's in fake time) or
+// an explicit RunWave fires it. When a wave fires and what interval it is
+// priced on is decided in one place, the pacer (pacer.go), which stores the
+// EWMA and the last wave's start and derives the cadence, the due time and
+// the wave budget (its price) from them.
 //
 // Every wave runs on one sig.Runtime, built at New and closed by Close, in
 // one group: the paper's runtime, one scheduler over the machine's cores.
@@ -223,8 +224,8 @@ type Config struct {
 	// DefaultQualityWindow; requires QualityFloor > 0).
 	QualityWindow int
 	// WavePeriod is the cadence Start's pacer starts from, and the basis of
-	// the default wave budget (default DefaultWavePeriod). Once waves have
-	// been measured the pacer retimes toward the measured wall-time EWMA;
+	// the default wave budget (default DefaultWavePeriod). Once a wave has
+	// been measured the cadence is the measured wall-time EWMA, clamped;
 	// WavePeriod is then only the pre-measurement guess.
 	WavePeriod time.Duration
 	// MinPeriod floors the pacer: the cadence tracks the measured-period
@@ -250,7 +251,7 @@ func (c Config) withDefaults(workers int) Config {
 	}
 	if c.WaveBudget <= 0 {
 		// The one default-budget derivation: workers × period, the
-		// arithmetic the per-wave rebuild uses (rebudget: the pacer's price).
+		// arithmetic the pacer's price uses once a wave has measured.
 		c.WaveBudget = float64(workers) * float64(c.WavePeriod.Nanoseconds())
 	}
 	if c.TargetLoad <= 0 {
@@ -306,8 +307,9 @@ type WaveReport struct {
 	PriorityAdmitted int
 	// Depth is the admission-queue depth after the wave's admissions.
 	Depth int
-	// Budget is the modeled per-wave capacity the load was priced against,
-	// rebuilt from the pacer's measured period at every wave boundary.
+	// Budget is the pacer's price once the wave's wall time is folded in:
+	// the modeled capacity the next wave admits against and prices its load
+	// on (Server.Budget, read at the wave's end).
 	Budget float64
 	// WallTime is the wave's measured wall time (first admission through
 	// last taskwait), read through the WaveClock seam; it is the sample that
@@ -384,7 +386,6 @@ type Server struct {
 	lanes     [laneCount]lane // the admission lanes (q and cost guarded by mu)
 	arrCost   costSums        // declared costs of arrivals since the last wave (all lanes)
 	deadlined int             // queued requests (all lanes) carrying a deadline
-	budget    float64         // current wave budget; New sets it, rebudget is its only other writer
 	closed    bool
 	lastLoad  float64
 
@@ -473,7 +474,6 @@ func New(cfg Config) (*Server, error) {
 		s.clock = wallClock{}
 	}
 	s.pace.init(&cfg, workers, s.clock.Now())
-	s.budget = cfg.WaveBudget
 	s.lanes[laneBulk].limit = cfg.QueueLimit
 	if cfg.PriorityAt > 0 {
 		// The priority lane owns a quarter of the limit outright (at least
@@ -551,13 +551,10 @@ func (s *Server) Load() float64 {
 	return s.lastLoad
 }
 
-// Budget returns the current modeled per-wave capacity: the pacer's price
-// of the last wave (see rebudget).
-func (s *Server) Budget() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budget
-}
+// Budget returns the current modeled per-wave capacity, the pacer's price:
+// the configured WaveBudget until a wave has measured, then the effective
+// measured period × workers.
+func (s *Server) Budget() float64 { return s.pace.price() }
 
 // Totals returns the cumulative serving counters.
 func (s *Server) Totals() Totals {
@@ -601,7 +598,7 @@ func (s *Server) MeasuredPeriod() time.Duration {
 }
 
 // PacePeriod returns the pacer's current cadence: the configured
-// WavePeriod until a wave retimes it toward the measured EWMA within
+// WavePeriod until a wave has measured, then the measured EWMA clamped into
 // [MinPeriod, 8×WavePeriod].
 func (s *Server) PacePeriod() time.Duration { return s.pace.period() }
 
@@ -681,25 +678,27 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		s.sweepExpiredLocked(now, false)
 	}
 	if len(l.q) >= l.limit {
-		// Price the backoff hint while the lock still pins the backlog:
-		// the modeled waves to drain the work ahead of this request's lane
-		// at the current ratio and budget. The priority lane drains first,
-		// so bulk rejections price both lanes; priority rejections price
-		// the priority backlog alone.
-		backlog, budget := s.backlogLocked(ln), s.budget
+		// Price the backoff hint on the backlog the lock still pins: the
+		// modeled waves to drain the work ahead of this request's lane at the
+		// current ratio and wave budget. The priority lane drains first, so
+		// bulk rejections price both lanes; priority rejections price the
+		// priority backlog alone.
+		backlog := s.backlogLocked(ln)
 		s.mu.Unlock()
 		s.tot.rejected.Add(1)
 		discardTicket(tk)
-		waves := 1.0
-		if budget > 0 {
-			waves = math.Max(1, math.Ceil(backlog.at(s.Ratio())/budget))
-		}
+		waves := math.Max(1, math.Ceil(backlog.at(s.Ratio())/s.pace.price()))
 		// Price the hint in measured-period units (the pacer's effective
 		// period: the wall-time EWMA, floored at the cadence — the configured
 		// WavePeriod before the first measurement). Pricing waves at the
 		// configured period under an overrunning wave sent clients back into
-		// a still-full queue.
-		return nil, &OverloadError{RetryAfter: time.Duration(waves) * s.pace.effective()} //siglint:allocok shed-request path: the structured retry hint costs one error object
+		// a still-full queue. A declared backlog can price past the longest
+		// Duration; the hint then saturates there rather than wrap negative.
+		retry := time.Duration(math.MaxInt64)
+		if eff := s.pace.effective(); waves*float64(eff) < math.MaxInt64 {
+			retry = time.Duration(waves) * eff
+		}
+		return nil, &OverloadError{RetryAfter: retry} //siglint:allocok shed-request path: the structured retry hint costs one error object
 	}
 	tk.enqWave.Store(s.wave.Load())
 	c := reqCosts(&req)
@@ -796,7 +795,7 @@ func (s *Server) measure(ws sig.WaveStats) float64 {
 	// Every lane drains from the same capacity.
 	backlog := s.backlogLocked(laneBulk)
 	backlog.add(s.followOnCost)
-	load := (s.arrCost.at(r) + DefaultDrainGain*backlog.at(r)) / s.budget
+	load := (s.arrCost.at(r) + DefaultDrainGain*backlog.at(r)) / s.pace.price()
 	s.arrCost = costSums{} // next wave accounts fresh arrivals only
 	if carry > 0 {
 		// An early wave speaks for a share of the period; the rest keeps
@@ -833,8 +832,9 @@ func (s *Server) admit(now time.Time, ratio float64, followOn bool) []*Ticket {
 	}
 	s.sweepExpiredLocked(now, true)
 	var popped costSums
+	budget := s.pace.price()
 	for i := laneCount - 1; i >= 0; i-- {
-		popped.add(s.popLaneLocked(&s.lanes[i], ratio, !followOn))
+		popped.add(s.popLaneLocked(&s.lanes[i], ratio, budget, !followOn))
 	}
 	if followOn {
 		s.followOnCost = popped
@@ -844,17 +844,17 @@ func (s *Server) admit(now time.Time, ratio float64, followOn bool) []*Ticket {
 }
 
 // popLaneLocked pops one lane FIFO onto wavePending while waveCost, the
-// wave's running expected cost, fits the budget — exempt admits the wave's
-// first request whatever its cost — and returns the declared costs it
-// popped. Caller holds s.mu.
+// wave's running expected cost, fits budget — exempt admits the wave's first
+// request whatever its cost — and returns the declared costs it popped.
+// Caller holds s.mu.
 //
 //siglint:noalloc
-func (s *Server) popLaneLocked(l *lane, ratio float64, exempt bool) (popped costSums) {
+func (s *Server) popLaneLocked(l *lane, ratio, budget float64, exempt bool) (popped costSums) {
 	n := 0
 	for n < len(l.q) {
 		tk := l.q[n]
 		c := reqCosts(&tk.req)
-		if !(exempt && len(s.wavePending) == 0) && s.waveCost+c.at(ratio) > s.budget {
+		if !(exempt && len(s.wavePending) == 0) && s.waveCost+c.at(ratio) > budget {
 			break
 		}
 		s.wavePending = append(s.wavePending, tk) //siglint:allocok amortized growth of the reused wavePending batch buffer
@@ -894,8 +894,8 @@ func (s *Server) popLaneLocked(l *lane, ratio float64, exempt bool) (popped cost
 // (tickets measure latency in waves). RunWave is the pump's cadence-fired
 // step, fired explicitly, whenever it is called: Close's drain, the layer
 // ladder of go run ./benchmark and unit tests fire waves this way. The
-// pacer settles after it (pacer.settle), so the next wave is due one
-// cadence after this one's start.
+// pacer's begin and end bracket it, so the next wave is due one cadence
+// after this one's start, on the cadence its wall time moved.
 func (s *Server) RunWave() WaveReport { return s.runWave(false) }
 
 // runWave is the one wave body: RunWave's, and the pump's step, which alone
@@ -932,7 +932,7 @@ func (s *Server) runWave(token bool) WaveReport {
 	// The wave's measured wall time — admission through the last taskwait —
 	// is the sample behind MeasuredPeriod.
 	rep.WallTime = end.Sub(start)
-	s.pace.end(end, rep.WallTime)
+	rep.Overrun = s.pace.end(end, rep.WallTime)
 	// The wave counts itself before it resolves anything, so a request
 	// resolved at the wave's end finds its wave in Totals too.
 	wave := s.wave.Add(1) - 1
@@ -948,11 +948,8 @@ func (s *Server) runWave(token bool) WaveReport {
 	// Every body of the wave resolved its own request as it returned; the
 	// flags say which, and the rest are the policy's drops.
 	s.endWave(batch, wave, nowNs)
-	rep.Overrun = s.pace.settle(rep.WallTime)
-	s.mu.Lock()
-	rep.Depth = s.depthLocked()
-	rep.Budget = s.rebudget()
-	s.mu.Unlock()
+	rep.Depth = s.Depth()
+	rep.Budget = s.pace.price()
 	return rep
 }
 
@@ -981,20 +978,10 @@ func (s *Server) runBatch(batch []*Ticket, from int, rep *WaveReport) sig.WaveSt
 	return s.rt.WaitPhase(s.grp)
 }
 
-// rebudget is the one budget rule, reached once per wave after settle's
-// retime: the pacer's price, on the cadence the next wave fires at. The wave
-// budget is admit's cut-off and the load signal's denominator. Caller holds
-// s.mu.
-func (s *Server) rebudget() float64 {
-	s.budget = s.pace.price()
-	return s.budget
-}
-
 // Start launches the pump (pacer.run): a wave whenever one is due — on the
 // first arrival that finds it due, or on the cadence timer, the fallback
 // when none does — or, while nothing is being shed, the moment a request
-// arrives at an idle server; the cadence retimed wave by wave to the
-// measured period.
+// arrives at an idle server; the cadence is the measured period, clamped.
 // A wave that overruns its cadence is followed immediately by the next one
 // and counted in Totals.Overruns — where the old fixed Ticker silently
 // coalesced the late ticks, making the wave count diverge from
