@@ -53,19 +53,20 @@ runpatterns:
 	if [ $$fail = 0 ]; then echo "every -run alternative lists a test"; fi; \
 	exit $$fail
 
-# The lines after the first repeat the ring, backpressure, helping-taskwait
-# and concurrent-submitter tests, the serving pump's wake-token (the new
-# token test included: `Wake` lists it), due-arrival, early-wave and pacer
-# tests (`ServePace|PacedWave`: the token protocol model,
-# TestPacerTokenProtocol, starts no goroutine of its own — a sequential,
-# exhaustive exploration — so it runs once, in the first line), the
-# per-request resolution tests (body-end Done, release and
-# resubmit mid-wave, Totals snapshots under load; CI's race job repeats these
-# three) and the follow-on admission of a body's submit: their failures are
+# The lines after the first repeat the ring, backpressure, helping-taskwait,
+# concurrent-submitter and Perforation drop tests (a drop is a body-less
+# approximation that crosses the rings like any decided task), the serving
+# pump's wake-token (the new token test included: `Wake` lists it),
+# due-arrival, early-wave and pacer tests (`ServePace|PacedWave`: the token
+# protocol model, TestPacerTokenProtocol, starts no goroutine of its own — a
+# sequential, exhaustive exploration — so it runs once, in the first line),
+# the per-request resolution tests (body-end Done, release and resubmit
+# mid-wave, Totals snapshots under load; CI's race job repeats these three)
+# and the follow-on admission of a body's submit: their failures are
 # interleavings, and one pass sees few of them.
 race:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters' ./sig
+	$(GO) test -race -count=20 -run 'Ring|Backpressure|WaitHelps|ConcurrentSubmitters|PerforationDrops' ./sig
 	$(GO) test -race -count=20 -run 'Wake|Due|Early|ServePace|PacedWave|Start|IdleArrival|KeepsCadence|DoneAtBodyEnd|ReleaseAtDone|TotalsSnapshot|FollowOn' ./sig/serve
 
 # Rewrite internal/harness/testdata/<name>.golden — the full printed output

@@ -20,11 +20,12 @@ import (
 // fails — and DESIGN.md's "Static verification layer" table quotes them. A
 // test row (test set, named by name) is a defect the named test, run with
 // -run test in pkg, must fail on: the row is why that test, or the golden it
-// compares, is there.
+// compares, is there. A test row may name several tests as a top-level
+// alternation (A|B); each must fail.
 var mutants = []struct {
 	analyzer string
 	name     string // a test row's subtest name; an analyzer row is named by its analyzer
-	test     string // the -run pattern that must report "--- FAIL: <test>"
+	test     string // the -run pattern each of whose |-alternatives must report "--- FAIL: <alternative>"
 	pkg      string // a test row's package, relative to the module root
 	file     string // relative to the module root
 	old, new string
@@ -112,9 +113,10 @@ var mutants = []struct {
 		// A wave's begin not storing its start: the due time, one cadence
 		// after the last start, stays one cadence after New's clock reading,
 		// so past it every arrival finds a wave due and fires one
-		// back-to-back, less than a cadence after the last.
+		// back-to-back, less than a cadence after the last. The protocol
+		// model tracks each wave's start itself and sees the short cadence.
 		name: "beginStart",
-		test: "TestServeDueWavesKeepCadence",
+		test: "TestServeDueWavesKeepCadence|TestPacerTokenProtocol",
 		pkg:  "./sig/serve",
 		file: "sig/serve/pacer.go",
 		old:  "\tp.startNs.Store(start.UnixNano())\n",
@@ -182,6 +184,18 @@ var mutants = []struct {
 		new:  "uint64(p.g.Ratio() * (1 << 32))",
 	},
 	{
+		// A body-less approximate task counted approximate instead of
+		// dropped: Perforation's drops, which are body-less approximations,
+		// read as degradations. Modeled joules stay zero and the quality
+		// goldens only see what ran, so only the counters move.
+		name: "bodylessDrop",
+		test: "TestPerforationDropsAreCounted",
+		pkg:  "./sig",
+		file: "sig/sig.go",
+		old:  "\t\t\t\t// not approximate.\n\t\t\t\tdropped++\n",
+		new:  "\t\t\t\t// not approximate.\n\t\t\t\tapproximate++\n",
+	},
+	{
 		// Sobel's degraded pixel read one difference off (its table indexed
 		// at 256+d instead of 255+d): every approximated row brightens or
 		// darkens by two levels a pixel. The serving goldens read declared
@@ -243,8 +257,10 @@ func TestMutantsAreFlagged(t *testing.T) {
 			}
 			if m.test != "" {
 				out := goCmd(t, root, false, "test", "-count=1", "-overlay="+overlayFile, "-run", m.test, m.pkg)
-				if !strings.Contains(out, "--- FAIL: "+m.test) {
-					t.Errorf("%s passes under the mutant of %s:\n%s", m.test, m.file, out)
+				for _, test := range strings.Split(m.test, "|") {
+					if !strings.Contains(out, "--- FAIL: "+test) {
+						t.Errorf("%s passes under the mutant of %s:\n%s", test, m.file, out)
+					}
 				}
 				return
 			}

@@ -56,11 +56,10 @@ const (
 	decideNone Decision = iota
 	// DecideAccurate runs the accurate body.
 	DecideAccurate
-	// DecideApprox runs the approximate body (or skips the task if it
-	// has none).
+	// DecideApprox runs the approximate body. A task without one runs
+	// nothing, counts as dropped and charges zero joules: the model's one
+	// way to drop a task.
 	DecideApprox
-	// DecideDrop skips the task entirely without running any body.
-	DecideDrop
 	// DecideAtWorker defers the decision to the dequeuing worker, which
 	// resolves it through Policy.WorkerDecide.
 	DecideAtWorker
@@ -81,10 +80,12 @@ const (
 // worker ids) and must only touch per-worker state.
 //
 // Custom policies plug in through Config.NewPolicy without touching the
-// scheduler: a policy only annotates tasks with a Decision. A policy must
-// hand every task back exactly once across Submit and Flush — completed
-// tasks are recycled by the runtime, so retaining a returned *Task is an
-// error.
+// scheduler: a policy only annotates tasks with a Decision. A task decided
+// DecideApprox that has no approximate body is dropped (runs nothing,
+// charges zero joules); PolicyPerforation drops by clearing the body. A
+// policy must hand every task back exactly once across Submit and Flush —
+// completed tasks are recycled by the runtime, so retaining a returned *Task
+// is an error.
 type Policy interface {
 	// Submit offers a run of newly submitted tasks in submission order —
 	// one task for a Submit, up to a slab of them for a SubmitBatch — whose
@@ -152,9 +153,11 @@ func (accuratePolicy) WorkerDecide(int, *Task) Decision { return DecideAccurate 
 
 // perforationPolicy drops a significance-blind fraction of tasks using an
 // error-diffusion accumulator, so any prefix of the stream satisfies the
-// ratio within one task. The accumulator is a 32.32 fixed-point word under the
-// group lock: one add per task, and a task runs accurately exactly when the
-// addition carries into the integer half.
+// ratio within one task. The accumulator is a 32.32 fixed-point word under
+// the group lock: one add per task, and a task runs accurately exactly when
+// the addition carries into the integer half. A drop is DecideApprox with the
+// approximate body cleared, so it retires in runGroup like every other
+// decided task.
 type perforationPolicy struct {
 	g   *Group
 	acc uint64
@@ -169,7 +172,7 @@ func (p *perforationPolicy) Submit(dst []*Task, ts []Task) []*Task {
 		if p.acc>>32 != before>>32 {
 			t.Decision = DecideAccurate
 		} else {
-			t.Decision = DecideDrop
+			t.Decision, t.approx = DecideApprox, nil
 		}
 		dst = append(dst, t)
 	}

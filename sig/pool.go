@@ -68,10 +68,10 @@ func (p *taskPools) putDispatch(s *[]*Task) {
 }
 
 // carve hands out up to n tasks (n >= 1) of one slab, to be filled by the
-// caller and released one by one through release/releaseAll; every field but
-// slab is stale. A request shorter than a slab is served from the caller's
-// open slab — a stream of Submits or one-spec batches draws one slab per
-// slabSize tasks — and gets fewer than n when that slab runs out first.
+// caller and released through releaseAll; every field but slab is stale. A
+// request shorter than a slab is served from the caller's open slab — a
+// stream of Submits or one-spec batches draws one slab per slabSize tasks —
+// and gets fewer than n when that slab runs out first.
 //
 //siglint:poolget
 //siglint:noalloc
@@ -92,15 +92,6 @@ func (p *taskPools) carve(n int) []Task {
 		p.open.Put(s) // from here on the next carver's
 	}
 	return s.tasks[lo:hi]
-}
-
-// release recycles one completed task; see releaseAll.
-//
-//siglint:poolput
-//siglint:noalloc
-func (p *taskPools) release(t *Task) {
-	one := [1]*Task{t}
-	p.releaseAll(one[:])
 }
 
 // releaseChunk recycles a carved chunk none of whose tasks was handed on: a

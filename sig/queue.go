@@ -236,7 +236,9 @@ func (s *sched) arm() {
 // ceil(len/rings) was measured and was not faster: single_gtb's wave p50
 // read slower in 8 of 10 alternating pairs, by ~0.2 %.) Order is preserved
 // within a chunk and chunks are enqueued in order, so a window's dispatch
-// order is FIFO (exactly FIFO with one worker).
+// order is FIFO (exactly FIFO with one worker). Ownership of every task
+// transfers to whoever runs it — a worker, or a helping taskwait — and
+// retires it in runGroup, a Perforation drop included.
 //
 //siglint:noalloc
 func (s *sched) enqueueBatch(ts []*Task) {

@@ -8,14 +8,18 @@ import (
 	"repro/sig"
 )
 
-// The serving admission hot path. A steady-state request allocates nothing:
-// the Ticket is drawn from a pool, carries its request through the queue,
-// carries its two body closures (built once, when the pool missed), and is
-// refcounted back. Admitted requests are staged, in admission order, as one
-// TaskSpec each into a spec buffer the server reuses, and every per-wave
-// scratch slice — admit's batch, which both of a wave's admissions fill, the
-// spec buffer, the per-request ran flags — is reused across waves. The specs feed sig's SubmitBatch slab ingest, so
-// the batch fast path the scheduler has runs end-to-end from Submit.
+// The serving admission hot path. The server allocates nothing for a
+// steady-state request: the Ticket is drawn from a pool, carries its request
+// through the queue, carries its two body closures (built once, when the pool
+// missed), and is refcounted back. Admitted requests are staged, in admission
+// order, as one TaskSpec each into a spec buffer the server reuses, and every
+// per-wave scratch slice — admit's batch, which both of a wave's admissions
+// fill, the spec buffer, the per-request ran flags — is reused across waves.
+// The specs feed sig's SubmitBatch slab ingest, so the batch fast path the
+// scheduler has runs end-to-end from Submit. The caller's one allocation is
+// Done's channel, made when it waits on a request that has not resolved yet
+// (Wait does): one per such request, none for a ticket read after it resolved
+// (TestServeWaitAllocs, TestServeSubmitAllocs).
 
 // serveSlabSize is how many staged specs one SubmitBatch carries — matched
 // to sig's internal task slab size so one submit maps onto one task slab.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +69,54 @@ func TestServeSubmitAllocs(t *testing.T) {
 				t.Errorf("%.2f allocs per steady-state wave of %d requests, want 0", avg, benchWave)
 			}
 		})
+	}
+}
+
+// TestServeWaitAllocs pins the one allocation TestServeSubmitAllocs does
+// not see: a caller that waits on its request before it resolves — through
+// Wait, as sigserve's handler and the serving benchmarks do — makes Done's
+// channel, one per request. A wave goroutine runs each request's wave only
+// once its caller is parked in Wait, and the caller submits the next request
+// only after that wave has ended, so no request resolves before it is waited
+// on.
+func TestServeWaitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is noisy under -short race runs")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool poisons Puts under -race; allocations not observable")
+	}
+	s := newBenchServer(t)
+	defer s.Close()
+	req := benchRequest()
+	next, ended := make(chan *Ticket), make(chan struct{})
+	defer close(next)
+	go func() {
+		for tk := range next {
+			for waiting := false; !waiting; runtime.Gosched() {
+				tk.mu.Lock()
+				waiting = tk.done != nil
+				tk.mu.Unlock()
+			}
+			s.RunWave()
+			ended <- struct{}{}
+		}
+	}()
+	request := func() {
+		tk, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next <- tk
+		_ = tk.Wait()
+		tk.Release()
+		<-ended
+	}
+	for i := 0; i < 8; i++ {
+		request()
+	}
+	if avg := testing.AllocsPerRun(100, request); avg < 0.5 || avg > 1.5 {
+		t.Errorf("%.2f allocs per request waited on before it resolved, want 1 (Done's channel)", avg)
 	}
 }
 

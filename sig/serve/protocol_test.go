@@ -13,17 +13,22 @@ import (
 // Server.mu (arrival, told whether it wakes an idle queue); a pump whose
 // every step is one turn of pacer.run — it wakes on the token, or on its timer
 // once next's wakeAt has come, and fires a wave that begins, admits (pops every
-// queued request, then spend), runs a short or an overrunning wall of fake
-// time, admits again (its follow-on: pops what queued meanwhile, then spend),
-// ends, while arrivals queue after its begin, between its two admissions or
-// after the second; and a clock that jumps to the due time. tokState is one
+// queued request, then spend), runs one of tokWalls' walls of fake time,
+// admits again (its follow-on: pops what queued meanwhile, then spend), ends,
+// while arrivals queue after its begin, between its two admissions or after
+// the second; and a clock that jumps to the due time. tokState is one
 // state of it: the pacer's stored fields, the fake clock and the arrivals,
 // all comparable. The due time is not a field: it is the pacer's, derived
-// from start and measured (tokState.due).
+// from start and measured (tokState.due). The model keeps the last wave's
+// start itself too (lastStart), so a pacer that loses its own still has the
+// cadence checked against when its waves really started.
 type tokState struct {
 	now, start, measured, lastEnd int64 // the FakeClock and the pacer
 	early                         bool
 	token                         int8 // the arrival that posted the pending token; -1 for none
+
+	lastStart int64 // the last wave's start as the pump began it; New's clock reading before the first
+	short     bool  // a wave that was not early started less than one cadence after lastStart
 
 	arr [3]struct {
 		phase int8  // arrFree → arrRead → arrQueued → arrPopped
@@ -41,21 +46,23 @@ const (
 	arrPopped
 )
 
-// The model's bounds, and the two wave walls the pump may run: half the
-// configured period, so the first wave's sample moves the cadence down, and
-// one and a half, an overrun.
+// The model's bounds, and the three wave walls the pump may run: an eighth
+// of the configured period, under MinPeriod, so the cadence sits on its floor
+// above the wave's wall and the next wave can come less than a cadence after
+// this one's start; half, so the first wave's sample moves the cadence down;
+// and one and a half, an overrun.
 const (
 	tokWaves  = 2
 	tokTicks  = 3
 	tokPeriod = time.Millisecond
 )
 
-var tokWalls = [...]time.Duration{tokPeriod / 2, 3 * tokPeriod / 2}
+var tokWalls = [...]time.Duration{tokPeriod / 8, tokPeriod / 2, 3 * tokPeriod / 2}
 
 // tokMutant drops one step of the protocol: spend from both of a wave's
-// admissions, or the due token from Submit (arrival posting only its idle
-// wake).
-type tokMutant struct{ noSpend, noDue bool }
+// admissions, the due token from Submit (arrival posting only its idle
+// wake), or the start a wave's begin stores.
+type tokMutant struct{ noSpend, noDue, noStart bool }
 
 var tokCfg = Config{WavePeriod: tokPeriod, MinPeriod: tokPeriod / 4}
 
@@ -164,7 +171,13 @@ func (st tokState) pump(token bool, wall time.Duration, mid [3]int8, ratio float
 				st.token = -1
 			}
 		}
+		start, cadence, stored := fc.Now().UnixNano(), int64(p.period()), p.startNs.Load()
 		p.begin(fc.Now(), token)
+		if m.noStart {
+			p.startNs.Store(stored)
+		}
+		st.short = st.short || !p.early && start < st.lastStart+cadence
+		st.lastStart = start
 		queue(midBegun)
 		admit()
 		queue(midAdmitted)
@@ -238,12 +251,14 @@ func (st tokState) next(ratio float64, m tokMutant) (out []tokState, steps []str
 	return out, steps
 }
 
-// violation names the first of the two properties st breaks, or "".
+// violation names the first of the three properties st breaks, or "".
 //   - no spare wave: a pending token was posted by a request an admit has
 //     already popped, so it would fire a wave with nothing of its own;
 //   - no lost due wave: a queued request that found its wave due has a
 //     token pending, and one that queued before its due time has the pump's
-//     wakeAt no later than that due time.
+//     wakeAt no later than that due time;
+//   - no short cadence: a wave that was not early started at least one
+//     cadence, the one in force as it began, after the previous wave's start.
 func (st *tokState) violation() string {
 	if st.token >= 0 && st.arr[st.token].phase == arrPopped {
 		return fmt.Sprintf("spare wave: arrival %d's token outlived the admit that popped it", st.token)
@@ -256,6 +271,9 @@ func (st *tokState) violation() string {
 		case !a.due && st.wakeAt() > max(st.due(), st.now):
 			return fmt.Sprintf("lost due wave: arrival %d waits on a timer at %v, past the due time %v", i, time.Duration(st.wakeAt()), time.Duration(st.due()))
 		}
+	}
+	if st.short {
+		return "short cadence: a wave that was not early started less than one cadence after the last"
 	}
 	return ""
 }
@@ -275,6 +293,7 @@ func exploreTokens(ratio float64, m tokMutant) (states int, bad string) {
 	p.init(&tokCfg, 1, time.Unix(0, 0))
 	init.token = -1
 	init.store(p, NewFakeClock())
+	init.lastStart = init.start
 	seen := map[tokState]edge{init: {}}
 	stack := []tokState{init}
 	for len(stack) > 0 {
@@ -307,13 +326,15 @@ func exploreTokens(ratio float64, m tokMutant) (states int, bad string) {
 // interleaving of up to three arrivals — before or after the due time, into
 // an empty or a non-empty queue, between waves or inside one before, between
 // or after its two admissions, at ratio 1.0 and below it — with two turns of
-// the production pump loop, each a short or an overrunning wave, on the real
-// pacer methods over a FakeClock. No spare wave and no lost due wave
-// (see violation) must hold in every state. Each property is shown to bite
-// under its own mutant:
+// the production pump loop, each of one of tokWalls' walls, on the real
+// pacer methods over a FakeClock. No spare wave, no lost due wave and no
+// short cadence (see violation) must hold in every state. Each property is
+// shown to bite under its own mutant:
 //   - noSpend, admissions that pop without spend, must break "no spare wave";
 //   - noDue, a Submit that never posts the due token, must break "no lost
-//     due wave".
+//     due wave";
+//   - noStart, a begin that leaves the last start as it was, must break "no
+//     short cadence".
 func TestPacerTokenProtocol(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -323,6 +344,7 @@ func TestPacerTokenProtocol(t *testing.T) {
 		{"pacer", tokMutant{}, ""},
 		{"noSpend", tokMutant{noSpend: true}, "spare wave"},
 		{"noDue", tokMutant{noDue: true}, "lost due wave"},
+		{"noStart", tokMutant{noStart: true}, "short cadence"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var found []string

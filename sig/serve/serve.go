@@ -398,7 +398,7 @@ type Server struct {
 	waveCost    float64   // expected cost of wavePending at the wave's ratio
 	waveExpired []*Ticket // deadline-expired requests skimmed by admit
 	specs       []sig.TaskSpec
-	ran         []atomic.Bool
+	ran         []atomic.Bool // 2 × QueueLimit, sized once in New
 	// followOnCost is the declared cost of what the wave's follow-on
 	// admission popped: measure still prices it as backlog (guarded by mu).
 	followOnCost costSums
@@ -468,7 +468,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MinPeriod > cfg.WavePeriod {
 		return fail(fmt.Errorf("serve: MinPeriod %v exceeds WavePeriod %v", cfg.MinPeriod, cfg.WavePeriod))
 	}
-	s := &Server{cfg: cfg, closeDone: make(chan struct{}), rt: rt}
+	// A wave's two admissions pop at most a full queue each, so one set of
+	// ran flags covers every wave.
+	s := &Server{cfg: cfg, closeDone: make(chan struct{}), rt: rt, ran: make([]atomic.Bool, 2*cfg.QueueLimit)}
 	s.clock = cfg.Clock
 	if s.clock == nil {
 		s.clock = wallClock{}
@@ -958,16 +960,8 @@ func (s *Server) runWave(token bool) WaveReport {
 // fill, the remainder here (see hotpath.go). It then taskwaits and returns
 // the runtime's telemetry of that taskwait. From the first submit on, a body
 // may resolve its ticket, so nothing reads a ticket of the batch before its
-// flag. The ran flags grow to the batch, keeping those set so far: no body
-// of the wave runs between its admissions.
+// flag.
 func (s *Server) runBatch(batch []*Ticket, from int, rep *WaveReport) sig.WaveStats {
-	if len(batch) > len(s.ran) {
-		ran := make([]atomic.Bool, len(batch)) //siglint:allocok grows with the largest wave; every flag is reset at its wave's end
-		for i := range s.ran {
-			ran[i].Store(s.ran[i].Load())
-		}
-		s.ran = ran
-	}
 	for i := from; i < len(batch); i++ {
 		if batch[i].lane == lanePriority {
 			rep.PriorityAdmitted++

@@ -356,7 +356,7 @@ func (rt *Runtime) Submit(fn func(), opts ...TaskOption) {
 	}
 	g.out = out[:0]
 	g.mu.Unlock()
-	rt.dispatchBatch(ready)
+	rt.sched.enqueueBatch(ready)
 	if scratch != nil {
 		rt.pools.putDispatch(scratch)
 	}
@@ -420,7 +420,7 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 			rt.pools.releaseChunk(chunk)
 			// Earlier chunks were accepted and are pending: deliver them.
 			*dispatchP = dispatch
-			rt.dispatchBatch(dispatch)
+			rt.sched.enqueueBatch(dispatch)
 			panic("sig: Submit on closed runtime")
 		}
 		// As in Submit, Seq is the group's count and the wave label is read
@@ -440,40 +440,7 @@ func (rt *Runtime) SubmitBatch(g *Group, specs []TaskSpec) {
 		off += len(chunk)
 	}
 	*dispatchP = dispatch // recycle the grown scratch array
-	rt.dispatchBatch(dispatch)
-}
-
-// dispatchBatch routes a decided batch in order: a task dropped at decision
-// time completes here without touching a queue, the rest go through the
-// worker queues, one lock acquisition per enqueued run. No lock is held
-// while enqueueing. Either way ownership of every task in ts transfers: the
-// workers, or this loop for a drop, release it.
-//
-//siglint:poolput
-//siglint:noalloc
-func (rt *Runtime) dispatchBatch(ts []*Task) {
-	// Split around dropped tasks so the queued runs stay contiguous.
-	runStart := -1
-	for i, t := range ts {
-		if t.Decision == DecideDrop {
-			if runStart >= 0 {
-				rt.sched.enqueueBatch(ts[runStart:i])
-				runStart = -1
-			}
-			g := t.group
-			g.dropped.Add(1)
-			g.record(t, false)
-			rt.pools.release(t)
-			g.leave(1)
-			continue
-		}
-		if runStart < 0 {
-			runStart = i
-		}
-	}
-	if runStart >= 0 {
-		rt.sched.enqueueBatch(ts[runStart:])
-	}
+	rt.sched.enqueueBatch(dispatch)
 }
 
 // runChunk executes the tasks a worker popped or claimed and retires them
@@ -521,9 +488,6 @@ func (rt *Runtime) runGroup(id int, g *Group, ts []*Task) {
 				// not approximate.
 				dropped++
 			}
-			g.record(t, false)
-		case DecideDrop:
-			dropped++
 			g.record(t, false)
 		default:
 			panic(fmt.Sprintf("sig: task executed with undecided decision %d", d))
@@ -631,7 +595,7 @@ func (rt *Runtime) flush(g *Group, viaSegment bool) {
 		rt.sched.releaseSegment()
 	}
 	if len(ready) > 0 {
-		rt.dispatchBatch(ready)
+		rt.sched.enqueueBatch(ready)
 	}
 	rt.pools.putDispatch(scratch)
 }
